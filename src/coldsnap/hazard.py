@@ -99,13 +99,17 @@ def relative_risk(t_in_c, model: RRModel):
     return float(value) if np.isscalar(t_in_c) else value
 
 
+def mortality_probability(mean_rr, delta: float = 0.0):
+    """Mortality probability from event-mean RR: excess risk plus delta in [0, 1]."""
+    return np.clip(np.asarray(mean_rr, dtype=float) - 1.0 + delta, 0.0, 1.0)
+
+
 def base_mortality(t_in_c, model: RRModel, delta: float = 0.0) -> float:
     """Mortality probability from a temperature trace: mean excess RR plus delta."""
     t = np.asarray(t_in_c, dtype=float)
     if t.size == 0:
         raise ConfigurationError("empty temperature trace")
-    excess = float(model.evaluate(t).mean()) - 1.0
-    return float(min(max(excess + delta, 0.0), 1.0))
+    return float(mortality_probability(model.evaluate(t).mean(), delta))
 
 
 @dataclass(frozen=True)
@@ -193,6 +197,20 @@ def winter_index_sum(t_in_c, rh_pct, params: WinterIndexParams) -> float:
         return 0.0
     contrib = (params.t_crit_c - t[gate]) * (rh[gate] - params.rh_crit_pct)
     return float(contrib.sum())
+
+
+def winter_index_rows(t_in_c, rh_pct, params: WinterIndexParams) -> np.ndarray:
+    """`winter_index_sum` of every row of a (buildings x steps) block.
+
+    Only rows with a gated step are reduced, each by `winter_index_sum`, so
+    every sum adds the same elements in the same order as the one-trace form.
+    """
+    rh = params.indoor_rh_pct if params.indoor_rh_pct is not None else np.asarray(rh_pct)
+    gated = ((t_in_c < params.t_crit_c) & (rh > params.rh_crit_pct)).any(axis=1)
+    sums = np.zeros(len(t_in_c))
+    for row in np.flatnonzero(gated):
+        sums[row] = winter_index_sum(t_in_c[row], rh_pct, params)
+    return sums
 
 
 def _normal_cdf(x: float) -> float:

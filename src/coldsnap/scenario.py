@@ -9,6 +9,7 @@ summary.json, histogram.csv, exposure.csv, and manifest.json.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -27,8 +28,8 @@ from .hazard import (
     RRModel,
     TruncNormal,
     WinterIndexParams,
-    base_mortality,
-    winter_index_sum,
+    mortality_probability,
+    winter_index_rows,
 )
 from .outage import (
     AvailabilitySeries,
@@ -48,7 +49,7 @@ from .population import (
     validate_population,
     write_population_csv,
 )
-from .thermal import simulate_building, write_traces_csv
+from .thermal import ExposureTrace, TraceWriter, simulate_block
 from .valuation import (
     CICParams,
     CICTable,
@@ -63,6 +64,13 @@ from .valuation import (
 from .weather import load_weather_csv, parse_timestamp, resample, slice_window
 
 SCENARIO_NAMES = tuple(s.value for s in Scenario)
+
+# Buildings advanced together per time step: wide enough that numpy's
+# per-step overhead is paid rarely, narrow enough that the block's
+# (steps x buildings) matrices stay a few MB.
+SIM_BLOCK = 256
+# Rows per reduction block: bounds the temporaries of the curve evaluations.
+REDUCE_BLOCK = 64
 
 
 @dataclass
@@ -286,6 +294,14 @@ def _valuation_from_dict(data: dict) -> ValuationParams:
     return ValuationParams(**kwargs)
 
 
+def _number(value, key: str, kind):
+    """`kind(value)`, or a ConfigurationError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"config key {key!r} must be a number, got {value!r}") from exc
+
+
 def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
     """Parse a JSON config file; `overrides` wins over file values."""
     path = Path(path)
@@ -333,10 +349,10 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
         )
     scenario_params = dict((raw.get("scenarios") or {}).get(scenario, {}))
 
-    n_trials = int(overrides.get("n_trials", raw.get("n_trials", 100)))
+    n_trials = _number(overrides.get("n_trials", raw.get("n_trials", 100)), "n_trials", int)
     if n_trials < 1:
         raise ConfigurationError("n_trials must be >= 1")
-    seed = int(overrides.get("seed", raw.get("seed", 0)))
+    seed = _number(overrides.get("seed", raw.get("seed", 0)), "seed", int)
     out_dir = Path(overrides.get("out_dir", raw.get("out_dir", "runs")))
 
     return ScenarioConfig(
@@ -347,14 +363,14 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
         weather_path=weather_path,
         window_start=window_start,
         window_end=window_end,
-        dt_s=float(raw.get("dt_s", 300.0)),
+        dt_s=_number(raw.get("dt_s", 300.0), "dt_s", float),
         scenario=scenario,
         scenario_params=scenario_params,
         hazard=_hazard_from_dict(raw.get("hazard", {})),
         valuation=_valuation_from_dict(raw.get("valuation", {})),
         n_trials=n_trials,
         seed=seed,
-        histogram_bins=int(raw.get("histogram_bins", 50)),
+        histogram_bins=_number(raw.get("histogram_bins", 50), "histogram_bins", int),
         out_dir=out_dir,
         threads=int(overrides.get("threads", 1)),
         write_traces=bool(overrides.get("write_traces", False)),
@@ -373,7 +389,11 @@ def build_schedules(config: ScenarioConfig, pop: Population) -> PowerScheduleSet
     if config.scenario == Scenario.CO.value:
         shed_ids = params.get("shed_ids")
         if shed_ids is None:
-            fraction = float(params.get("shed_fraction", 0.0))
+            fraction = _number(params.get("shed_fraction", 0.0), "scenarios.co.shed_fraction",
+                               float)
+            if not 0.0 <= fraction <= 1.0:
+                raise ConfigurationError(
+                    f"scenarios.co.shed_fraction must lie in [0, 1], got {fraction}")
             scope = params.get("shed_scope", "residential")
             if scope == "residential":
                 candidates = sorted(b.id for b in pop.residential())
@@ -420,11 +440,14 @@ def population_digest(pop: Population) -> str:
     return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
 
 
-def assemble_bundle(config: ScenarioConfig, pop: Population,
-                    schedule: PowerScheduleSet) -> tuple[ScenarioBundle, dict, list[dict]]:
-    """Simulate every building and reduce traces to valuation inputs.
+def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerScheduleSet,
+                    traces_path=None) -> tuple[ScenarioBundle, list[dict]]:
+    """Simulate every building and reduce its trace to valuation inputs.
 
-    Returns the trial bundle, the traces keyed by building id, and the
+    Buildings are simulated `SIM_BLOCK` at a time and reduced in row blocks
+    of `REDUCE_BLOCK`, so no array of size buildings x steps outlives its
+    block. With `traces_path`, each block's traces are appended to that CSV
+    as soon as they are simulated. Returns the trial bundle and the
     per-building exposure rows for reporting.
     """
     series = load_weather_csv(config.weather_path)
@@ -433,43 +456,48 @@ def assemble_bundle(config: ScenarioConfig, pop: Population,
     window = slice_window(series, config.window_start, config.window_end)
 
     hz = config.hazard
-    traces = {}
-    n_b = len(pop.buildings)
-    p_mort = np.empty(n_b)
-    wi_sum = np.empty(n_b)
-    mean_rr = np.empty(n_b)
-    exposure_rows = []
-    for i, b in enumerate(pop.buildings):
-        trace = simulate_building(b, window, schedule.schedules[b.id])
-        traces[b.id] = trace
-        mean_rr[i] = hz.rr_model.evaluate(trace.t_in_c).mean()
-        p_mort[i] = base_mortality(trace.t_in_c, hz.rr_model, hz.delta)
-        wi_sum[i] = winter_index_sum(trace.t_in_c, window.rh_pct, hz.wi_params)
-        exposure_rows.append({
-            "building_id": b.id,
-            "kind": b.kind.value,
-            "sector": b.sector.value,
-            "insulation": b.insulation.value,
-            "n_occupants": b.n_occupants,
-            "mean_t_in_c": float(trace.t_in_c.mean()),
-            "min_t_in_c": float(trace.t_in_c.min()),
-            "mean_rr": float(mean_rr[i]),
-            "p_mort": float(p_mort[i]),
-            "wi_sum": float(wi_sum[i]),
-            "unpowered_h": schedule.unpowered_hours(b.id),
-        })
+    buildings = pop.buildings
+    n_b = len(buildings)
+    mean_rr, mean_t, min_t, wi_sum, unpowered_h, prod_usd = (np.empty(n_b) for _ in range(6))
+    with (open(traces_path, "w", newline="", encoding="utf-8") if traces_path is not None
+          else contextlib.nullcontext()) as handle:
+        sink = TraceWriter(handle) if handle is not None else None
+        for first in range(0, n_b, SIM_BLOCK):
+            block = buildings[first:first + SIM_BLOCK]
+            powered = np.stack([schedule.schedules[b.id] for b in block])
+            t_in, hvac_on = simulate_block(block, window, powered.T)
+            if sink is not None:
+                for j, b in enumerate(block):
+                    hvac_kw = np.where(hvac_on[:, j], b.hvac_electric_kw, 0.0)
+                    sink.write(ExposureTrace(b.id, window.start, window.dt_s,
+                                             t_in[:, j], powered[j], hvac_kw))
+            unpowered_h[first:first + len(block)] = (
+                (~powered).sum(axis=1) * schedule.dt_s / 3600.0)
+            # Row reductions need C-contiguous rows to add in the same order
+            # as a reduction over one building's trace.
+            for lo in range(0, len(block), REDUCE_BLOCK):
+                rows = np.ascontiguousarray(t_in[:, lo:lo + REDUCE_BLOCK].T)
+                at = slice(first + lo, first + lo + len(rows))
+                mean_rr[at] = hz.rr_model.evaluate(rows).mean(axis=1)
+                mean_t[at] = rows.mean(axis=1)
+                min_t[at] = rows.min(axis=1)
+                wi_sum[at] = winter_index_rows(rows, window.rh_pct, hz.wi_params)
+                prod_usd[at] = productivity_cost(
+                    rows, powered[lo:lo + len(rows)], block[lo:lo + len(rows)],
+                    window.start, window.dt_s, config.valuation, hz.productivity_model)
+    p_mort = mortality_probability(mean_rr, hz.delta)
 
     beta = config.valuation.beta_wi
     if beta is None:
         beta = float(max(wi_sum.max(initial=0.0), 1e-9))
 
-    c_cic = sum(
-        interruption_cost(b, schedule.unpowered_hours(b.id), config.valuation.cic)
-        for b in pop.buildings
-    )
-    c_prod = productivity_cost(traces, schedule, pop, config.valuation,
-                               hz.productivity_model)
-    occupant_idx = np.repeat(np.arange(n_b), [b.n_occupants for b in pop.buildings])
+    # Both totals add in building order, one building at a time.
+    c_cic = sum(interruption_cost(b, h, config.valuation.cic)
+                for b, h in zip(buildings, unpowered_h.tolist()))
+    c_prod = 0.0
+    for usd in prod_usd.tolist():
+        c_prod += usd
+    occupant_idx = np.repeat(np.arange(n_b), [b.n_occupants for b in buildings])
 
     bundle = ScenarioBundle(
         scenario=config.scenario,
@@ -484,7 +512,24 @@ def assemble_bundle(config: ScenarioConfig, pop: Population,
         val_params=config.valuation,
         mean_rr_by_building=mean_rr,
     )
-    return bundle, traces, exposure_rows
+    columns = (mean_t, min_t, mean_rr, p_mort, wi_sum, unpowered_h)
+    exposure_rows = [
+        {
+            "building_id": b.id,
+            "kind": b.kind.value,
+            "sector": b.sector.value,
+            "insulation": b.insulation.value,
+            "n_occupants": b.n_occupants,
+            "mean_t_in_c": t_mean,
+            "min_t_in_c": t_min,
+            "mean_rr": rr,
+            "p_mort": p,
+            "wi_sum": wi,
+            "unpowered_h": hours,
+        }
+        for b, t_mean, t_min, rr, p, wi, hours in zip(buildings, *(c.tolist() for c in columns))
+    ]
+    return bundle, exposure_rows
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
@@ -503,7 +548,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         )
 
     schedule = build_schedules(config, pop)
-    bundle, traces, exposure_rows = assemble_bundle(config, pop, schedule)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    bundle, exposure_rows = assemble_bundle(
+        config, pop, schedule, out / "traces.csv" if config.write_traces else None)
     distribution = run_monte_carlo(bundle, config.n_trials, config.seed, config.threads)
     summary, histogram = summarize(distribution, config.histogram_bins)
 
@@ -515,15 +563,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     summary["n_buildings"] = len(pop.buildings)
     summary["total_occupants"] = pop.total_occupants
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_trials_csv(out / "trials.csv", distribution)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                                       encoding="utf-8")
     _write_histogram_csv(out / "histogram.csv", histogram)
     _write_exposure_csv(out / "exposure.csv", exposure_rows)
-    if config.write_traces:
-        write_traces_csv(traces.values(), out / "traces.csv")
 
     manifest = {
         "engine": "coldsnap",

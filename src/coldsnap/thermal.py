@@ -12,7 +12,6 @@ is a hysteresis relay gated by power availability.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -84,6 +83,63 @@ def hvac_thermostat(t_in: float, setpoint_c: float, deadband_c: float,
     return on, rated_electric_kw if on else 0.0
 
 
+def simulate_block(buildings, weather: WeatherSeries, powered,
+                   internal_gain_w: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate buildings side by side over a weather window.
+
+    `powered` is a (steps x buildings) boolean matrix aligned with the weather
+    samples. Returns the indoor temperature and the heating-on flag, both
+    (steps x buildings): the loop runs over time and each step advances every
+    building at once. Initial temperatures are the setpoints; internal gains
+    default as in `simulate_building`.
+    """
+    powered = np.ascontiguousarray(powered, dtype=bool)
+    n, k = weather.n_steps, len(buildings)
+    if powered.shape != (n, k):
+        raise ConfigurationError(
+            f"schedule block is {powered.shape[0]} steps x {powered.shape[1]} buildings, "
+            f"weather has {n} steps for {k} buildings"
+        )
+    if internal_gain_w is None:
+        gains = [defaults.INTERNAL_GAIN_W if b.n_occupants > 0 else 0.0 for b in buildings]
+    else:
+        gains = [internal_gain_w] * k
+    # Per-building constants, each computed with the same scalar expression as
+    # the one-building relay so that every row is bit-identical to it.
+    decay = np.array([math.exp(-b.ua_w_per_k * weather.dt_s / b.thermal_mass_j_per_k)
+                      for b in buildings])
+    rise_off = np.array([g / b.ua_w_per_k for b, g in zip(buildings, gains)])
+    rise_on = np.array([(b.hvac_heat_w + g) / b.ua_w_per_k for b, g in zip(buildings, gains)])
+    lo = np.array([b.setpoint_c - b.deadband_c / 2.0 for b in buildings])
+    hi = np.array([b.setpoint_c + b.deadband_c / 2.0 for b in buildings])
+
+    t_out = weather.t_out_c
+    t_in = np.empty((n, k))
+    hvac_on = np.empty((n, k), dtype=bool)
+    temp = np.array([b.setpoint_c for b in buildings], dtype=float)
+    on = np.zeros(k, dtype=bool)
+    hold = np.empty(k, dtype=bool)
+    for i in range(n):
+        # Hysteresis relay: off when unpowered, on below the band, off above
+        # it, else hold. Temperatures are finite, so `<= hi` is `not > hi`.
+        np.less_equal(temp, hi, out=hold)
+        hold &= on
+        np.less(temp, lo, out=on)
+        on |= hold
+        on &= powered[i]
+        t_in[i] = temp
+        hvac_on[i] = on
+        # Exact step toward the equilibrium t_out + Q/UA.
+        t_eq = np.where(on, rise_on, rise_off)
+        t_eq += t_out[i]
+        temp -= t_eq
+        temp *= decay
+        temp += t_eq
+    if not np.isfinite(t_in).all():
+        raise ConfigurationError("simulation produced non-finite temperatures")
+    return t_in, hvac_on
+
+
 def simulate_building(building: Building, weather: WeatherSeries,
                       powered, internal_gain_w: float | None = None) -> ExposureTrace:
     """Simulate one building over a weather window under a power schedule.
@@ -98,45 +154,14 @@ def simulate_building(building: Building, weather: WeatherSeries,
         raise ConfigurationError(
             f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
         )
-    if internal_gain_w is None:
-        internal_gain_w = defaults.INTERNAL_GAIN_W if building.n_occupants > 0 else 0.0
-
-    ua = building.ua_w_per_k
-    cap = building.thermal_mass_j_per_k
-    decay = math.exp(-ua * weather.dt_s / cap)
-    rated_kw = building.hvac_electric_kw
-    lo = building.setpoint_c - building.deadband_c / 2.0
-    hi = building.setpoint_c + building.deadband_c / 2.0
-
-    # Equilibrium temperature per step for heating-on and heating-off, so the
-    # relay loop below stays scalar-cheap. Matches hvac_thermostat exactly.
-    t_eq_off = (weather.t_out_c + internal_gain_w / ua).tolist()
-    t_eq_on = (weather.t_out_c + (building.hvac_heat_w + internal_gain_w) / ua).tolist()
-    powered_list = powered.tolist()
-
-    n = weather.n_steps
-    t_in = np.empty(n)
-    hvac_kw = np.empty(n)
-    temp = building.setpoint_c
-    on = False
-    for i in range(n):
-        if not powered_list[i]:
-            on = False
-        elif temp < lo:
-            on = True
-        elif temp > hi:
-            on = False
-        t_in[i] = temp
-        hvac_kw[i] = rated_kw if on else 0.0
-        t_eq = t_eq_on[i] if on else t_eq_off[i]
-        temp = t_eq + (temp - t_eq) * decay
+    t_in, hvac_on = simulate_block([building], weather, powered[:, None], internal_gain_w)
     return ExposureTrace(
         building_id=building.id,
         start=weather.start,
         dt_s=weather.dt_s,
-        t_in_c=t_in,
+        t_in_c=t_in[:, 0].copy(),
         powered=powered.copy(),
-        hvac_kw=hvac_kw,
+        hvac_kw=np.where(hvac_on[:, 0], building.hvac_electric_kw, 0.0),
     )
 
 
@@ -149,18 +174,38 @@ def free_float_closed_form(building: Building, t_start_c: float, t_out_c: float,
     return t_eq + (t_start_c - t_eq) * np.exp(-times / tau)
 
 
+class TraceWriter:
+    """Appends `building_id,timestamp,t_in_c,powered,hvac_kw` rows to an open
+    text handle, one trace at a time.
+
+    Timestamps are formatted once per step and reused for every building
+    that shares the start, step and length. Lines end in CRLF, as `csv`
+    writes them.
+    """
+
+    def __init__(self, handle):
+        self._handle = handle
+        self._stamps: dict[tuple, list[str]] = {}
+        handle.write("building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
+
+    def write(self, trace: ExposureTrace) -> None:
+        key = (trace.start, trace.dt_s, trace.n_steps)
+        stamps = self._stamps.get(key)
+        if stamps is None:
+            stamps = [(trace.start + timedelta(seconds=trace.dt_s * i)).isoformat()
+                      for i in range(trace.n_steps)]
+            self._stamps[key] = stamps
+        bid = trace.building_id
+        self._handle.writelines(
+            f"{bid},{stamp},{t:.4f},{'true' if on else 'false'},{kw:.3f}\r\n"
+            for stamp, t, on, kw in zip(stamps, trace.t_in_c.tolist(),
+                                        trace.powered.tolist(), trace.hvac_kw.tolist())
+        )
+
+
 def write_traces_csv(traces, path) -> None:
     """Export traces as `building_id,timestamp,t_in_c,powered,hvac_kw` rows."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["building_id", "timestamp", "t_in_c", "powered", "hvac_kw"])
+        writer = TraceWriter(handle)
         for trace in traces:
-            for i in range(trace.n_steps):
-                stamp = trace.start + timedelta(seconds=trace.dt_s * i)
-                writer.writerow([
-                    trace.building_id,
-                    stamp.isoformat(),
-                    f"{trace.t_in_c[i]:.4f}",
-                    "true" if trace.powered[i] else "false",
-                    f"{trace.hvac_kw[i]:.3f}",
-                ])
+            writer.write(trace)

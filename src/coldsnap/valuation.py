@@ -236,36 +236,37 @@ def _work_hour_mask(start_seconds_of_day: float, dt_s: float, n_steps: int,
     return (seconds >= hours[0] * 3600.0) & (seconds < hours[1] * 3600.0)
 
 
-def productivity_cost(traces, schedules, pop: Population, params: ValuationParams,
-                      productivity_model) -> float:
-    """Wage value of lost work performance over the event's working hours.
+def productivity_cost(t_in_c, powered, buildings, start, dt_s: float,
+                      params: ValuationParams, productivity_model) -> np.ndarray:
+    """Wage value of lost work performance over the event's working hours,
+    one value per building.
 
-    Performance is zero at unpowered steps for power-dependent jobs and
-    follows the temperature curve otherwise. Residential (work-from-home)
-    and commercial premises use their configured daily working windows.
+    `t_in_c` and `powered` hold one C-contiguous row per building
+    (buildings x steps, starting at `start`, `dt_s` apart). Performance is
+    zero at unpowered steps for power-dependent jobs and follows the
+    temperature curve otherwise. Residential (work-from-home) and commercial
+    premises use their configured daily working windows. Buildings without
+    workers cost nothing.
     """
-    total = 0.0
-    dt_h = None
-    for b in pop.buildings:
-        if b.n_workers == 0:
-            continue
-        trace = traces[b.id]
-        powered = schedules.schedules[b.id]
-        if dt_h is None:
-            dt_h = trace.dt_s / 3600.0
-            start_sec = (trace.start.hour * 3600.0 + trace.start.minute * 60.0
-                         + trace.start.second)
-            res_mask = _work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
-                                       params.work_hours_residential)
-            com_mask = _work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
-                                       params.work_hours_commercial)
-        mask = res_mask if b.sector is Sector.RESIDENTIAL else com_mask
-        perf = productivity_model.evaluate(trace.t_in_c)
-        if b.job_requires_power:
-            perf = np.where(powered, perf, 0.0)
-        lost = (1.0 - perf[mask]).sum() * dt_h
-        total += b.n_workers * lost * params.wage_usd_per_hour[b.kind.value]
-    return float(total)
+    t_in_c = np.asarray(t_in_c, dtype=float)
+    n_steps = t_in_c.shape[1]
+    start_sec = start.hour * 3600.0 + start.minute * 60.0 + start.second
+    res_mask = _work_hour_mask(start_sec, dt_s, n_steps, params.work_hours_residential)
+    com_mask = _work_hour_mask(start_sec, dt_s, n_steps, params.work_hours_commercial)
+
+    needs_power = np.array([b.job_requires_power for b in buildings], dtype=bool)
+    loss = 1.0 - np.where(needs_power[:, None] & ~np.asarray(powered, dtype=bool),
+                          0.0, productivity_model.evaluate(t_in_c))
+    # Boolean column selection leaves the rows non-contiguous, and their sums
+    # would differ in the last bit from the one-trace sums; copy first.
+    lost_res = np.ascontiguousarray(loss[:, res_mask]).sum(axis=1)
+    lost_com = np.ascontiguousarray(loss[:, com_mask]).sum(axis=1)
+    residential = np.array([b.sector is Sector.RESIDENTIAL for b in buildings], dtype=bool)
+    lost_h = np.where(residential, lost_res, lost_com) * (dt_s / 3600.0)
+    workers = np.array([b.n_workers for b in buildings], dtype=float)
+    wage = np.array([params.wage_usd_per_hour[b.kind.value] if b.n_workers else 0.0
+                     for b in buildings])
+    return workers * lost_h * wage
 
 
 @dataclass(frozen=True)
@@ -328,8 +329,6 @@ class CostDistribution:
         object.__setattr__(self, "trials", tuple(self.trials))
 
     def component(self, name: str) -> np.ndarray:
-        if name in ("total", "nei_total"):
-            return np.array([getattr(t, name) for t in self.trials], dtype=float)
         return np.array([getattr(t, name) for t in self.trials], dtype=float)
 
 

@@ -84,6 +84,26 @@ class TestRunCommand:
         assert code == 2
         assert "acknowledge_default_cic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value", [
+        (("n_trials",), "x"),
+        (("scenarios", "co", "shed_fraction"), 2),
+        (("scenarios", "co", "shed_fraction"), -0.1),
+    ])
+    def test_bad_config_value_exits_2_naming_key(self, demo_config_path, tmp_path, capsys,
+                                                 path, value):
+        config = json.loads(demo_config_path.read_text())
+        section = config
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = main(["run", "--config", str(bad), "--scenario", "co",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert path[-1] in capsys.readouterr().err
+
     def test_manifest_contains_provenance_and_stable_hash(self, runs):
         manifest = json.loads((runs["base"] / "manifest.json").read_text())
         assert manifest["engine"] == "coldsnap"

@@ -92,18 +92,19 @@ class TestProductivityCost:
             hvac_kw=np.zeros(n),
         )
 
+    def cost(self, trace, building, params, model):
+        """Lost wages of one building, from a one-row block."""
+        (usd,) = productivity_cost(trace.t_in_c[None, :], trace.powered[None, :], [building],
+                                   trace.start, trace.dt_s, params, model)
+        return usd
+
     def test_full_performance_costs_nothing(self):
         cfg = HazardConfig.default()
         grid = np.arange(10.0, 32.0, 0.01)
         argmax = grid[np.argmax(cfg.productivity_model.evaluate(grid))]
         office = make_building(0, kind=BuildingKind.OFFICE, n_workers=10)
-        pop = make_population([office])
         trace = self.make_trace(argmax, True)
-
-        class Sched:
-            schedules = {0: trace.powered}
-        cost = productivity_cost({0: trace}, Sched(), pop, ValuationParams(),
-                                 cfg.productivity_model)
+        cost = self.cost(trace, office, ValuationParams(), cfg.productivity_model)
         assert cost == pytest.approx(0.0, abs=1e-4)
 
     def test_office_example_value(self):
@@ -111,43 +112,29 @@ class TestProductivityCost:
         cfg = HazardConfig.default()
         office = make_building(0, kind=BuildingKind.OFFICE, n_workers=10,
                                job_requires_power=True)
-        pop = make_population([office])
         trace = self.make_trace(20.0, False)  # unpowered, power-required job
-
-        class Sched:
-            schedules = {0: trace.powered}
         params = ValuationParams(work_hours_commercial=(8, 16))
-        cost = productivity_cost({0: trace}, Sched(), pop, params, cfg.productivity_model)
+        cost = self.cost(trace, office, params, cfg.productivity_model)
         assert cost == pytest.approx(10 * 1 * 37.88 * 8, abs=1e-9)
 
     def test_unpowered_hour_power_required_job_loses_full_wage(self):
         cfg = HazardConfig.default()
         home = make_building(0, n_workers=1, job_requires_power=True)
-        pop = make_population([home])
         n = 12  # one hour
         start = datetime(2021, 2, 15, 9, tzinfo=UTC)
         trace = ExposureTrace(0, start, 300.0, np.full(n, 22.0),
                               np.zeros(n, dtype=bool), np.zeros(n))
-
-        class Sched:
-            schedules = {0: trace.powered}
-        cost = productivity_cost({0: trace}, Sched(), pop, ValuationParams(),
-                                 cfg.productivity_model)
+        cost = self.cost(trace, home, ValuationParams(), cfg.productivity_model)
         assert cost == pytest.approx(45.51 * 1.0, abs=1e-9)
 
     def test_non_power_job_keeps_thermal_performance_when_dark(self):
         cfg = HazardConfig.default()
         home = make_building(0, n_workers=1, job_requires_power=False)
-        pop = make_population([home])
         n = 12
         start = datetime(2021, 2, 15, 9, tzinfo=UTC)
         trace = ExposureTrace(0, start, 300.0, np.full(n, 22.0),
                               np.zeros(n, dtype=bool), np.zeros(n))
-
-        class Sched:
-            schedules = {0: trace.powered}
-        cost = productivity_cost({0: trace}, Sched(), pop, ValuationParams(),
-                                 cfg.productivity_model)
+        cost = self.cost(trace, home, ValuationParams(), cfg.productivity_model)
         perf = float(cfg.productivity_model.evaluate(22.0))
         assert cost == pytest.approx((1 - perf) * 45.51, abs=1e-9)
 
