@@ -1,0 +1,111 @@
+"""One JSON codec for the config dataclasses: their fields are the schema.
+
+`decode` builds a value from JSON by its type annotation. Absent keys take
+the dataclass defaults. An unknown key, a value of the wrong JSON type or
+length, and a ConfigurationError from `__post_init__` raise a
+ConfigurationError naming the dotted key path. A type whose JSON is not an
+object has `to_json()` and `from_json(data)`; `data`'s annotation is the
+JSON shape.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+import types
+import typing
+from enum import Enum
+from functools import lru_cache
+
+from .errors import ConfigurationError
+
+_SCALARS = {bool: "true or false", int: "an integer", float: "a finite number",
+            str: "a string"}
+
+
+def encode(obj):
+    """JSON form of a config value: dataclasses become objects keyed by field."""
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {k.value if isinstance(k, Enum) else str(k): encode(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [encode(v) for v in obj]
+    return obj
+
+
+def decode(tp, data, path: str):
+    """A value of type `tp` built from the JSON `data` found at key `path`."""
+    if hasattr(tp, "from_json"):
+        return _build(path, tp.from_json, decode(_hints(tp.from_json)["data"], data, path))
+    if dataclasses.is_dataclass(tp):
+        _expect(isinstance(data, dict), path, "an object", data)
+        fields = {f.name: f for f in dataclasses.fields(tp)}
+        for key in data:
+            if key not in fields:
+                raise ConfigurationError(f"config key {f'{path}.{key}'!r} is not a known setting")
+        for name, f in fields.items():
+            if name not in data and f.default is f.default_factory is dataclasses.MISSING:
+                raise ConfigurationError(f"config key {f'{path}.{name}'!r} is required")
+        hints = _hints(tp)
+        return _build(path, tp, **{name: decode(hints[name], value, f"{path}.{name}")
+                                   for name, value in data.items()})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if data is None else decode(args[0], data, path)
+    if tp is dict or origin is dict:
+        _expect(isinstance(data, dict), path, "an object", data)
+        if not args:
+            return data
+        return {_key(args[0], k, path): decode(args[1], v, f"{path}.{k}")
+                for k, v in data.items()}
+    if origin is tuple:
+        _expect(isinstance(data, list), path, "a list", data)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(data)
+        _expect(len(data) == len(args), path, f"a list of {len(args)} items", data)
+        return tuple(decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, data)))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        values = [m.value for m in tp]
+        _expect(isinstance(data, str) and data in values, path,
+                "one of " + ", ".join(map(repr, values)), data)
+        return tp(data)
+    if tp in _SCALARS:
+        # Another JSON type is rejected, never converted: true is not a
+        # number, 3.0 is not an integer. The float range excludes NaN and
+        # the infinities, which Python's JSON parser accepts.
+        if tp is float and type(data) in (int, float):
+            _expect(abs(data) <= sys.float_info.max, path, _SCALARS[tp], data)
+            return float(data)
+        _expect(type(data) is tp, path, _SCALARS[tp], data)
+        return data
+    return data  # unannotated: free-form
+
+
+@lru_cache(maxsize=None)
+def _hints(obj) -> dict:
+    return typing.get_type_hints(obj)
+
+
+def _key(tp, key: str, path: str):
+    """Dict keys are JSON strings; enum- and int-keyed dicts convert them."""
+    if tp is int:
+        _expect(key.strip().lstrip("-").isdecimal(), path, "keyed by integers", key)
+        return int(key)
+    return key if tp is str else decode(tp, key, f"{path}.{key}")
+
+
+def _build(path: str, make, /, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config key {path!r}: {exc}") from exc
+
+
+def _expect(ok: bool, path: str, kind: str, data) -> None:
+    if not ok:
+        raise ConfigurationError(f"config key {path!r} must be {kind}, got {data!r}")

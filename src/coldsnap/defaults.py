@@ -9,7 +9,6 @@ All values here can be overridden from the scenario config file.
 
 # Value of statistical life, USD per life.
 VSL_FEMA_USD = 11.6e6  # FEMA benefit-cost analysis guidance
-VSL_DOT_USD = 11.8e6   # US DOT guidance
 
 
 # Average hourly pay rate by building type, USD/h (BLS, Texas).

@@ -24,74 +24,106 @@ from .errors import ConfigurationError
 _GRID_STEP_C = 0.1
 
 
-def _fit_polynomial(points, degree: int):
-    """Least-squares polynomial fit; returns (coefficients, max abs residual)."""
-    xs = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1] for p in points], dtype=float)
-    if len(xs) <= degree:
-        raise ConfigurationError(f"need more than {degree} points for a degree-{degree} fit")
-    coeffs = np.polyfit(xs, ys, degree)
-    residual = float(np.abs(np.polyval(coeffs, xs) - ys).max())
-    return coeffs, residual
+@dataclass(frozen=True)
+class CurveSpec:
+    """JSON form of a curve model: its coefficients, or the points to fit
+    (by default the shipped anchors, over the shipped `valid_range_c`)."""
 
-
-def _grid(lo: float, hi: float) -> np.ndarray:
-    return np.arange(lo, hi + _GRID_STEP_C / 2, _GRID_STEP_C)
+    coefficients_high_to_low: tuple[float, ...] | None = None
+    valid_range_c: tuple[float, float] | None = None
+    fit_points: tuple[tuple[float, float], ...] | None = None
+    fit_max_abs_residual: float | None = None
 
 
 @dataclass(frozen=True)
-class RRModel:
-    """Quartic relative-risk-of-mortality curve, minimum normalized to 1."""
+class CurveModel:
+    """Polynomial of temperature whose extremum over its valid range is 1.
+    Subclasses set the degree, the extremum ("minimum" or "maximum"), its
+    tolerance (below, above), the shipped anchors and range, and `evaluate`."""
 
-    coefficients: tuple[float, float, float, float, float]  # quartic, highest power first
+    coefficients: tuple[float, ...]  # highest power first
     t_min_c: float
     t_max_c: float
     fit_points: tuple = ()
     fit_residual: float = 0.0
 
+    NAME = DEGREE = EXTREMUM = TOLERANCE = ANCHORS = VALID_RANGE_C = None
+
     def __post_init__(self):
-        if self.t_max_c <= self.t_min_c:
-            raise ConfigurationError("invalid temperature range for mortality curve")
-        grid_min = float(np.polyval(self.coefficients, _grid(self.t_min_c, self.t_max_c)).min())
-        if not (1.0 - 1e-9) <= grid_min <= (1.0 + 1e-6):
+        extremum = self._extremum(self.coefficients, self.t_min_c, self.t_max_c)
+        below, above = self.TOLERANCE
+        if not 1.0 - below <= extremum <= 1.0 + above:
             raise ConfigurationError(
-                f"mortality curve minimum over its range is {grid_min!r}; expected 1 "
-                "(renormalize via RRModel.from_points)"
+                f"{self.NAME} curve {self.EXTREMUM} over its range is "
+                f"{extremum!r}; expected 1 (renormalize via from_points)"
             )
 
     @classmethod
-    def from_points(cls, points, t_min_c: float, t_max_c: float) -> "RRModel":
-        """Fit a quartic to (temperature, risk) anchors and normalize min -> 1."""
-        coeffs, residual = _fit_polynomial(points, 4)
-        grid_min = float(np.polyval(coeffs, _grid(t_min_c, t_max_c)).min())
-        if grid_min <= 0:
-            raise ConfigurationError("fitted mortality curve is non-positive over its range")
-        coeffs = coeffs / grid_min
+    def _extremum(cls, coefficients, t_min_c: float, t_max_c: float) -> float:
+        """The normalized extremum over a grid spanning the valid range."""
+        if t_max_c <= t_min_c:
+            raise ConfigurationError(
+                f"invalid temperature range [{t_min_c}, {t_max_c}] for the {cls.NAME} curve")
+        grid = np.arange(t_min_c, t_max_c + _GRID_STEP_C / 2, _GRID_STEP_C)
+        values = np.polyval(coefficients, grid)
+        return float(values.min() if cls.EXTREMUM == "minimum" else values.max())
+
+    @classmethod
+    def from_points(cls, points, t_min_c: float, t_max_c: float):
+        """Least-squares fit to (temperature, value) anchors, extremum -> 1."""
+        xs = np.array([p[0] for p in points], dtype=float)
+        ys = np.array([p[1] for p in points], dtype=float)
+        if len(xs) <= cls.DEGREE:
+            raise ConfigurationError(
+                f"need more than {cls.DEGREE} points for a degree-{cls.DEGREE} fit")
+        coeffs = np.polyfit(xs, ys, cls.DEGREE)
+        extremum = cls._extremum(coeffs, t_min_c, t_max_c)
+        if extremum <= 0:
+            raise ConfigurationError(f"fitted {cls.NAME} curve is non-positive over its range")
         return cls(
-            coefficients=tuple(float(c) for c in coeffs),
+            coefficients=tuple(float(c) for c in coeffs / extremum),
             t_min_c=t_min_c,
             t_max_c=t_max_c,
             fit_points=tuple((float(t), float(v)) for t, v in points),
-            fit_residual=residual,
+            fit_residual=float(np.abs(np.polyval(coeffs, xs) - ys).max()),
         )
 
     @classmethod
-    def default(cls) -> "RRModel":
-        lo, hi = defaults.RR_VALID_RANGE_C
-        return cls.from_points(defaults.RR_CURVE_ANCHORS, lo, hi)
+    def default(cls):
+        return cls.from_points(cls.ANCHORS, *cls.VALID_RANGE_C)
 
-    def evaluate(self, t_in_c):
-        """RR at clamp(t, valid range); floors at 1 to absorb fit wiggle."""
-        t = np.clip(np.asarray(t_in_c, dtype=float), self.t_min_c, self.t_max_c)
-        return np.maximum(np.polyval(self.coefficients, t), 1.0 - 1e-9)
+    @classmethod
+    def from_json(cls, data: CurveSpec):
+        lo, hi = data.valid_range_c or cls.VALID_RANGE_C
+        if data.coefficients_high_to_low is not None:
+            return cls(data.coefficients_high_to_low, lo, hi, data.fit_points or (),
+                       data.fit_max_abs_residual or 0.0)
+        if data.fit_max_abs_residual is not None:
+            raise ConfigurationError("fit_max_abs_residual is computed by the fit; it is "
+                                     "read only beside coefficients_high_to_low")
+        points = cls.ANCHORS if data.fit_points is None else data.fit_points
+        return cls.from_points(points, lo, hi)
 
-    def provenance(self) -> dict:
+    def to_json(self) -> dict:
+        """The curve's provenance: coefficients, range, fit points and residual."""
         return {
             "coefficients_high_to_low": list(self.coefficients),
             "valid_range_c": [self.t_min_c, self.t_max_c],
             "fit_points": [list(p) for p in self.fit_points],
             "fit_max_abs_residual": self.fit_residual,
         }
+
+
+class RRModel(CurveModel):
+    """Quartic relative-risk-of-mortality curve, minimum normalized to 1."""
+
+    NAME, DEGREE, EXTREMUM, TOLERANCE = "mortality", 4, "minimum", (1e-9, 1e-6)
+    ANCHORS, VALID_RANGE_C = defaults.RR_CURVE_ANCHORS, defaults.RR_VALID_RANGE_C
+
+    def evaluate(self, t_in_c):
+        """RR at clamp(t, valid range); floors at 1 to absorb fit wiggle."""
+        t = np.clip(np.asarray(t_in_c, dtype=float), self.t_min_c, self.t_max_c)
+        return np.maximum(np.polyval(self.coefficients, t), 1.0 - 1e-9)
 
 
 def relative_risk(t_in_c, model: RRModel):
@@ -112,54 +144,16 @@ def base_mortality(t_in_c, model: RRModel, delta: float = 0.0) -> float:
     return float(mortality_probability(model.evaluate(t).mean(), delta))
 
 
-@dataclass(frozen=True)
-class ProductivityModel:
+class ProductivityModel(CurveModel):
     """Cubic relative-performance curve, maximum normalized to 1, clamped to [0, 1]."""
 
-    coefficients: tuple[float, float, float, float]  # cubic, highest power first
-    t_min_c: float
-    t_max_c: float
-    fit_points: tuple = ()
-    fit_residual: float = 0.0
-
-    def __post_init__(self):
-        grid_max = float(np.polyval(self.coefficients, _grid(self.t_min_c, self.t_max_c)).max())
-        if not (1.0 - 1e-6) <= grid_max <= (1.0 + 1e-9):
-            raise ConfigurationError(
-                f"productivity curve maximum over its range is {grid_max!r}; expected 1"
-            )
-
-    @classmethod
-    def from_points(cls, points, t_min_c: float, t_max_c: float) -> "ProductivityModel":
-        coeffs, residual = _fit_polynomial(points, 3)
-        grid_max = float(np.polyval(coeffs, _grid(t_min_c, t_max_c)).max())
-        if grid_max <= 0:
-            raise ConfigurationError("fitted productivity curve is non-positive over its range")
-        coeffs = coeffs / grid_max
-        return cls(
-            coefficients=tuple(float(c) for c in coeffs),
-            t_min_c=t_min_c,
-            t_max_c=t_max_c,
-            fit_points=tuple((float(t), float(v)) for t, v in points),
-            fit_residual=residual,
-        )
-
-    @classmethod
-    def default(cls) -> "ProductivityModel":
-        lo, hi = defaults.PRODUCTIVITY_VALID_RANGE_C
-        return cls.from_points(defaults.PRODUCTIVITY_ANCHORS, lo, hi)
+    NAME, DEGREE, EXTREMUM, TOLERANCE = "productivity", 3, "maximum", (1e-6, 1e-9)
+    ANCHORS = defaults.PRODUCTIVITY_ANCHORS
+    VALID_RANGE_C = defaults.PRODUCTIVITY_VALID_RANGE_C
 
     def evaluate(self, t_in_c):
         t = np.clip(np.asarray(t_in_c, dtype=float), self.t_min_c, self.t_max_c)
         return np.clip(np.polyval(self.coefficients, t), 0.0, 1.0)
-
-    def provenance(self) -> dict:
-        return {
-            "coefficients_high_to_low": list(self.coefficients),
-            "valid_range_c": [self.t_min_c, self.t_max_c],
-            "fit_points": [list(p) for p in self.fit_points],
-            "fit_max_abs_residual": self.fit_residual,
-        }
 
 
 def productivity(t_in_c, model: ProductivityModel):
@@ -237,6 +231,13 @@ class TruncNormal:
                 f"Normal({self.mean}, {self.std}); rejection sampling would stall"
             )
 
+    @classmethod
+    def from_json(cls, data: tuple[float, float, float, float]) -> "TruncNormal":
+        return cls(*data)
+
+    def to_json(self) -> list:
+        return [self.mean, self.std, self.lo, self.hi]
+
     def acceptance_probability(self) -> float:
         return _normal_cdf((self.hi - self.mean) / self.std) - _normal_cdf(
             (self.lo - self.mean) / self.std
@@ -293,42 +294,51 @@ class OccupantOutcome:
             raise ConfigurationError("condition must be none exactly for unaffected occupants")
 
 
-def _pct(stats: tuple) -> TruncNormal:
-    return TruncNormal(*stats)
+def _pct(name: str):
+    return field(default_factory=lambda: TruncNormal(*defaults.HEALTH_STATS_PCT[name]))
+
+
+def _survival(table: dict):
+    return field(default_factory=lambda: {Condition(k): TruncNormal(*v)
+                                          for k, v in table.items()})
+
+
+@dataclass(frozen=True)
+class HealthDistributions:
+    """Per-occupant rate distributions of the outcome tree, percent scale."""
+
+    pre_existing_cardiac: TruncNormal = _pct("pre_existing_cardiac")
+    pre_existing_respiratory: TruncNormal = _pct("pre_existing_respiratory")
+    healthcare_access: TruncNormal = _pct("healthcare_access")
+    health_insurance: TruncNormal = _pct("health_insurance")
+    home_insurance: TruncNormal = _pct("home_insurance")
+    hospital_survival: dict[Condition, TruncNormal] = _survival(defaults.HOSPITAL_SURVIVAL_PCT)
+    home_survival: dict[Condition, TruncNormal] = _survival(defaults.HOME_SURVIVAL_PCT)
+
+    def __post_init__(self):
+        for name in ("hospital_survival", "home_survival"):
+            if set(getattr(self, name)) != set(CONDITIONS):
+                raise ConfigurationError(f"{name} needs exactly the conditions "
+                                         f"{', '.join(c.value for c in CONDITIONS)}")
 
 
 @dataclass(frozen=True)
 class HazardConfig:
-    """All damage-model parameters for one run."""
+    """All damage-model parameters for one run; fields mirror the `hazard` section."""
 
-    rr_model: RRModel
-    productivity_model: ProductivityModel
-    wi_params: WinterIndexParams
     delta: float = defaults.MORTALITY_DURATION_DELTA
-    pre_cardiac: TruncNormal = field(
-        default_factory=lambda: _pct(defaults.HEALTH_STATS_PCT["pre_existing_cardiac"]))
-    pre_respiratory: TruncNormal = field(
-        default_factory=lambda: _pct(defaults.HEALTH_STATS_PCT["pre_existing_respiratory"]))
-    healthcare_access: TruncNormal = field(
-        default_factory=lambda: _pct(defaults.HEALTH_STATS_PCT["healthcare_access"]))
-    health_insurance: TruncNormal = field(
-        default_factory=lambda: _pct(defaults.HEALTH_STATS_PCT["health_insurance"]))
-    home_insurance: TruncNormal = field(
-        default_factory=lambda: _pct(defaults.HEALTH_STATS_PCT["home_insurance"]))
-    hospital_survival: dict[Condition, TruncNormal] = field(
-        default_factory=lambda: {Condition(k): _pct(v)
-                                 for k, v in defaults.HOSPITAL_SURVIVAL_PCT.items()})
-    home_survival: dict[Condition, TruncNormal] = field(
-        default_factory=lambda: {Condition(k): _pct(v)
-                                 for k, v in defaults.HOME_SURVIVAL_PCT.items()})
+    rr_model: RRModel = field(default_factory=RRModel.default)
+    productivity_model: ProductivityModel = field(default_factory=ProductivityModel.default)
+    winter_index: WinterIndexParams = field(default_factory=WinterIndexParams)
+    distributions_pct: HealthDistributions = field(default_factory=HealthDistributions)
+
+    def __post_init__(self):
+        if not 0.0 <= self.delta <= 1.0:
+            raise ConfigurationError(f"delta must lie in [0, 1], got {self.delta}")
 
     @classmethod
     def default(cls) -> "HazardConfig":
-        return cls(
-            rr_model=RRModel.default(),
-            productivity_model=ProductivityModel.default(),
-            wi_params=WinterIndexParams(),
-        )
+        return cls()
 
 
 def simulate_occupant_outcome(p_mort: float, probs: dict, rng: np.random.Generator) -> OccupantOutcome:
@@ -394,15 +404,16 @@ def simulate_outcomes(p_mort: np.ndarray, cfg: HazardConfig, rng: np.random.Gene
     status = np.zeros(n, dtype=np.int8)
     condition = np.full(n, -1, dtype=np.int8)
 
-    insured = rng.random(n) < cfg.health_insurance.sample(rng, n) / 100.0
+    dists = cfg.distributions_pct
+    insured = rng.random(n) < dists.health_insurance.sample(rng, n) / 100.0
     at_risk = rng.random(n) < p_mort
     idx = np.flatnonzero(at_risk)
     if idx.size == 0:
         return OutcomeBatch(status, condition, insured)
 
     m = idx.size
-    p_c = cfg.pre_cardiac.sample(rng, m) / 100.0
-    p_r = cfg.pre_respiratory.sample(rng, m) / 100.0
+    p_c = dists.pre_existing_cardiac.sample(rng, m) / 100.0
+    p_r = dists.pre_existing_respiratory.sample(rng, m) / 100.0
     u_cond = rng.random(m)
     is_cardiac = u_cond < p_c
     # Renormalized second branch keeps the respiratory marginal at its rate.
@@ -413,10 +424,10 @@ def simulate_outcomes(p_mort: np.ndarray, cfg: HazardConfig, rng: np.random.Gene
     cond[is_resp] = 1
     condition[idx] = cond
 
-    accessed = rng.random(m) < cfg.healthcare_access.sample(rng, m) / 100.0
+    accessed = rng.random(m) < dists.healthcare_access.sample(rng, m) / 100.0
     survival_p = np.empty(m)
     # Fixed (venue, condition) draw order keeps results execution-order free.
-    for venue, table in ((True, cfg.hospital_survival), (False, cfg.home_survival)):
+    for venue, table in ((True, dists.hospital_survival), (False, dists.home_survival)):
         for c_i, cond_name in enumerate(CONDITIONS):
             mask = (accessed == venue) & (cond == c_i)
             count = int(mask.sum())

@@ -8,7 +8,9 @@ share across parallel trial workers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, asdict
+import operator
+import typing
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -57,9 +59,6 @@ SECTOR_BY_KIND = {
     BuildingKind.HEALTHCARE: Sector.MEDIUM_CI,
     BuildingKind.LOW_OCCUPANCY: Sector.SMALL_CI,
 }
-
-RESIDENTIAL_KINDS = tuple(k for k, s in SECTOR_BY_KIND.items() if s is Sector.RESIDENTIAL)
-COMMERCIAL_KINDS = tuple(k for k, s in SECTOR_BY_KIND.items() if s is not Sector.RESIDENTIAL)
 
 
 class Insulation(str, Enum):
@@ -131,9 +130,6 @@ class Population:
     def __post_init__(self):
         object.__setattr__(self, "buildings", tuple(self.buildings))
 
-    def by_id(self) -> dict[int, Building]:
-        return {b.id: b for b in self.buildings}
-
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buildings)
@@ -172,6 +168,9 @@ class PopulationSpec:
         default_factory=lambda: {k: dict(v) for k, v in defaults.COMMERCIAL_PROFILES.items()}
     )
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if not self.counts or sum(self.counts.values()) == 0:
             raise ConfigurationError("population spec has zero buildings")
@@ -185,6 +184,12 @@ class PopulationSpec:
             raise ConfigurationError(f"occupant weights sum to {ow!r}, expected 1.0")
         if any(v < 0 for v in self.insulation_weights.values()):
             raise ConfigurationError("negative insulation weight")
+        if any(v < 0 for v in self.occupant_weights.values()):
+            raise ConfigurationError("negative occupant weight")
+        for name in ("wfh_share", "electric_heat_share", "power_required_share_residential",
+                     "power_required_share_commercial", "commercial_backup_share"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigurationError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
@@ -253,36 +258,40 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
     return Population(buildings=tuple(buildings), total_occupants=total_occupants, seed_used=int(seed))
 
 
-CSV_COLUMNS = [
-    "id", "kind", "insulation", "heating_fuel", "floor_area_m2", "ua_w_per_k",
-    "thermal_mass_j_per_k", "hvac_heat_w", "setpoint_c", "deadband_c",
-    "n_occupants", "n_workers", "job_requires_power", "avg_annual_kwh",
-    "income_bracket", "backup",
-]
+_FIELD_TYPES = typing.get_type_hints(Building)
+# One column per Building field, in field order.
+CSV_COLUMNS = list(_FIELD_TYPES)
 
-_FLOAT_FIELDS = {"floor_area_m2", "ua_w_per_k", "thermal_mass_j_per_k", "hvac_heat_w",
-                 "setpoint_c", "deadband_c", "avg_annual_kwh"}
-_INT_FIELDS = {"id", "n_occupants", "n_workers"}
-_BOOL_FIELDS = {"job_requires_power", "backup"}
+
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {raw!r}")
+    return raw == "true"
+
+
+def _formatter(tp):
+    """Cell text of a field's values, or None where csv writes them as they
+    are; floats use repr so reload is bit-exact."""
+    if tp is bool:
+        return lambda value: "true" if value else "false"
+    if tp is float:
+        return repr
+    if issubclass(tp, Enum):
+        return operator.attrgetter("value")
+    return None
+
+
+_PARSERS = {col: _parse_bool if tp is bool else tp for col, tp in _FIELD_TYPES.items()}
+_FORMATTERS = [(col, _formatter(tp)) for col, tp in _FIELD_TYPES.items()]
 
 
 def write_population_csv(handle, pop: Population) -> None:
-    """Write one building per row; floats use repr so reload is bit-exact."""
+    """Write one building per row, one column per field."""
     writer = csv.writer(handle)
     writer.writerow(CSV_COLUMNS)
     for b in pop.buildings:
-        record = asdict(b)
-        row = []
-        for col in CSV_COLUMNS:
-            value = record[col]
-            if isinstance(value, Enum):
-                value = value.value
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            row.append(value)
-        writer.writerow(row)
+        writer.writerow([getattr(b, col) if fmt is None else fmt(getattr(b, col))
+                         for col, fmt in _FORMATTERS])
 
 
 def save_population(pop: Population, path) -> None:
@@ -302,25 +311,10 @@ def load_population(path) -> Population:
             raise IngestionError(f"missing columns: {', '.join(missing)}", path=path)
         for row_no, row in enumerate(reader, start=2):
             values = {}
-            for col in CSV_COLUMNS:
+            for col, parse in _PARSERS.items():
                 raw = row[col]
                 try:
-                    if col in _FLOAT_FIELDS:
-                        values[col] = float(raw)
-                    elif col in _INT_FIELDS:
-                        values[col] = int(raw)
-                    elif col in _BOOL_FIELDS:
-                        if raw not in ("true", "false"):
-                            raise ValueError(f"expected true/false, got {raw!r}")
-                        values[col] = raw == "true"
-                    elif col == "kind":
-                        values[col] = BuildingKind(raw)
-                    elif col == "insulation":
-                        values[col] = Insulation(raw)
-                    elif col == "heating_fuel":
-                        values[col] = HeatingFuel(raw)
-                    else:
-                        values[col] = raw
+                    values[col] = parse(raw)
                 except ValueError as exc:
                     raise IngestionError(
                         f"unparsable value {raw!r}: {exc}", path=path, row=row_no, column=col

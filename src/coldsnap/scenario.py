@@ -20,17 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, defaults
+from . import __version__
+from .codec import decode, encode
 from .errors import ConfigurationError
-from .hazard import (
-    HazardConfig,
-    ProductivityModel,
-    RRModel,
-    TruncNormal,
-    WinterIndexParams,
-    mortality_probability,
-    winter_index_rows,
-)
+from .hazard import HazardConfig, mortality_probability, winter_index_rows
 from .outage import (
     AvailabilitySeries,
     PowerScheduleSet,
@@ -40,8 +33,6 @@ from .outage import (
     build_rolling_outage,
 )
 from .population import (
-    BuildingKind,
-    Insulation,
     Population,
     PopulationSpec,
     load_population,
@@ -51,8 +42,6 @@ from .population import (
 )
 from .thermal import ExposureTrace, TraceWriter, simulate_block
 from .valuation import (
-    CICParams,
-    CICTable,
     CostDistribution,
     ScenarioBundle,
     ValuationParams,
@@ -73,12 +62,92 @@ SIM_BLOCK = 256
 REDUCE_BLOCK = 64
 
 
+@dataclass(frozen=True)
+class PopulationSource:
+    """The `population` section: a spec to synthesize, or a CSV path."""
+
+    spec: PopulationSpec | None = None
+    path: str | None = None
+
+    def __post_init__(self):
+        if (self.spec is None) == (self.path is None):
+            raise ConfigurationError("population section needs either 'spec' or 'path'")
+
+
+@dataclass(frozen=True)
+class Window:
+    """The `window` section: event start and end, ISO-8601."""
+
+    start: str
+    end: str
+
+    def __post_init__(self):
+        if parse_timestamp(self.end) <= parse_timestamp(self.start):
+            raise ConfigurationError("window end must be after window start")
+
+
+@dataclass(frozen=True)
+class BaseParams:
+    """`scenarios.base`: full service takes no parameters."""
+
+
+@dataclass(frozen=True)
+class ControlledOutageParams:
+    """`scenarios.co`: the shed set, by id or as a seeded fraction."""
+
+    shed_ids: tuple[int, ...] | None = None
+    shed_fraction: float = 0.0
+    shed_scope: str = "residential"
+    fault_fraction: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.shed_fraction <= 1.0:
+            raise ConfigurationError(
+                f"shed_fraction must lie in [0, 1], got {self.shed_fraction}")
+        if self.shed_scope not in ("residential", "all"):
+            raise ConfigurationError(f"unknown shed_scope {self.shed_scope!r}")
+        if not 0.0 <= self.fault_fraction < 1.0:
+            raise ConfigurationError(
+                f"fault_fraction must lie in [0, 1), got {self.fault_fraction}")
+
+
+@dataclass(frozen=True)
+class RollingOutageParams:
+    """`scenarios.ro-di` and `scenarios.ro-hi`: rotation over residential groups."""
+
+    n_groups: int = 3
+    slot_s: float = 3600.0
+    availability: tuple[float, ...] | None = None  # per slot; else the constant
+    availability_constant: float = 1.0
+    fault_fraction: float = 0.0
+
+    def __post_init__(self):
+        if self.n_groups < 2:
+            raise ConfigurationError(f"n_groups must be >= 2, got {self.n_groups}")
+        if not self.slot_s > 0:
+            raise ConfigurationError(f"slot_s must be positive, got {self.slot_s}")
+        if not 0.0 <= self.availability_constant <= 1.0:
+            raise ConfigurationError(
+                f"availability_constant must lie in [0, 1], got {self.availability_constant}")
+        if any(not 0.0 <= f <= 1.0 for f in self.availability or ()):
+            raise ConfigurationError("availability fractions must lie in [0, 1]")
+        if not 0.0 <= self.fault_fraction < 1.0:
+            raise ConfigurationError(
+                f"fault_fraction must lie in [0, 1), got {self.fault_fraction}")
+
+
+SCENARIO_PARAMS = {"base": BaseParams, "co": ControlledOutageParams,
+                   "ro-di": RollingOutageParams, "ro-hi": RollingOutageParams}
+
+TOP_LEVEL_KEYS = ("notes", "population", "weather_path", "window", "dt_s", "scenario",
+                  "scenarios", "hazard", "valuation", "n_trials", "seed", "histogram_bins",
+                  "out_dir")
+
+
 @dataclass
 class ScenarioConfig:
     """Parsed and validated run configuration."""
 
-    raw: dict
-    base_dir: Path
     population_spec: PopulationSpec | None
     population_path: Path | None
     weather_path: Path
@@ -86,7 +155,8 @@ class ScenarioConfig:
     window_end: datetime
     dt_s: float
     scenario: str
-    scenario_params: dict
+    scenario_params: dict  # as written in the config: enters the hash
+    params: BaseParams | ControlledOutageParams | RollingOutageParams
     hazard: HazardConfig
     valuation: ValuationParams
     n_trials: int
@@ -96,14 +166,20 @@ class ScenarioConfig:
     threads: int = 1
     write_traces: bool = False
 
+    def __post_init__(self):
+        if not self.dt_s > 0:
+            raise ConfigurationError(f"config key 'dt_s' must be positive, got {self.dt_s}")
+        for key, least in (("n_trials", 1), ("seed", 0), ("histogram_bins", 1)):
+            if getattr(self, key) < least:
+                raise ConfigurationError(
+                    f"config key {key!r} must be >= {least}, got {getattr(self, key)}")
+
     def materialized(self) -> dict:
         """Effective settings with every default filled in; hash input."""
-        hz = self.hazard
-        vp = self.valuation
         return {
             "population": (
                 {"path": str(self.population_path)} if self.population_path
-                else {"spec": _spec_to_dict(self.population_spec)}
+                else {"spec": encode(self.population_spec)}
             ),
             "weather_path": str(self.weather_path),
             "window": {"start": self.window_start.isoformat(),
@@ -111,48 +187,8 @@ class ScenarioConfig:
             "dt_s": self.dt_s,
             "scenario": self.scenario,
             "scenario_params": self.scenario_params,
-            "hazard": {
-                "delta": hz.delta,
-                "rr_model": hz.rr_model.provenance(),
-                "productivity_model": hz.productivity_model.provenance(),
-                "winter_index": {
-                    "t_crit_c": hz.wi_params.t_crit_c,
-                    "rh_crit_pct": hz.wi_params.rh_crit_pct,
-                    "indoor_rh_pct": hz.wi_params.indoor_rh_pct,
-                },
-                "distributions_pct": {
-                    "pre_existing_cardiac": _tn_to_list(hz.pre_cardiac),
-                    "pre_existing_respiratory": _tn_to_list(hz.pre_respiratory),
-                    "healthcare_access": _tn_to_list(hz.healthcare_access),
-                    "health_insurance": _tn_to_list(hz.health_insurance),
-                    "home_insurance": _tn_to_list(hz.home_insurance),
-                    "hospital_survival": {k.value: _tn_to_list(v)
-                                          for k, v in hz.hospital_survival.items()},
-                    "home_survival": {k.value: _tn_to_list(v)
-                                      for k, v in hz.home_survival.items()},
-                },
-            },
-            "valuation": {
-                "vsl_usd": vp.vsl_usd,
-                "medical_insured_usd": {k: list(v) for k, v in vp.medical_insured_usd.items()},
-                "medical_uninsured_usd": {k: list(v) for k, v in vp.medical_uninsured_usd.items()},
-                "severity_ceiling": vp.severity_ceiling,
-                "home_care_fraction": vp.home_care_fraction,
-                "pipe_repair_insured_usd": list(vp.pipe_repair_insured_usd),
-                "pipe_repair_uninsured_usd": list(vp.pipe_repair_uninsured_usd),
-                "beta_wi": vp.beta_wi,
-                "wage_usd_per_hour": vp.wage_usd_per_hour,
-                "work_hours_residential": list(vp.work_hours_residential),
-                "work_hours_commercial": list(vp.work_hours_commercial),
-                "cic": {
-                    "tables": {k: vars(t) for k, t in vp.cic.tables.items()},
-                    "season_multiplier": vp.cic.season_multiplier,
-                    "industry_multiplier": vp.cic.industry_multiplier,
-                    "income_multiplier": vp.cic.income_multiplier,
-                    "backup_discount": vp.cic.backup_discount,
-                    "duration_cap_h": vp.cic.duration_cap_h,
-                },
-            },
+            "hazard": encode(self.hazard),
+            "valuation": encode(self.valuation),
             "n_trials": self.n_trials,
             "seed": self.seed,
             "histogram_bins": self.histogram_bins,
@@ -163,147 +199,9 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _tn_to_list(tn: TruncNormal) -> list:
-    return [tn.mean, tn.std, tn.lo, tn.hi]
-
-
-def _spec_to_dict(spec: PopulationSpec) -> dict:
-    return {
-        "counts": {k.value: v for k, v in spec.counts.items()},
-        "insulation_weights": {k.value: v for k, v in spec.insulation_weights.items()},
-        "occupant_weights": {str(k): v for k, v in spec.occupant_weights.items()},
-        "wfh_share": spec.wfh_share,
-        "electric_heat_share": spec.electric_heat_share,
-        "power_required_share_residential": spec.power_required_share_residential,
-        "power_required_share_commercial": spec.power_required_share_commercial,
-        "commercial_backup_share": spec.commercial_backup_share,
-        "setpoint_c": spec.setpoint_c,
-        "deadband_c": spec.deadband_c,
-        "hvac_design_outdoor_c": spec.hvac_design_outdoor_c,
-        "hvac_oversize": spec.hvac_oversize,
-        "insulation_table": spec.insulation_table,
-        "residential_profiles": spec.residential_profiles,
-        "commercial_profiles": spec.commercial_profiles,
-    }
-
-
-def _spec_from_dict(data: dict) -> PopulationSpec:
-    try:
-        counts = {BuildingKind(k): int(v) for k, v in data["counts"].items()}
-    except KeyError as exc:
-        raise ConfigurationError("population spec needs a 'counts' table") from exc
-    except ValueError as exc:
-        raise ConfigurationError(f"unknown building kind in counts: {exc}") from exc
-    kwargs = {"counts": counts}
-    if "insulation_weights" in data:
-        kwargs["insulation_weights"] = {Insulation(k): float(v)
-                                        for k, v in data["insulation_weights"].items()}
-    if "occupant_weights" in data:
-        kwargs["occupant_weights"] = {int(k): float(v)
-                                      for k, v in data["occupant_weights"].items()}
-    for key in ("wfh_share", "electric_heat_share", "power_required_share_residential",
-                "power_required_share_commercial", "commercial_backup_share", "setpoint_c",
-                "deadband_c", "hvac_design_outdoor_c", "hvac_oversize", "insulation_table",
-                "residential_profiles", "commercial_profiles"):
-        if key in data:
-            kwargs[key] = data[key]
-    return PopulationSpec(**kwargs)
-
-
-def _hazard_from_dict(data: dict) -> HazardConfig:
-    rr_section = data.get("rr_model", {})
-    if "coefficients_high_to_low" in rr_section:
-        lo, hi = rr_section["valid_range_c"]
-        rr = RRModel(tuple(rr_section["coefficients_high_to_low"]), lo, hi)
-    else:
-        anchors = rr_section.get("fit_points", defaults.RR_CURVE_ANCHORS)
-        lo, hi = rr_section.get("valid_range_c", defaults.RR_VALID_RANGE_C)
-        rr = RRModel.from_points(anchors, lo, hi)
-    prod_section = data.get("productivity_model", {})
-    if "coefficients_high_to_low" in prod_section:
-        lo, hi = prod_section["valid_range_c"]
-        prod = ProductivityModel(tuple(prod_section["coefficients_high_to_low"]), lo, hi)
-    else:
-        anchors = prod_section.get("fit_points", defaults.PRODUCTIVITY_ANCHORS)
-        lo, hi = prod_section.get("valid_range_c", defaults.PRODUCTIVITY_VALID_RANGE_C)
-        prod = ProductivityModel.from_points(anchors, lo, hi)
-    wi_section = data.get("winter_index", {})
-    wi = WinterIndexParams(
-        t_crit_c=float(wi_section.get("t_crit_c", defaults.WI_T_CRIT_C)),
-        rh_crit_pct=float(wi_section.get("rh_crit_pct", defaults.WI_RH_CRIT_PCT)),
-        indoor_rh_pct=wi_section.get("indoor_rh_pct"),
-    )
-    kwargs: dict = {"rr_model": rr, "productivity_model": prod, "wi_params": wi,
-                    "delta": float(data.get("delta", defaults.MORTALITY_DURATION_DELTA))}
-    dists = data.get("distributions_pct", {})
-    simple = {"pre_existing_cardiac": "pre_cardiac",
-              "pre_existing_respiratory": "pre_respiratory",
-              "healthcare_access": "healthcare_access",
-              "health_insurance": "health_insurance",
-              "home_insurance": "home_insurance"}
-    for json_key, attr in simple.items():
-        if json_key in dists:
-            kwargs[attr] = TruncNormal(*dists[json_key])
-    from .hazard import Condition
-    for json_key, attr in (("hospital_survival", "hospital_survival"),
-                           ("home_survival", "home_survival")):
-        if json_key in dists:
-            kwargs[attr] = {Condition(k): TruncNormal(*v) for k, v in dists[json_key].items()}
-    return HazardConfig(**kwargs)
-
-
-def _valuation_from_dict(data: dict) -> ValuationParams:
-    kwargs: dict = {}
-    if "vsl_usd" in data:
-        kwargs["vsl_usd"] = float(data["vsl_usd"])
-    for key in ("medical_insured_usd", "medical_uninsured_usd"):
-        if key in data:
-            kwargs[key] = {k: tuple(v) for k, v in data[key].items()}
-    for key in ("severity_ceiling", "home_care_fraction"):
-        if key in data:
-            kwargs[key] = float(data[key])
-    for key in ("pipe_repair_insured_usd", "pipe_repair_uninsured_usd"):
-        if key in data:
-            kwargs[key] = tuple(data[key])
-    if "beta_wi" in data and data["beta_wi"] is not None:
-        kwargs["beta_wi"] = float(data["beta_wi"])
-    if "wage_usd_per_hour" in data:
-        kwargs["wage_usd_per_hour"] = {k: float(v) for k, v in data["wage_usd_per_hour"].items()}
-    for key in ("work_hours_residential", "work_hours_commercial"):
-        if key in data:
-            kwargs[key] = tuple(data[key])
-    cic_section = data.get("cic")
-    if cic_section is not None and "tables" in cic_section:
-        cic_kwargs = {"tables": {k: CICTable(**v) for k, v in cic_section["tables"].items()}}
-        for key in ("season_multiplier", "industry_multiplier", "backup_discount",
-                    "duration_cap_h"):
-            if key in cic_section:
-                cic_kwargs[key] = float(cic_section[key])
-        if "income_multiplier" in cic_section:
-            cic_kwargs["income_multiplier"] = dict(cic_section["income_multiplier"])
-        kwargs["cic"] = CICParams(**cic_kwargs)
-    else:
-        # Shipped interruption-cost tables are placeholders, not calibrated
-        # economics; a study config must either provide tables or opt in.
-        if not data.get("acknowledge_default_cic", False):
-            raise ConfigurationError(
-                "no interruption-cost tables configured; set "
-                "valuation.acknowledge_default_cic=true to accept the shipped placeholders"
-            )
-        kwargs["cic"] = CICParams()
-    return ValuationParams(**kwargs)
-
-
-def _number(value, key: str, kind):
-    """`kind(value)`, or a ConfigurationError naming the key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config key {key!r} must be a number, got {value!r}") from exc
-
-
 def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
-    """Parse a JSON config file; `overrides` wins over file values."""
+    """Parse a JSON config file; `overrides` wins over file values. Unknown
+    keys and bad values raise ConfigurationError naming their key path."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
@@ -311,67 +209,61 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config {path} must hold a JSON object")
+    for key in raw:
+        if key not in TOP_LEVEL_KEYS:
+            raise ConfigurationError(f"config key {key!r} is not a known setting")
+    for key in ("population", "weather_path", "window"):
+        if key not in raw:
+            raise ConfigurationError(f"config {path} is missing {key!r}")
     overrides = overrides or {}
     base_dir = path.parent
 
-    pop_section = raw.get("population")
-    if not pop_section:
-        raise ConfigurationError(f"config {path} is missing the 'population' section")
-    pop_spec = None
-    pop_path = None
-    if "path" in pop_section:
-        pop_path = Path(pop_section["path"])
-        if not pop_path.is_absolute():
-            pop_path = base_dir / pop_path
-    elif "spec" in pop_section:
-        pop_spec = _spec_from_dict(pop_section["spec"])
-    else:
-        raise ConfigurationError("population section needs either 'spec' or 'path'")
+    def setting(key, kind, default):
+        value = decode(kind, raw.get(key, default), key)
+        return decode(kind, overrides[key], key) if key in overrides else value
 
-    if "weather_path" not in raw:
-        raise ConfigurationError(f"config {path} is missing 'weather_path'")
-    weather_path = Path(raw["weather_path"])
-    if not weather_path.is_absolute():
-        weather_path = base_dir / weather_path
+    def resolve(name: str) -> Path:
+        return Path(name) if Path(name).is_absolute() else base_dir / name
 
-    window = raw.get("window") or {}
-    if "start" not in window or "end" not in window:
-        raise ConfigurationError("config needs window.start and window.end timestamps")
-    window_start = parse_timestamp(window["start"])
-    window_end = parse_timestamp(window["end"])
-    if window_end <= window_start:
-        raise ConfigurationError("window end must be after window start")
+    source = decode(PopulationSource, raw["population"], "population")
+    window = decode(Window, raw["window"], "window")
 
-    scenario = str(overrides.get("scenario", raw.get("scenario", "base"))).lower()
-    if scenario not in SCENARIO_NAMES:
+    scenario = decode(Scenario, setting("scenario", str, "base").lower(), "scenario").value
+    # Every section present is checked, not only the selected one.
+    sections = decode(dict[Scenario, dict], raw.get("scenarios", {}), "scenarios")
+    params = {s.value: decode(SCENARIO_PARAMS[s.value], section, f"scenarios.{s.value}")
+              for s, section in sections.items()}
+
+    valuation = dict(decode(dict, raw.get("valuation", {}), "valuation"))
+    acknowledged = decode(bool, valuation.pop("acknowledge_default_cic", False),
+                          "valuation.acknowledge_default_cic")
+    valuation_params = decode(ValuationParams, valuation, "valuation")
+    # Shipped interruption-cost tables are placeholders, not calibrated
+    # economics; a study config must either provide tables or opt in.
+    if "tables" not in valuation.get("cic", {}) and not acknowledged:
         raise ConfigurationError(
-            f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIO_NAMES)}"
+            "no interruption-cost tables configured; set "
+            "valuation.acknowledge_default_cic=true to accept the shipped placeholders"
         )
-    scenario_params = dict((raw.get("scenarios") or {}).get(scenario, {}))
-
-    n_trials = _number(overrides.get("n_trials", raw.get("n_trials", 100)), "n_trials", int)
-    if n_trials < 1:
-        raise ConfigurationError("n_trials must be >= 1")
-    seed = _number(overrides.get("seed", raw.get("seed", 0)), "seed", int)
-    out_dir = Path(overrides.get("out_dir", raw.get("out_dir", "runs")))
 
     return ScenarioConfig(
-        raw=raw,
-        base_dir=base_dir,
-        population_spec=pop_spec,
-        population_path=pop_path,
-        weather_path=weather_path,
-        window_start=window_start,
-        window_end=window_end,
-        dt_s=_number(raw.get("dt_s", 300.0), "dt_s", float),
+        population_spec=source.spec,
+        population_path=None if source.path is None else resolve(source.path),
+        weather_path=resolve(decode(str, raw["weather_path"], "weather_path")),
+        window_start=parse_timestamp(window.start),
+        window_end=parse_timestamp(window.end),
+        dt_s=setting("dt_s", float, 300.0),
         scenario=scenario,
-        scenario_params=scenario_params,
-        hazard=_hazard_from_dict(raw.get("hazard", {})),
-        valuation=_valuation_from_dict(raw.get("valuation", {})),
-        n_trials=n_trials,
-        seed=seed,
-        histogram_bins=_number(raw.get("histogram_bins", 50), "histogram_bins", int),
-        out_dir=out_dir,
+        scenario_params=dict(sections.get(Scenario(scenario), {})),
+        params=params.get(scenario, SCENARIO_PARAMS[scenario]()),
+        hazard=decode(HazardConfig, raw.get("hazard", {}), "hazard"),
+        valuation=valuation_params,
+        n_trials=setting("n_trials", int, 100),
+        seed=setting("seed", int, 0),
+        histogram_bins=setting("histogram_bins", int, 50),
+        out_dir=Path(setting("out_dir", str, "runs")),
         threads=int(overrides.get("threads", 1)),
         write_traces=bool(overrides.get("write_traces", False)),
     )
@@ -379,46 +271,35 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
 
 def build_schedules(config: ScenarioConfig, pop: Population) -> PowerScheduleSet:
     """Construct the power schedule set for the configured scenario."""
-    params = config.scenario_params
+    params = config.params
     start, end, dt = config.window_start, config.window_end, config.dt_s
-    fault = float(params.get("fault_fraction", 0.0))
 
     if config.scenario == Scenario.BASE.value:
         return build_base_schedule(pop, start, end, dt)
 
     if config.scenario == Scenario.CO.value:
-        shed_ids = params.get("shed_ids")
+        shed_ids = params.shed_ids
         if shed_ids is None:
-            fraction = _number(params.get("shed_fraction", 0.0), "scenarios.co.shed_fraction",
-                               float)
-            if not 0.0 <= fraction <= 1.0:
-                raise ConfigurationError(
-                    f"scenarios.co.shed_fraction must lie in [0, 1], got {fraction}")
-            scope = params.get("shed_scope", "residential")
-            if scope == "residential":
+            if params.shed_scope == "residential":
                 candidates = sorted(b.id for b in pop.residential())
-            elif scope == "all":
-                candidates = sorted(pop.ids)
             else:
-                raise ConfigurationError(f"unknown shed_scope {scope!r}")
-            n_shed = int(round(fraction * len(candidates)))
+                candidates = sorted(pop.ids)
+            n_shed = int(round(params.shed_fraction * len(candidates)))
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5348)))
             shed_ids = sorted(int(i) for i in
                               rng.choice(np.array(candidates), size=n_shed, replace=False))
-        return build_controlled_outage(pop, start, end, dt, shed_ids, fault, config.seed)
+        return build_controlled_outage(pop, start, end, dt, shed_ids, params.fault_fraction,
+                                       config.seed)
 
-    n_groups = int(params.get("n_groups", 3))
-    slot_s = float(params.get("slot_s", 3600.0))
-    n_slots = int(np.ceil((end - start).total_seconds() / slot_s))
-    if "availability" in params:
-        fractions = [float(f) for f in params["availability"]]
-        availability = AvailabilitySeries(tuple(fractions), slot_s)
+    n_slots = int(np.ceil((end - start).total_seconds() / params.slot_s))
+    if params.availability is not None:
+        availability = AvailabilitySeries(params.availability, params.slot_s)
     else:
-        constant = float(params.get("availability_constant", 1.0))
-        availability = AvailabilitySeries.constant(constant, n_slots, slot_s)
+        availability = AvailabilitySeries.constant(params.availability_constant, n_slots,
+                                                   params.slot_s)
     hardened = config.scenario == Scenario.RO_HI.value
-    return build_rolling_outage(pop, start, end, dt, n_groups, availability,
-                                hardened, fault, config.seed)
+    return build_rolling_outage(pop, start, end, dt, params.n_groups, availability,
+                                hardened, params.fault_fraction, config.seed)
 
 
 @dataclass
@@ -481,7 +362,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
                 mean_rr[at] = hz.rr_model.evaluate(rows).mean(axis=1)
                 mean_t[at] = rows.mean(axis=1)
                 min_t[at] = rows.min(axis=1)
-                wi_sum[at] = winter_index_rows(rows, window.rh_pct, hz.wi_params)
+                wi_sum[at] = winter_index_rows(rows, window.rh_pct, hz.winter_index)
                 prod_usd[at] = productivity_cost(
                     rows, powered[lo:lo + len(rows)], block[lo:lo + len(rows)],
                     window.start, window.dt_s, config.valuation, hz.productivity_model)
@@ -581,8 +462,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         "input_digests": _input_digests(config),
         "beta_wi_effective": bundle.beta_wi,
         "curve_fit_provenance": {
-            "relative_risk": config.hazard.rr_model.provenance(),
-            "productivity": config.hazard.productivity_model.provenance(),
+            "relative_risk": config.hazard.rr_model.to_json(),
+            "productivity": config.hazard.productivity_model.to_json(),
         },
         "materialized_config": config.materialized(),
     }

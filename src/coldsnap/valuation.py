@@ -302,8 +302,8 @@ def run_trial(bundle: ScenarioBundle, trial_index: int, master_seed: int) -> Cos
     c_vsl = batch.n_death * bundle.val_params.vsl_usd
     c_medical = _medical_cost_batch(batch, p_mort_occ, bundle.val_params)
     if bundle.wi_sum_by_building.max(initial=0.0) > 0.0:
-        c_build = repair_cost(bundle.wi_sum_by_building, bundle.beta_wi,
-                              bundle.val_params, bundle.hazard_cfg.home_insurance, rng)
+        c_build = repair_cost(bundle.wi_sum_by_building, bundle.beta_wi, bundle.val_params,
+                              bundle.hazard_cfg.distributions_pct.home_insurance, rng)
     else:
         c_build = 0.0
     return CostBreakdown(

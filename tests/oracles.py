@@ -136,7 +136,7 @@ def assemble_bundle(config, pop, schedule):
         traces[b.id] = trace
         mean_rr[i] = hz.rr_model.evaluate(trace.t_in_c).mean()
         p_mort[i] = base_mortality(trace.t_in_c, hz.rr_model, hz.delta)
-        wi_sum[i] = winter_index_sum(trace.t_in_c, window.rh_pct, hz.wi_params)
+        wi_sum[i] = winter_index_sum(trace.t_in_c, window.rh_pct, hz.winter_index)
         exposure_rows.append({
             "building_id": b.id,
             "kind": b.kind.value,

@@ -111,11 +111,13 @@ def test_criterion_2_outcome_tree_oracle():
 
     exact = outcome_tree_probabilities(
         0.3,
-        exact_truncated_mean(cfg.pre_cardiac) / 100.0,
-        exact_truncated_mean(cfg.pre_respiratory) / 100.0,
-        exact_truncated_mean(cfg.healthcare_access) / 100.0,
-        {c: exact_truncated_mean(cfg.hospital_survival[c]) / 100.0 for c in CONDITIONS},
-        {c: exact_truncated_mean(cfg.home_survival[c]) / 100.0 for c in CONDITIONS},
+        exact_truncated_mean(cfg.distributions_pct.pre_existing_cardiac) / 100.0,
+        exact_truncated_mean(cfg.distributions_pct.pre_existing_respiratory) / 100.0,
+        exact_truncated_mean(cfg.distributions_pct.healthcare_access) / 100.0,
+        {c: exact_truncated_mean(cfg.distributions_pct.hospital_survival[c]) / 100.0
+         for c in CONDITIONS},
+        {c: exact_truncated_mean(cfg.distributions_pct.home_survival[c]) / 100.0
+         for c in CONDITIONS},
     )
     n = n_occ * n_trials
     checks = []

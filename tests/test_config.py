@@ -1,0 +1,162 @@
+"""The config codec: strict keys, round trips, and exit codes of bad values."""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coldsnap.cli import main
+from coldsnap.codec import decode, encode
+from coldsnap.hazard import HazardConfig, RRModel
+from coldsnap.population import PopulationSpec
+from coldsnap.scenario import SCENARIO_NAMES, load_config
+from coldsnap.valuation import ValuationParams
+
+BAD_VALUES = ["x", -1, 2, None, [], {}, True, 0, [1.0], -0.5]
+
+
+@pytest.fixture(scope="module")
+def small_config(demo_config_path):
+    """The demo config with one building per kind and 2 trials.
+
+    Counts and trial numbers stay small because a mutation may legally
+    raise any of them to a bad value's magnitude.
+    """
+    config = json.loads(demo_config_path.read_text())
+    spec = config["population"]["spec"]
+    spec["counts"] = {kind: 1 for kind in spec["counts"]}
+    config["n_trials"] = 2
+    config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
+    return config
+
+
+def run(config, tmp_path, scenario="co"):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return main(["run", "--config", str(path), "--scenario", scenario,
+                 "--out", str(tmp_path / "out")])
+
+
+def set_key(config, path, value):
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("hazard", "detla"), 0.5, "hazard.detla"),
+    (("n_trial",), 3, "n_trial"),
+    (("scenarios", "co", "shed_fractoin"), 0.25, "scenarios.co.shed_fractoin"),
+    # A key of another scenario's section is unknown here.
+    (("scenarios", "ro-di", "shed_fraction"), 0.25, "scenarios.ro-di.shed_fraction"),
+    (("valuation", "cic"), {"seasn": 2.0}, "valuation.cic.seasn"),
+    (("hazard", "distributions_pct"), {"health_insurance": [79.4, 3.0, 0.0]},
+     "hazard.distributions_pct.health_insurance"),
+])
+def test_unknown_or_malformed_key_exits_2_naming_it(small_config, tmp_path, capsys,
+                                                    path, value, named):
+    config = copy.deepcopy(small_config)
+    set_key(config, path, value)
+    assert run(config, tmp_path) == 2
+    assert repr(named) in capsys.readouterr().err
+
+
+def explicit_config(small_config):
+    """Curves given as coefficients and as fit points, and CIC tables."""
+    config = copy.deepcopy(small_config)
+    rr = RRModel.default().to_json()
+    config["hazard"]["rr_model"] = {"coefficients_high_to_low": rr["coefficients_high_to_low"],
+                                    "valid_range_c": rr["valid_range_c"],
+                                    "fit_points": rr["fit_points"]}
+    config["hazard"]["productivity_model"] = {
+        "fit_points": [[10.0, 0.66], [16.0, 0.93], [22.0, 1.0], [28.0, 0.94], [32.0, 0.88]]}
+    config["valuation"] = {"cic": {"tables": {
+        sector: {"base": 1.0, "per_hour": 2.0, "per_kwh": 0.5, "slope_beyond_cap": 1.5}
+        for sector in ("residential", "small_ci", "large_medium_ci")},
+        "season_multiplier": 1.2}}
+    return config
+
+
+@pytest.mark.parametrize("variant", ["demo", "explicit"])
+def test_materialized_sections_round_trip(small_config, tmp_path, variant):
+    config = small_config if variant == "demo" else explicit_config(small_config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    loaded = load_config(path)
+    materialized = loaded.materialized()
+    for section, tp in ((materialized["population"]["spec"], PopulationSpec),
+                        (materialized["hazard"], HazardConfig),
+                        (materialized["valuation"], ValuationParams)):
+        assert json.dumps(encode(decode(tp, section, "s"))) == json.dumps(section)
+
+    # Fed back as a config, the materialized sections reproduce the hash.
+    config = copy.deepcopy(config)
+    config["population"] = materialized["population"]
+    config["hazard"] = materialized["hazard"]
+    config["valuation"] = materialized["valuation"]
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert load_config(path).config_hash() == loaded.config_hash()
+
+
+def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys):
+    config = copy.deepcopy(small_config)
+    config["valuation"]["cic"] = {"season_multiplier": 2.0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert load_config(path).valuation.cic.season_multiplier == 2.0
+
+    del config["valuation"]["acknowledge_default_cic"]
+    assert run(config, tmp_path) == 2
+    assert "acknowledge_default_cic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("window", "start"), 5, "window.start"),
+    (("seed",), -1, "seed"),
+    (("n_trials",), 3.0, "n_trials"),
+    (("population", "spec", "wfh_share"), 1.5, "wfh_share"),
+    (("scenarios", "ro-di", "slot_s"), 0, "slot_s"),
+    (("hazard", "rr_model"), {"valid_range_c": [30.0, -15.0]}, "hazard.rr_model"),
+    (("hazard", "productivity_model"), {"valid_range_c": [32.0, 10.0]},
+     "hazard.productivity_model"),
+    (("hazard", "delta"), 5, "delta"),
+    # Checked although the run selects another scenario.
+    (("scenarios", "ro-hi", "fault_fraction"), 1.0, "fault_fraction"),
+    (("scenarios", "ro-hi", "availability_constant"), 1.5, "availability_constant"),
+    (("scenarios", "ro-di", "n_groups"), 1, "n_groups"),
+])
+def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
+                                               path, value, named):
+    config = copy.deepcopy(small_config)
+    set_key(config, path, value)
+    assert run(config, tmp_path) == 2
+    assert named in capsys.readouterr().err
+
+
+def key_paths(node, prefix=()):
+    """Every key path of a JSON tree: objects, lists and leaves."""
+    if prefix:
+        yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from key_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from key_paths(value, prefix + (index,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_bad_leaf_exits_0_or_2(small_config, tmp_path_factory, data):
+    paths = sorted(key_paths(small_config), key=repr)
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(st.sampled_from(BAD_VALUES))
+    scenario = data.draw(st.sampled_from(SCENARIO_NAMES))
+    config = copy.deepcopy(small_config)
+    set_key(config, path, value)
+    assert run(config, tmp_path_factory.mktemp("mutant"), scenario) in (0, 2)

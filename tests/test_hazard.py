@@ -316,11 +316,11 @@ class TestOutcomeTreeVectorized:
 
         exact = outcome_tree_probabilities(
             0.3,
-            trunc_mean(cfg.pre_cardiac),
-            trunc_mean(cfg.pre_respiratory),
-            trunc_mean(cfg.healthcare_access),
-            {c: trunc_mean(cfg.hospital_survival[c]) for c in CONDITIONS},
-            {c: trunc_mean(cfg.home_survival[c]) for c in CONDITIONS},
+            trunc_mean(cfg.distributions_pct.pre_existing_cardiac),
+            trunc_mean(cfg.distributions_pct.pre_existing_respiratory),
+            trunc_mean(cfg.distributions_pct.healthcare_access),
+            {c: trunc_mean(cfg.distributions_pct.hospital_survival[c]) for c in CONDITIONS},
+            {c: trunc_mean(cfg.distributions_pct.home_survival[c]) for c in CONDITIONS},
         )
         for label, observed, key in (("death", deaths, "death"),
                                      ("hospital", hospital, "injured_recovered_hospital"),

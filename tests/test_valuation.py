@@ -314,10 +314,11 @@ class TestRunMonteCarlo:
 
         cfg = bundle.hazard_cfg
         exact = outcome_tree_probabilities(
-            0.3, trunc_mean(cfg.pre_cardiac), trunc_mean(cfg.pre_respiratory),
-            trunc_mean(cfg.healthcare_access),
-            {c: trunc_mean(cfg.hospital_survival[c]) for c in CONDITIONS},
-            {c: trunc_mean(cfg.home_survival[c]) for c in CONDITIONS},
+            0.3, trunc_mean(cfg.distributions_pct.pre_existing_cardiac),
+            trunc_mean(cfg.distributions_pct.pre_existing_respiratory),
+            trunc_mean(cfg.distributions_pct.healthcare_access),
+            {c: trunc_mean(cfg.distributions_pct.hospital_survival[c]) for c in CONDITIONS},
+            {c: trunc_mean(cfg.distributions_pct.home_survival[c]) for c in CONDITIONS},
         )
         n_occ = bundle.n_occupants
         expected_deaths = n_occ * exact["death"]
