@@ -126,22 +126,9 @@ class RRModel(CurveModel):
         return np.maximum(np.polyval(self.coefficients, t), 1.0 - 1e-9)
 
 
-def relative_risk(t_in_c, model: RRModel):
-    value = model.evaluate(t_in_c)
-    return float(value) if np.isscalar(t_in_c) else value
-
-
 def mortality_probability(mean_rr, delta: float = 0.0):
     """Mortality probability from event-mean RR: excess risk plus delta in [0, 1]."""
     return np.clip(np.asarray(mean_rr, dtype=float) - 1.0 + delta, 0.0, 1.0)
-
-
-def base_mortality(t_in_c, model: RRModel, delta: float = 0.0) -> float:
-    """Mortality probability from a temperature trace: mean excess RR plus delta."""
-    t = np.asarray(t_in_c, dtype=float)
-    if t.size == 0:
-        raise ConfigurationError("empty temperature trace")
-    return float(mortality_probability(model.evaluate(t).mean(), delta))
 
 
 class ProductivityModel(CurveModel):
@@ -154,11 +141,6 @@ class ProductivityModel(CurveModel):
     def evaluate(self, t_in_c):
         t = np.clip(np.asarray(t_in_c, dtype=float), self.t_min_c, self.t_max_c)
         return np.clip(np.polyval(self.coefficients, t), 0.0, 1.0)
-
-
-def productivity(t_in_c, model: ProductivityModel):
-    value = model.evaluate(t_in_c)
-    return float(value) if np.isscalar(t_in_c) else value
 
 
 @dataclass(frozen=True)
@@ -258,17 +240,6 @@ class TruncNormal:
         return out
 
 
-def sample_truncated_normal(params: TruncNormal, rng: np.random.Generator, size=None):
-    return params.sample(rng, size)
-
-
-class OutcomeStatus(str, Enum):
-    UNAFFECTED = "unaffected"
-    INJURED_RECOVERED_HOME = "injured_recovered_home"
-    INJURED_RECOVERED_HOSPITAL = "injured_recovered_hospital"
-    DEATH = "death"
-
-
 class Condition(str, Enum):
     CARDIAC = "cardiac"
     RESPIRATORY = "respiratory"
@@ -280,18 +251,6 @@ CONDITIONS = (Condition.CARDIAC, Condition.RESPIRATORY, Condition.HYPOTHERMIA_FR
 
 # Integer codes for the vectorized outcome path.
 _STATUS_UNAFFECTED, _STATUS_HOME, _STATUS_HOSPITAL, _STATUS_DEATH = 0, 1, 2, 3
-
-
-@dataclass(frozen=True)
-class OccupantOutcome:
-    status: OutcomeStatus
-    condition: Condition
-    accessed_healthcare: bool
-    insured: bool
-
-    def __post_init__(self):
-        if (self.condition is Condition.NONE) != (self.status is OutcomeStatus.UNAFFECTED):
-            raise ConfigurationError("condition must be none exactly for unaffected occupants")
 
 
 def _pct(name: str):
@@ -339,40 +298,6 @@ class HazardConfig:
     @classmethod
     def default(cls) -> "HazardConfig":
         return cls()
-
-
-def simulate_occupant_outcome(p_mort: float, probs: dict, rng: np.random.Generator) -> OccupantOutcome:
-    """Resolve one occupant through the outcome tree with fixed probabilities.
-
-    `probs` keys: p_pre_c, p_pre_r, p_access, p_heal_ins, hospital_surv and
-    home_surv (each a mapping condition -> survival probability). The
-    respiratory branch is renormalized by (1 - p_pre_c) so both pre-existing
-    marginals match their configured rates despite sequential drawing.
-    """
-    for key in ("p_pre_c", "p_pre_r", "p_access", "p_heal_ins"):
-        if not 0.0 <= probs[key] <= 1.0:
-            raise ConfigurationError(f"{key} must lie in [0, 1]")
-    insured = bool(rng.random() < probs["p_heal_ins"])
-    if not rng.random() < p_mort:
-        return OccupantOutcome(OutcomeStatus.UNAFFECTED, Condition.NONE, False, insured)
-
-    u = rng.random()
-    p_c = probs["p_pre_c"]
-    p_r = probs["p_pre_r"]
-    if u < p_c:
-        condition = Condition.CARDIAC
-    elif p_c < 1.0 and rng.random() < p_r / (1.0 - p_c):
-        condition = Condition.RESPIRATORY
-    else:
-        condition = Condition.HYPOTHERMIA_FROST
-
-    accessed = bool(rng.random() < probs["p_access"])
-    surv_table = probs["hospital_surv"] if accessed else probs["home_surv"]
-    survived = bool(rng.random() < surv_table[condition])
-    if not survived:
-        return OccupantOutcome(OutcomeStatus.DEATH, condition, accessed, insured)
-    status = OutcomeStatus.INJURED_RECOVERED_HOSPITAL if accessed else OutcomeStatus.INJURED_RECOVERED_HOME
-    return OccupantOutcome(status, condition, accessed, insured)
 
 
 @dataclass(frozen=True)
@@ -439,25 +364,3 @@ def simulate_outcomes(p_mort: np.ndarray, cfg: HazardConfig, rng: np.random.Gene
     status[idx[survived & accessed]] = _STATUS_HOSPITAL
     status[idx[survived & ~accessed]] = _STATUS_HOME
     return OutcomeBatch(status, condition, insured)
-
-
-def outcome_tree_probabilities(p_mort: float, p_pre_c: float, p_pre_r: float,
-                               p_access: float, hospital_surv: dict, home_surv: dict) -> dict:
-    """Closed-form outcome marginals for fixed tree probabilities."""
-    p_cond = {
-        Condition.CARDIAC: p_pre_c,
-        Condition.RESPIRATORY: p_pre_r,
-        Condition.HYPOTHERMIA_FROST: 1.0 - p_pre_c - p_pre_r,
-    }
-    death = hospital = home = 0.0
-    for c in CONDITIONS:
-        death += p_cond[c] * (p_access * (1.0 - hospital_surv[c]) + (1.0 - p_access) * (1.0 - home_surv[c]))
-        hospital += p_cond[c] * p_access * hospital_surv[c]
-        home += p_cond[c] * (1.0 - p_access) * home_surv[c]
-    return {
-        "death": p_mort * death,
-        "injured_recovered_hospital": p_mort * hospital,
-        "injured_recovered_home": p_mort * home,
-        "unaffected": 1.0 - p_mort,
-        "condition_given_at_risk": {c.value: p_cond[c] for c in CONDITIONS},
-    }

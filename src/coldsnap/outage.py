@@ -1,4 +1,5 @@
-"""Per-building power-availability schedules for the four outage scenarios.
+"""Power-availability schedules for the four outage scenarios, one
+buildings x steps matrix per scenario.
 
 Scenarios: `base` (full service), `co` (controlled outage: selected circuits
 switched off for the whole window), `ro-di` / `ro-hi` (rolling outages over
@@ -9,15 +10,14 @@ the entire window unless the infrastructure is hardened.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .population import Population, Sector
+from .population import Population
 
 
 class Scenario(str, Enum):
@@ -47,24 +47,26 @@ class AvailabilitySeries:
 
 @dataclass(frozen=True)
 class PowerScheduleSet:
+    """Power availability of every building at every step: `powered` is a
+    read-only (buildings x steps) boolean matrix in population order."""
+
     scenario: Scenario
     window_start: datetime
     window_end: datetime
     dt_s: float
-    schedules: dict[int, np.ndarray] = field(repr=False)
+    powered: np.ndarray = field(repr=False)
     isolated_ids: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for arr in self.schedules.values():
-            arr.flags.writeable = False
+        self.powered.flags.writeable = False
 
     @property
     def n_steps(self) -> int:
-        return next(iter(self.schedules.values())).shape[0] if self.schedules else 0
+        return self.powered.shape[1]
 
-    def unpowered_hours(self, building_id: int) -> float:
-        sched = self.schedules[building_id]
-        return float((~sched).sum()) * self.dt_s / 3600.0
+    def unpowered_hours(self) -> np.ndarray:
+        """Unpowered hours of every building, in population order."""
+        return (self.n_steps - self.powered.sum(axis=1)) * self.dt_s / 3600.0
 
 
 def _window_steps(start: datetime, end: datetime, dt_s: float) -> int:
@@ -83,8 +85,8 @@ def build_base_schedule(pop: Population, start: datetime, end: datetime,
                         dt_s: float) -> PowerScheduleSet:
     """Normal operation: every building powered for the whole window."""
     n = _window_steps(start, end, dt_s)
-    schedules = {b.id: np.ones(n, dtype=bool) for b in pop.buildings}
-    return PowerScheduleSet(Scenario.BASE, start, end, dt_s, schedules, frozenset())
+    powered = np.ones((len(pop.buildings), n), dtype=bool)
+    return PowerScheduleSet(Scenario.BASE, start, end, dt_s, powered, frozenset())
 
 
 def select_isolated(pop: Population, fault_fraction: float, seed: int) -> frozenset[int]:
@@ -109,13 +111,10 @@ def build_controlled_outage(pop: Population, start: datetime, end: datetime, dt_
     if unknown:
         raise ConfigurationError(f"shed set contains unknown building ids: {sorted(unknown)[:5]}")
     isolated = select_isolated(pop, fault_fraction, seed)
-    dark = shed | isolated
     n = _window_steps(start, end, dt_s)
-    schedules = {
-        b.id: np.zeros(n, dtype=bool) if b.id in dark else np.ones(n, dtype=bool)
-        for b in pop.buildings
-    }
-    return PowerScheduleSet(Scenario.CO, start, end, dt_s, schedules, isolated)
+    lit = ~np.isin(pop.ids, list(shed | isolated))
+    powered = np.repeat(lit[:, None], n, axis=1)
+    return PowerScheduleSet(Scenario.CO, start, end, dt_s, powered, isolated)
 
 
 def assign_rolling_groups(pop: Population, n_groups: int) -> dict[int, int]:
@@ -159,49 +158,17 @@ def build_rolling_outage(pop: Population, start: datetime, end: datetime, dt_s: 
     groups = assign_rolling_groups(pop, n_groups)
     isolated = frozenset() if hardened else select_isolated(pop, fault_fraction, seed)
 
-    # Per-slot powered tiers: the k-wide served window starts at slot index
-    # mod n_groups and wraps.
-    group_on = np.zeros((n_slots, n_groups), dtype=bool)
-    for s in range(n_slots):
-        k = int(np.floor(availability.fractions[s] * n_groups))
-        k = min(k, n_groups)
-        for j in range(k):
-            group_on[s, (s + j) % n_groups] = True
+    # Tier g is served in slot s when it lies in the k-wide window that
+    # starts at tier s mod n_groups and wraps.
+    k = np.minimum(np.floor(np.asarray(availability.fractions[:n_slots]) * n_groups), n_groups)
+    offset = (np.arange(n_groups) - np.arange(n_slots)[:, None]) % n_groups
+    group_on = offset < k[:, None]
 
     step_slot = np.minimum(np.arange(n) // per_slot, n_slots - 1)
-    schedules: dict[int, np.ndarray] = {}
-    for b in pop.buildings:
-        if b.id in isolated:
-            schedules[b.id] = np.zeros(n, dtype=bool)
-        elif b.sector is not Sector.RESIDENTIAL:
-            schedules[b.id] = np.ones(n, dtype=bool)
-        else:
-            schedules[b.id] = group_on[step_slot, groups[b.id]].copy()
+    tier = np.array([groups.get(b.id, -1) for b in pop.buildings])  # -1: not residential
+    powered = np.ones((len(pop.buildings), n), dtype=bool)
+    for g in range(n_groups):
+        powered[tier == g] = group_on[step_slot, g]
+    powered[np.isin(pop.ids, list(isolated))] = False
     scenario = Scenario.RO_HI if hardened else Scenario.RO_DI
-    return PowerScheduleSet(scenario, start, end, dt_s, schedules, isolated)
-
-
-def max_contiguous_off(powered, dt_s: float) -> float:
-    """Longest unpowered run in a boolean schedule, in hours."""
-    arr = np.asarray(powered, dtype=bool)
-    longest = 0
-    run = 0
-    for value in arr:
-        if value:
-            run = 0
-        else:
-            run += 1
-            longest = max(longest, run)
-    return longest * dt_s / 3600.0
-
-
-def write_schedules_csv(schedule_set: PowerScheduleSet, path) -> None:
-    """Export as `building_id,slot_start,powered` rows, one per step."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["building_id", "slot_start", "powered"])
-        for bid in sorted(schedule_set.schedules):
-            sched = schedule_set.schedules[bid]
-            for i in range(len(sched)):
-                stamp = schedule_set.window_start + timedelta(seconds=schedule_set.dt_s * i)
-                writer.writerow([bid, stamp.isoformat(), "true" if sched[i] else "false"])
+    return PowerScheduleSet(scenario, start, end, dt_s, powered, isolated)

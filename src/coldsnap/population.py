@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import operator
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -138,6 +138,37 @@ class Population:
         return [b for b in self.buildings if b.sector is Sector.RESIDENTIAL]
 
 
+@dataclass(frozen=True)
+class InsulationRow:
+    """Envelope of one insulation class per floor area: UA (W/K.m2) and
+    lumped thermal mass (J/K.m2)."""
+
+    ua_w_per_k_m2: float
+    mass_j_per_k_m2: float
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Synthesis ranges (lo, hi) of one building kind: floor area (m2) and
+    annual consumption (kWh/yr)."""
+
+    floor_m2: tuple[float, float]
+    kwh: tuple[float, float]
+
+    def __post_init__(self):
+        for f in fields(self):
+            lo, hi = getattr(self, f.name)
+            if lo > hi:
+                raise ConfigurationError(f"{f.name} range [{lo}, {hi}] is inverted")
+
+
+@dataclass(frozen=True)
+class CommercialProfile(Profile):
+    """A commercial kind's ranges, with the worker count."""
+
+    workers: tuple[int, int]
+
+
 @dataclass
 class PopulationSpec:
     """Knobs for synthesizing a building stock."""
@@ -158,15 +189,12 @@ class PopulationSpec:
     deadband_c: float = defaults.THERMOSTAT_DEADBAND_C
     hvac_design_outdoor_c: float = defaults.HVAC_DESIGN_OUTDOOR_C
     hvac_oversize: float = defaults.HVAC_OVERSIZE_FACTOR
-    insulation_table: dict[str, dict[str, float]] = field(
-        default_factory=lambda: {k: dict(v) for k, v in defaults.INSULATION_TABLE.items()}
-    )
-    residential_profiles: dict[str, dict] = field(
-        default_factory=lambda: {k: dict(v) for k, v in defaults.RESIDENTIAL_PROFILES.items()}
-    )
-    commercial_profiles: dict[str, dict] = field(
-        default_factory=lambda: {k: dict(v) for k, v in defaults.COMMERCIAL_PROFILES.items()}
-    )
+    insulation_table: dict[Insulation, InsulationRow] = field(default_factory=lambda: {
+        Insulation(k): InsulationRow(**v) for k, v in defaults.INSULATION_TABLE.items()})
+    residential_profiles: dict[BuildingKind, Profile] = field(default_factory=lambda: {
+        BuildingKind(k): Profile(**v) for k, v in defaults.RESIDENTIAL_PROFILES.items()})
+    commercial_profiles: dict[BuildingKind, CommercialProfile] = field(default_factory=lambda: {
+        BuildingKind(k): CommercialProfile(**v) for k, v in defaults.COMMERCIAL_PROFILES.items()})
 
     def __post_init__(self):
         self.validate()
@@ -190,6 +218,16 @@ class PopulationSpec:
                      "power_required_share_commercial", "commercial_backup_share"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for ins, weight in self.insulation_weights.items():
+            if weight > 0 and ins not in self.insulation_table:
+                raise ConfigurationError(f"insulation_table has no row for {ins.value!r}, "
+                                         "which has a positive weight")
+        for kind, count in self.counts.items():
+            name = ("residential_profiles" if SECTOR_BY_KIND[kind] is Sector.RESIDENTIAL
+                    else "commercial_profiles")
+            if count > 0 and kind not in getattr(self, name):
+                raise ConfigurationError(f"{name} has no row for {kind.value!r}, "
+                                         "which has a positive count")
 
 
 def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
@@ -210,11 +248,11 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
         if count == 0:
             continue
         residential = SECTOR_BY_KIND[kind] is Sector.RESIDENTIAL
-        profile = (spec.residential_profiles if residential else spec.commercial_profiles)[kind.value]
+        profile = (spec.residential_profiles if residential else spec.commercial_profiles)[kind]
 
         ins_idx = rng.choice(len(ins_classes), size=count, p=ins_p)
-        floor = rng.uniform(*profile["floor_m2"], size=count)
-        kwh = rng.uniform(*profile["kwh"], size=count)
+        floor = rng.uniform(*profile.floor_m2, size=count)
+        kwh = rng.uniform(*profile.kwh, size=count)
         electric = rng.random(count) < spec.electric_heat_share
         if residential:
             occupants = rng.choice(occ_sizes, size=count, p=occ_p)
@@ -222,7 +260,7 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
             needs_power = rng.random(count) < spec.power_required_share_residential
             backup = np.zeros(count, dtype=bool)
         else:
-            lo, hi = profile["workers"]
+            lo, hi = profile.workers
             workers = rng.integers(lo, hi + 1, size=count)
             occupants = workers.copy()
             needs_power = rng.random(count) < spec.power_required_share_commercial
@@ -230,9 +268,9 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
 
         for i in range(count):
             ins = ins_classes[int(ins_idx[i])]
-            row = spec.insulation_table[ins.value]
-            ua = row["ua_w_per_k_m2"] * float(floor[i])
-            mass = row["mass_j_per_k_m2"] * float(floor[i])
+            row = spec.insulation_table[ins]
+            ua = row.ua_w_per_k_m2 * float(floor[i])
+            mass = row.mass_j_per_k_m2 * float(floor[i])
             hvac_w = ua * (spec.setpoint_c - spec.hvac_design_outdoor_c) * spec.hvac_oversize
             buildings.append(Building(
                 id=next_id,

@@ -10,6 +10,7 @@ summary.json, histogram.csv, exposure.csv, and manifest.json.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -40,7 +41,7 @@ from .population import (
     validate_population,
     write_population_csv,
 )
-from .thermal import ExposureTrace, TraceWriter, simulate_block
+from .thermal import TraceWriter, simulate_block
 from .valuation import (
     CostDistribution,
     ScenarioBundle,
@@ -327,8 +328,9 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
 
     Buildings are simulated `SIM_BLOCK` at a time and reduced in row blocks
     of `REDUCE_BLOCK`, so no array of size buildings x steps outlives its
-    block. With `traces_path`, each block's traces are appended to that CSV
-    as soon as they are simulated. Returns the trial bundle and the
+    block. Each block is a run of rows of the schedule matrix. With
+    `traces_path`, each block's traces are appended to that CSV as soon as
+    they are simulated. Returns the trial bundle and the
     per-building exposure rows for reporting.
     """
     series = load_weather_csv(config.weather_path)
@@ -339,21 +341,18 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     hz = config.hazard
     buildings = pop.buildings
     n_b = len(buildings)
-    mean_rr, mean_t, min_t, wi_sum, unpowered_h, prod_usd = (np.empty(n_b) for _ in range(6))
+    mean_rr, mean_t, min_t, wi_sum, prod_usd = (np.empty(n_b) for _ in range(5))
+    unpowered_h = schedule.unpowered_hours()
     with (open(traces_path, "w", newline="", encoding="utf-8") if traces_path is not None
           else contextlib.nullcontext()) as handle:
-        sink = TraceWriter(handle) if handle is not None else None
+        sink = (TraceWriter(handle, window.start, window.dt_s, window.n_steps)
+                if handle is not None else None)
         for first in range(0, n_b, SIM_BLOCK):
             block = buildings[first:first + SIM_BLOCK]
-            powered = np.stack([schedule.schedules[b.id] for b in block])
+            powered = schedule.powered[first:first + SIM_BLOCK]
             t_in, hvac_on = simulate_block(block, window, powered.T)
             if sink is not None:
-                for j, b in enumerate(block):
-                    hvac_kw = np.where(hvac_on[:, j], b.hvac_electric_kw, 0.0)
-                    sink.write(ExposureTrace(b.id, window.start, window.dt_s,
-                                             t_in[:, j], powered[j], hvac_kw))
-            unpowered_h[first:first + len(block)] = (
-                (~powered).sum(axis=1) * schedule.dt_s / 3600.0)
+                sink.write(block, t_in, powered.T, hvac_on)
             # Row reductions need C-contiguous rows to add in the same order
             # as a reduction over one building's trace.
             for lo in range(0, len(block), REDUCE_BLOCK):
@@ -373,8 +372,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
         beta = float(max(wi_sum.max(initial=0.0), 1e-9))
 
     # Both totals add in building order, one building at a time.
-    c_cic = sum(interruption_cost(b, h, config.valuation.cic)
-                for b, h in zip(buildings, unpowered_h.tolist()))
+    c_cic = sum(interruption_cost(buildings, unpowered_h, config.valuation.cic).tolist())
     c_prod = 0.0
     for usd in prod_usd.tolist():
         c_prod += usd
@@ -427,6 +425,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             f"population fails validation ({len(violations)} problems; first: "
             f"building {first.building_id} field {first.field}: {first.message})"
         )
+    config.valuation.require_wages(pop)
 
     schedule = build_schedules(config, pop)
     out = Path(config.out_dir)
@@ -483,9 +482,8 @@ def _input_digests(config: ScenarioConfig) -> dict:
 
 
 def _write_trials_csv(path, distribution: CostDistribution) -> None:
-    import csv as _csv
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _csv.writer(handle)
+        writer = csv.writer(handle)
         writer.writerow(["trial", "c_vsl", "c_medical", "c_prod", "c_build", "c_cic",
                          "total", "n_death", "n_injured"])
         for i, t in enumerate(distribution.trials):
@@ -497,20 +495,18 @@ def _write_trials_csv(path, distribution: CostDistribution) -> None:
 
 
 def _write_histogram_csv(path, histogram: list) -> None:
-    import csv as _csv
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _csv.writer(handle)
+        writer = csv.writer(handle)
         writer.writerow(["bin_left", "bin_right", "count"])
         for left, right, count in histogram:
             writer.writerow([f"{left:.2f}", f"{right:.2f}", count])
 
 
 def _write_exposure_csv(path, rows: list[dict]) -> None:
-    import csv as _csv
     if not rows:
         raise ConfigurationError("no exposure rows to write")
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
             formatted = dict(row)

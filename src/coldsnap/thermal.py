@@ -13,74 +13,13 @@ is a hysteresis relay gated by power availability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
 
 from . import defaults
 from .errors import ConfigurationError
-from .population import Building
 from .weather import WeatherSeries
-
-
-@dataclass(frozen=True)
-class ExposureTrace:
-    """Per-building simulation record over the event window."""
-
-    building_id: int
-    start: datetime
-    dt_s: float
-    t_in_c: np.ndarray = field(repr=False)
-    powered: np.ndarray = field(repr=False)
-    hvac_kw: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = len(self.t_in_c)
-        if len(self.powered) != n or len(self.hvac_kw) != n:
-            raise ConfigurationError("trace arrays must be equally long")
-        if not np.all(np.isfinite(self.t_in_c)):
-            raise ConfigurationError("trace contains non-finite temperatures")
-        for name in ("t_in_c", "powered", "hvac_kw"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.t_in_c)
-
-
-def step_indoor_temp(t_in: float, building: Building, t_out_c: float,
-                     hvac_heat_w: float, internal_gain_w: float, dt_s: float) -> float:
-    """Advance the indoor temperature one step with constant inputs.
-
-    Exact exponential relaxation toward the equilibrium t_out + Q/UA.
-    """
-    if dt_s <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt_s}")
-    q_w = hvac_heat_w + internal_gain_w
-    t_eq = t_out_c + q_w / building.ua_w_per_k
-    decay = math.exp(-building.ua_w_per_k * dt_s / building.thermal_mass_j_per_k)
-    return t_eq + (t_in - t_eq) * decay
-
-
-def hvac_thermostat(t_in: float, setpoint_c: float, deadband_c: float,
-                    powered: bool, was_on: bool, rated_electric_kw: float) -> tuple[bool, float]:
-    """Hysteresis heating control: on below the band, off above it, else hold.
-
-    Power loss forces the unit off regardless of temperature.
-    """
-    if deadband_c <= 0:
-        raise ConfigurationError(f"deadband must be positive, got {deadband_c}")
-    if not powered:
-        return False, 0.0
-    if t_in < setpoint_c - deadband_c / 2.0:
-        on = True
-    elif t_in > setpoint_c + deadband_c / 2.0:
-        on = False
-    else:
-        on = was_on
-    return on, rated_electric_kw if on else 0.0
 
 
 def simulate_block(buildings, weather: WeatherSeries, powered,
@@ -90,8 +29,9 @@ def simulate_block(buildings, weather: WeatherSeries, powered,
     `powered` is a (steps x buildings) boolean matrix aligned with the weather
     samples. Returns the indoor temperature and the heating-on flag, both
     (steps x buildings): the loop runs over time and each step advances every
-    building at once. Initial temperatures are the setpoints; internal gains
-    default as in `simulate_building`.
+    building at once. Initial temperatures are the setpoints (business-as-usual
+    start). Internal gains default to the package constant for occupied
+    buildings and zero otherwise.
     """
     powered = np.ascontiguousarray(powered, dtype=bool)
     n, k = weather.n_steps, len(buildings)
@@ -140,72 +80,29 @@ def simulate_block(buildings, weather: WeatherSeries, powered,
     return t_in, hvac_on
 
 
-def simulate_building(building: Building, weather: WeatherSeries,
-                      powered, internal_gain_w: float | None = None) -> ExposureTrace:
-    """Simulate one building over a weather window under a power schedule.
-
-    `powered` is a boolean array aligned with the weather samples. The
-    initial indoor temperature is the thermostat setpoint (business-as-usual
-    start). Internal gains default to the package constant for occupied
-    buildings and zero otherwise.
-    """
-    powered = np.asarray(powered, dtype=bool)
-    if len(powered) != weather.n_steps:
-        raise ConfigurationError(
-            f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
-        )
-    t_in, hvac_on = simulate_block([building], weather, powered[:, None], internal_gain_w)
-    return ExposureTrace(
-        building_id=building.id,
-        start=weather.start,
-        dt_s=weather.dt_s,
-        t_in_c=t_in[:, 0].copy(),
-        powered=powered.copy(),
-        hvac_kw=np.where(hvac_on[:, 0], building.hvac_electric_kw, 0.0),
-    )
-
-
-def free_float_closed_form(building: Building, t_start_c: float, t_out_c: float,
-                           internal_gain_w: float, times_s) -> np.ndarray:
-    """Analytic unpowered trajectory for constant outdoor temperature."""
-    times = np.asarray(times_s, dtype=float)
-    t_eq = t_out_c + internal_gain_w / building.ua_w_per_k
-    tau = building.thermal_mass_j_per_k / building.ua_w_per_k
-    return t_eq + (t_start_c - t_eq) * np.exp(-times / tau)
-
-
 class TraceWriter:
     """Appends `building_id,timestamp,t_in_c,powered,hvac_kw` rows to an open
-    text handle, one trace at a time.
+    text handle, one simulated block at a time.
 
-    Timestamps are formatted once per step and reused for every building
-    that shares the start, step and length. Lines end in CRLF, as `csv`
-    writes them.
+    Timestamps are formatted once per step and reused for every building.
+    Lines end in CRLF, as `csv` writes them.
     """
 
-    def __init__(self, handle):
+    def __init__(self, handle, start: datetime, dt_s: float, n_steps: int):
         self._handle = handle
-        self._stamps: dict[tuple, list[str]] = {}
+        self._stamps = [(start + timedelta(seconds=dt_s * i)).isoformat()
+                        for i in range(n_steps)]
         handle.write("building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
 
-    def write(self, trace: ExposureTrace) -> None:
-        key = (trace.start, trace.dt_s, trace.n_steps)
-        stamps = self._stamps.get(key)
-        if stamps is None:
-            stamps = [(trace.start + timedelta(seconds=trace.dt_s * i)).isoformat()
-                      for i in range(trace.n_steps)]
-            self._stamps[key] = stamps
-        bid = trace.building_id
-        self._handle.writelines(
-            f"{bid},{stamp},{t:.4f},{'true' if on else 'false'},{kw:.3f}\r\n"
-            for stamp, t, on, kw in zip(stamps, trace.t_in_c.tolist(),
-                                        trace.powered.tolist(), trace.hvac_kw.tolist())
-        )
-
-
-def write_traces_csv(traces, path) -> None:
-    """Export traces as `building_id,timestamp,t_in_c,powered,hvac_kw` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = TraceWriter(handle)
-        for trace in traces:
-            writer.write(trace)
+    def write(self, buildings, t_in, powered, hvac_on) -> None:
+        """Rows of a block as `simulate_block` takes and returns it: `t_in`,
+        `powered` and `hvac_on` are (steps x buildings). Columns are converted
+        one building at a time, so only one building's values exist as
+        Python objects at once."""
+        for j, b in enumerate(buildings):
+            kw = (f"{0.0:.3f}", f"{b.hvac_electric_kw:.3f}")
+            self._handle.writelines(
+                f"{b.id},{stamp},{t:.4f},{'true' if p else 'false'},{kw[h]}\r\n"
+                for stamp, t, p, h in zip(self._stamps, t_in[:, j].tolist(),
+                                          powered[:, j].tolist(), hvac_on[:, j].tolist())
+            )

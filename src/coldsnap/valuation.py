@@ -23,11 +23,10 @@ from .hazard import (
     CONDITIONS,
     HazardConfig,
     OutcomeBatch,
-    OutcomeStatus,
     TruncNormal,
     simulate_outcomes,
 )
-from .population import Building, Population, Sector
+from .population import Population, Sector
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -70,34 +69,42 @@ class CICParams:
     duration_cap_h: float = defaults.CIC_DURATION_CAP_H
 
 
-def interruption_cost(building: Building, unpowered_hours: float, params: CICParams) -> float:
-    """Direct interruption cost for one customer given total unpowered hours.
+def interruption_cost(buildings, unpowered_h, params: CICParams) -> np.ndarray:
+    """Direct interruption cost of each customer given its total unpowered
+    hours, one value per building.
 
     Base + hourly (capped) + per-kWh-of-average-load terms, scaled by season
     and by industry (C&I) or income (residential) multipliers; small C&I
     with backup equipment get a discount. Durations beyond the cap accrue a
-    linear surcharge.
+    linear surcharge. Customers with power throughout cost nothing and need
+    no table.
     """
-    if unpowered_hours < 0:
+    hours = np.asarray(unpowered_h, dtype=float)
+    if (hours < 0).any():
         raise ConfigurationError("unpowered hours cannot be negative")
-    if unpowered_hours == 0:
-        return 0.0
-    key = _SECTOR_TABLE_KEY.get(building.sector)
-    table = params.tables.get(key)
-    if table is None:
-        raise ConfigurationError(f"no interruption-cost table for sector {building.sector}")
-    avg_kw = building.avg_annual_kwh / 8760.0
-    capped_h = min(unpowered_hours, params.duration_cap_h)
-    inner = table.base + table.per_hour * capped_h + table.per_kwh * avg_kw * unpowered_hours
-    multiplier = params.season_multiplier
-    if building.sector is Sector.RESIDENTIAL:
-        multiplier *= params.income_multiplier.get(building.income_bracket, 1.0)
-    else:
-        multiplier *= params.industry_multiplier
-        if building.sector is Sector.SMALL_CI and building.backup:
-            multiplier *= params.backup_discount
-    surcharge = table.slope_beyond_cap * max(unpowered_hours - params.duration_cap_h, 0.0)
-    return inner * multiplier + surcharge
+    usd = np.zeros(len(hours))
+    dark = np.flatnonzero(hours > 0)
+    customers = [buildings[i] for i in dark.tolist()]
+    tables = [params.tables.get(_SECTOR_TABLE_KEY.get(b.sector)) for b in customers]
+    for b, table in zip(customers, tables):
+        if table is None:
+            raise ConfigurationError(f"no interruption-cost table for sector {b.sector}")
+    base, per_hour, per_kwh, slope = (np.array([getattr(t, name) for t in tables])
+                                      for name in ("base", "per_hour", "per_kwh",
+                                                   "slope_beyond_cap"))
+    residential = np.array([b.sector is Sector.RESIDENTIAL for b in customers])
+    income = np.array([params.income_multiplier.get(b.income_bracket, 1.0) for b in customers])
+    discounted = np.array([b.sector is Sector.SMALL_CI and b.backup for b in customers])
+    # The same operations in the same order as for one customer at a time.
+    ci = params.season_multiplier * params.industry_multiplier
+    multiplier = np.where(residential, params.season_multiplier * income,
+                          np.where(discounted, ci * params.backup_discount, ci))
+    h = hours[dark]
+    avg_kw = np.array([b.avg_annual_kwh for b in customers]) / 8760.0
+    inner = base + per_hour * np.minimum(h, params.duration_cap_h) + per_kwh * avg_kw * h
+    surcharge = slope * np.maximum(h - params.duration_cap_h, 0.0)
+    usd[dark] = inner * multiplier + surcharge
+    return usd
 
 
 @dataclass(frozen=True)
@@ -125,13 +132,25 @@ class ValuationParams:
             raise ConfigurationError("severity ceiling must be positive")
         if self.beta_wi is not None and self.beta_wi <= 0:
             raise ConfigurationError("beta_wi must be positive when set")
-        for table in (self.medical_insured_usd, self.medical_uninsured_usd):
+        for name in ("medical_insured_usd", "medical_uninsured_usd"):
+            table = getattr(self, name)
+            if set(table) != {c.value for c in CONDITIONS}:
+                raise ConfigurationError(f"{name} needs exactly the conditions "
+                                         f"{', '.join(c.value for c in CONDITIONS)}")
             for cond, (lo, hi) in table.items():
                 if lo > hi:
                     raise ConfigurationError(f"medical cost range inverted for {cond}")
         for lo, hi in (self.pipe_repair_insured_usd, self.pipe_repair_uninsured_usd):
             if lo > hi:
                 raise ConfigurationError("pipe repair cost range inverted")
+
+    def require_wages(self, pop: Population) -> None:
+        """Every kind with workers in the population needs an hourly wage."""
+        for b in pop.buildings:
+            if b.n_workers and b.kind.value not in self.wage_usd_per_hour:
+                raise ConfigurationError(
+                    f"config key 'valuation.wage_usd_per_hour' has no wage for "
+                    f"{b.kind.value!r}, whose buildings have workers")
 
 
 @dataclass(frozen=True)
@@ -152,34 +171,6 @@ class CostBreakdown:
     def nei_total(self) -> float:
         """Non-energy impacts: everything except the interruption cost."""
         return self.c_vsl + self.c_medical + self.c_prod + self.c_build
-
-
-def vsl_cost(deaths_per_building, vsl_usd: float) -> float:
-    """Statistical-life cost: total deaths times the per-life value."""
-    return float(np.asarray(deaths_per_building, dtype=float).sum()) * vsl_usd
-
-
-def _severity(p_mort: float, ceiling: float) -> float:
-    return min(max(p_mort / ceiling, 0.0), 1.0)
-
-
-def medical_cost(outcomes, p_mort_per_occupant, params: ValuationParams) -> float:
-    """Medical cost over occupant outcomes; p_mort aligns with the outcomes.
-
-    Hospital-recovered cases bill the insured or uninsured range scaled by
-    mortality severity. Home-recovered cases bill a flat fraction of the
-    insured range minimum. Deaths and unaffected occupants bill nothing.
-    """
-    total = 0.0
-    for outcome, p_mort in zip(outcomes, p_mort_per_occupant):
-        if outcome.status is OutcomeStatus.INJURED_RECOVERED_HOSPITAL:
-            table = params.medical_insured_usd if outcome.insured else params.medical_uninsured_usd
-            lo, hi = table[outcome.condition.value]
-            total += lo + (hi - lo) * _severity(p_mort, params.severity_ceiling)
-        elif outcome.status is OutcomeStatus.INJURED_RECOVERED_HOME:
-            lo, _ = params.medical_insured_usd[outcome.condition.value]
-            total += params.home_care_fraction * lo
-    return total
 
 
 def _medical_cost_batch(batch: OutcomeBatch, p_mort_occ: np.ndarray,
@@ -365,18 +356,8 @@ def summarize(dist: CostDistribution, histogram_bins: int = 50) -> tuple[dict, l
     if histogram_bins < 1:
         raise ConfigurationError("histogram needs at least one bin")
     summary: dict = {"n_trials": len(dist.trials)}
-    for name in COMPONENTS + ("nei_total", "total"):
+    for name in COMPONENTS + ("nei_total", "total", "n_death", "n_injured"):
         values = dist.component(name)
-        ordered = np.sort(values)
-        summary[name] = {
-            "mean": float(values.mean()),
-            "std": float(values.std()),
-            "p5": _nearest_rank(ordered, 5.0),
-            "p50": _nearest_rank(ordered, 50.0),
-            "p95": _nearest_rank(ordered, 95.0),
-        }
-    for name in ("n_death", "n_injured"):
-        values = np.array([getattr(t, name) for t in dist.trials], dtype=float)
         ordered = np.sort(values)
         summary[name] = {
             "mean": float(values.mean()),

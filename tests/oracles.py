@@ -1,29 +1,214 @@
-"""Per-building reference paths that the block kernels are checked against.
+"""Per-building and scalar reference paths that the package is checked against.
 
-These are the one-building-at-a-time forms of the thermal simulation, the
-hazard reductions, the productivity total and the trace export. The package
-computes the same quantities over blocks of buildings; the equivalence tests
-require the two to agree bit for bit.
+These are the one-building-at-a-time forms of the power schedules, the
+thermal simulation, the hazard reductions, the interruption and
+productivity costs and the trace export, plus the scalar forms of the
+thermostat step, the outcome tree and the medical cost. The package
+computes the same quantities over blocks of buildings or occupants; the
+equivalence tests require the two to agree bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from datetime import timedelta
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta
+from enum import Enum
 
 import numpy as np
 
 from coldsnap import defaults
 from coldsnap.errors import ConfigurationError
-from coldsnap.hazard import base_mortality, winter_index_sum
-from coldsnap.population import Sector
-from coldsnap.thermal import ExposureTrace
-from coldsnap.valuation import ScenarioBundle, _work_hour_mask, interruption_cost
+from coldsnap.hazard import (
+    CONDITIONS,
+    Condition,
+    TruncNormal,
+    mortality_probability,
+    winter_index_sum,
+)
+from coldsnap.outage import (
+    Scenario,
+    _window_steps,
+    assign_rolling_groups,
+    select_isolated,
+)
+from coldsnap.population import Building, Sector
+from coldsnap.thermal import simulate_block
+from coldsnap.valuation import (
+    _SECTOR_TABLE_KEY,
+    CICParams,
+    ScenarioBundle,
+    ValuationParams,
+    _work_hour_mask,
+)
 from coldsnap.weather import load_weather_csv, resample, slice_window
 
 
-def simulate_building(building, weather, powered, internal_gain_w=None) -> ExposureTrace:
+# --- Power schedules: one array per building, keyed by id -------------------
+
+@dataclass(frozen=True)
+class ScheduleDict:
+    scenario: Scenario
+    window_start: datetime
+    window_end: datetime
+    dt_s: float
+    schedules: dict[int, np.ndarray] = field(repr=False)
+    isolated_ids: frozenset[int] = frozenset()
+
+    def __post_init__(self):
+        for arr in self.schedules.values():
+            arr.flags.writeable = False
+
+    @property
+    def n_steps(self) -> int:
+        return next(iter(self.schedules.values())).shape[0] if self.schedules else 0
+
+    def unpowered_hours(self, building_id: int) -> float:
+        return unpowered_hours(self.schedules[building_id], self.dt_s)
+
+
+def unpowered_hours(powered, dt_s: float) -> float:
+    """Unpowered hours of one building's schedule."""
+    return float((~np.asarray(powered, dtype=bool)).sum()) * dt_s / 3600.0
+
+
+def build_base_schedule(pop, start, end, dt_s) -> ScheduleDict:
+    n = _window_steps(start, end, dt_s)
+    schedules = {b.id: np.ones(n, dtype=bool) for b in pop.buildings}
+    return ScheduleDict(Scenario.BASE, start, end, dt_s, schedules, frozenset())
+
+
+def build_controlled_outage(pop, start, end, dt_s, shed_ids, fault_fraction,
+                            seed) -> ScheduleDict:
+    known = set(pop.ids)
+    shed = set(int(i) for i in shed_ids)
+    unknown = shed - known
+    if unknown:
+        raise ConfigurationError(f"shed set contains unknown building ids: {sorted(unknown)[:5]}")
+    isolated = select_isolated(pop, fault_fraction, seed)
+    dark = shed | isolated
+    n = _window_steps(start, end, dt_s)
+    schedules = {
+        b.id: np.zeros(n, dtype=bool) if b.id in dark else np.ones(n, dtype=bool)
+        for b in pop.buildings
+    }
+    return ScheduleDict(Scenario.CO, start, end, dt_s, schedules, isolated)
+
+
+def build_rolling_outage(pop, start, end, dt_s, n_groups, availability, hardened,
+                         fault_fraction, seed) -> ScheduleDict:
+    n = _window_steps(start, end, dt_s)
+    slot_s = availability.slot_s
+    per_slot = slot_s / dt_s
+    if abs(per_slot - round(per_slot)) > 1e-9 or per_slot < 1:
+        raise ConfigurationError("slot length must be a positive multiple of dt")
+    per_slot = int(round(per_slot))
+    n_slots = -(-n // per_slot)  # ceil
+    if len(availability.fractions) < n_slots:
+        raise ConfigurationError(
+            f"availability has {len(availability.fractions)} slots, window needs {n_slots}"
+        )
+
+    groups = assign_rolling_groups(pop, n_groups)
+    isolated = frozenset() if hardened else select_isolated(pop, fault_fraction, seed)
+
+    # Per-slot powered tiers: the k-wide served window starts at slot index
+    # mod n_groups and wraps.
+    group_on = np.zeros((n_slots, n_groups), dtype=bool)
+    for s in range(n_slots):
+        k = int(np.floor(availability.fractions[s] * n_groups))
+        k = min(k, n_groups)
+        for j in range(k):
+            group_on[s, (s + j) % n_groups] = True
+
+    step_slot = np.minimum(np.arange(n) // per_slot, n_slots - 1)
+    schedules: dict[int, np.ndarray] = {}
+    for b in pop.buildings:
+        if b.id in isolated:
+            schedules[b.id] = np.zeros(n, dtype=bool)
+        elif b.sector is not Sector.RESIDENTIAL:
+            schedules[b.id] = np.ones(n, dtype=bool)
+        else:
+            schedules[b.id] = group_on[step_slot, groups[b.id]].copy()
+    scenario = Scenario.RO_HI if hardened else Scenario.RO_DI
+    return ScheduleDict(scenario, start, end, dt_s, schedules, isolated)
+
+
+def max_contiguous_off(powered, dt_s: float) -> float:
+    """Longest unpowered run in a boolean schedule, in hours."""
+    arr = np.asarray(powered, dtype=bool)
+    longest = 0
+    run = 0
+    for value in arr:
+        if value:
+            run = 0
+        else:
+            run += 1
+            longest = max(longest, run)
+    return longest * dt_s / 3600.0
+
+
+def write_schedules_csv(schedule_set: ScheduleDict, path) -> None:
+    """Export as `building_id,slot_start,powered` rows, one per step."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["building_id", "slot_start", "powered"])
+        for bid in sorted(schedule_set.schedules):
+            sched = schedule_set.schedules[bid]
+            for i in range(len(sched)):
+                stamp = schedule_set.window_start + timedelta(seconds=schedule_set.dt_s * i)
+                writer.writerow([bid, stamp.isoformat(), "true" if sched[i] else "false"])
+
+
+# --- Thermal: one building's trace ------------------------------------------
+
+@dataclass(frozen=True)
+class ExposureTrace:
+    """Per-building simulation record over the event window."""
+
+    building_id: int
+    start: datetime
+    dt_s: float
+    t_in_c: np.ndarray = field(repr=False)
+    powered: np.ndarray = field(repr=False)
+    hvac_kw: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        n = len(self.t_in_c)
+        if len(self.powered) != n or len(self.hvac_kw) != n:
+            raise ConfigurationError("trace arrays must be equally long")
+        if not np.all(np.isfinite(self.t_in_c)):
+            raise ConfigurationError("trace contains non-finite temperatures")
+        for name in ("t_in_c", "powered", "hvac_kw"):
+            arr = getattr(self, name)
+            arr.flags.writeable = False
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.t_in_c)
+
+
+def simulate_building(building: Building, weather, powered,
+                      internal_gain_w: float | None = None) -> ExposureTrace:
+    """One building through the package's block kernel."""
+    powered = np.asarray(powered, dtype=bool)
+    if len(powered) != weather.n_steps:
+        raise ConfigurationError(
+            f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
+        )
+    t_in, hvac_on = simulate_block([building], weather, powered[:, None], internal_gain_w)
+    return ExposureTrace(
+        building_id=building.id,
+        start=weather.start,
+        dt_s=weather.dt_s,
+        t_in_c=t_in[:, 0].copy(),
+        powered=powered.copy(),
+        hvac_kw=np.where(hvac_on[:, 0], building.hvac_electric_kw, 0.0),
+    )
+
+
+def simulate_building_scalar(building, weather, powered, internal_gain_w=None) -> ExposureTrace:
     """Scalar relay loop over one building's steps."""
     powered = np.asarray(powered, dtype=bool)
     if len(powered) != weather.n_steps:
@@ -70,30 +255,46 @@ def simulate_building(building, weather, powered, internal_gain_w=None) -> Expos
     )
 
 
-def productivity_cost(traces, schedules, pop, params, productivity_model) -> float:
-    """Lost-wage total over buildings, one trace at a time, in building order."""
-    total = 0.0
-    dt_h = None
-    for b in pop.buildings:
-        if b.n_workers == 0:
-            continue
-        trace = traces[b.id]
-        powered = schedules.schedules[b.id]
-        if dt_h is None:
-            dt_h = trace.dt_s / 3600.0
-            start_sec = (trace.start.hour * 3600.0 + trace.start.minute * 60.0
-                         + trace.start.second)
-            res_mask = _work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
-                                       params.work_hours_residential)
-            com_mask = _work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
-                                       params.work_hours_commercial)
-        mask = res_mask if b.sector is Sector.RESIDENTIAL else com_mask
-        perf = productivity_model.evaluate(trace.t_in_c)
-        if b.job_requires_power:
-            perf = np.where(powered, perf, 0.0)
-        lost = (1.0 - perf[mask]).sum() * dt_h
-        total += b.n_workers * lost * params.wage_usd_per_hour[b.kind.value]
-    return float(total)
+def step_indoor_temp(t_in: float, building: Building, t_out_c: float,
+                     hvac_heat_w: float, internal_gain_w: float, dt_s: float) -> float:
+    """Advance the indoor temperature one step with constant inputs.
+
+    Exact exponential relaxation toward the equilibrium t_out + Q/UA.
+    """
+    if dt_s <= 0:
+        raise ConfigurationError(f"dt must be positive, got {dt_s}")
+    q_w = hvac_heat_w + internal_gain_w
+    t_eq = t_out_c + q_w / building.ua_w_per_k
+    decay = math.exp(-building.ua_w_per_k * dt_s / building.thermal_mass_j_per_k)
+    return t_eq + (t_in - t_eq) * decay
+
+
+def hvac_thermostat(t_in: float, setpoint_c: float, deadband_c: float,
+                    powered: bool, was_on: bool, rated_electric_kw: float) -> tuple[bool, float]:
+    """Hysteresis heating control: on below the band, off above it, else hold.
+
+    Power loss forces the unit off regardless of temperature.
+    """
+    if deadband_c <= 0:
+        raise ConfigurationError(f"deadband must be positive, got {deadband_c}")
+    if not powered:
+        return False, 0.0
+    if t_in < setpoint_c - deadband_c / 2.0:
+        on = True
+    elif t_in > setpoint_c + deadband_c / 2.0:
+        on = False
+    else:
+        on = was_on
+    return on, rated_electric_kw if on else 0.0
+
+
+def free_float_closed_form(building: Building, t_start_c: float, t_out_c: float,
+                           internal_gain_w: float, times_s) -> np.ndarray:
+    """Analytic unpowered trajectory for constant outdoor temperature."""
+    times = np.asarray(times_s, dtype=float)
+    t_eq = t_out_c + internal_gain_w / building.ua_w_per_k
+    tau = building.thermal_mass_j_per_k / building.ua_w_per_k
+    return t_eq + (t_start_c - t_eq) * np.exp(-times / tau)
 
 
 def write_traces_csv(traces, path) -> None:
@@ -113,8 +314,189 @@ def write_traces_csv(traces, path) -> None:
                 ])
 
 
+# --- Hazard: scalar curves and the outcome tree ------------------------------
+
+def relative_risk(t_in_c, model):
+    value = model.evaluate(t_in_c)
+    return float(value) if np.isscalar(t_in_c) else value
+
+
+def productivity(t_in_c, model):
+    value = model.evaluate(t_in_c)
+    return float(value) if np.isscalar(t_in_c) else value
+
+
+def base_mortality(t_in_c, model, delta: float = 0.0) -> float:
+    """Mortality probability from a temperature trace: mean excess RR plus delta."""
+    t = np.asarray(t_in_c, dtype=float)
+    if t.size == 0:
+        raise ConfigurationError("empty temperature trace")
+    return float(mortality_probability(model.evaluate(t).mean(), delta))
+
+
+def sample_truncated_normal(params: TruncNormal, rng: np.random.Generator, size=None):
+    return params.sample(rng, size)
+
+
+class OutcomeStatus(str, Enum):
+    UNAFFECTED = "unaffected"
+    INJURED_RECOVERED_HOME = "injured_recovered_home"
+    INJURED_RECOVERED_HOSPITAL = "injured_recovered_hospital"
+    DEATH = "death"
+
+
+@dataclass(frozen=True)
+class OccupantOutcome:
+    status: OutcomeStatus
+    condition: Condition
+    accessed_healthcare: bool
+    insured: bool
+
+    def __post_init__(self):
+        if (self.condition is Condition.NONE) != (self.status is OutcomeStatus.UNAFFECTED):
+            raise ConfigurationError("condition must be none exactly for unaffected occupants")
+
+
+def simulate_occupant_outcome(p_mort: float, probs: dict, rng: np.random.Generator) -> OccupantOutcome:
+    """Resolve one occupant through the outcome tree with fixed probabilities.
+
+    `probs` keys: p_pre_c, p_pre_r, p_access, p_heal_ins, hospital_surv and
+    home_surv (each a mapping condition -> survival probability). The
+    respiratory branch is renormalized by (1 - p_pre_c) so both pre-existing
+    marginals match their configured rates despite sequential drawing.
+    """
+    for key in ("p_pre_c", "p_pre_r", "p_access", "p_heal_ins"):
+        if not 0.0 <= probs[key] <= 1.0:
+            raise ConfigurationError(f"{key} must lie in [0, 1]")
+    insured = bool(rng.random() < probs["p_heal_ins"])
+    if not rng.random() < p_mort:
+        return OccupantOutcome(OutcomeStatus.UNAFFECTED, Condition.NONE, False, insured)
+
+    u = rng.random()
+    p_c = probs["p_pre_c"]
+    p_r = probs["p_pre_r"]
+    if u < p_c:
+        condition = Condition.CARDIAC
+    elif p_c < 1.0 and rng.random() < p_r / (1.0 - p_c):
+        condition = Condition.RESPIRATORY
+    else:
+        condition = Condition.HYPOTHERMIA_FROST
+
+    accessed = bool(rng.random() < probs["p_access"])
+    surv_table = probs["hospital_surv"] if accessed else probs["home_surv"]
+    survived = bool(rng.random() < surv_table[condition])
+    if not survived:
+        return OccupantOutcome(OutcomeStatus.DEATH, condition, accessed, insured)
+    status = OutcomeStatus.INJURED_RECOVERED_HOSPITAL if accessed else OutcomeStatus.INJURED_RECOVERED_HOME
+    return OccupantOutcome(status, condition, accessed, insured)
+
+
+def outcome_tree_probabilities(p_mort: float, p_pre_c: float, p_pre_r: float,
+                               p_access: float, hospital_surv: dict, home_surv: dict) -> dict:
+    """Closed-form outcome marginals for fixed tree probabilities."""
+    p_cond = {
+        Condition.CARDIAC: p_pre_c,
+        Condition.RESPIRATORY: p_pre_r,
+        Condition.HYPOTHERMIA_FROST: 1.0 - p_pre_c - p_pre_r,
+    }
+    death = hospital = home = 0.0
+    for c in CONDITIONS:
+        death += p_cond[c] * (p_access * (1.0 - hospital_surv[c]) + (1.0 - p_access) * (1.0 - home_surv[c]))
+        hospital += p_cond[c] * p_access * hospital_surv[c]
+        home += p_cond[c] * (1.0 - p_access) * home_surv[c]
+    return {
+        "death": p_mort * death,
+        "injured_recovered_hospital": p_mort * hospital,
+        "injured_recovered_home": p_mort * home,
+        "unaffected": 1.0 - p_mort,
+        "condition_given_at_risk": {c.value: p_cond[c] for c in CONDITIONS},
+    }
+
+
+# --- Valuation: one customer or occupant at a time ---------------------------
+
+def vsl_cost(deaths_per_building, vsl_usd: float) -> float:
+    """Statistical-life cost: total deaths times the per-life value."""
+    return float(np.asarray(deaths_per_building, dtype=float).sum()) * vsl_usd
+
+
+def _severity(p_mort: float, ceiling: float) -> float:
+    return min(max(p_mort / ceiling, 0.0), 1.0)
+
+
+def medical_cost(outcomes, p_mort_per_occupant, params: ValuationParams) -> float:
+    """Medical cost over occupant outcomes; p_mort aligns with the outcomes.
+
+    Hospital-recovered cases bill the insured or uninsured range scaled by
+    mortality severity. Home-recovered cases bill a flat fraction of the
+    insured range minimum. Deaths and unaffected occupants bill nothing.
+    """
+    total = 0.0
+    for outcome, p_mort in zip(outcomes, p_mort_per_occupant):
+        if outcome.status is OutcomeStatus.INJURED_RECOVERED_HOSPITAL:
+            table = params.medical_insured_usd if outcome.insured else params.medical_uninsured_usd
+            lo, hi = table[outcome.condition.value]
+            total += lo + (hi - lo) * _severity(p_mort, params.severity_ceiling)
+        elif outcome.status is OutcomeStatus.INJURED_RECOVERED_HOME:
+            lo, _ = params.medical_insured_usd[outcome.condition.value]
+            total += params.home_care_fraction * lo
+    return total
+
+
+def interruption_cost(building, unpowered_hours: float, params: CICParams) -> float:
+    """Direct interruption cost for one customer given total unpowered hours."""
+    if unpowered_hours < 0:
+        raise ConfigurationError("unpowered hours cannot be negative")
+    if unpowered_hours == 0:
+        return 0.0
+    key = _SECTOR_TABLE_KEY.get(building.sector)
+    table = params.tables.get(key)
+    if table is None:
+        raise ConfigurationError(f"no interruption-cost table for sector {building.sector}")
+    avg_kw = building.avg_annual_kwh / 8760.0
+    capped_h = min(unpowered_hours, params.duration_cap_h)
+    inner = table.base + table.per_hour * capped_h + table.per_kwh * avg_kw * unpowered_hours
+    multiplier = params.season_multiplier
+    if building.sector is Sector.RESIDENTIAL:
+        multiplier *= params.income_multiplier.get(building.income_bracket, 1.0)
+    else:
+        multiplier *= params.industry_multiplier
+        if building.sector is Sector.SMALL_CI and building.backup:
+            multiplier *= params.backup_discount
+    surcharge = table.slope_beyond_cap * max(unpowered_hours - params.duration_cap_h, 0.0)
+    return inner * multiplier + surcharge
+
+
+def productivity_cost(traces, pop, params, productivity_model) -> float:
+    """Lost-wage total over buildings, one trace at a time, in building order."""
+    total = 0.0
+    dt_h = None
+    for b in pop.buildings:
+        if b.n_workers == 0:
+            continue
+        trace = traces[b.id]
+        if dt_h is None:
+            dt_h = trace.dt_s / 3600.0
+            start_sec = (trace.start.hour * 3600.0 + trace.start.minute * 60.0
+                         + trace.start.second)
+            res_mask = _work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
+                                       params.work_hours_residential)
+            com_mask = _work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
+                                       params.work_hours_commercial)
+        mask = res_mask if b.sector is Sector.RESIDENTIAL else com_mask
+        perf = productivity_model.evaluate(trace.t_in_c)
+        if b.job_requires_power:
+            perf = np.where(trace.powered, perf, 0.0)
+        lost = (1.0 - perf[mask]).sum() * dt_h
+        total += b.n_workers * lost * params.wage_usd_per_hour[b.kind.value]
+    return float(total)
+
+
+# --- The bundle, one building at a time --------------------------------------
+
 def assemble_bundle(config, pop, schedule):
-    """Simulate and reduce one building at a time.
+    """Simulate and reduce one building at a time; row i of the schedule's
+    `powered` matrix is building i's schedule.
 
     Returns the trial bundle, the traces keyed by building id, and the
     per-building exposure rows.
@@ -130,9 +512,10 @@ def assemble_bundle(config, pop, schedule):
     p_mort = np.empty(n_b)
     wi_sum = np.empty(n_b)
     mean_rr = np.empty(n_b)
+    hours = [unpowered_hours(row, schedule.dt_s) for row in schedule.powered]
     exposure_rows = []
     for i, b in enumerate(pop.buildings):
-        trace = simulate_building(b, window, schedule.schedules[b.id])
+        trace = simulate_building_scalar(b, window, schedule.powered[i])
         traces[b.id] = trace
         mean_rr[i] = hz.rr_model.evaluate(trace.t_in_c).mean()
         p_mort[i] = base_mortality(trace.t_in_c, hz.rr_model, hz.delta)
@@ -148,19 +531,16 @@ def assemble_bundle(config, pop, schedule):
             "mean_rr": float(mean_rr[i]),
             "p_mort": float(p_mort[i]),
             "wi_sum": float(wi_sum[i]),
-            "unpowered_h": schedule.unpowered_hours(b.id),
+            "unpowered_h": hours[i],
         })
 
     beta = config.valuation.beta_wi
     if beta is None:
         beta = float(max(wi_sum.max(initial=0.0), 1e-9))
 
-    c_cic = sum(
-        interruption_cost(b, schedule.unpowered_hours(b.id), config.valuation.cic)
-        for b in pop.buildings
-    )
-    c_prod = productivity_cost(traces, schedule, pop, config.valuation,
-                               hz.productivity_model)
+    c_cic = sum(interruption_cost(b, h, config.valuation.cic)
+                for b, h in zip(pop.buildings, hours))
+    c_prod = productivity_cost(traces, pop, config.valuation, hz.productivity_model)
     occupant_idx = np.repeat(np.arange(n_b), [b.n_occupants for b in pop.buildings])
 
     bundle = ScenarioBundle(

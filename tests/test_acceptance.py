@@ -18,19 +18,17 @@ from scipy import stats
 
 from coldsnap import defaults
 from coldsnap.cli import main
-from coldsnap.hazard import (
-    CONDITIONS,
-    HazardConfig,
-    TruncNormal,
-    outcome_tree_probabilities,
-    simulate_outcomes,
-)
-from coldsnap.outage import max_contiguous_off
-from coldsnap.thermal import free_float_closed_form, simulate_building
+from coldsnap.hazard import CONDITIONS, HazardConfig, TruncNormal, simulate_outcomes
 from coldsnap.valuation import run_monte_carlo, trial_rng
 from coldsnap.weather import WeatherSeries
 
 from conftest import make_building
+from oracles import (
+    free_float_closed_form,
+    max_contiguous_off,
+    outcome_tree_probabilities,
+    simulate_building,
+)
 from test_thermal import superposition_oracle
 from test_valuation import make_bundle
 
@@ -176,7 +174,8 @@ def test_criterion_4_rolling_outage_guarantee(demo_runs, demo_config_path):
     config_hi = load_config(demo_config_path, {"scenario": "ro-hi"})
     pop = synthesize_population(config_hi.population_spec, config_hi.seed)
     sched_hi = build_schedules(config_hi, pop)
-    offs = {max_contiguous_off(sched_hi.schedules[b.id], sched_hi.dt_s)
+    schedules = dict(zip(pop.ids, sched_hi.powered))
+    offs = {max_contiguous_off(schedules[b.id], sched_hi.dt_s)
             for b in pop.residential()}
 
     config_di = load_config(demo_config_path, {"scenario": "ro-di"})

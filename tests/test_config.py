@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from coldsnap.cli import main
 from coldsnap.codec import decode, encode
 from coldsnap.hazard import HazardConfig, RRModel
-from coldsnap.population import PopulationSpec
+from coldsnap.population import BuildingKind, PopulationSpec
 from coldsnap.scenario import SCENARIO_NAMES, load_config
 from coldsnap.valuation import ValuationParams
 
@@ -21,7 +21,8 @@ BAD_VALUES = ["x", -1, 2, None, [], {}, True, 0, [1.0], -0.5]
 
 @pytest.fixture(scope="module")
 def small_config(demo_config_path):
-    """The demo config with one building per kind and 2 trials.
+    """The demo config with one building per kind and 2 trials, and the
+    default population and valuation tables written out.
 
     Counts and trial numbers stay small because a mutation may legally
     raise any of them to a bad value's magnitude.
@@ -29,6 +30,12 @@ def small_config(demo_config_path):
     config = json.loads(demo_config_path.read_text())
     spec = config["population"]["spec"]
     spec["counts"] = {kind: 1 for kind in spec["counts"]}
+    default_spec = encode(PopulationSpec(counts={BuildingKind.OFFICE: 1}))
+    for key in ("insulation_table", "residential_profiles", "commercial_profiles"):
+        spec[key] = default_spec[key]
+    default_valuation = encode(ValuationParams())
+    for key in ("medical_insured_usd", "medical_uninsured_usd", "wage_usd_per_hour", "cic"):
+        config["valuation"][key] = default_valuation[key]
     config["n_trials"] = 2
     config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
     return config
@@ -136,6 +143,38 @@ def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
     set_key(config, path, value)
     assert run(config, tmp_path) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("population", "spec", "insulation_table"),
+     {"little": {"ua_w_per_k_m2": 3.2, "mass_j_per_k_m2": 230e3}},
+     ("'population.spec'", "insulation_table", "'poor'")),
+    (("population", "spec", "residential_profiles", "single_family", "floor_m2"), "x",
+     ("'population.spec.residential_profiles.single_family.floor_m2'",)),
+    (("population", "spec", "commercial_profiles", "office", "workers"), [40, 15],
+     ("'population.spec.commercial_profiles.office'", "workers")),
+    (("population", "spec", "commercial_profiles"), {},
+     ("'population.spec'", "commercial_profiles", "'office'")),
+    (("valuation", "wage_usd_per_hour"), {"office": 30.0},
+     ("'valuation.wage_usd_per_hour'",)),
+    (("valuation", "medical_insured_usd"), {"cardiac": [1, 2]},
+     ("'valuation'", "medical_insured_usd")),
+    (("valuation", "medical_uninsured_usd", "none"), [1, 2],
+     ("'valuation'", "medical_uninsured_usd")),
+])
+def test_bad_table_exits_2_naming_key(small_config, tmp_path, capsys, path, value, named):
+    config = copy.deepcopy(small_config)
+    set_key(config, path, value)
+    assert run(config, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert all(part in err for part in named), err
+
+
+def test_partial_wage_table_covers_a_population_without_other_workers(small_config, tmp_path):
+    config = copy.deepcopy(small_config)
+    config["population"]["spec"]["counts"] = {"office": 2}
+    config["valuation"]["wage_usd_per_hour"] = {"office": 30.0}
+    assert run(config, tmp_path) == 0
 
 
 def key_paths(node, prefix=()):

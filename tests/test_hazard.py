@@ -12,19 +12,22 @@ from coldsnap.hazard import (
     CONDITIONS,
     Condition,
     HazardConfig,
-    OutcomeStatus,
     ProductivityModel,
     RRModel,
     TruncNormal,
     WinterIndexParams,
+    simulate_outcomes,
+    winter_index_sum,
+)
+
+from oracles import (
+    OutcomeStatus,
     base_mortality,
     outcome_tree_probabilities,
     productivity,
     relative_risk,
     sample_truncated_normal,
     simulate_occupant_outcome,
-    simulate_outcomes,
-    winter_index_sum,
 )
 
 GRID = np.arange(-15.0, 30.0 + 1e-9, 0.1)

@@ -1,9 +1,11 @@
-"""The block kernel of `assemble_bundle` against the per-building oracle.
+"""The block kernels against the per-building oracles: the schedule matrix,
+the thermal block, interruption costs and `assemble_bundle`.
 
 Every comparison is exact: the kernel must reproduce the one-building path
 bit for bit, so that run artifacts stay byte-identical.
 """
 
+import dataclasses
 import json
 import math
 
@@ -11,7 +13,10 @@ import numpy as np
 import pytest
 
 import oracles
+from coldsnap import scenario as scenario_module
 from coldsnap.demo import demo_config_dict, make_uri_like_weather, write_weather_csv
+from coldsnap.errors import ConfigurationError
+from coldsnap.population import BuildingKind, synthesize_population
 from coldsnap.scenario import (
     REDUCE_BLOCK,
     SCENARIO_NAMES,
@@ -20,8 +25,8 @@ from coldsnap.scenario import (
     build_schedules,
     load_config,
 )
-from coldsnap.population import synthesize_population
-from coldsnap.thermal import simulate_block, simulate_building
+from coldsnap.thermal import simulate_block
+from coldsnap.valuation import CICParams, CICTable, interruption_cost
 from coldsnap.weather import load_weather_csv, slice_window
 
 from conftest import constant_weather, make_building
@@ -39,15 +44,18 @@ def assets(tmp_path_factory):
     counts = config["population"]["spec"]["counts"]
     config["population"]["spec"]["counts"] = {k: round(n * SCALE) for k, n in counts.items()}
     paths = {}
-    for variant, hazard, valuation in (
-        ("demo", {}, {}),
+    for variant, hazard, valuation, co in (
+        ("demo", {}, {}, {}),
         # Constant indoor humidity gates the freeze index at every cold step,
         # and an unset beta_wi takes the population maximum.
-        ("indoor_rh", {"winter_index": {"indoor_rh_pct": 90.0}}, {"beta_wi": None}),
+        ("indoor_rh", {"winter_index": {"indoor_rh_pct": 90.0}}, {"beta_wi": None}, {}),
+        # An explicit shed set, partly overlapping the fault-isolated customers.
+        ("shed_ids", {}, {}, {"shed_ids": list(range(0, 290, 7)), "fault_fraction": 0.1}),
     ):
         variant_config = json.loads(json.dumps(config))
         variant_config["hazard"].update(hazard)
         variant_config["valuation"].update(valuation)
+        variant_config["scenarios"]["co"].update(co)
         paths[variant] = directory / f"{variant}.json"
         paths[variant].write_text(json.dumps(variant_config), encoding="utf-8")
     return paths
@@ -64,6 +72,88 @@ def test_population_ends_in_partial_blocks(assets):
     n = len(pop.buildings)
     assert n > SIM_BLOCK
     assert n % SIM_BLOCK and n % REDUCE_BLOCK
+
+
+@pytest.mark.parametrize("variant, scenario",
+                         [("demo", s) for s in SCENARIO_NAMES] + [("shed_ids", "co")])
+def test_schedule_rows_match_oracle_exactly(assets, monkeypatch, variant, scenario):
+    config, pop, schedule = prepare(assets[variant], scenario)
+    for name in ("build_base_schedule", "build_controlled_outage", "build_rolling_outage"):
+        monkeypatch.setattr(scenario_module, name, getattr(oracles, name))
+    ref = build_schedules(config, pop)
+
+    assert schedule.powered.shape == (len(pop.buildings), ref.n_steps)
+    assert not schedule.powered.flags.writeable
+    for b, row in zip(pop.buildings, schedule.powered):
+        assert np.array_equal(row, ref.schedules[b.id])
+    assert schedule.isolated_ids == ref.isolated_ids
+    assert schedule.unpowered_hours().tolist() == [ref.unpowered_hours(b.id)
+                                                   for b in pop.buildings]
+    if scenario != "base":
+        assert not schedule.powered.all()
+    if scenario in ("co", "ro-di"):
+        assert ref.isolated_ids
+
+
+def cic_buildings():
+    """Every pricing branch: income brackets (one absent from the multiplier
+    table), small C&I with and without backup, medium and large C&I."""
+    residential = [dataclasses.replace(make_building(i, avg_annual_kwh=9000.0 + 977.3 * i),
+                                       income_bracket=bracket)
+                   for i, bracket in enumerate(("median", "low", "high", "unlisted"))]
+    commercial = [make_building(10 + i, kind=kind, avg_annual_kwh=kwh, backup=backup)
+                  for i, (kind, kwh, backup) in enumerate((
+                      (BuildingKind.STRIP_MALL, 151_234.7, False),
+                      (BuildingKind.FOOD_SALES, 287_654.3, True),
+                      (BuildingKind.OFFICE, 333_333.3, False),
+                      (BuildingKind.BIG_BOX, 1_234_567.8, True)))]
+    return residential + commercial
+
+
+# Zero, below the cap, at the cap and beyond it.
+CIC_HOURS = (0.0, 0.25, 7.3, 11.0 / 3.0, 16.0, 23.7, 95.9)
+
+
+def cic_params(**changes):
+    tables = {"residential": CICTable(5.3, 2.17, 1.53, 3.1),
+              "small_ci": CICTable(201.7, 151.3, 2.11, 99.7),
+              "large_medium_ci": CICTable(4999.9, 2500.3, 1.07, 1500.9)}
+    params = CICParams(tables=tables, season_multiplier=1.1, industry_multiplier=1.7,
+                       income_multiplier={"median": 1.0, "low": 0.7, "high": 1.9},
+                       backup_discount=0.85, duration_cap_h=16.0)
+    return dataclasses.replace(params, **changes)
+
+
+def test_block_cic_matches_scalar_oracle_exactly():
+    buildings = [b for b in cic_buildings() for _ in CIC_HOURS]
+    hours = [h for _ in cic_buildings() for h in CIC_HOURS]
+    params = cic_params()
+    # These multipliers round differently when grouped the other way, so
+    # only the scalar's order reproduces its results.
+    season, industry, backup = (params.season_multiplier, params.industry_multiplier,
+                                params.backup_discount)
+    assert (season * industry) * backup != season * (industry * backup)
+    usd = interruption_cost(buildings, np.array(hours), params)
+    ref = [oracles.interruption_cost(b, h, params) for b, h in zip(buildings, hours)]
+    assert usd.tolist() == ref
+    assert sum(usd.tolist()) == sum(ref)
+    assert (usd[np.array(hours) == 0.0] == 0.0).all()
+    assert (usd[np.array(hours) > 0.0] > 0.0).all()
+
+
+def test_missing_sector_table_raises_only_for_unpowered_hours():
+    params = cic_params(tables={"residential": CICTable(5.3, 2.17, 1.53, 3.1)})
+    buildings = cic_buildings()
+    residential = buildings[:4]
+    hours = np.array([7.3] * len(residential) + [0.0] * (len(buildings) - len(residential)))
+    usd = interruption_cost(buildings, hours, params)
+    assert usd.tolist() == [oracles.interruption_cost(b, h, params)
+                            for b, h in zip(buildings, hours.tolist())]
+    hours[-1] = 0.25
+    with pytest.raises(ConfigurationError, match="no interruption-cost table"):
+        interruption_cost(buildings, hours, params)
+    with pytest.raises(ConfigurationError, match="no interruption-cost table"):
+        oracles.interruption_cost(buildings[-1], 0.25, params)
 
 
 @pytest.mark.parametrize("variant", ["demo", "indoor_rh"])
@@ -103,12 +193,13 @@ def test_block_row_matches_single_building_runs(assets):
     window = slice_window(load_weather_csv(config.weather_path),
                           config.window_start, config.window_end)
     buildings = pop.buildings[:REDUCE_BLOCK + 3]
-    powered = np.stack([schedule.schedules[b.id] for b in buildings], axis=1)
+    powered = schedule.powered[:len(buildings)].T
     gain = 350.0
     t_in, hvac_on = simulate_block(buildings, window, powered, internal_gain_w=gain)
     for j, b in enumerate(buildings):
-        single = simulate_building(b, window, powered[:, j], internal_gain_w=gain)
-        scalar = oracles.simulate_building(b, window, powered[:, j], internal_gain_w=gain)
+        single = oracles.simulate_building(b, window, powered[:, j], internal_gain_w=gain)
+        scalar = oracles.simulate_building_scalar(b, window, powered[:, j],
+                                                  internal_gain_w=gain)
         for trace in (single, scalar):
             assert np.array_equal(trace.t_in_c, t_in[:, j])
             assert np.array_equal(trace.hvac_kw, np.where(hvac_on[:, j], b.hvac_electric_kw, 0.0))
@@ -126,5 +217,5 @@ def test_block_decay_is_the_scalar_exponential():
     powered[: weather.n_steps // 2] = True
     t_in, _ = simulate_block(buildings, weather, powered)
     for j, b in enumerate(buildings):
-        scalar = oracles.simulate_building(b, weather, powered[:, j])
+        scalar = oracles.simulate_building_scalar(b, weather, powered[:, j])
         assert np.array_equal(scalar.t_in_c, t_in[:, j])

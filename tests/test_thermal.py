@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from coldsnap.errors import ConfigurationError
 from coldsnap.population import HeatingFuel, Insulation
-from coldsnap.thermal import (
+
+from conftest import constant_weather, make_building
+from oracles import (
     ExposureTrace,
     free_float_closed_form,
     hvac_thermostat,
@@ -16,8 +18,6 @@ from coldsnap.thermal import (
     step_indoor_temp,
     write_traces_csv,
 )
-
-from conftest import constant_weather, make_building
 
 
 def superposition_oracle(building, t_out_steps, t_start, gain_w, dt_s):

@@ -6,17 +6,8 @@ import pytest
 from scipy import stats
 
 from coldsnap.errors import ConfigurationError
-from coldsnap.hazard import (
-    CONDITIONS,
-    Condition,
-    HazardConfig,
-    OccupantOutcome,
-    OutcomeStatus,
-    TruncNormal,
-    outcome_tree_probabilities,
-)
+from coldsnap.hazard import CONDITIONS, Condition, HazardConfig, TruncNormal
 from coldsnap.population import BuildingKind
-from coldsnap.thermal import ExposureTrace
 from coldsnap.valuation import (
     CICParams,
     CICTable,
@@ -25,16 +16,22 @@ from coldsnap.valuation import (
     ScenarioBundle,
     ValuationParams,
     interruption_cost,
-    medical_cost,
     productivity_cost,
     repair_cost,
     run_monte_carlo,
     run_trial,
     summarize,
-    vsl_cost,
 )
 
 from conftest import make_building, make_population
+from oracles import (
+    ExposureTrace,
+    OccupantOutcome,
+    OutcomeStatus,
+    medical_cost,
+    outcome_tree_probabilities,
+    vsl_cost,
+)
 
 UTC = timezone.utc
 
@@ -180,9 +177,15 @@ class TestRepairCost:
                         self.certain_insurance(), rng)
 
 
+def cic(building, hours, params):
+    """Interruption cost of one building, from a one-building block."""
+    (usd,) = interruption_cost([building], [hours], params)
+    return usd
+
+
 class TestInterruptionCost:
     def test_zero_duration_is_free(self):
-        assert interruption_cost(make_building(), 0.0, CICParams()) == 0.0
+        assert cic(make_building(), 0.0, CICParams()) == 0.0
 
     def test_slope_beyond_cap_is_linear(self):
         tables = {
@@ -193,15 +196,15 @@ class TestInterruptionCost:
         }
         params = CICParams(tables=tables)
         b = make_building()
-        c16 = interruption_cost(b, 16.0, params)
-        c32 = interruption_cost(b, 32.0, params)
+        c16 = cic(b, 16.0, params)
+        c32 = cic(b, 32.0, params)
         assert c32 - c16 == pytest.approx(16.0 * 3.0)
         assert c16 == pytest.approx(10.0 + 2.0 * 16.0)
 
     def test_hourly_term_caps_at_16h(self):
         params = CICParams()
         b = make_building()
-        c20 = interruption_cost(b, 20.0, params)
+        c20 = cic(b, 20.0, params)
         table = params.tables["residential"]
         expected = (table.base + table.per_hour * 16.0
                     + table.per_kwh * b.avg_annual_kwh / 8760.0 * 20.0)
@@ -212,23 +215,23 @@ class TestInterruptionCost:
         params = CICParams()
         plain = make_building(0)
         flagged = make_building(0, backup=True)
-        assert interruption_cost(plain, 8.0, params) == pytest.approx(
-            interruption_cost(flagged, 8.0, params))
+        assert cic(plain, 8.0, params) == pytest.approx(
+            cic(flagged, 8.0, params))
 
     def test_small_ci_backup_discount_applies(self):
         params = CICParams()
         shop = make_building(0, kind=BuildingKind.STRIP_MALL, backup=False)
         shop_backup = make_building(0, kind=BuildingKind.STRIP_MALL, backup=True)
-        base = interruption_cost(shop, 8.0, params)
-        discounted = interruption_cost(shop_backup, 8.0, params)
+        base = cic(shop, 8.0, params)
+        discounted = cic(shop_backup, 8.0, params)
         assert discounted == pytest.approx(base * params.backup_discount)
 
     def test_large_ci_uses_shared_table(self):
         params = CICParams()
         bigbox = make_building(0, kind=BuildingKind.BIG_BOX, avg_annual_kwh=1_000_000.0)
         office = make_building(0, kind=BuildingKind.OFFICE, avg_annual_kwh=1_000_000.0)
-        assert interruption_cost(bigbox, 8.0, params) == pytest.approx(
-            interruption_cost(office, 8.0, params))
+        assert cic(bigbox, 8.0, params) == pytest.approx(
+            cic(office, 8.0, params))
 
 
 def make_bundle(n_buildings=20, occupants_each=5, p_mort=0.3, wi=0.0,
