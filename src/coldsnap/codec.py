@@ -103,7 +103,8 @@ def _build(path: str, make, /, *args, **kwargs):
     try:
         return make(*args, **kwargs)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"config key {path!r}: {exc}") from exc
+        where = path if exc.key is None else f"{path}.{exc.key}"
+        raise ConfigurationError(f"config key {where!r}: {exc}") from exc
 
 
 def _expect(ok: bool, path: str, kind: str, data) -> None:

@@ -6,7 +6,16 @@ else that escapes maps to exit code 1.
 
 
 class ConfigurationError(Exception):
-    """Invalid configuration value, weights, paths, or parameters."""
+    """Invalid configuration value, weights, paths, or parameters.
+
+    `key`, when given, is the dotted path of the offending entry below the
+    object that raised it; the config codec appends it to that object's
+    key path.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class IngestionError(ConfigurationError):

@@ -250,7 +250,7 @@ class Condition(str, Enum):
 CONDITIONS = (Condition.CARDIAC, Condition.RESPIRATORY, Condition.HYPOTHERMIA_FROST)
 
 # Integer codes for the vectorized outcome path.
-_STATUS_UNAFFECTED, _STATUS_HOME, _STATUS_HOSPITAL, _STATUS_DEATH = 0, 1, 2, 3
+STATUS_UNAFFECTED, STATUS_HOME, STATUS_HOSPITAL, STATUS_DEATH = 0, 1, 2, 3
 
 
 def _pct(name: str):
@@ -302,7 +302,7 @@ class HazardConfig:
 
 @dataclass(frozen=True)
 class OutcomeBatch:
-    """Vectorized occupant outcomes for one trial (integer status codes)."""
+    """Vectorized occupant outcomes (integer status codes)."""
 
     status: np.ndarray      # 0 unaffected, 1 home-recovered, 2 hospital-recovered, 3 death
     condition: np.ndarray   # index into CONDITIONS, -1 for none
@@ -310,33 +310,46 @@ class OutcomeBatch:
 
     @property
     def n_death(self) -> int:
-        return int((self.status == _STATUS_DEATH).sum())
+        return int((self.status == STATUS_DEATH).sum())
 
     @property
     def n_injured(self) -> int:
-        return int(((self.status == _STATUS_HOME) | (self.status == _STATUS_HOSPITAL)).sum())
+        return int(((self.status == STATUS_HOME) | (self.status == STATUS_HOSPITAL)).sum())
 
 
 def simulate_outcomes(p_mort: np.ndarray, cfg: HazardConfig, rng: np.random.Generator) -> OutcomeBatch:
-    """Resolve many occupants at once, drawing per-occupant probabilities.
+    """Resolve one trial's occupants, each at risk with its own probability.
 
-    Each occupant gets fresh draws of their pre-existing-condition rates,
-    access, insurance, and survival probabilities from the configured
-    distributions, then walks the same tree as the scalar path.
+    Each occupant is at risk with probability `p_mort`; the at-risk ones
+    walk the outcome tree of `resolve_at_risk`. Occupants not at risk stay
+    unaffected, without a condition or a health-insurance flag.
     """
     p_mort = np.asarray(p_mort, dtype=float)
     n = p_mort.shape[0]
+    idx = np.flatnonzero(rng.random(n) < p_mort)
+    tree = resolve_at_risk(idx.size, cfg, rng)
     status = np.zeros(n, dtype=np.int8)
     condition = np.full(n, -1, dtype=np.int8)
+    insured = np.zeros(n, dtype=bool)
+    status[idx] = tree.status
+    condition[idx] = tree.condition
+    insured[idx] = tree.insured
+    return OutcomeBatch(status, condition, insured)
 
+
+def resolve_at_risk(m: int, cfg: HazardConfig, rng: np.random.Generator) -> OutcomeBatch:
+    """Walk `m` at-risk occupants down the outcome tree.
+
+    Each occupant gets fresh draws of their pre-existing-condition rates,
+    care access and survival probabilities from the configured
+    distributions, then a condition, a care venue and survival; each also
+    draws a health-insurance flag. Every status is home-recovered,
+    hospital-recovered or death.
+    """
     dists = cfg.distributions_pct
-    insured = rng.random(n) < dists.health_insurance.sample(rng, n) / 100.0
-    at_risk = rng.random(n) < p_mort
-    idx = np.flatnonzero(at_risk)
-    if idx.size == 0:
-        return OutcomeBatch(status, condition, insured)
-
-    m = idx.size
+    if m == 0:
+        return OutcomeBatch(np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int8),
+                            np.zeros(0, dtype=bool))
     p_c = dists.pre_existing_cardiac.sample(rng, m) / 100.0
     p_r = dists.pre_existing_respiratory.sample(rng, m) / 100.0
     u_cond = rng.random(m)
@@ -347,20 +360,20 @@ def simulate_outcomes(p_mort: np.ndarray, cfg: HazardConfig, rng: np.random.Gene
     cond = np.full(m, 2, dtype=np.int8)  # hypothermia/frost unless overridden
     cond[is_cardiac] = 0
     cond[is_resp] = 1
-    condition[idx] = cond
 
     accessed = rng.random(m) < dists.healthcare_access.sample(rng, m) / 100.0
+    # Survival rates are drawn group by group in a fixed (venue, condition)
+    # order, hospital first, each group's occupants in index order.
+    group = np.where(accessed, 0, len(CONDITIONS)) + cond
+    counts = np.bincount(group, minlength=2 * len(CONDITIONS)).tolist()
+    tables = [dists.hospital_survival[c] for c in CONDITIONS] + \
+        [dists.home_survival[c] for c in CONDITIONS]
     survival_p = np.empty(m)
-    # Fixed (venue, condition) draw order keeps results execution-order free.
-    for venue, table in ((True, dists.hospital_survival), (False, dists.home_survival)):
-        for c_i, cond_name in enumerate(CONDITIONS):
-            mask = (accessed == venue) & (cond == c_i)
-            count = int(mask.sum())
-            if count:
-                survival_p[mask] = table[cond_name].sample(rng, count) / 100.0
+    survival_p[np.argsort(group, kind="stable")] = np.concatenate(
+        [table.sample(rng, count) for table, count in zip(tables, counts) if count]) / 100.0
     survived = rng.random(m) < survival_p
+    insured = rng.random(m) < dists.health_insurance.sample(rng, m) / 100.0
 
-    status[idx[~survived]] = _STATUS_DEATH
-    status[idx[survived & accessed]] = _STATUS_HOSPITAL
-    status[idx[survived & ~accessed]] = _STATUS_HOME
-    return OutcomeBatch(status, condition, insured)
+    status = np.where(~survived, STATUS_DEATH,
+                      np.where(accessed, STATUS_HOSPITAL, STATUS_HOME)).astype(np.int8)
+    return OutcomeBatch(status, cond, insured)

@@ -222,6 +222,13 @@ class PopulationSpec:
             if weight > 0 and ins not in self.insulation_table:
                 raise ConfigurationError(f"insulation_table has no row for {ins.value!r}, "
                                          "which has a positive weight")
+        for name, residential in (("residential_profiles", True),
+                                  ("commercial_profiles", False)):
+            for kind in getattr(self, name):
+                if (SECTOR_BY_KIND[kind] is Sector.RESIDENTIAL) != residential:
+                    raise ConfigurationError(
+                        f"{kind.value!r} is not a {name.split('_')[0]} kind",
+                        key=f"{name}.{kind.value}")
         for kind, count in self.counts.items():
             name = ("residential_profiles" if SECTOR_BY_KIND[kind] is Sector.RESIDENTIAL
                     else "commercial_profiles")

@@ -174,6 +174,8 @@ class ScenarioConfig:
             if getattr(self, key) < least:
                 raise ConfigurationError(
                     f"config key {key!r} must be >= {least}, got {getattr(self, key)}")
+        if self.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {self.threads}")
 
     def materialized(self) -> dict:
         """Effective settings with every default filled in; hash input."""
@@ -376,7 +378,6 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     c_prod = 0.0
     for usd in prod_usd.tolist():
         c_prod += usd
-    occupant_idx = np.repeat(np.arange(n_b), [b.n_occupants for b in buildings])
 
     bundle = ScenarioBundle(
         scenario=config.scenario,
@@ -384,7 +385,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
         p_mort_by_building=p_mort,
         wi_sum_by_building=wi_sum,
         beta_wi=float(beta),
-        occupant_building_index=occupant_idx,
+        occupants_by_building=np.array([b.n_occupants for b in buildings]),
         c_prod=float(c_prod),
         c_cic=float(c_cic),
         hazard_cfg=hz,
@@ -482,16 +483,14 @@ def _input_digests(config: ScenarioConfig) -> dict:
 
 
 def _write_trials_csv(path, distribution: CostDistribution) -> None:
+    money = ("c_vsl", "c_medical", "c_prod", "c_build", "c_cic", "total")
+    columns = [[f"{v:.2f}" for v in distribution.component(name).tolist()] for name in money]
+    counts = [distribution.component(name).astype(np.int64).tolist()
+              for name in ("n_death", "n_injured")]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["trial", "c_vsl", "c_medical", "c_prod", "c_build", "c_cic",
-                         "total", "n_death", "n_injured"])
-        for i, t in enumerate(distribution.trials):
-            writer.writerow([
-                i, f"{t.c_vsl:.2f}", f"{t.c_medical:.2f}", f"{t.c_prod:.2f}",
-                f"{t.c_build:.2f}", f"{t.c_cic:.2f}", f"{t.total:.2f}",
-                t.n_death, t.n_injured,
-            ])
+        writer.writerow(["trial", *money, "n_death", "n_injured"])
+        writer.writerows(zip(range(len(distribution.trials)), *columns, *counts))
 
 
 def _write_histogram_csv(path, histogram: list) -> None:

@@ -1,12 +1,12 @@
-"""Monetary valuation of outage damages and the Monte-Carlo trial loop.
+"""Monetary valuation of outage damages and the Monte-Carlo trial kernel.
 
 Five cost components per trial: statistical-life cost of deaths, medical
 cost of recovered health events, productivity losses over working hours,
 freeze-damage repair, and direct power-interruption cost. Interruption and
 productivity costs are deterministic per scenario; all stochastic spread
-comes from occupant outcomes and damage draws. Trials are pure functions
-of (bundle, trial index, master seed), so any worker count reproduces the
-same numbers.
+comes from occupant outcomes and damage draws. Trials run in batches of
+`MC_BATCH`, each drawn from a stream keyed by (master seed, batch index),
+so any worker count and any trial count reproduce the same rows.
 """
 
 from __future__ import annotations
@@ -21,17 +21,31 @@ from . import defaults
 from .errors import ConfigurationError
 from .hazard import (
     CONDITIONS,
+    STATUS_DEATH,
+    STATUS_HOME,
+    STATUS_HOSPITAL,
     HazardConfig,
     OutcomeBatch,
     TruncNormal,
-    simulate_outcomes,
+    resolve_at_risk,
 )
 from .population import Population, Sector
 
+# Trials per Monte-Carlo batch. The last batch is drawn in full and cut, so
+# trial i depends only on (master seed, i). The batch's at-risk block is
+# MC_BATCH x buildings 8-byte integers: about 2 MB at 4,209 buildings.
+MC_BATCH = 64
+
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one Monte-Carlo trial."""
+    """Independent, reproducible stream for one trial drawn on its own, as
+    by `hazard.simulate_outcomes`; `run_monte_carlo` uses `batch_rng`."""
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), 0x7269616C, int(trial_index))))
+
+
+def batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:
+    """Independent, reproducible stream for one batch of `MC_BATCH` trials."""
+    return np.random.default_rng(np.random.SeedSequence((int(master_seed), 0x6D63, int(batch_index))))
 
 
 @dataclass(frozen=True)
@@ -153,64 +167,44 @@ class ValuationParams:
                     f"{b.kind.value!r}, whose buildings have workers")
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    c_vsl: float
-    c_medical: float
-    c_prod: float
-    c_build: float
-    c_cic: float
-    n_death: int
-    n_injured: int
+def medical_cost(outcomes: OutcomeBatch, p_mort: np.ndarray,
+                 params: ValuationParams) -> np.ndarray:
+    """Medical bill of each at-risk occupant, USD.
 
-    @property
-    def total(self) -> float:
-        return self.c_vsl + self.c_medical + self.c_prod + self.c_build + self.c_cic
-
-    @property
-    def nei_total(self) -> float:
-        """Non-energy impacts: everything except the interruption cost."""
-        return self.c_vsl + self.c_medical + self.c_prod + self.c_build
-
-
-def _medical_cost_batch(batch: OutcomeBatch, p_mort_occ: np.ndarray,
-                        params: ValuationParams) -> float:
-    severity = np.clip(p_mort_occ / params.severity_ceiling, 0.0, 1.0)
-    total = 0.0
-    hospital = batch.status == 2
-    for c_i, cond in enumerate(CONDITIONS):
-        for insured, table in ((True, params.medical_insured_usd),
-                               (False, params.medical_uninsured_usd)):
-            mask = hospital & (batch.condition == c_i) & (batch.insured == insured)
-            if mask.any():
-                lo, hi = table[cond.value]
-                total += float((lo + (hi - lo) * severity[mask]).sum())
-    home = batch.status == 1
-    for c_i, cond in enumerate(CONDITIONS):
-        count = int((home & (batch.condition == c_i)).sum())
-        if count:
-            lo, _ = params.medical_insured_usd[cond.value]
-            total += params.home_care_fraction * lo * count
-    return total
+    Hospital recoveries bill their condition's insured or uninsured range at
+    the severity ratio p_mort / ceiling (clipped to 1); home recoveries bill
+    a fraction of the insured minimum; deaths bill nothing.
+    """
+    lo, hi = (np.array([[table[c.value][end] for c in CONDITIONS]
+                        for table in (params.medical_uninsured_usd, params.medical_insured_usd)])
+              for end in (0, 1))
+    severity = np.clip(np.asarray(p_mort, dtype=float) / params.severity_ceiling, 0.0, 1.0)
+    insured, condition = outcomes.insured.astype(np.intp), outcomes.condition
+    low = lo[insured, condition]
+    hospital = low + (hi[insured, condition] - low) * severity
+    home = params.home_care_fraction * lo[1, condition]
+    return np.where(outcomes.status == STATUS_HOSPITAL, hospital,
+                    np.where(outcomes.status == STATUS_HOME, home, 0.0))
 
 
 def repair_cost(wi_sum_by_building, beta_wi: float, params: ValuationParams,
-                home_insurance: TruncNormal, rng: np.random.Generator) -> float:
-    """Freeze-damage repair cost over buildings.
+                home_insurance: TruncNormal, rng: np.random.Generator,
+                n_trials: int) -> np.ndarray:
+    """Freeze-damage repair cost over buildings, one value per trial.
 
-    Each building is damaged with probability (accumulated index / beta),
-    draws a home-insurance flag, and bills the matching repair range at the
-    same severity ratio.
+    In each trial each building is damaged with probability (accumulated
+    index / beta); each damaged building draws a home-insurance flag and
+    bills the matching repair range at the same severity ratio. Buildings
+    with a zero index draw nothing.
     """
     if beta_wi <= 0:
         raise ConfigurationError("beta_wi must be positive")
     wi = np.asarray(wi_sum_by_building, dtype=float)
-    ratio = np.clip(wi / beta_wi, 0.0, 1.0)
-    n = wi.shape[0]
-    damaged = rng.random(n) < ratio
-    insured = rng.random(n) < home_insurance.sample(rng, n) / 100.0
-    if not damaged.any():
-        return 0.0
+    exposed = np.flatnonzero(wi > 0.0)
+    ratio = np.clip(wi[exposed] / beta_wi, 0.0, 1.0)
+    trial, building = np.nonzero(rng.random((n_trials, exposed.size)) < ratio)
+    insured = rng.random(trial.size) < home_insurance.sample(rng, trial.size) / 100.0
+    ratio = ratio[building]
     ins_lo, ins_hi = params.pipe_repair_insured_usd
     unins_lo, unins_hi = params.pipe_repair_uninsured_usd
     cost = np.where(
@@ -218,7 +212,7 @@ def repair_cost(wi_sum_by_building, beta_wi: float, params: ValuationParams,
         ins_lo + (ins_hi - ins_lo) * ratio,
         unins_lo + (unins_hi - unins_lo) * ratio,
     )
-    return float(cost[damaged].sum())
+    return np.bincount(trial, weights=cost, minlength=n_trials)
 
 
 def _work_hour_mask(start_seconds_of_day: float, dt_s: float, n_steps: int,
@@ -269,7 +263,7 @@ class ScenarioBundle:
     p_mort_by_building: np.ndarray   # aligned with pop.buildings order
     wi_sum_by_building: np.ndarray
     beta_wi: float
-    occupant_building_index: np.ndarray  # occupant -> index into building arrays
+    occupants_by_building: np.ndarray
     c_prod: float
     c_cic: float
     hazard_cfg: HazardConfig
@@ -278,67 +272,90 @@ class ScenarioBundle:
 
     @property
     def n_occupants(self) -> int:
-        return int(self.occupant_building_index.shape[0])
+        return int(self.occupants_by_building.sum())
 
 
-def run_trial(bundle: ScenarioBundle, trial_index: int, master_seed: int) -> CostBreakdown:
-    """One Monte-Carlo trial: draw outcomes and damages, price them.
+COMPONENTS = ("c_vsl", "c_medical", "c_prod", "c_build", "c_cic")
+TRIAL_COLUMNS = COMPONENTS + ("n_death", "n_injured")
 
-    Pure function of (bundle, trial index, master seed); the interruption
-    and productivity components are scenario constants from the bundle.
+
+def run_batch(bundle: ScenarioBundle, batch_index: int, master_seed: int) -> np.ndarray:
+    """Trials batch_index * MC_BATCH onward: one row per trial, one column
+    per `TRIAL_COLUMNS` name.
+
+    Every occupant of a building shares its mortality probability, so the
+    building's at-risk count in a trial is Binomial(occupants, p_mort);
+    only those occupants walk the outcome tree. The interruption and
+    productivity components are scenario constants from the bundle.
     """
-    rng = trial_rng(master_seed, trial_index)
-    p_mort_occ = bundle.p_mort_by_building[bundle.occupant_building_index]
-    batch = simulate_outcomes(p_mort_occ, bundle.hazard_cfg, rng)
-    c_vsl = batch.n_death * bundle.val_params.vsl_usd
-    c_medical = _medical_cost_batch(batch, p_mort_occ, bundle.val_params)
-    if bundle.wi_sum_by_building.max(initial=0.0) > 0.0:
-        c_build = repair_cost(bundle.wi_sum_by_building, bundle.beta_wi, bundle.val_params,
-                              bundle.hazard_cfg.distributions_pct.home_insurance, rng)
-    else:
-        c_build = 0.0
-    return CostBreakdown(
-        c_vsl=c_vsl,
-        c_medical=c_medical,
-        c_prod=bundle.c_prod,
-        c_build=c_build,
-        c_cic=bundle.c_cic,
-        n_death=batch.n_death,
-        n_injured=batch.n_injured,
-    )
+    rng = batch_rng(master_seed, batch_index)
+    occupants, p_mort = bundle.occupants_by_building, bundle.p_mort_by_building
+    live = np.flatnonzero((occupants > 0) & (p_mort > 0.0))
+    at_risk = rng.binomial(occupants[live], p_mort[live], size=(MC_BATCH, live.size))
+    cells = np.nonzero(at_risk)
+    counts = at_risk[cells]
+    trial = np.repeat(cells[0], counts)
+    outcomes = resolve_at_risk(trial.size, bundle.hazard_cfg, rng)
+    medical = medical_cost(outcomes, np.repeat(p_mort[live[cells[1]]], counts),
+                           bundle.val_params)
+
+    n_death = np.bincount(trial[outcomes.status == STATUS_DEATH], minlength=MC_BATCH)
+    n_at_risk = np.bincount(trial, minlength=MC_BATCH)
+    return np.column_stack((  # TRIAL_COLUMNS order
+        n_death * bundle.val_params.vsl_usd,
+        np.bincount(trial, weights=medical, minlength=MC_BATCH),
+        np.full(MC_BATCH, bundle.c_prod),
+        repair_cost(bundle.wi_sum_by_building, bundle.beta_wi, bundle.val_params,
+                    bundle.hazard_cfg.distributions_pct.home_insurance, rng, MC_BATCH),
+        np.full(MC_BATCH, bundle.c_cic),
+        n_death,
+        n_at_risk - n_death,
+    ))
 
 
 @dataclass(frozen=True)
 class CostDistribution:
-    """Per-trial cost breakdowns plus exact summary statistics."""
+    """Per-trial costs and counts: one row per trial, one column per
+    `TRIAL_COLUMNS` name."""
 
-    trials: tuple[CostBreakdown, ...]
+    trials: np.ndarray
 
     def __post_init__(self):
-        if not self.trials:
-            raise ConfigurationError("cost distribution needs at least one trial")
-        object.__setattr__(self, "trials", tuple(self.trials))
+        trials = np.asarray(self.trials, dtype=float)
+        if trials.ndim != 2 or trials.shape[1] != len(TRIAL_COLUMNS) or not len(trials):
+            raise ConfigurationError(f"cost distribution needs at least one trial of "
+                                     f"{len(TRIAL_COLUMNS)} columns, got shape {trials.shape}")
+        object.__setattr__(self, "trials", trials)
 
     def component(self, name: str) -> np.ndarray:
-        return np.array([getattr(t, name) for t in self.trials], dtype=float)
+        """One column per trial; `total` and `nei_total` add the components
+        in `COMPONENTS` order, the same sums as one trial at a time."""
+        if name in ("total", "nei_total"):
+            parts = COMPONENTS if name == "total" else COMPONENTS[:-1]
+            values = self.component(parts[0])
+            for part in parts[1:]:
+                values = values + self.component(part)
+            return values
+        return self.trials[:, TRIAL_COLUMNS.index(name)]
 
 
 def run_monte_carlo(bundle: ScenarioBundle, n_trials: int, master_seed: int,
                     threads: int = 1) -> CostDistribution:
     """Run independent trials; results are identical for any worker count.
 
-    Each trial derives its own stream from (master seed, trial index) and
-    results are assembled in trial order, so scheduling cannot leak in.
+    Batches derive their streams from (master seed, batch index) and are
+    assembled in batch order, so scheduling cannot leak in; `threads`
+    workers run batches side by side.
     """
     if n_trials < 1:
         raise ConfigurationError("need at least one trial")
+    batches = range(-(-n_trials // MC_BATCH))
     if threads <= 1:
-        results = [run_trial(bundle, i, master_seed) for i in range(n_trials)]
+        blocks = [run_batch(bundle, b, master_seed) for b in batches]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: run_trial(bundle, i, master_seed),
-                                    range(n_trials)))
-    return CostDistribution(trials=tuple(results))
+        with ThreadPoolExecutor(max_workers=min(threads, len(batches))) as pool:
+            blocks = list(pool.map(lambda b: run_batch(bundle, b, master_seed), batches))
+    return CostDistribution(trials=np.concatenate(blocks)[:n_trials])
 
 
 def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
@@ -347,21 +364,21 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-COMPONENTS = ("c_vsl", "c_medical", "c_prod", "c_build", "c_cic")
-
-
 def summarize(dist: CostDistribution, histogram_bins: int = 50) -> tuple[dict, list]:
     """Exact summary statistics per component plus a fixed-width histogram
     of the total (bin_left, bin_right, count) rows."""
     if histogram_bins < 1:
         raise ConfigurationError("histogram needs at least one bin")
-    summary: dict = {"n_trials": len(dist.trials)}
+    n = len(dist.trials)
+    summary: dict = {"n_trials": n}
     for name in COMPONENTS + ("nei_total", "total", "n_death", "n_injured"):
         values = dist.component(name)
         ordered = np.sort(values)
+        std = float(values.std())
         summary[name] = {
             "mean": float(values.mean()),
-            "std": float(values.std()),
+            "std": std,
+            "se": std / math.sqrt(n),
             "p5": _nearest_rank(ordered, 5.0),
             "p50": _nearest_rank(ordered, 50.0),
             "p95": _nearest_rank(ordered, 95.0),

@@ -3,9 +3,11 @@
 These are the one-building-at-a-time forms of the power schedules, the
 thermal simulation, the hazard reductions, the interruption and
 productivity costs and the trace export, plus the scalar forms of the
-thermostat step, the outcome tree and the medical cost. The package
-computes the same quantities over blocks of buildings or occupants; the
-equivalence tests require the two to agree bit for bit.
+thermostat step, the outcome tree and the medical cost, and the
+one-trial Monte-Carlo path. The package computes the same quantities over
+blocks of buildings, occupants or trials; the equivalence tests require
+the two to agree bit for bit, or, for the Monte-Carlo path, in
+distribution.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import (
     CONDITIONS,
     Condition,
+    OutcomeBatch,
     TruncNormal,
     mortality_probability,
+    simulate_outcomes,
     winter_index_sum,
 )
 from coldsnap.outage import (
@@ -41,6 +45,7 @@ from coldsnap.valuation import (
     ScenarioBundle,
     ValuationParams,
     _work_hour_mask,
+    trial_rng,
 )
 from coldsnap.weather import load_weather_csv, resample, slice_window
 
@@ -541,7 +546,6 @@ def assemble_bundle(config, pop, schedule):
     c_cic = sum(interruption_cost(b, h, config.valuation.cic)
                 for b, h in zip(pop.buildings, hours))
     c_prod = productivity_cost(traces, pop, config.valuation, hz.productivity_model)
-    occupant_idx = np.repeat(np.arange(n_b), [b.n_occupants for b in pop.buildings])
 
     bundle = ScenarioBundle(
         scenario=config.scenario,
@@ -549,7 +553,7 @@ def assemble_bundle(config, pop, schedule):
         p_mort_by_building=p_mort,
         wi_sum_by_building=wi_sum,
         beta_wi=float(beta),
-        occupant_building_index=occupant_idx,
+        occupants_by_building=np.array([b.n_occupants for b in pop.buildings]),
         c_prod=float(c_prod),
         c_cic=float(c_cic),
         hazard_cfg=hz,
@@ -557,3 +561,101 @@ def assemble_bundle(config, pop, schedule):
         mean_rr_by_building=mean_rr,
     )
     return bundle, traces, exposure_rows
+
+
+# --- Monte-Carlo: one trial at a time, one draw per occupant ----------------
+
+@dataclass(frozen=True)
+class CostBreakdown:
+    c_vsl: float
+    c_medical: float
+    c_prod: float
+    c_build: float
+    c_cic: float
+    n_death: int
+    n_injured: int
+
+    @property
+    def total(self) -> float:
+        return self.c_vsl + self.c_medical + self.c_prod + self.c_build + self.c_cic
+
+    @property
+    def nei_total(self) -> float:
+        """Non-energy impacts: everything except the interruption cost."""
+        return self.c_vsl + self.c_medical + self.c_prod + self.c_build
+
+
+def medical_cost_batch(batch: OutcomeBatch, p_mort_occ: np.ndarray,
+                       params: ValuationParams) -> float:
+    """Medical cost of one trial's occupant outcomes, grouped by bill."""
+    severity = np.clip(p_mort_occ / params.severity_ceiling, 0.0, 1.0)
+    total = 0.0
+    hospital = batch.status == 2
+    for c_i, cond in enumerate(CONDITIONS):
+        for insured, table in ((True, params.medical_insured_usd),
+                               (False, params.medical_uninsured_usd)):
+            mask = hospital & (batch.condition == c_i) & (batch.insured == insured)
+            if mask.any():
+                lo, hi = table[cond.value]
+                total += float((lo + (hi - lo) * severity[mask]).sum())
+    home = batch.status == 1
+    for c_i, cond in enumerate(CONDITIONS):
+        count = int((home & (batch.condition == c_i)).sum())
+        if count:
+            lo, _ = params.medical_insured_usd[cond.value]
+            total += params.home_care_fraction * lo * count
+    return total
+
+
+def repair_cost_trial(wi_sum_by_building, beta_wi: float, params: ValuationParams,
+                      home_insurance: TruncNormal, rng: np.random.Generator) -> float:
+    """Freeze-damage repair cost of one trial: a damage draw and a
+    home-insurance flag for every building."""
+    if beta_wi <= 0:
+        raise ConfigurationError("beta_wi must be positive")
+    wi = np.asarray(wi_sum_by_building, dtype=float)
+    ratio = np.clip(wi / beta_wi, 0.0, 1.0)
+    n = wi.shape[0]
+    damaged = rng.random(n) < ratio
+    insured = rng.random(n) < home_insurance.sample(rng, n) / 100.0
+    if not damaged.any():
+        return 0.0
+    ins_lo, ins_hi = params.pipe_repair_insured_usd
+    unins_lo, unins_hi = params.pipe_repair_uninsured_usd
+    cost = np.where(
+        insured,
+        ins_lo + (ins_hi - ins_lo) * ratio,
+        unins_lo + (unins_hi - unins_lo) * ratio,
+    )
+    return float(cost[damaged].sum())
+
+
+def run_trial(bundle: ScenarioBundle, trial_index: int, master_seed: int) -> CostBreakdown:
+    """One Monte-Carlo trial: an at-risk draw for every occupant, then
+    damages, priced per trial.
+
+    Pure function of (bundle, trial index, master seed); the interruption
+    and productivity components are scenario constants from the bundle.
+    """
+    rng = trial_rng(master_seed, trial_index)
+    occupant_building = np.repeat(np.arange(len(bundle.occupants_by_building)),
+                                  bundle.occupants_by_building)
+    p_mort_occ = bundle.p_mort_by_building[occupant_building]
+    batch = simulate_outcomes(p_mort_occ, bundle.hazard_cfg, rng)
+    c_vsl = batch.n_death * bundle.val_params.vsl_usd
+    c_medical = medical_cost_batch(batch, p_mort_occ, bundle.val_params)
+    if bundle.wi_sum_by_building.max(initial=0.0) > 0.0:
+        c_build = repair_cost_trial(bundle.wi_sum_by_building, bundle.beta_wi,
+                                    bundle.val_params,
+                                    bundle.hazard_cfg.distributions_pct.home_insurance, rng)
+    else:
+        c_build = 0.0
+    return CostBreakdown(
+        c_vsl=c_vsl,
+        c_medical=c_medical,
+        c_prod=bundle.c_prod,
+        c_build=c_build,
+        c_cic=bundle.c_cic,
+        n_death=batch.n_death,
+        n_injured=batch.n_injured,
+    )

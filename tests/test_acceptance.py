@@ -248,8 +248,8 @@ def test_criterion_9_linearity():
     big = make_bundle(n_buildings=20, occupants_each=5, p_mort=0.35,
                       c_cic=1000.0, c_prod=0.0)
     n = 10_000
-    vsl_small = np.mean([t.c_vsl for t in run_monte_carlo(small, n, 314).trials])
-    vsl_big = np.mean([t.c_vsl for t in run_monte_carlo(big, n, 315).trials])
+    vsl_small = np.mean(run_monte_carlo(small, n, 314).component("c_vsl"))
+    vsl_big = np.mean(run_monte_carlo(big, n, 315).component("c_vsl"))
     cic_ratio = big.c_cic / small.c_cic
     vsl_ratio = vsl_big / vsl_small
     ok = abs(vsl_ratio - 2.0) <= 0.04 and cic_ratio == 2.0

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from coldsnap.cli import main
@@ -60,6 +62,38 @@ class TestRunCommand:
                          "--trials", "30", "--out", str(out), "--threads", threads])
             assert code == 0
         assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
+
+    def test_fewer_trials_write_a_prefix_of_trials_csv(self, demo_config_path, tmp_path):
+        rows = {}
+        for n in (70, 200):
+            out = tmp_path / str(n)
+            code = main(["run", "--config", str(demo_config_path), "--scenario", "co",
+                         "--trials", str(n), "--out", str(out)])
+            assert code == 0
+            rows[n] = (out / "trials.csv").read_text().splitlines()
+        assert len(rows[70]) == 71 and rows[70] == rows[200][:71]
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_2_naming_flag(self, demo_config_path, tmp_path, capsys,
+                                                   threads):
+        code = main(["run", "--config", str(demo_config_path), "--scenario", "co",
+                     "--trials", "2", "--out", str(tmp_path / "out"), "--threads", threads])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_summary_se_recomputable_from_trials_csv(self, runs):
+        summary = json.loads((runs["co"] / "summary.json").read_text())
+        lines = (runs["co"] / "trials.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert len(values) == summary["n_trials"]
+        for j, name in enumerate(header[1:], start=1):
+            se = values[:, j].std() / math.sqrt(len(values))
+            # trials.csv rounds money to cents.
+            assert summary[name]["se"] == pytest.approx(se, rel=1e-6, abs=1e-3), name
+            assert summary[name]["se"] == summary[name]["std"] / math.sqrt(len(values))
+        assert summary["c_vsl"]["se"] > 0.0
 
     def test_missing_weather_exits_2_with_path(self, demo_config_path, tmp_path, capsys):
         config = json.loads(demo_config_path.read_text())

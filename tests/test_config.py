@@ -161,6 +161,12 @@ def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
      ("'valuation'", "medical_insured_usd")),
     (("valuation", "medical_uninsured_usd", "none"), [1, 2],
      ("'valuation'", "medical_uninsured_usd")),
+    (("population", "spec", "residential_profiles", "office"),
+     {"floor_m2": [1.0, 2.0], "kwh": [1.0, 2.0]},
+     ("'population.spec.residential_profiles.office'", "not a residential kind")),
+    (("population", "spec", "commercial_profiles", "single_family"),
+     {"floor_m2": [1.0, 2.0], "kwh": [1.0, 2.0], "workers": [1, 2]},
+     ("'population.spec.commercial_profiles.single_family'", "not a commercial kind")),
 ])
 def test_bad_table_exits_2_naming_key(small_config, tmp_path, capsys, path, value, named):
     config = copy.deepcopy(small_config)

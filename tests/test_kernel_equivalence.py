@@ -1,5 +1,5 @@
 """The block kernels against the per-building oracles: the schedule matrix,
-the thermal block, interruption costs and `assemble_bundle`.
+the thermal block, interruption and medical costs and `assemble_bundle`.
 
 Every comparison is exact: the kernel must reproduce the one-building path
 bit for bit, so that run artifacts stay byte-identical.
@@ -16,6 +16,7 @@ import oracles
 from coldsnap import scenario as scenario_module
 from coldsnap.demo import demo_config_dict, make_uri_like_weather, write_weather_csv
 from coldsnap.errors import ConfigurationError
+from coldsnap.hazard import CONDITIONS, STATUS_DEATH, STATUS_HOME, STATUS_HOSPITAL, OutcomeBatch
 from coldsnap.population import BuildingKind, synthesize_population
 from coldsnap.scenario import (
     REDUCE_BLOCK,
@@ -26,7 +27,13 @@ from coldsnap.scenario import (
     load_config,
 )
 from coldsnap.thermal import simulate_block
-from coldsnap.valuation import CICParams, CICTable, interruption_cost
+from coldsnap.valuation import (
+    CICParams,
+    CICTable,
+    ValuationParams,
+    interruption_cost,
+    medical_cost,
+)
 from coldsnap.weather import load_weather_csv, slice_window
 
 from conftest import constant_weather, make_building
@@ -141,6 +148,31 @@ def test_block_cic_matches_scalar_oracle_exactly():
     assert (usd[np.array(hours) > 0.0] > 0.0).all()
 
 
+def test_medical_bills_match_scalar_oracle_exactly():
+    # Every (status, condition, insurance) case at severities below, at and
+    # beyond the ceiling, against the one-occupant bill.
+    params = ValuationParams(
+        medical_insured_usd={"cardiac": (1013.7, 6282.3), "respiratory": (733.1, 4102.9),
+                             "hypothermia_frost": (511.3, 2999.7)},
+        medical_uninsured_usd={"cardiac": (3162.1, 9100.7), "respiratory": (2201.3, 7007.1),
+                               "hypothermia_frost": (1300.9, 5003.3)},
+        home_care_fraction=0.3)
+    statuses = {STATUS_HOME: oracles.OutcomeStatus.INJURED_RECOVERED_HOME,
+                STATUS_HOSPITAL: oracles.OutcomeStatus.INJURED_RECOVERED_HOSPITAL,
+                STATUS_DEATH: oracles.OutcomeStatus.DEATH}
+    severities = (0.0, 0.013, 0.37 * params.severity_ceiling, params.severity_ceiling, 0.9)
+    cases = [(s, c, ins, p) for s in statuses for c in range(len(CONDITIONS))
+             for ins in (False, True) for p in severities]
+    status, condition, insured, p_mort = (np.array(col) for col in zip(*cases))
+    usd = medical_cost(OutcomeBatch(status.astype(np.int8), condition.astype(np.int8),
+                                    insured), p_mort, params)
+    ref = [oracles.medical_cost([oracles.OccupantOutcome(
+        statuses[s], CONDITIONS[c], s == STATUS_HOSPITAL, bool(ins))], [p], params)
+        for s, c, ins, p in cases]
+    assert usd.tolist() == ref
+    assert (usd[status == STATUS_DEATH] == 0.0).all()
+
+
 def test_missing_sector_table_raises_only_for_unpowered_hours():
     params = cic_params(tables={"residential": CICTable(5.3, 2.17, 1.53, 3.1)})
     buildings = cic_buildings()
@@ -166,7 +198,7 @@ def test_bundle_matches_oracle_exactly(assets, variant, scenario):
     assert np.array_equal(bundle.p_mort_by_building, ref.p_mort_by_building)
     assert np.array_equal(bundle.wi_sum_by_building, ref.wi_sum_by_building)
     assert np.array_equal(bundle.mean_rr_by_building, ref.mean_rr_by_building)
-    assert np.array_equal(bundle.occupant_building_index, ref.occupant_building_index)
+    assert np.array_equal(bundle.occupants_by_building, ref.occupants_by_building)
     assert bundle.c_prod == ref.c_prod
     assert bundle.c_cic == ref.c_cic
     assert bundle.beta_wi == ref.beta_wi

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from datetime import datetime, timezone
 
@@ -9,9 +10,10 @@ from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import CONDITIONS, Condition, HazardConfig, TruncNormal
 from coldsnap.population import BuildingKind
 from coldsnap.valuation import (
+    MC_BATCH,
+    TRIAL_COLUMNS,
     CICParams,
     CICTable,
-    CostBreakdown,
     CostDistribution,
     ScenarioBundle,
     ValuationParams,
@@ -19,7 +21,6 @@ from coldsnap.valuation import (
     productivity_cost,
     repair_cost,
     run_monte_carlo,
-    run_trial,
     summarize,
 )
 
@@ -30,6 +31,7 @@ from oracles import (
     OutcomeStatus,
     medical_cost,
     outcome_tree_probabilities,
+    run_trial,
     vsl_cost,
 )
 
@@ -136,6 +138,12 @@ class TestProductivityCost:
         assert cost == pytest.approx((1 - perf) * 45.51, abs=1e-9)
 
 
+def repair(wi, beta_wi, params, home_insurance, rng):
+    """Repair cost of one trial, from a one-trial batch."""
+    (usd,) = repair_cost(wi, beta_wi, params, home_insurance, rng, 1)
+    return usd
+
+
 class TestRepairCost:
     def certain_insurance(self, insured=True):
         if insured:
@@ -144,20 +152,20 @@ class TestRepairCost:
 
     def test_zero_index_costs_nothing(self):
         rng = np.random.default_rng(1)
-        assert repair_cost(np.zeros(100), 1000.0, ValuationParams(),
-                           self.certain_insurance(), rng) == 0.0
+        assert repair(np.zeros(100), 1000.0, ValuationParams(),
+                      self.certain_insurance(), rng) == 0.0
 
     def test_full_index_insured_bills_2000(self):
         rng = np.random.default_rng(2)
-        cost = repair_cost(np.array([1000.0]), 1000.0, ValuationParams(),
-                           self.certain_insurance(True), rng)
+        cost = repair(np.array([1000.0]), 1000.0, ValuationParams(),
+                      self.certain_insurance(True), rng)
         assert cost == pytest.approx(2000.0)
 
     def test_half_index_uninsured_bills_2800_per_damaged(self):
         rng = np.random.default_rng(3)
         n = 1000
-        cost = repair_cost(np.full(n, 500.0), 1000.0, ValuationParams(),
-                           self.certain_insurance(False), rng)
+        cost = repair(np.full(n, 500.0), 1000.0, ValuationParams(),
+                      self.certain_insurance(False), rng)
         per_case = 600.0 + 0.5 * (5000.0 - 600.0)
         n_damaged = cost / per_case
         assert n_damaged == pytest.approx(round(n_damaged))  # exact multiples
@@ -166,15 +174,15 @@ class TestRepairCost:
 
     def test_ratio_clamped_above_beta(self):
         rng = np.random.default_rng(4)
-        cost = repair_cost(np.array([5000.0]), 1000.0, ValuationParams(),
-                           self.certain_insurance(True), rng)
+        cost = repair(np.array([5000.0]), 1000.0, ValuationParams(),
+                      self.certain_insurance(True), rng)
         assert cost == pytest.approx(2000.0)
 
     def test_invalid_beta_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ConfigurationError):
-            repair_cost(np.array([1.0]), 0.0, ValuationParams(),
-                        self.certain_insurance(), rng)
+            repair(np.array([1.0]), 0.0, ValuationParams(),
+                   self.certain_insurance(), rng)
 
 
 def cic(building, hours, params):
@@ -239,14 +247,13 @@ def make_bundle(n_buildings=20, occupants_each=5, p_mort=0.3, wi=0.0,
     buildings = [make_building(id_offset + i, n_occupants=occupants_each)
                  for i in range(n_buildings)]
     pop = make_population(buildings)
-    occ_idx = np.repeat(np.arange(n_buildings), occupants_each)
     return ScenarioBundle(
         scenario="toy",
         pop=pop,
         p_mort_by_building=np.full(n_buildings, float(p_mort)),
         wi_sum_by_building=np.full(n_buildings, float(wi)),
         beta_wi=1000.0,
-        occupant_building_index=occ_idx,
+        occupants_by_building=np.full(n_buildings, occupants_each),
         c_prod=c_prod,
         c_cic=c_cic,
         hazard_cfg=HazardConfig.default(),
@@ -293,16 +300,19 @@ class TestRunTrial:
 
 
 class TestRunMonteCarlo:
-    def test_single_trial_distribution(self):
-        bundle = make_bundle()
-        dist = run_monte_carlo(bundle, 1, master_seed=4)
-        assert dist.trials == (run_trial(bundle, 0, 4),)
+    def test_fewer_trials_are_a_prefix(self):
+        # Trial i depends only on (seed, i): a shorter run is the first rows
+        # of a longer one, whether it ends inside a batch or on its edge.
+        bundle = make_bundle(wi=400.0)
+        full = run_monte_carlo(bundle, 3 * MC_BATCH + 5, master_seed=4).trials
+        for n in (1, MC_BATCH - 1, MC_BATCH, 2 * MC_BATCH + 3):
+            assert np.array_equal(run_monte_carlo(bundle, n, master_seed=4).trials, full[:n])
 
     def test_parallelism_does_not_change_results(self):
         bundle = make_bundle()
-        serial = run_monte_carlo(bundle, 40, master_seed=4, threads=1)
-        parallel = run_monte_carlo(bundle, 40, master_seed=4, threads=8)
-        assert serial.trials == parallel.trials
+        serial = run_monte_carlo(bundle, 3 * MC_BATCH + 7, master_seed=4, threads=1)
+        parallel = run_monte_carlo(bundle, 3 * MC_BATCH + 7, master_seed=4, threads=8)
+        assert np.array_equal(serial.trials, parallel.trials)
 
     def test_mean_deaths_match_closed_form(self):
         # Expected deaths per trial from the analytic tree with exact
@@ -325,7 +335,7 @@ class TestRunMonteCarlo:
         )
         n_occ = bundle.n_occupants
         expected_deaths = n_occ * exact["death"]
-        observed = np.array([t.n_death for t in dist.trials], dtype=float)
+        observed = dist.component("n_death")
         sigma_mean = math.sqrt(n_occ * exact["death"] * (1 - exact["death"]) / n_trials)
         assert abs(observed.mean() - expected_deaths) < 3 * sigma_mean
 
@@ -339,51 +349,87 @@ class TestRunMonteCarlo:
         dist_small = run_monte_carlo(small, n, master_seed=31)
         dist_big = run_monte_carlo(big, n, master_seed=32)
         assert big.c_cic == pytest.approx(2 * small.c_cic)
-        vsl_small = np.mean([t.c_vsl for t in dist_small.trials])
-        vsl_big = np.mean([t.c_vsl for t in dist_big.trials])
+        vsl_small = dist_small.component("c_vsl").mean()
+        vsl_big = dist_big.component("c_vsl").mean()
         assert vsl_big / vsl_small == pytest.approx(2.0, rel=0.02)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigurationError):
             run_monte_carlo(make_bundle(), 0, master_seed=1)
 
+    def test_kernel_matches_one_trial_oracle_in_distribution(self):
+        # Batched binomial kernel against the per-occupant, per-trial oracle
+        # on buildings of mixed size, mortality and freeze index.
+        n_b = 24
+        bundle = make_bundle(n_buildings=n_b, wi=0.0)
+        bundle = dataclasses.replace(
+            bundle,
+            occupants_by_building=np.arange(n_b) % 5,
+            p_mort_by_building=np.linspace(0.0, 0.6, n_b),
+            wi_sum_by_building=np.where(np.arange(n_b) % 3 == 0, 0.0,
+                                        np.linspace(0.0, 1500.0, n_b)),
+        )
+        n = 4000
+        kernel = run_monte_carlo(bundle, n, master_seed=8)
+        oracle = [run_trial(bundle, i, 9) for i in range(n)]
+        for name in ("c_vsl", "c_medical", "c_build", "n_death", "n_injured"):
+            a = kernel.component(name)
+            b = np.array([getattr(t, name) for t in oracle], dtype=float)
+            se = math.sqrt(a.var() / n + b.var() / n)
+            assert se > 0.0, name
+            assert abs(a.mean() - b.mean()) < 4.0 * se, name
+
+    def test_zero_mortality_and_zero_index_cost_exactly_nothing(self):
+        no_risk = run_monte_carlo(make_bundle(p_mort=0.0, wi=400.0), 2 * MC_BATCH, 3)
+        for name in ("n_death", "n_injured", "c_vsl", "c_medical"):
+            assert not no_risk.component(name).any(), name
+        assert no_risk.component("c_build").any()
+        no_index = run_monte_carlo(make_bundle(p_mort=0.5, wi=0.0), 2 * MC_BATCH, 3)
+        assert not no_index.component("c_build").any()
+        assert no_index.component("n_death").any()
+
+
+def distribution(c_vsl) -> CostDistribution:
+    """Trials whose only nonzero column is c_vsl."""
+    trials = np.zeros((len(c_vsl), len(TRIAL_COLUMNS)))
+    trials[:, TRIAL_COLUMNS.index("c_vsl")] = c_vsl
+    return CostDistribution(trials)
+
 
 class TestSummarize:
-    def breakdown(self, value, deaths=0):
-        return CostBreakdown(c_vsl=float(value), c_medical=0.0, c_prod=0.0,
-                             c_build=0.0, c_cic=0.0, n_death=deaths, n_injured=0)
-
     def test_constant_trials_have_zero_std_and_equal_percentiles(self):
-        dist = CostDistribution(tuple(self.breakdown(7.0) for _ in range(9)))
+        dist = distribution([7.0] * 9)
         summary, _ = summarize(dist)
         assert summary["total"]["std"] == 0.0
+        assert summary["total"]["se"] == 0.0
         assert summary["total"]["p5"] == summary["total"]["p50"] == summary["total"]["p95"] == 7.0
 
     def test_two_trials_mean(self):
-        dist = CostDistribution((self.breakdown(0.0), self.breakdown(10.0)))
+        dist = distribution([0.0, 10.0])
         summary, _ = summarize(dist)
         assert summary["total"]["mean"] == pytest.approx(5.0)
 
     def test_median_of_odd_count_is_middle_element(self):
         values = [3.0, 9.0, 1.0, 7.0, 5.0]
-        dist = CostDistribution(tuple(self.breakdown(v) for v in values))
+        dist = distribution(values)
         summary, _ = summarize(dist)
         assert summary["total"]["p50"] == 5.0
 
     def test_histogram_counts_cover_all_trials(self):
         rng = np.random.default_rng(8)
-        dist = CostDistribution(tuple(self.breakdown(v) for v in rng.uniform(0, 100, 500)))
+        dist = distribution(rng.uniform(0, 100, 500))
         _, histogram = summarize(dist, histogram_bins=20)
         assert len(histogram) == 20
         assert sum(count for _, _, count in histogram) == 500
 
     def test_summary_recomputable_from_trials(self):
         rng = np.random.default_rng(9)
-        dist = CostDistribution(tuple(self.breakdown(v) for v in rng.uniform(0, 50, 101)))
+        dist = distribution(rng.uniform(0, 50, 101))
         summary, _ = summarize(dist)
-        totals = np.array([t.total for t in dist.trials])
+        totals = dist.component("total")
         assert summary["total"]["mean"] == pytest.approx(totals.mean())
         assert summary["total"]["std"] == pytest.approx(totals.std())
+        assert summary["total"]["se"] == pytest.approx(totals.std() / math.sqrt(101))
         assert summary["total"]["p50"] == float(np.sort(totals)[50])
 
     def test_empty_distribution_rejected(self):
