@@ -22,13 +22,23 @@ def _load_run(run_dir: Path) -> dict:
     return json.loads(summary_path.read_text(encoding="utf-8"))
 
 
+def _delta_pct(value: float, baseline: float) -> float | None:
+    """Percentage change against the baseline; undefined (None) against a
+    zero baseline unless the value is zero too."""
+    if baseline:
+        return (value - baseline) / baseline * 100.0
+    return 0.0 if value == 0 else None
+
+
 def compare_scenarios(run_dirs, out_path=None) -> list[dict]:
     """Tabulate mean costs across runs sharing one population.
 
     Rows cover each cost component, totals, deaths/injuries, and the
     population-mean relative risk; every row carries the percentage delta
-    of each scenario against the first one. Runs over different populations
-    are rejected.
+    of each scenario against the first one, None where the first is 0 and
+    the other is not. Runs are labelled by scenario; when two share one,
+    every run is labelled by its directory as given. Runs over different
+    populations are rejected.
     """
     dirs = [Path(d) for d in run_dirs]
     if len(dirs) < 2:
@@ -41,27 +51,18 @@ def compare_scenarios(run_dirs, out_path=None) -> list[dict]:
             f"(digests: {sorted(str(d)[:12] for d in digests)})"
         )
     labels = [s.get("scenario", d.name) for s, d in zip(summaries, dirs)]
+    if len(set(labels)) < len(labels):
+        labels = [str(d) for d in run_dirs]
+    if len(set(labels)) < len(labels):
+        labels = [f"{lb}#{i}" for i, lb in enumerate(labels, 1)]
 
+    columns = [(f"{m}_mean", [s[m]["mean"] for s in summaries]) for m in COMPARE_ROWS]
+    columns.append(("mean_rr_population", [s["mean_rr_population"] for s in summaries]))
     rows: list[dict] = []
-    for metric in COMPARE_ROWS:
-        row = {"metric": f"{metric}_mean"}
-        baseline = summaries[0][metric]["mean"]
-        for label, summary in zip(labels, summaries):
-            row[label] = summary[metric]["mean"]
-        for label, summary in zip(labels, summaries):
-            value = summary[metric]["mean"]
-            row[f"{label}_delta_pct"] = (
-                (value - baseline) / baseline * 100.0 if baseline else 0.0
-            )
+    for metric, means in columns:
+        row = {"metric": metric, **dict(zip(labels, means))}
+        row.update((f"{lb}_delta_pct", _delta_pct(v, means[0])) for lb, v in zip(labels, means))
         rows.append(row)
-    row = {"metric": "mean_rr_population"}
-    baseline = summaries[0]["mean_rr_population"]
-    for label, summary in zip(labels, summaries):
-        row[label] = summary["mean_rr_population"]
-        row[f"{label}_delta_pct"] = (
-            (summary["mean_rr_population"] - baseline) / baseline * 100.0 if baseline else 0.0
-        )
-    rows.append(row)
 
     if out_path is not None:
         fieldnames = ["metric"] + labels + [f"{lb}_delta_pct" for lb in labels]
@@ -76,12 +77,15 @@ def compare_scenarios(run_dirs, out_path=None) -> list[dict]:
 
 def format_comparison(rows: list[dict]) -> str:
     labels = [k for k in rows[0] if k != "metric" and not k.endswith("_delta_pct")]
-    header = f"{'metric':<22}" + "".join(f"{lb:>16}" for lb in labels)
+    # Directory labels can be longer than a number's column.
+    width = max([16] + [len(lb) + 2 for lb in labels])
+    header = f"{'metric':<22}" + "".join(f"{lb:>{width}}" for lb in labels)
     lines = [header, "-" * len(header)]
     for row in rows:
-        cells = "".join(f"{row[lb]:>16,.2f}" for lb in labels)
+        cells = "".join(f"{row[lb]:>{width},.2f}" for lb in labels)
         lines.append(f"{row['metric']:<22}" + cells)
-        deltas = "".join(f"{row[f'{lb}_delta_pct']:>+15.1f}%" for lb in labels)
+        deltas = "".join(f"{'n/a':>{width}}" if d is None else f"{d:>+{width - 1}.1f}%"
+                         for d in (row[f"{lb}_delta_pct"] for lb in labels))
         lines.append(f"{'  vs first (%)':<22}" + deltas)
     return "\n".join(lines)
 

@@ -12,6 +12,7 @@ is a hysteresis relay gated by power availability.
 
 from __future__ import annotations
 
+import functools
 import math
 from datetime import datetime, timedelta
 
@@ -80,29 +81,110 @@ def simulate_block(buildings, weather: WeatherSeries, powered,
     return t_in, hvac_on
 
 
+# Bytes of fixed-width rows `TraceWriter` formats at once: about eight
+# buildings of a 1,152-step window, so the export's memory stays a few MB.
+TRACE_CHUNK_BYTES = 1 << 19
+
+
+def _ascii_rows(strings) -> np.ndarray:
+    """One zero-padded row of ASCII codes per string."""
+    raw = [s.encode("ascii") for s in strings]
+    width = max(map(len, raw), default=0)
+    return np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw),
+                         dtype=np.uint8).reshape(len(raw), width)
+
+
+_FLAGS = _ascii_rows([",false,", ",true,"])
+# Bytes of a `format_fixed4` row without a fallback: sign, up to four
+# integer digits, the point and four decimals.
+_FIXED4_BYTES = 10
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """ASCII of the integer part and of the point with four decimals of
+    q = rint(|t| 1e4) for |t| < 1000, so q <= 10**7. Built on first use, so
+    that runs without traces neither pay for nor hold them."""
+    units = _ascii_rows(str(i) for i in range(1001))
+    decimals = np.column_stack([np.full(10000, ord("."))] + [
+        np.arange(10000) // p % 10 + ord("0") for p in (1000, 100, 10, 1)]).astype(np.uint8)
+    decimals.flags.writeable = False
+    return units, decimals
+
+
+def format_fixed4(t) -> np.ndarray:
+    """`f"{t:.4f}"` of every value, as zero-padded ASCII rows of shape
+    `t.shape + (width,)`.
+
+    Digits come from q = rint(|t| 1e4). For |t| < 1000, fl(|t| 1e4) lies
+    within 1.2e-9 of the exact product, and the f-string rounds the exact
+    binary value half-to-even, so the two roundings can differ only next to
+    a half-integer: values within 1e-6 of one, and |t| >= 1000, are
+    formatted by the f-string itself.
+    """
+    t = np.asarray(t, dtype=float)
+    a = np.abs(t)
+    small = a < 1000.0
+    x = np.where(small, a, 0.0) * 1e4
+    fallback = ~small | (np.abs(x - np.floor(x) - 0.5) < 1e-6)
+    q = np.rint(x).astype(np.int64)
+    units = q // 10000
+    decimals = q - units * 10000
+    sign = np.signbit(t).view(np.uint8) * np.uint8(ord("-"))
+    units_ascii, decimals_ascii = _digit_tables()
+    field = np.concatenate([sign[..., None], np.take(units_ascii, units, axis=0),
+                            np.take(decimals_ascii, decimals, axis=0)], axis=-1)
+    where = np.nonzero(fallback)
+    if where[0].size:
+        text = _ascii_rows(f"{v:.4f}" for v in t[where].tolist())
+        if text.shape[1] > field.shape[-1]:
+            field = np.concatenate(
+                [field, np.zeros(t.shape + (text.shape[1] - field.shape[-1],), np.uint8)],
+                axis=-1)
+        field[where] = 0
+        field[where + (slice(0, text.shape[1]),)] = text
+    return field
+
+
 class TraceWriter:
     """Appends `building_id,timestamp,t_in_c,powered,hvac_kw` rows to an open
     text handle, one simulated block at a time.
 
-    Timestamps are formatted once per step and reused for every building.
-    Lines end in CRLF, as `csv` writes them.
+    Rows are built as bytes, a few buildings at a time: each (building,
+    step) gets one zero-padded fixed-width row of its five fields, and the
+    padding is dropped with one mask before the chunk is written. Timestamps
+    are formatted once per step. Lines end in CRLF, as `csv` writes them.
     """
 
     def __init__(self, handle, start: datetime, dt_s: float, n_steps: int):
         self._handle = handle
-        self._stamps = [(start + timedelta(seconds=dt_s * i)).isoformat()
-                        for i in range(n_steps)]
+        self._stamps = _ascii_rows(f",{(start + timedelta(seconds=dt_s * i)).isoformat()},"
+                                   for i in range(n_steps))
+        self.chunk = 1
         handle.write("building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
 
     def write(self, buildings, t_in, powered, hvac_on) -> None:
         """Rows of a block as `simulate_block` takes and returns it: `t_in`,
-        `powered` and `hvac_on` are (steps x buildings). Columns are converted
-        one building at a time, so only one building's values exist as
-        Python objects at once."""
-        for j, b in enumerate(buildings):
-            kw = (f"{0.0:.3f}", f"{b.hvac_electric_kw:.3f}")
-            self._handle.writelines(
-                f"{b.id},{stamp},{t:.4f},{'true' if p else 'false'},{kw[h]}\r\n"
-                for stamp, t, p, h in zip(self._stamps, t_in[:, j].tolist(),
-                                          powered[:, j].tolist(), hvac_on[:, j].tolist())
+        `powered` and `hvac_on` are (steps x buildings). `chunk` buildings'
+        rows, about `TRACE_CHUNK_BYTES`, exist at once."""
+        ids = _ascii_rows(str(b.id) for b in buildings)
+        # Rows 2j and 2j + 1: building j's draw with the heating off and on.
+        kw = _ascii_rows(f"{v:.3f}\r\n" for b in buildings for v in (0.0, b.hvac_electric_kw))
+        n = self._stamps.shape[0]
+        row_bytes = (ids.shape[1] + self._stamps.shape[1] + _FIXED4_BYTES
+                     + _FLAGS.shape[1] + kw.shape[1])
+        self.chunk = max(1, TRACE_CHUNK_BYTES // max(1, n * row_bytes))
+        for lo in range(0, len(buildings), self.chunk):
+            at = slice(lo, lo + self.chunk)
+            k = len(ids[at])
+            kw_rows = 2 * np.arange(lo, lo + k)[:, None] + hvac_on[:, at].T
+            fields = (
+                ids[at, None, :],
+                self._stamps,
+                format_fixed4(t_in[:, at].T),
+                np.take(_FLAGS, powered[:, at].T, axis=0),
+                np.take(kw, kw_rows, axis=0),
             )
+            rows = np.concatenate([np.broadcast_to(f, (k, n, f.shape[-1])) for f in fields],
+                                  axis=2)
+            self._handle.write(rows[rows != 0].tobytes().decode("ascii"))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from coldsnap.cli import main
-from coldsnap.report import compare_scenarios, export_exposure
+from coldsnap.report import COMPARE_ROWS, compare_scenarios, export_exposure
 
 TRIALS = "60"
 
@@ -191,6 +192,60 @@ class TestCompare:
     def test_single_dir_rejected(self, runs, tmp_path, capsys):
         code = main(["compare", str(runs["base"]), "--out", str(tmp_path / "c.csv")])
         assert code == 2
+
+    def test_zero_baseline_delta_is_undefined(self, tmp_path, capsys):
+        means = {"base": 0.0, "co": 81_200_000.0}
+        dirs = []
+        for name, vsl in means.items():
+            summary = {m: {"mean": 0.0} for m in COMPARE_ROWS}
+            summary.update(scenario=name, population_digest="d", mean_rr_population=1.0)
+            summary["c_vsl"]["mean"] = vsl
+            dirs.append(tmp_path / name)
+            dirs[-1].mkdir()
+            (dirs[-1] / "summary.json").write_text(json.dumps(summary))
+        out = tmp_path / "c.csv"
+        rows = {r["metric"]: r for r in compare_scenarios(dirs, out)}
+        assert rows["c_vsl_mean"]["co_delta_pct"] is None
+        assert rows["c_vsl_mean"]["base_delta_pct"] == 0.0
+        assert rows["c_cic_mean"]["co_delta_pct"] == 0.0
+        assert rows["mean_rr_population"]["co_delta_pct"] == 0.0
+        with open(out, newline="") as handle:
+            table = {r["metric"]: r for r in csv.DictReader(handle)}
+        assert table["c_vsl_mean"]["co_delta_pct"] == ""
+        assert table["c_cic_mean"]["co_delta_pct"] == "0.0000"
+        code = main(["compare", *map(str, dirs), "--out", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        vsl = lines.index(next(line for line in lines if line.startswith("c_vsl_mean")))
+        assert lines[vsl + 1].split() == ["vs", "first", "(%)", "+0.0%", "n/a"]
+
+    def test_same_scenario_runs_labelled_by_directory(self, demo_config_path, runs, tmp_path,
+                                                      capsys):
+        more = tmp_path / "co40"
+        code = main(["run", "--config", str(demo_config_path), "--scenario", "co",
+                     "--trials", "40", "--out", str(more)])
+        assert code == 0
+        out = tmp_path / "c.csv"
+        code = main(["compare", str(runs["co"]), str(more), "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as handle:
+            reader = csv.DictReader(handle)
+            table = {r["metric"]: r for r in reader}
+        labels = [str(runs["co"]), str(more)]
+        assert reader.fieldnames == ["metric", *labels, *(f"{lb}_delta_pct" for lb in labels)]
+        for label, run in zip(labels, (runs["co"], more)):
+            summary = json.loads((run / "summary.json").read_text())
+            assert table["total_mean"][label] == f"{summary['total']['mean']:.4f}"
+        assert table["total_mean"][f"{labels[0]}_delta_pct"] == "0.0000"
+        # The printed table stays aligned under labels longer than a number.
+        printed = capsys.readouterr().out.splitlines()
+        printed = printed[printed.index(next(ln for ln in printed if ln.startswith("metric"))):-1]
+        assert printed[0].endswith(labels[1]) and len({len(line) for line in printed}) == 1
+
+    def test_same_directory_twice_gets_two_columns(self, runs, tmp_path):
+        rows = compare_scenarios([runs["co"], runs["co"]], tmp_path / "c.csv")
+        assert [k for k in rows[0] if not k.endswith("_delta_pct")] == [
+            "metric", f"{runs['co']}#1", f"{runs['co']}#2"]
 
     def test_reordering_inputs_permutes_columns_only(self, runs, tmp_path):
         forward = compare_scenarios([runs["co"], runs["ro-hi"]], tmp_path / "f.csv")

@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from coldsnap import scenario as scenario_module
+from coldsnap import thermal as thermal_module
 from coldsnap.demo import demo_config_dict, make_uri_like_weather, write_weather_csv
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import CONDITIONS, STATUS_DEATH, STATUS_HOME, STATUS_HOSPITAL, OutcomeBatch
@@ -26,7 +27,7 @@ from coldsnap.scenario import (
     build_schedules,
     load_config,
 )
-from coldsnap.thermal import simulate_block
+from coldsnap.thermal import TraceWriter, format_fixed4, simulate_block
 from coldsnap.valuation import (
     CICParams,
     CICTable,
@@ -210,14 +211,101 @@ def test_bundle_matches_oracle_exactly(assets, variant, scenario):
         assert (bundle.wi_sum_by_building > 0.0).any()
 
 
-def test_streamed_traces_match_oracle_export(assets, tmp_path):
+def test_streamed_traces_match_oracle_export(assets, tmp_path, monkeypatch):
     config, pop, schedule = prepare(assets["demo"], "ro-hi")
+    writers = []
+
+    def recording_writer(*args):
+        writers.append(TraceWriter(*args))
+        return writers[-1]
+
+    monkeypatch.setattr(scenario_module, "TraceWriter", recording_writer)
     streamed = tmp_path / "streamed.csv"
     assemble_bundle(config, pop, schedule, streamed)
+    # The population ends in a partial simulation block, and that block in a
+    # partial write chunk.
+    n, chunk = len(pop.buildings), writers[0].chunk
+    assert 1 < chunk < n % SIM_BLOCK
+    assert n % SIM_BLOCK % chunk and n % chunk
     _, traces, _ = oracles.assemble_bundle(config, pop, schedule)
     exported = tmp_path / "exported.csv"
     oracles.write_traces_csv(traces.values(), exported)
     assert streamed.read_bytes() == exported.read_bytes()
+
+
+def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
+    # 37.5 s steps alternate stamps with and without microseconds; ids and
+    # kW draws of several widths; temperatures that take the f-string
+    # fallback, one of them wider than the fixed-width field.
+    weather = constant_weather(-30.0, hours=0.5, dt_s=37.5)
+    buildings = [make_building(bid, ua_per_m2=u, hvac_heat_w=w)
+                 for bid, u, w in ((0, 1.8, 900.0), (7, 4.0, 12_500.0), (42, 1.2, 2_000.0),
+                                   (130, 6.0, 1_234_567.0), (2_500, 2.5, 5_000.0),
+                                   (1_000_001, 3.0, 40.0), (9, 5.0, 7_000.0))]
+    powered = np.zeros((weather.n_steps, len(buildings)), dtype=bool)
+    powered[::3] = True
+    powered[:, 3] = True
+    t_in, hvac_on = simulate_block(buildings, weather, powered)
+    t_in[5, 1:4] = (-0.0, 0.00015, 123_456.78901)
+    t_in[6, 2] = -1e-7
+    assert hvac_on.any() and (t_in < 0).any()
+
+    monkeypatch.setattr(thermal_module, "TRACE_CHUNK_BYTES", 3 * weather.n_steps * 50)
+    streamed = tmp_path / "streamed.csv"
+    with open(streamed, "w", newline="", encoding="utf-8") as handle:
+        writer = TraceWriter(handle, weather.start, weather.dt_s, weather.n_steps)
+        for at in (slice(0, 5), slice(5, None)):
+            writer.write(buildings[at], t_in[:, at], powered[:, at], hvac_on[:, at])
+    assert 1 < writer.chunk < 5 and 5 % writer.chunk
+    exported = tmp_path / "exported.csv"
+    oracles.write_traces_csv(
+        [oracles.ExposureTrace(b.id, weather.start, weather.dt_s, t_in[:, j].copy(),
+                               powered[:, j].copy(),
+                               np.where(hvac_on[:, j], b.hvac_electric_kw, 0.0))
+         for j, b in enumerate(buildings)], exported)
+    assert streamed.read_bytes() == exported.read_bytes()
+    rows = [line.split(",") for line in exported.read_text().splitlines()[1:]]
+    assert len({len(row[1]) for row in rows}) == 2
+    assert "-0.0000" in {row[2] for row in rows}
+
+
+def fixed4_fuzz_values() -> np.ndarray:
+    rng = np.random.default_rng(20210215)
+    ties = (rng.integers(-10**7, 10**7, 50_000) + 0.5) / 1e4
+    edges = np.array([0.0, 5e-324, 1e-300, 1e-7, 4e-5, 5e-5, 6e-5, 0.00015, 0.03125,
+                      0.99995, 9.99995, 99.99995, 999.99995, 999.99994, 999.99996,
+                      999.9999, 1000.0, 1000.00004, 1e6])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    return np.concatenate([
+        rng.uniform(-60.0, 60.0, 600_000),
+        rng.choice([-1.0, 1.0], 300_000) * 10.0 ** rng.uniform(-7.0, 3.0, 300_000),
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        edges, -edges,
+    ])
+
+
+def assert_fixed4_matches_fstring(values):
+    field = format_fixed4(values)
+    lines = np.concatenate([field, np.full((len(values), 1), ord("\n"), np.uint8)], axis=1)
+    got = lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
+    want = [f"{v:.4f}" for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad[:10]
+
+
+def test_fixed4_matches_fstring():
+    values = fixed4_fuzz_values()
+    assert len(values) >= 1_000_000
+    assert_fixed4_matches_fstring(values)
+
+
+def test_fixed4_fallbacks_wider_than_the_field():
+    assert_fixed4_matches_fstring(np.array([1e17, -1e17, 1e300, -1e300, 1234567.89, 5.0]))
+
+
+def test_fixed4_keeps_the_input_shape():
+    block = fixed4_fuzz_values()[:6_000].reshape(3, 2_000)
+    assert np.array_equal(format_fixed4(block)[1], format_fixed4(block[1]))
 
 
 def test_block_row_matches_single_building_runs(assets):
