@@ -308,34 +308,6 @@ class OutcomeBatch:
     condition: np.ndarray   # index into CONDITIONS, -1 for none
     insured: np.ndarray     # health-insurance flag per occupant
 
-    @property
-    def n_death(self) -> int:
-        return int((self.status == STATUS_DEATH).sum())
-
-    @property
-    def n_injured(self) -> int:
-        return int(((self.status == STATUS_HOME) | (self.status == STATUS_HOSPITAL)).sum())
-
-
-def simulate_outcomes(p_mort: np.ndarray, cfg: HazardConfig, rng: np.random.Generator) -> OutcomeBatch:
-    """Resolve one trial's occupants, each at risk with its own probability.
-
-    Each occupant is at risk with probability `p_mort`; the at-risk ones
-    walk the outcome tree of `resolve_at_risk`. Occupants not at risk stay
-    unaffected, without a condition or a health-insurance flag.
-    """
-    p_mort = np.asarray(p_mort, dtype=float)
-    n = p_mort.shape[0]
-    idx = np.flatnonzero(rng.random(n) < p_mort)
-    tree = resolve_at_risk(idx.size, cfg, rng)
-    status = np.zeros(n, dtype=np.int8)
-    condition = np.full(n, -1, dtype=np.int8)
-    insured = np.zeros(n, dtype=bool)
-    status[idx] = tree.status
-    condition[idx] = tree.condition
-    insured[idx] = tree.insured
-    return OutcomeBatch(status, condition, insured)
-
 
 def resolve_at_risk(m: int, cfg: HazardConfig, rng: np.random.Generator) -> OutcomeBatch:
     """Walk `m` at-risk occupants down the outcome tree.

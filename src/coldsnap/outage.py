@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError
-from .population import Population
+from .population import Population, Sector, code
 
 
 class Scenario(str, Enum):
@@ -85,7 +85,7 @@ def build_base_schedule(pop: Population, start: datetime, end: datetime,
                         dt_s: float) -> PowerScheduleSet:
     """Normal operation: every building powered for the whole window."""
     n = _window_steps(start, end, dt_s)
-    powered = np.ones((len(pop.buildings), n), dtype=bool)
+    powered = np.ones((len(pop), n), dtype=bool)
     return PowerScheduleSet(Scenario.BASE, start, end, dt_s, powered, frozenset())
 
 
@@ -93,44 +93,42 @@ def select_isolated(pop: Population, fault_fraction: float, seed: int) -> frozen
     """Seeded uniform choice of customers stranded behind damaged equipment."""
     if not 0.0 <= fault_fraction < 1.0:
         raise ConfigurationError(f"fault fraction must be in [0, 1), got {fault_fraction}")
-    n_pick = int(round(fault_fraction * len(pop.buildings)))
+    n_pick = int(round(fault_fraction * len(pop)))
     if n_pick == 0:
         return frozenset()
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x150)))
-    ids = np.array(sorted(pop.ids))
-    picked = rng.choice(ids, size=n_pick, replace=False)
-    return frozenset(int(i) for i in picked)
+    return frozenset(rng.choice(np.sort(pop.id), size=n_pick, replace=False).tolist())
 
 
 def build_controlled_outage(pop: Population, start: datetime, end: datetime, dt_s: float,
                             shed_ids, fault_fraction: float, seed: int) -> PowerScheduleSet:
     """Switch off the shed set (plus fault-isolated customers) for the window."""
-    known = set(pop.ids)
-    shed = set(int(i) for i in shed_ids)
-    unknown = shed - known
+    shed = np.array([int(i) for i in shed_ids], dtype=np.int64)
+    unknown = sorted(set(shed[~np.isin(shed, pop.id)].tolist()))
     if unknown:
-        raise ConfigurationError(f"shed set contains unknown building ids: {sorted(unknown)[:5]}")
+        raise ConfigurationError(f"shed set contains unknown building ids: {unknown[:5]}")
     isolated = select_isolated(pop, fault_fraction, seed)
     n = _window_steps(start, end, dt_s)
-    lit = ~np.isin(pop.ids, list(shed | isolated))
+    lit = ~(np.isin(pop.id, shed) | np.isin(pop.id, list(isolated)))
     powered = np.repeat(lit[:, None], n, axis=1)
     return PowerScheduleSet(Scenario.CO, start, end, dt_s, powered, isolated)
 
 
-def assign_rolling_groups(pop: Population, n_groups: int) -> dict[int, int]:
-    """Partition residential buildings into consumption tiers of near-equal size.
+def assign_rolling_groups(pop: Population, n_groups: int) -> np.ndarray:
+    """Partition residential buildings into consumption tiers of near-equal
+    size: each building's tier, -1 for the non-residential.
 
     Tier 0 holds the heaviest consumers; ties break on ascending id so the
     grouping is reproducible.
     """
     if n_groups < 2:
         raise ConfigurationError(f"need at least 2 rolling groups, got {n_groups}")
-    residential = sorted(pop.residential(), key=lambda b: (-b.avg_annual_kwh, b.id))
-    groups: dict[int, int] = {}
-    size = len(residential) / n_groups
-    for rank, b in enumerate(residential):
-        groups[b.id] = min(int(rank / size) if size else 0, n_groups - 1)
-    return groups
+    residential = np.flatnonzero(pop.sector == code(Sector.RESIDENTIAL))
+    ranked = residential[np.lexsort((pop.id[residential], -pop.avg_annual_kwh[residential]))]
+    size = len(ranked) / n_groups
+    tier = np.full(len(pop), -1)
+    tier[ranked] = np.minimum((np.arange(len(ranked)) / size).astype(np.int64), n_groups - 1)
+    return tier
 
 
 def build_rolling_outage(pop: Population, start: datetime, end: datetime, dt_s: float,
@@ -155,7 +153,7 @@ def build_rolling_outage(pop: Population, start: datetime, end: datetime, dt_s: 
             f"availability has {len(availability.fractions)} slots, window needs {n_slots}"
         )
 
-    groups = assign_rolling_groups(pop, n_groups)
+    tier = assign_rolling_groups(pop, n_groups)
     isolated = frozenset() if hardened else select_isolated(pop, fault_fraction, seed)
 
     # Tier g is served in slot s when it lies in the k-wide window that
@@ -165,10 +163,9 @@ def build_rolling_outage(pop: Population, start: datetime, end: datetime, dt_s: 
     group_on = offset < k[:, None]
 
     step_slot = np.minimum(np.arange(n) // per_slot, n_slots - 1)
-    tier = np.array([groups.get(b.id, -1) for b in pop.buildings])  # -1: not residential
-    powered = np.ones((len(pop.buildings), n), dtype=bool)
+    powered = np.ones((len(pop), n), dtype=bool)
     for g in range(n_groups):
         powered[tier == g] = group_on[step_slot, g]
-    powered[np.isin(pop.ids, list(isolated))] = False
+    powered[np.isin(pop.id, list(isolated))] = False
     scenario = Scenario.RO_HI if hardened else Scenario.RO_DI
     return PowerScheduleSet(scenario, start, end, dt_s, powered, isolated)

@@ -1,14 +1,16 @@
 """Building stock synthesis, persistence, and validation.
 
 Buildings carry all attributes the thermal, outage, hazard, and valuation
-stages consume. A population is immutable after construction and safe to
-share across parallel trial workers.
+stages consume. A population holds them as one numpy column per `Building`
+field; `Building` rows appear only at the CSV boundary. A population is
+immutable after construction and safe to share across parallel trial
+workers.
 """
 
 from __future__ import annotations
 
 import csv
-import operator
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -71,16 +73,8 @@ class Insulation(str, Enum):
     VERY_GOOD = "very_good"
 
 
-# Worst to best; used for ordered reporting.
-INSULATION_ORDER = (
-    Insulation.LITTLE,
-    Insulation.POOR,
-    Insulation.BELOW_AVERAGE,
-    Insulation.AVERAGE,
-    Insulation.ABOVE_AVERAGE,
-    Insulation.GOOD,
-    Insulation.VERY_GOOD,
-)
+# Worst to best, the declaration order; used for ordered reporting.
+INSULATION_ORDER = tuple(Insulation)
 
 
 class HeatingFuel(str, Enum):
@@ -121,21 +115,100 @@ class Building:
         return defaults.GAS_BLOWER_KW
 
 
-@dataclass(frozen=True)
+_FIELD_TYPES = typing.get_type_hints(Building)
+# One column per Building field, in field order.
+CSV_COLUMNS = list(_FIELD_TYPES)
+
+
+def code(member: Enum) -> int:
+    """A member's small-int code in a population column: its index in its
+    enum's declaration order."""
+    return list(type(member)).index(member)
+
+
+def _dtype(tp) -> type:
+    if issubclass(tp, Enum):
+        return np.int8
+    return {bool: np.bool_, int: np.int64, float: np.float64, str: np.str_}[tp]
+
+
+@dataclass(frozen=True, eq=False)
 class Population:
-    buildings: tuple[Building, ...]
-    total_occupants: int
-    seed_used: int
+    """The building stock as one read-only numpy column per `Building`
+    field, in building order: `pop.<field>` is a column and `pop[rows]` the
+    population of those rows. Enum fields hold `code`s; `sector` and
+    `hvac_electric_kw` are derived columns. `Building` rows exist only
+    through `from_buildings` and `buildings`. Immutable, so parallel trial
+    workers can share it.
+    """
+
+    columns: dict[str, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "buildings", tuple(self.buildings))
+        if set(self.columns) != set(CSV_COLUMNS) or len(set(map(len, self.columns.values()))) > 1:
+            raise ConfigurationError("a population needs one equally long column per field")
+        columns = {}
+        for name, tp in _FIELD_TYPES.items():
+            col = np.asarray(self.columns[name], dtype=_dtype(tp))
+            if col.flags.writeable:  # never share memory that a caller can change
+                col = col.copy()
+                col.flags.writeable = False
+            columns[name] = col
+        object.__setattr__(self, "columns", columns)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        """Column `name`."""
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __len__(self) -> int:
+        return len(self.columns["id"])
+
+    def __getitem__(self, rows) -> Population:
+        """The buildings at `rows`: a slice, an index array or a mask."""
+        return Population({name: col[rows] for name, col in self.columns.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Population):
+            return NotImplemented
+        return all(np.array_equal(col, other.columns[name]) for name, col in self.columns.items())
 
     @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(b.id for b in self.buildings)
+    def total_occupants(self) -> int:
+        return int(self.n_occupants.sum())
 
-    def residential(self) -> list[Building]:
-        return [b for b in self.buildings if b.sector is Sector.RESIDENTIAL]
+    @property
+    def sector(self) -> np.ndarray:
+        """Each building's `Sector` code, by its kind."""
+        return np.array([code(SECTOR_BY_KIND[k]) for k in BuildingKind], np.int8)[self.kind]
+
+    @property
+    def hvac_electric_kw(self) -> np.ndarray:
+        """Each building's `Building.hvac_electric_kw`."""
+        return np.where(self.heating_fuel == code(HeatingFuel.ELECTRIC),
+                        self.hvac_heat_w / 1000.0, defaults.GAS_BLOWER_KW)
+
+    def labels(self, name: str) -> list[str]:
+        """The `.value` of each building's member of enum column `name` or
+        of `sector`: references to the members' own strings."""
+        values = [m.value for m in (Sector if name == "sector" else _FIELD_TYPES[name])]
+        return list(map(values.__getitem__, getattr(self, name).tolist()))
+
+    @classmethod
+    def from_buildings(cls, rows) -> Population:
+        rows = tuple(rows)
+        return cls({name: [code(getattr(b, name)) if issubclass(tp, Enum) else getattr(b, name)
+                           for b in rows] for name, tp in _FIELD_TYPES.items()})
+
+    @property
+    def buildings(self) -> tuple[Building, ...]:
+        """The population as `Building` rows, built on each access."""
+        values = [list(map(tuple(tp).__getitem__, self.columns[name].tolist()))
+                  if issubclass(tp, Enum) else self.columns[name].tolist()
+                  for name, tp in _FIELD_TYPES.items()]
+        return tuple(Building(*row) for row in zip(*values))
 
 
 @dataclass(frozen=True)
@@ -242,14 +315,16 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x706F70)))
 
-    ins_classes = list(INSULATION_ORDER)
-    ins_p = np.array([spec.insulation_weights.get(c, 0.0) for c in ins_classes], dtype=float)
+    ins_p = np.array([spec.insulation_weights.get(c, 0.0) for c in INSULATION_ORDER], dtype=float)
+    # Classes without a table row have zero weight and are never drawn.
+    rows = [spec.insulation_table.get(c, InsulationRow(math.nan, math.nan))
+            for c in INSULATION_ORDER]
+    ua_per_m2 = np.array([row.ua_w_per_k_m2 for row in rows])
+    mass_per_m2 = np.array([row.mass_j_per_k_m2 for row in rows])
     occ_sizes = np.array(sorted(spec.occupant_weights), dtype=int)
     occ_p = np.array([spec.occupant_weights[s] for s in sorted(spec.occupant_weights)], dtype=float)
 
-    buildings: list[Building] = []
-    next_id = 0
-    total_occupants = 0
+    parts: list[dict] = []  # one set of columns per kind, in kind order
     for kind in BuildingKind:
         count = int(spec.counts.get(kind, 0))
         if count == 0:
@@ -257,7 +332,7 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
         residential = SECTOR_BY_KIND[kind] is Sector.RESIDENTIAL
         profile = (spec.residential_profiles if residential else spec.commercial_profiles)[kind]
 
-        ins_idx = rng.choice(len(ins_classes), size=count, p=ins_p)
+        ins_idx = rng.choice(len(INSULATION_ORDER), size=count, p=ins_p)
         floor = rng.uniform(*profile.floor_m2, size=count)
         kwh = rng.uniform(*profile.kwh, size=count)
         electric = rng.random(count) < spec.electric_heat_share
@@ -273,39 +348,29 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
             needs_power = rng.random(count) < spec.power_required_share_commercial
             backup = rng.random(count) < spec.commercial_backup_share
 
-        for i in range(count):
-            ins = ins_classes[int(ins_idx[i])]
-            row = spec.insulation_table[ins]
-            ua = row.ua_w_per_k_m2 * float(floor[i])
-            mass = row.mass_j_per_k_m2 * float(floor[i])
-            hvac_w = ua * (spec.setpoint_c - spec.hvac_design_outdoor_c) * spec.hvac_oversize
-            buildings.append(Building(
-                id=next_id,
-                kind=kind,
-                insulation=ins,
-                heating_fuel=HeatingFuel.ELECTRIC if electric[i] else HeatingFuel.GAS_ELECTRIC_BLOWER,
-                floor_area_m2=float(floor[i]),
-                ua_w_per_k=ua,
-                thermal_mass_j_per_k=mass,
-                hvac_heat_w=hvac_w,
-                setpoint_c=spec.setpoint_c,
-                deadband_c=spec.deadband_c,
-                n_occupants=int(occupants[i]),
-                n_workers=int(workers[i]),
-                job_requires_power=bool(needs_power[i]),
-                avg_annual_kwh=float(kwh[i]),
-                income_bracket="median" if residential else "",
-                backup=bool(backup[i]),
-            ))
-            total_occupants += int(occupants[i])
-            next_id += 1
+        ua = ua_per_m2[ins_idx] * floor
+        parts.append({
+            "kind": np.full(count, code(kind)),
+            "insulation": ins_idx,
+            "heating_fuel": np.where(electric, code(HeatingFuel.ELECTRIC),
+                                     code(HeatingFuel.GAS_ELECTRIC_BLOWER)),
+            "floor_area_m2": floor,
+            "ua_w_per_k": ua,
+            "thermal_mass_j_per_k": mass_per_m2[ins_idx] * floor,
+            "hvac_heat_w": ua * (spec.setpoint_c - spec.hvac_design_outdoor_c) * spec.hvac_oversize,
+            "setpoint_c": np.full(count, float(spec.setpoint_c)),
+            "deadband_c": np.full(count, float(spec.deadband_c)),
+            "n_occupants": occupants,
+            "n_workers": workers,
+            "job_requires_power": needs_power,
+            "avg_annual_kwh": kwh,
+            "income_bracket": np.full(count, "median" if residential else ""),
+            "backup": backup,
+        })
 
-    return Population(buildings=tuple(buildings), total_occupants=total_occupants, seed_used=int(seed))
-
-
-_FIELD_TYPES = typing.get_type_hints(Building)
-# One column per Building field, in field order.
-CSV_COLUMNS = list(_FIELD_TYPES)
+    columns = {name: np.concatenate([part[name] for part in parts]) for name in CSV_COLUMNS[1:]}
+    columns["id"] = np.arange(len(columns["kind"]))
+    return Population(columns)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -314,29 +379,30 @@ def _parse_bool(raw: str) -> bool:
     return raw == "true"
 
 
-def _formatter(tp):
-    """Cell text of a field's values, or None where csv writes them as they
-    are; floats use repr so reload is bit-exact."""
-    if tp is bool:
-        return lambda value: "true" if value else "false"
-    if tp is float:
-        return repr
-    if issubclass(tp, Enum):
-        return operator.attrgetter("value")
-    return None
+def _parse_int(raw: str) -> int:
+    if not -2**63 <= (value := int(raw)) < 2**63:
+        raise ValueError("outside the 64-bit integer range")
+    return value
 
 
-_PARSERS = {col: _parse_bool if tp is bool else tp for col, tp in _FIELD_TYPES.items()}
-_FORMATTERS = [(col, _formatter(tp)) for col, tp in _FIELD_TYPES.items()]
+_PARSERS = {col: {bool: _parse_bool, int: _parse_int}.get(tp, tp)
+            for col, tp in _FIELD_TYPES.items()}
 
 
 def write_population_csv(handle, pop: Population) -> None:
-    """Write one building per row, one column per field."""
+    """Write one building per row, one column per field; floats use repr so
+    reload is bit-exact. Rows are formatted a block at a time, so that only
+    one block's cell text exists at once."""
+    texts = [[m.value for m in tp].__getitem__ if issubclass(tp, Enum)
+             else {bool: ("false", "true").__getitem__, float: repr}.get(tp)
+             for tp in _FIELD_TYPES.values()]
     writer = csv.writer(handle)
     writer.writerow(CSV_COLUMNS)
-    for b in pop.buildings:
-        writer.writerow([getattr(b, col) if fmt is None else fmt(getattr(b, col))
-                         for col, fmt in _FORMATTERS])
+    block = 1024
+    for lo in range(0, len(pop), block):
+        cells = [pop.columns[name][lo:lo + block].tolist() for name in CSV_COLUMNS]
+        writer.writerows(zip(*(c if text is None else map(text, c)
+                               for c, text in zip(cells, texts))))
 
 
 def save_population(pop: Population, path) -> None:
@@ -372,47 +438,38 @@ def load_population(path) -> Population:
             buildings.append(Building(**values))
     if not buildings:
         raise IngestionError("zero buildings", path=path)
-    total = sum(b.n_occupants for b in buildings)
-    return Population(buildings=tuple(buildings), total_occupants=total, seed_used=-1)
+    return Population.from_buildings(buildings)
 
 
 @dataclass(frozen=True)
 class Violation:
-    building_id: int | None
+    building_id: int
     field: str
     message: str
 
 
 def validate_population(pop: Population) -> list[Violation]:
-    """Collect invariant violations; an empty list means the population is sound."""
-    violations: list[Violation] = []
-    seen: set[int] = set()
-    occupants = 0
-    for b in pop.buildings:
-        if b.id in seen:
-            violations.append(Violation(b.id, "id", "duplicate building id"))
-        seen.add(b.id)
-        occupants += b.n_occupants
-        if not b.ua_w_per_k > 0:
-            violations.append(Violation(b.id, "ua_w_per_k", f"must be > 0, got {b.ua_w_per_k}"))
-        if not b.thermal_mass_j_per_k > 0:
-            violations.append(Violation(b.id, "thermal_mass_j_per_k",
-                                        f"must be > 0, got {b.thermal_mass_j_per_k}"))
-        if not b.avg_annual_kwh > 0:
-            violations.append(Violation(b.id, "avg_annual_kwh",
-                                        f"must be > 0, got {b.avg_annual_kwh}"))
-        if b.floor_area_m2 <= 0:
-            violations.append(Violation(b.id, "floor_area_m2",
-                                        f"must be > 0, got {b.floor_area_m2}"))
-        if b.hvac_heat_w < 0:
-            violations.append(Violation(b.id, "hvac_heat_w", "must be >= 0"))
-        if b.deadband_c <= 0:
-            violations.append(Violation(b.id, "deadband_c", "must be > 0"))
-        if b.n_occupants < 0:
-            violations.append(Violation(b.id, "n_occupants", "must be >= 0"))
-        if b.n_workers < 0:
-            violations.append(Violation(b.id, "n_workers", "must be >= 0"))
-    if pop.total_occupants != occupants:
-        violations.append(Violation(None, "total_occupants",
-                                    f"recorded {pop.total_occupants}, actual {occupants}"))
-    return violations
+    """Collect invariant violations, building by building and each
+    building's in rule order; an empty list means the population is sound.
+    Every float column must also be finite."""
+    duplicate = np.ones(len(pop), dtype=bool)
+    duplicate[np.unique(pop.id, return_index=True)[1]] = False
+    rules = [  # (field, mask of violating buildings, message)
+        ("id", duplicate, "duplicate building id"),
+        ("ua_w_per_k", ~(pop.ua_w_per_k > 0), "must be > 0, got {}"),
+        ("thermal_mass_j_per_k", ~(pop.thermal_mass_j_per_k > 0), "must be > 0, got {}"),
+        ("avg_annual_kwh", ~(pop.avg_annual_kwh > 0), "must be > 0, got {}"),
+        ("floor_area_m2", pop.floor_area_m2 <= 0, "must be > 0, got {}"),
+        ("hvac_heat_w", pop.hvac_heat_w < 0, "must be >= 0"),
+        ("deadband_c", pop.deadband_c <= 0, "must be > 0"),
+        ("n_occupants", pop.n_occupants < 0, "must be >= 0"),
+        ("n_workers", pop.n_workers < 0, "must be >= 0"),
+    ]
+    flagged = {name: bad for name, bad, _ in rules}
+    rules += [(name, ~np.isfinite(pop.columns[name]) & ~flagged.get(name, np.False_),
+               "must be finite, got {}")
+              for name, tp in _FIELD_TYPES.items() if tp is float]
+    buildings, which = np.nonzero(np.column_stack([bad for _, bad, _ in rules]))
+    return [Violation(int(pop.id[i]), rules[r][0],
+                      rules[r][2].format(pop.columns[rules[r][0]][i].item()))
+            for i, r in zip(buildings.tolist(), which.tolist())]

@@ -16,10 +16,21 @@ COMPARE_ROWS = (
 
 
 def _load_run(run_dir: Path) -> dict:
+    """A run's summary, with a number at every key that `compare` reads."""
     summary_path = run_dir / "summary.json"
     if not summary_path.exists():
         raise ConfigurationError(f"no summary.json in {run_dir}; not a completed run")
-    return json.loads(summary_path.read_text(encoding="utf-8"))
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigurationError(f"{summary_path} is not valid JSON: {exc}") from exc
+    for key in [(m, "mean") for m in COMPARE_ROWS] + [("mean_rr_population",)]:
+        value = summary
+        for part in key:
+            value = value.get(part) if isinstance(value, dict) else None
+        if type(value) not in (int, float):
+            raise ConfigurationError(f"{summary_path} has no number at key {'.'.join(key)!r}")
+    return summary
 
 
 def _delta_pct(value: float, baseline: float) -> float | None:

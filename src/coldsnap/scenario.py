@@ -36,6 +36,8 @@ from .outage import (
 from .population import (
     Population,
     PopulationSpec,
+    Sector,
+    code,
     load_population,
     synthesize_population,
     validate_population,
@@ -283,14 +285,11 @@ def build_schedules(config: ScenarioConfig, pop: Population) -> PowerScheduleSet
     if config.scenario == Scenario.CO.value:
         shed_ids = params.shed_ids
         if shed_ids is None:
-            if params.shed_scope == "residential":
-                candidates = sorted(b.id for b in pop.residential())
-            else:
-                candidates = sorted(pop.ids)
+            candidates = np.sort(pop.id if params.shed_scope == "all"
+                                 else pop.id[pop.sector == code(Sector.RESIDENTIAL)])
             n_shed = int(round(params.shed_fraction * len(candidates)))
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5348)))
-            shed_ids = sorted(int(i) for i in
-                              rng.choice(np.array(candidates), size=n_shed, replace=False))
+            shed_ids = np.sort(rng.choice(candidates, size=n_shed, replace=False))
         return build_controlled_outage(pop, start, end, dt, shed_ids, params.fault_fraction,
                                        config.seed)
 
@@ -341,8 +340,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     window = slice_window(series, config.window_start, config.window_end)
 
     hz = config.hazard
-    buildings = pop.buildings
-    n_b = len(buildings)
+    n_b = len(pop)
     mean_rr, mean_t, min_t, wi_sum, prod_usd = (np.empty(n_b) for _ in range(5))
     unpowered_h = schedule.unpowered_hours()
     with (open(traces_path, "w", newline="", encoding="utf-8") if traces_path is not None
@@ -350,7 +348,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
         sink = (TraceWriter(handle, window.start, window.dt_s, window.n_steps)
                 if handle is not None else None)
         for first in range(0, n_b, SIM_BLOCK):
-            block = buildings[first:first + SIM_BLOCK]
+            block = pop[first:first + SIM_BLOCK]
             powered = schedule.powered[first:first + SIM_BLOCK]
             t_in, hvac_on = simulate_block(block, window, powered.T)
             if sink is not None:
@@ -374,7 +372,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
         beta = float(max(wi_sum.max(initial=0.0), 1e-9))
 
     # Both totals add in building order, one building at a time.
-    c_cic = sum(interruption_cost(buildings, unpowered_h, config.valuation.cic).tolist())
+    c_cic = sum(interruption_cost(pop, unpowered_h, config.valuation.cic).tolist())
     c_prod = 0.0
     for usd in prod_usd.tolist():
         c_prod += usd
@@ -385,30 +383,19 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
         p_mort_by_building=p_mort,
         wi_sum_by_building=wi_sum,
         beta_wi=float(beta),
-        occupants_by_building=np.array([b.n_occupants for b in buildings]),
+        occupants_by_building=pop.n_occupants,
         c_prod=float(c_prod),
         c_cic=float(c_cic),
         hazard_cfg=hz,
         val_params=config.valuation,
         mean_rr_by_building=mean_rr,
     )
-    columns = (mean_t, min_t, mean_rr, p_mort, wi_sum, unpowered_h)
-    exposure_rows = [
-        {
-            "building_id": b.id,
-            "kind": b.kind.value,
-            "sector": b.sector.value,
-            "insulation": b.insulation.value,
-            "n_occupants": b.n_occupants,
-            "mean_t_in_c": t_mean,
-            "min_t_in_c": t_min,
-            "mean_rr": rr,
-            "p_mort": p,
-            "wi_sum": wi,
-            "unpowered_h": hours,
-        }
-        for b, t_mean, t_min, rr, p, wi, hours in zip(buildings, *(c.tolist() for c in columns))
-    ]
+    names = ("building_id", "kind", "sector", "insulation", "n_occupants", "mean_t_in_c",
+             "min_t_in_c", "mean_rr", "p_mort", "wi_sum", "unpowered_h")
+    columns = [pop.id.tolist(), pop.labels("kind"), pop.labels("sector"),
+               pop.labels("insulation"), pop.n_occupants.tolist()] + [
+        c.tolist() for c in (mean_t, min_t, mean_rr, p_mort, wi_sum, unpowered_h)]
+    exposure_rows = [dict(zip(names, row)) for row in zip(*columns)]
     return bundle, exposure_rows
 
 
@@ -441,7 +428,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     summary["config_hash"] = config.config_hash()
     summary["population_digest"] = population_digest(pop)
     summary["mean_rr_population"] = float(bundle.mean_rr_by_building.mean())
-    summary["n_buildings"] = len(pop.buildings)
+    summary["n_buildings"] = len(pop)
     summary["total_occupants"] = pop.total_occupants
 
     _write_trials_csv(out / "trials.csv", distribution)

@@ -20,12 +20,13 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigurationError
+from .population import Population
 from .weather import WeatherSeries
 
 
-def simulate_block(buildings, weather: WeatherSeries, powered,
+def simulate_block(pop: Population, weather: WeatherSeries, powered,
                    internal_gain_w: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate buildings side by side over a weather window.
+    """Simulate a population's buildings side by side over a weather window.
 
     `powered` is a (steps x buildings) boolean matrix aligned with the weather
     samples. Returns the indoor temperature and the heating-on flag, both
@@ -35,29 +36,31 @@ def simulate_block(buildings, weather: WeatherSeries, powered,
     buildings and zero otherwise.
     """
     powered = np.ascontiguousarray(powered, dtype=bool)
-    n, k = weather.n_steps, len(buildings)
+    n, k = weather.n_steps, len(pop)
     if powered.shape != (n, k):
         raise ConfigurationError(
             f"schedule block is {powered.shape[0]} steps x {powered.shape[1]} buildings, "
             f"weather has {n} steps for {k} buildings"
         )
     if internal_gain_w is None:
-        gains = [defaults.INTERNAL_GAIN_W if b.n_occupants > 0 else 0.0 for b in buildings]
+        gains = np.where(pop.n_occupants > 0, defaults.INTERNAL_GAIN_W, 0.0)
     else:
-        gains = [internal_gain_w] * k
+        gains = np.full(k, float(internal_gain_w))
     # Per-building constants, each computed with the same scalar expression as
-    # the one-building relay so that every row is bit-identical to it.
-    decay = np.array([math.exp(-b.ua_w_per_k * weather.dt_s / b.thermal_mass_j_per_k)
-                      for b in buildings])
-    rise_off = np.array([g / b.ua_w_per_k for b, g in zip(buildings, gains)])
-    rise_on = np.array([(b.hvac_heat_w + g) / b.ua_w_per_k for b, g in zip(buildings, gains)])
-    lo = np.array([b.setpoint_c - b.deadband_c / 2.0 for b in buildings])
-    hi = np.array([b.setpoint_c + b.deadband_c / 2.0 for b in buildings])
+    # the one-building relay so that every row is bit-identical to it; numpy's
+    # vector exp can differ from math.exp in the last bit.
+    ua = pop.ua_w_per_k
+    exponent = -ua * weather.dt_s / pop.thermal_mass_j_per_k
+    decay = np.array([math.exp(x) for x in exponent.tolist()])
+    rise_off = gains / ua
+    rise_on = (pop.hvac_heat_w + gains) / ua
+    lo = pop.setpoint_c - pop.deadband_c / 2.0
+    hi = pop.setpoint_c + pop.deadband_c / 2.0
 
     t_out = weather.t_out_c
     t_in = np.empty((n, k))
     hvac_on = np.empty((n, k), dtype=bool)
-    temp = np.array([b.setpoint_c for b in buildings], dtype=float)
+    temp = pop.setpoint_c.copy()
     on = np.zeros(k, dtype=bool)
     hold = np.empty(k, dtype=bool)
     for i in range(n):
@@ -163,18 +166,19 @@ class TraceWriter:
         self.chunk = 1
         handle.write("building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
 
-    def write(self, buildings, t_in, powered, hvac_on) -> None:
+    def write(self, pop: Population, t_in, powered, hvac_on) -> None:
         """Rows of a block as `simulate_block` takes and returns it: `t_in`,
         `powered` and `hvac_on` are (steps x buildings). `chunk` buildings'
         rows, about `TRACE_CHUNK_BYTES`, exist at once."""
-        ids = _ascii_rows(str(b.id) for b in buildings)
+        ids = _ascii_rows(map(str, pop.id.tolist()))
         # Rows 2j and 2j + 1: building j's draw with the heating off and on.
-        kw = _ascii_rows(f"{v:.3f}\r\n" for b in buildings for v in (0.0, b.hvac_electric_kw))
+        kw = _ascii_rows(f"{v:.3f}\r\n" for on_kw in pop.hvac_electric_kw.tolist()
+                         for v in (0.0, on_kw))
         n = self._stamps.shape[0]
         row_bytes = (ids.shape[1] + self._stamps.shape[1] + _FIXED4_BYTES
                      + _FLAGS.shape[1] + kw.shape[1])
         self.chunk = max(1, TRACE_CHUNK_BYTES // max(1, n * row_bytes))
-        for lo in range(0, len(buildings), self.chunk):
+        for lo in range(0, len(pop), self.chunk):
             at = slice(lo, lo + self.chunk)
             k = len(ids[at])
             kw_rows = 2 * np.arange(lo, lo + k)[:, None] + hvac_on[:, at].T

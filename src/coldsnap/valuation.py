@@ -29,18 +29,12 @@ from .hazard import (
     TruncNormal,
     resolve_at_risk,
 )
-from .population import Population, Sector
+from .population import BuildingKind, Population, Sector, code
 
 # Trials per Monte-Carlo batch. The last batch is drawn in full and cut, so
 # trial i depends only on (master seed, i). The batch's at-risk block is
 # MC_BATCH x buildings 8-byte integers: about 2 MB at 4,209 buildings.
 MC_BATCH = 64
-
-
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one trial drawn on its own, as
-    by `hazard.simulate_outcomes`; `run_monte_carlo` uses `batch_rng`."""
-    return np.random.default_rng(np.random.SeedSequence((int(master_seed), 0x7269616C, int(trial_index))))
 
 
 def batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:
@@ -83,7 +77,7 @@ class CICParams:
     duration_cap_h: float = defaults.CIC_DURATION_CAP_H
 
 
-def interruption_cost(buildings, unpowered_h, params: CICParams) -> np.ndarray:
+def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.ndarray:
     """Direct interruption cost of each customer given its total unpowered
     hours, one value per building.
 
@@ -98,23 +92,26 @@ def interruption_cost(buildings, unpowered_h, params: CICParams) -> np.ndarray:
         raise ConfigurationError("unpowered hours cannot be negative")
     usd = np.zeros(len(hours))
     dark = np.flatnonzero(hours > 0)
-    customers = [buildings[i] for i in dark.tolist()]
-    tables = [params.tables.get(_SECTOR_TABLE_KEY.get(b.sector)) for b in customers]
-    for b, table in zip(customers, tables):
-        if table is None:
-            raise ConfigurationError(f"no interruption-cost table for sector {b.sector}")
-    base, per_hour, per_kwh, slope = (np.array([getattr(t, name) for t in tables])
-                                      for name in ("base", "per_hour", "per_kwh",
-                                                   "slope_beyond_cap"))
-    residential = np.array([b.sector is Sector.RESIDENTIAL for b in customers])
-    income = np.array([params.income_multiplier.get(b.income_bracket, 1.0) for b in customers])
-    discounted = np.array([b.sector is Sector.SMALL_CI and b.backup for b in customers])
+    customers = pop[dark]
+    sector = customers.sector
+    tables = [params.tables.get(_SECTOR_TABLE_KEY[s]) for s in Sector]
+    untabled = np.array([t is None for t in tables])[sector]
+    if untabled.any():
+        raise ConfigurationError("no interruption-cost table for sector "
+                                 f"{tuple(Sector)[sector[untabled.argmax()]]}")
+    base, per_hour, per_kwh, slope = (
+        np.array([math.nan if t is None else getattr(t, name) for t in tables])[sector]
+        for name in ("base", "per_hour", "per_kwh", "slope_beyond_cap"))
+    residential = sector == code(Sector.RESIDENTIAL)
+    brackets, bracket = np.unique(customers.income_bracket, return_inverse=True)
+    income = np.array([params.income_multiplier.get(b, 1.0) for b in brackets.tolist()])[bracket]
+    discounted = (sector == code(Sector.SMALL_CI)) & customers.backup
     # The same operations in the same order as for one customer at a time.
     ci = params.season_multiplier * params.industry_multiplier
     multiplier = np.where(residential, params.season_multiplier * income,
                           np.where(discounted, ci * params.backup_discount, ci))
     h = hours[dark]
-    avg_kw = np.array([b.avg_annual_kwh for b in customers]) / 8760.0
+    avg_kw = customers.avg_annual_kwh / 8760.0
     inner = base + per_hour * np.minimum(h, params.duration_cap_h) + per_kwh * avg_kw * h
     surcharge = slope * np.maximum(h - params.duration_cap_h, 0.0)
     usd[dark] = inner * multiplier + surcharge
@@ -159,12 +156,14 @@ class ValuationParams:
                 raise ConfigurationError("pipe repair cost range inverted")
 
     def require_wages(self, pop: Population) -> None:
-        """Every kind with workers in the population needs an hourly wage."""
-        for b in pop.buildings:
-            if b.n_workers and b.kind.value not in self.wage_usd_per_hour:
+        """Every kind with workers in the population needs an hourly wage;
+        the first kind without one, in building order, is named."""
+        kinds, first = np.unique(pop.kind[pop.n_workers != 0], return_index=True)
+        for kind in (tuple(BuildingKind)[k] for k in kinds[np.argsort(first)].tolist()):
+            if kind.value not in self.wage_usd_per_hour:
                 raise ConfigurationError(
                     f"config key 'valuation.wage_usd_per_hour' has no wage for "
-                    f"{b.kind.value!r}, whose buildings have workers")
+                    f"{kind.value!r}, whose buildings have workers")
 
 
 def medical_cost(outcomes: OutcomeBatch, p_mort: np.ndarray,
@@ -221,7 +220,7 @@ def _work_hour_mask(start_seconds_of_day: float, dt_s: float, n_steps: int,
     return (seconds >= hours[0] * 3600.0) & (seconds < hours[1] * 3600.0)
 
 
-def productivity_cost(t_in_c, powered, buildings, start, dt_s: float,
+def productivity_cost(t_in_c, powered, pop: Population, start, dt_s: float,
                       params: ValuationParams, productivity_model) -> np.ndarray:
     """Wage value of lost work performance over the event's working hours,
     one value per building.
@@ -231,7 +230,8 @@ def productivity_cost(t_in_c, powered, buildings, start, dt_s: float,
     zero at unpowered steps for power-dependent jobs and follows the
     temperature curve otherwise. Residential (work-from-home) and commercial
     premises use their configured daily working windows. Buildings without
-    workers cost nothing.
+    workers cost nothing; a kind with workers but no wage costs NaN
+    (`ValuationParams.require_wages` rejects it first).
     """
     t_in_c = np.asarray(t_in_c, dtype=float)
     n_steps = t_in_c.shape[1]
@@ -239,19 +239,17 @@ def productivity_cost(t_in_c, powered, buildings, start, dt_s: float,
     res_mask = _work_hour_mask(start_sec, dt_s, n_steps, params.work_hours_residential)
     com_mask = _work_hour_mask(start_sec, dt_s, n_steps, params.work_hours_commercial)
 
-    needs_power = np.array([b.job_requires_power for b in buildings], dtype=bool)
-    loss = 1.0 - np.where(needs_power[:, None] & ~np.asarray(powered, dtype=bool),
+    loss = 1.0 - np.where(pop.job_requires_power[:, None] & ~np.asarray(powered, dtype=bool),
                           0.0, productivity_model.evaluate(t_in_c))
     # Boolean column selection leaves the rows non-contiguous, and their sums
     # would differ in the last bit from the one-trace sums; copy first.
     lost_res = np.ascontiguousarray(loss[:, res_mask]).sum(axis=1)
     lost_com = np.ascontiguousarray(loss[:, com_mask]).sum(axis=1)
-    residential = np.array([b.sector is Sector.RESIDENTIAL for b in buildings], dtype=bool)
+    residential = pop.sector == code(Sector.RESIDENTIAL)
     lost_h = np.where(residential, lost_res, lost_com) * (dt_s / 3600.0)
-    workers = np.array([b.n_workers for b in buildings], dtype=float)
-    wage = np.array([params.wage_usd_per_hour[b.kind.value] if b.n_workers else 0.0
-                     for b in buildings])
-    return workers * lost_h * wage
+    wage_by_kind = np.array([params.wage_usd_per_hour.get(k.value, math.nan) for k in BuildingKind])
+    wage = np.where(pop.n_workers != 0, wage_by_kind[pop.kind], 0.0)
+    return pop.n_workers * lost_h * wage
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ class ScenarioBundle:
 
     scenario: str
     pop: Population
-    p_mort_by_building: np.ndarray   # aligned with pop.buildings order
+    p_mort_by_building: np.ndarray   # in population order
     wi_sum_by_building: np.ndarray
     beta_wi: float
     occupants_by_building: np.ndarray

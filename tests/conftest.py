@@ -76,11 +76,7 @@ def make_building(
 
 
 def make_population(buildings) -> Population:
-    return Population(
-        buildings=tuple(buildings),
-        total_occupants=sum(b.n_occupants for b in buildings),
-        seed_used=0,
-    )
+    return Population.from_buildings(buildings)
 
 
 def constant_weather(t_out_c: float, hours: float, dt_s: float = 300.0,

@@ -1,10 +1,10 @@
 """Per-building and scalar reference paths that the package is checked against.
 
-These are the one-building-at-a-time forms of the power schedules, the
-thermal simulation, the hazard reductions, the interruption and
-productivity costs and the trace export, plus the scalar forms of the
-thermostat step, the outcome tree and the medical cost, and the
-one-trial Monte-Carlo path. The package computes the same quantities over
+These are the one-building-at-a-time forms of the power schedules and
+their rolling groups, the thermal simulation, the hazard reductions, the
+interruption and productivity costs and the trace export, plus the scalar
+forms of the thermostat step, the outcome tree and the medical cost, and
+the one-trial Monte-Carlo path. The package computes the same quantities over
 blocks of buildings, occupants or trials; the equivalence tests require
 the two to agree bit for bit, or, for the Monte-Carlo path, in
 distribution.
@@ -24,20 +24,23 @@ from coldsnap import defaults
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import (
     CONDITIONS,
+    STATUS_DEATH,
+    STATUS_HOME,
+    STATUS_HOSPITAL,
     Condition,
+    HazardConfig,
     OutcomeBatch,
     TruncNormal,
     mortality_probability,
-    simulate_outcomes,
+    resolve_at_risk,
     winter_index_sum,
 )
 from coldsnap.outage import (
     Scenario,
     _window_steps,
-    assign_rolling_groups,
     select_isolated,
 )
-from coldsnap.population import Building, Sector
+from coldsnap.population import Building, Population, Sector
 from coldsnap.thermal import simulate_block
 from coldsnap.valuation import (
     _SECTOR_TABLE_KEY,
@@ -45,7 +48,6 @@ from coldsnap.valuation import (
     ScenarioBundle,
     ValuationParams,
     _work_hour_mask,
-    trial_rng,
 )
 from coldsnap.weather import load_weather_csv, resample, slice_window
 
@@ -86,7 +88,7 @@ def build_base_schedule(pop, start, end, dt_s) -> ScheduleDict:
 
 def build_controlled_outage(pop, start, end, dt_s, shed_ids, fault_fraction,
                             seed) -> ScheduleDict:
-    known = set(pop.ids)
+    known = {b.id for b in pop.buildings}
     shed = set(int(i) for i in shed_ids)
     unknown = shed - known
     if unknown:
@@ -99,6 +101,20 @@ def build_controlled_outage(pop, start, end, dt_s, shed_ids, fault_fraction,
         for b in pop.buildings
     }
     return ScheduleDict(Scenario.CO, start, end, dt_s, schedules, isolated)
+
+
+def assign_rolling_groups(pop, n_groups: int) -> dict[int, int]:
+    """Consumption tier of each residential building, keyed by id: ranked
+    by (-kWh, id), tier 0 heaviest, tiers of near-equal size."""
+    if n_groups < 2:
+        raise ConfigurationError(f"need at least 2 rolling groups, got {n_groups}")
+    residential = sorted((b for b in pop.buildings if b.sector is Sector.RESIDENTIAL),
+                         key=lambda b: (-b.avg_annual_kwh, b.id))
+    groups: dict[int, int] = {}
+    size = len(residential) / n_groups
+    for rank, b in enumerate(residential):
+        groups[b.id] = min(int(rank / size) if size else 0, n_groups - 1)
+    return groups
 
 
 def build_rolling_outage(pop, start, end, dt_s, n_groups, availability, hardened,
@@ -202,7 +218,8 @@ def simulate_building(building: Building, weather, powered,
         raise ConfigurationError(
             f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
         )
-    t_in, hvac_on = simulate_block([building], weather, powered[:, None], internal_gain_w)
+    t_in, hvac_on = simulate_block(Population.from_buildings([building]), weather,
+                                   powered[:, None], internal_gain_w)
     return ExposureTrace(
         building_id=building.id,
         start=weather.start,
@@ -341,6 +358,44 @@ def base_mortality(t_in_c, model, delta: float = 0.0) -> float:
 
 def sample_truncated_normal(params: TruncNormal, rng: np.random.Generator, size=None):
     return params.sample(rng, size)
+
+
+def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    """Independent, reproducible stream for one trial drawn on its own."""
+    return np.random.default_rng(np.random.SeedSequence((int(master_seed), 0x7269616C, int(trial_index))))
+
+
+@dataclass(frozen=True)
+class TrialOutcomes(OutcomeBatch):
+    """Every occupant's outcome in one trial, with its counts."""
+
+    @property
+    def n_death(self) -> int:
+        return int((self.status == STATUS_DEATH).sum())
+
+    @property
+    def n_injured(self) -> int:
+        return int(((self.status == STATUS_HOME) | (self.status == STATUS_HOSPITAL)).sum())
+
+
+def simulate_outcomes(p_mort: np.ndarray, cfg: HazardConfig, rng: np.random.Generator) -> TrialOutcomes:
+    """Resolve one trial's occupants, each at risk with its own probability.
+
+    Each occupant is at risk with probability `p_mort`; the at-risk ones
+    walk the outcome tree of `resolve_at_risk`. Occupants not at risk stay
+    unaffected, without a condition or a health-insurance flag.
+    """
+    p_mort = np.asarray(p_mort, dtype=float)
+    n = p_mort.shape[0]
+    idx = np.flatnonzero(rng.random(n) < p_mort)
+    tree = resolve_at_risk(idx.size, cfg, rng)
+    status = np.zeros(n, dtype=np.int8)
+    condition = np.full(n, -1, dtype=np.int8)
+    insured = np.zeros(n, dtype=bool)
+    status[idx] = tree.status
+    condition[idx] = tree.condition
+    insured[idx] = tree.insured
+    return TrialOutcomes(status, condition, insured)
 
 
 class OutcomeStatus(str, Enum):

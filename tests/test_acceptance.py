@@ -18,8 +18,8 @@ from scipy import stats
 
 from coldsnap import defaults
 from coldsnap.cli import main
-from coldsnap.hazard import CONDITIONS, HazardConfig, TruncNormal, simulate_outcomes
-from coldsnap.valuation import run_monte_carlo, trial_rng
+from coldsnap.hazard import CONDITIONS, HazardConfig, TruncNormal
+from coldsnap.valuation import run_monte_carlo
 from coldsnap.weather import WeatherSeries
 
 from conftest import make_building
@@ -28,6 +28,8 @@ from oracles import (
     max_contiguous_off,
     outcome_tree_probabilities,
     simulate_building,
+    simulate_outcomes,
+    trial_rng,
 )
 from test_thermal import superposition_oracle
 from test_valuation import make_bundle
@@ -169,14 +171,14 @@ def test_criterion_4_rolling_outage_guarantee(demo_runs, demo_config_path):
     # stretch is exactly 2 h; damaged-infrastructure isolation picks
     # round(3.4% x 1403) = 48 buildings.
     from coldsnap.scenario import build_schedules, load_config
-    from coldsnap.population import synthesize_population
+    from coldsnap.population import Sector, synthesize_population
 
     config_hi = load_config(demo_config_path, {"scenario": "ro-hi"})
     pop = synthesize_population(config_hi.population_spec, config_hi.seed)
     sched_hi = build_schedules(config_hi, pop)
-    schedules = dict(zip(pop.ids, sched_hi.powered))
+    schedules = dict(zip(pop.id.tolist(), sched_hi.powered))
     offs = {max_contiguous_off(schedules[b.id], sched_hi.dt_s)
-            for b in pop.residential()}
+            for b in pop.buildings if b.sector is Sector.RESIDENTIAL}
 
     config_di = load_config(demo_config_path, {"scenario": "ro-di"})
     sched_di = build_schedules(config_di, pop)

@@ -247,6 +247,24 @@ class TestCompare:
         assert [k for k in rows[0] if not k.endswith("_delta_pct")] == [
             "metric", f"{runs['co']}#1", f"{runs['co']}#2"]
 
+    @pytest.mark.parametrize("text, reason", [
+        ("not json", "is not valid JSON: Expecting value"),
+        ("[]", "has no number at key 'c_vsl.mean'"),
+        (None, "has no number at key 'c_vsl.mean'"),  # a real summary without c_vsl
+    ])
+    def test_malformed_summary_exits_2_naming_file(self, runs, tmp_path, capsys, text, reason):
+        if text is None:
+            summary = json.loads((runs["ro-hi"] / "summary.json").read_text())
+            del summary["c_vsl"]
+            text = json.dumps(summary)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "summary.json").write_text(text)
+        code = main(["compare", str(runs["co"]), str(bad), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad / "summary.json") in err and reason in err
+
     def test_reordering_inputs_permutes_columns_only(self, runs, tmp_path):
         forward = compare_scenarios([runs["co"], runs["ro-hi"]], tmp_path / "f.csv")
         backward = compare_scenarios([runs["ro-hi"], runs["co"]], tmp_path / "b.csv")
@@ -321,3 +339,40 @@ class TestPopulationFileRoute:
         assert summary["population_digest"] == population_digest(pop)
         with open(out / "exposure.csv", newline="") as handle:
             assert len(list(_csv.DictReader(handle))) == 32
+
+    @pytest.fixture(scope="class")
+    def small_pop_csv(self, tmp_path_factory):
+        from coldsnap.population import (
+            BuildingKind, PopulationSpec, save_population, synthesize_population,
+        )
+
+        spec = PopulationSpec(counts={BuildingKind.SINGLE_FAMILY: 10, BuildingKind.OFFICE: 2})
+        path = tmp_path_factory.mktemp("small_pop") / "pop.csv"
+        save_population(synthesize_population(spec, seed=4), path)
+        return path
+
+    @pytest.mark.parametrize("column", ["floor_area_m2", "ua_w_per_k", "thermal_mass_j_per_k",
+                                        "hvac_heat_w", "setpoint_c", "deadband_c",
+                                        "avg_annual_kwh"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_2_naming_building_and_field(
+            self, demo_config_path, small_pop_csv, tmp_path, capsys, column, value):
+        with open(small_pop_csv, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[7][column] = value
+        pop_csv = tmp_path / "pop.csv"
+        with open(pop_csv, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        config = json.loads(demo_config_path.read_text())
+        config["population"] = {"path": str(pop_csv)}
+        config["weather_path"] = str(demo_config_path.parent / "demo_weather.csv")
+        cfg_path = tmp_path / "file_pop.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["run", "--config", str(cfg_path), "--scenario", "co",
+                     "--trials", "5", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"first: building {rows[7]['id']} field {column}: " in err
+        assert f"got {value}" in err

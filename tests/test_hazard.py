@@ -16,7 +16,6 @@ from coldsnap.hazard import (
     RRModel,
     TruncNormal,
     WinterIndexParams,
-    simulate_outcomes,
     winter_index_sum,
 )
 
@@ -28,6 +27,7 @@ from oracles import (
     relative_risk,
     sample_truncated_normal,
     simulate_occupant_outcome,
+    simulate_outcomes,
 )
 
 GRID = np.arange(-15.0, 30.0 + 1e-9, 0.1)

@@ -18,7 +18,8 @@ from coldsnap import thermal as thermal_module
 from coldsnap.demo import demo_config_dict, make_uri_like_weather, write_weather_csv
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import CONDITIONS, STATUS_DEATH, STATUS_HOME, STATUS_HOSPITAL, OutcomeBatch
-from coldsnap.population import BuildingKind, synthesize_population
+from coldsnap.outage import assign_rolling_groups
+from coldsnap.population import BuildingKind, Sector, synthesize_population
 from coldsnap.scenario import (
     REDUCE_BLOCK,
     SCENARIO_NAMES,
@@ -37,7 +38,7 @@ from coldsnap.valuation import (
 )
 from coldsnap.weather import load_weather_csv, slice_window
 
-from conftest import constant_weather, make_building
+from conftest import constant_weather, make_building, make_population
 
 # Demo counts scaled so the population spans two simulation blocks and ends
 # in partial blocks of both sizes.
@@ -80,6 +81,30 @@ def test_population_ends_in_partial_blocks(assets):
     n = len(pop.buildings)
     assert n > SIM_BLOCK
     assert n % SIM_BLOCK and n % REDUCE_BLOCK
+
+
+def kwh_ties_population():
+    """Residential buildings in shuffled id order whose consumption takes
+    three values, four buildings each, with commercial buildings between them."""
+    ids = [17, 3, 11, 5, 0, 8, 21, 2, 14, 9, 30, 1]
+    buildings = [make_building(bid, avg_annual_kwh=(12_000.0, 9_000.0, 15_500.0)[i % 3])
+                 for i, bid in enumerate(ids)]
+    buildings[4:4] = [make_building(40, kind=BuildingKind.OFFICE, avg_annual_kwh=12_000.0)]
+    buildings.append(make_building(41, kind=BuildingKind.BIG_BOX, avg_annual_kwh=9_000.0))
+    return make_population(buildings)
+
+
+@pytest.mark.parametrize("n_groups", [2, 3, 4, 7])
+def test_rolling_groups_match_oracle_exactly(assets, n_groups):
+    _, demo, _ = prepare(assets["demo"], "base")
+    assert len(demo) == 295
+    for pop in (demo, kwh_ties_population()):
+        tier = assign_rolling_groups(pop, n_groups)
+        rows = pop.buildings
+        assert (tier >= 0).tolist() == [b.sector is Sector.RESIDENTIAL for b in rows]
+        assert {b.id: t for b, t in zip(rows, tier.tolist()) if t >= 0} == \
+            oracles.assign_rolling_groups(pop, n_groups)
+    assert len(set(pop.avg_annual_kwh.tolist())) == 3
 
 
 @pytest.mark.parametrize("variant, scenario",
@@ -141,7 +166,7 @@ def test_block_cic_matches_scalar_oracle_exactly():
     season, industry, backup = (params.season_multiplier, params.industry_multiplier,
                                 params.backup_discount)
     assert (season * industry) * backup != season * (industry * backup)
-    usd = interruption_cost(buildings, np.array(hours), params)
+    usd = interruption_cost(make_population(buildings), np.array(hours), params)
     ref = [oracles.interruption_cost(b, h, params) for b, h in zip(buildings, hours)]
     assert usd.tolist() == ref
     assert sum(usd.tolist()) == sum(ref)
@@ -179,12 +204,12 @@ def test_missing_sector_table_raises_only_for_unpowered_hours():
     buildings = cic_buildings()
     residential = buildings[:4]
     hours = np.array([7.3] * len(residential) + [0.0] * (len(buildings) - len(residential)))
-    usd = interruption_cost(buildings, hours, params)
+    usd = interruption_cost(make_population(buildings), hours, params)
     assert usd.tolist() == [oracles.interruption_cost(b, h, params)
                             for b, h in zip(buildings, hours.tolist())]
     hours[-1] = 0.25
     with pytest.raises(ConfigurationError, match="no interruption-cost table"):
-        interruption_cost(buildings, hours, params)
+        interruption_cost(make_population(buildings), hours, params)
     with pytest.raises(ConfigurationError, match="no interruption-cost table"):
         oracles.interruption_cost(buildings[-1], 0.25, params)
 
@@ -245,7 +270,8 @@ def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
     powered = np.zeros((weather.n_steps, len(buildings)), dtype=bool)
     powered[::3] = True
     powered[:, 3] = True
-    t_in, hvac_on = simulate_block(buildings, weather, powered)
+    pop = make_population(buildings)
+    t_in, hvac_on = simulate_block(pop, weather, powered)
     t_in[5, 1:4] = (-0.0, 0.00015, 123_456.78901)
     t_in[6, 2] = -1e-7
     assert hvac_on.any() and (t_in < 0).any()
@@ -255,7 +281,7 @@ def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
     with open(streamed, "w", newline="", encoding="utf-8") as handle:
         writer = TraceWriter(handle, weather.start, weather.dt_s, weather.n_steps)
         for at in (slice(0, 5), slice(5, None)):
-            writer.write(buildings[at], t_in[:, at], powered[:, at], hvac_on[:, at])
+            writer.write(pop[at], t_in[:, at], powered[:, at], hvac_on[:, at])
     assert 1 < writer.chunk < 5 and 5 % writer.chunk
     exported = tmp_path / "exported.csv"
     oracles.write_traces_csv(
@@ -312,10 +338,11 @@ def test_block_row_matches_single_building_runs(assets):
     config, pop, schedule = prepare(assets["demo"], "ro-di")
     window = slice_window(load_weather_csv(config.weather_path),
                           config.window_start, config.window_end)
-    buildings = pop.buildings[:REDUCE_BLOCK + 3]
+    block = pop[:REDUCE_BLOCK + 3]
+    buildings = block.buildings
     powered = schedule.powered[:len(buildings)].T
     gain = 350.0
-    t_in, hvac_on = simulate_block(buildings, window, powered, internal_gain_w=gain)
+    t_in, hvac_on = simulate_block(block, window, powered, internal_gain_w=gain)
     for j, b in enumerate(buildings):
         single = oracles.simulate_building(b, window, powered[:, j], internal_gain_w=gain)
         scalar = oracles.simulate_building_scalar(b, window, powered[:, j],
@@ -335,7 +362,7 @@ def test_block_decay_is_the_scalar_exponential():
     assert (np.exp(exponents) != [math.exp(x) for x in exponents]).any()
     powered = np.zeros((weather.n_steps, len(buildings)), dtype=bool)
     powered[: weather.n_steps // 2] = True
-    t_in, _ = simulate_block(buildings, weather, powered)
+    t_in, _ = simulate_block(make_population(buildings), weather, powered)
     for j, b in enumerate(buildings):
         scalar = oracles.simulate_building_scalar(b, weather, powered[:, j])
         assert np.array_equal(scalar.t_in_c, t_in[:, j])

@@ -29,7 +29,11 @@ N_STEPS = int(96 * 3600 / DT)
 
 def by_id(pop, values):
     """Rows of a per-building matrix or vector, keyed by building id."""
-    return dict(zip(pop.ids, values))
+    return dict(zip(pop.id.tolist(), values))
+
+
+def residential(pop):
+    return [b for b in pop.buildings if b.sector is Sector.RESIDENTIAL]
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +92,7 @@ class TestControlledOutage:
         assert all(s.all() for s in sched.powered)
 
     def test_shed_all_residential_leaves_commercial_powered(self, small_pop):
-        shed = {b.id for b in small_pop.residential()}
+        shed = {b.id for b in residential(small_pop)}
         sched = build_controlled_outage(small_pop, START, END, DT, shed, 0.0, seed=1)
         schedules = by_id(small_pop, sched.powered)
         for b in small_pop.buildings:
@@ -128,7 +132,7 @@ class TestRollingOutage:
         sched = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
                                      hardened=True, fault_fraction=0.0, seed=1)
         schedules = by_id(demo_pop, sched.powered)
-        for b in demo_pop.residential():
+        for b in residential(demo_pop):
             assert max_contiguous_off(schedules[b.id], DT) == pytest.approx(2.0)
 
     def test_commercial_always_powered(self, demo_pop):
@@ -157,21 +161,21 @@ class TestRollingOutage:
         hi_schedules = by_id(demo_pop, hi.powered)
         for bid in di.isolated_ids:
             assert np.all(hi_schedules[bid] >= di_schedules[bid])
-        for bid in set(demo_pop.ids) - di.isolated_ids:
+        for bid in set(demo_pop.id.tolist()) - di.isolated_ids:
             np.testing.assert_array_equal(hi_schedules[bid], di_schedules[bid])
 
     def test_conservation_exactly_k_groups_per_slot(self, demo_pop):
         n_groups = 3
         sched = build_rolling_outage(demo_pop, START, END, DT, n_groups, self.avail(0.67),
                                      hardened=True, fault_fraction=0.0, seed=1)
-        groups = assign_rolling_groups(demo_pop, n_groups)
+        groups = by_id(demo_pop, assign_rolling_groups(demo_pop, n_groups).tolist())
         k = int(np.floor(0.67 * n_groups))
         per_slot = int(3600 / DT)
         schedules = by_id(demo_pop, sched.powered)
         for slot in range(0, N_STEPS // per_slot):
             step = slot * per_slot
             powered_groups = {
-                groups[b.id] for b in demo_pop.residential()
+                groups[b.id] for b in residential(demo_pop)
                 if schedules[b.id][step]
             }
             assert len(powered_groups) == k
@@ -179,10 +183,10 @@ class TestRollingOutage:
     def test_fairness_unpowered_totals_within_one_slot(self, demo_pop):
         sched = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
                                      hardened=True, fault_fraction=0.0, seed=1)
-        groups = assign_rolling_groups(demo_pop, 3)
+        groups = by_id(demo_pop, assign_rolling_groups(demo_pop, 3).tolist())
         off_hours: dict[int, float] = {}
         unpowered_h = by_id(demo_pop, sched.unpowered_hours())
-        for b in demo_pop.residential():
+        for b in residential(demo_pop):
             off_hours.setdefault(groups[b.id], unpowered_h[b.id])
         values = sorted(off_hours.values())
         assert values[-1] - values[0] <= 1.0 + 1e-9
@@ -190,7 +194,7 @@ class TestRollingOutage:
     def test_groups_ranked_by_consumption_ties_by_id(self):
         buildings = [make_building(i, avg_annual_kwh=10000.0) for i in range(6)]
         pop = make_population(buildings)
-        groups = assign_rolling_groups(pop, 3)
+        groups = by_id(pop, assign_rolling_groups(pop, 3).tolist())
         # Equal consumption: ascending id fills tiers in order.
         assert groups == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -7,10 +9,13 @@ from scipy import stats
 from coldsnap import defaults
 from coldsnap.errors import ConfigurationError, IngestionError
 from coldsnap.population import (
+    CSV_COLUMNS,
     INSULATION_ORDER,
     SECTOR_BY_KIND,
     BuildingKind,
+    HeatingFuel,
     Insulation,
+    Population,
     PopulationSpec,
     Sector,
     load_population,
@@ -19,6 +24,7 @@ from coldsnap.population import (
     validate_population,
     write_population_csv,
 )
+from coldsnap.scenario import population_digest
 
 from conftest import make_building, make_population
 
@@ -167,8 +173,99 @@ class TestValidate:
         violations = validate_population(make_population([bad]))
         assert [v.field for v in violations] == ["avg_annual_kwh"]
 
-    def test_total_occupants_mismatch_flagged(self):
-        from coldsnap.population import Population
-        pop = Population(buildings=(make_building(0),), total_occupants=99, seed_used=0)
-        violations = validate_population(pop)
-        assert any(v.field == "total_occupants" for v in violations)
+    def test_total_occupants_is_the_column_sum(self):
+        # No second copy of the total is stored, so none can disagree.
+        pop = make_population([make_building(0, n_occupants=3), make_building(1, n_occupants=4)])
+        assert pop.total_occupants == 7
+        with pytest.raises(ConfigurationError, match="one equally long column per field"):
+            Population({**pop.columns, "total_occupants": np.array([99, 99])})
+
+    def test_violations_run_building_by_building(self):
+        # Building 0's deadband comes before building 1's conductance,
+        # although the conductance rule is checked first within a building.
+        pop = make_population([dataclasses.replace(make_building(0), deadband_c=0.0),
+                               dataclasses.replace(make_building(1), ua_w_per_k=0.0,
+                                                   hvac_heat_w=-1.0)])
+        assert [(v.building_id, v.field) for v in validate_population(pop)] == [
+            (0, "deadband_c"), (1, "ua_w_per_k"), (1, "hvac_heat_w")]
+
+    @pytest.mark.parametrize("name", [c for c in CSV_COLUMNS
+                                      if isinstance(getattr(make_building(), c), float)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_flagged_once(self, name, value):
+        bad = dataclasses.replace(make_building(4), **{name: value})
+        violations = validate_population(make_population([make_building(0), bad]))
+        assert [(v.building_id, v.field) for v in violations] == [(4, name)]
+        # A range rule that already rejects the value keeps its message:
+        # `not > 0` rejects NaN, every range rule rejects -inf.
+        ranged = name != "setpoint_c" and (value == -np.inf or np.isnan(value) and name in (
+            "ua_w_per_k", "thermal_mass_j_per_k", "avg_annual_kwh"))
+        assert violations[0].message.startswith("must be finite") != ranged
+
+
+class TestColumns:
+    def test_columns_follow_the_building_fields(self):
+        pop = synthesize_population(demo_spec(), seed=42)
+        assert list(pop.columns) == CSV_COLUMNS
+        assert len(pop) == 1403
+        assert pop.kind.dtype == pop.insulation.dtype == pop.heating_fuel.dtype == np.int8
+        assert pop.total_occupants == int(pop.n_occupants.sum())
+
+    def test_from_buildings_reproduces_every_column(self):
+        pop = synthesize_population(demo_spec(), seed=42)
+        rebuilt = Population.from_buildings(pop.buildings)
+        for name, column in pop.columns.items():
+            assert rebuilt.columns[name].dtype == column.dtype, name
+            assert np.array_equal(rebuilt.columns[name], column), name
+        assert rebuilt == pop
+
+    def test_derived_columns_match_the_rows(self):
+        pop = synthesize_population(demo_spec(), seed=42)
+        rows = pop.buildings
+        assert pop.labels("sector") == [b.sector.value for b in rows]
+        assert pop.labels("kind") == [b.kind.value for b in rows]
+        assert pop.hvac_electric_kw.tolist() == [b.hvac_electric_kw for b in rows]
+        fuels = {b.heating_fuel for b in rows}
+        assert fuels == set(HeatingFuel)
+
+    def test_digest_and_saved_bytes_unchanged(self, tmp_path):
+        # The demo population's canonical CSV, as written before the
+        # population became columns.
+        pop = synthesize_population(demo_spec(), seed=42)
+        pinned = "f49aacb3333b43a2543c6ef4b99eb41e9b666c33a06d32daf87df4615f811253"
+        assert population_digest(pop) == pinned
+        save_population(pop, tmp_path / "pop.csv")
+        assert hashlib.sha256((tmp_path / "pop.csv").read_bytes()).hexdigest() == pinned
+
+    def test_load_equals_synthesized_columns(self, tmp_path):
+        pop = synthesize_population(demo_spec(), seed=42)
+        save_population(pop, tmp_path / "pop.csv")
+        loaded = load_population(tmp_path / "pop.csv")
+        assert loaded == pop
+        for name, column in pop.columns.items():
+            assert loaded.columns[name].dtype == column.dtype, name
+
+    def test_equality_compares_values(self):
+        a = synthesize_population(demo_spec(), seed=7)
+        b = synthesize_population(demo_spec(), seed=7)
+        assert a is not b and a == b and not a != b
+        assert a != a[:-1]
+        assert a != Population({**a.columns, "setpoint_c": a.setpoint_c + 1e-9})
+        assert a != "population"
+
+    def test_columns_are_read_only_and_slices_share_them(self):
+        pop = make_population([make_building(i) for i in range(5)])
+        with pytest.raises(ValueError):
+            pop.ua_w_per_k[0] = 1.0
+        block = pop[1:3]
+        assert block.id.tolist() == [1, 2]
+        assert np.shares_memory(block.ua_w_per_k, pop.ua_w_per_k)
+        columns = {name: column.copy() for name, column in pop.columns.items()}
+        copied = Population(columns)
+        columns["ua_w_per_k"][0] = 1.0
+        assert copied.ua_w_per_k[0] == pop.ua_w_per_k[0]
+
+    def test_unequal_columns_rejected(self):
+        pop = make_population([make_building(i) for i in range(3)])
+        with pytest.raises(ConfigurationError, match="equally long column per field"):
+            Population({**pop.columns, "n_workers": np.zeros(2, dtype=int)})

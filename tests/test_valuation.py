@@ -93,8 +93,9 @@ class TestProductivityCost:
 
     def cost(self, trace, building, params, model):
         """Lost wages of one building, from a one-row block."""
-        (usd,) = productivity_cost(trace.t_in_c[None, :], trace.powered[None, :], [building],
-                                   trace.start, trace.dt_s, params, model)
+        (usd,) = productivity_cost(trace.t_in_c[None, :], trace.powered[None, :],
+                                   make_population([building]), trace.start, trace.dt_s,
+                                   params, model)
         return usd
 
     def test_full_performance_costs_nothing(self):
@@ -187,7 +188,7 @@ class TestRepairCost:
 
 def cic(building, hours, params):
     """Interruption cost of one building, from a one-building block."""
-    (usd,) = interruption_cost([building], [hours], params)
+    (usd,) = interruption_cost(make_population([building]), [hours], params)
     return usd
 
 
