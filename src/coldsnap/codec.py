@@ -41,7 +41,7 @@ def encode(obj):
 def decode(tp, data, path: str):
     """A value of type `tp` built from the JSON `data` found at key `path`."""
     if hasattr(tp, "from_json"):
-        return _build(path, tp.from_json, decode(_hints(tp.from_json)["data"], data, path))
+        return checked(path, tp.from_json, decode(_hints(tp.from_json)["data"], data, path))
     if dataclasses.is_dataclass(tp):
         _expect(isinstance(data, dict), path, "an object", data)
         fields = {f.name: f for f in dataclasses.fields(tp)}
@@ -52,7 +52,7 @@ def decode(tp, data, path: str):
             if name not in data and f.default is f.default_factory is dataclasses.MISSING:
                 raise ConfigurationError(f"config key {f'{path}.{name}'!r} is required")
         hints = _hints(tp)
-        return _build(path, tp, **{name: decode(hints[name], value, f"{path}.{name}")
+        return checked(path, tp, **{name: decode(hints[name], value, f"{path}.{name}")
                                    for name, value in data.items()})
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
@@ -99,7 +99,8 @@ def _key(tp, key: str, path: str):
     return key if tp is str else decode(tp, key, f"{path}.{key}")
 
 
-def _build(path: str, make, /, *args, **kwargs):
+def checked(path: str, make, /, *args, **kwargs):
+    """`make(*args, **kwargs)`, its ConfigurationError naming key `path`."""
     try:
         return make(*args, **kwargs)
     except ConfigurationError as exc:

@@ -1,17 +1,19 @@
-"""Power-availability schedules for the four outage scenarios, one
-buildings x steps matrix per scenario.
+"""The four outage scenarios: their parameters and their power schedules.
 
 Scenarios: `base` (full service), `co` (controlled outage: selected circuits
 switched off for the whole window), `ro-di` / `ro-hi` (rolling outages over
 consumption-ranked residential groups, with damaged or hardened feeder
 infrastructure). Fault damage isolates a seeded fraction of customers for
 the entire window unless the infrastructure is hardened.
+
+A scenario serves a handful of distinct power rows, so a schedule is one
+group per building and one row per group.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from datetime import datetime
 from enum import Enum
 
 import numpy as np
@@ -28,71 +30,115 @@ class Scenario(str, Enum):
 
 
 @dataclass(frozen=True)
-class AvailabilitySeries:
-    """Fraction of supply available per scheduling slot (default 1 h slots)."""
+class BaseParams:
+    """`scenarios.base`: full service takes no parameters."""
 
-    fractions: tuple[float, ...]
-    slot_s: float = 3600.0
+
+@dataclass(frozen=True)
+class ControlledOutageParams:
+    """`scenarios.co`: the shed set, by id or as a seeded fraction."""
+
+    shed_ids: tuple[int, ...] | None = None
+    shed_fraction: float = 0.0
+    shed_scope: str = "residential"
+    fault_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.slot_s <= 0:
-            raise ConfigurationError("slot length must be positive")
-        if any(not 0.0 <= f <= 1.0 for f in self.fractions):
-            raise ConfigurationError("availability fractions must lie in [0, 1]")
+        if not 0.0 <= self.shed_fraction <= 1.0:
+            raise ConfigurationError(
+                f"shed_fraction must lie in [0, 1], got {self.shed_fraction}")
+        if self.shed_scope not in ("residential", "all"):
+            raise ConfigurationError(f"unknown shed_scope {self.shed_scope!r}")
+        if not 0.0 <= self.fault_fraction < 1.0:
+            raise ConfigurationError(
+                f"fault_fraction must lie in [0, 1), got {self.fault_fraction}")
 
-    @classmethod
-    def constant(cls, fraction: float, n_slots: int, slot_s: float = 3600.0):
-        return cls(fractions=tuple([float(fraction)] * n_slots), slot_s=slot_s)
+
+@dataclass(frozen=True)
+class RollingOutageParams:
+    """`scenarios.ro-di` and `scenarios.ro-hi`: rotation over residential groups."""
+
+    n_groups: int = 3
+    slot_s: float = 3600.0
+    availability: tuple[float, ...] | None = None  # per slot; else the constant
+    availability_constant: float = 1.0
+    fault_fraction: float = 0.0
+
+    def __post_init__(self):
+        if self.n_groups < 2:
+            raise ConfigurationError(f"n_groups must be >= 2, got {self.n_groups}")
+        if not self.slot_s > 0:
+            raise ConfigurationError(f"slot_s must be positive, got {self.slot_s}")
+        if not 0.0 <= self.availability_constant <= 1.0:
+            raise ConfigurationError(
+                f"availability_constant must lie in [0, 1], got {self.availability_constant}")
+        if any(not 0.0 <= f <= 1.0 for f in self.availability or ()):
+            raise ConfigurationError("availability fractions must lie in [0, 1]")
+        if not 0.0 <= self.fault_fraction < 1.0:
+            raise ConfigurationError(
+                f"fault_fraction must lie in [0, 1), got {self.fault_fraction}")
+
+    def slots(self, n_steps: int, dt_s: float) -> tuple[int, np.ndarray]:
+        """Steps per slot and the available share of each slot of a window
+        of `n_steps` steps. A slot longer than the window is the window."""
+        per_slot = self.slot_s / dt_s
+        if per_slot < 1 or (math.isfinite(per_slot) and abs(per_slot - round(per_slot)) > 1e-9):
+            raise ConfigurationError(
+                f"slot_s must be a positive multiple of dt_s ({dt_s}), got {self.slot_s}",
+                key="slot_s")
+        per_slot = round(min(per_slot, n_steps))
+        n_slots = -(-n_steps // per_slot)  # ceil
+        if self.availability is None:
+            return per_slot, np.full(n_slots, self.availability_constant)
+        if len(self.availability) < n_slots:
+            raise ConfigurationError(
+                f"availability has {len(self.availability)} slots, window needs {n_slots}",
+                key="availability")
+        return per_slot, np.asarray(self.availability[:n_slots])
+
+
+SCENARIO_PARAMS = {"base": BaseParams, "co": ControlledOutageParams,
+                   "ro-di": RollingOutageParams, "ro-hi": RollingOutageParams}
 
 
 @dataclass(frozen=True)
 class PowerScheduleSet:
-    """Power availability of every building at every step: `powered` is a
-    read-only (buildings x steps) boolean matrix in population order."""
+    """Power availability of every building at every step: building i is
+    powered at step t when `on[group[i], t]`. `group` holds one group per
+    building in population order, `on` one row of steps per group; both are
+    read-only."""
 
-    scenario: Scenario
-    window_start: datetime
-    window_end: datetime
     dt_s: float
-    powered: np.ndarray = field(repr=False)
+    group: np.ndarray = field(repr=False)
+    on: np.ndarray = field(repr=False)
     isolated_ids: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        self.powered.flags.writeable = False
+        self.group.flags.writeable = False
+        self.on.flags.writeable = False
 
     @property
     def n_steps(self) -> int:
-        return self.powered.shape[1]
+        return self.on.shape[1]
+
+    def powered(self, rows=slice(None)) -> np.ndarray:
+        """The (buildings x steps) power matrix of the buildings `rows`."""
+        return self.on[self.group[rows]]
 
     def unpowered_hours(self) -> np.ndarray:
         """Unpowered hours of every building, in population order."""
-        return (self.n_steps - self.powered.sum(axis=1)) * self.dt_s / 3600.0
+        return (self.n_steps - self.on.sum(axis=1))[self.group] * self.dt_s / 3600.0
 
 
-def _window_steps(start: datetime, end: datetime, dt_s: float) -> int:
-    span = (end - start).total_seconds()
-    if dt_s <= 0:
-        raise ConfigurationError("dt must be positive")
-    steps = span / dt_s
-    if steps < 1:
-        raise ConfigurationError("window must contain at least 1 step")
-    if abs(steps - round(steps)) > 1e-9:
-        raise ConfigurationError("window length must be a multiple of dt")
-    return int(round(steps))
-
-
-def build_base_schedule(pop: Population, start: datetime, end: datetime,
-                        dt_s: float) -> PowerScheduleSet:
+def build_base_schedule(pop: Population, n_steps: int, dt_s: float, params: BaseParams,
+                        seed: int) -> PowerScheduleSet:
     """Normal operation: every building powered for the whole window."""
-    n = _window_steps(start, end, dt_s)
-    powered = np.ones((len(pop), n), dtype=bool)
-    return PowerScheduleSet(Scenario.BASE, start, end, dt_s, powered, frozenset())
+    return PowerScheduleSet(dt_s, np.zeros(len(pop), dtype=np.intp),
+                            np.ones((1, n_steps), dtype=bool))
 
 
 def select_isolated(pop: Population, fault_fraction: float, seed: int) -> frozenset[int]:
     """Seeded uniform choice of customers stranded behind damaged equipment."""
-    if not 0.0 <= fault_fraction < 1.0:
-        raise ConfigurationError(f"fault fraction must be in [0, 1), got {fault_fraction}")
     n_pick = int(round(fault_fraction * len(pop)))
     if n_pick == 0:
         return frozenset()
@@ -100,18 +146,26 @@ def select_isolated(pop: Population, fault_fraction: float, seed: int) -> frozen
     return frozenset(rng.choice(np.sort(pop.id), size=n_pick, replace=False).tolist())
 
 
-def build_controlled_outage(pop: Population, start: datetime, end: datetime, dt_s: float,
-                            shed_ids, fault_fraction: float, seed: int) -> PowerScheduleSet:
-    """Switch off the shed set (plus fault-isolated customers) for the window."""
-    shed = np.array([int(i) for i in shed_ids], dtype=np.int64)
+def build_controlled_outage(pop: Population, n_steps: int, dt_s: float,
+                            params: ControlledOutageParams, seed: int) -> PowerScheduleSet:
+    """Switch off the shed set (plus fault-isolated customers) for the window:
+    group 0 is lit, group 1 dark. Without `shed_ids`, the shed set is a
+    seeded `shed_fraction` of the `shed_scope` buildings."""
+    if params.shed_ids is None:
+        candidates = np.sort(pop.id if params.shed_scope == "all"
+                             else pop.id[pop.sector == code(Sector.RESIDENTIAL)])
+        n_shed = int(round(params.shed_fraction * len(candidates)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5348)))
+        shed = rng.choice(candidates, size=n_shed, replace=False)
+    else:
+        shed = np.array(params.shed_ids, dtype=np.int64)
     unknown = sorted(set(shed[~np.isin(shed, pop.id)].tolist()))
     if unknown:
         raise ConfigurationError(f"shed set contains unknown building ids: {unknown[:5]}")
-    isolated = select_isolated(pop, fault_fraction, seed)
-    n = _window_steps(start, end, dt_s)
-    lit = ~(np.isin(pop.id, shed) | np.isin(pop.id, list(isolated)))
-    powered = np.repeat(lit[:, None], n, axis=1)
-    return PowerScheduleSet(Scenario.CO, start, end, dt_s, powered, isolated)
+    isolated = select_isolated(pop, params.fault_fraction, seed)
+    dark = np.isin(pop.id, shed) | np.isin(pop.id, list(isolated))
+    on = np.array([[True], [False]]).repeat(n_steps, axis=1)
+    return PowerScheduleSet(dt_s, dark.astype(np.intp), on, isolated)
 
 
 def assign_rolling_groups(pop: Population, n_groups: int) -> np.ndarray:
@@ -121,8 +175,6 @@ def assign_rolling_groups(pop: Population, n_groups: int) -> np.ndarray:
     Tier 0 holds the heaviest consumers; ties break on ascending id so the
     grouping is reproducible.
     """
-    if n_groups < 2:
-        raise ConfigurationError(f"need at least 2 rolling groups, got {n_groups}")
     residential = np.flatnonzero(pop.sector == code(Sector.RESIDENTIAL))
     ranked = residential[np.lexsort((pop.id[residential], -pop.avg_annual_kwh[residential]))]
     size = len(ranked) / n_groups
@@ -131,41 +183,30 @@ def assign_rolling_groups(pop: Population, n_groups: int) -> np.ndarray:
     return tier
 
 
-def build_rolling_outage(pop: Population, start: datetime, end: datetime, dt_s: float,
-                         n_groups: int, availability: AvailabilitySeries,
-                         hardened: bool, fault_fraction: float, seed: int) -> PowerScheduleSet:
+def build_rolling_outage(pop: Population, n_steps: int, dt_s: float,
+                         params: RollingOutageParams, seed: int,
+                         hardened: bool) -> PowerScheduleSet:
     """Rotate service across residential consumption tiers slot by slot.
 
     Per slot, k = floor(availability * n_groups) tiers are served, the served
-    window rotating round-robin so curtailment falls evenly. Commercial and
-    industrial customers stay powered. Without hardening, fault-isolated
-    customers get no service at all.
+    window rotating round-robin so curtailment falls evenly. Groups
+    0..n_groups-1 are the tiers; commercial and industrial customers stay
+    powered in group n_groups. Without hardening, fault-isolated customers
+    get no service at all, in group n_groups + 1.
     """
-    n = _window_steps(start, end, dt_s)
-    slot_s = availability.slot_s
-    per_slot = slot_s / dt_s
-    if abs(per_slot - round(per_slot)) > 1e-9 or per_slot < 1:
-        raise ConfigurationError("slot length must be a positive multiple of dt")
-    per_slot = int(round(per_slot))
-    n_slots = -(-n // per_slot)  # ceil
-    if len(availability.fractions) < n_slots:
-        raise ConfigurationError(
-            f"availability has {len(availability.fractions)} slots, window needs {n_slots}"
-        )
-
-    tier = assign_rolling_groups(pop, n_groups)
-    isolated = frozenset() if hardened else select_isolated(pop, fault_fraction, seed)
+    n_groups = params.n_groups
+    per_slot, fractions = params.slots(n_steps, dt_s)
+    isolated = frozenset() if hardened else select_isolated(pop, params.fault_fraction, seed)
 
     # Tier g is served in slot s when it lies in the k-wide window that
     # starts at tier s mod n_groups and wraps.
-    k = np.minimum(np.floor(np.asarray(availability.fractions[:n_slots]) * n_groups), n_groups)
-    offset = (np.arange(n_groups) - np.arange(n_slots)[:, None]) % n_groups
-    group_on = offset < k[:, None]
+    k = np.minimum(np.floor(fractions * n_groups), n_groups)
+    offset = (np.arange(n_groups) - np.arange(len(k))[:, None]) % n_groups
+    step_slot = np.minimum(np.arange(n_steps) // per_slot, len(k) - 1)
+    on = np.vstack([(offset < k[:, None])[step_slot].T,
+                    np.ones(n_steps, dtype=bool), np.zeros(n_steps, dtype=bool)])
 
-    step_slot = np.minimum(np.arange(n) // per_slot, n_slots - 1)
-    powered = np.ones((len(pop), n), dtype=bool)
-    for g in range(n_groups):
-        powered[tier == g] = group_on[step_slot, g]
-    powered[np.isin(pop.id, list(isolated))] = False
-    scenario = Scenario.RO_HI if hardened else Scenario.RO_DI
-    return PowerScheduleSet(scenario, start, end, dt_s, powered, isolated)
+    tier = assign_rolling_groups(pop, n_groups)
+    group = np.where(tier < 0, n_groups, tier)
+    group[np.isin(pop.id, list(isolated))] = n_groups + 1
+    return PowerScheduleSet(dt_s, group, on, isolated)

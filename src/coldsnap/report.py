@@ -6,7 +6,7 @@ import csv
 import json
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IngestionError
 from .population import INSULATION_ORDER
 
 COMPARE_ROWS = (
@@ -113,10 +113,22 @@ def export_exposure(run_dir, out_path=None) -> list[dict]:
     exposure_path = run_dir / "exposure.csv"
     if not exposure_path.exists():
         raise ConfigurationError(f"no exposure.csv in {run_dir}; not a completed run")
-    by_class: dict[str, list[dict]] = {}
+    means = ("mean_t_in_c", "min_t_in_c", "mean_rr")
+    by_class: dict[str, list[list[float]]] = {}
     with open(exposure_path, newline="", encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            by_class.setdefault(record["insulation"], []).append(record)
+        reader = csv.DictReader(handle)
+        for column in ("insulation",) + means:
+            if column not in (reader.fieldnames or ()):
+                raise IngestionError("missing column", exposure_path, row=1, column=column)
+        for row_no, record in enumerate(reader, start=2):
+            values = []
+            for column in means:
+                try:
+                    values.append(float(record[column]))
+                except (TypeError, ValueError) as exc:
+                    raise IngestionError(f"unparsable value {record[column]!r}", exposure_path,
+                                         row=row_no, column=column) from exc
+            by_class.setdefault(record["insulation"], []).append(values)
 
     rows = []
     for ins in INSULATION_ORDER:
@@ -127,9 +139,9 @@ def export_exposure(run_dir, out_path=None) -> list[dict]:
         rows.append({
             "insulation": ins.value,
             "n_buildings": n,
-            "mean_t_in_c": sum(float(r["mean_t_in_c"]) for r in records) / n,
-            "mean_min_t_in_c": sum(float(r["min_t_in_c"]) for r in records) / n,
-            "mean_rr": sum(float(r["mean_rr"]) for r in records) / n,
+            "mean_t_in_c": sum(r[0] for r in records) / n,
+            "mean_min_t_in_c": sum(r[1] for r in records) / n,
+            "mean_rr": sum(r[2] for r in records) / n,
         })
     if not rows:
         raise ConfigurationError(f"exposure table in {run_dir} is empty")

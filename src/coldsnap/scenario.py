@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -22,12 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import decode, encode
+from .codec import checked, decode, encode
 from .errors import ConfigurationError
 from .hazard import HazardConfig, mortality_probability, winter_index_rows
 from .outage import (
-    AvailabilitySeries,
+    SCENARIO_PARAMS,
+    BaseParams,
+    ControlledOutageParams,
     PowerScheduleSet,
+    RollingOutageParams,
     Scenario,
     build_base_schedule,
     build_controlled_outage,
@@ -36,8 +40,6 @@ from .outage import (
 from .population import (
     Population,
     PopulationSpec,
-    Sector,
-    code,
     load_population,
     synthesize_population,
     validate_population,
@@ -89,59 +91,6 @@ class Window:
             raise ConfigurationError("window end must be after window start")
 
 
-@dataclass(frozen=True)
-class BaseParams:
-    """`scenarios.base`: full service takes no parameters."""
-
-
-@dataclass(frozen=True)
-class ControlledOutageParams:
-    """`scenarios.co`: the shed set, by id or as a seeded fraction."""
-
-    shed_ids: tuple[int, ...] | None = None
-    shed_fraction: float = 0.0
-    shed_scope: str = "residential"
-    fault_fraction: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.shed_fraction <= 1.0:
-            raise ConfigurationError(
-                f"shed_fraction must lie in [0, 1], got {self.shed_fraction}")
-        if self.shed_scope not in ("residential", "all"):
-            raise ConfigurationError(f"unknown shed_scope {self.shed_scope!r}")
-        if not 0.0 <= self.fault_fraction < 1.0:
-            raise ConfigurationError(
-                f"fault_fraction must lie in [0, 1), got {self.fault_fraction}")
-
-
-@dataclass(frozen=True)
-class RollingOutageParams:
-    """`scenarios.ro-di` and `scenarios.ro-hi`: rotation over residential groups."""
-
-    n_groups: int = 3
-    slot_s: float = 3600.0
-    availability: tuple[float, ...] | None = None  # per slot; else the constant
-    availability_constant: float = 1.0
-    fault_fraction: float = 0.0
-
-    def __post_init__(self):
-        if self.n_groups < 2:
-            raise ConfigurationError(f"n_groups must be >= 2, got {self.n_groups}")
-        if not self.slot_s > 0:
-            raise ConfigurationError(f"slot_s must be positive, got {self.slot_s}")
-        if not 0.0 <= self.availability_constant <= 1.0:
-            raise ConfigurationError(
-                f"availability_constant must lie in [0, 1], got {self.availability_constant}")
-        if any(not 0.0 <= f <= 1.0 for f in self.availability or ()):
-            raise ConfigurationError("availability fractions must lie in [0, 1]")
-        if not 0.0 <= self.fault_fraction < 1.0:
-            raise ConfigurationError(
-                f"fault_fraction must lie in [0, 1), got {self.fault_fraction}")
-
-
-SCENARIO_PARAMS = {"base": BaseParams, "co": ControlledOutageParams,
-                   "ro-di": RollingOutageParams, "ro-hi": RollingOutageParams}
-
 TOP_LEVEL_KEYS = ("notes", "population", "weather_path", "window", "dt_s", "scenario",
                   "scenarios", "hazard", "valuation", "n_trials", "seed", "histogram_bins",
                   "out_dir")
@@ -168,10 +117,16 @@ class ScenarioConfig:
     out_dir: Path
     threads: int = 1
     write_traces: bool = False
+    n_steps: int = field(init=False)
 
     def __post_init__(self):
         if not self.dt_s > 0:
             raise ConfigurationError(f"config key 'dt_s' must be positive, got {self.dt_s}")
+        steps = (self.window_end - self.window_start).total_seconds() / self.dt_s
+        if not 1 <= steps < math.inf or abs(steps - round(steps)) > 1e-9:
+            raise ConfigurationError(
+                f"config key 'dt_s' must divide the window into whole steps, got {self.dt_s}")
+        self.n_steps = round(steps)
         for key, least in (("n_trials", 1), ("seed", 0), ("histogram_bins", 1)):
             if getattr(self, key) < least:
                 raise ConfigurationError(
@@ -253,7 +208,7 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
             "valuation.acknowledge_default_cic=true to accept the shipped placeholders"
         )
 
-    return ScenarioConfig(
+    config = ScenarioConfig(
         population_spec=source.spec,
         population_path=None if source.path is None else resolve(source.path),
         weather_path=resolve(decode(str, raw["weather_path"], "weather_path")),
@@ -272,36 +227,21 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
         threads=int(overrides.get("threads", 1)),
         write_traces=bool(overrides.get("write_traces", False)),
     )
+    # Every rolling section present must fit its slots to this window.
+    for name, section in params.items():
+        if isinstance(section, RollingOutageParams):
+            checked(f"scenarios.{name}", section.slots, config.n_steps, config.dt_s)
+    return config
 
 
 def build_schedules(config: ScenarioConfig, pop: Population) -> PowerScheduleSet:
     """Construct the power schedule set for the configured scenario."""
-    params = config.params
-    start, end, dt = config.window_start, config.window_end, config.dt_s
-
+    args = (pop, config.n_steps, config.dt_s, config.params, config.seed)
     if config.scenario == Scenario.BASE.value:
-        return build_base_schedule(pop, start, end, dt)
-
+        return build_base_schedule(*args)
     if config.scenario == Scenario.CO.value:
-        shed_ids = params.shed_ids
-        if shed_ids is None:
-            candidates = np.sort(pop.id if params.shed_scope == "all"
-                                 else pop.id[pop.sector == code(Sector.RESIDENTIAL)])
-            n_shed = int(round(params.shed_fraction * len(candidates)))
-            rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5348)))
-            shed_ids = np.sort(rng.choice(candidates, size=n_shed, replace=False))
-        return build_controlled_outage(pop, start, end, dt, shed_ids, params.fault_fraction,
-                                       config.seed)
-
-    n_slots = int(np.ceil((end - start).total_seconds() / params.slot_s))
-    if params.availability is not None:
-        availability = AvailabilitySeries(params.availability, params.slot_s)
-    else:
-        availability = AvailabilitySeries.constant(params.availability_constant, n_slots,
-                                                   params.slot_s)
-    hardened = config.scenario == Scenario.RO_HI.value
-    return build_rolling_outage(pop, start, end, dt, params.n_groups, availability,
-                                hardened, params.fault_fraction, config.seed)
+        return build_controlled_outage(*args)
+    return build_rolling_outage(*args, hardened=config.scenario == Scenario.RO_HI.value)
 
 
 @dataclass
@@ -329,10 +269,10 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
 
     Buildings are simulated `SIM_BLOCK` at a time and reduced in row blocks
     of `REDUCE_BLOCK`, so no array of size buildings x steps outlives its
-    block. Each block is a run of rows of the schedule matrix. With
-    `traces_path`, each block's traces are appended to that CSV as soon as
-    they are simulated. Returns the trial bundle and the
-    per-building exposure rows for reporting.
+    block, the block's power matrix included. With `traces_path`, each
+    block's traces are appended to that CSV as soon as they are simulated.
+    Returns the trial bundle and the per-building exposure rows for
+    reporting.
     """
     series = load_weather_csv(config.weather_path)
     if series.dt_s != config.dt_s:
@@ -349,7 +289,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
                 if handle is not None else None)
         for first in range(0, n_b, SIM_BLOCK):
             block = pop[first:first + SIM_BLOCK]
-            powered = schedule.powered[first:first + SIM_BLOCK]
+            powered = schedule.powered(slice(first, first + SIM_BLOCK))
             t_in, hvac_on = simulate_block(block, window, powered.T)
             if sink is not None:
                 sink.write(block, t_in, powered.T, hvac_on)
@@ -379,7 +319,6 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
 
     bundle = ScenarioBundle(
         scenario=config.scenario,
-        pop=pop,
         p_mort_by_building=p_mort,
         wi_sum_by_building=wi_sum,
         beta_wi=float(beta),

@@ -257,7 +257,6 @@ class ScenarioBundle:
     """Deterministic per-scenario inputs shared by every trial."""
 
     scenario: str
-    pop: Population
     p_mort_by_building: np.ndarray   # in population order
     wi_sum_by_building: np.ndarray
     beta_wi: float

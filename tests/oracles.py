@@ -35,11 +35,7 @@ from coldsnap.hazard import (
     resolve_at_risk,
     winter_index_sum,
 )
-from coldsnap.outage import (
-    Scenario,
-    _window_steps,
-    select_isolated,
-)
+from coldsnap.outage import select_isolated
 from coldsnap.population import Building, Population, Sector
 from coldsnap.thermal import simulate_block
 from coldsnap.valuation import (
@@ -56,9 +52,6 @@ from coldsnap.weather import load_weather_csv, resample, slice_window
 
 @dataclass(frozen=True)
 class ScheduleDict:
-    scenario: Scenario
-    window_start: datetime
-    window_end: datetime
     dt_s: float
     schedules: dict[int, np.ndarray] = field(repr=False)
     isolated_ids: frozenset[int] = frozenset()
@@ -80,27 +73,31 @@ def unpowered_hours(powered, dt_s: float) -> float:
     return float((~np.asarray(powered, dtype=bool)).sum()) * dt_s / 3600.0
 
 
-def build_base_schedule(pop, start, end, dt_s) -> ScheduleDict:
-    n = _window_steps(start, end, dt_s)
-    schedules = {b.id: np.ones(n, dtype=bool) for b in pop.buildings}
-    return ScheduleDict(Scenario.BASE, start, end, dt_s, schedules, frozenset())
+def build_base_schedule(pop, n_steps, dt_s, params, seed) -> ScheduleDict:
+    schedules = {b.id: np.ones(n_steps, dtype=bool) for b in pop.buildings}
+    return ScheduleDict(dt_s, schedules, frozenset())
 
 
-def build_controlled_outage(pop, start, end, dt_s, shed_ids, fault_fraction,
-                            seed) -> ScheduleDict:
+def build_controlled_outage(pop, n_steps, dt_s, params, seed) -> ScheduleDict:
     known = {b.id for b in pop.buildings}
-    shed = set(int(i) for i in shed_ids)
+    if params.shed_ids is None:
+        candidates = sorted(b.id for b in pop.buildings
+                            if params.shed_scope == "all" or b.sector is Sector.RESIDENTIAL)
+        n_shed = int(round(params.shed_fraction * len(candidates)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5348)))
+        shed = set(rng.choice(np.array(candidates), size=n_shed, replace=False).tolist())
+    else:
+        shed = set(int(i) for i in params.shed_ids)
     unknown = shed - known
     if unknown:
         raise ConfigurationError(f"shed set contains unknown building ids: {sorted(unknown)[:5]}")
-    isolated = select_isolated(pop, fault_fraction, seed)
+    isolated = select_isolated(pop, params.fault_fraction, seed)
     dark = shed | isolated
-    n = _window_steps(start, end, dt_s)
     schedules = {
-        b.id: np.zeros(n, dtype=bool) if b.id in dark else np.ones(n, dtype=bool)
+        b.id: np.zeros(n_steps, dtype=bool) if b.id in dark else np.ones(n_steps, dtype=bool)
         for b in pop.buildings
     }
-    return ScheduleDict(Scenario.CO, start, end, dt_s, schedules, isolated)
+    return ScheduleDict(dt_s, schedules, isolated)
 
 
 def assign_rolling_groups(pop, n_groups: int) -> dict[int, int]:
@@ -117,43 +114,40 @@ def assign_rolling_groups(pop, n_groups: int) -> dict[int, int]:
     return groups
 
 
-def build_rolling_outage(pop, start, end, dt_s, n_groups, availability, hardened,
-                         fault_fraction, seed) -> ScheduleDict:
-    n = _window_steps(start, end, dt_s)
-    slot_s = availability.slot_s
-    per_slot = slot_s / dt_s
+def build_rolling_outage(pop, n_steps, dt_s, params, seed, hardened) -> ScheduleDict:
+    n_groups = params.n_groups
+    per_slot = params.slot_s / dt_s
     if abs(per_slot - round(per_slot)) > 1e-9 or per_slot < 1:
         raise ConfigurationError("slot length must be a positive multiple of dt")
     per_slot = int(round(per_slot))
-    n_slots = -(-n // per_slot)  # ceil
-    if len(availability.fractions) < n_slots:
-        raise ConfigurationError(
-            f"availability has {len(availability.fractions)} slots, window needs {n_slots}"
-        )
+    n_slots = -(-n_steps // per_slot)  # ceil
+    fractions = (params.availability if params.availability is not None
+                 else [params.availability_constant] * n_slots)
+    if len(fractions) < n_slots:
+        raise ConfigurationError(f"availability has {len(fractions)} slots, window needs {n_slots}")
 
     groups = assign_rolling_groups(pop, n_groups)
-    isolated = frozenset() if hardened else select_isolated(pop, fault_fraction, seed)
+    isolated = frozenset() if hardened else select_isolated(pop, params.fault_fraction, seed)
 
     # Per-slot powered tiers: the k-wide served window starts at slot index
     # mod n_groups and wraps.
     group_on = np.zeros((n_slots, n_groups), dtype=bool)
     for s in range(n_slots):
-        k = int(np.floor(availability.fractions[s] * n_groups))
+        k = int(np.floor(fractions[s] * n_groups))
         k = min(k, n_groups)
         for j in range(k):
             group_on[s, (s + j) % n_groups] = True
 
-    step_slot = np.minimum(np.arange(n) // per_slot, n_slots - 1)
+    step_slot = np.minimum(np.arange(n_steps) // per_slot, n_slots - 1)
     schedules: dict[int, np.ndarray] = {}
     for b in pop.buildings:
         if b.id in isolated:
-            schedules[b.id] = np.zeros(n, dtype=bool)
+            schedules[b.id] = np.zeros(n_steps, dtype=bool)
         elif b.sector is not Sector.RESIDENTIAL:
-            schedules[b.id] = np.ones(n, dtype=bool)
+            schedules[b.id] = np.ones(n_steps, dtype=bool)
         else:
             schedules[b.id] = group_on[step_slot, groups[b.id]].copy()
-    scenario = Scenario.RO_HI if hardened else Scenario.RO_DI
-    return ScheduleDict(scenario, start, end, dt_s, schedules, isolated)
+    return ScheduleDict(dt_s, schedules, isolated)
 
 
 def max_contiguous_off(powered, dt_s: float) -> float:
@@ -170,15 +164,15 @@ def max_contiguous_off(powered, dt_s: float) -> float:
     return longest * dt_s / 3600.0
 
 
-def write_schedules_csv(schedule_set: ScheduleDict, path) -> None:
-    """Export as `building_id,slot_start,powered` rows, one per step."""
+def write_schedules_csv(schedule_set: ScheduleDict, start: datetime, path) -> None:
+    """Export as `building_id,slot_start,powered` rows, one per step from `start`."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["building_id", "slot_start", "powered"])
         for bid in sorted(schedule_set.schedules):
             sched = schedule_set.schedules[bid]
             for i in range(len(sched)):
-                stamp = schedule_set.window_start + timedelta(seconds=schedule_set.dt_s * i)
+                stamp = start + timedelta(seconds=schedule_set.dt_s * i)
                 writer.writerow([bid, stamp.isoformat(), "true" if sched[i] else "false"])
 
 
@@ -556,7 +550,7 @@ def productivity_cost(traces, pop, params, productivity_model) -> float:
 
 def assemble_bundle(config, pop, schedule):
     """Simulate and reduce one building at a time; row i of the schedule's
-    `powered` matrix is building i's schedule.
+    `powered()` matrix is building i's schedule.
 
     Returns the trial bundle, the traces keyed by building id, and the
     per-building exposure rows.
@@ -572,10 +566,11 @@ def assemble_bundle(config, pop, schedule):
     p_mort = np.empty(n_b)
     wi_sum = np.empty(n_b)
     mean_rr = np.empty(n_b)
-    hours = [unpowered_hours(row, schedule.dt_s) for row in schedule.powered]
+    powered = schedule.powered()
+    hours = [unpowered_hours(row, schedule.dt_s) for row in powered]
     exposure_rows = []
     for i, b in enumerate(pop.buildings):
-        trace = simulate_building_scalar(b, window, schedule.powered[i])
+        trace = simulate_building_scalar(b, window, powered[i])
         traces[b.id] = trace
         mean_rr[i] = hz.rr_model.evaluate(trace.t_in_c).mean()
         p_mort[i] = base_mortality(trace.t_in_c, hz.rr_model, hz.delta)
@@ -604,7 +599,6 @@ def assemble_bundle(config, pop, schedule):
 
     bundle = ScenarioBundle(
         scenario=config.scenario,
-        pop=pop,
         p_mort_by_building=p_mort,
         wi_sum_by_building=wi_sum,
         beta_wi=float(beta),

@@ -176,7 +176,7 @@ def test_criterion_4_rolling_outage_guarantee(demo_runs, demo_config_path):
     config_hi = load_config(demo_config_path, {"scenario": "ro-hi"})
     pop = synthesize_population(config_hi.population_spec, config_hi.seed)
     sched_hi = build_schedules(config_hi, pop)
-    schedules = dict(zip(pop.id.tolist(), sched_hi.powered))
+    schedules = dict(zip(pop.id.tolist(), sched_hi.powered()))
     offs = {max_contiguous_off(schedules[b.id], sched_hi.dt_s)
             for b in pop.buildings if b.sector is Sector.RESIDENTIAL}
 

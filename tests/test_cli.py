@@ -300,6 +300,22 @@ class TestExportExposure:
         export_exposure(runs["ro-hi"])
         assert (runs["ro-hi"] / "insulation_summary.csv").exists()
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rows: [row[:3] + row[4:] for row in rows], "row=1; column=insulation"),
+        (lambda rows: rows[:5] + [rows[5][:6] + ["x"] + rows[5][7:]] + rows[6:],
+         "row=6; column=min_t_in_c"),
+    ])
+    def test_malformed_exposure_exits_2_naming_file_row_column(self, runs, tmp_path, capsys,
+                                                               edit, named):
+        with open(runs["base"] / "exposure.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0][3] == "insulation" and rows[0][6] == "min_t_in_c"
+        with open(tmp_path / "exposure.csv", "w", newline="") as handle:
+            csv.writer(handle).writerows(edit(rows))
+        assert main(["export-exposure", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"file={tmp_path / 'exposure.csv'}" in err and named in err
+
 
 class TestDemoCommand:
     def test_demo_writes_assets(self, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coldsnap import scenario as scenario_module
 from coldsnap.cli import main
 from coldsnap.codec import decode, encode
 from coldsnap.hazard import HazardConfig, RRModel
@@ -128,6 +129,9 @@ def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys
     (("n_trials",), 3.0, "n_trials"),
     (("population", "spec", "wfh_share"), 1.5, "wfh_share"),
     (("scenarios", "ro-di", "slot_s"), 0, "slot_s"),
+    # The 96 h window is not a whole number of steps, or less than one.
+    (("dt_s",), 700.0, "dt_s"),
+    (("dt_s",), 1e6, "dt_s"),
     (("hazard", "rr_model"), {"valid_range_c": [30.0, -15.0]}, "hazard.rr_model"),
     (("hazard", "productivity_model"), {"valid_range_c": [32.0, 10.0]},
      "hazard.productivity_model"),
@@ -135,6 +139,7 @@ def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys
     # Checked although the run selects another scenario.
     (("scenarios", "ro-hi", "fault_fraction"), 1.0, "fault_fraction"),
     (("scenarios", "ro-hi", "availability_constant"), 1.5, "availability_constant"),
+    (("scenarios", "ro-di", "availability"), [0.5, 1.2], "availability"),
     (("scenarios", "ro-di", "n_groups"), 1, "n_groups"),
 ])
 def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
@@ -143,6 +148,37 @@ def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
     set_key(config, path, value)
     assert run(config, tmp_path) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("slot_s", 450.0), ("slot_s", 150.0),
+    # The demo window is 96 one-hour slots.
+    ("availability", [0.34] * 95),
+])
+def test_rolling_slots_checked_at_load_naming_key(small_config, tmp_path, capsys, monkeypatch,
+                                                  key, value):
+    config = copy.deepcopy(small_config)
+    config["scenarios"]["ro-di"][key] = value
+
+    def synthesize(*args):
+        raise AssertionError("population synthesized before the config was checked")
+
+    monkeypatch.setattr(scenario_module, "synthesize_population", synthesize)
+    assert run(config, tmp_path, "base") == 2
+    assert f"'scenarios.ro-di.{key}'" in capsys.readouterr().err
+
+
+def test_slot_longer_than_window_is_one_slot(small_config, tmp_path):
+    outputs = []
+    for slot_s in (96 * 3600.0, 1e300):
+        config = copy.deepcopy(small_config)
+        config["scenarios"]["ro-di"].update(slot_s=slot_s, availability=[0.34])
+        out = tmp_path / str(slot_s)
+        out.mkdir()
+        assert run(config, out, "ro-di") == 0
+        outputs.append([(out / "out" / name).read_bytes()
+                        for name in ("trials.csv", "exposure.csv")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("path, value, named", [

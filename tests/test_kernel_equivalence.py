@@ -45,6 +45,31 @@ from conftest import constant_weather, make_building, make_population
 SCALE = 0.21
 
 
+ROLLING = ("scenarios.ro-di", "scenarios.ro-hi")
+
+# Each variant updates sections of the scaled demo config, keyed by dotted path.
+VARIANTS = {
+    "demo": {},
+    # Constant indoor humidity gates the freeze index at every cold step,
+    # and an unset beta_wi takes the population maximum.
+    "indoor_rh": {"hazard.winter_index": {"indoor_rh_pct": 90.0},
+                  "valuation": {"beta_wi": None}},
+    # An explicit shed set, partly overlapping the fault-isolated customers.
+    "shed_ids": {"scenarios.co": {"shed_ids": list(range(0, 290, 7)), "fault_fraction": 0.1}},
+    # Per-slot availability serving 0, 1, 2 and all 3 groups.
+    "availability": dict.fromkeys(ROLLING, {
+        "availability": [(0.0, 0.34, 0.67, 1.0, 0.99)[i % 5] for i in range(96)]}),
+    # 3900 s slots of 13 steps: 88 whole slots and a partial last one.
+    "slot_3900": dict.fromkeys(ROLLING, {"slot_s": 3900.0}),
+    "groups_7": dict.fromkeys(ROLLING, {"n_groups": 7}),
+    "commercial": {"population.spec": {"counts": {"office": 20, "big_box": 15}}},
+    # Seven groups over four homes: some tiers hold no building.
+    "few_homes": {"population.spec": {"counts": {"single_family": 3, "mobile_home": 1,
+                                                 "office": 20, "big_box": 15}},
+                  **dict.fromkeys(ROLLING, {"n_groups": 7})},
+}
+
+
 @pytest.fixture(scope="module")
 def assets(tmp_path_factory):
     directory = tmp_path_factory.mktemp("kernel_equivalence")
@@ -53,18 +78,13 @@ def assets(tmp_path_factory):
     counts = config["population"]["spec"]["counts"]
     config["population"]["spec"]["counts"] = {k: round(n * SCALE) for k, n in counts.items()}
     paths = {}
-    for variant, hazard, valuation, co in (
-        ("demo", {}, {}, {}),
-        # Constant indoor humidity gates the freeze index at every cold step,
-        # and an unset beta_wi takes the population maximum.
-        ("indoor_rh", {"winter_index": {"indoor_rh_pct": 90.0}}, {"beta_wi": None}, {}),
-        # An explicit shed set, partly overlapping the fault-isolated customers.
-        ("shed_ids", {}, {}, {"shed_ids": list(range(0, 290, 7)), "fault_fraction": 0.1}),
-    ):
+    for variant, updates in VARIANTS.items():
         variant_config = json.loads(json.dumps(config))
-        variant_config["hazard"].update(hazard)
-        variant_config["valuation"].update(valuation)
-        variant_config["scenarios"]["co"].update(co)
+        for dotted, values in updates.items():
+            section = variant_config
+            for key in dotted.split("."):
+                section = section.setdefault(key, {})
+            section.update(values)
         paths[variant] = directory / f"{variant}.json"
         paths[variant].write_text(json.dumps(variant_config), encoding="utf-8")
     return paths
@@ -108,24 +128,39 @@ def test_rolling_groups_match_oracle_exactly(assets, n_groups):
 
 
 @pytest.mark.parametrize("variant, scenario",
-                         [("demo", s) for s in SCENARIO_NAMES] + [("shed_ids", "co")])
+                         [("demo", s) for s in SCENARIO_NAMES] + [("shed_ids", "co")]
+                         + [(v, "ro-di") for v in ("availability", "slot_3900", "groups_7",
+                                                   "commercial", "few_homes")]
+                         + [("availability", "ro-hi"), ("commercial", "co")])
 def test_schedule_rows_match_oracle_exactly(assets, monkeypatch, variant, scenario):
     config, pop, schedule = prepare(assets[variant], scenario)
     for name in ("build_base_schedule", "build_controlled_outage", "build_rolling_outage"):
         monkeypatch.setattr(scenario_module, name, getattr(oracles, name))
     ref = build_schedules(config, pop)
 
-    assert schedule.powered.shape == (len(pop.buildings), ref.n_steps)
-    assert not schedule.powered.flags.writeable
-    for b, row in zip(pop.buildings, schedule.powered):
+    assert not schedule.group.flags.writeable
+    assert not schedule.on.flags.writeable
+    assert schedule.group.shape == (len(pop.buildings),)
+    assert schedule.on.shape[1] == ref.n_steps == config.n_steps
+    powered = schedule.powered()
+    for b, row in zip(pop.buildings, powered):
         assert np.array_equal(row, ref.schedules[b.id])
+    for first in range(0, len(pop), SIM_BLOCK):
+        rows = slice(first, first + SIM_BLOCK)
+        assert np.array_equal(schedule.powered(rows), powered[rows])
     assert schedule.isolated_ids == ref.isolated_ids
     assert schedule.unpowered_hours().tolist() == [ref.unpowered_hours(b.id)
                                                    for b in pop.buildings]
     if scenario != "base":
-        assert not schedule.powered.all()
+        assert not powered.all()
     if scenario in ("co", "ro-di"):
         assert ref.isolated_ids
+    if variant == "availability":
+        n_groups = config.params.n_groups
+        served = set(schedule.on[:n_groups].sum(axis=0).tolist())
+        assert served == set(range(n_groups + 1))
+    if variant == "few_homes":
+        assert sum(b.sector is Sector.RESIDENTIAL for b in pop.buildings) < config.params.n_groups
 
 
 def cic_buildings():
@@ -340,7 +375,7 @@ def test_block_row_matches_single_building_runs(assets):
                           config.window_start, config.window_end)
     block = pop[:REDUCE_BLOCK + 3]
     buildings = block.buildings
-    powered = schedule.powered[:len(buildings)].T
+    powered = schedule.powered(slice(len(buildings))).T
     gain = 350.0
     t_in, hvac_on = simulate_block(block, window, powered, internal_gain_w=gain)
     for j, b in enumerate(buildings):

@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ import pytest
 from coldsnap import defaults
 from coldsnap.errors import ConfigurationError
 from coldsnap.outage import (
-    AvailabilitySeries,
-    Scenario,
+    BaseParams,
+    ControlledOutageParams,
+    RollingOutageParams,
     assign_rolling_groups,
     build_base_schedule,
     build_controlled_outage,
@@ -22,9 +23,12 @@ from oracles import max_contiguous_off, write_schedules_csv
 
 UTC = timezone.utc
 START = datetime(2021, 2, 15, tzinfo=UTC)
-END = START + timedelta(hours=96)
 DT = 300.0
 N_STEPS = int(96 * 3600 / DT)
+
+
+def shed(ids, fault_fraction=0.0):
+    return ControlledOutageParams(shed_ids=tuple(ids), fault_fraction=fault_fraction)
 
 
 def by_id(pop, values):
@@ -51,18 +55,15 @@ def small_pop():
 
 class TestBase:
     def test_all_series_true(self, small_pop):
-        sched = build_base_schedule(small_pop, START, END, DT)
-        assert all(s.all() for s in sched.powered)
+        sched = build_base_schedule(small_pop, N_STEPS, DT, BaseParams(), seed=1)
+        assert all(s.all() for s in sched.powered())
         assert sched.isolated_ids == frozenset()
-        assert sched.scenario is Scenario.BASE
+        assert sched.on.shape == (1, N_STEPS)
 
     def test_demo_population_gets_1403_schedules(self, demo_pop):
-        sched = build_base_schedule(demo_pop, START, END, DT)
-        assert len(sched.powered) == 1403
-
-    def test_zero_step_window_rejected(self, small_pop):
-        with pytest.raises(ConfigurationError):
-            build_base_schedule(small_pop, START, START, DT)
+        sched = build_base_schedule(demo_pop, N_STEPS, DT, BaseParams(), seed=1)
+        assert sched.powered().shape == (1403, N_STEPS)
+        assert sched.powered(slice(256, 512)).shape == (256, N_STEPS)
 
 
 class TestIsolation:
@@ -81,84 +82,84 @@ class TestIsolation:
         assert len(b) == len(a1)
         assert a1 != b
 
-    def test_fraction_bounds_enforced(self, demo_pop):
-        with pytest.raises(ConfigurationError):
-            select_isolated(demo_pop, 1.0, seed=1)
+    @pytest.mark.parametrize("params", [ControlledOutageParams, RollingOutageParams])
+    def test_fraction_bounds_enforced(self, params):
+        with pytest.raises(ConfigurationError, match="fault_fraction"):
+            params(fault_fraction=1.0)
 
 
 class TestControlledOutage:
     def test_empty_shed_no_fault_equals_base(self, small_pop):
-        sched = build_controlled_outage(small_pop, START, END, DT, set(), 0.0, seed=1)
-        assert all(s.all() for s in sched.powered)
+        sched = build_controlled_outage(small_pop, N_STEPS, DT, shed(()), seed=1)
+        assert all(s.all() for s in sched.powered())
 
     def test_shed_all_residential_leaves_commercial_powered(self, small_pop):
-        shed = {b.id for b in residential(small_pop)}
-        sched = build_controlled_outage(small_pop, START, END, DT, shed, 0.0, seed=1)
-        schedules = by_id(small_pop, sched.powered)
+        dark = {b.id for b in residential(small_pop)}
+        sched = build_controlled_outage(small_pop, N_STEPS, DT, shed(dark), seed=1)
+        schedules = by_id(small_pop, sched.powered())
         for b in small_pop.buildings:
-            if b.id in shed:
+            if b.id in dark:
                 assert not schedules[b.id].any()
             else:
                 assert schedules[b.id].all()
 
     def test_shed_buildings_dark_entire_window(self, small_pop):
-        sched = build_controlled_outage(small_pop, START, END, DT, {0, 3}, 0.0, seed=1)
-        schedules = by_id(small_pop, sched.powered)
+        sched = build_controlled_outage(small_pop, N_STEPS, DT, shed((0, 3)), seed=1)
+        schedules = by_id(small_pop, sched.powered())
         assert not schedules[0].any()
         assert not schedules[3].any()
         assert schedules[1].all()
 
     def test_isolated_union_shed(self, demo_pop):
-        sched = build_controlled_outage(demo_pop, START, END, DT, {0, 1}, 0.034, seed=3)
-        schedules = by_id(demo_pop, sched.powered)
+        sched = build_controlled_outage(demo_pop, N_STEPS, DT, shed((0, 1), 0.034), seed=3)
+        schedules = by_id(demo_pop, sched.powered())
         for bid in sched.isolated_ids | {0, 1}:
             assert not schedules[bid].any()
 
     def test_unknown_shed_id_rejected(self, small_pop):
         with pytest.raises(ConfigurationError, match="unknown"):
-            build_controlled_outage(small_pop, START, END, DT, {999}, 0.0, seed=1)
+            build_controlled_outage(small_pop, N_STEPS, DT, shed((999,)), seed=1)
+
+
+def rolling(pop, fraction=0.34, hardened=True, fault_fraction=0.0, n_groups=3, **kwargs):
+    params = RollingOutageParams(n_groups=n_groups, availability_constant=fraction,
+                                 fault_fraction=fault_fraction, **kwargs)
+    return build_rolling_outage(pop, N_STEPS, DT, params, seed=1, hardened=hardened)
 
 
 class TestRollingOutage:
-    def avail(self, fraction=0.34, hours=96):
-        return AvailabilitySeries.constant(fraction, hours)
 
     def test_full_availability_equals_base(self, small_pop):
-        sched = build_rolling_outage(small_pop, START, END, DT, 3, self.avail(1.0),
-                                     hardened=True, fault_fraction=0.0, seed=1)
-        assert all(s.all() for s in sched.powered)
+        sched = rolling(small_pop, 1.0)
+        assert all(s.all() for s in sched.powered())
 
     def test_k1_gives_exactly_two_hour_max_off(self, demo_pop):
-        sched = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
-                                     hardened=True, fault_fraction=0.0, seed=1)
-        schedules = by_id(demo_pop, sched.powered)
+        sched = rolling(demo_pop)
+        schedules = by_id(demo_pop, sched.powered())
         for b in residential(demo_pop):
             assert max_contiguous_off(schedules[b.id], DT) == pytest.approx(2.0)
 
     def test_commercial_always_powered(self, demo_pop):
-        sched = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
-                                     hardened=True, fault_fraction=0.0, seed=1)
-        schedules = by_id(demo_pop, sched.powered)
+        sched = rolling(demo_pop)
+        schedules = by_id(demo_pop, sched.powered())
         for b in demo_pop.buildings:
             if b.sector is not Sector.RESIDENTIAL:
                 assert schedules[b.id].all()
 
     def test_unhardened_isolates_faulted_customers(self, demo_pop):
-        sched = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
-                                     hardened=False, fault_fraction=0.034, seed=1)
+        sched = rolling(demo_pop, hardened=False, fault_fraction=0.034)
         assert len(sched.isolated_ids) == 48
-        schedules = by_id(demo_pop, sched.powered)
+        schedules = by_id(demo_pop, sched.powered())
         for bid in sched.isolated_ids:
             assert not schedules[bid].any()
-        assert sched.scenario is Scenario.RO_DI
+        # Three tiers, the always-on and the always-off group.
+        assert sched.on.shape == (5, N_STEPS)
 
     def test_hardened_dominates_damaged_for_isolated_ids(self, demo_pop):
-        di = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
-                                  hardened=False, fault_fraction=0.034, seed=1)
-        hi = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
-                                  hardened=True, fault_fraction=0.034, seed=1)
-        di_schedules = by_id(demo_pop, di.powered)
-        hi_schedules = by_id(demo_pop, hi.powered)
+        di = rolling(demo_pop, hardened=False, fault_fraction=0.034)
+        hi = rolling(demo_pop, hardened=True, fault_fraction=0.034)
+        di_schedules = by_id(demo_pop, di.powered())
+        hi_schedules = by_id(demo_pop, hi.powered())
         for bid in di.isolated_ids:
             assert np.all(hi_schedules[bid] >= di_schedules[bid])
         for bid in set(demo_pop.id.tolist()) - di.isolated_ids:
@@ -166,12 +167,11 @@ class TestRollingOutage:
 
     def test_conservation_exactly_k_groups_per_slot(self, demo_pop):
         n_groups = 3
-        sched = build_rolling_outage(demo_pop, START, END, DT, n_groups, self.avail(0.67),
-                                     hardened=True, fault_fraction=0.0, seed=1)
+        sched = rolling(demo_pop, 0.67, n_groups=n_groups)
         groups = by_id(demo_pop, assign_rolling_groups(demo_pop, n_groups).tolist())
         k = int(np.floor(0.67 * n_groups))
         per_slot = int(3600 / DT)
-        schedules = by_id(demo_pop, sched.powered)
+        schedules = by_id(demo_pop, sched.powered())
         for slot in range(0, N_STEPS // per_slot):
             step = slot * per_slot
             powered_groups = {
@@ -181,8 +181,7 @@ class TestRollingOutage:
             assert len(powered_groups) == k
 
     def test_fairness_unpowered_totals_within_one_slot(self, demo_pop):
-        sched = build_rolling_outage(demo_pop, START, END, DT, 3, self.avail(),
-                                     hardened=True, fault_fraction=0.0, seed=1)
+        sched = rolling(demo_pop)
         groups = by_id(demo_pop, assign_rolling_groups(demo_pop, 3).tolist())
         off_hours: dict[int, float] = {}
         unpowered_h = by_id(demo_pop, sched.unpowered_hours())
@@ -199,18 +198,13 @@ class TestRollingOutage:
         assert groups == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
 
     def test_short_availability_rejected(self, small_pop):
-        with pytest.raises(ConfigurationError, match="availability"):
-            build_rolling_outage(small_pop, START, END, DT, 3, self.avail(hours=10),
-                                 hardened=True, fault_fraction=0.0, seed=1)
+        with pytest.raises(ConfigurationError, match="availability") as info:
+            rolling(small_pop, availability=(0.34,) * 10)
+        assert info.value.key == "availability"
 
-    def test_n_groups_minimum(self, small_pop):
-        with pytest.raises(ConfigurationError):
-            build_rolling_outage(small_pop, START, END, DT, 1, self.avail(),
-                                 hardened=True, fault_fraction=0.0, seed=1)
-
-    def test_availability_fractions_bounded(self):
-        with pytest.raises(ConfigurationError):
-            AvailabilitySeries((0.5, 1.2), 3600.0)
+    def test_n_groups_minimum(self):
+        with pytest.raises(ConfigurationError, match="n_groups"):
+            RollingOutageParams(n_groups=1)
 
 
 class TestMaxContiguousOff:
@@ -227,9 +221,9 @@ class TestMaxContiguousOff:
 
 class TestExport:
     def test_schedule_csv_schema(self, tmp_path, small_pop):
-        sched = oracles.build_base_schedule(small_pop, START, START + timedelta(hours=1), 1800.0)
+        sched = oracles.build_base_schedule(small_pop, 2, 1800.0, BaseParams(), seed=1)
         path = tmp_path / "schedules.csv"
-        write_schedules_csv(sched, path)
+        write_schedules_csv(sched, START, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "building_id,slot_start,powered"
         assert lines[1] == "0,2021-02-15T00:00:00+00:00,true"

@@ -244,13 +244,9 @@ class TestInterruptionCost:
 
 
 def make_bundle(n_buildings=20, occupants_each=5, p_mort=0.3, wi=0.0,
-                c_prod=1234.5, c_cic=777.0, id_offset=0):
-    buildings = [make_building(id_offset + i, n_occupants=occupants_each)
-                 for i in range(n_buildings)]
-    pop = make_population(buildings)
+                c_prod=1234.5, c_cic=777.0):
     return ScenarioBundle(
         scenario="toy",
-        pop=pop,
         p_mort_by_building=np.full(n_buildings, float(p_mort)),
         wi_sum_by_building=np.full(n_buildings, float(wi)),
         beta_wi=1000.0,
