@@ -8,7 +8,6 @@ threshold. Studies should substitute measured ASOS/NOAA series.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from datetime import datetime, timedelta, timezone
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
+from .tables import save_csv
 from .weather import WeatherSeries
 
 DEMO_START = datetime(2021, 2, 15, 0, 0, tzinfo=timezone.utc)
@@ -48,12 +48,9 @@ def make_uri_like_weather() -> WeatherSeries:
 
 
 def write_weather_csv(series: WeatherSeries, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "temp_c", "rh_pct"])
-        for i, stamp in enumerate(series.timestamps()):
-            writer.writerow([stamp.isoformat(), f"{series.t_out_c[i]:.2f}",
-                             f"{series.rh_pct[i]:.2f}"])
+    save_csv(path, ("timestamp", "temp_c", "rh_pct"),
+             [(series.timestamps(), datetime.isoformat), (series.t_out_c, "{:.2f}".format),
+              (series.rh_pct, "{:.2f}".format)])
 
 
 def demo_config_dict(weather_filename: str = "demo_weather.csv",

@@ -225,13 +225,8 @@ class TruncNormal:
             (self.lo - self.mean) / self.std
         )
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw by rejection: resample any value falling outside [lo, hi]."""
-        if size is None:
-            while True:
-                value = rng.normal(self.mean, self.std)
-                if self.lo <= value <= self.hi:
-                    return float(value)
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` draws by rejection: redraw every value outside [lo, hi]."""
         out = rng.normal(self.mean, self.std, size=size)
         bad = (out < self.lo) | (out > self.hi)
         while bad.any():
@@ -294,10 +289,6 @@ class HazardConfig:
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ConfigurationError(f"delta must lie in [0, 1], got {self.delta}")
-
-    @classmethod
-    def default(cls) -> "HazardConfig":
-        return cls()
 
 
 @dataclass(frozen=True)

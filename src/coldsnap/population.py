@@ -2,14 +2,13 @@
 
 Buildings carry all attributes the thermal, outage, hazard, and valuation
 stages consume. A population holds them as one numpy column per `Building`
-field; `Building` rows appear only at the CSV boundary. A population is
+field; `Building` rows appear only on request. A population is
 immutable after construction and safe to share across parallel trial
 workers.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import typing
 from dataclasses import dataclass, field, fields
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigurationError, IngestionError
+from .tables import read_csv, save_csv, write_csv
 
 
 class BuildingKind(str, Enum):
@@ -126,6 +126,11 @@ def code(member: Enum) -> int:
     return list(type(member)).index(member)
 
 
+def label(enum: type[Enum]):
+    """Maps a column code of `enum` to its member's `.value`."""
+    return [m.value for m in enum].__getitem__
+
+
 def _dtype(tp) -> type:
     if issubclass(tp, Enum):
         return np.int8
@@ -189,12 +194,6 @@ class Population:
         """Each building's `Building.hvac_electric_kw`."""
         return np.where(self.heating_fuel == code(HeatingFuel.ELECTRIC),
                         self.hvac_heat_w / 1000.0, defaults.GAS_BLOWER_KW)
-
-    def labels(self, name: str) -> list[str]:
-        """The `.value` of each building's member of enum column `name` or
-        of `sector`: references to the members' own strings."""
-        values = [m.value for m in (Sector if name == "sector" else _FIELD_TYPES[name])]
-        return list(map(values.__getitem__, getattr(self, name).tolist()))
 
     @classmethod
     def from_buildings(cls, rows) -> Population:
@@ -385,60 +384,45 @@ def _parse_int(raw: str) -> int:
     return value
 
 
-_PARSERS = {col: {bool: _parse_bool, int: _parse_int}.get(tp, tp)
-            for col, tp in _FIELD_TYPES.items()}
+def _parser(tp):
+    """A column cell's parser: enum members become their `code`s."""
+    if issubclass(tp, Enum):
+        return lambda raw: code(tp(raw))
+    return {bool: _parse_bool, int: _parse_int}.get(tp, tp)
+
+
+def _csv_columns(pop: Population) -> list:
+    """Each field's column and cell text; floats use repr so reload is bit-exact."""
+    return [(pop.columns[name], label(tp) if issubclass(tp, Enum)
+             else {bool: ("false", "true").__getitem__, float: repr}.get(tp))
+            for name, tp in _FIELD_TYPES.items()]
 
 
 def write_population_csv(handle, pop: Population) -> None:
-    """Write one building per row, one column per field; floats use repr so
-    reload is bit-exact. Rows are formatted a block at a time, so that only
-    one block's cell text exists at once."""
-    texts = [[m.value for m in tp].__getitem__ if issubclass(tp, Enum)
-             else {bool: ("false", "true").__getitem__, float: repr}.get(tp)
-             for tp in _FIELD_TYPES.values()]
-    writer = csv.writer(handle)
-    writer.writerow(CSV_COLUMNS)
-    block = 1024
-    for lo in range(0, len(pop), block):
-        cells = [pop.columns[name][lo:lo + block].tolist() for name in CSV_COLUMNS]
-        writer.writerows(zip(*(c if text is None else map(text, c)
-                               for c, text in zip(cells, texts))))
+    """Write one building per row, one column per field."""
+    write_csv(handle, CSV_COLUMNS, _csv_columns(pop))
 
 
 def save_population(pop: Population, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        write_population_csv(handle, pop)
+    save_csv(path, CSV_COLUMNS, _csv_columns(pop))
 
 
 def load_population(path) -> Population:
-    """Load a population CSV written by :func:`save_population`."""
-    buildings: list[Building] = []
-    seen_ids: set[int] = set()
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise IngestionError(f"missing columns: {', '.join(missing)}", path=path)
-        for row_no, row in enumerate(reader, start=2):
-            values = {}
-            for col, parse in _PARSERS.items():
-                raw = row[col]
-                try:
-                    values[col] = parse(raw)
-                except ValueError as exc:
-                    raise IngestionError(
-                        f"unparsable value {raw!r}: {exc}", path=path, row=row_no, column=col
-                    ) from exc
-            if values["id"] in seen_ids:
-                raise IngestionError(
-                    f"duplicate building id {values['id']}", path=path, row=row_no, column="id"
-                )
-            seen_ids.add(values["id"])
-            buildings.append(Building(**values))
-    if not buildings:
+    """Load a population CSV written by :func:`save_population`. A repeated
+    building id is a bad cell of the `id` column."""
+    seen: set[int] = set()
+
+    def parse_id(raw: str) -> int:
+        if (value := _parse_int(raw)) in seen:
+            raise ConfigurationError(f"duplicate building id {value}")
+        seen.add(value)
+        return value
+
+    parsers = {col: parse_id if col == "id" else _parser(tp) for col, tp in _FIELD_TYPES.items()}
+    columns = read_csv(path, parsers)
+    if not columns["id"]:
         raise IngestionError("zero buildings", path=path)
-    return Population.from_buildings(buildings)
+    return Population(columns)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
-from .errors import ConfigurationError, IngestionError
-from .population import INSULATION_ORDER
+import numpy as np
+
+from .errors import ConfigurationError
+from .population import INSULATION_ORDER, Insulation, code
+from .tables import read_csv, save_csv
 
 COMPARE_ROWS = (
     "c_vsl", "c_medical", "c_prod", "c_build", "c_cic",
@@ -76,13 +78,10 @@ def compare_scenarios(run_dirs, out_path=None) -> list[dict]:
         rows.append(row)
 
     if out_path is not None:
-        fieldnames = ["metric"] + labels + [f"{lb}_delta_pct" for lb in labels]
-        with open(out_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            for r in rows:
-                writer.writerow({k: (f"{v:.4f}" if isinstance(v, float) else v)
-                                 for k, v in r.items()})
+        header = ["metric"] + labels + [f"{lb}_delta_pct" for lb in labels]
+        save_csv(out_path, header, [([r[k] for r in rows],
+                                     lambda v: f"{v:.4f}" if isinstance(v, float) else v)
+                                    for k in header])
     return rows
 
 
@@ -107,53 +106,33 @@ def export_exposure(run_dir, out_path=None) -> list[dict]:
     Returns one row per insulation class present: building count, mean of
     the per-building mean and minimum indoor temperatures, and mean relative
     risk. Writes `insulation_summary.csv` next to the run unless told
-    otherwise.
+    otherwise. A missing column, an unknown class or a value that is not a
+    number raises IngestionError naming the first such cell.
     """
     run_dir = Path(run_dir)
     exposure_path = run_dir / "exposure.csv"
     if not exposure_path.exists():
         raise ConfigurationError(f"no exposure.csv in {run_dir}; not a completed run")
-    means = ("mean_t_in_c", "min_t_in_c", "mean_rr")
-    by_class: dict[str, list[list[float]]] = {}
-    with open(exposure_path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for column in ("insulation",) + means:
-            if column not in (reader.fieldnames or ()):
-                raise IngestionError("missing column", exposure_path, row=1, column=column)
-        for row_no, record in enumerate(reader, start=2):
-            values = []
-            for column in means:
-                try:
-                    values.append(float(record[column]))
-                except (TypeError, ValueError) as exc:
-                    raise IngestionError(f"unparsable value {record[column]!r}", exposure_path,
-                                         row=row_no, column=column) from exc
-            by_class.setdefault(record["insulation"], []).append(values)
-
-    rows = []
-    for ins in INSULATION_ORDER:
-        records = by_class.get(ins.value)
-        if not records:
-            continue
-        n = len(records)
-        rows.append({
-            "insulation": ins.value,
-            "n_buildings": n,
-            "mean_t_in_c": sum(r[0] for r in records) / n,
-            "mean_min_t_in_c": sum(r[1] for r in records) / n,
-            "mean_rr": sum(r[2] for r in records) / n,
-        })
-    if not rows:
+    columns = read_csv(exposure_path, {"insulation": lambda raw: code(Insulation(raw)),
+                                       "mean_t_in_c": float, "min_t_in_c": float,
+                                       "mean_rr": float})
+    if not columns["insulation"]:
         raise ConfigurationError(f"exposure table in {run_dir} is empty")
 
+    # bincount adds each class's values in row order, one at a time.
+    insulation, *temperatures_and_rr = map(np.array, columns.values())
+    counts = np.bincount(insulation, minlength=len(INSULATION_ORDER))
+    present = np.flatnonzero(counts)
+    classes = [INSULATION_ORDER[k].value for k in present.tolist()]
+    n = counts[present]
+    means = [np.bincount(insulation, weights=values, minlength=len(counts))[present] / n
+             for values in temperatures_and_rr]
+    header = ("insulation", "n_buildings", "mean_t_in_c", "mean_min_t_in_c", "mean_rr")
     out_path = Path(out_path) if out_path is not None else run_dir / "insulation_summary.csv"
-    with open(out_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
-                             for k, v in row.items()})
-    return rows
+    save_csv(out_path, header,
+             [(classes, None), (n, None)] + [(m, "{:.6f}".format) for m in means])
+    return [dict(zip(header, row))
+            for row in zip(classes, n.tolist(), *(m.tolist() for m in means))]
 
 
 def format_exposure(rows: list[dict]) -> str:

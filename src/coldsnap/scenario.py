@@ -10,7 +10,6 @@ summary.json, histogram.csv, exposure.csv, and manifest.json.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import io
 import json
@@ -38,13 +37,18 @@ from .outage import (
     build_rolling_outage,
 )
 from .population import (
+    BuildingKind,
+    Insulation,
     Population,
     PopulationSpec,
+    Sector,
+    label,
     load_population,
     synthesize_population,
     validate_population,
     write_population_csv,
 )
+from .tables import save_csv
 from .thermal import TraceWriter, simulate_block
 from .valuation import (
     CostDistribution,
@@ -65,6 +69,9 @@ SCENARIO_NAMES = tuple(s.value for s in Scenario)
 SIM_BLOCK = 256
 # Rows per reduction block: bounds the temporaries of the curve evaluations.
 REDUCE_BLOCK = 64
+# The per-building exposure columns, in exposure.csv order after the
+# building's own columns.
+EXPOSURE_FIELDS = ("mean_t_in_c", "min_t_in_c", "mean_rr", "p_mort", "wi_sum", "unpowered_h")
 
 
 @dataclass(frozen=True)
@@ -253,7 +260,7 @@ class RunResult:
     distribution: CostDistribution
     summary: dict
     histogram: list
-    exposure_rows: list[dict] = field(default_factory=list)
+    exposure: dict[str, np.ndarray]  # one column per EXPOSURE_FIELDS name
 
 
 def population_digest(pop: Population) -> str:
@@ -263,16 +270,22 @@ def population_digest(pop: Population) -> str:
     return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
 
 
+def sequential_sum(values) -> float:
+    """The sum of `values` added left to right from 0.0, on every Python
+    (its `sum` of floats is compensated from 3.12 on)."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
 def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerScheduleSet,
-                    traces_path=None) -> tuple[ScenarioBundle, list[dict]]:
+                    traces_path=None) -> tuple[ScenarioBundle, dict[str, np.ndarray]]:
     """Simulate every building and reduce its trace to valuation inputs.
 
     Buildings are simulated `SIM_BLOCK` at a time and reduced in row blocks
     of `REDUCE_BLOCK`, so no array of size buildings x steps outlives its
     block, the block's power matrix included. With `traces_path`, each
     block's traces are appended to that CSV as soon as they are simulated.
-    Returns the trial bundle and the per-building exposure rows for
-    reporting.
+    Returns the trial bundle and the per-building exposure, one column per
+    `EXPOSURE_FIELDS` name.
     """
     series = load_weather_csv(config.weather_path)
     if series.dt_s != config.dt_s:
@@ -311,31 +324,18 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     if beta is None:
         beta = float(max(wi_sum.max(initial=0.0), 1e-9))
 
-    # Both totals add in building order, one building at a time.
-    c_cic = sum(interruption_cost(pop, unpowered_h, config.valuation.cic).tolist())
-    c_prod = 0.0
-    for usd in prod_usd.tolist():
-        c_prod += usd
-
     bundle = ScenarioBundle(
-        scenario=config.scenario,
         p_mort_by_building=p_mort,
         wi_sum_by_building=wi_sum,
         beta_wi=float(beta),
         occupants_by_building=pop.n_occupants,
-        c_prod=float(c_prod),
-        c_cic=float(c_cic),
+        c_prod=sequential_sum(prod_usd),
+        c_cic=sequential_sum(interruption_cost(pop, unpowered_h, config.valuation.cic)),
         hazard_cfg=hz,
         val_params=config.valuation,
-        mean_rr_by_building=mean_rr,
     )
-    names = ("building_id", "kind", "sector", "insulation", "n_occupants", "mean_t_in_c",
-             "min_t_in_c", "mean_rr", "p_mort", "wi_sum", "unpowered_h")
-    columns = [pop.id.tolist(), pop.labels("kind"), pop.labels("sector"),
-               pop.labels("insulation"), pop.n_occupants.tolist()] + [
-        c.tolist() for c in (mean_t, min_t, mean_rr, p_mort, wi_sum, unpowered_h)]
-    exposure_rows = [dict(zip(names, row)) for row in zip(*columns)]
-    return bundle, exposure_rows
+    exposure = dict(zip(EXPOSURE_FIELDS, (mean_t, min_t, mean_rr, p_mort, wi_sum, unpowered_h)))
+    return bundle, exposure
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
@@ -357,7 +357,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     schedule = build_schedules(config, pop)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle, exposure_rows = assemble_bundle(
+    bundle, exposure = assemble_bundle(
         config, pop, schedule, out / "traces.csv" if config.write_traces else None)
     distribution = run_monte_carlo(bundle, config.n_trials, config.seed, config.threads)
     summary, histogram = summarize(distribution, config.histogram_bins)
@@ -366,7 +366,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     summary["seed"] = config.seed
     summary["config_hash"] = config.config_hash()
     summary["population_digest"] = population_digest(pop)
-    summary["mean_rr_population"] = float(bundle.mean_rr_by_building.mean())
+    summary["mean_rr_population"] = float(exposure["mean_rr"].mean())
     summary["n_buildings"] = len(pop)
     summary["total_occupants"] = pop.total_occupants
 
@@ -374,7 +374,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                                       encoding="utf-8")
     _write_histogram_csv(out / "histogram.csv", histogram)
-    _write_exposure_csv(out / "exposure.csv", exposure_rows)
+    _write_exposure_csv(out / "exposure.csv", pop, exposure)
 
     manifest = {
         "engine": "coldsnap",
@@ -395,8 +395,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                        encoding="utf-8")
-    return RunResult(config, pop, schedule, bundle, distribution, summary, histogram,
-                     exposure_rows)
+    return RunResult(config, pop, schedule, bundle, distribution, summary, histogram, exposure)
 
 
 def _input_digests(config: ScenarioConfig) -> dict:
@@ -410,32 +409,21 @@ def _input_digests(config: ScenarioConfig) -> dict:
 
 def _write_trials_csv(path, distribution: CostDistribution) -> None:
     money = ("c_vsl", "c_medical", "c_prod", "c_build", "c_cic", "total")
-    columns = [[f"{v:.2f}" for v in distribution.component(name).tolist()] for name in money]
-    counts = [distribution.component(name).astype(np.int64).tolist()
-              for name in ("n_death", "n_injured")]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["trial", *money, "n_death", "n_injured"])
-        writer.writerows(zip(range(len(distribution.trials)), *columns, *counts))
+    counts = ("n_death", "n_injured")
+    save_csv(path, ("trial", *money, *counts), [(range(len(distribution.trials)), None)] + [
+        (distribution.component(name), "{:.2f}".format) for name in money] + [
+        (distribution.component(name).astype(np.int64), None) for name in counts])
 
 
 def _write_histogram_csv(path, histogram: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for left, right, count in histogram:
-            writer.writerow([f"{left:.2f}", f"{right:.2f}", count])
+    left, right, count = zip(*histogram)
+    save_csv(path, ("bin_left", "bin_right", "count"),
+             [(left, "{:.2f}".format), (right, "{:.2f}".format), (count, None)])
 
 
-def _write_exposure_csv(path, rows: list[dict]) -> None:
-    if not rows:
-        raise ConfigurationError("no exposure rows to write")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            formatted = dict(row)
-            for key in ("mean_t_in_c", "min_t_in_c", "mean_rr", "p_mort", "wi_sum",
-                        "unpowered_h"):
-                formatted[key] = f"{row[key]:.6f}"
-            writer.writerow(formatted)
+def _write_exposure_csv(path, pop: Population, exposure: dict[str, np.ndarray]) -> None:
+    save_csv(path, ("building_id", "kind", "sector", "insulation", "n_occupants",
+                    *EXPOSURE_FIELDS),
+             [(pop.id, None), (pop.kind, label(BuildingKind)), (pop.sector, label(Sector)),
+              (pop.insulation, label(Insulation)), (pop.n_occupants, None)] + [
+                 (exposure[name], "{:.6f}".format) for name in EXPOSURE_FIELDS])

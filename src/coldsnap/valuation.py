@@ -254,9 +254,9 @@ def productivity_cost(t_in_c, powered, pop: Population, start, dt_s: float,
 
 @dataclass(frozen=True)
 class ScenarioBundle:
-    """Deterministic per-scenario inputs shared by every trial."""
+    """Deterministic per-scenario inputs shared by every trial: what
+    `run_batch` reads."""
 
-    scenario: str
     p_mort_by_building: np.ndarray   # in population order
     wi_sum_by_building: np.ndarray
     beta_wi: float
@@ -265,11 +265,6 @@ class ScenarioBundle:
     c_cic: float
     hazard_cfg: HazardConfig
     val_params: ValuationParams
-    mean_rr_by_building: np.ndarray = None
-
-    @property
-    def n_occupants(self) -> int:
-        return int(self.occupants_by_building.sum())
 
 
 COMPONENTS = ("c_vsl", "c_medical", "c_prod", "c_build", "c_cic")

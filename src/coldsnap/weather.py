@@ -8,13 +8,14 @@ and safe to share across worker threads.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError
+from .tables import read_csv
 
 # Tolerated timestamp jitter when checking uniform spacing, in seconds.
 SPACING_JITTER_S = 1.0
@@ -82,39 +83,27 @@ class WeatherSeries:
         return idx
 
 
+def _temperature(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ConfigurationError(f"non-finite temperature {value}")
+    return value
+
+
+def _humidity(raw: str) -> float:
+    if not 0.0 <= (value := float(raw)) <= 100.0:
+        raise ConfigurationError(f"relative humidity {value} outside [0, 100]")
+    return value
+
+
 def load_weather_csv(path) -> WeatherSeries:
     """Load a `timestamp,temp_c,rh_pct` CSV into a WeatherSeries.
 
     Rows must be strictly increasing in time with uniform spacing; the step
     is inferred from the first two rows.
     """
-    stamps: list[datetime] = []
-    temps: list[float] = []
-    rhs: list[float] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"timestamp", "temp_c", "rh_pct"}
-        header = set(reader.fieldnames or [])
-        if not required.issubset(header):
-            missing = ", ".join(sorted(required - header))
-            raise IngestionError(f"missing columns: {missing}", path=path)
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                stamps.append(parse_timestamp(row["timestamp"]))
-            except IngestionError as exc:
-                raise IngestionError(str(exc), path=path, row=row_no, column="timestamp") from exc
-            for col, sink in (("temp_c", temps), ("rh_pct", rhs)):
-                try:
-                    sink.append(float(row[col]))
-                except (TypeError, ValueError) as exc:
-                    raise IngestionError(
-                        f"unparsable value {row[col]!r}", path=path, row=row_no, column=col
-                    ) from exc
-            if not 0.0 <= rhs[-1] <= 100.0:
-                raise IngestionError(
-                    f"relative humidity {rhs[-1]} outside [0, 100]",
-                    path=path, row=row_no, column="rh_pct",
-                )
+    columns = read_csv(path, {"timestamp": parse_timestamp, "temp_c": _temperature,
+                              "rh_pct": _humidity})
+    stamps = columns["timestamp"]
     if len(stamps) < 2:
         raise IngestionError("weather file needs at least 2 rows", path=path)
     dt_s = (stamps[1] - stamps[0]).total_seconds()
@@ -127,7 +116,8 @@ def load_weather_csv(path) -> WeatherSeries:
                 f"non-uniform spacing: expected {dt_s:g}s, got {gap:g}s",
                 path=path, row=i + 2, column="timestamp",
             )
-    return WeatherSeries(start=stamps[0], dt_s=dt_s, t_out_c=np.array(temps), rh_pct=np.array(rhs))
+    return WeatherSeries(start=stamps[0], dt_s=dt_s, t_out_c=np.array(columns["temp_c"]),
+                         rh_pct=np.array(columns["rh_pct"]))
 
 
 def slice_window(series: WeatherSeries, start: datetime, end: datetime) -> WeatherSeries:

@@ -351,7 +351,13 @@ def base_mortality(t_in_c, model, delta: float = 0.0) -> float:
 
 
 def sample_truncated_normal(params: TruncNormal, rng: np.random.Generator, size=None):
-    return params.sample(rng, size)
+    """`params.sample`, or with no `size` one float drawn by rejection."""
+    if size is not None:
+        return params.sample(rng, size)
+    while True:
+        value = rng.normal(params.mean, params.std)
+        if params.lo <= value <= params.hi:
+            return float(value)
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -548,6 +554,9 @@ def productivity_cost(traces, pop, params, productivity_model) -> float:
 
 # --- The bundle, one building at a time --------------------------------------
 
+EXPOSURE_FLOATS = ("mean_t_in_c", "min_t_in_c", "mean_rr", "p_mort", "wi_sum", "unpowered_h")
+
+
 def assemble_bundle(config, pop, schedule):
     """Simulate and reduce one building at a time; row i of the schedule's
     `powered()` matrix is building i's schedule.
@@ -593,12 +602,12 @@ def assemble_bundle(config, pop, schedule):
     if beta is None:
         beta = float(max(wi_sum.max(initial=0.0), 1e-9))
 
-    c_cic = sum(interruption_cost(b, h, config.valuation.cic)
-                for b, h in zip(pop.buildings, hours))
+    c_cic = 0.0
+    for b, h in zip(pop.buildings, hours):
+        c_cic += interruption_cost(b, h, config.valuation.cic)
     c_prod = productivity_cost(traces, pop, config.valuation, hz.productivity_model)
 
     bundle = ScenarioBundle(
-        scenario=config.scenario,
         p_mort_by_building=p_mort,
         wi_sum_by_building=wi_sum,
         beta_wi=float(beta),
@@ -607,9 +616,18 @@ def assemble_bundle(config, pop, schedule):
         c_cic=float(c_cic),
         hazard_cfg=hz,
         val_params=config.valuation,
-        mean_rr_by_building=mean_rr,
     )
     return bundle, traces, exposure_rows
+
+
+def write_exposure_csv(rows, path) -> None:
+    """Exposure export through `csv.DictWriter`, one row dict at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: f"{v:.6f}" if k in EXPOSURE_FLOATS else v
+                             for k, v in row.items()})
 
 
 # --- Monte-Carlo: one trial at a time, one draw per occupant ----------------

@@ -97,7 +97,7 @@ def test_criterion_1_thermal_oracle():
 def test_criterion_2_outcome_tree_oracle():
     # 100-occupant toy, fixed P_mort=0.3, shipped health statistics, 1e5
     # trials; death/injury frequencies within 3-sigma of the analytic tree.
-    cfg = HazardConfig.default()
+    cfg = HazardConfig()
     n_occ, n_trials = 100, 100_000
     p_mort = np.full(n_occ, 0.3)
     started = time.time()

@@ -302,8 +302,13 @@ class TestExportExposure:
 
     @pytest.mark.parametrize("edit, named", [
         (lambda rows: [row[:3] + row[4:] for row in rows], "row=1; column=insulation"),
-        (lambda rows: rows[:5] + [rows[5][:6] + ["x"] + rows[5][7:]] + rows[6:],
-         "row=6; column=min_t_in_c"),
+        (lambda rows: with_cells(rows, (5, 6, "x")), "row=6; column=min_t_in_c"),
+        (lambda rows: with_cells(rows, (9, 3, "excelent")), "row=10; column=insulation"),
+        # The lowest row first, then insulation before the numbers.
+        (lambda rows: with_cells(rows, (9, 3, "excelent"), (7, 7, "x"), (7, 5, "")),
+         "row=8; column=mean_t_in_c"),
+        (lambda rows: with_cells(rows, (7, 7, "x"), (7, 3, "excelent")),
+         "row=8; column=insulation"),
     ])
     def test_malformed_exposure_exits_2_naming_file_row_column(self, runs, tmp_path, capsys,
                                                                edit, named):
@@ -315,6 +320,14 @@ class TestExportExposure:
         assert main(["export-exposure", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"file={tmp_path / 'exposure.csv'}" in err and named in err
+
+
+def with_cells(rows, *cells):
+    """A copy of CSV `rows` with each (row, column, text) cell set."""
+    rows = [list(row) for row in rows]
+    for row, column, text in cells:
+        rows[row][column] = text
+    return rows
 
 
 class TestDemoCommand:

@@ -301,7 +301,7 @@ class TestOutcomeTreeVectorized:
     def test_matches_closed_form_with_distribution_draws(self):
         # Vectorized engine path with per-occupant truncated-normal draws;
         # oracle uses scipy's exact truncated means.
-        cfg = HazardConfig.default()
+        cfg = HazardConfig()
         rng = np.random.default_rng(77)
         n_occ, n_rep = 500, 400
         p_mort = np.full(n_occ, 0.3)
@@ -333,7 +333,7 @@ class TestOutcomeTreeVectorized:
             assert abs(observed / n - p) < 3 * sigma, label
 
     def test_empty_at_risk_short_circuit(self):
-        cfg = HazardConfig.default()
+        cfg = HazardConfig()
         rng = np.random.default_rng(1)
         batch = simulate_outcomes(np.zeros(50), cfg, rng)
         assert batch.n_death == 0

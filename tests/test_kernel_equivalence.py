@@ -21,12 +21,15 @@ from coldsnap.hazard import CONDITIONS, STATUS_DEATH, STATUS_HOME, STATUS_HOSPIT
 from coldsnap.outage import assign_rolling_groups
 from coldsnap.population import BuildingKind, Sector, synthesize_population
 from coldsnap.scenario import (
+    EXPOSURE_FIELDS,
     REDUCE_BLOCK,
     SCENARIO_NAMES,
     SIM_BLOCK,
+    _write_exposure_csv,
     assemble_bundle,
     build_schedules,
     load_config,
+    sequential_sum,
 )
 from coldsnap.thermal import TraceWriter, format_fixed4, simulate_block
 from coldsnap.valuation import (
@@ -251,24 +254,51 @@ def test_missing_sector_table_raises_only_for_unpowered_hours():
 
 @pytest.mark.parametrize("variant", ["demo", "indoor_rh"])
 @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
-def test_bundle_matches_oracle_exactly(assets, variant, scenario):
+def test_bundle_matches_oracle_exactly(assets, tmp_path, variant, scenario):
     config, pop, schedule = prepare(assets[variant], scenario)
-    bundle, rows = assemble_bundle(config, pop, schedule)
+    bundle, exposure = assemble_bundle(config, pop, schedule)
     ref, _, ref_rows = oracles.assemble_bundle(config, pop, schedule)
 
     assert np.array_equal(bundle.p_mort_by_building, ref.p_mort_by_building)
     assert np.array_equal(bundle.wi_sum_by_building, ref.wi_sum_by_building)
-    assert np.array_equal(bundle.mean_rr_by_building, ref.mean_rr_by_building)
     assert np.array_equal(bundle.occupants_by_building, ref.occupants_by_building)
     assert bundle.c_prod == ref.c_prod
     assert bundle.c_cic == ref.c_cic
     assert bundle.beta_wi == ref.beta_wi
-    assert rows == ref_rows
+    assert tuple(exposure) == EXPOSURE_FIELDS == oracles.EXPOSURE_FLOATS
+    for name in EXPOSURE_FIELDS:
+        assert exposure[name].tolist() == [row[name] for row in ref_rows], name
+    _write_exposure_csv(tmp_path / "exposure.csv", pop, exposure)
+    oracles.write_exposure_csv(ref_rows, tmp_path / "ref.csv")
+    assert (tmp_path / "exposure.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     if scenario != "base":
         assert bundle.c_prod > 0.0 and bundle.c_cic > 0.0
     if variant == "indoor_rh" and scenario in ("co", "ro-di"):
         # Buildings dark for the whole window fall below freezing.
         assert (bundle.wi_sum_by_building > 0.0).any()
+
+
+@pytest.mark.parametrize("scenario", ["co", "ro-di"])
+def test_cost_totals_add_left_to_right(assets, scenario):
+    config, pop, schedule = prepare(assets["demo"], scenario)
+    bundle, _ = assemble_bundle(config, pop, schedule)
+    total = 0.0
+    for usd in interruption_cost(pop, schedule.unpowered_hours(), config.valuation.cic).tolist():
+        total += usd
+    assert bundle.c_cic == total > 0.0
+
+
+def test_sequential_sum_is_the_loop():
+    # A compensated sum (Python's `sum` from 3.12) gives 2.0 here.
+    assert sequential_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert sequential_sum([]) == 0.0 and str(sequential_sum([-0.0])) == "0.0"
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 17, 4209):
+        values = rng.lognormal(3.0, 2.0, n)
+        total = 0.0
+        for v in values.tolist():
+            total += v
+        assert sequential_sum(values) == total
 
 
 def test_streamed_traces_match_oracle_export(assets, tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from coldsnap.population import (
     Population,
     PopulationSpec,
     Sector,
+    label,
     load_population,
     save_population,
     synthesize_population,
@@ -127,8 +128,9 @@ class TestCsvRoundTrip:
         lines = path.read_text().splitlines()
         lines.append(lines[1])  # repeat id 5
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IngestionError, match="duplicate building id 5"):
+        with pytest.raises(IngestionError, match="duplicate building id 5") as info:
             load_population(path)
+        assert (info.value.row, info.value.column) == (4, "id")
 
     def test_header_only_file_rejected(self, tmp_path):
         pop = make_population([make_building(0)])
@@ -152,6 +154,17 @@ class TestCsvRoundTrip:
         path.write_text(text)
         with pytest.raises(IngestionError, match="row=2"):
             load_population(path)
+
+    def test_short_row_names_its_first_empty_cell(self, tmp_path):
+        pop = make_population([make_building(0), make_building(1)])
+        path = tmp_path / "pop.csv"
+        save_population(pop, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 3)[0]  # drops avg_annual_kwh onward
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestionError, match="unparsable value ''") as info:
+            load_population(path)
+        assert (info.value.row, info.value.column) == (3, "avg_annual_kwh")
 
 
 class TestValidate:
@@ -222,8 +235,8 @@ class TestColumns:
     def test_derived_columns_match_the_rows(self):
         pop = synthesize_population(demo_spec(), seed=42)
         rows = pop.buildings
-        assert pop.labels("sector") == [b.sector.value for b in rows]
-        assert pop.labels("kind") == [b.kind.value for b in rows]
+        assert list(map(label(Sector), pop.sector.tolist())) == [b.sector.value for b in rows]
+        assert list(map(label(BuildingKind), pop.kind.tolist())) == [b.kind.value for b in rows]
         assert pop.hvac_electric_kw.tolist() == [b.hvac_electric_kw for b in rows]
         fuels = {b.heating_fuel for b in rows}
         assert fuels == set(HeatingFuel)

@@ -99,7 +99,7 @@ class TestProductivityCost:
         return usd
 
     def test_full_performance_costs_nothing(self):
-        cfg = HazardConfig.default()
+        cfg = HazardConfig()
         grid = np.arange(10.0, 32.0, 0.01)
         argmax = grid[np.argmax(cfg.productivity_model.evaluate(grid))]
         office = make_building(0, kind=BuildingKind.OFFICE, n_workers=10)
@@ -109,7 +109,7 @@ class TestProductivityCost:
 
     def test_office_example_value(self):
         # 10 workers, wage 37.88, zero performance for the 8 h window.
-        cfg = HazardConfig.default()
+        cfg = HazardConfig()
         office = make_building(0, kind=BuildingKind.OFFICE, n_workers=10,
                                job_requires_power=True)
         trace = self.make_trace(20.0, False)  # unpowered, power-required job
@@ -118,7 +118,7 @@ class TestProductivityCost:
         assert cost == pytest.approx(10 * 1 * 37.88 * 8, abs=1e-9)
 
     def test_unpowered_hour_power_required_job_loses_full_wage(self):
-        cfg = HazardConfig.default()
+        cfg = HazardConfig()
         home = make_building(0, n_workers=1, job_requires_power=True)
         n = 12  # one hour
         start = datetime(2021, 2, 15, 9, tzinfo=UTC)
@@ -128,7 +128,7 @@ class TestProductivityCost:
         assert cost == pytest.approx(45.51 * 1.0, abs=1e-9)
 
     def test_non_power_job_keeps_thermal_performance_when_dark(self):
-        cfg = HazardConfig.default()
+        cfg = HazardConfig()
         home = make_building(0, n_workers=1, job_requires_power=False)
         n = 12
         start = datetime(2021, 2, 15, 9, tzinfo=UTC)
@@ -246,16 +246,14 @@ class TestInterruptionCost:
 def make_bundle(n_buildings=20, occupants_each=5, p_mort=0.3, wi=0.0,
                 c_prod=1234.5, c_cic=777.0):
     return ScenarioBundle(
-        scenario="toy",
         p_mort_by_building=np.full(n_buildings, float(p_mort)),
         wi_sum_by_building=np.full(n_buildings, float(wi)),
         beta_wi=1000.0,
         occupants_by_building=np.full(n_buildings, occupants_each),
         c_prod=c_prod,
         c_cic=c_cic,
-        hazard_cfg=HazardConfig.default(),
+        hazard_cfg=HazardConfig(),
         val_params=ValuationParams(),
-        mean_rr_by_building=np.full(n_buildings, 1.0 + p_mort),
     )
 
 
@@ -279,7 +277,7 @@ class TestRunTrial:
     def test_counts_bounded_by_population(self):
         bundle = make_bundle(p_mort=1.0)
         t = run_trial(bundle, 0, 1)
-        assert t.n_death + t.n_injured <= bundle.n_occupants
+        assert t.n_death + t.n_injured <= bundle.occupants_by_building.sum()
         assert t.n_death + t.n_injured > 0
 
     def test_zero_mortality_zero_vsl(self):
@@ -330,7 +328,7 @@ class TestRunMonteCarlo:
             {c: trunc_mean(cfg.distributions_pct.hospital_survival[c]) for c in CONDITIONS},
             {c: trunc_mean(cfg.distributions_pct.home_survival[c]) for c in CONDITIONS},
         )
-        n_occ = bundle.n_occupants
+        n_occ = bundle.occupants_by_building.sum()
         expected_deaths = n_occ * exact["death"]
         observed = dist.component("n_death")
         sigma_mean = math.sqrt(n_occ * exact["death"] * (1 - exact["death"]) / n_trials)

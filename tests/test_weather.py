@@ -46,6 +46,14 @@ class TestLoad:
         with pytest.raises(IngestionError, match="rh_pct"):
             load_weather_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_temperature_names_row(self, tmp_path, value):
+        path = tmp_path / "w.csv"
+        write_csv(path, make_rows(8, temp=lambda i: value if i == 4 else -5.0))
+        with pytest.raises(IngestionError, match=f"non-finite temperature {value}") as info:
+            load_weather_csv(path)
+        assert (info.value.path, info.value.row, info.value.column) == (path, 6, "temp_c")
+
     def test_bad_timestamp_names_row(self, tmp_path):
         path = tmp_path / "w.csv"
         rows = make_rows(2)
