@@ -10,11 +10,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .population import INSULATION_ORDER, Insulation, code
 from .tables import read_csv, save_csv
-
-COMPARE_ROWS = (
-    "c_vsl", "c_medical", "c_prod", "c_build", "c_cic",
-    "nei_total", "total", "n_death", "n_injured",
-)
+from .valuation import METRICS
 
 
 def _load_run(run_dir: Path) -> dict:
@@ -26,7 +22,7 @@ def _load_run(run_dir: Path) -> dict:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigurationError(f"{summary_path} is not valid JSON: {exc}") from exc
-    for key in [(m, "mean") for m in COMPARE_ROWS] + [("mean_rr_population",)]:
+    for key in [(m, "mean") for m in METRICS] + [("mean_rr_population",)]:
         value = summary
         for part in key:
             value = value.get(part) if isinstance(value, dict) else None
@@ -69,7 +65,7 @@ def compare_scenarios(run_dirs, out_path=None) -> list[dict]:
     if len(set(labels)) < len(labels):
         labels = [f"{lb}#{i}" for i, lb in enumerate(labels, 1)]
 
-    columns = [(f"{m}_mean", [s[m]["mean"] for s in summaries]) for m in COMPARE_ROWS]
+    columns = [(f"{m}_mean", [s[m]["mean"] for s in summaries]) for m in METRICS]
     columns.append(("mean_rr_population", [s["mean_rr_population"] for s in summaries]))
     rows: list[dict] = []
     for metric, means in columns:

@@ -51,6 +51,8 @@ from .population import (
 from .tables import save_csv
 from .thermal import TraceWriter, simulate_block
 from .valuation import (
+    COMPONENTS,
+    COUNTS,
     CostDistribution,
     ScenarioBundle,
     ValuationParams,
@@ -59,7 +61,7 @@ from .valuation import (
     run_monte_carlo,
     summarize,
 )
-from .weather import load_weather_csv, parse_timestamp, resample, slice_window
+from .weather import load_weather_csv, parse_timestamp, slice_window
 
 SCENARIO_NAMES = tuple(s.value for s in Scenario)
 
@@ -69,6 +71,8 @@ SCENARIO_NAMES = tuple(s.value for s in Scenario)
 SIM_BLOCK = 256
 # Rows per reduction block: bounds the temporaries of the curve evaluations.
 REDUCE_BLOCK = 64
+# Upper bound of `histogram_bins`: the histogram is a list of that many rows.
+MAX_HISTOGRAM_BINS = 1_000_000
 # The per-building exposure columns, in exposure.csv order after the
 # building's own columns.
 EXPOSURE_FIELDS = ("mean_t_in_c", "min_t_in_c", "mean_rr", "p_mort", "wi_sum", "unpowered_h")
@@ -92,10 +96,6 @@ class Window:
 
     start: str
     end: str
-
-    def __post_init__(self):
-        if parse_timestamp(self.end) <= parse_timestamp(self.start):
-            raise ConfigurationError("window end must be after window start")
 
 
 TOP_LEVEL_KEYS = ("notes", "population", "weather_path", "window", "dt_s", "scenario",
@@ -127,17 +127,25 @@ class ScenarioConfig:
     n_steps: int = field(init=False)
 
     def __post_init__(self):
+        if not self.window_end > self.window_start:
+            raise ConfigurationError(f"config key 'window' must end after it starts, got "
+                                     f"{self.window_start.isoformat()} to "
+                                     f"{self.window_end.isoformat()}")
         if not self.dt_s > 0:
             raise ConfigurationError(f"config key 'dt_s' must be positive, got {self.dt_s}")
         steps = (self.window_end - self.window_start).total_seconds() / self.dt_s
-        if not 1 <= steps < math.inf or abs(steps - round(steps)) > 1e-9:
+        if not 2 <= steps < math.inf or abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
-                f"config key 'dt_s' must divide the window into whole steps, got {self.dt_s}")
+                f"config key 'dt_s' must divide the window into 2 or more whole steps, "
+                f"got {self.dt_s}")
         self.n_steps = round(steps)
         for key, least in (("n_trials", 1), ("seed", 0), ("histogram_bins", 1)):
             if getattr(self, key) < least:
                 raise ConfigurationError(
                     f"config key {key!r} must be >= {least}, got {getattr(self, key)}")
+        if self.histogram_bins > MAX_HISTOGRAM_BINS:
+            raise ConfigurationError(f"config key 'histogram_bins' must be <= "
+                                     f"{MAX_HISTOGRAM_BINS}, got {self.histogram_bins}")
         if self.threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {self.threads}")
 
@@ -219,8 +227,8 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
         population_spec=source.spec,
         population_path=None if source.path is None else resolve(source.path),
         weather_path=resolve(decode(str, raw["weather_path"], "weather_path")),
-        window_start=parse_timestamp(window.start),
-        window_end=parse_timestamp(window.end),
+        window_start=checked("window.start", parse_timestamp, window.start),
+        window_end=checked("window.end", parse_timestamp, window.end),
         dt_s=setting("dt_s", float, 300.0),
         scenario=scenario,
         scenario_params=dict(sections.get(Scenario(scenario), {})),
@@ -287,10 +295,8 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     Returns the trial bundle and the per-building exposure, one column per
     `EXPOSURE_FIELDS` name.
     """
-    series = load_weather_csv(config.weather_path)
-    if series.dt_s != config.dt_s:
-        series = resample(series, config.dt_s)
-    window = slice_window(series, config.window_start, config.window_end)
+    window = slice_window(load_weather_csv(config.weather_path), config.window_start,
+                          config.n_steps, config.dt_s)
 
     hz = config.hazard
     n_b = len(pop)
@@ -408,11 +414,10 @@ def _input_digests(config: ScenarioConfig) -> dict:
 
 
 def _write_trials_csv(path, distribution: CostDistribution) -> None:
-    money = ("c_vsl", "c_medical", "c_prod", "c_build", "c_cic", "total")
-    counts = ("n_death", "n_injured")
-    save_csv(path, ("trial", *money, *counts), [(range(len(distribution.trials)), None)] + [
+    money = COMPONENTS + ("total",)
+    save_csv(path, ("trial", *money, *COUNTS), [(range(len(distribution.trials)), None)] + [
         (distribution.component(name), "{:.2f}".format) for name in money] + [
-        (distribution.component(name).astype(np.int64), None) for name in counts])
+        (distribution.component(name).astype(np.int64), None) for name in COUNTS])
 
 
 def _write_histogram_csv(path, histogram: list) -> None:

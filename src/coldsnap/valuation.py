@@ -268,7 +268,10 @@ class ScenarioBundle:
 
 
 COMPONENTS = ("c_vsl", "c_medical", "c_prod", "c_build", "c_cic")
-TRIAL_COLUMNS = COMPONENTS + ("n_death", "n_injured")
+COUNTS = ("n_death", "n_injured")
+TRIAL_COLUMNS = COMPONENTS + COUNTS
+# The reported metrics: one summary.json entry and one `compare` row each.
+METRICS = COMPONENTS + ("nei_total", "total") + COUNTS
 
 
 def run_batch(bundle: ScenarioBundle, batch_index: int, master_seed: int) -> np.ndarray:
@@ -363,7 +366,7 @@ def summarize(dist: CostDistribution, histogram_bins: int = 50) -> tuple[dict, l
         raise ConfigurationError("histogram needs at least one bin")
     n = len(dist.trials)
     summary: dict = {"n_trials": n}
-    for name in COMPONENTS + ("nei_total", "total", "n_death", "n_injured"):
+    for name in METRICS:
         values = dist.component(name)
         ordered = np.sort(values)
         std = float(values.std())

@@ -1,4 +1,4 @@
-"""Outdoor weather time series: ingestion, windowing, and resampling.
+"""Outdoor weather time series: ingestion and the cut of the event window.
 
 A :class:`WeatherSeries` is a uniformly spaced record of outdoor dry-bulb
 temperature and relative humidity. It drives both the indoor-temperature
@@ -40,6 +40,7 @@ class WeatherSeries:
     dt_s: float
     t_out_c: np.ndarray = field(repr=False)
     rh_pct: np.ndarray = field(repr=False)
+    source: str = ""  # the file it was read from, named in errors
 
     def __post_init__(self):
         t = np.asarray(self.t_out_c, dtype=float)
@@ -63,24 +64,8 @@ class WeatherSeries:
     def n_steps(self) -> int:
         return len(self.t_out_c)
 
-    @property
-    def end(self) -> datetime:
-        """Exclusive end of the covered span (one dt past the last sample)."""
-        return self.start + timedelta(seconds=self.dt_s * self.n_steps)
-
     def timestamps(self) -> list[datetime]:
         return [self.start + timedelta(seconds=self.dt_s * i) for i in range(self.n_steps)]
-
-    def index_of(self, stamp: datetime) -> int:
-        """Grid index of `stamp`; raises if off-grid or outside the span."""
-        offset = (stamp - self.start).total_seconds()
-        idx = offset / self.dt_s
-        if abs(idx - round(idx)) * self.dt_s > SPACING_JITTER_S:
-            raise ConfigurationError(f"{stamp.isoformat()} is not aligned to the {self.dt_s:g}s grid")
-        idx = int(round(idx))
-        if idx < 0 or idx > self.n_steps:
-            raise ConfigurationError(f"{stamp.isoformat()} outside the series span")
-        return idx
 
 
 def _temperature(raw: str) -> float:
@@ -117,61 +102,39 @@ def load_weather_csv(path) -> WeatherSeries:
                 path=path, row=i + 2, column="timestamp",
             )
     return WeatherSeries(start=stamps[0], dt_s=dt_s, t_out_c=np.array(columns["temp_c"]),
-                         rh_pct=np.array(columns["rh_pct"]))
+                         rh_pct=np.array(columns["rh_pct"]), source=str(path))
 
 
-def slice_window(series: WeatherSeries, start: datetime, end: datetime) -> WeatherSeries:
-    """Return the half-open window [start, end) of a series.
+def slice_window(series: WeatherSeries, start: datetime, n_steps: int,
+                 dt_s: float) -> WeatherSeries:
+    """The run's `n_steps` steps of `dt_s` from `start`, cut from the series.
 
-    Bounds must lie on the sampling grid; the result has (end-start)/dt steps.
+    Step j lies at sample index `(start - series.start) / series.dt_s +
+    j * dt_s / series.dt_s` and takes the linear interpolation between the
+    samples around it, which is the sample itself where it lands on one. So
+    `dt_s` must be a whole multiple or divisor of the series' step and
+    `start` must lie on its grid; a finer step reads the sample after the
+    window's last step, which must lie inside the series too.
     """
-    i0 = series.index_of(start)
-    i1 = series.index_of(end)
-    if i1 <= i0:
-        raise ConfigurationError("window end must be after start")
-    if i1 - i0 < 2:
-        raise ConfigurationError("window must contain at least 2 samples")
-    return WeatherSeries(
-        start=start,
-        dt_s=series.dt_s,
-        t_out_c=series.t_out_c[i0:i1].copy(),
-        rh_pct=series.rh_pct[i0:i1].copy(),
-    )
-
-
-def resample(series: WeatherSeries, new_dt_s: float) -> WeatherSeries:
-    """Resample onto a commensurate grid spanning the same sample endpoints.
-
-    Finer grids are filled by linear interpolation; coarser grids take every
-    m-th sample. Both preserve the first and last original samples.
-    """
-    if new_dt_s <= 0:
-        raise ConfigurationError(f"new dt must be positive, got {new_dt_s}")
-    if new_dt_s == series.dt_s:
-        return series
-    n = series.n_steps
-    if new_dt_s < series.dt_s:
-        factor = series.dt_s / new_dt_s
-        if abs(factor - round(factor)) > 1e-9:
-            raise ConfigurationError(
-                f"new dt {new_dt_s:g}s is not a divisor of {series.dt_s:g}s"
-            )
-        factor = int(round(factor))
-        old_pos = np.arange(n, dtype=float)
-        new_pos = np.arange((n - 1) * factor + 1, dtype=float) / factor
-        t_new = np.interp(new_pos, old_pos, series.t_out_c)
-        rh_new = np.interp(new_pos, old_pos, series.rh_pct)
-    else:
-        factor = new_dt_s / series.dt_s
-        if abs(factor - round(factor)) > 1e-9:
-            raise ConfigurationError(
-                f"new dt {new_dt_s:g}s is not a multiple of {series.dt_s:g}s"
-            )
-        factor = int(round(factor))
-        if (n - 1) % factor != 0:
-            raise ConfigurationError(
-                f"stride {factor} does not land on the final sample (n={n})"
-            )
-        t_new = series.t_out_c[::factor].copy()
-        rh_new = series.rh_pct[::factor].copy()
-    return WeatherSeries(start=series.start, dt_s=float(new_dt_s), t_out_c=t_new, rh_pct=rh_new)
+    source = f"weather file {series.source}" if series.source else "the weather series"
+    ratio = dt_s / series.dt_s
+    if not any(r >= 1 and abs(r - round(r)) <= 1e-9 for r in (ratio, 1.0 / ratio)):
+        raise ConfigurationError(
+            f"config key 'dt_s' must be a whole multiple or divisor of the {series.dt_s:g} s "
+            f"step of {source}, got {dt_s:g}")
+    first = (start - series.start).total_seconds() / series.dt_s
+    if abs(first - round(first)) * series.dt_s > SPACING_JITTER_S:
+        raise ConfigurationError(
+            f"config key 'window' starts at {start.isoformat()}, off the {series.dt_s:g} s "
+            f"grid of {source}")
+    position = round(first) + np.arange(n_steps) * dt_s / series.dt_s
+    if position[0] < 0 or position[-1] > series.n_steps - 1:
+        last = series.start + timedelta(seconds=series.dt_s * (series.n_steps - 1))
+        end = start + timedelta(seconds=dt_s * (n_steps - 1))
+        raise ConfigurationError(
+            f"config key 'window' from {start.isoformat()} to its last step at "
+            f"{end.isoformat()} is not inside {source} ({series.start.isoformat()} to "
+            f"{last.isoformat()})")
+    samples = np.arange(series.n_steps)
+    return WeatherSeries(start, dt_s, np.interp(position, samples, series.t_out_c),
+                         np.interp(position, samples, series.rh_pct), series.source)

@@ -1,6 +1,7 @@
 """Per-building and scalar reference paths that the package is checked against.
 
-These are the one-building-at-a-time forms of the power schedules and
+These are the resample-then-slice form of the weather window, the
+one-building-at-a-time forms of the power schedules and
 their rolling groups, the thermal simulation, the hazard reductions, the
 interruption and productivity costs and the trace export, plus the scalar
 forms of the thermostat step, the outcome tree and the medical cost, and
@@ -45,7 +46,7 @@ from coldsnap.valuation import (
     ValuationParams,
     _work_hour_mask,
 )
-from coldsnap.weather import load_weather_csv, resample, slice_window
+from coldsnap.weather import SPACING_JITTER_S, WeatherSeries, load_weather_csv
 
 
 # --- Power schedules: one array per building, keyed by id -------------------
@@ -550,6 +551,59 @@ def productivity_cost(traces, pop, params, productivity_model) -> float:
         lost = (1.0 - perf[mask]).sum() * dt_h
         total += b.n_workers * lost * params.wage_usd_per_hour[b.kind.value]
     return float(total)
+
+
+# --- Weather: resample the whole series, then slice the window --------------
+
+def index_of(series: WeatherSeries, stamp: datetime) -> int:
+    """Grid index of `stamp`; raises if off-grid or outside the span."""
+    offset = (stamp - series.start).total_seconds()
+    idx = offset / series.dt_s
+    if abs(idx - round(idx)) * series.dt_s > SPACING_JITTER_S:
+        raise ConfigurationError(f"{stamp.isoformat()} is not aligned to the {series.dt_s:g}s grid")
+    idx = int(round(idx))
+    if idx < 0 or idx > series.n_steps:
+        raise ConfigurationError(f"{stamp.isoformat()} outside the series span")
+    return idx
+
+
+def slice_window(series: WeatherSeries, start: datetime, end: datetime) -> WeatherSeries:
+    """The half-open window [start, end) of a series, bounds on its grid."""
+    i0 = index_of(series, start)
+    i1 = index_of(series, end)
+    if i1 - i0 < 2:
+        raise ConfigurationError("window must contain at least 2 samples")
+    return WeatherSeries(start, series.dt_s, series.t_out_c[i0:i1], series.rh_pct[i0:i1])
+
+
+def resample(series: WeatherSeries, new_dt_s: float) -> WeatherSeries:
+    """Resample onto a commensurate grid spanning the same sample endpoints.
+
+    Finer grids are filled by linear interpolation; coarser grids take every
+    m-th sample. Both preserve the first and last original samples.
+    """
+    if new_dt_s == series.dt_s:
+        return series
+    n = series.n_steps
+    if new_dt_s < series.dt_s:
+        factor = series.dt_s / new_dt_s
+        if abs(factor - round(factor)) > 1e-9:
+            raise ConfigurationError(f"new dt {new_dt_s:g}s is not a divisor of {series.dt_s:g}s")
+        factor = int(round(factor))
+        old_pos = np.arange(n, dtype=float)
+        new_pos = np.arange((n - 1) * factor + 1, dtype=float) / factor
+        t_new = np.interp(new_pos, old_pos, series.t_out_c)
+        rh_new = np.interp(new_pos, old_pos, series.rh_pct)
+    else:
+        factor = new_dt_s / series.dt_s
+        if abs(factor - round(factor)) > 1e-9:
+            raise ConfigurationError(f"new dt {new_dt_s:g}s is not a multiple of {series.dt_s:g}s")
+        factor = int(round(factor))
+        if (n - 1) % factor != 0:
+            raise ConfigurationError(f"stride {factor} does not land on the final sample (n={n})")
+        t_new = series.t_out_c[::factor]
+        rh_new = series.rh_pct[::factor]
+    return WeatherSeries(series.start, float(new_dt_s), t_new, rh_new)
 
 
 # --- The bundle, one building at a time --------------------------------------

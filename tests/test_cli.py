@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from coldsnap.cli import main
-from coldsnap.report import COMPARE_ROWS, compare_scenarios, export_exposure
+from coldsnap.report import compare_scenarios, export_exposure
+from coldsnap.valuation import METRICS
 
 TRIALS = "60"
 
@@ -197,7 +198,7 @@ class TestCompare:
         means = {"base": 0.0, "co": 81_200_000.0}
         dirs = []
         for name, vsl in means.items():
-            summary = {m: {"mean": 0.0} for m in COMPARE_ROWS}
+            summary = {m: {"mean": 0.0} for m in METRICS}
             summary.update(scenario=name, population_digest="d", mean_rr_population=1.0)
             summary["c_vsl"]["mean"] = vsl
             dirs.append(tmp_path / name)

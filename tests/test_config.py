@@ -141,6 +141,12 @@ def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys
     (("scenarios", "ro-hi", "availability_constant"), 1.5, "availability_constant"),
     (("scenarios", "ro-di", "availability"), [0.5, 1.2], "availability"),
     (("scenarios", "ro-di", "n_groups"), 1, "n_groups"),
+    # Windows of one step, a window ending before it starts, and a bad end stamp.
+    (("dt_s",), 96 * 3600.0, "dt_s"),
+    (("window", "end"), "2021-02-15T00:05:00+00:00", "dt_s"),
+    (("window", "end"), "2021-02-14T00:00:00+00:00", "window"),
+    (("window", "end"), "2021-02-15T25:00", "window.end"),
+    (("histogram_bins",), 10**12, "histogram_bins"),
 ])
 def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
                                                path, value, named):
@@ -148,6 +154,28 @@ def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
     set_key(config, path, value)
     assert run(config, tmp_path) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("update, named", [
+    ({"dt_s": 450.0}, "'dt_s'"),
+    # Off the weather file's 300 s grid, and past its end.
+    ({"window": {"start": "2021-02-15T00:02:00", "end": "2021-02-19T00:02:00"}}, "'window'"),
+    ({"window": {"start": "2021-02-17T00:00:00", "end": "2021-02-21T00:00:00"}}, "'window'"),
+])
+def test_window_cut_exits_2_naming_key_and_weather_file(small_config, tmp_path, capsys,
+                                                        update, named):
+    config = {**copy.deepcopy(small_config), **update}
+    assert run(config, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert named in err and config["weather_path"] in err
+
+
+@pytest.mark.parametrize("dt_s", [600.0, 900.0, 3600.0])
+def test_coarser_steps_than_the_weather_file_run(small_config, tmp_path, dt_s):
+    # The demo file's 1,440 samples leave 1,439 gaps: no stride spans it.
+    config = {**copy.deepcopy(small_config), "dt_s": dt_s}
+    assert run(config, tmp_path) == 0
+    assert (tmp_path / "out" / "exposure.csv").exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -50,7 +50,8 @@ SCALE = 0.21
 
 ROLLING = ("scenarios.ro-di", "scenarios.ro-hi")
 
-# Each variant updates sections of the scaled demo config, keyed by dotted path.
+# Each variant updates sections of the scaled demo config, keyed by dotted path
+# ("" is the top level).
 VARIANTS = {
     "demo": {},
     # Constant indoor humidity gates the freeze index at every cold step,
@@ -66,6 +67,8 @@ VARIANTS = {
     "slot_3900": dict.fromkeys(ROLLING, {"slot_s": 3900.0}),
     "groups_7": dict.fromkeys(ROLLING, {"n_groups": 7}),
     "commercial": {"population.spec": {"counts": {"office": 20, "big_box": 15}}},
+    # Half the weather file's step: the window is interpolated between samples.
+    "dt_150": {"": {"dt_s": 150.0}},
     # Seven groups over four homes: some tiers hold no building.
     "few_homes": {"population.spec": {"counts": {"single_family": 3, "mobile_home": 1,
                                                  "office": 20, "big_box": 15}},
@@ -85,7 +88,7 @@ def assets(tmp_path_factory):
         variant_config = json.loads(json.dumps(config))
         for dotted, values in updates.items():
             section = variant_config
-            for key in dotted.split("."):
+            for key in filter(None, dotted.split(".")):
                 section = section.setdefault(key, {})
             section.update(values)
         paths[variant] = directory / f"{variant}.json"
@@ -252,7 +255,7 @@ def test_missing_sector_table_raises_only_for_unpowered_hours():
         oracles.interruption_cost(buildings[-1], 0.25, params)
 
 
-@pytest.mark.parametrize("variant", ["demo", "indoor_rh"])
+@pytest.mark.parametrize("variant", ["demo", "indoor_rh", "dt_150"])
 @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
 def test_bundle_matches_oracle_exactly(assets, tmp_path, variant, scenario):
     config, pop, schedule = prepare(assets[variant], scenario)
@@ -401,8 +404,8 @@ def test_fixed4_keeps_the_input_shape():
 
 def test_block_row_matches_single_building_runs(assets):
     config, pop, schedule = prepare(assets["demo"], "ro-di")
-    window = slice_window(load_weather_csv(config.weather_path),
-                          config.window_start, config.window_end)
+    window = slice_window(load_weather_csv(config.weather_path), config.window_start,
+                          config.n_steps, config.dt_s)
     block = pop[:REDUCE_BLOCK + 3]
     buildings = block.buildings
     powered = schedule.powered(slice(len(buildings))).T

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from coldsnap.errors import ConfigurationError, IngestionError
-from coldsnap.weather import WeatherSeries, load_weather_csv, resample, slice_window
+from coldsnap.weather import WeatherSeries, load_weather_csv, slice_window
 
 UTC = timezone.utc
 START = datetime(2021, 2, 15, tzinfo=UTC)
@@ -69,83 +70,107 @@ class TestLoad:
             load_weather_csv(path)
 
 
-class TestSlice:
-    def make_series(self, n=1440, dt_s=300.0):
-        rng = np.random.default_rng(7)
-        return WeatherSeries(
-            start=START, dt_s=dt_s,
-            t_out_c=rng.uniform(-20, 5, n),
-            rh_pct=rng.uniform(40, 100, n),
-        )
+def make_series(n=1440, dt_s=300.0):
+    rng = np.random.default_rng(7)
+    return WeatherSeries(
+        start=START, dt_s=dt_s,
+        t_out_c=rng.uniform(-20, 5, n),
+        rh_pct=rng.uniform(40, 100, n),
+    )
 
+
+def at(sample):
+    """The time of sample `sample` of a 300 s series from START."""
+    return START + timedelta(seconds=300 * sample)
+
+
+class TestSlice:
     def test_full_span_is_identity(self):
-        series = self.make_series()
-        out = slice_window(series, series.start, series.end)
+        series = make_series()
+        out = slice_window(series, series.start, series.n_steps, series.dt_s)
         assert out.n_steps == series.n_steps
         np.testing.assert_array_equal(out.t_out_c, series.t_out_c)
-
-    def test_empty_window_rejected(self):
-        series = self.make_series()
-        with pytest.raises(ConfigurationError):
-            slice_window(series, series.start, series.start)
+        np.testing.assert_array_equal(out.rh_pct, series.rh_pct)
 
     def test_middle_day_of_5day_series_has_288_steps(self):
-        series = self.make_series()
-        start = START + timedelta(days=2)
-        out = slice_window(series, start, start + timedelta(days=1))
+        series = make_series()
+        out = slice_window(series, START + timedelta(days=2), 288, 300.0)
         assert out.n_steps == 288
+        assert out.start == START + timedelta(days=2)
         np.testing.assert_array_equal(out.t_out_c, series.t_out_c[576:864])
 
     def test_slice_of_slice_equals_single_slice(self):
-        series = self.make_series()
-        a = START + timedelta(hours=10)
-        b = START + timedelta(hours=80)
-        inner_a = START + timedelta(hours=24)
-        inner_b = START + timedelta(hours=48)
-        once = slice_window(series, inner_a, inner_b)
-        twice = slice_window(slice_window(series, a, b), inner_a, inner_b)
+        series = make_series()
+        inner = START + timedelta(hours=24)
+        once = slice_window(series, inner, 288, 300.0)
+        twice = slice_window(slice_window(series, START + timedelta(hours=10), 841, 300.0),
+                             inner, 288, 300.0)
         np.testing.assert_array_equal(once.t_out_c, twice.t_out_c)
         assert once.start == twice.start
 
     def test_misaligned_bound_rejected(self):
-        series = self.make_series()
-        with pytest.raises(ConfigurationError, match="grid"):
-            slice_window(series, START + timedelta(seconds=150), series.end)
+        with pytest.raises(ConfigurationError, match="'window' starts .* off the 300 s grid"):
+            slice_window(make_series(), START + timedelta(seconds=150), 100, 300.0)
+
+    def test_start_within_jitter_snaps_to_the_grid(self):
+        series = make_series()
+        out = slice_window(series, at(7) + timedelta(seconds=0.5), 10, 150.0)
+        np.testing.assert_array_equal(out.t_out_c, slice_window(series, at(7), 10, 150.0).t_out_c)
 
     def test_out_of_range_bound_rejected(self):
-        series = self.make_series()
-        with pytest.raises(ConfigurationError, match="span"):
-            slice_window(series, START, series.end + timedelta(seconds=300))
+        series = make_series()
+        # Past the last sample (a finer step by one half step), before the first.
+        for start, n_steps, dt_s in ((0, 1441, 300.0), (1439, 2, 300.0), (1438, 4, 150.0),
+                                     (-1, 2, 300.0), (1000, 161, 900.0)):
+            with pytest.raises(ConfigurationError, match="'window' .* is not inside"):
+                slice_window(series, at(start), n_steps, dt_s)
 
 
 class TestResample:
-    def test_same_dt_is_identity(self):
-        series = TestSlice().make_series(100)
-        assert resample(series, 300.0) is series
+    def test_non_commensurate_dt_rejected(self):
+        series = make_series()
+        for dt_s in (450.0, 200.0, 210.0, 600.001):
+            with pytest.raises(ConfigurationError, match="'dt_s' must be a whole multiple"):
+                slice_window(series, START, 10, dt_s)
+
+    @pytest.mark.parametrize("dt_s", [60.0, 150.0])
+    @pytest.mark.parametrize("first", [0, 1, 577, 1000, 1438])
+    def test_finer_step_is_the_oracle_bit_for_bit(self, dt_s, first):
+        series = make_series()
+        factor = round(series.dt_s / dt_s)
+        longest = (series.n_steps - 1 - first) * factor + 1  # ends on the last sample
+        for n_steps in (2, min(7 * factor + 3, longest), longest):
+            out = slice_window(series, at(first), n_steps, dt_s)
+            ref = oracles.slice_window(oracles.resample(series, dt_s), at(first),
+                                       at(first) + timedelta(seconds=n_steps * dt_s))
+            assert out.dt_s == ref.dt_s == dt_s and out.start == ref.start
+            assert out.t_out_c.tolist() == ref.t_out_c.tolist()
+            assert out.rh_pct.tolist() == ref.rh_pct.tolist()
+
+    @pytest.mark.parametrize("dt_s", [600.0, 900.0, 3600.0])
+    def test_coarser_step_takes_the_samples_at_its_times(self, dt_s):
+        series = make_series()  # 1439 gaps: no stride over the whole file lands on its end
+        stride = round(dt_s / series.dt_s)
+        for first in (0, 5, 101):
+            n_steps = (series.n_steps - 1 - first) // stride + 1
+            out = slice_window(series, at(first), n_steps, dt_s)
+            assert out.t_out_c.tolist() == series.t_out_c[first::stride].tolist()
+            assert out.rh_pct.tolist() == series.rh_pct[first::stride].tolist()
 
     def test_constant_series_finer_preserves_values(self):
         series = WeatherSeries(START, 600.0, np.full(10, 3.5), np.full(10, 70.0))
-        out = resample(series, 300.0)
+        out = slice_window(series, START, 19, 300.0)
         assert out.n_steps == 19
-        assert np.allclose(out.t_out_c, 3.5)
+        assert np.all(out.t_out_c == 3.5)
 
     def test_linear_ramp_round_trips_through_finer_grid(self):
         n = 97
         ramp = np.linspace(-15.0, 5.0, n)
         series = WeatherSeries(START, 600.0, ramp, np.linspace(50, 90, n))
-        back = resample(resample(series, 150.0), 600.0)
+        finer = slice_window(series, START, (n - 1) * 4 + 1, 150.0)
+        back = slice_window(finer, START, n, 600.0)
         assert back.n_steps == n
         assert np.abs(back.t_out_c - ramp).max() < 1e-12
-
-    def test_non_commensurate_dt_rejected(self):
-        series = TestSlice().make_series(100)
-        with pytest.raises(ConfigurationError):
-            resample(series, 450.0)
-
-    def test_coarser_stride_must_hit_endpoint(self):
-        series = TestSlice().make_series(100)  # n-1 = 99 not divisible by 2
-        with pytest.raises(ConfigurationError, match="final sample"):
-            resample(series, 600.0)
 
     @given(st.integers(min_value=2, max_value=6))
     @settings(max_examples=20, deadline=None)
@@ -153,10 +178,10 @@ class TestResample:
         n = 4 * factor + 1
         values = np.sort(np.linspace(-10, 10, n) ** 3)
         series = WeatherSeries(START, 300.0 * factor, values, np.linspace(50, 60, n))
-        finer = resample(series, 300.0)
+        finer = slice_window(series, START, (n - 1) * factor + 1, 300.0)
         assert finer.t_out_c.min() == pytest.approx(values.min())
         assert finer.t_out_c.max() == pytest.approx(values.max())
-        coarser = resample(finer, 300.0 * factor)
+        coarser = slice_window(finer, START, n, 300.0 * factor)
         assert coarser.t_out_c.min() == pytest.approx(values.min())
         assert coarser.t_out_c.max() == pytest.approx(values.max())
 
@@ -171,6 +196,6 @@ class TestInvariants:
             WeatherSeries(START, 300.0, np.zeros(1), np.zeros(1))
 
     def test_series_is_immutable(self):
-        series = TestSlice().make_series(10)
+        series = make_series(10)
         with pytest.raises(ValueError):
             series.t_out_c[0] = 99.0
