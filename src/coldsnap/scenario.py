@@ -73,6 +73,9 @@ SIM_BLOCK = 256
 REDUCE_BLOCK = 64
 # Upper bound of `histogram_bins`: the histogram is a list of that many rows.
 MAX_HISTOGRAM_BINS = 1_000_000
+# Upper bound of `n_trials`: the trials matrix holds 7 float64 values per
+# trial, 560 MB at the bound.
+MAX_TRIALS = 10_000_000
 # The per-building exposure columns, in exposure.csv order after the
 # building's own columns.
 EXPOSURE_FIELDS = ("mean_t_in_c", "min_t_in_c", "mean_rr", "p_mort", "wi_sum", "unpowered_h")
@@ -143,9 +146,10 @@ class ScenarioConfig:
             if getattr(self, key) < least:
                 raise ConfigurationError(
                     f"config key {key!r} must be >= {least}, got {getattr(self, key)}")
-        if self.histogram_bins > MAX_HISTOGRAM_BINS:
-            raise ConfigurationError(f"config key 'histogram_bins' must be <= "
-                                     f"{MAX_HISTOGRAM_BINS}, got {self.histogram_bins}")
+        for key, most in (("n_trials", MAX_TRIALS), ("histogram_bins", MAX_HISTOGRAM_BINS)):
+            if getattr(self, key) > most:
+                raise ConfigurationError(
+                    f"config key {key!r} must be <= {most}, got {getattr(self, key)}")
         if self.threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {self.threads}")
 
@@ -373,6 +377,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     summary["config_hash"] = config.config_hash()
     summary["population_digest"] = population_digest(pop)
     summary["mean_rr_population"] = float(exposure["mean_rr"].mean())
+    # The sampler's exact expectation of n_death + n_injured per trial.
+    summary["expected_at_risk"] = float((bundle.occupants_by_building
+                                         * bundle.p_mort_by_building).sum())
     summary["n_buildings"] = len(pop)
     summary["total_occupants"] = pop.total_occupants
 

@@ -32,14 +32,51 @@ from .hazard import (
 from .population import BuildingKind, Population, Sector, code
 
 # Trials per Monte-Carlo batch. The last batch is drawn in full and cut, so
-# trial i depends only on (master seed, i). The batch's at-risk block is
-# MC_BATCH x buildings 8-byte integers: about 2 MB at 4,209 buildings.
+# trial i depends only on (master seed, i). The batch's at-risk cells come
+# from MC_BATCH x buildings 8-byte uniforms: about 2 MB at 4,209 buildings
+# and 72 MB at 140,300.
 MC_BATCH = 64
 
 
 def batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:
     """Independent, reproducible stream for one batch of `MC_BATCH` trials."""
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), 0x6D63, int(batch_index))))
+
+
+def bernoulli_cells(rng: np.random.Generator, prob: np.ndarray,
+                    n_trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """(trial, index) of the cells that fire in `n_trials` rows of independent
+    Bernoulli(`prob`) draws: one uniform per cell, row by row, below `prob`.
+
+    A cell fires whenever its uniform lies below its probability, so under
+    one stream a cell that fires at some probability fires at every higher one.
+    """
+    return np.nonzero(rng.random((n_trials, len(prob))) < prob)
+
+
+def draw_at_risk(rng: np.random.Generator, occupants: np.ndarray, p_mort: np.ndarray,
+                 n_trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At-risk occupants per (trial, building), as the non-zero cells
+    (trial, building, count); each cell's count is Binomial(occupants, p_mort).
+
+    The first draw is one uniform per (trial, building) cell against
+    q = 1 - (1 - p)^n, the chance that the building has any occupant at
+    risk; buildings with no occupants or p = 0 have q = 0 and never fire.
+    Each firing cell then draws its first at-risk occupant J by inverse CDF
+    of the geometric law truncated to n, and the n - J occupants after it
+    are at risk independently: count = 1 + Binomial(n - J, p), the exact
+    zero-truncated binomial.
+    """
+    sure = p_mort == 1.0
+    log_miss = np.log1p(-np.where(sure, 0.0, p_mort))  # log(1 - p) where p < 1
+    q = np.where(sure, occupants > 0, -np.expm1(occupants * log_miss))
+    trial, building = bernoulli_cells(rng, q, n_trials)
+    n = occupants[building]
+    # J = ceil(log(1 - u q) / log(1 - p)); p = 1 makes J = 1.
+    ratio = np.divide(np.log1p(-rng.random(trial.size) * q[building]), log_miss[building],
+                      out=np.zeros(trial.size), where=~sure[building])
+    first = np.clip(np.ceil(ratio), 1, n).astype(np.int64)
+    return trial, building, 1 + rng.binomial(n - first, p_mort[building])
 
 
 @dataclass(frozen=True)
@@ -201,7 +238,7 @@ def repair_cost(wi_sum_by_building, beta_wi: float, params: ValuationParams,
     wi = np.asarray(wi_sum_by_building, dtype=float)
     exposed = np.flatnonzero(wi > 0.0)
     ratio = np.clip(wi[exposed] / beta_wi, 0.0, 1.0)
-    trial, building = np.nonzero(rng.random((n_trials, exposed.size)) < ratio)
+    trial, building = bernoulli_cells(rng, ratio, n_trials)
     insured = rng.random(trial.size) < home_insurance.sample(rng, trial.size) / 100.0
     ratio = ratio[building]
     ins_lo, ins_hi = params.pipe_repair_insured_usd
@@ -279,19 +316,19 @@ def run_batch(bundle: ScenarioBundle, batch_index: int, master_seed: int) -> np.
     per `TRIAL_COLUMNS` name.
 
     Every occupant of a building shares its mortality probability, so the
-    building's at-risk count in a trial is Binomial(occupants, p_mort);
-    only those occupants walk the outcome tree. The interruption and
-    productivity components are scenario constants from the bundle.
+    building's at-risk count in a trial is Binomial(occupants, p_mort).
+    The batch's first draw picks the (trial, building) cells with any
+    occupant at risk (`draw_at_risk`), so scenarios with the same
+    population and seed share those uniforms; only the at-risk occupants
+    walk the outcome tree. The interruption and productivity components
+    are scenario constants from the bundle.
     """
     rng = batch_rng(master_seed, batch_index)
-    occupants, p_mort = bundle.occupants_by_building, bundle.p_mort_by_building
-    live = np.flatnonzero((occupants > 0) & (p_mort > 0.0))
-    at_risk = rng.binomial(occupants[live], p_mort[live], size=(MC_BATCH, live.size))
-    cells = np.nonzero(at_risk)
-    counts = at_risk[cells]
-    trial = np.repeat(cells[0], counts)
+    cell_trial, building, counts = draw_at_risk(
+        rng, bundle.occupants_by_building, bundle.p_mort_by_building, MC_BATCH)
+    trial = np.repeat(cell_trial, counts)
     outcomes = resolve_at_risk(trial.size, bundle.hazard_cfg, rng)
-    medical = medical_cost(outcomes, np.repeat(p_mort[live[cells[1]]], counts),
+    medical = medical_cost(outcomes, np.repeat(bundle.p_mort_by_building[building], counts),
                            bundle.val_params)
 
     n_death = np.bincount(trial[outcomes.status == STATUS_DEATH], minlength=MC_BATCH)

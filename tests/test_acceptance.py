@@ -3,7 +3,8 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`.
 
 The demo scenarios (1403 buildings, 1000 trials each) execute once in a
 session fixture through the real CLI; criteria 4-8 and 10 read those
-artifacts. Oracle-based criteria (1-3, 9) run standalone.
+artifacts, and so does the exact check on the at-risk sampler. Oracle-based
+criteria (1-3, 9) run standalone.
 """
 
 import csv
@@ -274,3 +275,19 @@ def test_criterion_10_gate_checks(demo_runs):
     ok = max(c_build) == 0.0 and zero_fraction >= 0.99
     report(10, ok, f"base repair cost max=${max(c_build):.2f} (all zero), "
                    f"zero-death trials {zero_fraction:.1%} (>= 99%)")
+
+
+def test_mean_at_risk_matches_expected_at_risk(demo_runs):
+    # summary.json's expected_at_risk is sum(occupants x p_mort), the exact
+    # mean of n_death + n_injured per trial.
+    with open(demo_runs["dirs"]["co"] / "trials.csv", newline="") as handle:
+        at_risk = np.array([int(row["n_death"]) + int(row["n_injured"])
+                            for row in csv.DictReader(handle)], dtype=float)
+    expected = demo_runs["summaries"]["co"]["expected_at_risk"]
+    with open(demo_runs["dirs"]["co"] / "exposure.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert expected == pytest.approx(sum(int(r["n_occupants"]) * float(r["p_mort"])
+                                         for r in rows), rel=1e-6)
+    se = at_risk.std() / math.sqrt(len(at_risk))
+    assert len(at_risk) == N_TRIALS and expected > 0.0
+    assert abs(at_risk.mean() - expected) < 4.0 * se, (at_risk.mean(), expected, se)

@@ -84,6 +84,15 @@ class TestRunCommand:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("trials", ["0", "1000000000000"])
+    def test_trials_out_of_range_exits_2_naming_key(self, demo_config_path, tmp_path, capsys,
+                                                    trials):
+        code = main(["run", "--config", str(demo_config_path), "--scenario", "co",
+                     "--trials", trials, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "n_trials" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_summary_se_recomputable_from_trials_csv(self, runs):
         summary = json.loads((runs["co"] / "summary.json").read_text())
         lines = (runs["co"] / "trials.csv").read_text().splitlines()

@@ -147,6 +147,7 @@ def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys
     (("window", "end"), "2021-02-14T00:00:00+00:00", "window"),
     (("window", "end"), "2021-02-15T25:00", "window.end"),
     (("histogram_bins",), 10**12, "histogram_bins"),
+    (("n_trials",), 10**12, "n_trials"),
 ])
 def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
                                                path, value, named):

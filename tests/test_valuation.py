@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -17,6 +18,8 @@ from coldsnap.valuation import (
     CostDistribution,
     ScenarioBundle,
     ValuationParams,
+    batch_rng,
+    draw_at_risk,
     interruption_cost,
     productivity_cost,
     repair_cost,
@@ -382,6 +385,63 @@ class TestRunMonteCarlo:
         no_index = run_monte_carlo(make_bundle(p_mort=0.5, wi=0.0), 2 * MC_BATCH, 3)
         assert not no_index.component("c_build").any()
         assert no_index.component("n_death").any()
+
+
+def at_risk_table(occupants, p_mort, n_batches, seed=0):
+    """Per-(trial, building) at-risk counts over `n_batches` batch streams,
+    zeros included; numpy floating-point errors and warnings raise."""
+    table = np.zeros((n_batches * MC_BATCH, len(occupants)), dtype=np.int64)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in range(n_batches):
+            trial, building, count = draw_at_risk(batch_rng(seed, b), occupants, p_mort,
+                                                  MC_BATCH)
+            assert (count >= 1).all() and (count <= occupants[building]).all()
+            table[b * MC_BATCH + trial, building] = count
+    return table
+
+
+class TestDrawAtRisk:
+    def test_cell_counts_match_binomial(self):
+        # Chi-square per building against Binomial(n, p), bins pooled to an
+        # expected count of at least 5. 2e12 occupants at p = 1e-12 fire in
+        # about 86 % of trials, so the zero-truncated count runs at a tiny p.
+        occupants = np.array([1, 1, 5, 4, 12, 2, 3, 2 * 10**12, 7, 0, 6])
+        p_mort = np.array([0.3, 1.0, 1.0, 0.05, 0.2, 0.5, 0.97, 1e-12, 1e-12, 0.9, 0.0])
+        table = at_risk_table(occupants, p_mort, 300, seed=5)
+        n_trials = len(table)
+        for b, (n, p) in enumerate(zip(occupants.tolist(), p_mort.tolist())):
+            counts = table[:, b]
+            if p == 1.0:
+                assert (counts == n).all(), b
+                continue
+            if n * p < 1e-9:  # zero, or about 1e-7 expected draws in all
+                assert not counts.any(), b
+                continue
+            k = np.arange(min(n, 40) + 1)
+            expected = stats.binom.pmf(k, n, p) * n_trials
+            observed = np.bincount(np.minimum(counts, k[-1]), minlength=k.size).astype(float)
+            expected[-1] += stats.binom.sf(k[-1], n, p) * n_trials
+            small = expected < 5.0
+            if small.any():
+                observed = np.append(observed[~small], observed[small].sum())
+                expected = np.append(expected[~small], expected[small].sum())
+            _, p_value = stats.chisquare(observed, expected)
+            assert p_value > 1e-3, (b, n, p, observed, expected)
+
+    def test_higher_probability_fires_a_superset_of_cells(self):
+        # Same occupants and seed: the cells with anyone at risk under p are
+        # among those under any p' >= p, since both compare one shared block
+        # of uniforms with q(p) <= q(p').
+        rng = np.random.default_rng(12)
+        occupants = rng.integers(0, 8, 300)
+        low = rng.uniform(0.0, 0.05, 300) * (rng.random(300) < 0.8)
+        high = np.minimum(low + rng.uniform(0.0, 0.05, 300) * (rng.random(300) < 0.5), 1.0)
+        high[:5] = 1.0
+        for b in range(20):
+            fired = [set(zip(*draw_at_risk(batch_rng(3, b), occupants, p, MC_BATCH)[:2]))
+                     for p in (low, high)]
+            assert fired[0] and fired[0] < fired[1]
 
 
 def distribution(c_vsl) -> CostDistribution:
