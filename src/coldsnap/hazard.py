@@ -104,6 +104,17 @@ class CurveModel:
         points = cls.ANCHORS if data.fit_points is None else data.fit_points
         return cls.from_points(points, lo, hi)
 
+    def _polyval(self, t_in_c):
+        """`np.polyval` of the coefficients at clamp(t, valid range), by its
+        own steps y = y * t + c from y = 0, run in place on one array: the
+        same bits, without two temporaries per coefficient."""
+        t = np.clip(np.asarray(t_in_c, dtype=float), self.t_min_c, self.t_max_c)
+        y = np.zeros_like(t)
+        for c in self.coefficients:
+            y *= t
+            y += c
+        return y
+
     def to_json(self) -> dict:
         """The curve's provenance: coefficients, range, fit points and residual."""
         return {
@@ -122,8 +133,8 @@ class RRModel(CurveModel):
 
     def evaluate(self, t_in_c):
         """RR at clamp(t, valid range); floors at 1 to absorb fit wiggle."""
-        t = np.clip(np.asarray(t_in_c, dtype=float), self.t_min_c, self.t_max_c)
-        return np.maximum(np.polyval(self.coefficients, t), 1.0 - 1e-9)
+        y = self._polyval(t_in_c)
+        return np.maximum(y, 1.0 - 1e-9, out=y if y.ndim else None)
 
 
 def mortality_probability(mean_rr, delta: float = 0.0):
@@ -139,8 +150,8 @@ class ProductivityModel(CurveModel):
     VALID_RANGE_C = defaults.PRODUCTIVITY_VALID_RANGE_C
 
     def evaluate(self, t_in_c):
-        t = np.clip(np.asarray(t_in_c, dtype=float), self.t_min_c, self.t_max_c)
-        return np.clip(np.polyval(self.coefficients, t), 0.0, 1.0)
+        y = self._polyval(t_in_c)
+        return np.clip(y, 0.0, 1.0, out=y if y.ndim else None)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,11 @@ class PowerScheduleSet:
         """The (buildings x steps) power matrix of the buildings `rows`."""
         return self.on[self.group[rows]]
 
+    def powered_by_step(self, rows=slice(None)) -> np.ndarray:
+        """The same matrix transposed, (steps x buildings) and C-contiguous:
+        the layout in which the thermal relay reads it a step at a time."""
+        return np.take(self.on.T, self.group[rows], axis=1)
+
     def unpowered_hours(self) -> np.ndarray:
         """Unpowered hours of every building, in population order."""
         return (self.n_steps - self.on.sum(axis=1))[self.group] * self.dt_s / 3600.0

@@ -131,6 +131,11 @@ def label(enum: type[Enum]):
     return [m.value for m in enum].__getitem__
 
 
+# The `Sector` code of each `BuildingKind` code.
+_SECTOR_CODE_BY_KIND = np.array([code(SECTOR_BY_KIND[k]) for k in BuildingKind], np.int8)
+_SECTOR_CODE_BY_KIND.flags.writeable = False
+
+
 def _dtype(tp) -> type:
     if issubclass(tp, Enum):
         return np.int8
@@ -187,7 +192,7 @@ class Population:
     @property
     def sector(self) -> np.ndarray:
         """Each building's `Sector` code, by its kind."""
-        return np.array([code(SECTOR_BY_KIND[k]) for k in BuildingKind], np.int8)[self.kind]
+        return _SECTOR_CODE_BY_KIND[self.kind]
 
     @property
     def hvac_electric_kw(self) -> np.ndarray:

@@ -65,12 +65,12 @@ from .weather import load_weather_csv, parse_timestamp, slice_window
 
 SCENARIO_NAMES = tuple(s.value for s in Scenario)
 
-# Buildings advanced together per time step: wide enough that numpy's
-# per-step overhead is paid rarely, narrow enough that the block's
-# (steps x buildings) matrices stay a few MB.
-SIM_BLOCK = 256
-# Rows per reduction block: bounds the temporaries of the curve evaluations.
-REDUCE_BLOCK = 64
+# Bytes of the one (buildings x steps) float64 buffer that `assemble_bundle`
+# simulates a block of buildings into, 512 buildings of a 1,152-step window:
+# wide enough that numpy's per-step overhead is paid rarely. The reductions
+# read the block an eighth at a time, so that the temporaries of the curve
+# evaluations stay a fraction of the buffer.
+BLOCK_BYTES = 9 << 19
 # Upper bound of `histogram_bins`: the histogram is a list of that many rows.
 MAX_HISTOGRAM_BINS = 1_000_000
 # Upper bound of `n_trials`: the trials matrix holds 7 float64 values per
@@ -292,12 +292,15 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
                     traces_path=None) -> tuple[ScenarioBundle, dict[str, np.ndarray]]:
     """Simulate every building and reduce its trace to valuation inputs.
 
-    Buildings are simulated `SIM_BLOCK` at a time and reduced in row blocks
-    of `REDUCE_BLOCK`, so no array of size buildings x steps outlives its
-    block, the block's power matrix included. With `traces_path`, each
-    block's traces are appended to that CSV as soon as they are simulated.
-    Returns the trial bundle and the per-building exposure, one column per
-    `EXPOSURE_FIELDS` name.
+    Buildings are simulated a block at a time, as many as fit `BLOCK_BYTES`
+    of temperatures, into one (buildings x steps) buffer allocated once and
+    reused for every block. Each building's trace is a contiguous row of it,
+    and the reductions read those rows in place, an eighth of the block at a
+    time. So no array of size buildings x steps outlives its block, the
+    block's power matrix included. Heating flags are kept only with
+    `traces_path`, where each block's traces are appended to that CSV as
+    soon as they are simulated. Returns the trial bundle and the
+    per-building exposure, one column per `EXPOSURE_FIELDS` name.
     """
     window = slice_window(load_weather_csv(config.weather_path), config.window_start,
                           config.n_steps, config.dt_s)
@@ -306,28 +309,33 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     n_b = len(pop)
     mean_rr, mean_t, min_t, wi_sum, prod_usd = (np.empty(n_b) for _ in range(5))
     unpowered_h = schedule.unpowered_hours()
+    # Priced before the buffer exists: the dark buildings' columns that
+    # pricing copies grow with the population and need not coexist with it.
+    c_cic = sequential_sum(interruption_cost(pop, unpowered_h, config.valuation.cic))
+    width = max(1, min(n_b, BLOCK_BYTES // (8 * window.n_steps)))
+    part = max(1, width // 8)
+    buffer = np.empty((width, window.n_steps))
     with (open(traces_path, "w", newline="", encoding="utf-8") if traces_path is not None
           else contextlib.nullcontext()) as handle:
         sink = (TraceWriter(handle, window.start, window.dt_s, window.n_steps)
                 if handle is not None else None)
-        for first in range(0, n_b, SIM_BLOCK):
-            block = pop[first:first + SIM_BLOCK]
-            powered = schedule.powered(slice(first, first + SIM_BLOCK))
-            t_in, hvac_on = simulate_block(block, window, powered.T)
+        for first in range(0, n_b, width):
+            block = pop[first:first + width]
+            powered = schedule.powered_by_step(slice(first, first + width))
+            t_in, hvac_on = simulate_block(block, window, powered, out=buffer[:len(block)],
+                                           with_hvac_on=sink is not None)
             if sink is not None:
-                sink.write(block, t_in, powered.T, hvac_on)
-            # Row reductions need C-contiguous rows to add in the same order
-            # as a reduction over one building's trace.
-            for lo in range(0, len(block), REDUCE_BLOCK):
-                rows = np.ascontiguousarray(t_in[:, lo:lo + REDUCE_BLOCK].T)
-                at = slice(first + lo, first + lo + len(rows))
+                sink.write(block, t_in, powered, hvac_on)
+            for lo in range(0, len(block), part):
+                rows = t_in[lo:lo + part]
+                at = slice(first + lo, first + lo + part)
                 mean_rr[at] = hz.rr_model.evaluate(rows).mean(axis=1)
                 mean_t[at] = rows.mean(axis=1)
                 min_t[at] = rows.min(axis=1)
                 wi_sum[at] = winter_index_rows(rows, window.rh_pct, hz.winter_index)
                 prod_usd[at] = productivity_cost(
-                    rows, powered[lo:lo + len(rows)], block[lo:lo + len(rows)],
-                    window.start, window.dt_s, config.valuation, hz.productivity_model)
+                    rows, powered[:, lo:lo + part].T, block[lo:lo + part], window.start,
+                    window.dt_s, config.valuation, hz.productivity_model)
     p_mort = mortality_probability(mean_rr, hz.delta)
 
     beta = config.valuation.beta_wi
@@ -340,7 +348,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
         beta_wi=float(beta),
         occupants_by_building=pop.n_occupants,
         c_prod=sequential_sum(prod_usd),
-        c_cic=sequential_sum(interruption_cost(pop, unpowered_h, config.valuation.cic)),
+        c_cic=c_cic,
         hazard_cfg=hz,
         val_params=config.valuation,
     )

@@ -25,15 +25,19 @@ from .weather import WeatherSeries
 
 
 def simulate_block(pop: Population, weather: WeatherSeries, powered,
-                   internal_gain_w: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   internal_gain_w: float | None = None, out: np.ndarray | None = None,
+                   with_hvac_on: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Simulate a population's buildings side by side over a weather window.
 
     `powered` is a (steps x buildings) boolean matrix aligned with the weather
-    samples. Returns the indoor temperature and the heating-on flag, both
-    (steps x buildings): the loop runs over time and each step advances every
-    building at once. Initial temperatures are the setpoints (business-as-usual
-    start). Internal gains default to the package constant for occupied
-    buildings and zero otherwise.
+    samples. The loop runs over time and each step advances every building at
+    once. Step i's indoor temperatures go to column i of `out`, a C-contiguous
+    (buildings x steps) float64 buffer, allocated when None: each building's
+    trace is one contiguous row, the layout its reductions read. Returns that
+    buffer and the (steps x buildings) heating-on flags, or None for the flags
+    without `with_hvac_on`. Initial temperatures are the setpoints
+    (business-as-usual start). Internal gains default to the package constant
+    for occupied buildings and zero otherwise.
     """
     powered = np.ascontiguousarray(powered, dtype=bool)
     n, k = weather.n_steps, len(pop)
@@ -42,6 +46,10 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered,
             f"schedule block is {powered.shape[0]} steps x {powered.shape[1]} buildings, "
             f"weather has {n} steps for {k} buildings"
         )
+    if out is None:
+        out = np.empty((k, n))
+    elif out.shape != (k, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 ({k}, {n}) array")
     if internal_gain_w is None:
         gains = np.where(pop.n_occupants > 0, defaults.INTERNAL_GAIN_W, 0.0)
     else:
@@ -58,8 +66,7 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered,
     hi = pop.setpoint_c + pop.deadband_c / 2.0
 
     t_out = weather.t_out_c
-    t_in = np.empty((n, k))
-    hvac_on = np.empty((n, k), dtype=bool)
+    hvac_on = np.empty((n, k), dtype=bool) if with_hvac_on else None
     temp = pop.setpoint_c.copy()
     on = np.zeros(k, dtype=bool)
     hold = np.empty(k, dtype=bool)
@@ -71,17 +78,21 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered,
         np.less(temp, lo, out=on)
         on |= hold
         on &= powered[i]
-        t_in[i] = temp
-        hvac_on[i] = on
+        out[:, i] = temp
+        if hvac_on is not None:
+            hvac_on[i] = on
         # Exact step toward the equilibrium t_out + Q/UA.
         t_eq = np.where(on, rise_on, rise_off)
         t_eq += t_out[i]
         temp -= t_eq
         temp *= decay
         temp += t_eq
-    if not np.isfinite(t_in).all():
+    # A row's min and max are finite only if all of its values are (min and
+    # max pass NaN on); `initial` keeps a zero-step window valid.
+    if not (np.isfinite(out.min(axis=1, initial=0.0)).all()
+            and np.isfinite(out.max(axis=1, initial=0.0)).all()):
         raise ConfigurationError("simulation produced non-finite temperatures")
-    return t_in, hvac_on
+    return out, hvac_on
 
 
 # Bytes of fixed-width rows `TraceWriter` formats at once: about eight
@@ -167,9 +178,10 @@ class TraceWriter:
         handle.write("building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
 
     def write(self, pop: Population, t_in, powered, hvac_on) -> None:
-        """Rows of a block as `simulate_block` takes and returns it: `t_in`,
-        `powered` and `hvac_on` are (steps x buildings). `chunk` buildings'
-        rows, about `TRACE_CHUNK_BYTES`, exist at once."""
+        """Rows of a block as `simulate_block` takes and returns it: `t_in`
+        is (buildings x steps), `powered` and `hvac_on` are (steps x
+        buildings). `chunk` buildings' rows, about `TRACE_CHUNK_BYTES`, exist
+        at once."""
         ids = _ascii_rows(map(str, pop.id.tolist()))
         # Rows 2j and 2j + 1: building j's draw with the heating off and on.
         kw = _ascii_rows(f"{v:.3f}\r\n" for on_kw in pop.hvac_electric_kw.tolist()
@@ -185,7 +197,7 @@ class TraceWriter:
             fields = (
                 ids[at, None, :],
                 self._stamps,
-                format_fixed4(t_in[:, at].T),
+                format_fixed4(t_in[at]),
                 np.take(_FLAGS, powered[:, at].T, axis=0),
                 np.take(kw, kw_rows, axis=0),
             )

@@ -262,28 +262,32 @@ def productivity_cost(t_in_c, powered, pop: Population, start, dt_s: float,
     """Wage value of lost work performance over the event's working hours,
     one value per building.
 
-    `t_in_c` and `powered` hold one C-contiguous row per building
-    (buildings x steps, starting at `start`, `dt_s` apart). Performance is
-    zero at unpowered steps for power-dependent jobs and follows the
-    temperature curve otherwise. Residential (work-from-home) and commercial
-    premises use their configured daily working windows. Buildings without
-    workers cost nothing; a kind with workers but no wage costs NaN
-    (`ValuationParams.require_wages` rejects it first).
+    `t_in_c` and `powered` hold one row per building (buildings x steps,
+    starting at `start`, `dt_s` apart). Performance is zero at unpowered
+    steps for power-dependent jobs and follows the temperature curve
+    otherwise; the curve is evaluated only at the working steps. Residential
+    (work-from-home) and commercial premises use their configured daily
+    working windows. Buildings without workers cost nothing; a kind with
+    workers but no wage costs NaN (`ValuationParams.require_wages` rejects
+    it first).
     """
     t_in_c = np.asarray(t_in_c, dtype=float)
+    powered = np.asarray(powered, dtype=bool)
     n_steps = t_in_c.shape[1]
     start_sec = start.hour * 3600.0 + start.minute * 60.0 + start.second
-    res_mask = _work_hour_mask(start_sec, dt_s, n_steps, params.work_hours_residential)
-    com_mask = _work_hour_mask(start_sec, dt_s, n_steps, params.work_hours_commercial)
-
-    loss = 1.0 - np.where(pop.job_requires_power[:, None] & ~np.asarray(powered, dtype=bool),
-                          0.0, productivity_model.evaluate(t_in_c))
-    # Boolean column selection leaves the rows non-contiguous, and their sums
-    # would differ in the last bit from the one-trace sums; copy first.
-    lost_res = np.ascontiguousarray(loss[:, res_mask]).sum(axis=1)
-    lost_com = np.ascontiguousarray(loss[:, com_mask]).sum(axis=1)
     residential = pop.sector == code(Sector.RESIDENTIAL)
-    lost_h = np.where(residential, lost_res, lost_com) * (dt_s / 3600.0)
+    lost_h = np.empty(len(pop))
+    for rows, hours in ((residential, params.work_hours_residential),
+                        (~residential, params.work_hours_commercial)):
+        rows = np.flatnonzero(rows)
+        cells = np.ix_(rows, np.flatnonzero(_work_hour_mask(start_sec, dt_s, n_steps, hours)))
+        # The gathered cells are C-contiguous rows, so each row sums in the
+        # same order as one building's working steps.
+        perf = productivity_model.evaluate(t_in_c[cells])
+        loss = np.subtract(1.0, perf, out=perf)
+        loss[pop.job_requires_power[rows, None] & ~powered[cells]] = 1.0
+        lost_h[rows] = loss.sum(axis=1)
+    lost_h *= dt_s / 3600.0
     wage_by_kind = np.array([params.wage_usd_per_hour.get(k.value, math.nan) for k in BuildingKind])
     wage = np.where(pop.n_workers != 0, wage_by_kind[pop.kind], 0.0)
     return pop.n_workers * lost_h * wage

@@ -219,7 +219,7 @@ def simulate_building(building: Building, weather, powered,
         building_id=building.id,
         start=weather.start,
         dt_s=weather.dt_s,
-        t_in_c=t_in[:, 0].copy(),
+        t_in_c=t_in[0].copy(),
         powered=powered.copy(),
         hvac_kw=np.where(hvac_on[:, 0], building.hvac_electric_kw, 0.0),
     )

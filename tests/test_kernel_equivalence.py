@@ -1,5 +1,6 @@
 """The block kernels against the per-building oracles: the schedule matrix,
-the thermal block, interruption and medical costs and `assemble_bundle`.
+the thermal block, the curves, interruption and medical costs and
+`assemble_bundle`.
 
 Every comparison is exact: the kernel must reproduce the one-building path
 bit for bit, so that run artifacts stay byte-identical.
@@ -15,16 +16,24 @@ import pytest
 import oracles
 from coldsnap import scenario as scenario_module
 from coldsnap import thermal as thermal_module
+from coldsnap.codec import decode
 from coldsnap.demo import demo_config_dict, make_uri_like_weather, write_weather_csv
 from coldsnap.errors import ConfigurationError
-from coldsnap.hazard import CONDITIONS, STATUS_DEATH, STATUS_HOME, STATUS_HOSPITAL, OutcomeBatch
+from coldsnap.hazard import (
+    CONDITIONS,
+    STATUS_DEATH,
+    STATUS_HOME,
+    STATUS_HOSPITAL,
+    HazardConfig,
+    OutcomeBatch,
+    ProductivityModel,
+    RRModel,
+)
 from coldsnap.outage import assign_rolling_groups
 from coldsnap.population import BuildingKind, Sector, synthesize_population
 from coldsnap.scenario import (
     EXPOSURE_FIELDS,
-    REDUCE_BLOCK,
     SCENARIO_NAMES,
-    SIM_BLOCK,
     _write_exposure_csv,
     assemble_bundle,
     build_schedules,
@@ -43,9 +52,12 @@ from coldsnap.weather import load_weather_csv, slice_window
 
 from conftest import constant_weather, make_building, make_population
 
-# Demo counts scaled so the population spans two simulation blocks and ends
-# in partial blocks of both sizes.
+# Demo counts scaled so the population spans two blocks of `WIDTH` buildings
+# and ends in partial blocks and reduction slices.
 SCALE = 0.21
+# Buildings per block under `narrow_blocks`: the shipped budget takes the
+# whole scaled demo in one block.
+WIDTH = 256
 
 
 ROLLING = ("scenarios.ro-di", "scenarios.ro-hi")
@@ -102,11 +114,19 @@ def prepare(path, scenario):
     return config, pop, build_schedules(config, pop)
 
 
-def test_population_ends_in_partial_blocks(assets):
+def narrow_blocks(monkeypatch, config, width=WIDTH) -> tuple[int, int]:
+    """Shrinks the byte budget to `width` buildings of the config's window;
+    returns the block width and the rows of one reduction slice."""
+    monkeypatch.setattr(scenario_module, "BLOCK_BYTES", width * 8 * config.n_steps)
+    return width, width // 8
+
+
+def test_population_ends_in_partial_blocks(assets, monkeypatch):
     config, pop, _ = prepare(assets["demo"], "base")
+    sim_block, reduce_block = narrow_blocks(monkeypatch, config)
     n = len(pop.buildings)
-    assert n > SIM_BLOCK
-    assert n % SIM_BLOCK and n % REDUCE_BLOCK
+    assert n > sim_block
+    assert n % sim_block and n % reduce_block
 
 
 def kwh_ties_population():
@@ -151,9 +171,11 @@ def test_schedule_rows_match_oracle_exactly(assets, monkeypatch, variant, scenar
     powered = schedule.powered()
     for b, row in zip(pop.buildings, powered):
         assert np.array_equal(row, ref.schedules[b.id])
-    for first in range(0, len(pop), SIM_BLOCK):
-        rows = slice(first, first + SIM_BLOCK)
+    for first in range(0, len(pop), WIDTH):
+        rows = slice(first, first + WIDTH)
         assert np.array_equal(schedule.powered(rows), powered[rows])
+        by_step = schedule.powered_by_step(rows)
+        assert by_step.flags.c_contiguous and np.array_equal(by_step, powered[rows].T)
     assert schedule.isolated_ids == ref.isolated_ids
     assert schedule.unpowered_hours().tolist() == [ref.unpowered_hours(b.id)
                                                    for b in pop.buildings]
@@ -255,12 +277,13 @@ def test_missing_sector_table_raises_only_for_unpowered_hours():
         oracles.interruption_cost(buildings[-1], 0.25, params)
 
 
-@pytest.mark.parametrize("variant", ["demo", "indoor_rh", "dt_150"])
-@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
-def test_bundle_matches_oracle_exactly(assets, tmp_path, variant, scenario):
-    config, pop, schedule = prepare(assets[variant], scenario)
-    bundle, exposure = assemble_bundle(config, pop, schedule)
-    ref, _, ref_rows = oracles.assemble_bundle(config, pop, schedule)
+def assert_bundle_matches_oracle(config, pop, schedule, directory, traces=False):
+    """`assemble_bundle` against the one-building oracle: the bundle, the
+    exposure columns and `exposure.csv`, and with `traces` the streamed
+    `traces.csv`. Returns the bundle."""
+    streamed = directory / "traces.csv" if traces else None
+    bundle, exposure = assemble_bundle(config, pop, schedule, streamed)
+    ref, ref_traces, ref_rows = oracles.assemble_bundle(config, pop, schedule)
 
     assert np.array_equal(bundle.p_mort_by_building, ref.p_mort_by_building)
     assert np.array_equal(bundle.wi_sum_by_building, ref.wi_sum_by_building)
@@ -271,14 +294,39 @@ def test_bundle_matches_oracle_exactly(assets, tmp_path, variant, scenario):
     assert tuple(exposure) == EXPOSURE_FIELDS == oracles.EXPOSURE_FLOATS
     for name in EXPOSURE_FIELDS:
         assert exposure[name].tolist() == [row[name] for row in ref_rows], name
-    _write_exposure_csv(tmp_path / "exposure.csv", pop, exposure)
-    oracles.write_exposure_csv(ref_rows, tmp_path / "ref.csv")
-    assert (tmp_path / "exposure.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _write_exposure_csv(directory / "exposure.csv", pop, exposure)
+    oracles.write_exposure_csv(ref_rows, directory / "ref.csv")
+    assert (directory / "exposure.csv").read_bytes() == (directory / "ref.csv").read_bytes()
+    if traces:
+        oracles.write_traces_csv(ref_traces.values(), directory / "ref_traces.csv")
+        assert streamed.read_bytes() == (directory / "ref_traces.csv").read_bytes()
+    return bundle
+
+
+@pytest.mark.parametrize("variant", ["demo", "indoor_rh", "dt_150"])
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_bundle_matches_oracle_exactly(assets, tmp_path, variant, scenario):
+    config, pop, schedule = prepare(assets[variant], scenario)
+    bundle = assert_bundle_matches_oracle(config, pop, schedule, tmp_path)
     if scenario != "base":
         assert bundle.c_prod > 0.0 and bundle.c_cic > 0.0
     if variant == "indoor_rh" and scenario in ("co", "ro-di"):
         # Buildings dark for the whole window fall below freezing.
         assert (bundle.wi_sum_by_building > 0.0).any()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 19])
+def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, extra):
+    # W - 1, W, W + 1 and 2W + 3 buildings at W = 16: a partial last block
+    # leaves the previous block's rows in the reused buffer, and none of
+    # them may reach the exposure or the traces.
+    config, demo, _ = prepare(assets["demo"], "ro-di")
+    width, _ = narrow_blocks(monkeypatch, config, width=16)
+    # The last buildings of the demo: homes and every commercial kind.
+    pop = demo[len(demo) - width - extra:]
+    assert len({*pop.sector.tolist()}) > 1
+    assert_bundle_matches_oracle(config, pop, build_schedules(config, pop), tmp_path,
+                                 traces=True)
 
 
 @pytest.mark.parametrize("scenario", ["co", "ro-di"])
@@ -313,13 +361,14 @@ def test_streamed_traces_match_oracle_export(assets, tmp_path, monkeypatch):
         return writers[-1]
 
     monkeypatch.setattr(scenario_module, "TraceWriter", recording_writer)
+    sim_block, _ = narrow_blocks(monkeypatch, config)
     streamed = tmp_path / "streamed.csv"
     assemble_bundle(config, pop, schedule, streamed)
     # The population ends in a partial simulation block, and that block in a
     # partial write chunk.
     n, chunk = len(pop.buildings), writers[0].chunk
-    assert 1 < chunk < n % SIM_BLOCK
-    assert n % SIM_BLOCK % chunk and n % chunk
+    assert 1 < chunk < n % sim_block
+    assert n % sim_block % chunk and n % chunk
     _, traces, _ = oracles.assemble_bundle(config, pop, schedule)
     exported = tmp_path / "exported.csv"
     oracles.write_traces_csv(traces.values(), exported)
@@ -340,8 +389,8 @@ def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
     powered[:, 3] = True
     pop = make_population(buildings)
     t_in, hvac_on = simulate_block(pop, weather, powered)
-    t_in[5, 1:4] = (-0.0, 0.00015, 123_456.78901)
-    t_in[6, 2] = -1e-7
+    t_in[1:4, 5] = (-0.0, 0.00015, 123_456.78901)
+    t_in[2, 6] = -1e-7
     assert hvac_on.any() and (t_in < 0).any()
 
     monkeypatch.setattr(thermal_module, "TRACE_CHUNK_BYTES", 3 * weather.n_steps * 50)
@@ -349,11 +398,11 @@ def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
     with open(streamed, "w", newline="", encoding="utf-8") as handle:
         writer = TraceWriter(handle, weather.start, weather.dt_s, weather.n_steps)
         for at in (slice(0, 5), slice(5, None)):
-            writer.write(pop[at], t_in[:, at], powered[:, at], hvac_on[:, at])
+            writer.write(pop[at], t_in[at], powered[:, at], hvac_on[:, at])
     assert 1 < writer.chunk < 5 and 5 % writer.chunk
     exported = tmp_path / "exported.csv"
     oracles.write_traces_csv(
-        [oracles.ExposureTrace(b.id, weather.start, weather.dt_s, t_in[:, j].copy(),
+        [oracles.ExposureTrace(b.id, weather.start, weather.dt_s, t_in[j].copy(),
                                powered[:, j].copy(),
                                np.where(hvac_on[:, j], b.hvac_electric_kw, 0.0))
          for j, b in enumerate(buildings)], exported)
@@ -406,9 +455,9 @@ def test_block_row_matches_single_building_runs(assets):
     config, pop, schedule = prepare(assets["demo"], "ro-di")
     window = slice_window(load_weather_csv(config.weather_path), config.window_start,
                           config.n_steps, config.dt_s)
-    block = pop[:REDUCE_BLOCK + 3]
+    block = pop[:67]
     buildings = block.buildings
-    powered = schedule.powered(slice(len(buildings))).T
+    powered = schedule.powered_by_step(slice(len(buildings)))
     gain = 350.0
     t_in, hvac_on = simulate_block(block, window, powered, internal_gain_w=gain)
     for j, b in enumerate(buildings):
@@ -416,8 +465,57 @@ def test_block_row_matches_single_building_runs(assets):
         scalar = oracles.simulate_building_scalar(b, window, powered[:, j],
                                                   internal_gain_w=gain)
         for trace in (single, scalar):
-            assert np.array_equal(trace.t_in_c, t_in[:, j])
+            assert np.array_equal(trace.t_in_c, t_in[j])
             assert np.array_equal(trace.hvac_kw, np.where(hvac_on[:, j], b.hvac_electric_kw, 0.0))
+    # A buffer of another block's rows is overwritten whole; without the
+    # heating flags the temperatures are the same.
+    buffer = np.full(t_in.shape, np.nan)
+    rows, flags = simulate_block(block, window, powered, internal_gain_w=gain, out=buffer,
+                                 with_hvac_on=False)
+    assert rows is buffer and flags is None and np.array_equal(rows, t_in)
+
+
+def curve_models():
+    """Both curve classes with default coefficients, and as a config gives
+    them: fit points over another range, and explicit coefficients."""
+    fitted = ProductivityModel.from_points(
+        [(8.0, 0.61), (15.0, 0.9), (21.0, 1.0), (27.0, 0.95), (34.0, 0.8)], 8.0, 34.0)
+    configured = decode(HazardConfig, {
+        "rr_model": {"fit_points": [[-20.0, 1.7], [-5.0, 1.2], [10.0, 1.02], [18.0, 1.0],
+                                    [25.0, 1.05], [31.0, 1.2]],
+                     "valid_range_c": [-20.0, 31.0]},
+        "productivity_model": {"coefficients_high_to_low": list(fitted.coefficients),
+                               "valid_range_c": [8.0, 34.0]}}, "hazard")
+    hz = HazardConfig()
+    return [hz.rr_model, hz.productivity_model, configured.rr_model,
+            configured.productivity_model]
+
+
+@pytest.mark.parametrize("model", curve_models(), ids=["rr", "productivity", "rr_config",
+                                                     "productivity_config"])
+def test_in_place_horner_is_polyval_bit_for_bit(model):
+    lo, hi = model.t_min_c, model.t_max_c
+    edges = np.array([lo, hi, -0.0, 0.0, -1e6, 1e6, 22.0])
+    temps = np.concatenate([np.linspace(lo - 12.0, hi + 12.0, 4001), edges,
+                            np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    assert (temps < lo).any() and (temps > hi).any() and (temps == lo).any()
+    floor, ceiling = (1.0 - 1e-9, np.inf) if isinstance(model, RRModel) else (0.0, 1.0)
+
+    def reference(t):
+        return np.clip(np.polyval(model.coefficients, np.clip(t, lo, hi)), floor, ceiling)
+
+    given = temps.copy()
+    assert model._polyval(temps).tobytes() == np.polyval(
+        model.coefficients, np.clip(temps, lo, hi)).tobytes()
+    assert model.evaluate(temps).tobytes() == reference(temps).tobytes()
+    assert np.array_equal(temps, given)
+    block = temps[:4000].reshape(40, 100)
+    assert model.evaluate(block).tobytes() == reference(block).tobytes()
+    for t in (*edges.tolist(), lo - 1.0, (lo + hi) / 2.0):
+        for scalar in (t, np.float64(t), np.array(t)):
+            value = model.evaluate(scalar)
+            assert np.ndim(value) == 0 and isinstance(value, np.float64)
+            assert value.tobytes() == reference(t).tobytes()
 
 
 def test_block_decay_is_the_scalar_exponential():
@@ -425,7 +523,7 @@ def test_block_decay_is_the_scalar_exponential():
     # the last bit, so only a per-building math.exp keeps the rows identical.
     weather = constant_weather(-8.0, hours=24)
     buildings = [make_building(i, mass_per_m2=m)
-                 for i, m in enumerate(np.linspace(150e3, 350e3, REDUCE_BLOCK))]
+                 for i, m in enumerate(np.linspace(150e3, 350e3, 64))]
     exponents = [-b.ua_w_per_k * weather.dt_s / b.thermal_mass_j_per_k for b in buildings]
     assert (np.exp(exponents) != [math.exp(x) for x in exponents]).any()
     powered = np.zeros((weather.n_steps, len(buildings)), dtype=bool)
@@ -433,4 +531,4 @@ def test_block_decay_is_the_scalar_exponential():
     t_in, _ = simulate_block(make_population(buildings), weather, powered)
     for j, b in enumerate(buildings):
         scalar = oracles.simulate_building_scalar(b, weather, powered[:, j])
-        assert np.array_equal(scalar.t_in_c, t_in[:, j])
+        assert np.array_equal(scalar.t_in_c, t_in[j])
