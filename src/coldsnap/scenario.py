@@ -328,13 +328,15 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
                 sink.write(block, t_in, powered, hvac_on)
             for lo in range(0, len(block), part):
                 rows = t_in[lo:lo + part]
-                at = slice(first + lo, first + lo + part)
+                # The block's last slice is short unless `part` divides it.
+                hi = lo + len(rows)
+                at = slice(first + lo, first + hi)
                 mean_rr[at] = hz.rr_model.evaluate(rows).mean(axis=1)
                 mean_t[at] = rows.mean(axis=1)
                 min_t[at] = rows.min(axis=1)
                 wi_sum[at] = winter_index_rows(rows, window.rh_pct, hz.winter_index)
                 prod_usd[at] = productivity_cost(
-                    rows, powered[:, lo:lo + part].T, block[lo:lo + part], window.start,
+                    rows, powered[:, lo:hi].T, block[lo:hi], window.start,
                     window.dt_s, config.valuation, hz.productivity_model)
     p_mort = mortality_probability(mean_rr, hz.delta)
 

@@ -315,15 +315,17 @@ def test_bundle_matches_oracle_exactly(assets, tmp_path, variant, scenario):
         assert (bundle.wi_sum_by_building > 0.0).any()
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1, 19])
-def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, extra):
-    # W - 1, W, W + 1 and 2W + 3 buildings at W = 16: a partial last block
-    # leaves the previous block's rows in the reused buffer, and none of
-    # them may reach the exposure or the traces.
+@pytest.mark.parametrize("width", [16, 29])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, width, blocks, extra):
+    # W - 1, W, W + 1 and 2W + 3 buildings: a partial last block leaves the
+    # previous block's rows in the reused buffer, and none of them may reach
+    # the exposure or the traces. At W = 29 the reduction slices hold 3
+    # rows, so every block ends in a short slice of 2.
     config, demo, _ = prepare(assets["demo"], "ro-di")
-    width, _ = narrow_blocks(monkeypatch, config, width=16)
+    narrow_blocks(monkeypatch, config, width=width)
     # The last buildings of the demo: homes and every commercial kind.
-    pop = demo[len(demo) - width - extra:]
+    pop = demo[len(demo) - blocks * width - extra:]
     assert len({*pop.sector.tolist()}) > 1
     assert_bundle_matches_oracle(config, pop, build_schedules(config, pop), tmp_path,
                                  traces=True)
