@@ -13,7 +13,7 @@ moisture excess) whenever both cross their critical levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -200,15 +200,35 @@ def winter_index_rows(t_in_c, rh_pct, params: WinterIndexParams) -> np.ndarray:
     return sums
 
 
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+_SQRT2 = math.sqrt(2.0)
+# Standard deviations past which a normal density underflows to 0.0
+# (exp(-40**2 / 2) = exp(-800)), so nothing beyond them adds to a mean.
+_TAIL_Z = 40.0
+# Gauss-Legendre nodes per quadrature piece, and the most pieces: each is
+# as wide as the narrower rate's standard deviation while they fit.
+_GAUSS_NODES = 12
+_MAX_PIECES = 400
+
+
+def _normal_mass(a: float, b: float) -> float:
+    """Phi(b) - Phi(a) for a <= b, read from the tail the interval lies in,
+    so that a mass deep in a tail does not cancel to 0."""
+    if a > 0.0:
+        return 0.5 * (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2))
+    if b < 0.0:
+        return 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
+    return 0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2))
+
+
+def _normal_pdf(z: float) -> float:
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class TruncNormal:
-    """Normal(mean, std) restricted to [lo, hi] by rejection sampling."""
+    """Normal(loc, std) restricted to [lo, hi] by rejection sampling."""
 
-    mean: float
+    loc: float
     std: float
     lo: float
     hi: float
@@ -221,7 +241,7 @@ class TruncNormal:
         if self.acceptance_probability() < 1e-6:
             raise ConfigurationError(
                 f"window [{self.lo}, {self.hi}] captures almost none of "
-                f"Normal({self.mean}, {self.std}); rejection sampling would stall"
+                f"Normal({self.loc}, {self.std}); rejection sampling would stall"
             )
 
     @classmethod
@@ -229,21 +249,69 @@ class TruncNormal:
         return cls(*data)
 
     def to_json(self) -> list:
-        return [self.mean, self.std, self.lo, self.hi]
+        return [self.loc, self.std, self.lo, self.hi]
+
+    def _z(self, x: float) -> float:
+        return (x - self.loc) / self.std
 
     def acceptance_probability(self) -> float:
-        return _normal_cdf((self.hi - self.mean) / self.std) - _normal_cdf(
-            (self.lo - self.mean) / self.std
-        )
+        return _normal_mass(self._z(self.lo), self._z(self.hi))
+
+    def mean(self) -> float:
+        """The mean of the truncated law, in closed form."""
+        a, b = self._z(self.lo), self._z(self.hi)
+        value = self.loc + self.std * (_normal_pdf(a) - _normal_pdf(b)) / _normal_mass(a, b)
+        return min(max(value, self.lo), self.hi)
+
+    def mean_excess(self, c: float) -> float:
+        """E[max(X - c, 0)], in closed form."""
+        g, b = self._z(max(c, self.lo)), self._z(self.hi)
+        if g >= b:
+            return 0.0
+        tail = ((self.loc - c) * _normal_mass(g, b)
+                + self.std * (_normal_pdf(g) - _normal_pdf(b)))
+        return max(tail / self.acceptance_probability(), 0.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """`size` draws by rejection: redraw every value outside [lo, hi]."""
-        out = rng.normal(self.mean, self.std, size=size)
+        out = rng.normal(self.loc, self.std, size=size)
         bad = (out < self.lo) | (out > self.hi)
         while bad.any():
-            out[bad] = rng.normal(self.mean, self.std, size=int(bad.sum()))
+            out[bad] = rng.normal(self.loc, self.std, size=int(bad.sum()))
             bad = (out < self.lo) | (out > self.hi)
         return out
+
+
+def respiratory_share_pct(cardiac: TruncNormal, respiratory: TruncNormal) -> float:
+    """E[min(p_r, 100 - p_c)] for independent percent rates p_c and p_r: the
+    respiratory share of a tree that draws cardiac with chance p_c and, if
+    not cardiac, respiratory with chance p_r / (100 - p_c), capped at 1.
+
+    That is E[p_r] less E[max(p_r + p_c - 100, 0)]. The correction is taken
+    by Gauss-Legendre quadrature over p_c, only where both densities can be
+    non-zero; it is 0 unless p_c + p_r > 100 can occur.
+    """
+    r_top = min(respiratory.hi, respiratory.loc + _TAIL_Z * respiratory.std)
+    a = max(cardiac.lo, cardiac.loc - _TAIL_Z * cardiac.std, 100.0 - r_top)
+    b = min(cardiac.hi, cardiac.loc + _TAIL_Z * cardiac.std)
+    if a >= b:
+        return respiratory.mean()
+    from numpy.polynomial.legendre import leggauss  # configs where the rates can overlap
+
+    nodes, weights = leggauss(_GAUSS_NODES)
+    scale = cardiac.std * cardiac.acceptance_probability()  # of p_c's truncated density
+    # A break also where the excess of p_r over 100 - p_c turns linear
+    # (100 - p_c below respiratory.lo).
+    width = (b - a) / min(_MAX_PIECES, math.ceil((b - a) / min(cardiac.std, respiratory.std)))
+    breaks = sorted({*np.arange(a, b, width).tolist(), b}
+                    | ({100.0 - respiratory.lo} if a < 100.0 - respiratory.lo < b else set()))
+    excess = 0.0
+    for left, right in zip(breaks, breaks[1:]):
+        half, mid = (right - left) / 2.0, (right + left) / 2.0
+        for node, weight in zip((mid + half * nodes).tolist(), (half * weights).tolist()):
+            density = _normal_pdf(cardiac._z(node)) / scale
+            excess += weight * density * respiratory.mean_excess(100.0 - node)
+    return max(respiratory.mean() - excess, 0.0)
 
 
 class Condition(str, Enum):
@@ -285,6 +353,21 @@ class HealthDistributions:
             if set(getattr(self, name)) != set(CONDITIONS):
                 raise ConfigurationError(f"{name} needs exactly the conditions "
                                          f"{', '.join(c.value for c in CONDITIONS)}")
+        # Every draw is a rate used in one Bernoulli, so its support must
+        # lie in [0, 100] percent.
+        for name, dist in self._percent_rates():
+            if not 0.0 <= dist.lo <= dist.hi <= 100.0:
+                raise ConfigurationError(
+                    f"support [{dist.lo}, {dist.hi}] must lie in [0, 100] percent", key=name)
+
+    def _percent_rates(self):
+        """(dotted key, distribution) of every rate, in declaration order."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                yield from ((f"{f.name}.{c.value}", d) for c, d in value.items())
+            else:
+                yield f.name, value
 
 
 @dataclass(frozen=True)
@@ -311,43 +394,58 @@ class OutcomeBatch:
     insured: np.ndarray     # health-insurance flag per occupant
 
 
-def resolve_at_risk(m: int, cfg: HazardConfig, rng: np.random.Generator) -> OutcomeBatch:
+# The outcomes of an at-risk occupant, condition by condition: recovered at
+# home, recovered in hospital, death.
+_CATEGORY_STATUS = np.array([STATUS_HOME, STATUS_HOSPITAL, STATUS_DEATH] * len(CONDITIONS),
+                            dtype=np.int8)
+_CATEGORY_CONDITION = np.repeat(np.arange(len(CONDITIONS), dtype=np.int8), 3)
+
+
+@dataclass(frozen=True)
+class OutcomeTable:
+    """The law of an at-risk occupant's outcome and of the insurance flags.
+
+    The tree draws every rate afresh for each occupant (or damaged home) and
+    uses it in one Bernoulli, so each outcome is a categorical draw whose
+    probabilities are the rates' truncated-normal means.
+    """
+
+    probability: np.ndarray  # per (condition, status) category, `_CATEGORY_*` order
+    p_insured: float         # health insurance
+    p_home_insured: float
+
+    @classmethod
+    def from_distributions(cls, dists: HealthDistributions) -> "OutcomeTable":
+        def share(dist):
+            return dist.mean() / 100.0
+
+        p_cardiac = share(dists.pre_existing_cardiac)
+        p_resp = respiratory_share_pct(dists.pre_existing_cardiac,
+                                       dists.pre_existing_respiratory) / 100.0
+        access = share(dists.healthcare_access)
+        probability = []
+        for c, p_cond in zip(CONDITIONS, (p_cardiac, p_resp, max(1.0 - p_cardiac - p_resp, 0.0))):
+            hospital = access * share(dists.hospital_survival[c])
+            home = (1.0 - access) * share(dists.home_survival[c])
+            probability += [p_cond * home, p_cond * hospital, p_cond * (1.0 - hospital - home)]
+        return cls(np.array(probability), share(dists.health_insurance),
+                   share(dists.home_insurance))
+
+    @property
+    def p_death(self) -> float:
+        """P(death | at risk)."""
+        return float(self.probability[_CATEGORY_STATUS == STATUS_DEATH].sum())
+
+
+def resolve_at_risk(m: int, table: OutcomeTable, rng: np.random.Generator) -> OutcomeBatch:
     """Walk `m` at-risk occupants down the outcome tree.
 
-    Each occupant gets fresh draws of their pre-existing-condition rates,
-    care access and survival probabilities from the configured
-    distributions, then a condition, a care venue and survival; each also
-    draws a health-insurance flag. Every status is home-recovered,
+    One uniform per occupant picks its (condition, status) category against
+    the table's cumulative probabilities; a second one, below P(insured),
+    sets its health-insurance flag. Every status is home-recovered,
     hospital-recovered or death.
     """
-    dists = cfg.distributions_pct
-    if m == 0:
-        return OutcomeBatch(np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int8),
-                            np.zeros(0, dtype=bool))
-    p_c = dists.pre_existing_cardiac.sample(rng, m) / 100.0
-    p_r = dists.pre_existing_respiratory.sample(rng, m) / 100.0
-    u_cond = rng.random(m)
-    is_cardiac = u_cond < p_c
-    # Renormalized second branch keeps the respiratory marginal at its rate.
-    u_resp = rng.random(m)
-    is_resp = ~is_cardiac & (u_resp < p_r / np.maximum(1.0 - p_c, 1e-12))
-    cond = np.full(m, 2, dtype=np.int8)  # hypothermia/frost unless overridden
-    cond[is_cardiac] = 0
-    cond[is_resp] = 1
-
-    accessed = rng.random(m) < dists.healthcare_access.sample(rng, m) / 100.0
-    # Survival rates are drawn group by group in a fixed (venue, condition)
-    # order, hospital first, each group's occupants in index order.
-    group = np.where(accessed, 0, len(CONDITIONS)) + cond
-    counts = np.bincount(group, minlength=2 * len(CONDITIONS)).tolist()
-    tables = [dists.hospital_survival[c] for c in CONDITIONS] + \
-        [dists.home_survival[c] for c in CONDITIONS]
-    survival_p = np.empty(m)
-    survival_p[np.argsort(group, kind="stable")] = np.concatenate(
-        [table.sample(rng, count) for table, count in zip(tables, counts) if count]) / 100.0
-    survived = rng.random(m) < survival_p
-    insured = rng.random(m) < dists.health_insurance.sample(rng, m) / 100.0
-
-    status = np.where(~survived, STATUS_DEATH,
-                      np.where(accessed, STATUS_HOSPITAL, STATUS_HOME)).astype(np.int8)
-    return OutcomeBatch(status, cond, insured)
+    u = rng.random((2, m))
+    category = np.searchsorted(np.cumsum(table.probability[:-1]), u[0], side="right")
+    return OutcomeBatch(_CATEGORY_STATUS[category], _CATEGORY_CONDITION[category],
+                        u[1] < table.p_insured)

@@ -54,6 +54,11 @@ class ControlledOutageParams:
                 f"fault_fraction must lie in [0, 1), got {self.fault_fraction}")
 
 
+# Upper bound of `n_groups`: the schedule holds a groups x steps table and
+# a slots x groups rotation, 92 MB at the bound for 1,152 one-step slots.
+MAX_GROUPS = 10_000
+
+
 @dataclass(frozen=True)
 class RollingOutageParams:
     """`scenarios.ro-di` and `scenarios.ro-hi`: rotation over residential groups."""
@@ -65,8 +70,9 @@ class RollingOutageParams:
     fault_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.n_groups < 2:
-            raise ConfigurationError(f"n_groups must be >= 2, got {self.n_groups}")
+        if not 2 <= self.n_groups <= MAX_GROUPS:
+            raise ConfigurationError(
+                f"n_groups must lie in [2, {MAX_GROUPS:,}], got {self.n_groups}")
         if not self.slot_s > 0:
             raise ConfigurationError(f"slot_s must be positive, got {self.slot_s}")
         if not 0.0 <= self.availability_constant <= 1.0:

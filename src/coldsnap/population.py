@@ -246,6 +246,12 @@ class CommercialProfile(Profile):
     workers: tuple[int, int]
 
 
+# Upper bound of the buildings a spec synthesizes: about 70 times the
+# 140,300 of the demo counts x 100; the population's columns alone take
+# about 1 GB at the bound.
+MAX_BUILDINGS = 10_000_000
+
+
 @dataclass
 class PopulationSpec:
     """Knobs for synthesizing a building stock."""
@@ -281,6 +287,9 @@ class PopulationSpec:
             raise ConfigurationError("population spec has zero buildings")
         if any(c < 0 for c in self.counts.values()):
             raise ConfigurationError("negative building count")
+        if sum(self.counts.values()) > MAX_BUILDINGS:
+            raise ConfigurationError(f"the counts add up to more than {MAX_BUILDINGS:,} "
+                                     "buildings", key="counts")
         w = sum(self.insulation_weights.values())
         if abs(w - 1.0) > 1e-9:
             raise ConfigurationError(f"insulation weights sum to {w!r}, expected 1.0")

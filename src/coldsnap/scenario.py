@@ -387,9 +387,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     summary["config_hash"] = config.config_hash()
     summary["population_digest"] = population_digest(pop)
     summary["mean_rr_population"] = float(exposure["mean_rr"].mean())
-    # The sampler's exact expectation of n_death + n_injured per trial.
+    # The sampler's exact expectations of n_death + n_injured and of n_death
+    # per trial.
     summary["expected_at_risk"] = float((bundle.occupants_by_building
                                          * bundle.p_mort_by_building).sum())
+    summary["expected_deaths"] = summary["expected_at_risk"] * bundle.outcome_table.p_death
     summary["n_buildings"] = len(pop)
     summary["total_occupants"] = pop.total_occupants
 

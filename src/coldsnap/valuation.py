@@ -26,7 +26,7 @@ from .hazard import (
     STATUS_HOSPITAL,
     HazardConfig,
     OutcomeBatch,
-    TruncNormal,
+    OutcomeTable,
     resolve_at_risk,
 )
 from .population import BuildingKind, Population, Sector, code
@@ -43,40 +43,48 @@ def batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), 0x6D63, int(batch_index))))
 
 
-def bernoulli_cells(rng: np.random.Generator, prob: np.ndarray,
-                    n_trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """(trial, index) of the cells that fire in `n_trials` rows of independent
-    Bernoulli(`prob`) draws: one uniform per cell, row by row, below `prob`.
+def bernoulli_cells(u: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(trial, index) of the Bernoulli(`prob`) draws that fire in a
+    (trials x len(prob)) block of uniforms `u`, row by row: the cells whose
+    uniform lies below `prob`, in row-major order.
 
-    A cell fires whenever its uniform lies below its probability, so under
-    one stream a cell that fires at some probability fires at every higher one.
+    Under one block a cell that fires at some probability fires at every
+    higher one.
     """
-    return np.nonzero(rng.random((n_trials, len(prob))) < prob)
+    return np.divmod(np.flatnonzero(u < prob), len(prob))
+
+
+def at_risk_chance(occupants: np.ndarray, p_mort: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, log(1 - p)) per building: q = 1 - (1 - p)^n is the chance that the
+    building has any occupant at risk in a trial, 0 for no occupants or
+    p = 0. Where p = 1, log(1 - p) is set to 0 and q is 1 if occupied."""
+    sure = p_mort == 1.0
+    log_miss = np.log1p(-np.where(sure, 0.0, p_mort))
+    return np.where(sure, occupants > 0, -np.expm1(occupants * log_miss)), log_miss
 
 
 def draw_at_risk(rng: np.random.Generator, occupants: np.ndarray, p_mort: np.ndarray,
+                 chance: tuple[np.ndarray, np.ndarray],
                  n_trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """At-risk occupants per (trial, building), as the non-zero cells
     (trial, building, count); each cell's count is Binomial(occupants, p_mort).
 
-    The first draw is one uniform per (trial, building) cell against
-    q = 1 - (1 - p)^n, the chance that the building has any occupant at
-    risk; buildings with no occupants or p = 0 have q = 0 and never fire.
-    Each firing cell then draws its first at-risk occupant J by inverse CDF
-    of the geometric law truncated to n, and the n - J occupants after it
-    are at risk independently: count = 1 + Binomial(n - J, p), the exact
-    zero-truncated binomial.
+    `chance` is `at_risk_chance(occupants, p_mort)`. The first draw is one
+    uniform per (trial, building) cell against q; buildings with q = 0
+    never fire. Each firing cell then draws its first at-risk occupant J by
+    inverse CDF of the geometric law truncated to n, and the n - J occupants
+    after it are at risk independently: count = 1 + Binomial(n - J, p), the
+    exact zero-truncated binomial.
     """
-    sure = p_mort == 1.0
-    log_miss = np.log1p(-np.where(sure, 0.0, p_mort))  # log(1 - p) where p < 1
-    q = np.where(sure, occupants > 0, -np.expm1(occupants * log_miss))
-    trial, building = bernoulli_cells(rng, q, n_trials)
+    q, log_miss = chance
+    trial, building = bernoulli_cells(rng.random((n_trials, len(q))), q)
     n = occupants[building]
+    p = p_mort[building]
     # J = ceil(log(1 - u q) / log(1 - p)); p = 1 makes J = 1.
     ratio = np.divide(np.log1p(-rng.random(trial.size) * q[building]), log_miss[building],
-                      out=np.zeros(trial.size), where=~sure[building])
+                      out=np.zeros(trial.size), where=p != 1.0)
     first = np.clip(np.ceil(ratio), 1, n).astype(np.int64)
-    return trial, building, 1 + rng.binomial(n - first, p_mort[building])
+    return trial, building, 1 + rng.binomial(n - first, p)
 
 
 @dataclass(frozen=True)
@@ -129,8 +137,7 @@ def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.nda
         raise ConfigurationError("unpowered hours cannot be negative")
     usd = np.zeros(len(hours))
     dark = np.flatnonzero(hours > 0)
-    customers = pop[dark]
-    sector = customers.sector
+    sector = pop.sector[dark]
     tables = [params.tables.get(_SECTOR_TABLE_KEY[s]) for s in Sector]
     untabled = np.array([t is None for t in tables])[sector]
     if untabled.any():
@@ -140,15 +147,15 @@ def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.nda
         np.array([math.nan if t is None else getattr(t, name) for t in tables])[sector]
         for name in ("base", "per_hour", "per_kwh", "slope_beyond_cap"))
     residential = sector == code(Sector.RESIDENTIAL)
-    brackets, bracket = np.unique(customers.income_bracket, return_inverse=True)
+    brackets, bracket = np.unique(pop.income_bracket[dark], return_inverse=True)
     income = np.array([params.income_multiplier.get(b, 1.0) for b in brackets.tolist()])[bracket]
-    discounted = (sector == code(Sector.SMALL_CI)) & customers.backup
+    discounted = (sector == code(Sector.SMALL_CI)) & pop.backup[dark]
     # The same operations in the same order as for one customer at a time.
     ci = params.season_multiplier * params.industry_multiplier
     multiplier = np.where(residential, params.season_multiplier * income,
                           np.where(discounted, ci * params.backup_discount, ci))
     h = hours[dark]
-    avg_kw = customers.avg_annual_kwh / 8760.0
+    avg_kw = pop.avg_annual_kwh[dark] / 8760.0
     inner = base + per_hour * np.minimum(h, params.duration_cap_h) + per_kwh * avg_kw * h
     surcharge = slope * np.maximum(h - params.duration_cap_h, 0.0)
     usd[dark] = inner * multiplier + surcharge
@@ -203,52 +210,67 @@ class ValuationParams:
                     f"{kind.value!r}, whose buildings have workers")
 
 
-def medical_cost(outcomes: OutcomeBatch, p_mort: np.ndarray,
-                 params: ValuationParams) -> np.ndarray:
-    """Medical bill of each at-risk occupant, USD.
+def medical_severity(p_mort: np.ndarray, params: ValuationParams) -> np.ndarray:
+    """Severity of a hospital stay: p_mort / ceiling, clipped to [0, 1]."""
+    return np.clip(np.asarray(p_mort, dtype=float) / params.severity_ceiling, 0.0, 1.0)
+
+
+def medical_bills(params: ValuationParams) -> tuple[np.ndarray, np.ndarray]:
+    """(base, slope) of the medical bill base + slope x severity of each
+    (condition, status, insured) outcome, flat in that order.
 
     Hospital recoveries bill their condition's insured or uninsured range at
-    the severity ratio p_mort / ceiling (clipped to 1); home recoveries bill
-    a fraction of the insured minimum; deaths bill nothing.
+    the severity; home recoveries bill a fraction of the insured minimum;
+    deaths bill nothing.
     """
-    lo, hi = (np.array([[table[c.value][end] for c in CONDITIONS]
-                        for table in (params.medical_uninsured_usd, params.medical_insured_usd)])
-              for end in (0, 1))
-    severity = np.clip(np.asarray(p_mort, dtype=float) / params.severity_ceiling, 0.0, 1.0)
-    insured, condition = outcomes.insured.astype(np.intp), outcomes.condition
-    low = lo[insured, condition]
-    hospital = low + (hi[insured, condition] - low) * severity
-    home = params.home_care_fraction * lo[1, condition]
-    return np.where(outcomes.status == STATUS_HOSPITAL, hospital,
-                    np.where(outcomes.status == STATUS_HOME, home, 0.0))
+    base, slope = np.zeros((2, len(CONDITIONS), STATUS_DEATH + 1, 2))
+    for i, c in enumerate(CONDITIONS):
+        for insured, table in enumerate((params.medical_uninsured_usd,
+                                         params.medical_insured_usd)):
+            lo, hi = table[c.value]
+            base[i, STATUS_HOSPITAL, insured] = lo
+            slope[i, STATUS_HOSPITAL, insured] = hi - lo
+        base[i, STATUS_HOME] = params.home_care_fraction * params.medical_insured_usd[c.value][0]
+    return base.ravel(), slope.ravel()
+
+
+def medical_cost(outcomes: OutcomeBatch, severity: np.ndarray,
+                 bills: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Medical bill of each at-risk occupant, USD: the `medical_bills` entry
+    of its outcome at its `medical_severity`."""
+    base, slope = bills
+    index = ((outcomes.condition.astype(np.intp) * (STATUS_DEATH + 1) + outcomes.status) * 2
+             + outcomes.insured)
+    return base[index] + slope[index] * severity
 
 
 def repair_cost(wi_sum_by_building, beta_wi: float, params: ValuationParams,
-                home_insurance: TruncNormal, rng: np.random.Generator,
+                p_home_insured: float, rng: np.random.Generator,
                 n_trials: int) -> np.ndarray:
     """Freeze-damage repair cost over buildings, one value per trial.
 
-    In each trial each building is damaged with probability (accumulated
-    index / beta); each damaged building draws a home-insurance flag and
-    bills the matching repair range at the same severity ratio. Buildings
-    with a zero index draw nothing.
+    In each trial each building with a positive index draws one uniform u.
+    It is damaged if u < r, with r = index / beta (clipped to 1), and then
+    insured if u < r x P(home insured), so a damaged building is insured
+    with that chance. It bills the matching repair range at r. A building
+    damaged at some r is damaged at every higher one.
     """
     if beta_wi <= 0:
         raise ConfigurationError("beta_wi must be positive")
     wi = np.asarray(wi_sum_by_building, dtype=float)
-    exposed = np.flatnonzero(wi > 0.0)
-    ratio = np.clip(wi[exposed] / beta_wi, 0.0, 1.0)
-    trial, building = bernoulli_cells(rng, ratio, n_trials)
-    insured = rng.random(trial.size) < home_insurance.sample(rng, trial.size) / 100.0
-    ratio = ratio[building]
+    ratio = np.clip(wi[wi > 0.0] / beta_wi, 0.0, 1.0)
+    u = rng.random((n_trials, len(ratio)))
     ins_lo, ins_hi = params.pipe_repair_insured_usd
     unins_lo, unins_hi = params.pipe_repair_uninsured_usd
-    cost = np.where(
-        insured,
-        ins_lo + (ins_hi - ins_lo) * ratio,
-        unins_lo + (unins_hi - unins_lo) * ratio,
-    )
-    return np.bincount(trial, weights=cost, minlength=n_trials)
+    uninsured = unins_lo + (unins_hi - unins_lo) * ratio
+    insured = ins_lo + (ins_hi - ins_lo) * ratio
+    # Every damaged building bills the uninsured range; the insured ones,
+    # damaged too, then add the difference to the insured range.
+    cost = np.zeros(n_trials)
+    for below, bill in ((ratio, uninsured), (ratio * p_home_insured, insured - uninsured)):
+        trial, building = bernoulli_cells(u, below)
+        cost += np.bincount(trial, weights=bill[building], minlength=n_trials)
+    return cost
 
 
 def _work_hour_mask(start_seconds_of_day: float, dt_s: float, n_steps: int,
@@ -306,6 +328,19 @@ class ScenarioBundle:
     c_cic: float
     hazard_cfg: HazardConfig
     val_params: ValuationParams
+    # Derived once from the fields above, for every batch to read.
+    outcome_table: OutcomeTable = field(init=False, repr=False)
+    at_risk_chance: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    medical_bills: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        derived = {
+            "outcome_table": OutcomeTable.from_distributions(self.hazard_cfg.distributions_pct),
+            "at_risk_chance": at_risk_chance(self.occupants_by_building, self.p_mort_by_building),
+            "medical_bills": medical_bills(self.val_params),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 COMPONENTS = ("c_vsl", "c_medical", "c_prod", "c_build", "c_cic")
@@ -324,16 +359,19 @@ def run_batch(bundle: ScenarioBundle, batch_index: int, master_seed: int) -> np.
     The batch's first draw picks the (trial, building) cells with any
     occupant at risk (`draw_at_risk`), so scenarios with the same
     population and seed share those uniforms; only the at-risk occupants
-    walk the outcome tree. The interruption and productivity components
-    are scenario constants from the bundle.
+    draw an outcome, one categorical draw each against the bundle's
+    outcome table (`resolve_at_risk`). The interruption and productivity
+    components are scenario constants from the bundle.
     """
     rng = batch_rng(master_seed, batch_index)
     cell_trial, building, counts = draw_at_risk(
-        rng, bundle.occupants_by_building, bundle.p_mort_by_building, MC_BATCH)
+        rng, bundle.occupants_by_building, bundle.p_mort_by_building, bundle.at_risk_chance,
+        MC_BATCH)
     trial = np.repeat(cell_trial, counts)
-    outcomes = resolve_at_risk(trial.size, bundle.hazard_cfg, rng)
-    medical = medical_cost(outcomes, np.repeat(bundle.p_mort_by_building[building], counts),
-                           bundle.val_params)
+    outcomes = resolve_at_risk(trial.size, bundle.outcome_table, rng)
+    severity = medical_severity(np.repeat(bundle.p_mort_by_building[building], counts),
+                                bundle.val_params)
+    medical = medical_cost(outcomes, severity, bundle.medical_bills)
 
     n_death = np.bincount(trial[outcomes.status == STATUS_DEATH], minlength=MC_BATCH)
     n_at_risk = np.bincount(trial, minlength=MC_BATCH)
@@ -342,7 +380,7 @@ def run_batch(bundle: ScenarioBundle, batch_index: int, master_seed: int) -> np.
         np.bincount(trial, weights=medical, minlength=MC_BATCH),
         np.full(MC_BATCH, bundle.c_prod),
         repair_cost(bundle.wi_sum_by_building, bundle.beta_wi, bundle.val_params,
-                    bundle.hazard_cfg.distributions_pct.home_insurance, rng, MC_BATCH),
+                    bundle.outcome_table.p_home_insured, rng, MC_BATCH),
         np.full(MC_BATCH, bundle.c_cic),
         n_death,
         n_at_risk - n_death,
@@ -423,6 +461,8 @@ def summarize(dist: CostDistribution, histogram_bins: int = 50) -> tuple[dict, l
     lo, hi = float(totals.min()), float(totals.max())
     if hi == lo:
         hi = lo + 1.0
+    # numpy needs every bin wider than the float spacing at the totals' size.
+    hi = max(hi, lo + 4.0 * histogram_bins * float(np.spacing(max(abs(lo), abs(hi)))))
     counts, edges = np.histogram(totals, bins=histogram_bins, range=(lo, hi))
     histogram = [(float(edges[i]), float(edges[i + 1]), int(counts[i]))
                  for i in range(histogram_bins)]

@@ -4,11 +4,12 @@ These are the resample-then-slice form of the weather window, the
 one-building-at-a-time forms of the power schedules and
 their rolling groups, the thermal simulation, the hazard reductions, the
 interruption and productivity costs and the trace export, plus the scalar
-forms of the thermostat step, the outcome tree and the medical cost, and
-the one-trial Monte-Carlo path. The package computes the same quantities over
-blocks of buildings, occupants or trials; the equivalence tests require
-the two to agree bit for bit, or, for the Monte-Carlo path, in
-distribution.
+forms of the thermostat step, the outcome tree and the medical cost, the
+one-trial Monte-Carlo path, and the batch kernel that samples every rate
+of the outcome tree and every home-insurance rate. The package computes
+the same quantities over blocks of buildings, occupants or trials; the
+equivalence tests require the two to agree bit for bit, or, for the
+Monte-Carlo path, in distribution.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from coldsnap.hazard import (
     OutcomeBatch,
     TruncNormal,
     mortality_probability,
-    resolve_at_risk,
     winter_index_sum,
 )
 from coldsnap.outage import select_isolated
@@ -41,10 +41,14 @@ from coldsnap.population import Building, Population, Sector
 from coldsnap.thermal import simulate_block
 from coldsnap.valuation import (
     _SECTOR_TABLE_KEY,
+    MC_BATCH,
     CICParams,
     ScenarioBundle,
     ValuationParams,
     _work_hour_mask,
+    batch_rng,
+    bernoulli_cells,
+    draw_at_risk,
 )
 from coldsnap.weather import SPACING_JITTER_S, WeatherSeries, load_weather_csv
 
@@ -356,7 +360,7 @@ def sample_truncated_normal(params: TruncNormal, rng: np.random.Generator, size=
     if size is not None:
         return params.sample(rng, size)
     while True:
-        value = rng.normal(params.mean, params.std)
+        value = rng.normal(params.loc, params.std)
         if params.lo <= value <= params.hi:
             return float(value)
 
@@ -364,6 +368,48 @@ def sample_truncated_normal(params: TruncNormal, rng: np.random.Generator, size=
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent, reproducible stream for one trial drawn on its own."""
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), 0x7269616C, int(trial_index))))
+
+
+def resolve_at_risk_sampled(m: int, cfg: HazardConfig, rng: np.random.Generator) -> OutcomeBatch:
+    """Walk `m` at-risk occupants down the outcome tree, sampling every rate.
+
+    Each occupant gets fresh draws of their pre-existing-condition rates,
+    care access and survival probabilities from the configured
+    distributions, then a condition, a care venue and survival; each also
+    draws a health-insurance flag. The package's categorical draw has the
+    same law.
+    """
+    dists = cfg.distributions_pct
+    if m == 0:
+        return OutcomeBatch(np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int8),
+                            np.zeros(0, dtype=bool))
+    p_c = dists.pre_existing_cardiac.sample(rng, m) / 100.0
+    p_r = dists.pre_existing_respiratory.sample(rng, m) / 100.0
+    u_cond = rng.random(m)
+    is_cardiac = u_cond < p_c
+    # Renormalized second branch keeps the respiratory marginal at its rate.
+    u_resp = rng.random(m)
+    is_resp = ~is_cardiac & (u_resp < p_r / np.maximum(1.0 - p_c, 1e-12))
+    cond = np.full(m, 2, dtype=np.int8)  # hypothermia/frost unless overridden
+    cond[is_cardiac] = 0
+    cond[is_resp] = 1
+
+    accessed = rng.random(m) < dists.healthcare_access.sample(rng, m) / 100.0
+    # Survival rates are drawn group by group in a fixed (venue, condition)
+    # order, hospital first, each group's occupants in index order.
+    group = np.where(accessed, 0, len(CONDITIONS)) + cond
+    counts = np.bincount(group, minlength=2 * len(CONDITIONS)).tolist()
+    tables = [dists.hospital_survival[c] for c in CONDITIONS] + \
+        [dists.home_survival[c] for c in CONDITIONS]
+    survival_p = np.empty(m)
+    survival_p[np.argsort(group, kind="stable")] = np.concatenate(
+        [table.sample(rng, count) for table, count in zip(tables, counts) if count]) / 100.0
+    survived = rng.random(m) < survival_p
+    insured = rng.random(m) < dists.health_insurance.sample(rng, m) / 100.0
+
+    status = np.where(~survived, STATUS_DEATH,
+                      np.where(accessed, STATUS_HOSPITAL, STATUS_HOME)).astype(np.int8)
+    return OutcomeBatch(status, cond, insured)
 
 
 @dataclass(frozen=True)
@@ -383,13 +429,13 @@ def simulate_outcomes(p_mort: np.ndarray, cfg: HazardConfig, rng: np.random.Gene
     """Resolve one trial's occupants, each at risk with its own probability.
 
     Each occupant is at risk with probability `p_mort`; the at-risk ones
-    walk the outcome tree of `resolve_at_risk`. Occupants not at risk stay
-    unaffected, without a condition or a health-insurance flag.
+    walk the outcome tree of `resolve_at_risk_sampled`. Occupants not at
+    risk stay unaffected, without a condition or a health-insurance flag.
     """
     p_mort = np.asarray(p_mort, dtype=float)
     n = p_mort.shape[0]
     idx = np.flatnonzero(rng.random(n) < p_mort)
-    tree = resolve_at_risk(idx.size, cfg, rng)
+    tree = resolve_at_risk_sampled(idx.size, cfg, rng)
     status = np.zeros(n, dtype=np.int8)
     condition = np.full(n, -1, dtype=np.int8)
     insured = np.zeros(n, dtype=bool)
@@ -780,3 +826,70 @@ def run_trial(bundle: ScenarioBundle, trial_index: int, master_seed: int) -> Cos
         n_death=batch.n_death,
         n_injured=batch.n_injured,
     )
+
+
+# --- Monte-Carlo: the batch kernel with every rate sampled -------------------
+
+def medical_cost_sampled(outcomes: OutcomeBatch, p_mort: np.ndarray,
+                         params: ValuationParams) -> np.ndarray:
+    """Medical bill of each at-risk occupant, USD, priced from the tables.
+
+    Hospital recoveries bill their condition's insured or uninsured range at
+    the severity ratio p_mort / ceiling (clipped to 1); home recoveries bill
+    a fraction of the insured minimum; deaths bill nothing.
+    """
+    lo, hi = (np.array([[table[c.value][end] for c in CONDITIONS]
+                        for table in (params.medical_uninsured_usd, params.medical_insured_usd)])
+              for end in (0, 1))
+    severity = np.clip(np.asarray(p_mort, dtype=float) / params.severity_ceiling, 0.0, 1.0)
+    insured, condition = outcomes.insured.astype(np.intp), outcomes.condition
+    low = lo[insured, condition]
+    hospital = low + (hi[insured, condition] - low) * severity
+    home = params.home_care_fraction * lo[1, condition]
+    return np.where(outcomes.status == STATUS_HOSPITAL, hospital,
+                    np.where(outcomes.status == STATUS_HOME, home, 0.0))
+
+
+def repair_cost_sampled(wi_sum_by_building, beta_wi: float, params: ValuationParams,
+                        home_insurance: TruncNormal, rng: np.random.Generator,
+                        n_trials: int) -> np.ndarray:
+    """Freeze-damage repair cost over buildings, one value per trial: each
+    damaged building draws a home-insurance rate and a uniform below it."""
+    if beta_wi <= 0:
+        raise ConfigurationError("beta_wi must be positive")
+    wi = np.asarray(wi_sum_by_building, dtype=float)
+    ratio = np.clip(wi[wi > 0.0] / beta_wi, 0.0, 1.0)
+    trial, building = bernoulli_cells(rng.random((n_trials, len(ratio))), ratio)
+    insured = rng.random(trial.size) < home_insurance.sample(rng, trial.size) / 100.0
+    ratio = ratio[building]
+    ins_lo, ins_hi = params.pipe_repair_insured_usd
+    unins_lo, unins_hi = params.pipe_repair_uninsured_usd
+    cost = np.where(insured, ins_lo + (ins_hi - ins_lo) * ratio,
+                    unins_lo + (unins_hi - unins_lo) * ratio)
+    return np.bincount(trial, weights=cost, minlength=n_trials)
+
+
+def run_batch_sampled(bundle: ScenarioBundle, batch_index: int, master_seed: int) -> np.ndarray:
+    """`valuation.run_batch` with every rate of the outcome tree and every
+    home-insurance rate sampled: the same at-risk cells, then
+    `resolve_at_risk_sampled`, `medical_cost_sampled` and
+    `repair_cost_sampled`. Rows in `TRIAL_COLUMNS` order."""
+    rng = batch_rng(master_seed, batch_index)
+    cell_trial, building, counts = draw_at_risk(
+        rng, bundle.occupants_by_building, bundle.p_mort_by_building, bundle.at_risk_chance,
+        MC_BATCH)
+    trial = np.repeat(cell_trial, counts)
+    outcomes = resolve_at_risk_sampled(trial.size, bundle.hazard_cfg, rng)
+    medical = medical_cost_sampled(
+        outcomes, np.repeat(bundle.p_mort_by_building[building], counts), bundle.val_params)
+    n_death = np.bincount(trial[outcomes.status == STATUS_DEATH], minlength=MC_BATCH)
+    return np.column_stack((
+        n_death * bundle.val_params.vsl_usd,
+        np.bincount(trial, weights=medical, minlength=MC_BATCH),
+        np.full(MC_BATCH, bundle.c_prod),
+        repair_cost_sampled(bundle.wi_sum_by_building, bundle.beta_wi, bundle.val_params,
+                            bundle.hazard_cfg.distributions_pct.home_insurance, rng, MC_BATCH),
+        np.full(MC_BATCH, bundle.c_cic),
+        n_death,
+        np.bincount(trial, minlength=MC_BATCH) - n_death,
+    ))

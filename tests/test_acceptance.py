@@ -3,8 +3,8 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`.
 
 The demo scenarios (1403 buildings, 1000 trials each) execute once in a
 session fixture through the real CLI; criteria 4-8 and 10 read those
-artifacts, and so does the exact check on the at-risk sampler. Oracle-based
-criteria (1-3, 9) run standalone.
+artifacts, and so do the exact checks on the at-risk and death means.
+Oracle-based criteria (1-3, 9) run standalone.
 """
 
 import csv
@@ -19,7 +19,7 @@ from scipy import stats
 
 from coldsnap import defaults
 from coldsnap.cli import main
-from coldsnap.hazard import CONDITIONS, HazardConfig, TruncNormal
+from coldsnap.hazard import CONDITIONS, HazardConfig, OutcomeTable, TruncNormal, resolve_at_risk
 from coldsnap.valuation import run_monte_carlo
 from coldsnap.weather import WeatherSeries
 
@@ -29,7 +29,6 @@ from oracles import (
     max_contiguous_off,
     outcome_tree_probabilities,
     simulate_building,
-    simulate_outcomes,
     trial_rng,
 )
 from test_thermal import superposition_oracle
@@ -63,8 +62,8 @@ def demo_runs(demo_config_path, tmp_path_factory):
 
 
 def exact_truncated_mean(tn: TruncNormal) -> float:
-    a, b = (tn.lo - tn.mean) / tn.std, (tn.hi - tn.mean) / tn.std
-    return float(stats.truncnorm.mean(a, b, loc=tn.mean, scale=tn.std))
+    a, b = (tn.lo - tn.loc) / tn.std, (tn.hi - tn.loc) / tn.std
+    return float(stats.truncnorm.mean(a, b, loc=tn.loc, scale=tn.std))
 
 
 def test_criterion_1_thermal_oracle():
@@ -97,14 +96,17 @@ def test_criterion_1_thermal_oracle():
 
 def test_criterion_2_outcome_tree_oracle():
     # 100-occupant toy, fixed P_mort=0.3, shipped health statistics, 1e5
-    # trials; death/injury frequencies within 3-sigma of the analytic tree.
+    # trials; death/injury frequencies of the kernel's outcome draw within
+    # 3-sigma of the analytic tree.
     cfg = HazardConfig()
     n_occ, n_trials = 100, 100_000
     p_mort = np.full(n_occ, 0.3)
     started = time.time()
+    table = OutcomeTable.from_distributions(cfg.distributions_pct)
     deaths = hospital = home = 0
     for i in range(n_trials):
-        batch = simulate_outcomes(p_mort, cfg, trial_rng(2025, i))
+        rng = trial_rng(2025, i)
+        batch = resolve_at_risk(int((rng.random(n_occ) < p_mort).sum()), table, rng)
         deaths += int((batch.status == 3).sum())
         hospital += int((batch.status == 2).sum())
         home += int((batch.status == 1).sum())
@@ -291,3 +293,20 @@ def test_mean_at_risk_matches_expected_at_risk(demo_runs):
     se = at_risk.std() / math.sqrt(len(at_risk))
     assert len(at_risk) == N_TRIALS and expected > 0.0
     assert abs(at_risk.mean() - expected) < 4.0 * se, (at_risk.mean(), expected, se)
+
+
+def test_mean_deaths_match_expected_deaths(demo_runs, demo_config_path):
+    # summary.json's expected_deaths is expected_at_risk x P(death | at
+    # risk) from the outcome table, the exact mean of n_death per trial.
+    with open(demo_runs["dirs"]["co"] / "trials.csv", newline="") as handle:
+        deaths = np.array([int(row["n_death"]) for row in csv.DictReader(handle)], dtype=float)
+    summary = demo_runs["summaries"]["co"]
+    from coldsnap.scenario import load_config
+
+    table = OutcomeTable.from_distributions(load_config(demo_config_path).hazard.distributions_pct)
+    assert summary["expected_deaths"] == pytest.approx(
+        summary["expected_at_risk"] * table.p_death, rel=1e-12)
+    se = deaths.std() / math.sqrt(len(deaths))
+    assert len(deaths) == N_TRIALS and summary["expected_deaths"] > 0.0
+    assert abs(deaths.mean() - summary["expected_deaths"]) < 4.0 * se, (
+        deaths.mean(), summary["expected_deaths"], se)

@@ -12,18 +12,21 @@ from hypothesis import strategies as st
 from coldsnap import scenario as scenario_module
 from coldsnap.cli import main
 from coldsnap.codec import decode, encode
-from coldsnap.hazard import HazardConfig, RRModel
+from coldsnap.hazard import HazardConfig, HealthDistributions, RRModel
 from coldsnap.population import BuildingKind, PopulationSpec
 from coldsnap.scenario import SCENARIO_NAMES, load_config
 from coldsnap.valuation import ValuationParams
 
-BAD_VALUES = ["x", -1, 2, None, [], {}, True, 0, [1.0], -0.5]
+# Very large values find keys without an upper bound, which would fail in
+# an allocation or overflow instead of exiting 2.
+BAD_VALUES = ["x", -1, 2, None, [], {}, True, 0, [1.0], -0.5, 10**12, 1e300]
 
 
 @pytest.fixture(scope="module")
 def small_config(demo_config_path):
     """The demo config with one building per kind and 2 trials, and the
-    default population and valuation tables written out.
+    default population and valuation tables and rate distributions written
+    out.
 
     Counts and trial numbers stay small because a mutation may legally
     raise any of them to a bad value's magnitude.
@@ -37,6 +40,7 @@ def small_config(demo_config_path):
     default_valuation = encode(ValuationParams())
     for key in ("medical_insured_usd", "medical_uninsured_usd", "wage_usd_per_hour", "cic"):
         config["valuation"][key] = default_valuation[key]
+    config["hazard"]["distributions_pct"] = encode(HealthDistributions())
     config["n_trials"] = 2
     config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
     return config
@@ -148,6 +152,16 @@ def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys
     (("window", "end"), "2021-02-15T25:00", "window.end"),
     (("histogram_bins",), 10**12, "histogram_bins"),
     (("n_trials",), 10**12, "n_trials"),
+    # Rates are percentages: a support outside [0, 100] would make a
+    # Bernoulli certain or impossible for part of it.
+    (("hazard", "distributions_pct", "home_insurance", 3), 150.0,
+     "'hazard.distributions_pct.home_insurance'"),
+    (("hazard", "distributions_pct", "health_insurance", 2), -5.0,
+     "'hazard.distributions_pct.health_insurance'"),
+    (("hazard", "distributions_pct", "hospital_survival", "cardiac", 3), 1e300,
+     "'hazard.distributions_pct.hospital_survival.cardiac'"),
+    (("population", "spec", "counts", "office"), 10**12, "'population.spec.counts'"),
+    (("scenarios", "ro-hi", "n_groups"), 10**12, "n_groups"),
 ])
 def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
                                                path, value, named):

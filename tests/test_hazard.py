@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from coldsnap import defaults
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import (
     CONDITIONS,
+    STATUS_DEATH,
     Condition,
     HazardConfig,
+    HealthDistributions,
+    OutcomeTable,
     ProductivityModel,
     RRModel,
     TruncNormal,
     WinterIndexParams,
+    resolve_at_risk,
+    respiratory_share_pct,
     winter_index_sum,
 )
 
@@ -25,6 +30,7 @@ from oracles import (
     outcome_tree_probabilities,
     productivity,
     relative_risk,
+    resolve_at_risk_sampled,
     sample_truncated_normal,
     simulate_occupant_outcome,
     simulate_outcomes,
@@ -203,8 +209,8 @@ class TestTruncNormal:
         rng = np.random.default_rng(99)
         dist = TruncNormal(10.0, 8.0, 0.0, 100.0)  # truncation actually bites
         draws = dist.sample(rng, 400_000)
-        a, b = (dist.lo - dist.mean) / dist.std, (dist.hi - dist.mean) / dist.std
-        exact = stats.truncnorm.mean(a, b, loc=dist.mean, scale=dist.std)
+        a, b = (dist.lo - dist.loc) / dist.std, (dist.hi - dist.loc) / dist.std
+        exact = stats.truncnorm.mean(a, b, loc=dist.loc, scale=dist.std)
         assert abs(draws.mean() - exact) < 0.05
         assert exact != pytest.approx(10.0, abs=0.1)  # shift is real
 
@@ -230,6 +236,149 @@ class TestTruncNormal:
             TruncNormal(10.0, 0.0, 0.0, 100.0)
         with pytest.raises(ConfigurationError):
             TruncNormal(10.0, 1.0, 5.0, 1.0)
+
+    @pytest.mark.parametrize("params", [
+        *defaults.HEALTH_STATS_PCT.values(), *defaults.HOSPITAL_SURVIVAL_PCT.values(),
+        *defaults.HOME_SURVIVAL_PCT.values(),
+        # Truncation that bites, windows deep in either tail (acceptance down
+        # to about 2e-6), a window narrow against std, and a one-sided cut.
+        (10.0, 8.0, 0.0, 100.0), (0.0, 1.0, 4.0, 6.0), (0.0, 1.0, -6.0, -4.5),
+        (0.0, 1.0, 4.6, 30.0), (3.0, 2.0, -40.0, -5.5), (50.0, 1e3, 49.0, 51.5),
+        (99.0, 5.0, 0.0, 100.0), (5.1, 1.0, 0.0, 5.1),
+    ])
+    def test_mean_matches_scipy(self, params):
+        dist = TruncNormal(*params)
+        a, b = (dist.lo - dist.loc) / dist.std, (dist.hi - dist.loc) / dist.std
+        exact = stats.truncnorm.mean(a, b, loc=dist.loc, scale=dist.std)
+        assert dist.mean() == pytest.approx(exact, rel=1e-9, abs=1e-12)
+        assert dist.acceptance_probability() == pytest.approx(
+            stats.norm.cdf(b) - stats.norm.cdf(a) if a < 0 else stats.norm.sf(a) - stats.norm.sf(b),
+            rel=1e-9)
+
+    @pytest.mark.parametrize("params, cuts", [
+        ((7.3, 1.0, 0.0, 100.0), (-5.0, 0.0, 6.0, 7.3, 9.5, 100.0, 120.0)),
+        ((10.0, 8.0, 0.0, 100.0), (0.0, 3.0, 20.0, 40.0)),
+        ((0.0, 1.0, 4.0, 6.0), (3.0, 4.5, 5.9)),
+    ])
+    def test_mean_excess_matches_scipy(self, params, cuts):
+        dist = TruncNormal(*params)
+        law = stats.truncnorm((dist.lo - dist.loc) / dist.std, (dist.hi - dist.loc) / dist.std,
+                              loc=dist.loc, scale=dist.std)
+        for c in cuts:
+            start = max(c, dist.lo)
+            exact = integrate.quad(lambda x: (x - c) * law.pdf(x), start, dist.hi,
+                                   epsabs=1e-14, epsrel=1e-12)[0] if start < dist.hi else 0.0
+            assert dist.mean_excess(c) == pytest.approx(exact, rel=1e-9, abs=1e-13), c
+
+
+def overlapping_rates(cardiac, respiratory) -> HealthDistributions:
+    """The shipped distributions with the two pre-existing-condition rates
+    replaced, percent scale."""
+    return HealthDistributions(pre_existing_cardiac=TruncNormal(*cardiac),
+                               pre_existing_respiratory=TruncNormal(*respiratory))
+
+
+# Pre-existing-condition rates whose sum often exceeds 100 %.
+OVERLAPPING = [((55.0, 20.0, 0.0, 100.0), (60.0, 25.0, 0.0, 100.0)),
+               ((50.0, 2.0, 0.0, 100.0), (52.0, 3.0, 0.0, 100.0)),
+               ((30.0, 10.0, 0.0, 60.0), (85.0, 10.0, 60.0, 100.0))]
+
+
+class TestOutcomeTable:
+    def test_shipped_table_is_the_closed_form_tree(self):
+        # With the rates below 50 % the respiratory branch never saturates,
+        # so the table is the analytic tree at scipy's truncated means.
+        dists = HealthDistributions()
+
+        def share(tn):
+            a, b = (tn.lo - tn.loc) / tn.std, (tn.hi - tn.loc) / tn.std
+            return stats.truncnorm.mean(a, b, loc=tn.loc, scale=tn.std) / 100.0
+
+        table = OutcomeTable.from_distributions(dists)
+        exact = outcome_tree_probabilities(
+            1.0, share(dists.pre_existing_cardiac), share(dists.pre_existing_respiratory),
+            share(dists.healthcare_access),
+            {c: share(dists.hospital_survival[c]) for c in CONDITIONS},
+            {c: share(dists.home_survival[c]) for c in CONDITIONS})
+        by_status = table.probability.reshape(len(CONDITIONS), 3).sum(axis=0)
+        for p, key in zip(by_status, ("injured_recovered_home", "injured_recovered_hospital",
+                                      "death")):
+            assert p == pytest.approx(exact[key], rel=1e-9), key
+        assert table.p_death == pytest.approx(exact["death"], rel=1e-9)
+        by_condition = table.probability.reshape(len(CONDITIONS), 3).sum(axis=1)
+        for p, c in zip(by_condition, CONDITIONS):
+            assert p == pytest.approx(exact["condition_given_at_risk"][c.value], rel=1e-9)
+        assert table.p_insured == pytest.approx(share(dists.health_insurance), rel=1e-9)
+        assert table.p_home_insured == pytest.approx(share(dists.home_insurance), rel=1e-9)
+        assert respiratory_share_pct(dists.pre_existing_cardiac,
+                                     dists.pre_existing_respiratory) == \
+            dists.pre_existing_respiratory.mean()
+
+    @pytest.mark.parametrize("cardiac, respiratory", OVERLAPPING)
+    def test_respiratory_share_matches_quadrature(self, cardiac, respiratory):
+        # E[min(p_r, 100 - p_c)] by scipy's adaptive quadrature over both rates.
+        c, r = TruncNormal(*cardiac), TruncNormal(*respiratory)
+
+        def pdf(dist):
+            a, b = (dist.lo - dist.loc) / dist.std, (dist.hi - dist.loc) / dist.std
+            scale = dist.std * math.sqrt(2.0 * math.pi) * (stats.norm.cdf(b) - stats.norm.cdf(a))
+            return lambda x: math.exp(-0.5 * ((x - dist.loc) / dist.std) ** 2) / scale
+
+        f_c, f_r = pdf(c), pdf(r)
+
+        def capped(x):  # E[min(p_r, 100 - x)]
+            cap = min(max(100.0 - x, r.lo), r.hi)
+            below = integrate.quad(lambda y: y * f_r(y), r.lo, cap, epsabs=1e-13)[0]
+            above = integrate.quad(f_r, cap, r.hi, epsabs=1e-13)[0]
+            return below + (100.0 - x) * above
+
+        kinks = [x for x in (100.0 - r.hi, 100.0 - r.lo) if c.lo < x < c.hi]
+        exact = integrate.quad(lambda x: capped(x) * f_c(x), c.lo, c.hi, points=kinks or None,
+                               epsabs=1e-11, limit=200)[0]
+        assert respiratory_share_pct(c, r) == pytest.approx(exact, rel=1e-7)
+        assert respiratory_share_pct(c, r) < r.mean() - 1.0  # the cap bites
+
+    @pytest.mark.parametrize("cardiac, respiratory", OVERLAPPING)
+    def test_respiratory_share_matches_sampled_branch(self, cardiac, respiratory):
+        # 1e6 occupants down the sampled tree, whose respiratory branch draws
+        # p_r / (1 - p_c) and caps it at 1.
+        dists = overlapping_rates(cardiac, respiratory)
+        n = 1_000_000
+        batch = resolve_at_risk_sampled(n, HazardConfig(distributions_pct=dists),
+                                        np.random.default_rng(404))
+        table = OutcomeTable.from_distributions(dists)
+        by_condition = table.probability.reshape(len(CONDITIONS), 3).sum(axis=1)
+        for i, p in enumerate(by_condition):
+            observed = float((batch.condition == i).mean())
+            assert abs(observed - p) < 4.0 * math.sqrt(p * (1.0 - p) / n), (i, observed, p)
+
+    def test_categorical_draw_follows_the_table(self):
+        table = OutcomeTable.from_distributions(HazardConfig().distributions_pct)
+        n = 1_000_000
+        batch = resolve_at_risk(n, table, np.random.default_rng(8))
+        category = batch.condition.astype(int) * 3 + batch.status - 1
+        observed = np.bincount(category, minlength=9)
+        _, p_value = stats.chisquare(observed, table.probability * n)
+        assert p_value > 1e-3
+        sigma = math.sqrt(table.p_insured * (1.0 - table.p_insured) / n)
+        assert abs(batch.insured.mean() - table.p_insured) < 4.0 * sigma
+        assert ((batch.status == STATUS_DEATH).mean() - table.p_death) < 4.0 * math.sqrt(
+            table.p_death / n)
+
+    def test_no_occupants_draw_nothing(self):
+        table = OutcomeTable.from_distributions(HazardConfig().distributions_pct)
+        rng = np.random.default_rng(3)
+        batch = resolve_at_risk(0, table, rng)
+        assert batch.status.size == batch.condition.size == batch.insured.size == 0
+        assert rng.random() == np.random.default_rng(3).random()
+
+    @pytest.mark.parametrize("name", ["health_insurance", "home_insurance",
+                                      "pre_existing_cardiac"])
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 50.0), (0.0, 100.5), (5.0, 1e300)])
+    def test_rates_outside_percent_rejected_naming_key(self, name, lo, hi):
+        with pytest.raises(ConfigurationError) as info:
+            HealthDistributions(**{name: TruncNormal(10.0, 5.0, lo, hi)})
+        assert info.value.key == name
 
 
 FIXED_PROBS = {
@@ -314,8 +463,8 @@ class TestOutcomeTreeVectorized:
         n = n_occ * n_rep
 
         def trunc_mean(tn):
-            a, b = (tn.lo - tn.mean) / tn.std, (tn.hi - tn.mean) / tn.std
-            return stats.truncnorm.mean(a, b, loc=tn.mean, scale=tn.std) / 100.0
+            a, b = (tn.lo - tn.loc) / tn.std, (tn.hi - tn.loc) / tn.std
+            return stats.truncnorm.mean(a, b, loc=tn.loc, scale=tn.std) / 100.0
 
         exact = outcome_tree_probabilities(
             0.3,

@@ -46,7 +46,9 @@ from coldsnap.valuation import (
     CICTable,
     ValuationParams,
     interruption_cost,
+    medical_bills,
     medical_cost,
+    medical_severity,
 )
 from coldsnap.weather import load_weather_csv, slice_window
 
@@ -253,8 +255,9 @@ def test_medical_bills_match_scalar_oracle_exactly():
     cases = [(s, c, ins, p) for s in statuses for c in range(len(CONDITIONS))
              for ins in (False, True) for p in severities]
     status, condition, insured, p_mort = (np.array(col) for col in zip(*cases))
-    usd = medical_cost(OutcomeBatch(status.astype(np.int8), condition.astype(np.int8),
-                                    insured), p_mort, params)
+    batch = OutcomeBatch(status.astype(np.int8), condition.astype(np.int8), insured)
+    usd = medical_cost(batch, medical_severity(p_mort, params), medical_bills(params))
+    assert usd.tolist() == oracles.medical_cost_sampled(batch, p_mort, params).tolist()
     ref = [oracles.medical_cost([oracles.OccupantOutcome(
         statuses[s], CONDITIONS[c], s == STATUS_HOSPITAL, bool(ins))], [p], params)
         for s, c, ins, p in cases]

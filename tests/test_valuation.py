@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from coldsnap.errors import ConfigurationError
-from coldsnap.hazard import CONDITIONS, Condition, HazardConfig, TruncNormal
+from coldsnap.hazard import CONDITIONS, Condition, HazardConfig
 from coldsnap.population import BuildingKind
 from coldsnap.valuation import (
     MC_BATCH,
@@ -18,7 +18,9 @@ from coldsnap.valuation import (
     CostDistribution,
     ScenarioBundle,
     ValuationParams,
+    at_risk_chance,
     batch_rng,
+    bernoulli_cells,
     draw_at_risk,
     interruption_cost,
     productivity_cost,
@@ -34,6 +36,7 @@ from oracles import (
     OutcomeStatus,
     medical_cost,
     outcome_tree_probabilities,
+    run_batch_sampled,
     run_trial,
     vsl_cost,
 )
@@ -142,17 +145,15 @@ class TestProductivityCost:
         assert cost == pytest.approx((1 - perf) * 45.51, abs=1e-9)
 
 
-def repair(wi, beta_wi, params, home_insurance, rng):
+def repair(wi, beta_wi, params, p_insured, rng):
     """Repair cost of one trial, from a one-trial batch."""
-    (usd,) = repair_cost(wi, beta_wi, params, home_insurance, rng, 1)
+    (usd,) = repair_cost(wi, beta_wi, params, p_insured, rng, 1)
     return usd
 
 
 class TestRepairCost:
     def certain_insurance(self, insured=True):
-        if insured:
-            return TruncNormal(100.0, 1e-6, 0.0, 100.0)
-        return TruncNormal(0.0, 1e-6, 0.0, 100.0)
+        return 1.0 if insured else 0.0
 
     def test_zero_index_costs_nothing(self):
         rng = np.random.default_rng(1)
@@ -187,6 +188,46 @@ class TestRepairCost:
         with pytest.raises(ConfigurationError):
             repair(np.array([1.0]), 0.0, ValuationParams(),
                    self.certain_insurance(), rng)
+
+    def test_damage_and_insurance_rates(self):
+        # Damaged at the index ratio; a damaged building insured at P(insured).
+        params = ValuationParams()
+        n, ratio, p_insured = 200_000, 0.3, 0.8
+        cost = repair_cost(np.full(n, ratio * 1000.0), 1000.0, params, p_insured,
+                           np.random.default_rng(6), 1)[0]
+        insured = params.pipe_repair_insured_usd[0] + ratio * (
+            params.pipe_repair_insured_usd[1] - params.pipe_repair_insured_usd[0])
+        uninsured = params.pipe_repair_uninsured_usd[0] + ratio * (
+            params.pipe_repair_uninsured_usd[1] - params.pipe_repair_uninsured_usd[0])
+        expected = n * ratio * (p_insured * insured + (1.0 - p_insured) * uninsured)
+        per_cell_var = (ratio * (p_insured * insured ** 2 + (1.0 - p_insured) * uninsured ** 2)
+                        - (expected / n) ** 2)
+        assert abs(cost - expected) < 4.0 * math.sqrt(n * per_cell_var)
+
+    def test_higher_index_damages_a_superset_of_buildings(self):
+        # One uniform per exposed building and trial: u < r is damaged, so
+        # under one stream a building damaged at r is damaged at any r' >= r,
+        # and one insured at r stays insured.
+        rng = np.random.default_rng(14)
+        wi = rng.uniform(1.0, 600.0, 400)
+        higher = wi + rng.uniform(0.0, 400.0, 400) * (rng.random(400) < 0.5)
+        params = ValuationParams(pipe_repair_insured_usd=(1.0, 1.0),
+                                 pipe_repair_uninsured_usd=(1000.0, 1000.0))
+        for b in range(10):
+            u = batch_rng(2, b).random((MC_BATCH, len(wi)))
+            damaged = [bernoulli_cells(u, np.clip(w / 1000.0, 0.0, 1.0)) for w in (wi, higher)]
+            cells = [set(zip(trial.tolist(), index.tolist())) for trial, index in damaged]
+            assert cells[0] and cells[0] < cells[1]
+            # Insured buildings bill 1 and uninsured ones 1000, so each cost
+            # counts both; fewer than 1000 buildings keep the counts apart.
+            counts = []
+            for w in (wi, higher):
+                usd = repair_cost(w, 1000.0, params, 0.9, batch_rng(2, b), MC_BATCH)
+                insured, uninsured = np.mod(usd, 1000.0), usd // 1000.0
+                counts.append((insured, insured + uninsured))
+            (insured_low, damaged_low), (insured_high, damaged_high) = counts
+            assert (insured_low <= insured_high).all() and (damaged_low <= damaged_high).all()
+            assert damaged_low.tolist() == np.bincount(damaged[0][0], minlength=MC_BATCH).tolist()
 
 
 def cic(building, hours, params):
@@ -320,8 +361,8 @@ class TestRunMonteCarlo:
         dist = run_monte_carlo(bundle, n_trials, master_seed=21)
 
         def trunc_mean(tn):
-            a, b = (tn.lo - tn.mean) / tn.std, (tn.hi - tn.mean) / tn.std
-            return stats.truncnorm.mean(a, b, loc=tn.mean, scale=tn.std) / 100.0
+            a, b = (tn.lo - tn.loc) / tn.std, (tn.hi - tn.loc) / tn.std
+            return stats.truncnorm.mean(a, b, loc=tn.loc, scale=tn.std) / 100.0
 
         cfg = bundle.hazard_cfg
         exact = outcome_tree_probabilities(
@@ -377,6 +418,27 @@ class TestRunMonteCarlo:
             assert se > 0.0, name
             assert abs(a.mean() - b.mean()) < 4.0 * se, name
 
+    def test_kernel_matches_sampled_kernel_on_demo_co(self, demo_config_path):
+        # The categorical outcome and repair draws against the batch kernel
+        # that samples every rate, on the demo population under co: per-trial
+        # means within 4 SE and a two-sample KS test.
+        from coldsnap.scenario import assemble_bundle, build_schedules, load_config
+        from coldsnap.population import synthesize_population
+
+        config = load_config(demo_config_path, {"scenario": "co"})
+        pop = synthesize_population(config.population_spec, config.seed)
+        bundle, _ = assemble_bundle(config, pop, build_schedules(config, pop))
+        n = 40 * MC_BATCH
+        kernel = run_monte_carlo(bundle, n, master_seed=8)
+        oracle = CostDistribution(np.concatenate(
+            [run_batch_sampled(bundle, b, 9) for b in range(n // MC_BATCH)]))
+        for name in ("n_death", "c_medical", "c_build"):
+            a, b = kernel.component(name), oracle.component(name)
+            se = math.sqrt(a.var() / n + b.var() / n)
+            assert se > 0.0, name
+            assert abs(a.mean() - b.mean()) < 4.0 * se, name
+            assert stats.ks_2samp(a, b).pvalue > 1e-3, name
+
     def test_zero_mortality_and_zero_index_cost_exactly_nothing(self):
         no_risk = run_monte_carlo(make_bundle(p_mort=0.0, wi=400.0), 2 * MC_BATCH, 3)
         for name in ("n_death", "n_injured", "c_vsl", "c_medical"):
@@ -393,9 +455,10 @@ def at_risk_table(occupants, p_mort, n_batches, seed=0):
     table = np.zeros((n_batches * MC_BATCH, len(occupants)), dtype=np.int64)
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
+        chance = at_risk_chance(occupants, p_mort)
         for b in range(n_batches):
             trial, building, count = draw_at_risk(batch_rng(seed, b), occupants, p_mort,
-                                                  MC_BATCH)
+                                                  chance, MC_BATCH)
             assert (count >= 1).all() and (count <= occupants[building]).all()
             table[b * MC_BATCH + trial, building] = count
     return table
@@ -439,7 +502,8 @@ class TestDrawAtRisk:
         high = np.minimum(low + rng.uniform(0.0, 0.05, 300) * (rng.random(300) < 0.5), 1.0)
         high[:5] = 1.0
         for b in range(20):
-            fired = [set(zip(*draw_at_risk(batch_rng(3, b), occupants, p, MC_BATCH)[:2]))
+            fired = [set(zip(*draw_at_risk(batch_rng(3, b), occupants, p,
+                                           at_risk_chance(occupants, p), MC_BATCH)[:2]))
                      for p in (low, high)]
             assert fired[0] and fired[0] < fired[1]
 
