@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .errors import ConfigurationError
+from .outage import Scenario
 from .report import compare_scenarios, export_exposure, format_comparison, format_exposure
 
 EXIT_OK = 0
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one scenario end to end")
     run_p.add_argument("--config", required=True, help="path to the JSON scenario config")
-    run_p.add_argument("--scenario", choices=["base", "co", "ro-di", "ro-hi"],
+    run_p.add_argument("--scenario", choices=[s.value for s in Scenario],
                        help="override the config's scenario selection")
     run_p.add_argument("--trials", type=int, help="override the Monte-Carlo trial count")
     run_p.add_argument("--seed", type=int, help="override the master seed")
@@ -64,15 +65,17 @@ def _cmd_run(args) -> int:
         overrides["seed"] = args.seed
     if args.out:
         overrides["out_dir"] = args.out
-    overrides["threads"] = args.threads
-    overrides["write_traces"] = args.traces
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
 
     config = load_config(args.config, overrides)
-    if not config.weather_path.exists():
-        raise ConfigurationError(f"weather file not found: {config.weather_path}")
+    config.threads, config.write_traces = args.threads, args.traces
+    weather = config.file(config.weather_path)
+    if not weather.exists():
+        raise ConfigurationError(f"weather file not found: {weather}")
     result = run_scenario(config)
     summary = result.summary
-    print(f"scenario {config.scenario}: {config.n_trials} trials, seed {config.seed}")
+    print(f"scenario {config.scenario.value}: {config.n_trials} trials, seed {config.seed}")
     print(f"  mean total cost : ${summary['total']['mean']:,.2f}")
     print(f"  mean NEI cost   : ${summary['nei_total']['mean']:,.2f}")
     print(f"  mean deaths     : {summary['n_death']['mean']:.3f}")

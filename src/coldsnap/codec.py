@@ -3,9 +3,11 @@
 `decode` builds a value from JSON by its type annotation. Absent keys take
 the dataclass defaults. An unknown key, a value of the wrong JSON type or
 length, and a ConfigurationError from `__post_init__` raise a
-ConfigurationError naming the dotted key path. A type whose JSON is not an
-object has `to_json()` and `from_json(data)`; `data`'s annotation is the
-JSON shape.
+ConfigurationError naming the dotted key path; the top level's path is "".
+Only `init=True` fields are keys: a field that `__post_init__` derives, or
+that the caller sets afterwards, is neither read nor written. A datetime
+is an ISO-8601 string. A type whose JSON is not an object has `to_json()`
+and `from_json(data)`; `data`'s annotation is the JSON shape.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import dataclasses
 import sys
 import types
 import typing
+from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IngestionError
 
 _SCALARS = {bool: "true or false", int: "an integer", float: "a finite number",
             str: "a string"}
@@ -28,7 +31,9 @@ def encode(obj):
     if hasattr(obj, "to_json"):
         return obj.to_json()
     if dataclasses.is_dataclass(obj):
-        return {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {name: encode(getattr(obj, name)) for name in _keys(type(obj))}
+    if isinstance(obj, datetime):
+        return obj.isoformat()
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, dict):
@@ -44,15 +49,15 @@ def decode(tp, data, path: str):
         return checked(path, tp.from_json, decode(_hints(tp.from_json)["data"], data, path))
     if dataclasses.is_dataclass(tp):
         _expect(isinstance(data, dict), path, "an object", data)
-        fields = {f.name: f for f in dataclasses.fields(tp)}
+        fields = _keys(tp)
         for key in data:
             if key not in fields:
-                raise ConfigurationError(f"config key {f'{path}.{key}'!r} is not a known setting")
+                raise ConfigurationError(f"config key {_join(path, key)!r} is not a known setting")
         for name, f in fields.items():
             if name not in data and f.default is f.default_factory is dataclasses.MISSING:
-                raise ConfigurationError(f"config key {f'{path}.{name}'!r} is required")
+                raise ConfigurationError(f"config key {_join(path, name)!r} is required")
         hints = _hints(tp)
-        return checked(path, tp, **{name: decode(hints[name], value, f"{path}.{name}")
+        return checked(path, tp, **{name: decode(hints[name], value, _join(path, name))
                                    for name, value in data.items()})
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
@@ -74,6 +79,8 @@ def decode(tp, data, path: str):
         _expect(isinstance(data, str) and data in values, path,
                 "one of " + ", ".join(map(repr, values)), data)
         return tp(data)
+    if tp is datetime:
+        return checked(path, parse_timestamp, decode(str, data, path))
     if tp in _SCALARS:
         # Another JSON type is rejected, never converted: true is not a
         # number, 3.0 is not an integer. The float range excludes NaN and
@@ -86,9 +93,29 @@ def decode(tp, data, path: str):
     return data  # unannotated: free-form
 
 
+def parse_timestamp(text: str) -> datetime:
+    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+    try:
+        stamp = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+    except ValueError as exc:
+        raise IngestionError(f"unparsable timestamp {text!r}: {exc}") from exc
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.astimezone(timezone.utc)
+
+
 @lru_cache(maxsize=None)
 def _hints(obj) -> dict:
     return typing.get_type_hints(obj)
+
+
+def _keys(tp) -> dict:
+    """The dataclass's fields that are config keys: those `__init__` takes."""
+    return {f.name: f for f in dataclasses.fields(tp) if f.init}
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
 def _key(tp, key: str, path: str):
@@ -104,7 +131,9 @@ def checked(path: str, make, /, *args, **kwargs):
     try:
         return make(*args, **kwargs)
     except ConfigurationError as exc:
-        where = path if exc.key is None else f"{path}.{exc.key}"
+        where = path if exc.key is None else _join(path, exc.key)
+        if not where:  # the top level's own message names its keys
+            raise
         raise ConfigurationError(f"config key {where!r}: {exc}") from exc
 
 

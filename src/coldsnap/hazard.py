@@ -226,7 +226,8 @@ def _normal_pdf(z: float) -> float:
 
 @dataclass(frozen=True)
 class TruncNormal:
-    """Normal(loc, std) restricted to [lo, hi] by rejection sampling."""
+    """Normal(loc, std) restricted to [lo, hi]. The package reads only its
+    closed-form moments; it never samples one."""
 
     loc: float
     std: float
@@ -241,7 +242,7 @@ class TruncNormal:
         if self.acceptance_probability() < 1e-6:
             raise ConfigurationError(
                 f"window [{self.lo}, {self.hi}] captures almost none of "
-                f"Normal({self.loc}, {self.std}); rejection sampling would stall"
+                f"Normal({self.loc}, {self.std}); its closed-form means would be unreliable"
             )
 
     @classmethod
@@ -271,15 +272,6 @@ class TruncNormal:
         tail = ((self.loc - c) * _normal_mass(g, b)
                 + self.std * (_normal_pdf(g) - _normal_pdf(b)))
         return max(tail / self.acceptance_probability(), 0.0)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` draws by rejection: redraw every value outside [lo, hi]."""
-        out = rng.normal(self.loc, self.std, size=size)
-        bad = (out < self.lo) | (out > self.hi)
-        while bad.any():
-            out[bad] = rng.normal(self.loc, self.std, size=int(bad.sum()))
-            bad = (out < self.lo) | (out > self.hi)
-        return out
 
 
 def respiratory_share_pct(cardiac: TruncNormal, respiratory: TruncNormal) -> float:

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -61,7 +62,7 @@ from .valuation import (
     run_monte_carlo,
     summarize,
 )
-from .weather import load_weather_csv, parse_timestamp, slice_window
+from .weather import load_weather_csv, slice_window
 
 SCENARIO_NAMES = tuple(s.value for s in Scenario)
 
@@ -95,48 +96,48 @@ class PopulationSource:
 
 @dataclass(frozen=True)
 class Window:
-    """The `window` section: event start and end, ISO-8601."""
+    """The `window` section: event start and end, ISO-8601, held as UTC
+    instants (a stamp without an offset is UTC)."""
 
-    start: str
-    end: str
-
-
-TOP_LEVEL_KEYS = ("notes", "population", "weather_path", "window", "dt_s", "scenario",
-                  "scenarios", "hazard", "valuation", "n_trials", "seed", "histogram_bins",
-                  "out_dir")
+    start: datetime
+    end: datetime
 
 
 @dataclass
 class ScenarioConfig:
-    """Parsed and validated run configuration."""
+    """The config file: one field per top-level key, its default the key's
+    default. `__post_init__` checks ranges, derives `n_steps` and decodes each
+    `scenarios` section present, adding the selected one if absent. The
+    fields after `out_dir` are not keys: the command line sets `threads` and
+    `write_traces`, and `load_config` sets `base_dir`, the file's folder."""
 
-    population_spec: PopulationSpec | None
-    population_path: Path | None
-    weather_path: Path
-    window_start: datetime
-    window_end: datetime
-    dt_s: float
-    scenario: str
-    scenario_params: dict  # as written in the config: enters the hash
-    params: BaseParams | ControlledOutageParams | RollingOutageParams
-    hazard: HazardConfig
-    valuation: ValuationParams
-    n_trials: int
-    seed: int
-    histogram_bins: int
-    out_dir: Path
-    threads: int = 1
-    write_traces: bool = False
+    population: PopulationSource
+    weather_path: str
+    window: Window
+    notes: object = None  # free-form
+    dt_s: float = 300.0
+    scenario: Scenario = Scenario.BASE
+    # Raw sections as read; `__post_init__` decodes each by its scenario.
+    scenarios: dict[Scenario, dict] = field(default_factory=dict)
+    hazard: HazardConfig = field(default_factory=HazardConfig)
+    valuation: ValuationParams = field(default_factory=ValuationParams)
+    n_trials: int = 100
+    seed: int = 0
+    histogram_bins: int = 50
+    out_dir: str = "runs"
+    threads: int = field(default=1, init=False)
+    write_traces: bool = field(default=False, init=False)
+    base_dir: Path = field(default=Path(), init=False)
     n_steps: int = field(init=False)
 
     def __post_init__(self):
-        if not self.window_end > self.window_start:
+        start, end = self.window.start, self.window.end
+        if not end > start:
             raise ConfigurationError(f"config key 'window' must end after it starts, got "
-                                     f"{self.window_start.isoformat()} to "
-                                     f"{self.window_end.isoformat()}")
+                                     f"{start.isoformat()} to {end.isoformat()}")
         if not self.dt_s > 0:
             raise ConfigurationError(f"config key 'dt_s' must be positive, got {self.dt_s}")
-        steps = (self.window_end - self.window_start).total_seconds() / self.dt_s
+        steps = (end - start).total_seconds() / self.dt_s
         if not 2 <= steps < math.inf or abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
                 f"config key 'dt_s' must divide the window into 2 or more whole steps, "
@@ -150,28 +151,36 @@ class ScenarioConfig:
             if getattr(self, key) > most:
                 raise ConfigurationError(
                     f"config key {key!r} must be <= {most}, got {getattr(self, key)}")
-        if self.threads < 1:
-            raise ConfigurationError(f"--threads must be >= 1, got {self.threads}")
+        # Every section present is checked, not only the selected one, and
+        # every rolling one must fit its slots to this window.
+        self.scenarios = {s: decode(SCENARIO_PARAMS[s], section, f"scenarios.{s.value}")
+                          for s, section in self.scenarios.items()}
+        self.scenarios.setdefault(self.scenario, SCENARIO_PARAMS[self.scenario]())
+        for s, params in self.scenarios.items():
+            if isinstance(params, RollingOutageParams):
+                checked(f"scenarios.{s.value}", params.slots, self.n_steps, self.dt_s)
+
+    @property
+    def params(self) -> BaseParams | ControlledOutageParams | RollingOutageParams:
+        return self.scenarios[self.scenario]
+
+    @property
+    def population_spec(self) -> PopulationSpec | None:
+        return self.population.spec
+
+    def file(self, name: str) -> Path:
+        """A path written in the config file, taken from the file's folder."""
+        return self.base_dir / name
 
     def materialized(self) -> dict:
-        """Effective settings with every default filled in; hash input."""
-        return {
-            "population": (
-                {"path": str(self.population_path)} if self.population_path
-                else {"spec": encode(self.population_spec)}
-            ),
-            "weather_path": str(self.weather_path),
-            "window": {"start": self.window_start.isoformat(),
-                       "end": self.window_end.isoformat()},
-            "dt_s": self.dt_s,
-            "scenario": self.scenario,
-            "scenario_params": self.scenario_params,
-            "hazard": encode(self.hazard),
-            "valuation": encode(self.valuation),
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "histogram_bins": self.histogram_bins,
-        }
+        """The config as it runs, itself a config file that reruns to the same
+        hash: every default filled in, only the selected scenario's section,
+        paths as written and the window as UTC instants. `notes` and
+        `out_dir` are left out."""
+        data = encode(self)
+        del data["notes"], data["out_dir"]
+        data["scenarios"] = {self.scenario.value: data["scenarios"][self.scenario.value]}
+        return data
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.materialized(), sort_keys=True, separators=(",", ":"))
@@ -179,8 +188,9 @@ class ScenarioConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
-    """Parse a JSON config file; `overrides` wins over file values. Unknown
-    keys and bad values raise ConfigurationError naming their key path."""
+    """Parse a JSON config file. `overrides` are top-level keys that win over
+    the file's and are checked as file values are. Unknown keys and bad
+    values raise ConfigurationError naming their key path."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
@@ -190,77 +200,36 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must hold a JSON object")
-    for key in raw:
-        if key not in TOP_LEVEL_KEYS:
-            raise ConfigurationError(f"config key {key!r} is not a known setting")
-    for key in ("population", "weather_path", "window"):
-        if key not in raw:
-            raise ConfigurationError(f"config {path} is missing {key!r}")
     overrides = overrides or {}
-    base_dir = path.parent
-
-    def setting(key, kind, default):
-        value = decode(kind, raw.get(key, default), key)
-        return decode(kind, overrides[key], key) if key in overrides else value
-
-    def resolve(name: str) -> Path:
-        return Path(name) if Path(name).is_absolute() else base_dir / name
-
-    source = decode(PopulationSource, raw["population"], "population")
-    window = decode(Window, raw["window"], "window")
-
-    scenario = decode(Scenario, setting("scenario", str, "base").lower(), "scenario").value
-    # Every section present is checked, not only the selected one.
-    sections = decode(dict[Scenario, dict], raw.get("scenarios", {}), "scenarios")
-    params = {s.value: decode(SCENARIO_PARAMS[s.value], section, f"scenarios.{s.value}")
-              for s, section in sections.items()}
-
+    # A file value that an override replaces must still have its key's type.
+    types = typing.get_type_hints(ScenarioConfig)
+    for key in overrides.keys() & raw.keys() & types.keys():
+        decode(types[key], raw[key], key)
+    raw = {**raw, **overrides}
+    # Shipped interruption-cost tables are placeholders, not calibrated
+    # economics: a config without tables must opt in. The opt-in is about
+    # what the file says, so it is no setting and does not enter the hash.
     valuation = dict(decode(dict, raw.get("valuation", {}), "valuation"))
     acknowledged = decode(bool, valuation.pop("acknowledge_default_cic", False),
                           "valuation.acknowledge_default_cic")
-    valuation_params = decode(ValuationParams, valuation, "valuation")
-    # Shipped interruption-cost tables are placeholders, not calibrated
-    # economics; a study config must either provide tables or opt in.
+    config = decode(ScenarioConfig, {**raw, "valuation": valuation}, "")
     if "tables" not in valuation.get("cic", {}) and not acknowledged:
         raise ConfigurationError(
             "no interruption-cost tables configured; set "
             "valuation.acknowledge_default_cic=true to accept the shipped placeholders"
         )
-
-    config = ScenarioConfig(
-        population_spec=source.spec,
-        population_path=None if source.path is None else resolve(source.path),
-        weather_path=resolve(decode(str, raw["weather_path"], "weather_path")),
-        window_start=checked("window.start", parse_timestamp, window.start),
-        window_end=checked("window.end", parse_timestamp, window.end),
-        dt_s=setting("dt_s", float, 300.0),
-        scenario=scenario,
-        scenario_params=dict(sections.get(Scenario(scenario), {})),
-        params=params.get(scenario, SCENARIO_PARAMS[scenario]()),
-        hazard=decode(HazardConfig, raw.get("hazard", {}), "hazard"),
-        valuation=valuation_params,
-        n_trials=setting("n_trials", int, 100),
-        seed=setting("seed", int, 0),
-        histogram_bins=setting("histogram_bins", int, 50),
-        out_dir=Path(setting("out_dir", str, "runs")),
-        threads=int(overrides.get("threads", 1)),
-        write_traces=bool(overrides.get("write_traces", False)),
-    )
-    # Every rolling section present must fit its slots to this window.
-    for name, section in params.items():
-        if isinstance(section, RollingOutageParams):
-            checked(f"scenarios.{name}", section.slots, config.n_steps, config.dt_s)
+    config.base_dir = path.parent
     return config
 
 
 def build_schedules(config: ScenarioConfig, pop: Population) -> PowerScheduleSet:
     """Construct the power schedule set for the configured scenario."""
     args = (pop, config.n_steps, config.dt_s, config.params, config.seed)
-    if config.scenario == Scenario.BASE.value:
+    if config.scenario is Scenario.BASE:
         return build_base_schedule(*args)
-    if config.scenario == Scenario.CO.value:
+    if config.scenario is Scenario.CO:
         return build_controlled_outage(*args)
-    return build_rolling_outage(*args, hardened=config.scenario == Scenario.RO_HI.value)
+    return build_rolling_outage(*args, hardened=config.scenario is Scenario.RO_HI)
 
 
 @dataclass
@@ -302,8 +271,8 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     soon as they are simulated. Returns the trial bundle and the
     per-building exposure, one column per `EXPOSURE_FIELDS` name.
     """
-    window = slice_window(load_weather_csv(config.weather_path), config.window_start,
-                          config.n_steps, config.dt_s)
+    window = slice_window(load_weather_csv(config.file(config.weather_path)),
+                          config.window.start, config.n_steps, config.dt_s)
 
     hz = config.hazard
     n_b = len(pop)
@@ -361,8 +330,8 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute the full pipeline and write all artifacts to the output dir."""
     started = time.time()
-    if config.population_path is not None:
-        pop = load_population(config.population_path)
+    if config.population.path is not None:
+        pop = load_population(config.file(config.population.path))
     else:
         pop = synthesize_population(config.population_spec, config.seed)
     violations = validate_population(pop)
@@ -382,7 +351,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     distribution = run_monte_carlo(bundle, config.n_trials, config.seed, config.threads)
     summary, histogram = summarize(distribution, config.histogram_bins)
 
-    summary["scenario"] = config.scenario
+    summary["scenario"] = config.scenario.value
     summary["seed"] = config.seed
     summary["config_hash"] = config.config_hash()
     summary["population_digest"] = population_digest(pop)
@@ -406,7 +375,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         "engine_version": __version__,
         "config_hash": summary["config_hash"],
         "population_digest": summary["population_digest"],
-        "scenario": config.scenario,
+        "scenario": config.scenario.value,
         "seed": config.seed,
         "n_trials": config.n_trials,
         "wall_clock_s": round(time.time() - started, 3),
@@ -425,10 +394,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
 def _input_digests(config: ScenarioConfig) -> dict:
     digests = {}
-    for label, path in (("weather", config.weather_path),
-                        ("population", config.population_path)):
-        if path is not None and Path(path).exists():
-            digests[label] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    for label, name in (("weather", config.weather_path), ("population", config.population.path)):
+        if name is not None and config.file(name).exists():
+            digests[label] = hashlib.sha256(config.file(name).read_bytes()).hexdigest()
     return digests
 
 

@@ -10,26 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 
 import numpy as np
 
+from .codec import parse_timestamp
 from .errors import ConfigurationError, IngestionError
 from .tables import read_csv
 
 # Tolerated timestamp jitter when checking uniform spacing, in seconds.
 SPACING_JITTER_S = 1.0
-
-
-def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
-    try:
-        stamp = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise IngestionError(f"unparsable timestamp {text!r}: {exc}") from exc
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.astimezone(timezone.utc)
 
 
 @dataclass(frozen=True)

@@ -356,9 +356,15 @@ def base_mortality(t_in_c, model, delta: float = 0.0) -> float:
 
 
 def sample_truncated_normal(params: TruncNormal, rng: np.random.Generator, size=None):
-    """`params.sample`, or with no `size` one float drawn by rejection."""
+    """Draws of `params` by rejection: `size` of them, each value outside
+    [lo, hi] redrawn until none is left, or with no `size` one float."""
     if size is not None:
-        return params.sample(rng, size)
+        out = rng.normal(params.loc, params.std, size=size)
+        bad = (out < params.lo) | (out > params.hi)
+        while bad.any():
+            out[bad] = rng.normal(params.loc, params.std, size=int(bad.sum()))
+            bad = (out < params.lo) | (out > params.hi)
+        return out
     while True:
         value = rng.normal(params.loc, params.std)
         if params.lo <= value <= params.hi:
@@ -383,8 +389,8 @@ def resolve_at_risk_sampled(m: int, cfg: HazardConfig, rng: np.random.Generator)
     if m == 0:
         return OutcomeBatch(np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int8),
                             np.zeros(0, dtype=bool))
-    p_c = dists.pre_existing_cardiac.sample(rng, m) / 100.0
-    p_r = dists.pre_existing_respiratory.sample(rng, m) / 100.0
+    p_c = sample_truncated_normal(dists.pre_existing_cardiac, rng, m) / 100.0
+    p_r = sample_truncated_normal(dists.pre_existing_respiratory, rng, m) / 100.0
     u_cond = rng.random(m)
     is_cardiac = u_cond < p_c
     # Renormalized second branch keeps the respiratory marginal at its rate.
@@ -394,7 +400,7 @@ def resolve_at_risk_sampled(m: int, cfg: HazardConfig, rng: np.random.Generator)
     cond[is_cardiac] = 0
     cond[is_resp] = 1
 
-    accessed = rng.random(m) < dists.healthcare_access.sample(rng, m) / 100.0
+    accessed = rng.random(m) < sample_truncated_normal(dists.healthcare_access, rng, m) / 100.0
     # Survival rates are drawn group by group in a fixed (venue, condition)
     # order, hospital first, each group's occupants in index order.
     group = np.where(accessed, 0, len(CONDITIONS)) + cond
@@ -403,9 +409,10 @@ def resolve_at_risk_sampled(m: int, cfg: HazardConfig, rng: np.random.Generator)
         [dists.home_survival[c] for c in CONDITIONS]
     survival_p = np.empty(m)
     survival_p[np.argsort(group, kind="stable")] = np.concatenate(
-        [table.sample(rng, count) for table, count in zip(tables, counts) if count]) / 100.0
+        [sample_truncated_normal(table, rng, count)
+         for table, count in zip(tables, counts) if count]) / 100.0
     survived = rng.random(m) < survival_p
-    insured = rng.random(m) < dists.health_insurance.sample(rng, m) / 100.0
+    insured = rng.random(m) < sample_truncated_normal(dists.health_insurance, rng, m) / 100.0
 
     status = np.where(~survived, STATUS_DEATH,
                       np.where(accessed, STATUS_HOSPITAL, STATUS_HOME)).astype(np.int8)
@@ -664,10 +671,10 @@ def assemble_bundle(config, pop, schedule):
     Returns the trial bundle, the traces keyed by building id, and the
     per-building exposure rows.
     """
-    series = load_weather_csv(config.weather_path)
+    series = load_weather_csv(config.file(config.weather_path))
     if series.dt_s != config.dt_s:
         series = resample(series, config.dt_s)
-    window = slice_window(series, config.window_start, config.window_end)
+    window = slice_window(series, config.window.start, config.window.end)
 
     hz = config.hazard
     traces = {}
@@ -784,7 +791,7 @@ def repair_cost_trial(wi_sum_by_building, beta_wi: float, params: ValuationParam
     ratio = np.clip(wi / beta_wi, 0.0, 1.0)
     n = wi.shape[0]
     damaged = rng.random(n) < ratio
-    insured = rng.random(n) < home_insurance.sample(rng, n) / 100.0
+    insured = rng.random(n) < sample_truncated_normal(home_insurance, rng, n) / 100.0
     if not damaged.any():
         return 0.0
     ins_lo, ins_hi = params.pipe_repair_insured_usd
@@ -860,7 +867,8 @@ def repair_cost_sampled(wi_sum_by_building, beta_wi: float, params: ValuationPar
     wi = np.asarray(wi_sum_by_building, dtype=float)
     ratio = np.clip(wi[wi > 0.0] / beta_wi, 0.0, 1.0)
     trial, building = bernoulli_cells(rng.random((n_trials, len(ratio))), ratio)
-    insured = rng.random(trial.size) < home_insurance.sample(rng, trial.size) / 100.0
+    insured = rng.random(trial.size) < sample_truncated_normal(
+        home_insurance, rng, trial.size) / 100.0
     ratio = ratio[building]
     ins_lo, ins_hi = params.pipe_repair_insured_usd
     unins_lo, unins_hi = params.pipe_repair_uninsured_usd

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from coldsnap import scenario as scenario_module
 from coldsnap.cli import main
 from coldsnap.codec import decode, encode
+from coldsnap.demo import write_demo
 from coldsnap.hazard import HazardConfig, HealthDistributions, RRModel
 from coldsnap.population import BuildingKind, PopulationSpec
 from coldsnap.scenario import SCENARIO_NAMES, load_config
@@ -47,10 +48,11 @@ def small_config(demo_config_path):
 
 
 def run(config, tmp_path, scenario="co"):
+    """Run `config`; `scenario` None runs the one the config selects."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    return main(["run", "--config", str(path), "--scenario", scenario,
-                 "--out", str(tmp_path / "out")])
+    flag = ["--scenario", scenario] if scenario is not None else []
+    return main(["run", "--config", str(path), *flag, "--out", str(tmp_path / "out")])
 
 
 def set_key(config, path, value):
@@ -69,6 +71,13 @@ def set_key(config, path, value):
     (("valuation", "cic"), {"seasn": 2.0}, "valuation.cic.seasn"),
     (("hazard", "distributions_pct"), {"health_insurance": [79.4, 3.0, 0.0]},
      "hazard.distributions_pct.health_insurance"),
+    # Derived from the window, or set by the command line: not config keys.
+    (("n_steps",), 1152, "n_steps"),
+    (("threads",), 2, "threads"),
+    (("write_traces",), True, "write_traces"),
+    # A file value that a flag overrides is still checked.
+    (("scenario",), 5, "scenario"),
+    (("out_dir",), ["runs"], "out_dir"),
 ])
 def test_unknown_or_malformed_key_exits_2_naming_it(small_config, tmp_path, capsys,
                                                     path, value, named):
@@ -113,6 +122,54 @@ def test_materialized_sections_round_trip(small_config, tmp_path, variant):
     config["valuation"] = materialized["valuation"]
     path.write_text(json.dumps(config), encoding="utf-8")
     assert load_config(path).config_hash() == loaded.config_hash()
+
+
+def write_config(config, directory, name="config.json"):
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / name
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def test_hash_ignores_the_config_folder(small_config, tmp_path):
+    config = {**small_config, "weather_path": "demo_weather.csv"}
+    hashes = {load_config(write_config(config, tmp_path / folder / "demo")).config_hash()
+              for folder in ("a", "b")}
+    assert len(hashes) == 1
+
+
+def test_hash_same_with_selected_section_defaults_written(small_config, tmp_path):
+    config = copy.deepcopy(small_config)
+    written = load_config(write_config(config, tmp_path), {"scenario": "co"})
+    config["scenarios"]["co"] = encode(written.params)
+    assert "shed_ids" in config["scenarios"]["co"]
+    path = write_config(config, tmp_path / "filled")
+    assert load_config(path, {"scenario": "co"}).config_hash() == written.config_hash()
+
+
+def test_hash_ignores_unselected_sections(small_config, tmp_path):
+    before = load_config(write_config(small_config, tmp_path), {"scenario": "co"})
+    config = copy.deepcopy(small_config)
+    config["scenarios"]["ro-di"]["n_groups"] = 7
+    del config["scenarios"]["ro-hi"]
+    after = load_config(write_config(config, tmp_path / "changed"), {"scenario": "co"})
+    assert after.config_hash() == before.config_hash()
+
+
+@pytest.mark.parametrize("scenario", ["base", "ro-di"])
+def test_materialized_config_reruns_to_same_hash_and_outputs(tmp_path, scenario):
+    config_path = write_demo(tmp_path)
+    original = load_config(config_path, {"scenario": scenario, "n_trials": 20})
+    copy_path = write_config(original.materialized(), tmp_path, "materialized.json")
+    assert load_config(copy_path).config_hash() == original.config_hash()
+    outputs = []
+    for path in (config_path, copy_path):
+        out = tmp_path / path.stem
+        assert main(["run", "--config", str(path), "--scenario", scenario, "--trials", "20",
+                     "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("trials.csv", "exposure.csv")])
+        outputs[-1].append(json.loads((out / "summary.json").read_text())["config_hash"])
+    assert outputs[0] == outputs[1]
 
 
 def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys):
@@ -162,12 +219,15 @@ def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys
      "'hazard.distributions_pct.hospital_survival.cardiac'"),
     (("population", "spec", "counts", "office"), 10**12, "'population.spec.counts'"),
     (("scenarios", "ro-hi", "n_groups"), 10**12, "n_groups"),
+    # Scenario names are case-sensitive.
+    (("scenario",), "CO", "'scenario'"),
 ])
 def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
                                                path, value, named):
     config = copy.deepcopy(small_config)
     set_key(config, path, value)
-    assert run(config, tmp_path) == 2
+    # The --scenario flag would override a bad `scenario` value.
+    assert run(config, tmp_path, None if path == ("scenario",) else "co") == 2
     assert named in capsys.readouterr().err
 
 

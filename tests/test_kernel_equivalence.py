@@ -458,8 +458,8 @@ def test_fixed4_keeps_the_input_shape():
 
 def test_block_row_matches_single_building_runs(assets):
     config, pop, schedule = prepare(assets["demo"], "ro-di")
-    window = slice_window(load_weather_csv(config.weather_path), config.window_start,
-                          config.n_steps, config.dt_s)
+    window = slice_window(load_weather_csv(config.file(config.weather_path)),
+                          config.window.start, config.n_steps, config.dt_s)
     block = pop[:67]
     buildings = block.buildings
     powered = schedule.powered_by_step(slice(len(buildings)))
