@@ -2,12 +2,13 @@
 and the freeze-damage index.
 
 The mortality model maps indoor temperature to a relative risk (RR >= 1,
-equal to 1 at the comfort minimum), averages it over the event to get a
-per-occupant mortality probability, then resolves each occupant through a
-probability tree: at-risk event -> pre-existing condition -> care access ->
-survival. Productivity maps indoor temperature to relative work performance
-in [0, 1]. The winter freeze index accumulates (temperature deficit x
-moisture excess) whenever both cross their critical levels.
+equal to 1 at the comfort minimum) and averages it over the event to get a
+per-occupant mortality probability. Each at-risk occupant draws one outcome
+code, 2 x category + health-insured, from a categorical table (condition,
+then recovery at home, in hospital, or death) of closed-form rate means.
+Productivity maps indoor temperature to relative work performance in
+[0, 1]. The winter freeze index accumulates (temperature deficit x moisture
+excess) whenever both cross their critical levels.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -167,36 +169,25 @@ class WinterIndexParams:
             raise ConfigurationError("critical humidity must lie in [0, 100]")
 
 
-def winter_index_sum(t_in_c, rh_pct, params: WinterIndexParams) -> float:
-    """Accumulated freeze index: sum of (T_crit - T)(RH - RH_crit) over
-    steps where T < T_crit and RH > RH_crit; zero otherwise."""
+def winter_index_rows(t_in_c, rh_pct, params: WinterIndexParams) -> np.ndarray:
+    """Accumulated freeze index of every row of a (buildings x steps) block:
+    the sum of (T_crit - T)(RH - RH_crit) over the row's steps where
+    T < T_crit and RH > RH_crit, zero for a row without such a step. The
+    block's one gate picks each row's products, summed as that row alone."""
     t = np.asarray(t_in_c, dtype=float)
     if params.indoor_rh_pct is not None:
-        rh = np.full(t.shape, float(params.indoor_rh_pct))
+        rh = np.full(t.shape[1], float(params.indoor_rh_pct))
     else:
         rh = np.asarray(rh_pct, dtype=float)
-        if rh.shape != t.shape:
+        if rh.shape != t.shape[1:]:
             raise ConfigurationError(
-                f"humidity length {rh.shape} does not match trace length {t.shape}"
-            )
+                f"humidity length {rh.shape} does not match trace length {t.shape[1:]}")
     gate = (t < params.t_crit_c) & (rh > params.rh_crit_pct)
-    if not gate.any():
-        return 0.0
-    contrib = (params.t_crit_c - t[gate]) * (rh[gate] - params.rh_crit_pct)
-    return float(contrib.sum())
-
-
-def winter_index_rows(t_in_c, rh_pct, params: WinterIndexParams) -> np.ndarray:
-    """`winter_index_sum` of every row of a (buildings x steps) block.
-
-    Only rows with a gated step are reduced, each by `winter_index_sum`, so
-    every sum adds the same elements in the same order as the one-trace form.
-    """
-    rh = params.indoor_rh_pct if params.indoor_rh_pct is not None else np.asarray(rh_pct)
-    gated = ((t_in_c < params.t_crit_c) & (rh > params.rh_crit_pct)).any(axis=1)
-    sums = np.zeros(len(t_in_c))
-    for row in np.flatnonzero(gated):
-        sums[row] = winter_index_sum(t_in_c[row], rh_pct, params)
+    excess = rh - params.rh_crit_pct
+    sums = np.zeros(len(t))
+    for row in np.flatnonzero(gate.any(axis=1)):
+        g = gate[row]
+        sums[row] = ((params.t_crit_c - t[row][g]) * excess[g]).sum()
     return sums
 
 
@@ -310,13 +301,9 @@ class Condition(str, Enum):
     CARDIAC = "cardiac"
     RESPIRATORY = "respiratory"
     HYPOTHERMIA_FROST = "hypothermia_frost"
-    NONE = "none"
 
 
 CONDITIONS = (Condition.CARDIAC, Condition.RESPIRATORY, Condition.HYPOTHERMIA_FROST)
-
-# Integer codes for the vectorized outcome path.
-STATUS_UNAFFECTED, STATUS_HOME, STATUS_HOSPITAL, STATUS_DEATH = 0, 1, 2, 3
 
 
 def _pct(name: str):
@@ -377,20 +364,11 @@ class HazardConfig:
             raise ConfigurationError(f"delta must lie in [0, 1], got {self.delta}")
 
 
-@dataclass(frozen=True)
-class OutcomeBatch:
-    """Vectorized occupant outcomes (integer status codes)."""
-
-    status: np.ndarray      # 0 unaffected, 1 home-recovered, 2 hospital-recovered, 3 death
-    condition: np.ndarray   # index into CONDITIONS, -1 for none
-    insured: np.ndarray     # health-insurance flag per occupant
-
-
-# The outcomes of an at-risk occupant, condition by condition: recovered at
-# home, recovered in hospital, death.
-_CATEGORY_STATUS = np.array([STATUS_HOME, STATUS_HOSPITAL, STATUS_DEATH] * len(CONDITIONS),
-                            dtype=np.int8)
-_CATEGORY_CONDITION = np.repeat(np.arange(len(CONDITIONS), dtype=np.int8), 3)
+# Per outcome code: whether the occupant dies. The categories run condition
+# by condition, each recovered at home, recovered in hospital, death; each
+# category has an uninsured and an insured code.
+_DEATH = np.repeat(np.tile([False, False, True], len(CONDITIONS)), 2)
+_DEATH.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -399,12 +377,14 @@ class OutcomeTable:
 
     The tree draws every rate afresh for each occupant (or damaged home) and
     uses it in one Bernoulli, so each outcome is a categorical draw whose
-    probabilities are the rates' truncated-normal means.
+    probabilities are the rates' truncated-normal means. An outcome code is
+    2 x category + health-insured, the category indexing `probability`.
     """
 
-    probability: np.ndarray  # per (condition, status) category, `_CATEGORY_*` order
+    probability: np.ndarray  # per category: condition by condition, home, hospital, death
     p_insured: float         # health insurance
     p_home_insured: float
+    death: ClassVar[np.ndarray] = _DEATH  # per outcome code
 
     @classmethod
     def from_distributions(cls, dists: HealthDistributions) -> "OutcomeTable":
@@ -426,18 +406,17 @@ class OutcomeTable:
     @property
     def p_death(self) -> float:
         """P(death | at risk)."""
-        return float(self.probability[_CATEGORY_STATUS == STATUS_DEATH].sum())
+        return float(self.probability[self.death[::2]].sum())
 
 
-def resolve_at_risk(m: int, table: OutcomeTable, rng: np.random.Generator) -> OutcomeBatch:
-    """Walk `m` at-risk occupants down the outcome tree.
+def resolve_at_risk(m: int, table: OutcomeTable, rng: np.random.Generator) -> np.ndarray:
+    """The outcome codes of `m` at-risk occupants, 2 x category + insured.
 
-    One uniform per occupant picks its (condition, status) category against
-    the table's cumulative probabilities; a second one, below P(insured),
-    sets its health-insurance flag. Every status is home-recovered,
-    hospital-recovered or death.
+    One uniform per occupant picks its category against the table's
+    cumulative probabilities; a second one, below P(insured), sets its
+    health-insurance flag. Every category is a recovery at home, a recovery
+    in hospital or a death.
     """
     u = rng.random((2, m))
     category = np.searchsorted(np.cumsum(table.probability[:-1]), u[0], side="right")
-    return OutcomeBatch(_CATEGORY_STATUS[category], _CATEGORY_CONDITION[category],
-                        u[1] < table.p_insured)
+    return 2 * category + (u[1] < table.p_insured)

@@ -159,6 +159,12 @@ class ScenarioConfig:
         for s, params in self.scenarios.items():
             if isinstance(params, RollingOutageParams):
                 checked(f"scenarios.{s.value}", params.slots, self.n_steps, self.dt_s)
+        # The shipped interruption-cost tables are placeholders, not
+        # calibrated economics: a run without its own tables must opt in.
+        if self.valuation.cic.tables is None and not self.valuation.acknowledge_default_cic:
+            raise ConfigurationError(
+                "no interruption-cost tables configured; set "
+                "valuation.acknowledge_default_cic=true to accept the shipped placeholders")
 
     @property
     def params(self) -> BaseParams | ControlledOutageParams | RollingOutageParams:
@@ -205,19 +211,7 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
     types = typing.get_type_hints(ScenarioConfig)
     for key in overrides.keys() & raw.keys() & types.keys():
         decode(types[key], raw[key], key)
-    raw = {**raw, **overrides}
-    # Shipped interruption-cost tables are placeholders, not calibrated
-    # economics: a config without tables must opt in. The opt-in is about
-    # what the file says, so it is no setting and does not enter the hash.
-    valuation = dict(decode(dict, raw.get("valuation", {}), "valuation"))
-    acknowledged = decode(bool, valuation.pop("acknowledge_default_cic", False),
-                          "valuation.acknowledge_default_cic")
-    config = decode(ScenarioConfig, {**raw, "valuation": valuation}, "")
-    if "tables" not in valuation.get("cic", {}) and not acknowledged:
-        raise ConfigurationError(
-            "no interruption-cost tables configured; set "
-            "valuation.acknowledge_default_cic=true to accept the shipped placeholders"
-        )
+    config = decode(ScenarioConfig, {**raw, **overrides}, "")
     config.base_dir = path.parent
     return config
 
@@ -381,10 +375,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         "wall_clock_s": round(time.time() - started, 3),
         "input_digests": _input_digests(config),
         "beta_wi_effective": bundle.beta_wi,
-        "curve_fit_provenance": {
-            "relative_risk": config.hazard.rr_model.to_json(),
-            "productivity": config.hazard.productivity_model.to_json(),
-        },
         "materialized_config": config.materialized(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",

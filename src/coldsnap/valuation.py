@@ -19,16 +19,7 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigurationError
-from .hazard import (
-    CONDITIONS,
-    STATUS_DEATH,
-    STATUS_HOME,
-    STATUS_HOSPITAL,
-    HazardConfig,
-    OutcomeBatch,
-    OutcomeTable,
-    resolve_at_risk,
-)
+from .hazard import CONDITIONS, HazardConfig, OutcomeTable, resolve_at_risk
 from .population import BuildingKind, Population, Sector, code
 
 # Trials per Monte-Carlo batch. The last batch is drawn in full and cut, so
@@ -109,11 +100,13 @@ _SECTOR_TABLE_KEY = {
 }
 
 
+# The shipped interruption-cost tables: order-of-magnitude placeholders.
+PLACEHOLDER_CIC_TABLES = {key: CICTable(**row) for key, row in defaults.CIC_TABLES.items()}
+
+
 @dataclass(frozen=True)
 class CICParams:
-    tables: dict[str, CICTable] = field(default_factory=lambda: {
-        key: CICTable(**row) for key, row in defaults.CIC_TABLES.items()
-    })
+    tables: dict[str, CICTable] | None = None  # None: `PLACEHOLDER_CIC_TABLES`
     season_multiplier: float = defaults.CIC_SEASON_MULTIPLIER
     industry_multiplier: float = defaults.CIC_INDUSTRY_MULTIPLIER
     income_multiplier: dict[str, float] = field(
@@ -138,7 +131,8 @@ def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.nda
     usd = np.zeros(len(hours))
     dark = np.flatnonzero(hours > 0)
     sector = pop.sector[dark]
-    tables = [params.tables.get(_SECTOR_TABLE_KEY[s]) for s in Sector]
+    by_key = PLACEHOLDER_CIC_TABLES if params.tables is None else params.tables
+    tables = [by_key.get(_SECTOR_TABLE_KEY[s]) for s in Sector]
     untabled = np.array([t is None for t in tables])[sector]
     if untabled.any():
         raise ConfigurationError("no interruption-cost table for sector "
@@ -179,6 +173,9 @@ class ValuationParams:
     work_hours_residential: tuple[int, int] = defaults.WORK_HOURS_RESIDENTIAL
     work_hours_commercial: tuple[int, int] = defaults.WORK_HOURS_COMMERCIAL
     cic: CICParams = field(default_factory=CICParams)
+    # A run config without `cic.tables` must set this to price with the
+    # placeholders (`scenario.ScenarioConfig` checks it).
+    acknowledge_default_cic: bool = False
 
     def __post_init__(self):
         if self.vsl_usd <= 0:
@@ -217,31 +214,27 @@ def medical_severity(p_mort: np.ndarray, params: ValuationParams) -> np.ndarray:
 
 def medical_bills(params: ValuationParams) -> tuple[np.ndarray, np.ndarray]:
     """(base, slope) of the medical bill base + slope x severity of each
-    (condition, status, insured) outcome, flat in that order.
+    outcome code of `hazard.resolve_at_risk`.
 
-    Hospital recoveries bill their condition's insured or uninsured range at
-    the severity; home recoveries bill a fraction of the insured minimum;
-    deaths bill nothing.
+    Hospital recoveries bill their condition's uninsured or insured range at
+    the severity; home recoveries bill a fraction of the insured minimum,
+    insured or not; deaths bill nothing.
     """
-    base, slope = np.zeros((2, len(CONDITIONS), STATUS_DEATH + 1, 2))
-    for i, c in enumerate(CONDITIONS):
-        for insured, table in enumerate((params.medical_uninsured_usd,
-                                         params.medical_insured_usd)):
-            lo, hi = table[c.value]
-            base[i, STATUS_HOSPITAL, insured] = lo
-            slope[i, STATUS_HOSPITAL, insured] = hi - lo
-        base[i, STATUS_HOME] = params.home_care_fraction * params.medical_insured_usd[c.value][0]
-    return base.ravel(), slope.ravel()
+    bills = []
+    for c in CONDITIONS:
+        home = params.home_care_fraction * params.medical_insured_usd[c.value][0]
+        hospital = (params.medical_uninsured_usd[c.value], params.medical_insured_usd[c.value])
+        bills += [(home, 0.0)] * 2 + [(lo, hi - lo) for lo, hi in hospital] + [(0.0, 0.0)] * 2
+    base, slope = np.array(bills).T
+    return base, slope
 
 
-def medical_cost(outcomes: OutcomeBatch, severity: np.ndarray,
+def medical_cost(outcome: np.ndarray, severity: np.ndarray,
                  bills: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Medical bill of each at-risk occupant, USD: the `medical_bills` entry
-    of its outcome at its `medical_severity`."""
+    of its outcome code at its `medical_severity`."""
     base, slope = bills
-    index = ((outcomes.condition.astype(np.intp) * (STATUS_DEATH + 1) + outcomes.status) * 2
-             + outcomes.insured)
-    return base[index] + slope[index] * severity
+    return base[outcome] + slope[outcome] * severity
 
 
 def repair_cost(wi_sum_by_building, beta_wi: float, params: ValuationParams,
@@ -368,12 +361,12 @@ def run_batch(bundle: ScenarioBundle, batch_index: int, master_seed: int) -> np.
         rng, bundle.occupants_by_building, bundle.p_mort_by_building, bundle.at_risk_chance,
         MC_BATCH)
     trial = np.repeat(cell_trial, counts)
-    outcomes = resolve_at_risk(trial.size, bundle.outcome_table, rng)
+    outcome = resolve_at_risk(trial.size, bundle.outcome_table, rng)
     severity = medical_severity(np.repeat(bundle.p_mort_by_building[building], counts),
                                 bundle.val_params)
-    medical = medical_cost(outcomes, severity, bundle.medical_bills)
+    medical = medical_cost(outcome, severity, bundle.medical_bills)
 
-    n_death = np.bincount(trial[outcomes.status == STATUS_DEATH], minlength=MC_BATCH)
+    n_death = np.bincount(trial[bundle.outcome_table.death[outcome]], minlength=MC_BATCH)
     n_at_risk = np.bincount(trial, minlength=MC_BATCH)
     return np.column_stack((  # TRIAL_COLUMNS order
         n_death * bundle.val_params.vsl_usd,

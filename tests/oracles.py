@@ -9,7 +9,9 @@ one-trial Monte-Carlo path, and the batch kernel that samples every rate
 of the outcome tree and every home-insurance rate. The package computes
 the same quantities over blocks of buildings, occupants or trials; the
 equivalence tests require the two to agree bit for bit, or, for the
-Monte-Carlo path, in distribution.
+Monte-Carlo path, in distribution. Outcomes here are records of (status,
+condition, insured), and `decode_outcome` turns the package's outcome
+codes into that form.
 """
 
 from __future__ import annotations
@@ -26,15 +28,11 @@ from coldsnap import defaults
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import (
     CONDITIONS,
-    STATUS_DEATH,
-    STATUS_HOME,
-    STATUS_HOSPITAL,
     Condition,
     HazardConfig,
-    OutcomeBatch,
     TruncNormal,
+    WinterIndexParams,
     mortality_probability,
-    winter_index_sum,
 )
 from coldsnap.outage import select_isolated
 from coldsnap.population import Building, Population, Sector
@@ -42,6 +40,7 @@ from coldsnap.thermal import simulate_block
 from coldsnap.valuation import (
     _SECTOR_TABLE_KEY,
     MC_BATCH,
+    PLACEHOLDER_CIC_TABLES,
     CICParams,
     ScenarioBundle,
     ValuationParams,
@@ -337,6 +336,25 @@ def write_traces_csv(traces, path) -> None:
 
 # --- Hazard: scalar curves and the outcome tree ------------------------------
 
+def winter_index_sum(t_in_c, rh_pct, params: WinterIndexParams) -> float:
+    """Accumulated freeze index of one trace: sum of (T_crit - T)(RH - RH_crit)
+    over steps where T < T_crit and RH > RH_crit; zero otherwise."""
+    t = np.asarray(t_in_c, dtype=float)
+    if params.indoor_rh_pct is not None:
+        rh = np.full(t.shape, float(params.indoor_rh_pct))
+    else:
+        rh = np.asarray(rh_pct, dtype=float)
+        if rh.shape != t.shape:
+            raise ConfigurationError(
+                f"humidity length {rh.shape} does not match trace length {t.shape}"
+            )
+    gate = (t < params.t_crit_c) & (rh > params.rh_crit_pct)
+    if not gate.any():
+        return 0.0
+    contrib = (params.t_crit_c - t[gate]) * (rh[gate] - params.rh_crit_pct)
+    return float(contrib.sum())
+
+
 def relative_risk(t_in_c, model):
     value = model.evaluate(t_in_c)
     return float(value) if np.isscalar(t_in_c) else value
@@ -369,6 +387,29 @@ def sample_truncated_normal(params: TruncNormal, rng: np.random.Generator, size=
         value = rng.normal(params.loc, params.std)
         if params.lo <= value <= params.hi:
             return float(value)
+
+
+# Integer status codes of the vectorized outcome records.
+STATUS_UNAFFECTED, STATUS_HOME, STATUS_HOSPITAL, STATUS_DEATH = 0, 1, 2, 3
+
+
+@dataclass(frozen=True)
+class OutcomeBatch:
+    """Vectorized occupant outcomes (integer status codes)."""
+
+    status: np.ndarray      # 0 unaffected, 1 home-recovered, 2 hospital-recovered, 3 death
+    condition: np.ndarray   # index into CONDITIONS, -1 for none
+    insured: np.ndarray     # health-insurance flag per occupant
+
+
+def decode_outcome(code) -> OutcomeBatch:
+    """The record form of `hazard.resolve_at_risk`'s outcome codes,
+    2 x category + insured, the categories condition by condition, each
+    recovered at home, recovered in hospital, death."""
+    category, insured = np.divmod(np.asarray(code), 2)
+    condition, status = np.divmod(category, 3)
+    return OutcomeBatch((STATUS_HOME + status).astype(np.int8), condition.astype(np.int8),
+                        insured.astype(bool))
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -462,13 +503,13 @@ class OutcomeStatus(str, Enum):
 @dataclass(frozen=True)
 class OccupantOutcome:
     status: OutcomeStatus
-    condition: Condition
+    condition: Condition | None  # None: not at risk
     accessed_healthcare: bool
     insured: bool
 
     def __post_init__(self):
-        if (self.condition is Condition.NONE) != (self.status is OutcomeStatus.UNAFFECTED):
-            raise ConfigurationError("condition must be none exactly for unaffected occupants")
+        if (self.condition is None) != (self.status is OutcomeStatus.UNAFFECTED):
+            raise ConfigurationError("condition must be None exactly for unaffected occupants")
 
 
 def simulate_occupant_outcome(p_mort: float, probs: dict, rng: np.random.Generator) -> OccupantOutcome:
@@ -484,7 +525,7 @@ def simulate_occupant_outcome(p_mort: float, probs: dict, rng: np.random.Generat
             raise ConfigurationError(f"{key} must lie in [0, 1]")
     insured = bool(rng.random() < probs["p_heal_ins"])
     if not rng.random() < p_mort:
-        return OccupantOutcome(OutcomeStatus.UNAFFECTED, Condition.NONE, False, insured)
+        return OccupantOutcome(OutcomeStatus.UNAFFECTED, None, False, insured)
 
     u = rng.random()
     p_c = probs["p_pre_c"]
@@ -563,8 +604,8 @@ def interruption_cost(building, unpowered_hours: float, params: CICParams) -> fl
         raise ConfigurationError("unpowered hours cannot be negative")
     if unpowered_hours == 0:
         return 0.0
-    key = _SECTOR_TABLE_KEY.get(building.sector)
-    table = params.tables.get(key)
+    tables = PLACEHOLDER_CIC_TABLES if params.tables is None else params.tables
+    table = tables.get(_SECTOR_TABLE_KEY.get(building.sector))
     if table is None:
         raise ConfigurationError(f"no interruption-cost table for sector {building.sector}")
     avg_kw = building.avg_annual_kwh / 8760.0

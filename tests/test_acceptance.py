@@ -25,6 +25,7 @@ from coldsnap.weather import WeatherSeries
 
 from conftest import make_building
 from oracles import (
+    decode_outcome,
     free_float_closed_form,
     max_contiguous_off,
     outcome_tree_probabilities,
@@ -107,7 +108,8 @@ def test_criterion_2_outcome_tree_oracle():
     deaths = hospital = home = 0
     for i in range(n_trials):
         rng = trial_rng(2025, i)
-        batch = resolve_at_risk(int((rng.random(n_occ) < p_mort).sum()), table, rng)
+        batch = decode_outcome(
+            resolve_at_risk(int((rng.random(n_occ) < p_mort).sum()), table, rng))
         deaths += int((batch.status == 3).sum())
         hospital += int((batch.status == 2).sum())
         home += int((batch.status == 1).sum())

@@ -152,8 +152,8 @@ class TestRunCommand:
     def test_manifest_contains_provenance_and_stable_hash(self, runs):
         manifest = json.loads((runs["base"] / "manifest.json").read_text())
         assert manifest["engine"] == "coldsnap"
-        assert "relative_risk" in manifest["curve_fit_provenance"]
-        assert manifest["curve_fit_provenance"]["relative_risk"]["fit_points"]
+        assert "curve_fit_provenance" not in manifest
+        assert manifest["materialized_config"]["hazard"]["rr_model"]["fit_points"]
         summary = json.loads((runs["base"] / "summary.json").read_text())
         assert manifest["config_hash"] == summary["config_hash"]
 

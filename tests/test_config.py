@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,9 @@ from coldsnap.cli import main
 from coldsnap.codec import decode, encode
 from coldsnap.demo import write_demo
 from coldsnap.hazard import HazardConfig, HealthDistributions, RRModel
-from coldsnap.population import BuildingKind, PopulationSpec
+from coldsnap.population import BuildingKind, PopulationSpec, synthesize_population
 from coldsnap.scenario import SCENARIO_NAMES, load_config
-from coldsnap.valuation import ValuationParams
+from coldsnap.valuation import PLACEHOLDER_CIC_TABLES, ValuationParams, interruption_cost
 
 # Very large values find keys without an upper bound, which would fail in
 # an allocation or overflow instead of exiting 2.
@@ -182,6 +183,28 @@ def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys
     del config["valuation"]["acknowledge_default_cic"]
     assert run(config, tmp_path) == 2
     assert "acknowledge_default_cic" in capsys.readouterr().err
+
+
+def test_acknowledged_placeholders_hash_apart_from_equal_own_tables(small_config, tmp_path):
+    placeholders = load_config(write_config(small_config, tmp_path / "placeholders"))
+    materialized = placeholders.materialized()["valuation"]
+    assert materialized["cic"]["tables"] is None
+    assert materialized["acknowledge_default_cic"] is True
+
+    config = copy.deepcopy(small_config)
+    del config["valuation"]["acknowledge_default_cic"]
+    config["valuation"]["cic"]["tables"] = encode(PLACEHOLDER_CIC_TABLES)
+    own = load_config(write_config(config, tmp_path / "own"))
+    assert own.config_hash() != placeholders.config_hash()
+    # The two price every sector alike.
+    pop = synthesize_population(own.population_spec, own.seed)
+    hours = np.full(len(pop), 30.0)
+    assert (interruption_cost(pop, hours, own.valuation.cic).tolist()
+            == interruption_cost(pop, hours, placeholders.valuation.cic).tolist())
+
+    for loaded in (placeholders, own):
+        rerun = load_config(write_config(loaded.materialized(), tmp_path / "rerun"))
+        assert rerun.config_hash() == loaded.config_hash()
 
 
 @pytest.mark.parametrize("path, value, named", [

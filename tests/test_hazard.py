@@ -10,7 +10,6 @@ from coldsnap import defaults
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import (
     CONDITIONS,
-    STATUS_DEATH,
     Condition,
     HazardConfig,
     HealthDistributions,
@@ -21,12 +20,14 @@ from coldsnap.hazard import (
     WinterIndexParams,
     resolve_at_risk,
     respiratory_share_pct,
-    winter_index_sum,
+    winter_index_rows,
 )
 
 from oracles import (
+    STATUS_DEATH,
     OutcomeStatus,
     base_mortality,
+    decode_outcome,
     outcome_tree_probabilities,
     productivity,
     relative_risk,
@@ -34,6 +35,7 @@ from oracles import (
     sample_truncated_normal,
     simulate_occupant_outcome,
     simulate_outcomes,
+    winter_index_sum,
 )
 
 GRID = np.arange(-15.0, 30.0 + 1e-9, 0.1)
@@ -142,29 +144,35 @@ class TestProductivity:
         assert 0.0 <= productivity(t, model) <= 1.0
 
 
+def winter_index(t, rh, params):
+    """`winter_index_rows` of one trace, as a one-row block."""
+    (value,) = winter_index_rows(np.asarray(t, dtype=float)[None, :], rh, params)
+    return value
+
+
 class TestWinterIndex:
     def test_warm_trace_contributes_nothing(self):
         params = WinterIndexParams()
-        assert winter_index_sum(np.full(10, 5.0), np.full(10, 95.0), params) == 0.0
+        assert winter_index(np.full(10, 5.0), np.full(10, 95.0), params) == 0.0
 
     def test_single_step_product(self):
         params = WinterIndexParams()  # T_crit 0, RH_crit 80
         t = np.array([5.0, -5.0, 5.0])
         rh = np.array([95.0, 90.0, 95.0])
-        assert winter_index_sum(t, rh, params) == pytest.approx(5.0 * 10.0)
+        assert winter_index(t, rh, params) == pytest.approx(5.0 * 10.0)
 
     def test_dry_cold_contributes_nothing(self):
         params = WinterIndexParams()
-        assert winter_index_sum(np.full(10, -20.0), np.full(10, 60.0), params) == 0.0
+        assert winter_index(np.full(10, -20.0), np.full(10, 60.0), params) == 0.0
 
     def test_constant_indoor_rh_override(self):
         params = WinterIndexParams(indoor_rh_pct=90.0)
-        value = winter_index_sum(np.array([-2.0]), np.array([10.0]), params)
+        value = winter_index(np.array([-2.0]), np.array([10.0]), params)
         assert value == pytest.approx(2.0 * 10.0)
 
     def test_alignment_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            winter_index_sum(np.zeros(5), np.zeros(4), WinterIndexParams())
+            winter_index(np.zeros(5), np.zeros(4), WinterIndexParams())
 
     @given(
         temps=st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=40),
@@ -175,10 +183,23 @@ class TestWinterIndex:
         params = WinterIndexParams()
         t = np.array(temps)
         rh = np.array(rhs[: len(temps)])
-        total = winter_index_sum(t, rh, params)
+        total = winter_index(t, rh, params)
         any_gate = bool(np.any((t < params.t_crit_c) & (rh > params.rh_crit_pct)))
         assert (total > 0.0) == any_gate
         assert total >= 0.0
+
+    @pytest.mark.parametrize("indoor_rh_pct", [None, 87.3])
+    def test_rows_match_one_trace_oracle_bit_for_bit(self, indoor_rh_pct):
+        # 300 rows of 1,152 steps around the critical levels, some never
+        # gated, each against the one-trace sum.
+        rng = np.random.default_rng(61)
+        params = WinterIndexParams(t_crit_c=0.5, rh_crit_pct=79.0, indoor_rh_pct=indoor_rh_pct)
+        t = rng.normal(3.0, 4.0, (300, 1152))
+        t[::7] += 40.0
+        rh = rng.uniform(60.0, 100.0, 1152)
+        sums = winter_index_rows(t, rh, params)
+        assert (sums[::7] == 0.0).all() and (sums > 0.0).sum() > 250
+        assert sums.tolist() == [winter_index_sum(row, rh, params) for row in t]
 
 
 class TestTruncNormal:
@@ -355,7 +376,7 @@ class TestOutcomeTable:
     def test_categorical_draw_follows_the_table(self):
         table = OutcomeTable.from_distributions(HazardConfig().distributions_pct)
         n = 1_000_000
-        batch = resolve_at_risk(n, table, np.random.default_rng(8))
+        batch = decode_outcome(resolve_at_risk(n, table, np.random.default_rng(8)))
         category = batch.condition.astype(int) * 3 + batch.status - 1
         observed = np.bincount(category, minlength=9)
         _, p_value = stats.chisquare(observed, table.probability * n)
@@ -368,9 +389,17 @@ class TestOutcomeTable:
     def test_no_occupants_draw_nothing(self):
         table = OutcomeTable.from_distributions(HazardConfig().distributions_pct)
         rng = np.random.default_rng(3)
-        batch = resolve_at_risk(0, table, rng)
-        assert batch.status.size == batch.condition.size == batch.insured.size == 0
+        assert resolve_at_risk(0, table, rng).size == 0
         assert rng.random() == np.random.default_rng(3).random()
+
+    def test_death_flags_the_death_codes(self):
+        # Each category has an uninsured and an insured code, and the death
+        # flag marks exactly the codes that decode to a death.
+        table = OutcomeTable.from_distributions(HazardConfig().distributions_pct)
+        codes = np.arange(2 * len(table.probability))
+        assert len(table.death) == len(codes)
+        assert table.death.tolist() == (decode_outcome(codes).status == STATUS_DEATH).tolist()
+        assert not table.death.flags.writeable
 
     @pytest.mark.parametrize("name", ["health_insurance", "home_insurance",
                                       "pre_existing_cardiac"])
@@ -398,7 +427,7 @@ class TestOutcomeTreeScalar:
         rng = np.random.default_rng(1)
         outcome = simulate_occupant_outcome(0.0, FIXED_PROBS, rng)
         assert outcome.status is OutcomeStatus.UNAFFECTED
-        assert outcome.condition is Condition.NONE
+        assert outcome.condition is None
 
     def test_forced_hospital_recovery_path(self):
         rng = np.random.default_rng(2)
@@ -419,7 +448,7 @@ class TestOutcomeTreeScalar:
         for _ in range(n):
             outcome = simulate_occupant_outcome(p_mort, FIXED_PROBS, rng)
             counts[outcome.status] += 1
-            if outcome.condition is not Condition.NONE:
+            if outcome.condition is not None:
                 cond_counts[outcome.condition] += 1
         exact = outcome_tree_probabilities(
             p_mort, FIXED_PROBS["p_pre_c"], FIXED_PROBS["p_pre_r"], FIXED_PROBS["p_access"],

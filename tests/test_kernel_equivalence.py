@@ -19,16 +19,7 @@ from coldsnap import thermal as thermal_module
 from coldsnap.codec import decode
 from coldsnap.demo import demo_config_dict, make_uri_like_weather, write_weather_csv
 from coldsnap.errors import ConfigurationError
-from coldsnap.hazard import (
-    CONDITIONS,
-    STATUS_DEATH,
-    STATUS_HOME,
-    STATUS_HOSPITAL,
-    HazardConfig,
-    OutcomeBatch,
-    ProductivityModel,
-    RRModel,
-)
+from coldsnap.hazard import CONDITIONS, HazardConfig, OutcomeTable, ProductivityModel, RRModel
 from coldsnap.outage import assign_rolling_groups
 from coldsnap.population import BuildingKind, Sector, synthesize_population
 from coldsnap.scenario import (
@@ -240,29 +231,32 @@ def test_block_cic_matches_scalar_oracle_exactly():
 
 
 def test_medical_bills_match_scalar_oracle_exactly():
-    # Every (status, condition, insurance) case at severities below, at and
-    # beyond the ceiling, against the one-occupant bill.
+    # Every outcome code, so every (condition, status, insurance) case, at
+    # severities below, at and beyond the ceiling, against the one-occupant
+    # bill.
     params = ValuationParams(
         medical_insured_usd={"cardiac": (1013.7, 6282.3), "respiratory": (733.1, 4102.9),
                              "hypothermia_frost": (511.3, 2999.7)},
         medical_uninsured_usd={"cardiac": (3162.1, 9100.7), "respiratory": (2201.3, 7007.1),
                                "hypothermia_frost": (1300.9, 5003.3)},
         home_care_fraction=0.3)
-    statuses = {STATUS_HOME: oracles.OutcomeStatus.INJURED_RECOVERED_HOME,
-                STATUS_HOSPITAL: oracles.OutcomeStatus.INJURED_RECOVERED_HOSPITAL,
-                STATUS_DEATH: oracles.OutcomeStatus.DEATH}
+    statuses = {oracles.STATUS_HOME: oracles.OutcomeStatus.INJURED_RECOVERED_HOME,
+                oracles.STATUS_HOSPITAL: oracles.OutcomeStatus.INJURED_RECOVERED_HOSPITAL,
+                oracles.STATUS_DEATH: oracles.OutcomeStatus.DEATH}
     severities = (0.0, 0.013, 0.37 * params.severity_ceiling, params.severity_ceiling, 0.9)
-    cases = [(s, c, ins, p) for s in statuses for c in range(len(CONDITIONS))
-             for ins in (False, True) for p in severities]
-    status, condition, insured, p_mort = (np.array(col) for col in zip(*cases))
-    batch = OutcomeBatch(status.astype(np.int8), condition.astype(np.int8), insured)
-    usd = medical_cost(batch, medical_severity(p_mort, params), medical_bills(params))
+    bills = medical_bills(params)
+    assert [len(b) for b in bills] == [len(OutcomeTable.death)] * 2 == [18, 18]
+    code = np.repeat(np.arange(len(OutcomeTable.death)), len(severities))
+    p_mort = np.tile(severities, len(OutcomeTable.death))
+    batch = oracles.decode_outcome(code)
+    usd = medical_cost(code, medical_severity(p_mort, params), bills)
     assert usd.tolist() == oracles.medical_cost_sampled(batch, p_mort, params).tolist()
     ref = [oracles.medical_cost([oracles.OccupantOutcome(
-        statuses[s], CONDITIONS[c], s == STATUS_HOSPITAL, bool(ins))], [p], params)
-        for s, c, ins, p in cases]
+        statuses[s], CONDITIONS[c], s == oracles.STATUS_HOSPITAL, bool(ins))], [p], params)
+        for s, c, ins, p in zip(batch.status.tolist(), batch.condition.tolist(),
+                                batch.insured.tolist(), p_mort.tolist())]
     assert usd.tolist() == ref
-    assert (usd[status == STATUS_DEATH] == 0.0).all()
+    assert (usd[OutcomeTable.death[code]] == 0.0).all()
 
 
 def test_missing_sector_table_raises_only_for_unpowered_hours():

@@ -12,6 +12,7 @@ from coldsnap.hazard import CONDITIONS, Condition, HazardConfig
 from coldsnap.population import BuildingKind
 from coldsnap.valuation import (
     MC_BATCH,
+    PLACEHOLDER_CIC_TABLES,
     TRIAL_COLUMNS,
     CICParams,
     CICTable,
@@ -62,7 +63,7 @@ class TestVslCost:
 
 class TestMedicalCost:
     def test_no_injuries_is_zero(self):
-        outcomes = [outcome(OutcomeStatus.UNAFFECTED, Condition.NONE),
+        outcomes = [outcome(OutcomeStatus.UNAFFECTED, None),
                     outcome(OutcomeStatus.DEATH)]
         assert medical_cost(outcomes, [0.3, 0.3], ValuationParams()) == 0.0
 
@@ -258,7 +259,7 @@ class TestInterruptionCost:
         params = CICParams()
         b = make_building()
         c20 = cic(b, 20.0, params)
-        table = params.tables["residential"]
+        table = PLACEHOLDER_CIC_TABLES["residential"]
         expected = (table.base + table.per_hour * 16.0
                     + table.per_kwh * b.avg_annual_kwh / 8760.0 * 20.0)
         expected += table.slope_beyond_cap * 4.0
