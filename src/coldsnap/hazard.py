@@ -364,13 +364,6 @@ class HazardConfig:
             raise ConfigurationError(f"delta must lie in [0, 1], got {self.delta}")
 
 
-# Per outcome code: whether the occupant dies. The categories run condition
-# by condition, each recovered at home, recovered in hospital, death; each
-# category has an uninsured and an insured code.
-_DEATH = np.repeat(np.tile([False, False, True], len(CONDITIONS)), 2)
-_DEATH.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class OutcomeTable:
     """The law of an at-risk occupant's outcome and of the insurance flags.
@@ -384,7 +377,11 @@ class OutcomeTable:
     probability: np.ndarray  # per category: condition by condition, home, hospital, death
     p_insured: float         # health insurance
     p_home_insured: float
-    death: ClassVar[np.ndarray] = _DEATH  # per outcome code
+    # Per outcome code: whether the occupant dies. The categories run
+    # condition by condition, each recovered at home, recovered in hospital,
+    # death; each has an uninsured (even) and an insured (odd) code.
+    death: ClassVar[np.ndarray] = np.repeat(np.tile([False, False, True], len(CONDITIONS)), 2)
+    death.flags.writeable = False
 
     @classmethod
     def from_distributions(cls, dists: HealthDistributions) -> "OutcomeTable":
@@ -406,7 +403,7 @@ class OutcomeTable:
     @property
     def p_death(self) -> float:
         """P(death | at risk)."""
-        return float(self.probability[self.death[::2]].sum())
+        return float(self.probability[self.death[::2]].sum())  # even codes: one per category
 
 
 def resolve_at_risk(m: int, table: OutcomeTable, rng: np.random.Generator) -> np.ndarray:

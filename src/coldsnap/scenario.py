@@ -16,7 +16,7 @@ import json
 import math
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -161,7 +161,11 @@ class ScenarioConfig:
                 checked(f"scenarios.{s.value}", params.slots, self.n_steps, self.dt_s)
         # The shipped interruption-cost tables are placeholders, not
         # calibrated economics: a run without its own tables must opt in.
-        if self.valuation.cic.tables is None and not self.valuation.acknowledge_default_cic:
+        # With its own tables the opt-in says nothing, so it is cleared and
+        # equal runs hash alike.
+        if self.valuation.cic.tables is not None:
+            self.valuation = replace(self.valuation, acknowledge_default_cic=False)
+        elif not self.valuation.acknowledge_default_cic:
             raise ConfigurationError(
                 "no interruption-cost tables configured; set "
                 "valuation.acknowledge_default_cic=true to accept the shipped placeholders")

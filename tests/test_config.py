@@ -42,6 +42,7 @@ def small_config(demo_config_path):
     default_valuation = encode(ValuationParams())
     for key in ("medical_insured_usd", "medical_uninsured_usd", "wage_usd_per_hour", "cic"):
         config["valuation"][key] = default_valuation[key]
+    config["valuation"]["cic"]["tables"] = encode(PLACEHOLDER_CIC_TABLES)
     config["hazard"]["distributions_pct"] = encode(HealthDistributions())
     config["n_trials"] = 2
     config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
@@ -186,15 +187,15 @@ def test_cic_without_tables_is_honoured_and_gated(small_config, tmp_path, capsys
 
 
 def test_acknowledged_placeholders_hash_apart_from_equal_own_tables(small_config, tmp_path):
-    placeholders = load_config(write_config(small_config, tmp_path / "placeholders"))
+    config = copy.deepcopy(small_config)
+    config["valuation"]["cic"]["tables"] = None
+    placeholders = load_config(write_config(config, tmp_path / "placeholders"))
     materialized = placeholders.materialized()["valuation"]
     assert materialized["cic"]["tables"] is None
     assert materialized["acknowledge_default_cic"] is True
 
-    config = copy.deepcopy(small_config)
-    del config["valuation"]["acknowledge_default_cic"]
-    config["valuation"]["cic"]["tables"] = encode(PLACEHOLDER_CIC_TABLES)
-    own = load_config(write_config(config, tmp_path / "own"))
+    # small_config gives tables equal to the placeholders as its own.
+    own = load_config(write_config(small_config, tmp_path / "own"))
     assert own.config_hash() != placeholders.config_hash()
     # The two price every sector alike.
     pop = synthesize_population(own.population_spec, own.seed)
@@ -205,6 +206,15 @@ def test_acknowledged_placeholders_hash_apart_from_equal_own_tables(small_config
     for loaded in (placeholders, own):
         rerun = load_config(write_config(loaded.materialized(), tmp_path / "rerun"))
         assert rerun.config_hash() == loaded.config_hash()
+
+
+def test_own_tables_hash_alike_with_and_without_the_opt_in(small_config, tmp_path):
+    assert small_config["valuation"]["acknowledge_default_cic"] is True
+    config = copy.deepcopy(small_config)
+    del config["valuation"]["acknowledge_default_cic"]
+    hashes = {load_config(write_config(c, tmp_path / name)).config_hash()
+              for c, name in ((small_config, "acknowledged"), (config, "unacknowledged"))}
+    assert len(hashes) == 1
 
 
 @pytest.mark.parametrize("path, value, named", [
