@@ -8,14 +8,20 @@ Only `init=True` fields are keys: a field that `__post_init__` derives, or
 that the caller sets afterwards, is neither read nor written. A datetime
 is an ISO-8601 string. A type whose JSON is not an object has `to_json()`
 and `from_json(data)`; `data`'s annotation is the JSON shape.
+
+A number's valid range is part of its field: `x: float = within(0, 1, default=0.5)`.
+A config dataclass derives from `Bounded` or calls `check_bounds` itself, so
+a value out of range is an error however the object is built, keyed by its leaf.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import types
 import typing
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache
@@ -131,10 +137,61 @@ def checked(path: str, make, /, *args, **kwargs):
     try:
         return make(*args, **kwargs)
     except ConfigurationError as exc:
-        where = path if exc.key is None else _join(path, exc.key)
-        if not where:  # the top level's own message names its keys
+        if not path:  # the top level's own message names its keys
             raise
-        raise ConfigurationError(f"config key {where!r}: {exc}") from exc
+        if exc.key is not None:
+            raise ConfigurationError(exc.message, _join(path, exc.key)) from exc
+        raise ConfigurationError(f"config key {path!r}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A number's valid range, lo <= x <= hi and above < x < below; a limit
+    left unset is infinite. A tuple or dict value is bounded item by item,
+    and an `ordered` pair also needs its first item <= its second."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    above: float = -math.inf
+    below: float = math.inf
+    ordered: bool = False
+
+    def check(self, value, key: str) -> None:
+        """Raise a ConfigurationError keyed by the first leaf of `value` out of range."""
+        if isinstance(value, dict):
+            for k, v in value.items():
+                self.check(v, f"{key}.{k.value if isinstance(k, Enum) else k}")
+        elif isinstance(value, (tuple, list)):
+            for i, v in enumerate(value):
+                self.check(v, f"{key}[{i}]")
+            if self.ordered and value[0] > value[1]:
+                raise ConfigurationError(f"must have lo <= hi, got {list(value)}", key)
+        elif value is not None and not (self.lo <= value <= self.hi
+                                        and self.above < value < self.below):
+            low = f"[{self.lo:,}" if self.lo > -math.inf else f"({self.above:,}"
+            high = f"{self.hi:,}]" if self.hi < math.inf else f"{self.below:,})"
+            raise ConfigurationError(f"must lie in {low}, {high}, got {value!r}", key)
+
+
+def within(lo: float = -math.inf, hi: float = math.inf, *, above: float = -math.inf,
+           below: float = math.inf, ordered: bool = False, **field_args) -> dataclasses.Field:
+    """A dataclass field, `dataclasses.field(**field_args)`, whose value keeps these bounds."""
+    return dataclasses.field(metadata={Bound: Bound(lo, hi, above, below, ordered)}, **field_args)
+
+
+def check_bounds(obj) -> None:
+    """Raise a ConfigurationError keyed by the first leaf of dataclass `obj` out of bounds."""
+    for f in dataclasses.fields(obj):
+        if Bound in f.metadata:
+            f.metadata[Bound].check(getattr(obj, f.name), f.name)
+
+
+class Bounded:
+    """A dataclass whose construction runs `check_bounds`; a subclass's own
+    `__post_init__` calls this one first."""
+
+    def __post_init__(self):
+        check_bounds(self)
 
 
 def _expect(ok: bool, path: str, kind: str, data) -> None:

@@ -9,13 +9,14 @@ class ConfigurationError(Exception):
     """Invalid configuration value, weights, paths, or parameters.
 
     `key`, when given, is the dotted path of the offending entry below the
-    object that raised it; the config codec appends it to that object's
-    key path.
+    object that raised it, and the text reads "config key '<key>' <message>";
+    the config codec raises it again under that object's key path.
     """
 
     def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
+        super().__init__(message if key is None else f"config key {key!r} {message}")
         self.key = key
+        self.message = message
 
 
 class IngestionError(ConfigurationError):

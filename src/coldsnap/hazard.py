@@ -21,18 +21,20 @@ from typing import ClassVar
 import numpy as np
 
 from . import defaults
+from .codec import Bounded, within
 from .errors import ConfigurationError
 
 _GRID_STEP_C = 0.1
 
 
 @dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Bounded):
     """JSON form of a curve model: its coefficients, or the points to fit
     (by default the shipped anchors, over the shipped `valid_range_c`)."""
 
     coefficients_high_to_low: tuple[float, ...] | None = None
-    valid_range_c: tuple[float, float] | None = None
+    # The extremum check evaluates the curve every 0.1 C over this range.
+    valid_range_c: tuple[float, float] | None = within(-100, 100, ordered=True, default=None)
     fit_points: tuple[tuple[float, float], ...] | None = None
     fit_max_abs_residual: float | None = None
 
@@ -157,16 +159,12 @@ class ProductivityModel(CurveModel):
 
 
 @dataclass(frozen=True)
-class WinterIndexParams:
+class WinterIndexParams(Bounded):
     """Critical levels for freeze damage accumulation."""
 
     t_crit_c: float = defaults.WI_T_CRIT_C
-    rh_crit_pct: float = defaults.WI_RH_CRIT_PCT
-    indoor_rh_pct: float | None = None  # None: use the outdoor humidity series
-
-    def __post_init__(self):
-        if not 0.0 <= self.rh_crit_pct <= 100.0:
-            raise ConfigurationError("critical humidity must lie in [0, 100]")
+    rh_crit_pct: float = within(0, 100, default=defaults.WI_RH_CRIT_PCT)
+    indoor_rh_pct: float | None = within(0, 100, default=None)  # None: the outdoor series
 
 
 def winter_index_rows(t_in_c, rh_pct, params: WinterIndexParams) -> np.ndarray:
@@ -337,7 +335,7 @@ class HealthDistributions:
         for name, dist in self._percent_rates():
             if not 0.0 <= dist.lo <= dist.hi <= 100.0:
                 raise ConfigurationError(
-                    f"support [{dist.lo}, {dist.hi}] must lie in [0, 100] percent", key=name)
+                    f"must have a support in [0, 100] percent, got [{dist.lo}, {dist.hi}]", name)
 
     def _percent_rates(self):
         """(dotted key, distribution) of every rate, in declaration order."""
@@ -350,18 +348,14 @@ class HealthDistributions:
 
 
 @dataclass(frozen=True)
-class HazardConfig:
+class HazardConfig(Bounded):
     """All damage-model parameters for one run; fields mirror the `hazard` section."""
 
-    delta: float = defaults.MORTALITY_DURATION_DELTA
+    delta: float = within(0, 1, default=defaults.MORTALITY_DURATION_DELTA)
     rr_model: RRModel = field(default_factory=RRModel.default)
     productivity_model: ProductivityModel = field(default_factory=ProductivityModel.default)
     winter_index: WinterIndexParams = field(default_factory=WinterIndexParams)
     distributions_pct: HealthDistributions = field(default_factory=HealthDistributions)
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise ConfigurationError(f"delta must lie in [0, 1], got {self.delta}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Scenarios: `base` (full service), `co` (controlled outage: selected circuits
 switched off for the whole window), `ro-di` / `ro-hi` (rolling outages over
 consumption-ranked residential groups, with damaged or hardened feeder
 infrastructure). Fault damage isolates a seeded fraction of customers for
-the entire window unless the infrastructure is hardened.
+the entire window; hardened infrastructure (`ro-hi`) has no faults.
 
 A scenario serves a handful of distinct power rows, so a schedule is one
 group per building and one row per group.
@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from .codec import Bounded, within
 from .errors import ConfigurationError
 from .population import Population, Sector, code
 
@@ -35,23 +36,18 @@ class BaseParams:
 
 
 @dataclass(frozen=True)
-class ControlledOutageParams:
+class ControlledOutageParams(Bounded):
     """`scenarios.co`: the shed set, by id or as a seeded fraction."""
 
     shed_ids: tuple[int, ...] | None = None
-    shed_fraction: float = 0.0
+    shed_fraction: float = within(0, 1, default=0.0)
     shed_scope: str = "residential"
-    fault_fraction: float = 0.0
+    fault_fraction: float = within(0, below=1, default=0.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.shed_fraction <= 1.0:
-            raise ConfigurationError(
-                f"shed_fraction must lie in [0, 1], got {self.shed_fraction}")
+        super().__post_init__()
         if self.shed_scope not in ("residential", "all"):
             raise ConfigurationError(f"unknown shed_scope {self.shed_scope!r}")
-        if not 0.0 <= self.fault_fraction < 1.0:
-            raise ConfigurationError(
-                f"fault_fraction must lie in [0, 1), got {self.fault_fraction}")
 
 
 # Upper bound of `n_groups`: the schedule holds a groups x steps table and
@@ -60,29 +56,14 @@ MAX_GROUPS = 10_000
 
 
 @dataclass(frozen=True)
-class RollingOutageParams:
-    """`scenarios.ro-di` and `scenarios.ro-hi`: rotation over residential groups."""
+class RollingOutageParams(Bounded):
+    """`scenarios.ro-di`: rotation over residential groups, behind damaged feeders."""
 
-    n_groups: int = 3
-    slot_s: float = 3600.0
-    availability: tuple[float, ...] | None = None  # per slot; else the constant
-    availability_constant: float = 1.0
-    fault_fraction: float = 0.0
-
-    def __post_init__(self):
-        if not 2 <= self.n_groups <= MAX_GROUPS:
-            raise ConfigurationError(
-                f"n_groups must lie in [2, {MAX_GROUPS:,}], got {self.n_groups}")
-        if not self.slot_s > 0:
-            raise ConfigurationError(f"slot_s must be positive, got {self.slot_s}")
-        if not 0.0 <= self.availability_constant <= 1.0:
-            raise ConfigurationError(
-                f"availability_constant must lie in [0, 1], got {self.availability_constant}")
-        if any(not 0.0 <= f <= 1.0 for f in self.availability or ()):
-            raise ConfigurationError("availability fractions must lie in [0, 1]")
-        if not 0.0 <= self.fault_fraction < 1.0:
-            raise ConfigurationError(
-                f"fault_fraction must lie in [0, 1), got {self.fault_fraction}")
+    n_groups: int = within(2, MAX_GROUPS, default=3)
+    slot_s: float = within(above=0, default=3600.0)
+    availability: tuple[float, ...] | None = within(0, 1, default=None)  # None: the constant
+    availability_constant: float = within(0, 1, default=1.0)
+    fault_fraction: float = within(0, below=1, default=0.0)
 
     def slots(self, n_steps: int, dt_s: float) -> tuple[int, np.ndarray]:
         """Steps per slot and the available share of each slot of a window
@@ -90,21 +71,26 @@ class RollingOutageParams:
         per_slot = self.slot_s / dt_s
         if per_slot < 1 or (math.isfinite(per_slot) and abs(per_slot - round(per_slot)) > 1e-9):
             raise ConfigurationError(
-                f"slot_s must be a positive multiple of dt_s ({dt_s}), got {self.slot_s}",
-                key="slot_s")
+                f"must be a positive multiple of dt_s ({dt_s}), got {self.slot_s}", "slot_s")
         per_slot = round(min(per_slot, n_steps))
         n_slots = -(-n_steps // per_slot)  # ceil
         if self.availability is None:
             return per_slot, np.full(n_slots, self.availability_constant)
         if len(self.availability) < n_slots:
             raise ConfigurationError(
-                f"availability has {len(self.availability)} slots, window needs {n_slots}",
-                key="availability")
+                f"has {len(self.availability)} slots, window needs {n_slots}", "availability")
         return per_slot, np.asarray(self.availability[:n_slots])
 
 
+@dataclass(frozen=True)
+class HardenedRollingParams(RollingOutageParams):
+    """`scenarios.ro-hi`: the rotation on hardened feeders, where no fault isolates anyone."""
+
+    fault_fraction: float = within(0, 0, default=0.0)
+
+
 SCENARIO_PARAMS = {"base": BaseParams, "co": ControlledOutageParams,
-                   "ro-di": RollingOutageParams, "ro-hi": RollingOutageParams}
+                   "ro-di": RollingOutageParams, "ro-hi": HardenedRollingParams}
 
 
 @dataclass(frozen=True)
@@ -195,19 +181,18 @@ def assign_rolling_groups(pop: Population, n_groups: int) -> np.ndarray:
 
 
 def build_rolling_outage(pop: Population, n_steps: int, dt_s: float,
-                         params: RollingOutageParams, seed: int,
-                         hardened: bool) -> PowerScheduleSet:
+                         params: RollingOutageParams, seed: int) -> PowerScheduleSet:
     """Rotate service across residential consumption tiers slot by slot.
 
     Per slot, k = floor(availability * n_groups) tiers are served, the served
     window rotating round-robin so curtailment falls evenly. Groups
     0..n_groups-1 are the tiers; commercial and industrial customers stay
-    powered in group n_groups. Without hardening, fault-isolated customers
-    get no service at all, in group n_groups + 1.
+    powered in group n_groups. Fault-isolated customers get no service at
+    all, in group n_groups + 1.
     """
     n_groups = params.n_groups
     per_slot, fractions = params.slots(n_steps, dt_s)
-    isolated = frozenset() if hardened else select_isolated(pop, params.fault_fraction, seed)
+    isolated = select_isolated(pop, params.fault_fraction, seed)
 
     # Tier g is served in slot s when it lies in the k-wide window that
     # starts at tier s mod n_groups and wraps.

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import defaults
+from .codec import Bounded, check_bounds, within
 from .errors import ConfigurationError, IngestionError
 from .tables import read_csv, save_csv, write_csv
 
@@ -225,25 +226,19 @@ class InsulationRow:
 
 
 @dataclass(frozen=True)
-class Profile:
+class Profile(Bounded):
     """Synthesis ranges (lo, hi) of one building kind: floor area (m2) and
     annual consumption (kWh/yr)."""
 
-    floor_m2: tuple[float, float]
-    kwh: tuple[float, float]
-
-    def __post_init__(self):
-        for f in fields(self):
-            lo, hi = getattr(self, f.name)
-            if lo > hi:
-                raise ConfigurationError(f"{f.name} range [{lo}, {hi}] is inverted")
+    floor_m2: tuple[float, float] = within(ordered=True)
+    kwh: tuple[float, float] = within(ordered=True)
 
 
 @dataclass(frozen=True)
 class CommercialProfile(Profile):
     """A commercial kind's ranges, with the worker count."""
 
-    workers: tuple[int, int]
+    workers: tuple[int, int] = within(ordered=True)
 
 
 # Upper bound of the buildings a spec synthesizes: about 70 times the
@@ -256,18 +251,18 @@ MAX_BUILDINGS = 10_000_000
 class PopulationSpec:
     """Knobs for synthesizing a building stock."""
 
-    counts: dict[BuildingKind, int]
-    insulation_weights: dict[Insulation, float] = field(
-        default_factory=lambda: {Insulation(k): v for k, v in defaults.INSULATION_WEIGHTS.items()}
-    )
-    occupant_weights: dict[int, float] = field(
-        default_factory=lambda: dict(defaults.OCCUPANT_COUNT_WEIGHTS)
-    )
-    wfh_share: float = defaults.WFH_SHARE
-    electric_heat_share: float = defaults.ELECTRIC_HEAT_SHARE
-    power_required_share_residential: float = defaults.POWER_REQUIRED_SHARE_RESIDENTIAL
-    power_required_share_commercial: float = defaults.POWER_REQUIRED_SHARE_COMMERCIAL
-    commercial_backup_share: float = defaults.COMMERCIAL_BACKUP_SHARE
+    counts: dict[BuildingKind, int] = within(0)
+    insulation_weights: dict[Insulation, float] = within(0, default_factory=lambda: {
+        Insulation(k): v for k, v in defaults.INSULATION_WEIGHTS.items()})
+    occupant_weights: dict[int, float] = within(
+        0, default_factory=lambda: dict(defaults.OCCUPANT_COUNT_WEIGHTS))
+    wfh_share: float = within(0, 1, default=defaults.WFH_SHARE)
+    electric_heat_share: float = within(0, 1, default=defaults.ELECTRIC_HEAT_SHARE)
+    power_required_share_residential: float = within(
+        0, 1, default=defaults.POWER_REQUIRED_SHARE_RESIDENTIAL)
+    power_required_share_commercial: float = within(
+        0, 1, default=defaults.POWER_REQUIRED_SHARE_COMMERCIAL)
+    commercial_backup_share: float = within(0, 1, default=defaults.COMMERCIAL_BACKUP_SHARE)
     setpoint_c: float = defaults.THERMOSTAT_SETPOINT_C
     deadband_c: float = defaults.THERMOSTAT_DEADBAND_C
     hvac_design_outdoor_c: float = defaults.HVAC_DESIGN_OUTDOOR_C
@@ -283,27 +278,19 @@ class PopulationSpec:
         self.validate()
 
     def validate(self):
-        if not self.counts or sum(self.counts.values()) == 0:
+        check_bounds(self)
+        total = sum(self.counts.values())
+        if total == 0:
             raise ConfigurationError("population spec has zero buildings")
-        if any(c < 0 for c in self.counts.values()):
-            raise ConfigurationError("negative building count")
-        if sum(self.counts.values()) > MAX_BUILDINGS:
-            raise ConfigurationError(f"the counts add up to more than {MAX_BUILDINGS:,} "
-                                     "buildings", key="counts")
+        if total > MAX_BUILDINGS:
+            raise ConfigurationError(f"must add up to at most {MAX_BUILDINGS:,} buildings, "
+                                     f"got {total:,}", key="counts")
         w = sum(self.insulation_weights.values())
         if abs(w - 1.0) > 1e-9:
             raise ConfigurationError(f"insulation weights sum to {w!r}, expected 1.0")
         ow = sum(self.occupant_weights.values())
         if abs(ow - 1.0) > 1e-9:
             raise ConfigurationError(f"occupant weights sum to {ow!r}, expected 1.0")
-        if any(v < 0 for v in self.insulation_weights.values()):
-            raise ConfigurationError("negative insulation weight")
-        if any(v < 0 for v in self.occupant_weights.values()):
-            raise ConfigurationError("negative occupant weight")
-        for name in ("wfh_share", "electric_heat_share", "power_required_share_residential",
-                     "power_required_share_commercial", "commercial_backup_share"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         for ins, weight in self.insulation_weights.items():
             if weight > 0 and ins not in self.insulation_table:
                 raise ConfigurationError(f"insulation_table has no row for {ins.value!r}, "
@@ -312,9 +299,8 @@ class PopulationSpec:
                                   ("commercial_profiles", False)):
             for kind in getattr(self, name):
                 if (SECTOR_BY_KIND[kind] is Sector.RESIDENTIAL) != residential:
-                    raise ConfigurationError(
-                        f"{kind.value!r} is not a {name.split('_')[0]} kind",
-                        key=f"{name}.{kind.value}")
+                    raise ConfigurationError(f"is not a {name.split('_')[0]} kind",
+                                             key=f"{name}.{kind.value}")
         for kind, count in self.counts.items():
             name = ("residential_profiles" if SECTOR_BY_KIND[kind] is Sector.RESIDENTIAL
                     else "commercial_profiles")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import checked, decode, encode
+from .codec import Bounded, checked, decode, encode, within
 from .errors import ConfigurationError
 from .hazard import HazardConfig, mortality_probability, winter_index_rows
 from .outage import (
@@ -104,9 +104,9 @@ class Window:
 
 
 @dataclass
-class ScenarioConfig:
+class ScenarioConfig(Bounded):
     """The config file: one field per top-level key, its default the key's
-    default. `__post_init__` checks ranges, derives `n_steps` and decodes each
+    default. `__post_init__` checks the window, derives `n_steps` and decodes each
     `scenarios` section present, adding the selected one if absent. The
     fields after `out_dir` are not keys: the command line sets `threads` and
     `write_traces`, and `load_config` sets `base_dir`, the file's folder."""
@@ -115,15 +115,15 @@ class ScenarioConfig:
     weather_path: str
     window: Window
     notes: object = None  # free-form
-    dt_s: float = 300.0
+    dt_s: float = within(above=0, default=300.0)
     scenario: Scenario = Scenario.BASE
     # Raw sections as read; `__post_init__` decodes each by its scenario.
     scenarios: dict[Scenario, dict] = field(default_factory=dict)
     hazard: HazardConfig = field(default_factory=HazardConfig)
     valuation: ValuationParams = field(default_factory=ValuationParams)
-    n_trials: int = 100
-    seed: int = 0
-    histogram_bins: int = 50
+    n_trials: int = within(1, MAX_TRIALS, default=100)
+    seed: int = within(0, default=0)
+    histogram_bins: int = within(1, MAX_HISTOGRAM_BINS, default=50)
     out_dir: str = "runs"
     threads: int = field(default=1, init=False)
     write_traces: bool = field(default=False, init=False)
@@ -131,26 +131,16 @@ class ScenarioConfig:
     n_steps: int = field(init=False)
 
     def __post_init__(self):
+        super().__post_init__()
         start, end = self.window.start, self.window.end
         if not end > start:
-            raise ConfigurationError(f"config key 'window' must end after it starts, got "
-                                     f"{start.isoformat()} to {end.isoformat()}")
-        if not self.dt_s > 0:
-            raise ConfigurationError(f"config key 'dt_s' must be positive, got {self.dt_s}")
+            raise ConfigurationError(f"must end after it starts, got {start.isoformat()} "
+                                     f"to {end.isoformat()}", "window")
         steps = (end - start).total_seconds() / self.dt_s
         if not 2 <= steps < math.inf or abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
-                f"config key 'dt_s' must divide the window into 2 or more whole steps, "
-                f"got {self.dt_s}")
+                f"must divide the window into 2 or more whole steps, got {self.dt_s}", "dt_s")
         self.n_steps = round(steps)
-        for key, least in (("n_trials", 1), ("seed", 0), ("histogram_bins", 1)):
-            if getattr(self, key) < least:
-                raise ConfigurationError(
-                    f"config key {key!r} must be >= {least}, got {getattr(self, key)}")
-        for key, most in (("n_trials", MAX_TRIALS), ("histogram_bins", MAX_HISTOGRAM_BINS)):
-            if getattr(self, key) > most:
-                raise ConfigurationError(
-                    f"config key {key!r} must be <= {most}, got {getattr(self, key)}")
         # Every section present is checked, not only the selected one, and
         # every rolling one must fit its slots to this window.
         self.scenarios = {s: decode(SCENARIO_PARAMS[s], section, f"scenarios.{s.value}")
@@ -227,7 +217,7 @@ def build_schedules(config: ScenarioConfig, pop: Population) -> PowerScheduleSet
         return build_base_schedule(*args)
     if config.scenario is Scenario.CO:
         return build_controlled_outage(*args)
-    return build_rolling_outage(*args, hardened=config.scenario is Scenario.RO_HI)
+    return build_rolling_outage(*args)
 
 
 @dataclass

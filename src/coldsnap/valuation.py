@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import defaults
+from .codec import Bounded, within
 from .errors import ConfigurationError
 from .hazard import CONDITIONS, HazardConfig, OutcomeTable, resolve_at_risk
 from .population import BuildingKind, Population, Sector, code
@@ -79,17 +80,13 @@ def draw_at_risk(rng: np.random.Generator, occupants: np.ndarray, p_mort: np.nda
 
 
 @dataclass(frozen=True)
-class CICTable:
+class CICTable(Bounded):
     """Interruption-cost coefficients for one customer sector."""
 
-    base: float
-    per_hour: float
-    per_kwh: float
-    slope_beyond_cap: float
-
-    def __post_init__(self):
-        if min(self.base, self.per_hour, self.per_kwh, self.slope_beyond_cap) < 0:
-            raise ConfigurationError("interruption-cost coefficients must be >= 0")
+    base: float = within(0)
+    per_hour: float = within(0)
+    per_kwh: float = within(0)
+    slope_beyond_cap: float = within(0)
 
 
 _SECTOR_TABLE_KEY = {
@@ -105,14 +102,14 @@ PLACEHOLDER_CIC_TABLES = {key: CICTable(**row) for key, row in defaults.CIC_TABL
 
 
 @dataclass(frozen=True)
-class CICParams:
+class CICParams(Bounded):
     tables: dict[str, CICTable] | None = None  # None: `PLACEHOLDER_CIC_TABLES`
-    season_multiplier: float = defaults.CIC_SEASON_MULTIPLIER
-    industry_multiplier: float = defaults.CIC_INDUSTRY_MULTIPLIER
-    income_multiplier: dict[str, float] = field(
-        default_factory=lambda: dict(defaults.CIC_INCOME_MULTIPLIER))
-    backup_discount: float = defaults.CIC_BACKUP_DISCOUNT
-    duration_cap_h: float = defaults.CIC_DURATION_CAP_H
+    season_multiplier: float = within(0, default=defaults.CIC_SEASON_MULTIPLIER)
+    industry_multiplier: float = within(0, default=defaults.CIC_INDUSTRY_MULTIPLIER)
+    income_multiplier: dict[str, float] = within(
+        0, default_factory=lambda: dict(defaults.CIC_INCOME_MULTIPLIER))
+    backup_discount: float = within(0, 1, default=defaults.CIC_BACKUP_DISCOUNT)
+    duration_cap_h: float = within(0, default=defaults.CIC_DURATION_CAP_H)
 
 
 def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.ndarray:
@@ -157,44 +154,36 @@ def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.nda
 
 
 @dataclass(frozen=True)
-class ValuationParams:
-    vsl_usd: float = defaults.VSL_FEMA_USD
-    medical_insured_usd: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(defaults.MEDICAL_COST_INSURED_USD))
-    medical_uninsured_usd: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(defaults.MEDICAL_COST_UNINSURED_USD))
-    severity_ceiling: float = defaults.MEDICAL_SEVERITY_CEILING
-    home_care_fraction: float = defaults.HOME_CARE_COST_FRACTION
-    pipe_repair_insured_usd: tuple[float, float] = defaults.PIPE_REPAIR_INSURED_USD
-    pipe_repair_uninsured_usd: tuple[float, float] = defaults.PIPE_REPAIR_UNINSURED_USD
-    beta_wi: float | None = None  # None: use the run's population maximum
-    wage_usd_per_hour: dict[str, float] = field(
-        default_factory=lambda: dict(defaults.WAGE_USD_PER_HOUR))
-    work_hours_residential: tuple[int, int] = defaults.WORK_HOURS_RESIDENTIAL
-    work_hours_commercial: tuple[int, int] = defaults.WORK_HOURS_COMMERCIAL
+class ValuationParams(Bounded):
+    vsl_usd: float = within(above=0, default=defaults.VSL_FEMA_USD)
+    medical_insured_usd: dict[str, tuple[float, float]] = within(
+        0, ordered=True, default_factory=lambda: dict(defaults.MEDICAL_COST_INSURED_USD))
+    medical_uninsured_usd: dict[str, tuple[float, float]] = within(
+        0, ordered=True, default_factory=lambda: dict(defaults.MEDICAL_COST_UNINSURED_USD))
+    severity_ceiling: float = within(above=0, default=defaults.MEDICAL_SEVERITY_CEILING)
+    home_care_fraction: float = within(0, 1, default=defaults.HOME_CARE_COST_FRACTION)
+    pipe_repair_insured_usd: tuple[float, float] = within(
+        0, ordered=True, default=defaults.PIPE_REPAIR_INSURED_USD)
+    pipe_repair_uninsured_usd: tuple[float, float] = within(
+        0, ordered=True, default=defaults.PIPE_REPAIR_UNINSURED_USD)
+    beta_wi: float | None = within(above=0, default=None)  # None: the population maximum
+    wage_usd_per_hour: dict[str, float] = within(
+        0, default_factory=lambda: dict(defaults.WAGE_USD_PER_HOUR))
+    work_hours_residential: tuple[int, int] = within(
+        0, 24, ordered=True, default=defaults.WORK_HOURS_RESIDENTIAL)
+    work_hours_commercial: tuple[int, int] = within(
+        0, 24, ordered=True, default=defaults.WORK_HOURS_COMMERCIAL)
     cic: CICParams = field(default_factory=CICParams)
     # A run config without `cic.tables` must set this to price with the
     # placeholders (`scenario.ScenarioConfig` checks it).
     acknowledge_default_cic: bool = False
 
     def __post_init__(self):
-        if self.vsl_usd <= 0:
-            raise ConfigurationError("VSL must be positive")
-        if self.severity_ceiling <= 0:
-            raise ConfigurationError("severity ceiling must be positive")
-        if self.beta_wi is not None and self.beta_wi <= 0:
-            raise ConfigurationError("beta_wi must be positive when set")
+        super().__post_init__()
         for name in ("medical_insured_usd", "medical_uninsured_usd"):
-            table = getattr(self, name)
-            if set(table) != {c.value for c in CONDITIONS}:
+            if set(getattr(self, name)) != {c.value for c in CONDITIONS}:
                 raise ConfigurationError(f"{name} needs exactly the conditions "
                                          f"{', '.join(c.value for c in CONDITIONS)}")
-            for cond, (lo, hi) in table.items():
-                if lo > hi:
-                    raise ConfigurationError(f"medical cost range inverted for {cond}")
-        for lo, hi in (self.pipe_repair_insured_usd, self.pipe_repair_uninsured_usd):
-            if lo > hi:
-                raise ConfigurationError("pipe repair cost range inverted")
 
     def require_wages(self, pop: Population) -> None:
         """Every kind with workers in the population needs an hourly wage;
@@ -202,9 +191,8 @@ class ValuationParams:
         kinds, first = np.unique(pop.kind[pop.n_workers != 0], return_index=True)
         for kind in (tuple(BuildingKind)[k] for k in kinds[np.argsort(first)].tolist()):
             if kind.value not in self.wage_usd_per_hour:
-                raise ConfigurationError(
-                    f"config key 'valuation.wage_usd_per_hour' has no wage for "
-                    f"{kind.value!r}, whose buildings have workers")
+                raise ConfigurationError(f"has no wage for {kind.value!r}, whose buildings "
+                                         "have workers", "valuation.wage_usd_per_hour")
 
 
 def medical_severity(p_mort: np.ndarray, params: ValuationParams) -> np.ndarray:
@@ -434,8 +422,6 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
 def summarize(dist: CostDistribution, histogram_bins: int = 50) -> tuple[dict, list]:
     """Exact summary statistics per component plus a fixed-width histogram
     of the total (bin_left, bin_right, count) rows."""
-    if histogram_bins < 1:
-        raise ConfigurationError("histogram needs at least one bin")
     n = len(dist.trials)
     summary: dict = {"n_trials": n}
     for name in METRICS:

@@ -118,7 +118,7 @@ def assign_rolling_groups(pop, n_groups: int) -> dict[int, int]:
     return groups
 
 
-def build_rolling_outage(pop, n_steps, dt_s, params, seed, hardened) -> ScheduleDict:
+def build_rolling_outage(pop, n_steps, dt_s, params, seed) -> ScheduleDict:
     n_groups = params.n_groups
     per_slot = params.slot_s / dt_s
     if abs(per_slot - round(per_slot)) > 1e-9 or per_slot < 1:
@@ -131,7 +131,7 @@ def build_rolling_outage(pop, n_steps, dt_s, params, seed, hardened) -> Schedule
         raise ConfigurationError(f"availability has {len(fractions)} slots, window needs {n_slots}")
 
     groups = assign_rolling_groups(pop, n_groups)
-    isolated = frozenset() if hardened else select_isolated(pop, params.fault_fraction, seed)
+    isolated = select_isolated(pop, params.fault_fraction, seed)
 
     # Per-slot powered tiers: the k-wide served window starts at slot index
     # mod n_groups and wraps.

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import math
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -12,11 +16,12 @@ from hypothesis import strategies as st
 
 from coldsnap import scenario as scenario_module
 from coldsnap.cli import main
-from coldsnap.codec import decode, encode
+from coldsnap.codec import Bound, decode, encode
 from coldsnap.demo import write_demo
 from coldsnap.hazard import HazardConfig, HealthDistributions, RRModel
 from coldsnap.population import BuildingKind, PopulationSpec, synthesize_population
-from coldsnap.scenario import SCENARIO_NAMES, load_config
+from coldsnap.outage import SCENARIO_PARAMS
+from coldsnap.scenario import SCENARIO_NAMES, ScenarioConfig, load_config
 from coldsnap.valuation import PLACEHOLDER_CIC_TABLES, ValuationParams, interruption_cost
 
 # Very large values find keys without an upper bound, which would fail in
@@ -254,6 +259,9 @@ def test_own_tables_hash_alike_with_and_without_the_opt_in(small_config, tmp_pat
     (("scenarios", "ro-hi", "n_groups"), 10**12, "n_groups"),
     # Scenario names are case-sensitive.
     (("scenario",), "CO", "'scenario'"),
+    # The extremum check evaluates the curve on a 0.1 C grid over the range.
+    (("hazard", "rr_model"), {"valid_range_c": [-15.0, 1e12]},
+     "'hazard.rr_model.valid_range_c[1]' must lie in [-100, 100], got 1000000000000.0"),
 ])
 def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
                                                path, value, named):
@@ -324,7 +332,8 @@ def test_slot_longer_than_window_is_one_slot(small_config, tmp_path):
     (("population", "spec", "residential_profiles", "single_family", "floor_m2"), "x",
      ("'population.spec.residential_profiles.single_family.floor_m2'",)),
     (("population", "spec", "commercial_profiles", "office", "workers"), [40, 15],
-     ("'population.spec.commercial_profiles.office'", "workers")),
+     ("'population.spec.commercial_profiles.office.workers' must have lo <= hi, "
+      "got [40, 15]",)),
     (("population", "spec", "commercial_profiles"), {},
      ("'population.spec'", "commercial_profiles", "'office'")),
     (("valuation", "wage_usd_per_hour"), {"office": 30.0},
@@ -339,6 +348,29 @@ def test_slot_longer_than_window_is_one_slot(small_config, tmp_path):
     (("population", "spec", "commercial_profiles", "single_family"),
      {"floor_m2": [1.0, 2.0], "kwh": [1.0, 2.0], "workers": [1, 2]},
      ("'population.spec.commercial_profiles.single_family'", "not a commercial kind")),
+    # Every priced input is bounded, and an input out of bounds names its leaf.
+    (("valuation", "wage_usd_per_hour", "office"), -30.0,
+     ("'valuation.wage_usd_per_hour.office' must lie in [0, inf), got -30.0",)),
+    (("valuation", "cic", "season_multiplier"), -2, ("'valuation.cic.season_multiplier'",)),
+    (("valuation", "cic", "income_multiplier", "median"), -3,
+     ("'valuation.cic.income_multiplier.median'",)),
+    (("valuation", "pipe_repair_insured_usd"), [-900, -100],
+     ("'valuation.pipe_repair_insured_usd[0]'",)),
+    (("valuation", "home_care_fraction"), -1,
+     ("'valuation.home_care_fraction' must lie in [0, 1], got -1.0",)),
+    (("valuation", "medical_insured_usd", "cardiac"), [-2000.0, -1000.0],
+     ("'valuation.medical_insured_usd.cardiac[0]'",)),
+    (("valuation", "cic", "duration_cap_h"), -5, ("'valuation.cic.duration_cap_h'",)),
+    (("valuation", "work_hours_commercial"), [30, -4],
+     ("'valuation.work_hours_commercial[0]' must lie in [0, 24], got 30",)),
+    # An inverted window would leave no working step.
+    (("valuation", "work_hours_residential"), [16, 8],
+     ("'valuation.work_hours_residential' must have lo <= hi, got [16, 8]",)),
+    (("hazard", "winter_index"), {"indoor_rh_pct": 150},
+     ("'hazard.winter_index.indoor_rh_pct' must lie in [0, 100], got 150.0",)),
+    # ro-hi's hardened feeders strand no one, even when the run selects co.
+    (("scenarios", "ro-hi", "fault_fraction"), 0.5,
+     ("'scenarios.ro-hi.fault_fraction' must lie in [0, 0], got 0.5",)),
 ])
 def test_bad_table_exits_2_naming_key(small_config, tmp_path, capsys, path, value, named):
     config = copy.deepcopy(small_config)
@@ -353,6 +385,84 @@ def test_partial_wage_table_covers_a_population_without_other_workers(small_conf
     config["population"]["spec"]["counts"] = {"office": 2}
     config["valuation"]["wage_usd_per_hour"] = {"office": 30.0}
     assert run(config, tmp_path) == 0
+
+
+@pytest.fixture(scope="module")
+def full_config(small_config, tmp_path_factory):
+    """small_config as it loads: every default written out, and every
+    scenario section."""
+    loaded = load_config(write_config(small_config, tmp_path_factory.mktemp("full")))
+    config = loaded.materialized()
+    config["scenarios"] = {s.value: encode(params) for s, params in loaded.scenarios.items()}
+    return config
+
+
+def out_of_bounds(tp, data, path=()):
+    """(key path, value) for each value just outside a declared bound of a
+    leaf of the JSON `data` read as `tp`: past each finite limit of a
+    number, or an ordered pair reversed."""
+    if hasattr(tp, "from_json"):
+        tp = typing.get_type_hints(tp.from_json)["data"]
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        tp = typing.get_args(tp)[0]
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            if f.name not in data:
+                continue
+            at = path + (f.name,)
+            if Bound in f.metadata:
+                yield from past_bound(f.metadata[Bound], data[f.name], at)
+            elif tp is ScenarioConfig and f.name == "scenarios":
+                for name, section in data[f.name].items():
+                    yield from out_of_bounds(SCENARIO_PARAMS[name], section, at + (name,))
+            else:
+                yield from out_of_bounds(hints[f.name], data[f.name], at)
+    elif typing.get_origin(tp) is dict and data is not None:
+        for key, value in data.items():
+            yield from out_of_bounds(typing.get_args(tp)[1], value, path + (key,))
+
+
+def past_bound(bound, value, path):
+    """`out_of_bounds` of the JSON `value` of one bounded field at `path`."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from past_bound(bound, item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from past_bound(bound, item, path + (index,))
+        if bound.ordered and value[0] != value[1]:
+            yield path, value[::-1]
+    elif value is not None:
+        for limit, side in ((bound.lo, -1), (bound.hi, 1)):
+            if math.isfinite(limit):  # an integer leaf takes only integers
+                yield path, (limit + side if type(value) is int
+                             else math.nextafter(limit, side * math.inf))
+        for limit in (bound.above, bound.below):
+            if math.isfinite(limit):
+                yield path, limit
+
+
+def dotted(path) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def test_every_declared_bound_exits_2_naming_its_leaf(full_config, tmp_path, capsys):
+    cases = list(out_of_bounds(ScenarioConfig, full_config))
+    leaves = {dotted(path) for path, _ in cases}
+    # Spot checks that the walk reaches every section.
+    assert {"n_trials", "scenarios.ro-hi.fault_fraction", "population.spec.counts.office",
+            "population.spec.commercial_profiles.office.workers",
+            "hazard.winter_index.rh_crit_pct", "hazard.rr_model.valid_range_c[1]",
+            "valuation.cic.tables.residential.base",
+            "valuation.medical_uninsured_usd.cardiac[1]",
+            "valuation.work_hours_commercial"} <= leaves
+    for path, value in cases:
+        config = copy.deepcopy(full_config)
+        set_key(config, path, value)
+        assert run(config, tmp_path) == 2, (path, value)
+        err = capsys.readouterr().err
+        assert f"config key {dotted(path)!r} must " in err, (path, value, err)
 
 
 def key_paths(node, prefix=()):

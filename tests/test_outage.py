@@ -8,6 +8,7 @@ from coldsnap.errors import ConfigurationError
 from coldsnap.outage import (
     BaseParams,
     ControlledOutageParams,
+    HardenedRollingParams,
     RollingOutageParams,
     assign_rolling_groups,
     build_base_schedule,
@@ -84,8 +85,15 @@ class TestIsolation:
 
     @pytest.mark.parametrize("params", [ControlledOutageParams, RollingOutageParams])
     def test_fraction_bounds_enforced(self, params):
-        with pytest.raises(ConfigurationError, match="fault_fraction"):
+        with pytest.raises(ConfigurationError, match=r"'fault_fraction' must lie in \[0, 1\)") \
+                as info:
             params(fault_fraction=1.0)
+        assert info.value.key == "fault_fraction"
+
+    def test_hardened_feeders_isolate_no_one(self):
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 0\], got 0.034") as info:
+            HardenedRollingParams(fault_fraction=0.034)
+        assert info.value.key == "fault_fraction"
 
 
 class TestControlledOutage:
@@ -121,10 +129,10 @@ class TestControlledOutage:
             build_controlled_outage(small_pop, N_STEPS, DT, shed((999,)), seed=1)
 
 
-def rolling(pop, fraction=0.34, hardened=True, fault_fraction=0.0, n_groups=3, **kwargs):
+def rolling(pop, fraction=0.34, fault_fraction=0.0, n_groups=3, **kwargs):
     params = RollingOutageParams(n_groups=n_groups, availability_constant=fraction,
                                  fault_fraction=fault_fraction, **kwargs)
-    return build_rolling_outage(pop, N_STEPS, DT, params, seed=1, hardened=hardened)
+    return build_rolling_outage(pop, N_STEPS, DT, params, seed=1)
 
 
 class TestRollingOutage:
@@ -147,7 +155,7 @@ class TestRollingOutage:
                 assert schedules[b.id].all()
 
     def test_unhardened_isolates_faulted_customers(self, demo_pop):
-        sched = rolling(demo_pop, hardened=False, fault_fraction=0.034)
+        sched = rolling(demo_pop, fault_fraction=0.034)
         assert len(sched.isolated_ids) == 48
         schedules = by_id(demo_pop, sched.powered())
         for bid in sched.isolated_ids:
@@ -156,8 +164,8 @@ class TestRollingOutage:
         assert sched.on.shape == (5, N_STEPS)
 
     def test_hardened_dominates_damaged_for_isolated_ids(self, demo_pop):
-        di = rolling(demo_pop, hardened=False, fault_fraction=0.034)
-        hi = rolling(demo_pop, hardened=True, fault_fraction=0.034)
+        di = rolling(demo_pop, fault_fraction=0.034)
+        hi = rolling(demo_pop, fault_fraction=0.0)
         di_schedules = by_id(demo_pop, di.powered())
         hi_schedules = by_id(demo_pop, hi.powered())
         for bid in di.isolated_ids:
@@ -203,8 +211,10 @@ class TestRollingOutage:
         assert info.value.key == "availability"
 
     def test_n_groups_minimum(self):
-        with pytest.raises(ConfigurationError, match="n_groups"):
+        with pytest.raises(ConfigurationError) as info:
             RollingOutageParams(n_groups=1)
+        assert info.value.key == "n_groups"
+        assert str(info.value) == "config key 'n_groups' must lie in [2, 10,000], got 1"
 
 
 class TestMaxContiguousOff:
