@@ -7,7 +7,8 @@ ConfigurationError naming the dotted key path; the top level's path is "".
 Only `init=True` fields are keys: a field that `__post_init__` derives, or
 that the caller sets afterwards, is neither read nor written. A datetime
 is an ISO-8601 string. A type whose JSON is not an object has `to_json()`
-and `from_json(data)`; `data`'s annotation is the JSON shape.
+and `from_json(data)`, `data`'s annotation the JSON shape; only
+`hazard.TruncNormal`, a list, uses this hook.
 
 A number's valid range is part of its field: `x: float = within(0, 1, default=0.5)`.
 A config dataclass derives from `Bounded` or calls `check_bounds` itself, so

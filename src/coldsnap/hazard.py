@@ -28,9 +28,13 @@ _GRID_STEP_C = 0.1
 
 
 @dataclass(frozen=True)
-class CurveSpec(Bounded):
-    """JSON form of a curve model: its coefficients, or the points to fit
-    (by default the shipped anchors, over the shipped `valid_range_c`)."""
+class CurveModel(Bounded):
+    """Polynomial of temperature whose extremum over its valid range is 1.
+    Its fields are its config keys, all filled in once built: without
+    coefficients it fits `fit_points` (by default the shipped anchors) over
+    `valid_range_c` (by default the shipped range). Subclasses set the
+    degree, the extremum ("minimum" or "maximum"), its tolerance (below,
+    above), the shipped anchors and range, and `evaluate`."""
 
     coefficients_high_to_low: tuple[float, ...] | None = None
     # The extremum check evaluates the curve every 0.1 C over this range.
@@ -38,95 +42,64 @@ class CurveSpec(Bounded):
     fit_points: tuple[tuple[float, float], ...] | None = None
     fit_max_abs_residual: float | None = None
 
-
-@dataclass(frozen=True)
-class CurveModel:
-    """Polynomial of temperature whose extremum over its valid range is 1.
-    Subclasses set the degree, the extremum ("minimum" or "maximum"), its
-    tolerance (below, above), the shipped anchors and range, and `evaluate`."""
-
-    coefficients: tuple[float, ...]  # highest power first
-    t_min_c: float
-    t_max_c: float
-    fit_points: tuple = ()
-    fit_residual: float = 0.0
-
     NAME = DEGREE = EXTREMUM = TOLERANCE = ANCHORS = VALID_RANGE_C = None
 
     def __post_init__(self):
-        extremum = self._extremum(self.coefficients, self.t_min_c, self.t_max_c)
+        super().__post_init__()
+        lo, hi = self.valid_range_c or self.VALID_RANGE_C
+        if hi <= lo:
+            raise ConfigurationError(
+                f"invalid temperature range [{lo}, {hi}] for the {self.NAME} curve")
+        object.__setattr__(self, "valid_range_c", (lo, hi))
+        if self.coefficients_high_to_low is not None:
+            filled = {"fit_points": self.fit_points or (),
+                      "fit_max_abs_residual": self.fit_max_abs_residual or 0.0}
+        elif self.fit_max_abs_residual is not None:
+            raise ConfigurationError("fit_max_abs_residual is computed by the fit; it is "
+                                     "read only beside coefficients_high_to_low")
+        else:
+            filled = self._fit(self.ANCHORS if self.fit_points is None else self.fit_points)
+        for name, value in filled.items():
+            object.__setattr__(self, name, value)
+        extremum = self._extremum(self.coefficients_high_to_low)
         below, above = self.TOLERANCE
         if not 1.0 - below <= extremum <= 1.0 + above:
             raise ConfigurationError(
                 f"{self.NAME} curve {self.EXTREMUM} over its range is "
-                f"{extremum!r}; expected 1 (renormalize via from_points)"
+                f"{extremum!r}; expected 1 (give fit_points to renormalize)"
             )
 
-    @classmethod
-    def _extremum(cls, coefficients, t_min_c: float, t_max_c: float) -> float:
-        """The normalized extremum over a grid spanning the valid range."""
-        if t_max_c <= t_min_c:
-            raise ConfigurationError(
-                f"invalid temperature range [{t_min_c}, {t_max_c}] for the {cls.NAME} curve")
-        grid = np.arange(t_min_c, t_max_c + _GRID_STEP_C / 2, _GRID_STEP_C)
-        values = np.polyval(coefficients, grid)
-        return float(values.min() if cls.EXTREMUM == "minimum" else values.max())
+    def _extremum(self, coefficients) -> float:
+        """The extremum of `coefficients` over a grid spanning the valid range."""
+        lo, hi = self.valid_range_c
+        values = np.polyval(coefficients, np.arange(lo, hi + _GRID_STEP_C / 2, _GRID_STEP_C))
+        return float(values.min() if self.EXTREMUM == "minimum" else values.max())
 
-    @classmethod
-    def from_points(cls, points, t_min_c: float, t_max_c: float):
+    def _fit(self, points) -> dict:
         """Least-squares fit to (temperature, value) anchors, extremum -> 1."""
         xs = np.array([p[0] for p in points], dtype=float)
         ys = np.array([p[1] for p in points], dtype=float)
-        if len(xs) <= cls.DEGREE:
+        if len(xs) <= self.DEGREE:
             raise ConfigurationError(
-                f"need more than {cls.DEGREE} points for a degree-{cls.DEGREE} fit")
-        coeffs = np.polyfit(xs, ys, cls.DEGREE)
-        extremum = cls._extremum(coeffs, t_min_c, t_max_c)
+                f"need more than {self.DEGREE} points for a degree-{self.DEGREE} fit")
+        coeffs = np.polyfit(xs, ys, self.DEGREE)
+        extremum = self._extremum(coeffs)
         if extremum <= 0:
-            raise ConfigurationError(f"fitted {cls.NAME} curve is non-positive over its range")
-        return cls(
-            coefficients=tuple(float(c) for c in coeffs / extremum),
-            t_min_c=t_min_c,
-            t_max_c=t_max_c,
-            fit_points=tuple((float(t), float(v)) for t, v in points),
-            fit_residual=float(np.abs(np.polyval(coeffs, xs) - ys).max()),
-        )
-
-    @classmethod
-    def default(cls):
-        return cls.from_points(cls.ANCHORS, *cls.VALID_RANGE_C)
-
-    @classmethod
-    def from_json(cls, data: CurveSpec):
-        lo, hi = data.valid_range_c or cls.VALID_RANGE_C
-        if data.coefficients_high_to_low is not None:
-            return cls(data.coefficients_high_to_low, lo, hi, data.fit_points or (),
-                       data.fit_max_abs_residual or 0.0)
-        if data.fit_max_abs_residual is not None:
-            raise ConfigurationError("fit_max_abs_residual is computed by the fit; it is "
-                                     "read only beside coefficients_high_to_low")
-        points = cls.ANCHORS if data.fit_points is None else data.fit_points
-        return cls.from_points(points, lo, hi)
+            raise ConfigurationError(f"fitted {self.NAME} curve is non-positive over its range")
+        return {"coefficients_high_to_low": tuple(float(c) for c in coeffs / extremum),
+                "fit_points": tuple((float(t), float(v)) for t, v in points),
+                "fit_max_abs_residual": float(np.abs(np.polyval(coeffs, xs) - ys).max())}
 
     def _polyval(self, t_in_c):
         """`np.polyval` of the coefficients at clamp(t, valid range), by its
         own steps y = y * t + c from y = 0, run in place on one array: the
         same bits, without two temporaries per coefficient."""
-        t = np.clip(np.asarray(t_in_c, dtype=float), self.t_min_c, self.t_max_c)
+        t = np.clip(np.asarray(t_in_c, dtype=float), *self.valid_range_c)
         y = np.zeros_like(t)
-        for c in self.coefficients:
+        for c in self.coefficients_high_to_low:
             y *= t
             y += c
         return y
-
-    def to_json(self) -> dict:
-        """The curve's provenance: coefficients, range, fit points and residual."""
-        return {
-            "coefficients_high_to_low": list(self.coefficients),
-            "valid_range_c": [self.t_min_c, self.t_max_c],
-            "fit_points": [list(p) for p in self.fit_points],
-            "fit_max_abs_residual": self.fit_residual,
-        }
 
 
 class RRModel(CurveModel):
@@ -352,8 +325,8 @@ class HazardConfig(Bounded):
     """All damage-model parameters for one run; fields mirror the `hazard` section."""
 
     delta: float = within(0, 1, default=defaults.MORTALITY_DURATION_DELTA)
-    rr_model: RRModel = field(default_factory=RRModel.default)
-    productivity_model: ProductivityModel = field(default_factory=ProductivityModel.default)
+    rr_model: RRModel = field(default_factory=RRModel)
+    productivity_model: ProductivityModel = field(default_factory=ProductivityModel)
     winter_index: WinterIndexParams = field(default_factory=WinterIndexParams)
     distributions_pct: HealthDistributions = field(default_factory=HealthDistributions)
 

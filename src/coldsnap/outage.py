@@ -13,7 +13,7 @@ group per building and one row per group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -35,6 +35,13 @@ class BaseParams:
     """`scenarios.base`: full service takes no parameters."""
 
 
+def _reset(params, *names: str) -> None:
+    """Set unused fields of frozen `params` to their defaults: equal runs hash alike."""
+    for f in fields(params):
+        if f.name in names:
+            object.__setattr__(params, f.name, f.default)
+
+
 @dataclass(frozen=True)
 class ControlledOutageParams(Bounded):
     """`scenarios.co`: the shed set, by id or as a seeded fraction."""
@@ -48,6 +55,8 @@ class ControlledOutageParams(Bounded):
         super().__post_init__()
         if self.shed_scope not in ("residential", "all"):
             raise ConfigurationError(f"unknown shed_scope {self.shed_scope!r}")
+        if self.shed_ids is not None:  # the seeded choice is not made
+            _reset(self, "shed_fraction", "shed_scope")
 
 
 # Upper bound of `n_groups`: the schedule holds a groups x steps table and
@@ -64,6 +73,11 @@ class RollingOutageParams(Bounded):
     availability: tuple[float, ...] | None = within(0, 1, default=None)  # None: the constant
     availability_constant: float = within(0, 1, default=1.0)
     fault_fraction: float = within(0, below=1, default=0.0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.availability is not None:
+            _reset(self, "availability_constant")
 
     def slots(self, n_steps: int, dt_s: float) -> tuple[int, np.ndarray]:
         """Steps per slot and the available share of each slot of a window

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -89,21 +90,29 @@ class CICTable(Bounded):
     slope_beyond_cap: float = within(0)
 
 
+class CICTableKey(str, Enum):
+    """The interruption-cost tables: medium and large C&I share one."""
+
+    RESIDENTIAL = "residential"
+    SMALL_CI = "small_ci"
+    LARGE_MEDIUM_CI = "large_medium_ci"
+
+
 _SECTOR_TABLE_KEY = {
-    Sector.RESIDENTIAL: "residential",
-    Sector.SMALL_CI: "small_ci",
-    Sector.MEDIUM_CI: "large_medium_ci",
-    Sector.LARGE_CI: "large_medium_ci",
+    Sector.RESIDENTIAL: CICTableKey.RESIDENTIAL,
+    Sector.SMALL_CI: CICTableKey.SMALL_CI,
+    Sector.MEDIUM_CI: CICTableKey.LARGE_MEDIUM_CI,
+    Sector.LARGE_CI: CICTableKey.LARGE_MEDIUM_CI,
 }
 
 
 # The shipped interruption-cost tables: order-of-magnitude placeholders.
-PLACEHOLDER_CIC_TABLES = {key: CICTable(**row) for key, row in defaults.CIC_TABLES.items()}
+PLACEHOLDER_CIC_TABLES = {CICTableKey(k): CICTable(**row) for k, row in defaults.CIC_TABLES.items()}
 
 
 @dataclass(frozen=True)
 class CICParams(Bounded):
-    tables: dict[str, CICTable] | None = None  # None: `PLACEHOLDER_CIC_TABLES`
+    tables: dict[CICTableKey, CICTable] | None = None  # None: `PLACEHOLDER_CIC_TABLES`
     season_multiplier: float = within(0, default=defaults.CIC_SEASON_MULTIPLIER)
     industry_multiplier: float = within(0, default=defaults.CIC_INDUSTRY_MULTIPLIER)
     income_multiplier: dict[str, float] = within(
@@ -132,8 +141,9 @@ def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.nda
     tables = [by_key.get(_SECTOR_TABLE_KEY[s]) for s in Sector]
     untabled = np.array([t is None for t in tables])[sector]
     if untabled.any():
-        raise ConfigurationError("no interruption-cost table for sector "
-                                 f"{tuple(Sector)[sector[untabled.argmax()]]}")
+        key = _SECTOR_TABLE_KEY[tuple(Sector)[sector[untabled.argmax()]]]
+        raise ConfigurationError(f"has no interruption-cost table {key.value!r}",
+                                 "valuation.cic.tables")
     base, per_hour, per_kwh, slope = (
         np.array([math.nan if t is None else getattr(t, name) for t in tables])[sector]
         for name in ("base", "per_hour", "per_kwh", "slope_beyond_cap"))
@@ -167,8 +177,8 @@ class ValuationParams(Bounded):
     pipe_repair_uninsured_usd: tuple[float, float] = within(
         0, ordered=True, default=defaults.PIPE_REPAIR_UNINSURED_USD)
     beta_wi: float | None = within(above=0, default=None)  # None: the population maximum
-    wage_usd_per_hour: dict[str, float] = within(
-        0, default_factory=lambda: dict(defaults.WAGE_USD_PER_HOUR))
+    wage_usd_per_hour: dict[BuildingKind, float] = within(0, default_factory=lambda: {
+        BuildingKind(kind): usd for kind, usd in defaults.WAGE_USD_PER_HOUR.items()})
     work_hours_residential: tuple[int, int] = within(
         0, 24, ordered=True, default=defaults.WORK_HOURS_RESIDENTIAL)
     work_hours_commercial: tuple[int, int] = within(
@@ -190,7 +200,7 @@ class ValuationParams(Bounded):
         the first kind without one, in building order, is named."""
         kinds, first = np.unique(pop.kind[pop.n_workers != 0], return_index=True)
         for kind in (tuple(BuildingKind)[k] for k in kinds[np.argsort(first)].tolist()):
-            if kind.value not in self.wage_usd_per_hour:
+            if kind not in self.wage_usd_per_hour:
                 raise ConfigurationError(f"has no wage for {kind.value!r}, whose buildings "
                                          "have workers", "valuation.wage_usd_per_hour")
 
@@ -291,7 +301,7 @@ def productivity_cost(t_in_c, powered, pop: Population, start, dt_s: float,
         loss[pop.job_requires_power[rows, None] & ~powered[cells]] = 1.0
         lost_h[rows] = loss.sum(axis=1)
     lost_h *= dt_s / 3600.0
-    wage_by_kind = np.array([params.wage_usd_per_hour.get(k.value, math.nan) for k in BuildingKind])
+    wage_by_kind = np.array([params.wage_usd_per_hour.get(k, math.nan) for k in BuildingKind])
     wage = np.where(pop.n_workers != 0, wage_by_kind[pop.kind], 0.0)
     return pop.n_workers * lost_h * wage
 

@@ -85,6 +85,15 @@ def set_key(config, path, value):
     # A file value that a flag overrides is still checked.
     (("scenario",), 5, "scenario"),
     (("out_dir",), ["runs"], "out_dir"),
+    # A curve's keys are its model's fields; the wage and CIC tables are
+    # keyed by building kind and by table.
+    (("hazard", "rr_model"), {"coefficents_high_to_low": [0.0, 0.0, 0.0, 0.0, 1.0]},
+     "hazard.rr_model.coefficents_high_to_low"),
+    (("valuation", "wage_usd_per_hour", "singel_family"), 45.51,
+     "valuation.wage_usd_per_hour.singel_family"),
+    (("valuation", "cic", "tables", "residental"),
+     {"base": 5.0, "per_hour": 2.0, "per_kwh": 1.5, "slope_beyond_cap": 3.0},
+     "valuation.cic.tables.residental"),
 ])
 def test_unknown_or_malformed_key_exits_2_naming_it(small_config, tmp_path, capsys,
                                                     path, value, named):
@@ -97,7 +106,7 @@ def test_unknown_or_malformed_key_exits_2_naming_it(small_config, tmp_path, caps
 def explicit_config(small_config):
     """Curves given as coefficients and as fit points, and CIC tables."""
     config = copy.deepcopy(small_config)
-    rr = RRModel.default().to_json()
+    rr = encode(RRModel())
     config["hazard"]["rr_model"] = {"coefficients_high_to_low": rr["coefficients_high_to_low"],
                                     "valid_range_c": rr["valid_range_c"],
                                     "fit_points": rr["fit_points"]}
@@ -152,6 +161,18 @@ def test_hash_same_with_selected_section_defaults_written(small_config, tmp_path
     assert "shed_ids" in config["scenarios"]["co"]
     path = write_config(config, tmp_path / "filled")
     assert load_config(path, {"scenario": "co"}).config_hash() == written.config_hash()
+
+    # Keys that another key makes unused are recorded at their defaults:
+    # shed_fraction beside shed_ids, availability_constant beside availability.
+    for scenario, given, unused, values in (
+            ("co", {"shed_ids": [1, 2, 3]}, "shed_fraction", (0.25, 0.0)),
+            ("ro-di", {"availability": [0.5] * 96}, "availability_constant", (0.25, 1.0))):
+        hashes = set()
+        for value in values:
+            config["scenarios"][scenario].update(given, **{unused: value})
+            path = write_config(config, tmp_path / f"{scenario}-{value}")
+            hashes.add(load_config(path, {"scenario": scenario}).config_hash())
+        assert len(hashes) == 1, scenario
 
 
 def test_hash_ignores_unselected_sections(small_config, tmp_path):
@@ -262,6 +283,19 @@ def test_own_tables_hash_alike_with_and_without_the_opt_in(small_config, tmp_pat
     # The extremum check evaluates the curve on a 0.1 C grid over the range.
     (("hazard", "rr_model"), {"valid_range_c": [-15.0, 1e12]},
      "'hazard.rr_model.valid_range_c[1]' must lie in [-100, 100], got 1000000000000.0"),
+    # The fit computes its residual, needs more points than the degree and
+    # a range of some width; given coefficients must have an extremum of 1.
+    (("hazard", "rr_model"), {"fit_points": [[-15.0, 1.5], [-5.0, 1.13], [5.0, 1.02],
+                                             [15.0, 1.0], [25.0, 1.1]],
+                              "fit_max_abs_residual": 0.01},
+     "'hazard.rr_model': fit_max_abs_residual is computed by the fit"),
+    (("hazard", "rr_model"), {"valid_range_c": [20.0, 20.0]},
+     "'hazard.rr_model': invalid temperature range [20.0, 20.0]"),
+    (("hazard", "rr_model"), {"fit_points": [[-15.0, 1.5], [0.0, 1.05], [15.0, 1.0],
+                                             [25.0, 1.1]]},
+     "'hazard.rr_model': need more than 4 points for a degree-4 fit"),
+    (("hazard", "rr_model"), {"coefficients_high_to_low": [0, 0, 0, 0, 2]},
+     "'hazard.rr_model': mortality curve minimum over its range is 2.0; expected 1"),
 ])
 def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
                                                path, value, named):

@@ -43,12 +43,12 @@ GRID = np.arange(-15.0, 30.0 + 1e-9, 0.1)
 
 @pytest.fixture(scope="module")
 def rr_model():
-    return RRModel.default()
+    return RRModel()
 
 
 @pytest.fixture(scope="module")
 def prod_model():
-    return ProductivityModel.default()
+    return ProductivityModel()
 
 
 class TestRelativeRisk:
@@ -62,7 +62,7 @@ class TestRelativeRisk:
 
     def test_below_range_clamps_to_lower_bound(self, rr_model):
         assert relative_risk(-40.0, rr_model) == pytest.approx(
-            relative_risk(rr_model.t_min_c, rr_model))
+            relative_risk(rr_model.valid_range_c[0], rr_model))
 
     def test_minus10_in_band_and_above_plus10(self, rr_model):
         cold = relative_risk(-10.0, rr_model)
@@ -78,10 +78,10 @@ class TestRelativeRisk:
 
     def test_unnormalized_model_rejected(self):
         with pytest.raises(ConfigurationError, match="minimum"):
-            RRModel(coefficients=(0.0, 0.0, 0.0, 0.0, 2.0), t_min_c=-15.0, t_max_c=30.0)
+            RRModel(coefficients_high_to_low=(0.0, 0.0, 0.0, 0.0, 2.0), valid_range_c=(-15.0, 30.0))
 
     def test_fit_residual_recorded(self, rr_model):
-        assert rr_model.fit_residual < 1e-3
+        assert rr_model.fit_max_abs_residual < 1e-3
         assert len(rr_model.fit_points) == len(defaults.RR_CURVE_ANCHORS)
 
 
@@ -123,7 +123,7 @@ class TestBaseMortality:
 
 class TestProductivity:
     def test_peak_is_one_within_tolerance(self, prod_model):
-        grid = np.arange(prod_model.t_min_c, prod_model.t_max_c + 1e-9, 0.1)
+        grid = np.arange(prod_model.valid_range_c[0], prod_model.valid_range_c[1] + 1e-9, 0.1)
         values = prod_model.evaluate(grid)
         assert values.max() == pytest.approx(1.0, abs=1e-6)
         argmax = grid[np.argmax(values)]
@@ -131,7 +131,7 @@ class TestProductivity:
 
     def test_far_below_range_clamps_nonnegative(self, prod_model):
         low = productivity(-30.0, prod_model)
-        assert low == pytest.approx(productivity(prod_model.t_min_c, prod_model))
+        assert low == pytest.approx(productivity(prod_model.valid_range_c[0], prod_model))
         assert low >= 0.0
 
     def test_18_beats_10(self, prod_model):
@@ -140,7 +140,7 @@ class TestProductivity:
     @given(st.floats(min_value=-100.0, max_value=150.0))
     @settings(max_examples=60, deadline=None)
     def test_always_in_unit_interval(self, t):
-        model = ProductivityModel.default()
+        model = ProductivityModel()
         assert 0.0 <= productivity(t, model) <= 1.0
 
 

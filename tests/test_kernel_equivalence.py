@@ -477,13 +477,14 @@ def test_block_row_matches_single_building_runs(assets):
 def curve_models():
     """Both curve classes with default coefficients, and as a config gives
     them: fit points over another range, and explicit coefficients."""
-    fitted = ProductivityModel.from_points(
-        [(8.0, 0.61), (15.0, 0.9), (21.0, 1.0), (27.0, 0.95), (34.0, 0.8)], 8.0, 34.0)
+    fitted = ProductivityModel(
+        fit_points=((8.0, 0.61), (15.0, 0.9), (21.0, 1.0), (27.0, 0.95), (34.0, 0.8)),
+        valid_range_c=(8.0, 34.0))
     configured = decode(HazardConfig, {
         "rr_model": {"fit_points": [[-20.0, 1.7], [-5.0, 1.2], [10.0, 1.02], [18.0, 1.0],
                                     [25.0, 1.05], [31.0, 1.2]],
                      "valid_range_c": [-20.0, 31.0]},
-        "productivity_model": {"coefficients_high_to_low": list(fitted.coefficients),
+        "productivity_model": {"coefficients_high_to_low": list(fitted.coefficients_high_to_low),
                                "valid_range_c": [8.0, 34.0]}}, "hazard")
     hz = HazardConfig()
     return [hz.rr_model, hz.productivity_model, configured.rr_model,
@@ -493,7 +494,7 @@ def curve_models():
 @pytest.mark.parametrize("model", curve_models(), ids=["rr", "productivity", "rr_config",
                                                      "productivity_config"])
 def test_in_place_horner_is_polyval_bit_for_bit(model):
-    lo, hi = model.t_min_c, model.t_max_c
+    lo, hi = model.valid_range_c
     edges = np.array([lo, hi, -0.0, 0.0, -1e6, 1e6, 22.0])
     temps = np.concatenate([np.linspace(lo - 12.0, hi + 12.0, 4001), edges,
                             np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
@@ -501,11 +502,11 @@ def test_in_place_horner_is_polyval_bit_for_bit(model):
     floor, ceiling = (1.0 - 1e-9, np.inf) if isinstance(model, RRModel) else (0.0, 1.0)
 
     def reference(t):
-        return np.clip(np.polyval(model.coefficients, np.clip(t, lo, hi)), floor, ceiling)
+        return np.clip(np.polyval(model.coefficients_high_to_low, np.clip(t, lo, hi)), floor, ceiling)
 
     given = temps.copy()
     assert model._polyval(temps).tobytes() == np.polyval(
-        model.coefficients, np.clip(temps, lo, hi)).tobytes()
+        model.coefficients_high_to_low, np.clip(temps, lo, hi)).tobytes()
     assert model.evaluate(temps).tobytes() == reference(temps).tobytes()
     assert np.array_equal(temps, given)
     block = temps[:4000].reshape(40, 100)
