@@ -34,7 +34,7 @@ class CurveModel(Bounded):
     coefficients it fits `fit_points` (by default the shipped anchors) over
     `valid_range_c` (by default the shipped range). Subclasses set the
     degree, the extremum ("minimum" or "maximum"), its tolerance (below,
-    above), the shipped anchors and range, and `evaluate`."""
+    above), the shipped anchors and range, and the `OUTPUT_RANGE` it clamps to."""
 
     coefficients_high_to_low: tuple[float, ...] | None = None
     # The extremum check evaluates the curve every 0.1 C over this range.
@@ -42,7 +42,7 @@ class CurveModel(Bounded):
     fit_points: tuple[tuple[float, float], ...] | None = None
     fit_max_abs_residual: float | None = None
 
-    NAME = DEGREE = EXTREMUM = TOLERANCE = ANCHORS = VALID_RANGE_C = None
+    NAME = DEGREE = EXTREMUM = TOLERANCE = ANCHORS = VALID_RANGE_C = OUTPUT_RANGE = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -90,16 +90,19 @@ class CurveModel(Bounded):
                 "fit_points": tuple((float(t), float(v)) for t, v in points),
                 "fit_max_abs_residual": float(np.abs(np.polyval(coeffs, xs) - ys).max())}
 
-    def _polyval(self, t_in_c):
-        """`np.polyval` of the coefficients at clamp(t, valid range), by its
-        own steps y = y * t + c from y = 0, run in place on one array: the
-        same bits, without two temporaries per coefficient."""
+    def evaluate(self, t_in_c):
+        """The curve at clamp(t, valid range), clamped to `OUTPUT_RANGE`: the
+        bits of `np.polyval`, its steps y = y * t + c run in place on one array."""
         t = np.clip(np.asarray(t_in_c, dtype=float), *self.valid_range_c)
-        y = np.zeros_like(t)
-        for c in self.coefficients_high_to_low:
+        lead = self.coefficients_high_to_low[0]
+        # polyval's first step from y = 0 gives the lead, unless that is +-0.0,
+        # whose sum with 0 * t takes the sign of t.
+        first = 1 if lead != 0.0 else 0
+        y = np.full_like(t, lead if first else 0.0)
+        for c in self.coefficients_high_to_low[first:]:
             y *= t
             y += c
-        return y
+        return np.clip(y, *self.OUTPUT_RANGE, out=y if y.ndim else None)
 
 
 class RRModel(CurveModel):
@@ -107,11 +110,7 @@ class RRModel(CurveModel):
 
     NAME, DEGREE, EXTREMUM, TOLERANCE = "mortality", 4, "minimum", (1e-9, 1e-6)
     ANCHORS, VALID_RANGE_C = defaults.RR_CURVE_ANCHORS, defaults.RR_VALID_RANGE_C
-
-    def evaluate(self, t_in_c):
-        """RR at clamp(t, valid range); floors at 1 to absorb fit wiggle."""
-        y = self._polyval(t_in_c)
-        return np.maximum(y, 1.0 - 1e-9, out=y if y.ndim else None)
+    OUTPUT_RANGE = (1.0 - 1e-9, math.inf)  # floors at 1 to absorb fit wiggle
 
 
 def mortality_probability(mean_rr, delta: float = 0.0):
@@ -125,10 +124,7 @@ class ProductivityModel(CurveModel):
     NAME, DEGREE, EXTREMUM, TOLERANCE = "productivity", 3, "maximum", (1e-6, 1e-9)
     ANCHORS = defaults.PRODUCTIVITY_ANCHORS
     VALID_RANGE_C = defaults.PRODUCTIVITY_VALID_RANGE_C
-
-    def evaluate(self, t_in_c):
-        y = self._polyval(t_in_c)
-        return np.clip(y, 0.0, 1.0, out=y if y.ndim else None)
+    OUTPUT_RANGE = (0.0, 1.0)
 
 
 @dataclass(frozen=True)

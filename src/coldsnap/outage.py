@@ -90,10 +90,10 @@ class RollingOutageParams(Bounded):
         n_slots = -(-n_steps // per_slot)  # ceil
         if self.availability is None:
             return per_slot, np.full(n_slots, self.availability_constant)
-        if len(self.availability) < n_slots:
+        if len(self.availability) != n_slots:
             raise ConfigurationError(
                 f"has {len(self.availability)} slots, window needs {n_slots}", "availability")
-        return per_slot, np.asarray(self.availability[:n_slots])
+        return per_slot, np.asarray(self.availability)
 
 
 @dataclass(frozen=True)

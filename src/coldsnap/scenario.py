@@ -43,6 +43,7 @@ from .population import (
     Population,
     PopulationSpec,
     Sector,
+    code,
     label,
     load_population,
     synthesize_population,
@@ -57,10 +58,12 @@ from .valuation import (
     CostDistribution,
     ScenarioBundle,
     ValuationParams,
+    hourly_wages,
     interruption_cost,
-    productivity_cost,
+    lost_work_hours,
     run_monte_carlo,
     summarize,
+    work_steps,
 )
 from .weather import load_weather_csv, slice_window
 
@@ -246,6 +249,7 @@ def sequential_sum(values) -> float:
 
 
 def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerScheduleSet,
+                    wage: np.ndarray,
                     traces_path=None) -> tuple[ScenarioBundle, dict[str, np.ndarray]]:
     """Simulate every building and reduce its trace to valuation inputs.
 
@@ -256,19 +260,24 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     time. So no array of size buildings x steps outlives its block, the
     block's power matrix included. Heating flags are kept only with
     `traces_path`, where each block's traces are appended to that CSV as
-    soon as they are simulated. Returns the trial bundle and the
-    per-building exposure, one column per `EXPOSURE_FIELDS` name.
+    soon as they are simulated. The slices reduce physics only; interruption,
+    and productivity at `wage` (`valuation.hourly_wages`), are priced once.
+    Returns the trial bundle and the per-building exposure, one column per
+    `EXPOSURE_FIELDS` name.
     """
     window = slice_window(load_weather_csv(config.file(config.weather_path)),
                           config.window.start, config.n_steps, config.dt_s)
 
     hz = config.hazard
     n_b = len(pop)
-    mean_rr, mean_t, min_t, wi_sum, prod_usd = (np.empty(n_b) for _ in range(5))
+    mean_rr, mean_t, min_t, wi_sum, lost_h = (np.empty(n_b) for _ in range(5))
     unpowered_h = schedule.unpowered_hours()
     # Priced before the buffer exists: the dark buildings' columns that
     # pricing copies grow with the population and need not coexist with it.
     c_cic = sequential_sum(interruption_cost(pop, unpowered_h, config.valuation.cic))
+    residential = pop.sector == code(Sector.RESIDENTIAL)
+    steps = [work_steps(window.start, window.dt_s, window.n_steps, hours) for hours in
+             (config.valuation.work_hours_residential, config.valuation.work_hours_commercial)]
     width = max(1, min(n_b, BLOCK_BYTES // (8 * window.n_steps)))
     part = max(1, width // 8)
     buffer = np.empty((width, window.n_steps))
@@ -292,9 +301,9 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
                 mean_t[at] = rows.mean(axis=1)
                 min_t[at] = rows.min(axis=1)
                 wi_sum[at] = winter_index_rows(rows, window.rh_pct, hz.winter_index)
-                prod_usd[at] = productivity_cost(
-                    rows, powered[:, lo:hi].T, block[lo:hi], window.start,
-                    window.dt_s, config.valuation, hz.productivity_model)
+                lost_h[at] = lost_work_hours(
+                    rows, powered[:, lo:hi].T, residential[at], pop.job_requires_power[at],
+                    steps, window.dt_s, hz.productivity_model)
     p_mort = mortality_probability(mean_rr, hz.delta)
 
     beta = config.valuation.beta_wi
@@ -306,7 +315,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
         wi_sum_by_building=wi_sum,
         beta_wi=float(beta),
         occupants_by_building=pop.n_occupants,
-        c_prod=sequential_sum(prod_usd),
+        c_prod=sequential_sum(pop.n_workers * lost_h * wage),
         c_cic=c_cic,
         hazard_cfg=hz,
         val_params=config.valuation,
@@ -329,13 +338,13 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             f"population fails validation ({len(violations)} problems; first: "
             f"building {first.building_id} field {first.field}: {first.message})"
         )
-    config.valuation.require_wages(pop)
+    wage = hourly_wages(pop, config.valuation)
 
     schedule = build_schedules(config, pop)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle, exposure = assemble_bundle(
-        config, pop, schedule, out / "traces.csv" if config.write_traces else None)
+        config, pop, schedule, wage, out / "traces.csv" if config.write_traces else None)
     distribution = run_monte_carlo(bundle, config.n_trials, config.seed, config.threads)
     summary, histogram = summarize(distribution, config.histogram_bins)
 

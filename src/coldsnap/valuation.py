@@ -21,7 +21,7 @@ import numpy as np
 from . import defaults
 from .codec import Bounded, within
 from .errors import ConfigurationError
-from .hazard import CONDITIONS, HazardConfig, OutcomeTable, resolve_at_risk
+from .hazard import CONDITIONS, Condition, HazardConfig, OutcomeTable, resolve_at_risk
 from .population import BuildingKind, Population, Sector, code
 
 # Trials per Monte-Carlo batch. The last batch is drawn in full and cut, so
@@ -166,10 +166,12 @@ def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.nda
 @dataclass(frozen=True)
 class ValuationParams(Bounded):
     vsl_usd: float = within(above=0, default=defaults.VSL_FEMA_USD)
-    medical_insured_usd: dict[str, tuple[float, float]] = within(
-        0, ordered=True, default_factory=lambda: dict(defaults.MEDICAL_COST_INSURED_USD))
-    medical_uninsured_usd: dict[str, tuple[float, float]] = within(
-        0, ordered=True, default_factory=lambda: dict(defaults.MEDICAL_COST_UNINSURED_USD))
+    medical_insured_usd: dict[Condition, tuple[float, float]] = within(
+        0, ordered=True, default_factory=lambda: {
+            Condition(c): usd for c, usd in defaults.MEDICAL_COST_INSURED_USD.items()})
+    medical_uninsured_usd: dict[Condition, tuple[float, float]] = within(
+        0, ordered=True, default_factory=lambda: {
+            Condition(c): usd for c, usd in defaults.MEDICAL_COST_UNINSURED_USD.items()})
     severity_ceiling: float = within(above=0, default=defaults.MEDICAL_SEVERITY_CEILING)
     home_care_fraction: float = within(0, 1, default=defaults.HOME_CARE_COST_FRACTION)
     pipe_repair_insured_usd: tuple[float, float] = within(
@@ -191,18 +193,9 @@ class ValuationParams(Bounded):
     def __post_init__(self):
         super().__post_init__()
         for name in ("medical_insured_usd", "medical_uninsured_usd"):
-            if set(getattr(self, name)) != {c.value for c in CONDITIONS}:
-                raise ConfigurationError(f"{name} needs exactly the conditions "
-                                         f"{', '.join(c.value for c in CONDITIONS)}")
-
-    def require_wages(self, pop: Population) -> None:
-        """Every kind with workers in the population needs an hourly wage;
-        the first kind without one, in building order, is named."""
-        kinds, first = np.unique(pop.kind[pop.n_workers != 0], return_index=True)
-        for kind in (tuple(BuildingKind)[k] for k in kinds[np.argsort(first)].tolist()):
-            if kind not in self.wage_usd_per_hour:
-                raise ConfigurationError(f"has no wage for {kind.value!r}, whose buildings "
-                                         "have workers", "valuation.wage_usd_per_hour")
+            if set(getattr(self, name)) != set(CONDITIONS):
+                raise ConfigurationError("needs exactly the conditions "
+                                         + ", ".join(c.value for c in CONDITIONS), name)
 
 
 def medical_severity(p_mort: np.ndarray, params: ValuationParams) -> np.ndarray:
@@ -220,8 +213,8 @@ def medical_bills(params: ValuationParams) -> tuple[np.ndarray, np.ndarray]:
     """
     bills = []
     for c in CONDITIONS:
-        home = params.home_care_fraction * params.medical_insured_usd[c.value][0]
-        hospital = (params.medical_uninsured_usd[c.value], params.medical_insured_usd[c.value])
+        home = params.home_care_fraction * params.medical_insured_usd[c][0]
+        hospital = (params.medical_uninsured_usd[c], params.medical_insured_usd[c])
         bills += [(home, 0.0)] * 2 + [(lo, hi - lo) for lo, hi in hospital] + [(0.0, 0.0)] * 2
     base, slope = np.array(bills).T
     return base, slope
@@ -264,46 +257,46 @@ def repair_cost(wi_sum_by_building, beta_wi: float, params: ValuationParams,
     return cost
 
 
-def _work_hour_mask(start_seconds_of_day: float, dt_s: float, n_steps: int,
-                    hours: tuple[int, int]) -> np.ndarray:
-    seconds = (start_seconds_of_day + dt_s * np.arange(n_steps)) % 86400.0
-    return (seconds >= hours[0] * 3600.0) & (seconds < hours[1] * 3600.0)
-
-
-def productivity_cost(t_in_c, powered, pop: Population, start, dt_s: float,
-                      params: ValuationParams, productivity_model) -> np.ndarray:
-    """Wage value of lost work performance over the event's working hours,
-    one value per building.
-
-    `t_in_c` and `powered` hold one row per building (buildings x steps,
-    starting at `start`, `dt_s` apart). Performance is zero at unpowered
-    steps for power-dependent jobs and follows the temperature curve
-    otherwise; the curve is evaluated only at the working steps. Residential
-    (work-from-home) and commercial premises use their configured daily
-    working windows. Buildings without workers cost nothing; a kind with
-    workers but no wage costs NaN (`ValuationParams.require_wages` rejects
-    it first).
-    """
-    t_in_c = np.asarray(t_in_c, dtype=float)
-    powered = np.asarray(powered, dtype=bool)
-    n_steps = t_in_c.shape[1]
+def work_steps(start, dt_s: float, n_steps: int, hours: tuple[int, int]) -> np.ndarray:
+    """Indices of the steps of a window from `start`, `dt_s` apart, whose
+    time of day lies in the daily working window [hours[0], hours[1])."""
     start_sec = start.hour * 3600.0 + start.minute * 60.0 + start.second
-    residential = pop.sector == code(Sector.RESIDENTIAL)
-    lost_h = np.empty(len(pop))
-    for rows, hours in ((residential, params.work_hours_residential),
-                        (~residential, params.work_hours_commercial)):
+    seconds = (start_sec + dt_s * np.arange(n_steps)) % 86400.0
+    return np.flatnonzero((seconds >= hours[0] * 3600.0) & (seconds < hours[1] * 3600.0))
+
+
+def lost_work_hours(t_in_c, powered, residential, needs_power, steps, dt_s: float,
+                    productivity_model) -> np.ndarray:
+    """Work hours lost per worker of each row of a (buildings x steps) block.
+    `residential` and `needs_power` flag the rows; `steps` holds the
+    `work_steps` of residential (work-from-home), then commercial, premises.
+    Performance is zero at unpowered steps of power-dependent jobs and
+    follows the temperature curve, evaluated only at working steps, otherwise."""
+    lost_h = np.empty(len(t_in_c))
+    for rows, cols in ((residential, steps[0]), (~residential, steps[1])):
         rows = np.flatnonzero(rows)
-        cells = np.ix_(rows, np.flatnonzero(_work_hour_mask(start_sec, dt_s, n_steps, hours)))
+        cells = np.ix_(rows, cols)
         # The gathered cells are C-contiguous rows, so each row sums in the
         # same order as one building's working steps.
         perf = productivity_model.evaluate(t_in_c[cells])
         loss = np.subtract(1.0, perf, out=perf)
-        loss[pop.job_requires_power[rows, None] & ~powered[cells]] = 1.0
+        loss[needs_power[rows, None] & ~powered[cells]] = 1.0
         lost_h[rows] = loss.sum(axis=1)
     lost_h *= dt_s / 3600.0
+    return lost_h
+
+
+def hourly_wages(pop: Population, params: ValuationParams) -> np.ndarray:
+    """Each building's hourly wage, 0 without workers. Every kind with workers
+    needs one; the first kind without one, in building order, is named."""
     wage_by_kind = np.array([params.wage_usd_per_hour.get(k, math.nan) for k in BuildingKind])
     wage = np.where(pop.n_workers != 0, wage_by_kind[pop.kind], 0.0)
-    return pop.n_workers * lost_h * wage
+    missing = np.flatnonzero(np.isnan(wage))
+    if missing.size:
+        kind = tuple(BuildingKind)[pop.kind[missing[0]]]
+        raise ConfigurationError(f"has no wage for {kind.value!r}, whose buildings have workers",
+                                 "valuation.wage_usd_per_hour")
+    return wage
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from coldsnap.valuation import (
     CICParams,
     ScenarioBundle,
     ValuationParams,
-    _work_hour_mask,
     batch_rng,
     bernoulli_cells,
     draw_at_risk,
@@ -127,7 +126,7 @@ def build_rolling_outage(pop, n_steps, dt_s, params, seed) -> ScheduleDict:
     n_slots = -(-n_steps // per_slot)  # ceil
     fractions = (params.availability if params.availability is not None
                  else [params.availability_constant] * n_slots)
-    if len(fractions) < n_slots:
+    if len(fractions) != n_slots:
         raise ConfigurationError(f"availability has {len(fractions)} slots, window needs {n_slots}")
 
     groups = assign_rolling_groups(pop, n_groups)
@@ -622,6 +621,13 @@ def interruption_cost(building, unpowered_hours: float, params: CICParams) -> fl
     return inner * multiplier + surcharge
 
 
+def work_hour_mask(start_seconds_of_day: float, dt_s: float, n_steps: int,
+                   hours: tuple[int, int]) -> np.ndarray:
+    """Whether each step's time of day lies in the working window [hours)."""
+    seconds = (start_seconds_of_day + dt_s * np.arange(n_steps)) % 86400.0
+    return (seconds >= hours[0] * 3600.0) & (seconds < hours[1] * 3600.0)
+
+
 def productivity_cost(traces, pop, params, productivity_model) -> float:
     """Lost-wage total over buildings, one trace at a time, in building order."""
     total = 0.0
@@ -634,10 +640,10 @@ def productivity_cost(traces, pop, params, productivity_model) -> float:
             dt_h = trace.dt_s / 3600.0
             start_sec = (trace.start.hour * 3600.0 + trace.start.minute * 60.0
                          + trace.start.second)
-            res_mask = _work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
-                                       params.work_hours_residential)
-            com_mask = _work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
-                                       params.work_hours_commercial)
+            res_mask = work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
+                                      params.work_hours_residential)
+            com_mask = work_hour_mask(start_sec, trace.dt_s, trace.n_steps,
+                                      params.work_hours_commercial)
         mask = res_mask if b.sector is Sector.RESIDENTIAL else com_mask
         perf = productivity_model.evaluate(trace.t_in_c)
         if b.job_requires_power:

@@ -331,7 +331,7 @@ def test_coarser_steps_than_the_weather_file_run(small_config, tmp_path, dt_s):
 @pytest.mark.parametrize("key, value", [
     ("slot_s", 450.0), ("slot_s", 150.0),
     # The demo window is 96 one-hour slots.
-    ("availability", [0.34] * 95),
+    ("availability", [0.34] * 95), ("availability", [0.34] * 97),
 ])
 def test_rolling_slots_checked_at_load_naming_key(small_config, tmp_path, capsys, monkeypatch,
                                                   key, value):
@@ -373,9 +373,11 @@ def test_slot_longer_than_window_is_one_slot(small_config, tmp_path):
     (("valuation", "wage_usd_per_hour"), {"office": 30.0},
      ("'valuation.wage_usd_per_hour'",)),
     (("valuation", "medical_insured_usd"), {"cardiac": [1, 2]},
-     ("'valuation'", "medical_insured_usd")),
+     ("'valuation.medical_insured_usd' needs exactly the conditions",)),
     (("valuation", "medical_uninsured_usd", "none"), [1, 2],
-     ("'valuation'", "medical_uninsured_usd")),
+     ("'valuation.medical_uninsured_usd.none' must be one of 'cardiac'",)),
+    (("valuation", "medical_insured_usd", "cardiak"), [1014.0, 6282.0],
+     ("'valuation.medical_insured_usd.cardiak' must be one of 'cardiac'",)),
     (("population", "spec", "residential_profiles", "office"),
      {"floor_m2": [1.0, 2.0], "kwh": [1.0, 2.0]},
      ("'population.spec.residential_profiles.office'", "not a residential kind")),
@@ -419,6 +421,21 @@ def test_partial_wage_table_covers_a_population_without_other_workers(small_conf
     config["population"]["spec"]["counts"] = {"office": 2}
     config["valuation"]["wage_usd_per_hour"] = {"office": 30.0}
     assert run(config, tmp_path) == 0
+
+
+def test_missing_wage_exits_2_before_simulating_or_writing(small_config, tmp_path, capsys,
+                                                           monkeypatch):
+    config = copy.deepcopy(small_config)
+    config["valuation"]["wage_usd_per_hour"] = {"office": 30.0}
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("buildings simulated before the wages were checked")
+
+    monkeypatch.setattr(scenario_module, "simulate_block", simulate)
+    assert run(config, tmp_path) == 2
+    assert ("config key 'valuation.wage_usd_per_hour' has no wage for 'multi_family', "
+            "whose buildings have workers") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

@@ -36,7 +36,9 @@ from coldsnap.valuation import (
     CICParams,
     CICTable,
     ValuationParams,
+    hourly_wages,
     interruption_cost,
+    lost_work_hours,
     medical_bills,
     medical_cost,
     medical_severity,
@@ -279,7 +281,8 @@ def assert_bundle_matches_oracle(config, pop, schedule, directory, traces=False)
     exposure columns and `exposure.csv`, and with `traces` the streamed
     `traces.csv`. Returns the bundle."""
     streamed = directory / "traces.csv" if traces else None
-    bundle, exposure = assemble_bundle(config, pop, schedule, streamed)
+    bundle, exposure = assemble_bundle(config, pop, schedule,
+                                       hourly_wages(pop, config.valuation), streamed)
     ref, ref_traces, ref_rows = oracles.assemble_bundle(config, pop, schedule)
 
     assert np.array_equal(bundle.p_mort_by_building, ref.p_mort_by_building)
@@ -329,13 +332,27 @@ def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, width,
 
 
 @pytest.mark.parametrize("scenario", ["co", "ro-di"])
-def test_cost_totals_add_left_to_right(assets, scenario):
+def test_cost_totals_add_left_to_right(assets, monkeypatch, scenario):
     config, pop, schedule = prepare(assets["demo"], scenario)
-    bundle, _ = assemble_bundle(config, pop, schedule)
+    slices = []
+
+    def recording_lost_work_hours(*args):
+        slices.append(lost_work_hours(*args))
+        return slices[-1]
+
+    monkeypatch.setattr(scenario_module, "lost_work_hours", recording_lost_work_hours)
+    wage = hourly_wages(pop, config.valuation)
+    bundle, _ = assemble_bundle(config, pop, schedule, wage)
     total = 0.0
     for usd in interruption_cost(pop, schedule.unpowered_hours(), config.valuation.cic).tolist():
         total += usd
     assert bundle.c_cic == total > 0.0
+    lost_h = np.concatenate(slices)
+    assert len(slices) > 1 and len(lost_h) == len(pop)
+    total = 0.0
+    for n, hours, usd in zip(pop.n_workers.tolist(), lost_h.tolist(), wage.tolist()):
+        total += n * hours * usd
+    assert bundle.c_prod == total > 0.0
 
 
 def test_sequential_sum_is_the_loop():
@@ -362,7 +379,7 @@ def test_streamed_traces_match_oracle_export(assets, tmp_path, monkeypatch):
     monkeypatch.setattr(scenario_module, "TraceWriter", recording_writer)
     sim_block, _ = narrow_blocks(monkeypatch, config)
     streamed = tmp_path / "streamed.csv"
-    assemble_bundle(config, pop, schedule, streamed)
+    assemble_bundle(config, pop, schedule, hourly_wages(pop, config.valuation), streamed)
     # The population ends in a partial simulation block, and that block in a
     # partial write chunk.
     n, chunk = len(pop.buildings), writers[0].chunk
@@ -476,7 +493,8 @@ def test_block_row_matches_single_building_runs(assets):
 
 def curve_models():
     """Both curve classes with default coefficients, and as a config gives
-    them: fit points over another range, and explicit coefficients."""
+    them: fit points over another range, explicit coefficients, and
+    explicit coefficients led by +0.0 (mortality) and -0.0 (productivity)."""
     fitted = ProductivityModel(
         fit_points=((8.0, 0.61), (15.0, 0.9), (21.0, 1.0), (27.0, 0.95), (34.0, 0.8)),
         valid_range_c=(8.0, 34.0))
@@ -487,12 +505,19 @@ def curve_models():
         "productivity_model": {"coefficients_high_to_low": list(fitted.coefficients_high_to_low),
                                "valid_range_c": [8.0, 34.0]}}, "hazard")
     hz = HazardConfig()
+    zero_led = decode(HazardConfig, {
+        "rr_model": {"coefficients_high_to_low": [0.0, *hz.rr_model.coefficients_high_to_low]},
+        "productivity_model": {"coefficients_high_to_low":
+                               [-0.0, *hz.productivity_model.coefficients_high_to_low]}},
+        "hazard")
+    assert math.copysign(1.0, zero_led.productivity_model.coefficients_high_to_low[0]) == -1.0
     return [hz.rr_model, hz.productivity_model, configured.rr_model,
-            configured.productivity_model]
+            configured.productivity_model, zero_led.rr_model, zero_led.productivity_model]
 
 
-@pytest.mark.parametrize("model", curve_models(), ids=["rr", "productivity", "rr_config",
-                                                     "productivity_config"])
+@pytest.mark.parametrize("model", curve_models(), ids=[
+    "rr", "productivity", "rr_config", "productivity_config", "rr_plus_zero_led",
+    "productivity_minus_zero_led"])
 def test_in_place_horner_is_polyval_bit_for_bit(model):
     lo, hi = model.valid_range_c
     edges = np.array([lo, hi, -0.0, 0.0, -1e6, 1e6, 22.0])
@@ -505,8 +530,6 @@ def test_in_place_horner_is_polyval_bit_for_bit(model):
         return np.clip(np.polyval(model.coefficients_high_to_low, np.clip(t, lo, hi)), floor, ceiling)
 
     given = temps.copy()
-    assert model._polyval(temps).tobytes() == np.polyval(
-        model.coefficients_high_to_low, np.clip(temps, lo, hi)).tobytes()
     assert model.evaluate(temps).tobytes() == reference(temps).tobytes()
     assert np.array_equal(temps, given)
     block = temps[:4000].reshape(40, 100)

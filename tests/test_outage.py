@@ -205,10 +205,12 @@ class TestRollingOutage:
         # Equal consumption: ascending id fills tiers in order.
         assert groups == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
 
-    def test_short_availability_rejected(self, small_pop):
+    @pytest.mark.parametrize("n_slots", [10, 97, 120])
+    def test_availability_of_another_length_rejected(self, small_pop, n_slots):
         with pytest.raises(ConfigurationError, match="availability") as info:
-            rolling(small_pop, availability=(0.34,) * 10)
+            rolling(small_pop, availability=(0.34,) * n_slots)
         assert info.value.key == "availability"
+        assert info.value.message == f"has {n_slots} slots, window needs 96"
 
     def test_n_groups_minimum(self):
         with pytest.raises(ConfigurationError) as info:

@@ -9,7 +9,7 @@ from scipy import stats
 
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import CONDITIONS, Condition, HazardConfig
-from coldsnap.population import BuildingKind
+from coldsnap.population import BuildingKind, Sector, code
 from coldsnap.valuation import (
     MC_BATCH,
     PLACEHOLDER_CIC_TABLES,
@@ -23,11 +23,13 @@ from coldsnap.valuation import (
     batch_rng,
     bernoulli_cells,
     draw_at_risk,
+    hourly_wages,
     interruption_cost,
-    productivity_cost,
+    lost_work_hours,
     repair_cost,
     run_monte_carlo,
     summarize,
+    work_steps,
 )
 
 from conftest import make_building, make_population
@@ -99,10 +101,15 @@ class TestProductivityCost:
         )
 
     def cost(self, trace, building, params, model):
-        """Lost wages of one building, from a one-row block."""
-        (usd,) = productivity_cost(trace.t_in_c[None, :], trace.powered[None, :],
-                                   make_population([building]), trace.start, trace.dt_s,
-                                   params, model)
+        """Lost wages of one building: its workers x its lost work hours,
+        from a one-row block, x its wage."""
+        pop = make_population([building])
+        steps = [work_steps(trace.start, trace.dt_s, trace.n_steps, hours)
+                 for hours in (params.work_hours_residential, params.work_hours_commercial)]
+        (lost_h,) = lost_work_hours(trace.t_in_c[None, :], trace.powered[None, :],
+                                    pop.sector == code(Sector.RESIDENTIAL),
+                                    pop.job_requires_power, steps, trace.dt_s, model)
+        (usd,) = pop.n_workers * lost_h * hourly_wages(pop, params)
         return usd
 
     def test_full_performance_costs_nothing(self):
@@ -144,6 +151,20 @@ class TestProductivityCost:
         cost = self.cost(trace, home, ValuationParams(), cfg.productivity_model)
         perf = float(cfg.productivity_model.evaluate(22.0))
         assert cost == pytest.approx((1 - perf) * 45.51, abs=1e-9)
+
+
+    def test_wages_are_zero_without_workers_and_name_the_first_missing_kind(self):
+        # Building order, not the kinds' order, picks the kind named.
+        buildings = [make_building(0, n_workers=0),
+                     make_building(1, kind=BuildingKind.FOOD_SERVICE, n_workers=3),
+                     make_building(2, kind=BuildingKind.OFFICE, n_workers=2),
+                     make_building(3, kind=BuildingKind.BIG_BOX, n_workers=4)]
+        params = ValuationParams(wage_usd_per_hour={BuildingKind.OFFICE: 30.0})
+        with pytest.raises(ConfigurationError, match="no wage for 'food_service'") as info:
+            hourly_wages(make_population(buildings), params)
+        assert info.value.key == "valuation.wage_usd_per_hour"
+        wages = hourly_wages(make_population([buildings[0], buildings[2]]), params)
+        assert wages.tolist() == [0.0, 30.0]
 
 
 def repair(wi, beta_wi, params, p_insured, rng):
@@ -428,7 +449,8 @@ class TestRunMonteCarlo:
 
         config = load_config(demo_config_path, {"scenario": "co"})
         pop = synthesize_population(config.population_spec, config.seed)
-        bundle, _ = assemble_bundle(config, pop, build_schedules(config, pop))
+        bundle, _ = assemble_bundle(config, pop, build_schedules(config, pop),
+                                    hourly_wages(pop, config.valuation))
         n = 40 * MC_BATCH
         kernel = run_monte_carlo(bundle, n, master_seed=8)
         oracle = CostDistribution(np.concatenate(
