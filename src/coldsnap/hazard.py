@@ -94,12 +94,8 @@ class CurveModel(Bounded):
         """The curve at clamp(t, valid range), clamped to `OUTPUT_RANGE`: the
         bits of `np.polyval`, its steps y = y * t + c run in place on one array."""
         t = np.clip(np.asarray(t_in_c, dtype=float), *self.valid_range_c)
-        lead = self.coefficients_high_to_low[0]
-        # polyval's first step from y = 0 gives the lead, unless that is +-0.0,
-        # whose sum with 0 * t takes the sign of t.
-        first = 1 if lead != 0.0 else 0
-        y = np.full_like(t, lead if first else 0.0)
-        for c in self.coefficients_high_to_low[first:]:
+        y = np.full_like(t, self.coefficients_high_to_low[0])
+        for c in self.coefficients_high_to_low[1:]:
             y *= t
             y += c
         return np.clip(y, *self.OUTPUT_RANGE, out=y if y.ndim else None)
