@@ -70,9 +70,6 @@ def _cmd_run(args) -> int:
 
     config = load_config(args.config, overrides)
     config.threads, config.write_traces = args.threads, args.traces
-    weather = config.file(config.weather_path)
-    if not weather.exists():
-        raise ConfigurationError(f"weather file not found: {weather}")
     result = run_scenario(config)
     summary = result.summary
     print(f"scenario {config.scenario.value}: {config.n_trials} trials, seed {config.seed}")

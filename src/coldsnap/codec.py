@@ -6,13 +6,12 @@ length, and a ConfigurationError from `__post_init__` raise a
 ConfigurationError naming the dotted key path; the top level's path is "".
 Only `init=True` fields are keys: a field that `__post_init__` derives, or
 that the caller sets afterwards, is neither read nor written. A datetime
-is an ISO-8601 string. A type whose JSON is not an object has `to_json()`
-and `from_json(data)`, `data`'s annotation the JSON shape; only
-`hazard.TruncNormal`, a list, uses this hook.
+is an ISO-8601 string and an enum its value.
 
 A number's valid range is part of its field: `x: float = within(0, 1, default=0.5)`.
-A config dataclass derives from `Bounded` or calls `check_bounds` itself, so
-a value out of range is an error however the object is built, keyed by its leaf.
+A config dataclass with bounds derives from `Bounded`, so a value out of range is an
+error however the object is built, keyed by its leaf. Checks that span
+fields run once, in the same `__post_init__`, and name the field at fault.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ _SCALARS = {bool: "true or false", int: "an integer", float: "a finite number",
 
 def encode(obj):
     """JSON form of a config value: dataclasses become objects keyed by field."""
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
     if dataclasses.is_dataclass(obj):
         return {name: encode(getattr(obj, name)) for name in _keys(type(obj))}
     if isinstance(obj, datetime):
@@ -52,8 +49,6 @@ def encode(obj):
 
 def decode(tp, data, path: str):
     """A value of type `tp` built from the JSON `data` found at key `path`."""
-    if hasattr(tp, "from_json"):
-        return checked(path, tp.from_json, decode(_hints(tp.from_json)["data"], data, path))
     if dataclasses.is_dataclass(tp):
         _expect(isinstance(data, dict), path, "an object", data)
         fields = _keys(tp)
@@ -180,19 +175,15 @@ def within(lo: float = -math.inf, hi: float = math.inf, *, above: float = -math.
     return dataclasses.field(metadata={Bound: Bound(lo, hi, above, below, ordered)}, **field_args)
 
 
-def check_bounds(obj) -> None:
-    """Raise a ConfigurationError keyed by the first leaf of dataclass `obj` out of bounds."""
-    for f in dataclasses.fields(obj):
-        if Bound in f.metadata:
-            f.metadata[Bound].check(getattr(obj, f.name), f.name)
-
-
 class Bounded:
-    """A dataclass whose construction runs `check_bounds`; a subclass's own
-    `__post_init__` calls this one first."""
+    """A dataclass whose construction checks the `within` bounds of its
+    fields, raising a ConfigurationError keyed by the first leaf out of
+    range; a subclass's own `__post_init__` calls this one first."""
 
     def __post_init__(self):
-        check_bounds(self)
+        for f in dataclasses.fields(self):
+            if Bound in f.metadata:
+                f.metadata[Bound].check(getattr(self, f.name), f.name)
 
 
 def _expect(ok: bool, path: str, kind: str, data) -> None:

@@ -199,13 +199,6 @@ class TruncNormal:
                 f"Normal({self.loc}, {self.std}); its closed-form means would be unreliable"
             )
 
-    @classmethod
-    def from_json(cls, data: tuple[float, float, float, float]) -> "TruncNormal":
-        return cls(*data)
-
-    def to_json(self) -> list:
-        return [self.loc, self.std, self.lo, self.hi]
-
     def _z(self, x: float) -> float:
         return (x - self.loc) / self.std
 
@@ -269,47 +262,53 @@ class Condition(str, Enum):
 CONDITIONS = (Condition.CARDIAC, Condition.RESPIRATORY, Condition.HYPOTHERMIA_FROST)
 
 
-def _pct(name: str):
-    return field(default_factory=lambda: TruncNormal(*defaults.HEALTH_STATS_PCT[name]))
+def check_conditions(table: dict, key: str) -> None:
+    """Raise a ConfigurationError keyed `key` unless `table` is keyed by
+    exactly the conditions."""
+    if set(table) != set(CONDITIONS):
+        raise ConfigurationError(
+            "needs exactly the conditions " + ", ".join(c.value for c in CONDITIONS), key)
+
+
+Rate = tuple[float, float, float, float]  # a `TruncNormal`'s (mean, std, lo, hi)
 
 
 def _survival(table: dict):
-    return field(default_factory=lambda: {Condition(k): TruncNormal(*v)
-                                          for k, v in table.items()})
+    return field(default_factory=lambda: {Condition(k): v for k, v in table.items()})
 
 
 @dataclass(frozen=True)
 class HealthDistributions:
-    """Per-occupant rate distributions of the outcome tree, percent scale."""
+    """Per-occupant rate distributions of the outcome tree, percent scale:
+    each rate is the (mean, std, lo, hi) of a `TruncNormal`, checked once
+    when built."""
 
-    pre_existing_cardiac: TruncNormal = _pct("pre_existing_cardiac")
-    pre_existing_respiratory: TruncNormal = _pct("pre_existing_respiratory")
-    healthcare_access: TruncNormal = _pct("healthcare_access")
-    health_insurance: TruncNormal = _pct("health_insurance")
-    home_insurance: TruncNormal = _pct("home_insurance")
-    hospital_survival: dict[Condition, TruncNormal] = _survival(defaults.HOSPITAL_SURVIVAL_PCT)
-    home_survival: dict[Condition, TruncNormal] = _survival(defaults.HOME_SURVIVAL_PCT)
+    pre_existing_cardiac: Rate = defaults.HEALTH_STATS_PCT["pre_existing_cardiac"]
+    pre_existing_respiratory: Rate = defaults.HEALTH_STATS_PCT["pre_existing_respiratory"]
+    healthcare_access: Rate = defaults.HEALTH_STATS_PCT["healthcare_access"]
+    health_insurance: Rate = defaults.HEALTH_STATS_PCT["health_insurance"]
+    home_insurance: Rate = defaults.HEALTH_STATS_PCT["home_insurance"]
+    hospital_survival: dict[Condition, Rate] = _survival(defaults.HOSPITAL_SURVIVAL_PCT)
+    home_survival: dict[Condition, Rate] = _survival(defaults.HOME_SURVIVAL_PCT)
 
     def __post_init__(self):
-        for name in ("hospital_survival", "home_survival"):
-            if set(getattr(self, name)) != set(CONDITIONS):
-                raise ConfigurationError(f"{name} needs exactly the conditions "
-                                         f"{', '.join(c.value for c in CONDITIONS)}")
-        # Every draw is a rate used in one Bernoulli, so its support must
-        # lie in [0, 100] percent.
-        for name, dist in self._percent_rates():
-            if not 0.0 <= dist.lo <= dist.hi <= 100.0:
-                raise ConfigurationError(
-                    f"must have a support in [0, 100] percent, got [{dist.lo}, {dist.hi}]", name)
-
-    def _percent_rates(self):
-        """(dotted key, distribution) of every rate, in declaration order."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, dict):
-                yield from ((f"{f.name}.{c.value}", d) for c, d in value.items())
+            rates = getattr(self, f.name)
+            if isinstance(rates, dict):
+                check_conditions(rates, f.name)
+                rates = {f"{f.name}.{c.value}": rate for c, rate in rates.items()}
             else:
-                yield f.name, value
+                rates = {f.name: rates}
+            for key, rate in rates.items():
+                try:
+                    law = TruncNormal(*rate)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(exc.message, key) from exc
+                # Every draw is a rate used in one Bernoulli, so its support
+                # must lie in [0, 100] percent.
+                if not 0.0 <= law.lo <= law.hi <= 100.0:
+                    raise ConfigurationError(f"must have a support in [0, 100] percent, "
+                                             f"got [{law.lo}, {law.hi}]", key)
 
 
 @dataclass(frozen=True)
@@ -344,12 +343,12 @@ class OutcomeTable:
 
     @classmethod
     def from_distributions(cls, dists: HealthDistributions) -> "OutcomeTable":
-        def share(dist):
-            return dist.mean() / 100.0
+        def share(rate):
+            return TruncNormal(*rate).mean() / 100.0
 
         p_cardiac = share(dists.pre_existing_cardiac)
-        p_resp = respiratory_share_pct(dists.pre_existing_cardiac,
-                                       dists.pre_existing_respiratory) / 100.0
+        p_resp = respiratory_share_pct(TruncNormal(*dists.pre_existing_cardiac),
+                                       TruncNormal(*dists.pre_existing_respiratory)) / 100.0
         access = share(dists.healthcare_access)
         probability = []
         for c, p_cond in zip(CONDITIONS, (p_cardiac, p_resp, max(1.0 - p_cardiac - p_resp, 0.0))):

@@ -42,19 +42,22 @@ def _reset(params, *names: str) -> None:
             object.__setattr__(params, f.name, f.default)
 
 
+class ShedScope(str, Enum):
+    RESIDENTIAL = "residential"
+    ALL = "all"
+
+
 @dataclass(frozen=True)
 class ControlledOutageParams(Bounded):
     """`scenarios.co`: the shed set, by id or as a seeded fraction."""
 
     shed_ids: tuple[int, ...] | None = None
     shed_fraction: float = within(0, 1, default=0.0)
-    shed_scope: str = "residential"
+    shed_scope: ShedScope = ShedScope.RESIDENTIAL
     fault_fraction: float = within(0, below=1, default=0.0)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.shed_scope not in ("residential", "all"):
-            raise ConfigurationError(f"unknown shed_scope {self.shed_scope!r}")
         if self.shed_ids is not None:  # the seeded choice is not made
             _reset(self, "shed_fraction", "shed_scope")
 
@@ -163,7 +166,7 @@ def build_controlled_outage(pop: Population, n_steps: int, dt_s: float,
     group 0 is lit, group 1 dark. Without `shed_ids`, the shed set is a
     seeded `shed_fraction` of the `shed_scope` buildings."""
     if params.shed_ids is None:
-        candidates = np.sort(pop.id if params.shed_scope == "all"
+        candidates = np.sort(pop.id if params.shed_scope is ShedScope.ALL
                              else pop.id[pop.sector == code(Sector.RESIDENTIAL)])
         n_shed = int(round(params.shed_fraction * len(candidates)))
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5348)))

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import defaults
-from .codec import Bounded, check_bounds, within
+from .codec import Bounded, within
 from .errors import ConfigurationError, IngestionError
 from .tables import read_csv, save_csv, write_csv
 
@@ -247,9 +247,9 @@ class CommercialProfile(Profile):
 MAX_BUILDINGS = 10_000_000
 
 
-@dataclass
-class PopulationSpec:
-    """Knobs for synthesizing a building stock."""
+@dataclass(frozen=True)
+class PopulationSpec(Bounded):
+    """Knobs for synthesizing a building stock, checked once when built."""
 
     counts: dict[BuildingKind, int] = within(0)
     insulation_weights: dict[Insulation, float] = within(0, default_factory=lambda: {
@@ -275,26 +275,19 @@ class PopulationSpec:
         BuildingKind(k): CommercialProfile(**v) for k, v in defaults.COMMERCIAL_PROFILES.items()})
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        check_bounds(self)
+        super().__post_init__()
         total = sum(self.counts.values())
-        if total == 0:
-            raise ConfigurationError("population spec has zero buildings")
-        if total > MAX_BUILDINGS:
-            raise ConfigurationError(f"must add up to at most {MAX_BUILDINGS:,} buildings, "
-                                     f"got {total:,}", key="counts")
-        w = sum(self.insulation_weights.values())
-        if abs(w - 1.0) > 1e-9:
-            raise ConfigurationError(f"insulation weights sum to {w!r}, expected 1.0")
-        ow = sum(self.occupant_weights.values())
-        if abs(ow - 1.0) > 1e-9:
-            raise ConfigurationError(f"occupant weights sum to {ow!r}, expected 1.0")
+        if not 0 < total <= MAX_BUILDINGS:
+            raise ConfigurationError(f"must add up to 1 to {MAX_BUILDINGS:,} buildings, "
+                                     f"got {total:,}", "counts")
+        for name in ("insulation_weights", "occupant_weights"):
+            weight = sum(getattr(self, name).values())
+            if abs(weight - 1.0) > 1e-9:
+                raise ConfigurationError(f"must sum to 1.0, got {weight!r}", name)
         for ins, weight in self.insulation_weights.items():
             if weight > 0 and ins not in self.insulation_table:
-                raise ConfigurationError(f"insulation_table has no row for {ins.value!r}, "
-                                         "which has a positive weight")
+                raise ConfigurationError(f"has no row for {ins.value!r}, which has a "
+                                         "positive weight", "insulation_table")
         for name, residential in (("residential_profiles", True),
                                   ("commercial_profiles", False)):
             for kind in getattr(self, name):
@@ -305,13 +298,12 @@ class PopulationSpec:
             name = ("residential_profiles" if SECTOR_BY_KIND[kind] is Sector.RESIDENTIAL
                     else "commercial_profiles")
             if count > 0 and kind not in getattr(self, name):
-                raise ConfigurationError(f"{name} has no row for {kind.value!r}, "
-                                         "which has a positive count")
+                raise ConfigurationError(f"has no row for {kind.value!r}, which has a "
+                                         "positive count", name)
 
 
 def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
     """Deterministically synthesize a building stock from a spec and seed."""
-    spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x706F70)))
 
     ins_p = np.array([spec.insulation_weights.get(c, 0.0) for c in INSULATION_ORDER], dtype=float)

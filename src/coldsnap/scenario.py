@@ -58,6 +58,7 @@ from .valuation import (
     CostDistribution,
     ScenarioBundle,
     ValuationParams,
+    check_income_brackets,
     hourly_wages,
     interruption_cost,
     lost_work_hours,
@@ -65,7 +66,7 @@ from .valuation import (
     summarize,
     work_steps,
 )
-from .weather import load_weather_csv, slice_window
+from .weather import WeatherSeries, load_weather_csv, slice_window
 
 SCENARIO_NAMES = tuple(s.value for s in Scenario)
 
@@ -195,8 +196,6 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
     the file's and are checked as file values are. Unknown keys and bad
     values raise ConfigurationError naming their key path."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -248,8 +247,21 @@ def sequential_sum(values) -> float:
     return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
+def read_inputs(config: ScenarioConfig, pop: Population,
+                schedule: PowerScheduleSet) -> tuple[WeatherSeries, np.ndarray, float]:
+    """The weather window, each building's hourly wage and the interruption
+    cost of the run: what a run reads and checks beside its population and
+    schedules, all before it creates its output directory."""
+    window = slice_window(load_weather_csv(config.file(config.weather_path)),
+                          config.window.start, config.n_steps, config.dt_s)
+    wage = hourly_wages(pop, config.valuation)
+    check_income_brackets(pop, config.valuation.cic)
+    c_cic = sequential_sum(interruption_cost(pop, schedule.unpowered_hours(), config.valuation.cic))
+    return window, wage, c_cic
+
+
 def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerScheduleSet,
-                    wage: np.ndarray,
+                    window: WeatherSeries, wage: np.ndarray, c_cic: float,
                     traces_path=None) -> tuple[ScenarioBundle, dict[str, np.ndarray]]:
     """Simulate every building and reduce its trace to valuation inputs.
 
@@ -260,21 +272,14 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     time. So no array of size buildings x steps outlives its block, the
     block's power matrix included. Heating flags are kept only with
     `traces_path`, where each block's traces are appended to that CSV as
-    soon as they are simulated. The slices reduce physics only; interruption,
-    and productivity at `wage` (`valuation.hourly_wages`), are priced once.
-    Returns the trial bundle and the per-building exposure, one column per
-    `EXPOSURE_FIELDS` name.
+    soon as they are simulated. The slices reduce physics only, and
+    productivity is priced once at `wage`. The inputs after `schedule` are
+    `read_inputs`'s, so this opens no input file. Returns the trial bundle
+    and the per-building exposure, one column per `EXPOSURE_FIELDS` name.
     """
-    window = slice_window(load_weather_csv(config.file(config.weather_path)),
-                          config.window.start, config.n_steps, config.dt_s)
-
     hz = config.hazard
     n_b = len(pop)
     mean_rr, mean_t, min_t, wi_sum, lost_h = (np.empty(n_b) for _ in range(5))
-    unpowered_h = schedule.unpowered_hours()
-    # Priced before the buffer exists: the dark buildings' columns that
-    # pricing copies grow with the population and need not coexist with it.
-    c_cic = sequential_sum(interruption_cost(pop, unpowered_h, config.valuation.cic))
     residential = pop.sector == code(Sector.RESIDENTIAL)
     steps = [work_steps(window.start, window.dt_s, window.n_steps, hours) for hours in
              (config.valuation.work_hours_residential, config.valuation.work_hours_commercial)]
@@ -320,7 +325,8 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
         hazard_cfg=hz,
         val_params=config.valuation,
     )
-    exposure = dict(zip(EXPOSURE_FIELDS, (mean_t, min_t, mean_rr, p_mort, wi_sum, unpowered_h)))
+    exposure = dict(zip(EXPOSURE_FIELDS, (mean_t, min_t, mean_rr, p_mort, wi_sum,
+                                          schedule.unpowered_hours())))
     return bundle, exposure
 
 
@@ -338,13 +344,12 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             f"population fails validation ({len(violations)} problems; first: "
             f"building {first.building_id} field {first.field}: {first.message})"
         )
-    wage = hourly_wages(pop, config.valuation)
-
     schedule = build_schedules(config, pop)
+    inputs = read_inputs(config, pop, schedule)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle, exposure = assemble_bundle(
-        config, pop, schedule, wage, out / "traces.csv" if config.write_traces else None)
+        config, pop, schedule, *inputs, out / "traces.csv" if config.write_traces else None)
     distribution = run_monte_carlo(bundle, config.n_trials, config.seed, config.threads)
     summary, histogram = summarize(distribution, config.histogram_bins)
 

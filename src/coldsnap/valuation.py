@@ -21,7 +21,8 @@ import numpy as np
 from . import defaults
 from .codec import Bounded, within
 from .errors import ConfigurationError
-from .hazard import CONDITIONS, Condition, HazardConfig, OutcomeTable, resolve_at_risk
+from .hazard import (CONDITIONS, Condition, HazardConfig, OutcomeTable, check_conditions,
+                     resolve_at_risk)
 from .population import BuildingKind, Population, Sector, code
 
 # Trials per Monte-Carlo batch. The last batch is drawn in full and cut, so
@@ -193,9 +194,7 @@ class ValuationParams(Bounded):
     def __post_init__(self):
         super().__post_init__()
         for name in ("medical_insured_usd", "medical_uninsured_usd"):
-            if set(getattr(self, name)) != set(CONDITIONS):
-                raise ConfigurationError("needs exactly the conditions "
-                                         + ", ".join(c.value for c in CONDITIONS), name)
+            check_conditions(getattr(self, name), name)
 
 
 def medical_severity(p_mort: np.ndarray, params: ValuationParams) -> np.ndarray:
@@ -297,6 +296,18 @@ def hourly_wages(pop: Population, params: ValuationParams) -> np.ndarray:
         raise ConfigurationError(f"has no wage for {kind.value!r}, whose buildings have workers",
                                  "valuation.wage_usd_per_hour")
     return wage
+
+
+def check_income_brackets(pop: Population, params: CICParams) -> None:
+    """Raise a ConfigurationError keyed by the first `income_multiplier`
+    bracket that no residential building of `pop` is in. A population
+    without residential buildings prices no income, so it checks none."""
+    brackets = set(pop.income_bracket[pop.sector == code(Sector.RESIDENTIAL)].tolist())
+    for key in params.income_multiplier:
+        if brackets and key not in brackets:
+            raise ConfigurationError("is not the income bracket of any residential building "
+                                     f"(those are {', '.join(map(repr, sorted(brackets)))})",
+                                     f"valuation.cic.income_multiplier.{key}")
 
 
 @dataclass(frozen=True)

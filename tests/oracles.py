@@ -30,7 +30,6 @@ from coldsnap.hazard import (
     CONDITIONS,
     Condition,
     HazardConfig,
-    TruncNormal,
     WinterIndexParams,
     mortality_probability,
 )
@@ -372,19 +371,21 @@ def base_mortality(t_in_c, model, delta: float = 0.0) -> float:
     return float(mortality_probability(model.evaluate(t).mean(), delta))
 
 
-def sample_truncated_normal(params: TruncNormal, rng: np.random.Generator, size=None):
-    """Draws of `params` by rejection: `size` of them, each value outside
-    [lo, hi] redrawn until none is left, or with no `size` one float."""
+def sample_truncated_normal(rate, rng: np.random.Generator, size=None):
+    """Draws of the truncated normal `rate`, (loc, std, lo, hi), by
+    rejection: `size` of them, each value outside [lo, hi] redrawn until none
+    is left, or with no `size` one float."""
+    loc, std, lo, hi = rate
     if size is not None:
-        out = rng.normal(params.loc, params.std, size=size)
-        bad = (out < params.lo) | (out > params.hi)
+        out = rng.normal(loc, std, size=size)
+        bad = (out < lo) | (out > hi)
         while bad.any():
-            out[bad] = rng.normal(params.loc, params.std, size=int(bad.sum()))
-            bad = (out < params.lo) | (out > params.hi)
+            out[bad] = rng.normal(loc, std, size=int(bad.sum()))
+            bad = (out < lo) | (out > hi)
         return out
     while True:
-        value = rng.normal(params.loc, params.std)
-        if params.lo <= value <= params.hi:
+        value = rng.normal(loc, std)
+        if lo <= value <= hi:
             return float(value)
 
 
@@ -829,7 +830,7 @@ def medical_cost_batch(batch: OutcomeBatch, p_mort_occ: np.ndarray,
 
 
 def repair_cost_trial(wi_sum_by_building, beta_wi: float, params: ValuationParams,
-                      home_insurance: TruncNormal, rng: np.random.Generator) -> float:
+                      home_insurance, rng: np.random.Generator) -> float:
     """Freeze-damage repair cost of one trial: a damage draw and a
     home-insurance flag for every building."""
     if beta_wi <= 0:
@@ -905,7 +906,7 @@ def medical_cost_sampled(outcomes: OutcomeBatch, p_mort: np.ndarray,
 
 
 def repair_cost_sampled(wi_sum_by_building, beta_wi: float, params: ValuationParams,
-                        home_insurance: TruncNormal, rng: np.random.Generator,
+                        home_insurance, rng: np.random.Generator,
                         n_trials: int) -> np.ndarray:
     """Freeze-damage repair cost over buildings, one value per trial: each
     damaged building draws a home-insurance rate and a uniform below it."""

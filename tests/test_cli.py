@@ -114,6 +114,28 @@ class TestRunCommand:
         code = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "nope_missing.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("update, named", [
+        # Not a whole multiple or divisor of the weather file's 300 s step.
+        ({"dt_s": 450.0}, "config key 'dt_s' must be a whole multiple or divisor"),
+        # co isolates some small C&I customers behind faults.
+        ({"valuation": {"cic": {"tables": {
+            table: {"base": 1.0, "per_hour": 2.0, "per_kwh": 0.5, "slope_beyond_cap": 1.5}
+            for table in ("residential", "large_medium_ci")}}}},
+         "config key 'valuation.cic.tables' has no interruption-cost table 'small_ci'"),
+    ])
+    def test_bad_input_exits_2_before_the_output_directory(self, demo_config_path, tmp_path,
+                                                           capsys, update, named):
+        config = {**json.loads(demo_config_path.read_text()), **update}
+        config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = main(["run", "--config", str(bad), "--scenario", "co",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json")])

@@ -362,14 +362,32 @@ def test_slot_longer_than_window_is_one_slot(small_config, tmp_path):
 @pytest.mark.parametrize("path, value, named", [
     (("population", "spec", "insulation_table"),
      {"little": {"ua_w_per_k_m2": 3.2, "mass_j_per_k_m2": 230e3}},
-     ("'population.spec'", "insulation_table", "'poor'")),
+     ("'population.spec.insulation_table' has no row for 'poor'",)),
+    # The spec's checks across fields name the field at fault.
+    (("population", "spec", "counts"), {"office": 0},
+     ("'population.spec.counts' must add up to 1 to 10,000,000 buildings, got 0",)),
+    (("population", "spec", "insulation_weights"), {"poor": 0.5, "good": 0.4},
+     ("'population.spec.insulation_weights' must sum to 1.0, got 0.9",)),
+    (("population", "spec", "occupant_weights"), {"1": 0.5, "2": 0.6},
+     ("'population.spec.occupant_weights' must sum to 1.0",)),
+    (("population", "spec", "residential_profiles"), {},
+     ("'population.spec.residential_profiles' has no row for 'single_family'",)),
     (("population", "spec", "residential_profiles", "single_family", "floor_m2"), "x",
      ("'population.spec.residential_profiles.single_family.floor_m2'",)),
     (("population", "spec", "commercial_profiles", "office", "workers"), [40, 15],
      ("'population.spec.commercial_profiles.office.workers' must have lo <= hi, "
       "got [40, 15]",)),
     (("population", "spec", "commercial_profiles"), {},
-     ("'population.spec'", "commercial_profiles", "'office'")),
+     ("'population.spec.commercial_profiles' has no row for 'office'",)),
+    (("scenarios", "co", "shed_scope"), "resdential",
+     ("'scenarios.co.shed_scope' must be one of 'residential', 'all', got 'resdential'",)),
+    (("hazard", "distributions_pct", "hospital_survival"), {"cardiac": [90.0, 5.0, 0.0, 100.0]},
+     ("'hazard.distributions_pct.hospital_survival' needs exactly the conditions",)),
+    (("hazard", "distributions_pct", "home_insurance", 1), 0.0,
+     ("'hazard.distributions_pct.home_insurance' std must be positive",)),
+    # A bracket that no residential building is in would be priced by no one.
+    (("valuation", "cic", "income_multiplier", "hgih"), 5.0,
+     ("'valuation.cic.income_multiplier.hgih' is not the income bracket",)),
     (("valuation", "wage_usd_per_hour"), {"office": 30.0},
      ("'valuation.wage_usd_per_hour'",)),
     (("valuation", "medical_insured_usd"), {"cardiac": [1, 2]},
@@ -416,6 +434,13 @@ def test_bad_table_exits_2_naming_key(small_config, tmp_path, capsys, path, valu
     assert all(part in err for part in named), err
 
 
+def test_income_brackets_unchecked_without_residential_buildings(small_config, tmp_path):
+    config = copy.deepcopy(small_config)
+    config["population"]["spec"]["counts"] = {"office": 2}
+    config["valuation"]["cic"]["income_multiplier"] = {"hgih": 5.0}
+    assert run(config, tmp_path) == 0
+
+
 def test_partial_wage_table_covers_a_population_without_other_workers(small_config, tmp_path):
     config = copy.deepcopy(small_config)
     config["population"]["spec"]["counts"] = {"office": 2}
@@ -452,8 +477,6 @@ def out_of_bounds(tp, data, path=()):
     """(key path, value) for each value just outside a declared bound of a
     leaf of the JSON `data` read as `tp`: past each finite limit of a
     number, or an ordered pair reversed."""
-    if hasattr(tp, "from_json"):
-        tp = typing.get_type_hints(tp.from_json)["data"]
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         tp = typing.get_args(tp)[0]
     if dataclasses.is_dataclass(tp):

@@ -210,8 +210,7 @@ class TestTruncNormal:
         # upper cut, so only the exact mean is a fair target there.
         rng = np.random.default_rng(123)
         for name, (mean, std, lo, hi) in defaults.HEALTH_STATS_PCT.items():
-            dist = TruncNormal(mean, std, lo, hi)
-            draws = sample_truncated_normal(dist, rng, 1_000_000)
+            draws = sample_truncated_normal((mean, std, lo, hi), rng, 1_000_000)
             a, b = (lo - mean) / std, (hi - mean) / std
             exact = stats.truncnorm.mean(a, b, loc=mean, scale=std)
             assert abs(draws.mean() - exact) < 0.1, name
@@ -221,30 +220,27 @@ class TestTruncNormal:
 
     def test_cardiac_mean_within_half_tenth(self):
         rng = np.random.default_rng(7)
-        dist = TruncNormal(*defaults.HEALTH_STATS_PCT["pre_existing_cardiac"])
-        draws = sample_truncated_normal(dist, rng, 1_000_000)
+        draws = sample_truncated_normal(defaults.HEALTH_STATS_PCT["pre_existing_cardiac"], rng,
+                                        1_000_000)
         assert abs(draws.mean() - 5.1) < 0.05
 
     def test_matches_scipy_truncated_mean(self):
         # Independent route: closed-form truncated-normal mean from scipy.
         rng = np.random.default_rng(99)
-        dist = TruncNormal(10.0, 8.0, 0.0, 100.0)  # truncation actually bites
-        draws = sample_truncated_normal(dist, rng, 400_000)
-        a, b = (dist.lo - dist.loc) / dist.std, (dist.hi - dist.loc) / dist.std
-        exact = stats.truncnorm.mean(a, b, loc=dist.loc, scale=dist.std)
+        loc, std, lo, hi = 10.0, 8.0, 0.0, 100.0  # truncation actually bites
+        draws = sample_truncated_normal((loc, std, lo, hi), rng, 400_000)
+        exact = stats.truncnorm.mean((lo - loc) / std, (hi - loc) / std, loc=loc, scale=std)
         assert abs(draws.mean() - exact) < 0.05
         assert exact != pytest.approx(10.0, abs=0.1)  # shift is real
 
     def test_tight_std_concentrates(self):
         rng = np.random.default_rng(5)
-        dist = TruncNormal(50.0, 1e-6, 0.0, 100.0)
-        draws = sample_truncated_normal(dist, rng, 1000)
+        draws = sample_truncated_normal((50.0, 1e-6, 0.0, 100.0), rng, 1000)
         assert np.abs(draws - 50.0).max() < 1e-4
 
     def test_scalar_draw_in_window(self):
         rng = np.random.default_rng(6)
-        dist = TruncNormal(89.4, 3.0, 0.0, 100.0)
-        value = sample_truncated_normal(dist, rng)
+        value = sample_truncated_normal((89.4, 3.0, 0.0, 100.0), rng)
         assert isinstance(value, float)
         assert 0.0 <= value <= 100.0
 
@@ -295,8 +291,7 @@ class TestTruncNormal:
 def overlapping_rates(cardiac, respiratory) -> HealthDistributions:
     """The shipped distributions with the two pre-existing-condition rates
     replaced, percent scale."""
-    return HealthDistributions(pre_existing_cardiac=TruncNormal(*cardiac),
-                               pre_existing_respiratory=TruncNormal(*respiratory))
+    return HealthDistributions(pre_existing_cardiac=cardiac, pre_existing_respiratory=respiratory)
 
 
 # Pre-existing-condition rates whose sum often exceeds 100 %.
@@ -311,9 +306,10 @@ class TestOutcomeTable:
         # so the table is the analytic tree at scipy's truncated means.
         dists = HealthDistributions()
 
-        def share(tn):
-            a, b = (tn.lo - tn.loc) / tn.std, (tn.hi - tn.loc) / tn.std
-            return stats.truncnorm.mean(a, b, loc=tn.loc, scale=tn.std) / 100.0
+        def share(rate):
+            loc, std, lo, hi = rate
+            return stats.truncnorm.mean((lo - loc) / std, (hi - loc) / std, loc=loc,
+                                        scale=std) / 100.0
 
         table = OutcomeTable.from_distributions(dists)
         exact = outcome_tree_probabilities(
@@ -331,9 +327,9 @@ class TestOutcomeTable:
             assert p == pytest.approx(exact["condition_given_at_risk"][c.value], rel=1e-9)
         assert table.p_insured == pytest.approx(share(dists.health_insurance), rel=1e-9)
         assert table.p_home_insured == pytest.approx(share(dists.home_insurance), rel=1e-9)
-        assert respiratory_share_pct(dists.pre_existing_cardiac,
-                                     dists.pre_existing_respiratory) == \
-            dists.pre_existing_respiratory.mean()
+        respiratory = TruncNormal(*dists.pre_existing_respiratory)
+        assert respiratory_share_pct(TruncNormal(*dists.pre_existing_cardiac),
+                                     respiratory) == respiratory.mean()
 
     @pytest.mark.parametrize("cardiac, respiratory", OVERLAPPING)
     def test_respiratory_share_matches_quadrature(self, cardiac, respiratory):
@@ -406,8 +402,21 @@ class TestOutcomeTable:
     @pytest.mark.parametrize("lo, hi", [(-1.0, 50.0), (0.0, 100.5), (5.0, 1e300)])
     def test_rates_outside_percent_rejected_naming_key(self, name, lo, hi):
         with pytest.raises(ConfigurationError) as info:
-            HealthDistributions(**{name: TruncNormal(10.0, 5.0, lo, hi)})
+            HealthDistributions(**{name: (10.0, 5.0, lo, hi)})
         assert info.value.key == name
+
+    @pytest.mark.parametrize("name, key", [
+        ("home_insurance", "home_insurance"),
+        ("hospital_survival", "hospital_survival.respiratory"),
+    ])
+    def test_zero_std_rejected_naming_key(self, name, key):
+        # Each rate is built as a TruncNormal once, when the distributions are.
+        rate = (10.0, 0.0, 0.0, 100.0)
+        if name == "hospital_survival":
+            rate = {**HealthDistributions().hospital_survival, Condition.RESPIRATORY: rate}
+        with pytest.raises(ConfigurationError, match="std must be positive") as info:
+            HealthDistributions(**{name: rate})
+        assert info.value.key == key
 
 
 FIXED_PROBS = {
@@ -491,9 +500,10 @@ class TestOutcomeTreeVectorized:
             home += int((batch.status == 1).sum())
         n = n_occ * n_rep
 
-        def trunc_mean(tn):
-            a, b = (tn.lo - tn.loc) / tn.std, (tn.hi - tn.loc) / tn.std
-            return stats.truncnorm.mean(a, b, loc=tn.loc, scale=tn.std) / 100.0
+        def trunc_mean(rate):
+            loc, std, lo, hi = rate
+            return stats.truncnorm.mean((lo - loc) / std, (hi - loc) / std, loc=loc,
+                                        scale=std) / 100.0
 
         exact = outcome_tree_probabilities(
             0.3,

@@ -29,6 +29,7 @@ from coldsnap.scenario import (
     assemble_bundle,
     build_schedules,
     load_config,
+    read_inputs,
     sequential_sum,
 )
 from coldsnap.thermal import TraceWriter, format_fixed4, simulate_block
@@ -36,7 +37,6 @@ from coldsnap.valuation import (
     CICParams,
     CICTable,
     ValuationParams,
-    hourly_wages,
     interruption_cost,
     lost_work_hours,
     medical_bills,
@@ -282,7 +282,7 @@ def assert_bundle_matches_oracle(config, pop, schedule, directory, traces=False)
     `traces.csv`. Returns the bundle."""
     streamed = directory / "traces.csv" if traces else None
     bundle, exposure = assemble_bundle(config, pop, schedule,
-                                       hourly_wages(pop, config.valuation), streamed)
+                                       *read_inputs(config, pop, schedule), streamed)
     ref, ref_traces, ref_rows = oracles.assemble_bundle(config, pop, schedule)
 
     assert np.array_equal(bundle.p_mort_by_building, ref.p_mort_by_building)
@@ -341,8 +341,8 @@ def test_cost_totals_add_left_to_right(assets, monkeypatch, scenario):
         return slices[-1]
 
     monkeypatch.setattr(scenario_module, "lost_work_hours", recording_lost_work_hours)
-    wage = hourly_wages(pop, config.valuation)
-    bundle, _ = assemble_bundle(config, pop, schedule, wage)
+    window, wage, c_cic = read_inputs(config, pop, schedule)
+    bundle, _ = assemble_bundle(config, pop, schedule, window, wage, c_cic)
     total = 0.0
     for usd in interruption_cost(pop, schedule.unpowered_hours(), config.valuation.cic).tolist():
         total += usd
@@ -379,7 +379,7 @@ def test_streamed_traces_match_oracle_export(assets, tmp_path, monkeypatch):
     monkeypatch.setattr(scenario_module, "TraceWriter", recording_writer)
     sim_block, _ = narrow_blocks(monkeypatch, config)
     streamed = tmp_path / "streamed.csv"
-    assemble_bundle(config, pop, schedule, hourly_wages(pop, config.valuation), streamed)
+    assemble_bundle(config, pop, schedule, *read_inputs(config, pop, schedule), streamed)
     # The population ends in a partial simulation block, and that block in a
     # partial write chunk.
     n, chunk = len(pop.buildings), writers[0].chunk

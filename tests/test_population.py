@@ -77,15 +77,23 @@ class TestSynthesize:
         assert validate_population(pop) == []
 
     def test_weights_not_summing_to_one_rejected(self):
-        spec = demo_spec()
-        spec.insulation_weights = dict(spec.insulation_weights)
-        spec.insulation_weights[Insulation.GOOD] += 0.05
-        with pytest.raises(ConfigurationError, match="insulation weights"):
-            synthesize_population(spec, seed=1)
+        # At construction: a spec cannot be changed afterwards.
+        for name in ("insulation_weights", "occupant_weights"):
+            weights = dict(getattr(demo_spec(), name))
+            weights[next(iter(weights))] += 0.05
+            with pytest.raises(ConfigurationError, match="must sum to 1.0") as info:
+                dataclasses.replace(demo_spec(), **{name: weights})
+            assert info.value.key == name
 
     def test_zero_buildings_rejected(self):
-        with pytest.raises(ConfigurationError, match="zero buildings"):
-            synthesize_population(PopulationSpec(counts={}), seed=1)
+        with pytest.raises(ConfigurationError, match="got 0") as info:
+            PopulationSpec(counts={})
+        assert info.value.key == "counts"
+
+    def test_spec_cannot_be_reassigned(self):
+        spec = demo_spec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.insulation_weights = {Insulation.GOOD: 1.0}
 
     def test_commercial_occupants_equal_workers(self):
         spec = PopulationSpec(counts={BuildingKind.OFFICE: 25})

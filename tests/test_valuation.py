@@ -382,9 +382,10 @@ class TestRunMonteCarlo:
         n_trials = 2000
         dist = run_monte_carlo(bundle, n_trials, master_seed=21)
 
-        def trunc_mean(tn):
-            a, b = (tn.lo - tn.loc) / tn.std, (tn.hi - tn.loc) / tn.std
-            return stats.truncnorm.mean(a, b, loc=tn.loc, scale=tn.std) / 100.0
+        def trunc_mean(rate):
+            loc, std, lo, hi = rate
+            return stats.truncnorm.mean((lo - loc) / std, (hi - loc) / std, loc=loc,
+                                        scale=std) / 100.0
 
         cfg = bundle.hazard_cfg
         exact = outcome_tree_probabilities(
@@ -444,13 +445,13 @@ class TestRunMonteCarlo:
         # The categorical outcome and repair draws against the batch kernel
         # that samples every rate, on the demo population under co: per-trial
         # means within 4 SE and a two-sample KS test.
-        from coldsnap.scenario import assemble_bundle, build_schedules, load_config
+        from coldsnap.scenario import assemble_bundle, build_schedules, load_config, read_inputs
         from coldsnap.population import synthesize_population
 
         config = load_config(demo_config_path, {"scenario": "co"})
         pop = synthesize_population(config.population_spec, config.seed)
-        bundle, _ = assemble_bundle(config, pop, build_schedules(config, pop),
-                                    hourly_wages(pop, config.valuation))
+        schedule = build_schedules(config, pop)
+        bundle, _ = assemble_bundle(config, pop, schedule, *read_inputs(config, pop, schedule))
         n = 40 * MC_BATCH
         kernel = run_monte_carlo(bundle, n, master_seed=8)
         oracle = CostDistribution(np.concatenate(
