@@ -48,8 +48,7 @@ class CurveModel(Bounded):
         super().__post_init__()
         lo, hi = self.valid_range_c or self.VALID_RANGE_C
         if hi <= lo:
-            raise ConfigurationError(
-                f"invalid temperature range [{lo}, {hi}] for the {self.NAME} curve")
+            raise ConfigurationError(f"must have lo < hi, got [{lo}, {hi}]", "valid_range_c")
         object.__setattr__(self, "valid_range_c", (lo, hi))
         if self.coefficients_high_to_low is not None:
             filled = {"fit_points": self.fit_points or (),
@@ -136,15 +135,13 @@ def winter_index_rows(t_in_c, rh_pct, params: WinterIndexParams) -> np.ndarray:
     """Accumulated freeze index of every row of a (buildings x steps) block:
     the sum of (T_crit - T)(RH - RH_crit) over the row's steps where
     T < T_crit and RH > RH_crit, zero for a row without such a step. The
-    block's one gate picks each row's products, summed as that row alone."""
+    block's one gate picks each row's products, summed as that row alone.
+    `rh_pct` holds one humidity per step."""
     t = np.asarray(t_in_c, dtype=float)
     if params.indoor_rh_pct is not None:
         rh = np.full(t.shape[1], float(params.indoor_rh_pct))
     else:
         rh = np.asarray(rh_pct, dtype=float)
-        if rh.shape != t.shape[1:]:
-            raise ConfigurationError(
-                f"humidity length {rh.shape} does not match trace length {t.shape[1:]}")
     gate = (t < params.t_crit_c) & (rh > params.rh_crit_pct)
     excess = rh - params.rh_crit_pct
     sums = np.zeros(len(t))

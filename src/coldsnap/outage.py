@@ -175,7 +175,7 @@ def build_controlled_outage(pop: Population, n_steps: int, dt_s: float,
         shed = np.array(params.shed_ids, dtype=np.int64)
     unknown = sorted(set(shed[~np.isin(shed, pop.id)].tolist()))
     if unknown:
-        raise ConfigurationError(f"shed set contains unknown building ids: {unknown[:5]}")
+        raise ConfigurationError(f"contains unknown building ids: {unknown[:5]}", "shed_ids")
     isolated = select_isolated(pop, params.fault_fraction, seed)
     dark = np.isin(pop.id, shed) | np.isin(pop.id, list(isolated))
     on = np.array([[True], [False]]).repeat(n_steps, axis=1)

@@ -213,13 +213,12 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
 
 
 def build_schedules(config: ScenarioConfig, pop: Population) -> PowerScheduleSet:
-    """Construct the power schedule set for the configured scenario."""
-    args = (pop, config.n_steps, config.dt_s, config.params, config.seed)
-    if config.scenario is Scenario.BASE:
-        return build_base_schedule(*args)
-    if config.scenario is Scenario.CO:
-        return build_controlled_outage(*args)
-    return build_rolling_outage(*args)
+    """Construct the power schedule set for the configured scenario; an
+    error in its parameters names their key under `scenarios.<name>`."""
+    build = {Scenario.BASE: build_base_schedule,
+             Scenario.CO: build_controlled_outage}.get(config.scenario, build_rolling_outage)
+    return checked(f"scenarios.{config.scenario.value}", build,
+                   pop, config.n_steps, config.dt_s, config.params, config.seed)
 
 
 @dataclass

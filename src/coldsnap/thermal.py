@@ -41,11 +41,6 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered,
     """
     powered = np.ascontiguousarray(powered, dtype=bool)
     n, k = weather.n_steps, len(pop)
-    if powered.shape != (n, k):
-        raise ConfigurationError(
-            f"schedule block is {powered.shape[0]} steps x {powered.shape[1]} buildings, "
-            f"weather has {n} steps for {k} buildings"
-        )
     if out is None:
         out = np.empty((k, n))
     elif out.shape != (k, n) or out.dtype != np.float64 or not out.flags.c_contiguous:

@@ -26,15 +26,26 @@ from .hazard import (CONDITIONS, Condition, HazardConfig, OutcomeTable, check_co
 from .population import BuildingKind, Population, Sector, code
 
 # Trials per Monte-Carlo batch. The last batch is drawn in full and cut, so
-# trial i depends only on (master seed, i). The batch's at-risk cells come
-# from MC_BATCH x buildings 8-byte uniforms: about 2 MB at 4,209 buildings
-# and 72 MB at 140,300.
+# trial i depends only on (master seed, i).
 MC_BATCH = 64
+# Most bytes of one block of cell uniforms. A batch's MC_BATCH x buildings
+# uniforms (72 MB at 140,300 buildings) are drawn this many bytes of whole
+# trial rows at a time, the same numbers as one draw of the whole block.
+DRAW_BYTES = 1 << 20
 
 
 def batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:
     """Independent, reproducible stream for one batch of `MC_BATCH` trials."""
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), 0x6D63, int(batch_index))))
+
+
+def uniform_rows(rng: np.random.Generator, n_rows: int, width: int):
+    """`rng.random((n_rows, width))` as (first row, block) pairs of whole
+    rows, each block at most `DRAW_BYTES` unless one row is larger. The
+    blocks hold the same numbers and leave `rng` in the same state."""
+    step = max(1, DRAW_BYTES // (8 * max(width, 1)))
+    for first in range(0, n_rows, step):
+        yield first, rng.random((min(step, n_rows - first), width))
 
 
 def bernoulli_cells(u: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +82,9 @@ def draw_at_risk(rng: np.random.Generator, occupants: np.ndarray, p_mort: np.nda
     exact zero-truncated binomial.
     """
     q, log_miss = chance
-    trial, building = bernoulli_cells(rng.random((n_trials, len(q))), q)
+    cells = [(first, *bernoulli_cells(u, q)) for first, u in uniform_rows(rng, n_trials, len(q))]
+    trial = np.concatenate([first + t for first, t, _ in cells])
+    building = np.concatenate([b for _, _, b in cells])
     n = occupants[building]
     p = p_mort[building]
     # J = ceil(log(1 - u q) / log(1 - p)); p = 1 makes J = 1.
@@ -133,8 +146,6 @@ def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.nda
     no table.
     """
     hours = np.asarray(unpowered_h, dtype=float)
-    if (hours < 0).any():
-        raise ConfigurationError("unpowered hours cannot be negative")
     usd = np.zeros(len(hours))
     dark = np.flatnonzero(hours > 0)
     sector = pop.sector[dark]
@@ -238,21 +249,22 @@ def repair_cost(wi_sum_by_building, beta_wi: float, params: ValuationParams,
     with that chance. It bills the matching repair range at r. A building
     damaged at some r is damaged at every higher one.
     """
-    if beta_wi <= 0:
-        raise ConfigurationError("beta_wi must be positive")
     wi = np.asarray(wi_sum_by_building, dtype=float)
     ratio = np.clip(wi[wi > 0.0] / beta_wi, 0.0, 1.0)
-    u = rng.random((n_trials, len(ratio)))
     ins_lo, ins_hi = params.pipe_repair_insured_usd
     unins_lo, unins_hi = params.pipe_repair_uninsured_usd
     uninsured = unins_lo + (unins_hi - unins_lo) * ratio
     insured = ins_lo + (ins_hi - ins_lo) * ratio
     # Every damaged building bills the uninsured range; the insured ones,
     # damaged too, then add the difference to the insured range.
-    cost = np.zeros(n_trials)
-    for below, bill in ((ratio, uninsured), (ratio * p_home_insured, insured - uninsured)):
-        trial, building = bernoulli_cells(u, below)
-        cost += np.bincount(trial, weights=bill[building], minlength=n_trials)
+    bills = ((ratio, uninsured), (ratio * p_home_insured, insured - uninsured))
+    cost = np.empty(n_trials)
+    for first, u in uniform_rows(rng, n_trials, len(ratio)):
+        part = np.zeros(len(u))
+        for below, bill in bills:
+            trial, building = bernoulli_cells(u, below)
+            part += np.bincount(trial, weights=bill[building], minlength=len(u))
+        cost[first:first + len(u)] = part
     return cost
 
 
@@ -389,13 +401,6 @@ class CostDistribution:
 
     trials: np.ndarray
 
-    def __post_init__(self):
-        trials = np.asarray(self.trials, dtype=float)
-        if trials.ndim != 2 or trials.shape[1] != len(TRIAL_COLUMNS) or not len(trials):
-            raise ConfigurationError(f"cost distribution needs at least one trial of "
-                                     f"{len(TRIAL_COLUMNS)} columns, got shape {trials.shape}")
-        object.__setattr__(self, "trials", trials)
-
     def component(self, name: str) -> np.ndarray:
         """One column per trial; `total` and `nei_total` add the components
         in `COMPONENTS` order, the same sums as one trial at a time."""
@@ -416,8 +421,6 @@ def run_monte_carlo(bundle: ScenarioBundle, n_trials: int, master_seed: int,
     assembled in batch order, so scheduling cannot leak in; `threads`
     workers run batches side by side.
     """
-    if n_trials < 1:
-        raise ConfigurationError("need at least one trial")
     batches = range(-(-n_trials // MC_BATCH))
     if threads <= 1:
         blocks = [run_batch(bundle, b, master_seed) for b in batches]

@@ -24,7 +24,9 @@ SPACING_JITTER_S = 1.0
 
 @dataclass(frozen=True)
 class WeatherSeries:
-    """Uniformly spaced outdoor temperature (degC) and relative humidity (%)."""
+    """Uniformly spaced outdoor temperature (degC) and relative humidity (%).
+    Construction checks nothing: `load_weather_csv` checks every sample as
+    it reads the file, and `slice_window` interpolates between such samples."""
 
     start: datetime
     dt_s: float
@@ -35,16 +37,6 @@ class WeatherSeries:
     def __post_init__(self):
         t = np.asarray(self.t_out_c, dtype=float)
         rh = np.asarray(self.rh_pct, dtype=float)
-        if self.dt_s <= 0:
-            raise ConfigurationError(f"weather dt must be positive, got {self.dt_s}")
-        if t.ndim != 1 or rh.ndim != 1 or len(t) != len(rh):
-            raise ConfigurationError("temperature and humidity must be 1-D and equally long")
-        if len(t) < 2:
-            raise ConfigurationError("weather series needs at least 2 samples")
-        if not np.all(np.isfinite(t)):
-            raise ConfigurationError("weather contains non-finite temperatures")
-        if np.any(rh < 0.0) or np.any(rh > 100.0):
-            raise ConfigurationError("relative humidity outside [0, 100]")
         t.flags.writeable = False
         rh.flags.writeable = False
         object.__setattr__(self, "t_out_c", t)
@@ -83,7 +75,8 @@ def load_weather_csv(path) -> WeatherSeries:
         raise IngestionError("weather file needs at least 2 rows", path=path)
     dt_s = (stamps[1] - stamps[0]).total_seconds()
     if dt_s <= 0:
-        raise IngestionError("timestamps must be strictly increasing", path=path, row=3)
+        raise IngestionError("timestamps must be strictly increasing", path=path, row=3,
+                             column="timestamp")
     for i in range(1, len(stamps)):
         gap = (stamps[i] - stamps[i - 1]).total_seconds()
         if abs(gap - dt_s) > SPACING_JITTER_S:

@@ -261,6 +261,9 @@ def test_own_tables_hash_alike_with_and_without_the_opt_in(small_config, tmp_pat
     (("scenarios", "ro-hi", "availability_constant"), 1.5, "availability_constant"),
     (("scenarios", "ro-di", "availability"), [0.5, 1.2], "availability"),
     (("scenarios", "ro-di", "n_groups"), 1, "n_groups"),
+    # Checked against the population, before the output directory exists.
+    (("scenarios", "co", "shed_ids"), [0, 99999999],
+     "'scenarios.co.shed_ids' contains unknown building ids: [99999999]"),
     # Windows of one step, a window ending before it starts, and a bad end stamp.
     (("dt_s",), 96 * 3600.0, "dt_s"),
     (("window", "end"), "2021-02-15T00:05:00+00:00", "dt_s"),
@@ -290,7 +293,7 @@ def test_own_tables_hash_alike_with_and_without_the_opt_in(small_config, tmp_pat
                               "fit_max_abs_residual": 0.01},
      "'hazard.rr_model': fit_max_abs_residual is computed by the fit"),
     (("hazard", "rr_model"), {"valid_range_c": [20.0, 20.0]},
-     "'hazard.rr_model': invalid temperature range [20.0, 20.0]"),
+     "'hazard.rr_model.valid_range_c' must have lo < hi, got [20.0, 20.0]"),
     (("hazard", "rr_model"), {"fit_points": [[-15.0, 1.5], [0.0, 1.05], [15.0, 1.0],
                                              [25.0, 1.1]]},
      "'hazard.rr_model': need more than 4 points for a degree-4 fit"),

@@ -170,10 +170,6 @@ class TestWinterIndex:
         value = winter_index(np.array([-2.0]), np.array([10.0]), params)
         assert value == pytest.approx(2.0 * 10.0)
 
-    def test_alignment_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            winter_index(np.zeros(5), np.zeros(4), WinterIndexParams())
-
     @given(
         temps=st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=40),
         rhs=st.lists(st.floats(min_value=0, max_value=100), min_size=40, max_size=40),

@@ -125,8 +125,9 @@ class TestControlledOutage:
             assert not schedules[bid].any()
 
     def test_unknown_shed_id_rejected(self, small_pop):
-        with pytest.raises(ConfigurationError, match="unknown"):
+        with pytest.raises(ConfigurationError, match=r"unknown building ids: \[999\]") as info:
             build_controlled_outage(small_pop, N_STEPS, DT, shed((999,)), seed=1)
+        assert info.value.key == "shed_ids"
 
 
 def rolling(pop, fraction=0.34, fault_fraction=0.0, n_groups=3, **kwargs):

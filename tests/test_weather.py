@@ -41,6 +41,23 @@ class TestLoad:
         with pytest.raises(IngestionError, match="non-uniform"):
             load_weather_csv(path)
 
+    def test_one_row_rejected(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_csv(path, make_rows(1))
+        with pytest.raises(IngestionError, match="needs at least 2 rows") as info:
+            load_weather_csv(path)
+        assert info.value.path == path
+
+    @pytest.mark.parametrize("gap_s", [0, -300])
+    def test_second_timestamp_not_after_the_first_names_row(self, tmp_path, gap_s):
+        path = tmp_path / "w.csv"
+        rows = make_rows(3)
+        rows[1] = f"{(START + timedelta(seconds=gap_s)).isoformat()},-5.0,80.0"
+        write_csv(path, rows)
+        with pytest.raises(IngestionError, match="strictly increasing") as info:
+            load_weather_csv(path)
+        assert (info.value.path, info.value.row, info.value.column) == (path, 3, "timestamp")
+
     def test_humidity_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
         write_csv(path, make_rows(3, rh=lambda i: 101.0 if i == 2 else 80.0))
@@ -187,14 +204,6 @@ class TestResample:
 
 
 class TestInvariants:
-    def test_rh_range_enforced_on_construction(self):
-        with pytest.raises(ConfigurationError):
-            WeatherSeries(START, 300.0, np.zeros(4), np.array([10.0, 50.0, 101.0, 20.0]))
-
-    def test_minimum_two_samples(self):
-        with pytest.raises(ConfigurationError):
-            WeatherSeries(START, 300.0, np.zeros(1), np.zeros(1))
-
     def test_series_is_immutable(self):
         series = make_series(10)
         with pytest.raises(ValueError):
