@@ -116,8 +116,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: cannot read {exc.filename or exc}: {exc.strerror}", file=sys.stderr)
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+        print(f"error: cannot open {exc.filename or exc}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)

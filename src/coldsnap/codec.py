@@ -12,6 +12,9 @@ A number's valid range is part of its field: `x: float = within(0, 1, default=0.
 A config dataclass with bounds derives from `Bounded`, so a value out of range is an
 error however the object is built, keyed by its leaf. Checks that span
 fields run once, in the same `__post_init__`, and name the field at fault.
+`population.Building` declares its columns' ranges the same way but is not
+`Bounded`: its rows are built only on request, and the population loader
+checks each cell against the bound instead.
 """
 
 from __future__ import annotations

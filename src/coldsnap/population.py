@@ -1,4 +1,4 @@
-"""Building stock synthesis, persistence, and validation.
+"""Building stock synthesis and persistence.
 
 Buildings carry all attributes the thermal, outage, hazard, and valuation
 stages consume. A population holds them as one numpy column per `Building`
@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 from . import defaults
-from .codec import Bounded, within
+from .codec import Bound, Bounded, within
 from .errors import ConfigurationError, IngestionError
 from .tables import read_csv, save_csv, write_csv
 
@@ -85,22 +85,24 @@ class HeatingFuel(str, Enum):
 
 @dataclass(frozen=True)
 class Building:
-    """One customer premise with envelope, HVAC, and occupancy attributes."""
+    """One customer premise with envelope, HVAC, and occupancy attributes. A
+    `within` bound is its column's valid range: `load_population` checks each
+    cell against it, and a `PopulationSpec`'s bounds keep synthesis inside it."""
 
     id: int
     kind: BuildingKind
     insulation: Insulation
     heating_fuel: HeatingFuel
-    floor_area_m2: float
-    ua_w_per_k: float          # envelope conductance
-    thermal_mass_j_per_k: float
-    hvac_heat_w: float         # rated heat output when running
+    floor_area_m2: float = within(above=0)
+    ua_w_per_k: float = within(above=0)  # envelope conductance
+    thermal_mass_j_per_k: float = within(above=0)
+    hvac_heat_w: float = within(0)  # rated heat output when running
     setpoint_c: float
-    deadband_c: float
-    n_occupants: int
-    n_workers: int
+    deadband_c: float = within(above=0)
+    n_occupants: int = within(0)
+    n_workers: int = within(0)
     job_requires_power: bool
-    avg_annual_kwh: float
+    avg_annual_kwh: float = within(above=0)
     income_bracket: str = "median"
     backup: bool = False
 
@@ -216,13 +218,17 @@ class Population:
         return tuple(Building(*row) for row in zip(*values))
 
 
+# Upper bound of a synthesized building's occupants and workers.
+MAX_OCCUPANTS = 1_000_000
+
+
 @dataclass(frozen=True)
-class InsulationRow:
+class InsulationRow(Bounded):
     """Envelope of one insulation class per floor area: UA (W/K.m2) and
     lumped thermal mass (J/K.m2)."""
 
-    ua_w_per_k_m2: float
-    mass_j_per_k_m2: float
+    ua_w_per_k_m2: float = within(hi=1e3, above=0)
+    mass_j_per_k_m2: float = within(hi=1e9, above=0)
 
 
 @dataclass(frozen=True)
@@ -230,15 +236,15 @@ class Profile(Bounded):
     """Synthesis ranges (lo, hi) of one building kind: floor area (m2) and
     annual consumption (kWh/yr)."""
 
-    floor_m2: tuple[float, float] = within(ordered=True)
-    kwh: tuple[float, float] = within(ordered=True)
+    floor_m2: tuple[float, float] = within(1, 1e7, ordered=True)
+    kwh: tuple[float, float] = within(above=0, ordered=True)
 
 
 @dataclass(frozen=True)
 class CommercialProfile(Profile):
     """A commercial kind's ranges, with the worker count."""
 
-    workers: tuple[int, int] = within(ordered=True)
+    workers: tuple[int, int] = within(0, MAX_OCCUPANTS, ordered=True)
 
 
 # Upper bound of the buildings a spec synthesizes: about 70 times the
@@ -249,7 +255,9 @@ MAX_BUILDINGS = 10_000_000
 
 @dataclass(frozen=True)
 class PopulationSpec(Bounded):
-    """Knobs for synthesizing a building stock, checked once when built."""
+    """Knobs for synthesizing a building stock, checked once when built. Its
+    bounds keep every synthesized column inside its `Building` bound: 1 m2 or
+    more of floor keeps UA and mass above 0, and no product overflows."""
 
     counts: dict[BuildingKind, int] = within(0)
     insulation_weights: dict[Insulation, float] = within(0, default_factory=lambda: {
@@ -263,10 +271,10 @@ class PopulationSpec(Bounded):
     power_required_share_commercial: float = within(
         0, 1, default=defaults.POWER_REQUIRED_SHARE_COMMERCIAL)
     commercial_backup_share: float = within(0, 1, default=defaults.COMMERCIAL_BACKUP_SHARE)
-    setpoint_c: float = defaults.THERMOSTAT_SETPOINT_C
-    deadband_c: float = defaults.THERMOSTAT_DEADBAND_C
-    hvac_design_outdoor_c: float = defaults.HVAC_DESIGN_OUTDOOR_C
-    hvac_oversize: float = defaults.HVAC_OVERSIZE_FACTOR
+    setpoint_c: float = within(-100, 100, default=defaults.THERMOSTAT_SETPOINT_C)
+    deadband_c: float = within(above=0, default=defaults.THERMOSTAT_DEADBAND_C)
+    hvac_design_outdoor_c: float = within(-100, 100, default=defaults.HVAC_DESIGN_OUTDOOR_C)
+    hvac_oversize: float = within(0, 100, default=defaults.HVAC_OVERSIZE_FACTOR)
     insulation_table: dict[Insulation, InsulationRow] = field(default_factory=lambda: {
         Insulation(k): InsulationRow(**v) for k, v in defaults.INSULATION_TABLE.items()})
     residential_profiles: dict[BuildingKind, Profile] = field(default_factory=lambda: {
@@ -284,6 +292,12 @@ class PopulationSpec(Bounded):
             weight = sum(getattr(self, name).values())
             if abs(weight - 1.0) > 1e-9:
                 raise ConfigurationError(f"must sum to 1.0, got {weight!r}", name)
+        for size in self.occupant_weights:  # a key is a count of occupants
+            Bound(0, MAX_OCCUPANTS).check(size, f"occupant_weights.{size}")
+        if self.hvac_design_outdoor_c > self.setpoint_c:
+            raise ConfigurationError(f"must not exceed setpoint_c {self.setpoint_c!r}, "
+                                     f"got {self.hvac_design_outdoor_c!r}",
+                                     "hvac_design_outdoor_c")
         for ins, weight in self.insulation_weights.items():
             if weight > 0 and ins not in self.insulation_table:
                 raise ConfigurationError(f"has no row for {ins.value!r}, which has a "
@@ -308,10 +322,9 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
 
     ins_p = np.array([spec.insulation_weights.get(c, 0.0) for c in INSULATION_ORDER], dtype=float)
     # Classes without a table row have zero weight and are never drawn.
-    rows = [spec.insulation_table.get(c, InsulationRow(math.nan, math.nan))
-            for c in INSULATION_ORDER]
-    ua_per_m2 = np.array([row.ua_w_per_k_m2 for row in rows])
-    mass_per_m2 = np.array([row.mass_j_per_k_m2 for row in rows])
+    rows = [spec.insulation_table.get(c) for c in INSULATION_ORDER]
+    ua_per_m2 = np.array([row.ua_w_per_k_m2 if row else math.nan for row in rows])
+    mass_per_m2 = np.array([row.mass_j_per_k_m2 if row else math.nan for row in rows])
     occ_sizes = np.array(sorted(spec.occupant_weights), dtype=int)
     occ_p = np.array([spec.occupant_weights[s] for s in sorted(spec.occupant_weights)], dtype=float)
 
@@ -376,11 +389,26 @@ def _parse_int(raw: str) -> int:
     return value
 
 
-def _parser(tp):
-    """A column cell's parser: enum members become their `code`s."""
+def _parser(f):
+    """The parser of a cell of `Building` field `f`'s column: enum members
+    become their `code`s, and a number must lie in the field's bound. A
+    float must be finite: its bound is never wider than (-inf, inf)."""
+    tp = _FIELD_TYPES[f.name]
     if issubclass(tp, Enum):
-        return lambda raw: code(tp(raw))
-    return {bool: _parse_bool, int: _parse_int}.get(tp, tp)
+        codes = {member.value: code(member) for member in tp}
+        return lambda raw: codes[raw] if raw in codes else code(tp(raw))  # tp(raw) raises
+    parse = {bool: _parse_bool, int: _parse_int}.get(tp, tp)
+    bound = f.metadata.get(Bound, Bound() if tp is float else None)
+    if bound is None:
+        return parse
+    lo, hi, above, below = bound.lo, bound.hi, bound.above, bound.below
+
+    def parse_within(raw: str):
+        if lo <= (value := parse(raw)) <= hi and above < value < below:
+            return value
+        bound.check(value, f.name)  # raises, with the message
+
+    return parse_within
 
 
 def _csv_columns(pop: Population) -> list:
@@ -401,7 +429,8 @@ def save_population(pop: Population, path) -> None:
 
 def load_population(path) -> Population:
     """Load a population CSV written by :func:`save_population`. A repeated
-    building id is a bad cell of the `id` column."""
+    building id, a non-finite float and a number outside its `Building`
+    field's bound are bad cells, named by file, row and column."""
     seen: set[int] = set()
 
     def parse_id(raw: str) -> int:
@@ -410,42 +439,8 @@ def load_population(path) -> Population:
         seen.add(value)
         return value
 
-    parsers = {col: parse_id if col == "id" else _parser(tp) for col, tp in _FIELD_TYPES.items()}
+    parsers = {f.name: parse_id if f.name == "id" else _parser(f) for f in fields(Building)}
     columns = read_csv(path, parsers)
     if not columns["id"]:
         raise IngestionError("zero buildings", path=path)
     return Population(columns)
-
-
-@dataclass(frozen=True)
-class Violation:
-    building_id: int
-    field: str
-    message: str
-
-
-def validate_population(pop: Population) -> list[Violation]:
-    """Collect invariant violations, building by building and each
-    building's in rule order; an empty list means the population is sound.
-    Every float column must also be finite."""
-    duplicate = np.ones(len(pop), dtype=bool)
-    duplicate[np.unique(pop.id, return_index=True)[1]] = False
-    rules = [  # (field, mask of violating buildings, message)
-        ("id", duplicate, "duplicate building id"),
-        ("ua_w_per_k", ~(pop.ua_w_per_k > 0), "must be > 0, got {}"),
-        ("thermal_mass_j_per_k", ~(pop.thermal_mass_j_per_k > 0), "must be > 0, got {}"),
-        ("avg_annual_kwh", ~(pop.avg_annual_kwh > 0), "must be > 0, got {}"),
-        ("floor_area_m2", pop.floor_area_m2 <= 0, "must be > 0, got {}"),
-        ("hvac_heat_w", pop.hvac_heat_w < 0, "must be >= 0"),
-        ("deadband_c", pop.deadband_c <= 0, "must be > 0"),
-        ("n_occupants", pop.n_occupants < 0, "must be >= 0"),
-        ("n_workers", pop.n_workers < 0, "must be >= 0"),
-    ]
-    flagged = {name: bad for name, bad, _ in rules}
-    rules += [(name, ~np.isfinite(pop.columns[name]) & ~flagged.get(name, np.False_),
-               "must be finite, got {}")
-              for name, tp in _FIELD_TYPES.items() if tp is float]
-    buildings, which = np.nonzero(np.column_stack([bad for _, bad, _ in rules]))
-    return [Violation(int(pop.id[i]), rules[r][0],
-                      rules[r][2].format(pop.columns[rules[r][0]][i].item()))
-            for i, r in zip(buildings.tolist(), which.tolist())]

@@ -47,7 +47,6 @@ from .population import (
     label,
     load_population,
     synthesize_population,
-    validate_population,
     write_population_csv,
 )
 from .tables import save_csv
@@ -336,13 +335,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         pop = load_population(config.file(config.population.path))
     else:
         pop = synthesize_population(config.population_spec, config.seed)
-    violations = validate_population(pop)
-    if violations:
-        first = violations[0]
-        raise ConfigurationError(
-            f"population fails validation ({len(violations)} problems; first: "
-            f"building {first.building_id} field {first.field}: {first.message})"
-        )
     schedule = build_schedules(config, pop)
     inputs = read_inputs(config, pop, schedule)
     out = Path(config.out_dir)

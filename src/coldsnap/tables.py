@@ -69,7 +69,7 @@ def read_csv(path, parsers: dict) -> dict[str, list]:
     if bad:
         index, order, exc = min(bad, key=lambda b: b[:2])
         column = list(parsers)[order]
-        message = (str(exc) if isinstance(exc, ConfigurationError)
+        message = (exc.message if isinstance(exc, ConfigurationError)
                    else f"unparsable value {columns[column][index]!r}: {exc}")
         raise IngestionError(message, path, row=index + 2, column=column) from exc
     return columns

@@ -43,8 +43,6 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered,
     n, k = weather.n_steps, len(pop)
     if out is None:
         out = np.empty((k, n))
-    elif out.shape != (k, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 ({k}, {n}) array")
     if internal_gain_w is None:
         gains = np.where(pop.n_occupants > 0, defaults.INTERNAL_GAIN_W, 0.0)
     else:

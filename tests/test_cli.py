@@ -137,6 +137,16 @@ class TestRunCommand:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out, reason", [("taken", "File exists"),
+                                             ("taken/sub", "Not a directory")])
+    def test_unusable_output_path_exits_2_naming_it(self, demo_config_path, tmp_path, capsys,
+                                                    out, reason):
+        (tmp_path / "taken").write_text("a file, not a folder")
+        code = main(["run", "--config", str(demo_config_path), "--trials", "5",
+                     "--out", str(tmp_path / out)])
+        assert code == 2
+        assert f"error: cannot open {tmp_path / out}: {reason}" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json")])
         assert code == 2
@@ -220,6 +230,12 @@ class TestCompare:
         assert code == 0
         text = capsys.readouterr().out
         assert "nei_total_mean" in text
+
+    def test_output_in_a_missing_folder_exits_2_naming_it(self, runs, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.csv"
+        code = main(["compare", str(runs["co"]), str(runs["ro-hi"]), "--out", str(out)])
+        assert code == 2
+        assert f"error: cannot open {out}: No such file or directory" in capsys.readouterr().err
 
     def test_single_dir_rejected(self, runs, tmp_path, capsys):
         code = main(["compare", str(runs["base"]), "--out", str(tmp_path / "c.csv")])
@@ -416,7 +432,7 @@ class TestPopulationFileRoute:
                                         "hvac_heat_w", "setpoint_c", "deadband_c",
                                         "avg_annual_kwh"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_value_exits_2_naming_building_and_field(
+    def test_non_finite_value_exits_2_naming_row_and_column(
             self, demo_config_path, small_pop_csv, tmp_path, capsys, column, value):
         with open(small_pop_csv, newline="") as handle:
             rows = list(csv.DictReader(handle))
@@ -435,5 +451,5 @@ class TestPopulationFileRoute:
                      "--trials", "5", "--out", str(tmp_path / "run")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"first: building {rows[7]['id']} field {column}: " in err
+        assert f"file={pop_csv}; row=9; column={column}" in err
         assert f"got {value}" in err

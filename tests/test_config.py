@@ -382,6 +382,19 @@ def test_slot_longer_than_window_is_one_slot(small_config, tmp_path):
       "got [40, 15]",)),
     (("population", "spec", "commercial_profiles"), {},
      ("'population.spec.commercial_profiles' has no row for 'office'",)),
+    # Heating sized for an outdoor design temperature above the setpoint
+    # would be negative.
+    (("population", "spec", "hvac_design_outdoor_c"), 40.0,
+     ("'population.spec.hvac_design_outdoor_c' must not exceed setpoint_c 20.0, got 40.0",)),
+    (("population", "spec", "occupant_weights"), {"-1": 0.5, "2": 0.5},
+     ("'population.spec.occupant_weights.-1' must lie in [0, 1,000,000], got -1",)),
+    (("population", "spec", "occupant_weights"), {"1000001": 0.5, "2": 0.5},
+     ("'population.spec.occupant_weights.1000001' must lie in [0, 1,000,000]",)),
+    # A synthesized floor area must be positive: the spec is rejected
+    # before anything is synthesized.
+    (("population", "spec", "residential_profiles", "single_family", "floor_m2"), [-10, 5],
+     ("'population.spec.residential_profiles.single_family.floor_m2[0]' must lie in "
+      "[1, 10,000,000.0], got -10.0",)),
     (("scenarios", "co", "shed_scope"), "resdential",
      ("'scenarios.co.shed_scope' must be one of 'residential', 'all', got 'resdential'",)),
     (("hazard", "distributions_pct", "hospital_survival"), {"cardiac": [90.0, 5.0, 0.0, 100.0]},
@@ -530,6 +543,8 @@ def test_every_declared_bound_exits_2_naming_its_leaf(full_config, tmp_path, cap
     # Spot checks that the walk reaches every section.
     assert {"n_trials", "scenarios.ro-hi.fault_fraction", "population.spec.counts.office",
             "population.spec.commercial_profiles.office.workers",
+            "population.spec.insulation_table.little.ua_w_per_k_m2",
+            "population.spec.hvac_design_outdoor_c", "population.spec.hvac_oversize",
             "hazard.winter_index.rh_crit_pct", "hazard.rr_model.valid_range_c[1]",
             "valuation.cic.tables.residential.base",
             "valuation.medical_uninsured_usd.cardiac[1]",

@@ -1,28 +1,36 @@
 import dataclasses
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from coldsnap import defaults
+from coldsnap.codec import Bound
 from coldsnap.errors import ConfigurationError, IngestionError
 from coldsnap.population import (
     CSV_COLUMNS,
     INSULATION_ORDER,
+    MAX_OCCUPANTS,
     SECTOR_BY_KIND,
+    Building,
     BuildingKind,
+    CommercialProfile,
     HeatingFuel,
     Insulation,
+    InsulationRow,
     Population,
     PopulationSpec,
+    Profile,
     Sector,
     label,
     load_population,
     save_population,
     synthesize_population,
-    validate_population,
     write_population_csv,
 )
 from coldsnap.scenario import population_digest
@@ -32,6 +40,19 @@ from conftest import make_building, make_population
 
 def demo_spec():
     return PopulationSpec(counts={BuildingKind(k): v for k, v in defaults.DEMO_COUNTS.items()})
+
+
+def assert_inside_building_bounds(pop):
+    """Every float column is finite and every column inside its `Building`
+    field's bound."""
+    for f in dataclasses.fields(Building):
+        column = pop.columns[f.name]
+        if column.dtype.kind == "f":
+            assert np.isfinite(column).all(), f.name
+        if (bound := f.metadata.get(Bound)) is not None:
+            inside = ((bound.lo <= column) & (column <= bound.hi)
+                      & (bound.above < column) & (column < bound.below))
+            assert inside.all(), (f.name, column[~inside])
 
 
 class TestSynthesize:
@@ -74,7 +95,8 @@ class TestSynthesize:
 
     def test_every_building_passes_invariants(self):
         pop = synthesize_population(demo_spec(), seed=42)
-        assert validate_population(pop) == []
+        assert_inside_building_bounds(pop)
+        assert len(np.unique(pop.id)) == len(pop)
 
     def test_weights_not_summing_to_one_rejected(self):
         # At construction: a spec cannot be changed afterwards.
@@ -175,25 +197,143 @@ class TestCsvRoundTrip:
         assert (info.value.row, info.value.column) == (3, "avg_annual_kwh")
 
 
-class TestValidate:
-    def test_valid_population_has_no_violations(self):
-        pop = make_population([make_building(0), make_building(1)])
-        assert validate_population(pop) == []
+# Each bounded column's limit and whether a cell may equal it: what a
+# population file must hold, written out apart from the `Building` bounds.
+COLUMN_LIMITS = {
+    "floor_area_m2": (0.0, False),
+    "ua_w_per_k": (0.0, False),
+    "thermal_mass_j_per_k": (0.0, False),
+    "hvac_heat_w": (0.0, True),
+    "deadband_c": (0.0, False),
+    "n_occupants": (0, True),
+    "n_workers": (0, True),
+    "avg_annual_kwh": (0.0, False),
+}
+FLOAT_COLUMNS = [c for c in CSV_COLUMNS if isinstance(getattr(make_building(), c), float)]
 
-    def test_zero_ua_flagged_with_id_and_field(self):
-        import dataclasses
-        bad = dataclasses.replace(make_building(3), ua_w_per_k=0.0)
-        violations = validate_population(make_population([make_building(0), bad]))
-        assert len(violations) == 1
-        assert violations[0].building_id == 3
-        assert violations[0].field == "ua_w_per_k"
 
-    def test_negative_kwh_flagged(self):
-        import dataclasses
-        bad = dataclasses.replace(make_building(2), avg_annual_kwh=-5.0)
-        violations = validate_population(make_population([bad]))
-        assert [v.field for v in violations] == ["avg_annual_kwh"]
+def saved_with(tmp_path, *cells):
+    """The path of a saved five-building population with each
+    `(index, column, value)` of `cells` set."""
+    rows = [make_building(i) for i in range(5)]
+    for index, column, value in cells:
+        rows[index] = dataclasses.replace(rows[index], **{column: value})
+    path = tmp_path / "pop.csv"
+    save_population(make_population(rows), path)
+    return path
 
+
+class TestLoadBounds:
+    def test_limits_cover_every_bounded_field(self):
+        assert {f.name for f in dataclasses.fields(Building) if Bound in f.metadata} == set(
+            COLUMN_LIMITS)
+
+    @pytest.mark.parametrize("column", COLUMN_LIMITS)
+    def test_each_bounded_column_at_and_just_past_its_limit(self, tmp_path, column):
+        limit, allowed = COLUMN_LIMITS[column]
+        integer = isinstance(limit, int)
+        past = limit - 1 if integer else math.nextafter(limit, -math.inf)
+        inside = limit + 1 if integer else math.nextafter(limit, math.inf)
+        for value, ok in ((limit, allowed), (past, False), (inside, True)):
+            path = saved_with(tmp_path, (3, column, value))
+            if ok:
+                assert load_population(path).columns[column][3] == value
+                continue
+            with pytest.raises(IngestionError, match=rf"must lie in .*, got {value!r}") as info:
+                load_population(path)
+            assert (info.value.row, info.value.column) == (5, column)
+
+    def test_message_names_the_range_file_row_and_column(self, tmp_path):
+        path = saved_with(tmp_path, (1, "ua_w_per_k", -3.0))
+        with pytest.raises(IngestionError) as info:
+            load_population(path)
+        assert str(info.value) == (f"must lie in (0, inf), got -3.0; file={path}; row=3; "
+                                   "column=ua_w_per_k")
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, tmp_path, column, value):
+        with pytest.raises(IngestionError, match=f"got {value!r}") as info:
+            load_population(saved_with(tmp_path, (4, column, value)))
+        assert (info.value.row, info.value.column) == (6, column)
+
+    def test_lowest_bad_row_reported_first(self, tmp_path):
+        # Building 1's deadband comes before building 2's conductance,
+        # although the conductance column comes first.
+        path = saved_with(tmp_path, (1, "deadband_c", 0.0), (2, "ua_w_per_k", 0.0),
+                          (2, "hvac_heat_w", -1.0))
+        with pytest.raises(IngestionError) as info:
+            load_population(path)
+        assert (info.value.row, info.value.column) == (3, "deadband_c")
+        # Within a row, the first column in field order.
+        path = saved_with(tmp_path, (2, "hvac_heat_w", -1.0), (2, "ua_w_per_k", 0.0))
+        with pytest.raises(IngestionError) as info:
+            load_population(path)
+        assert (info.value.row, info.value.column) == (4, "ua_w_per_k")
+
+
+def bounded(tp, name):
+    """Values of field `name` of the dataclass `tp` drawn from its whole
+    declared range, edges included."""
+    bound = next(f for f in dataclasses.fields(tp) if f.name == name).metadata[Bound]
+    lo, hi = max(bound.lo, bound.above), min(bound.hi, bound.below)
+    if tp is CommercialProfile and name == "workers":
+        return st.integers(lo, hi)
+    return st.floats(None if lo == -math.inf else lo, None if hi == math.inf else hi,
+                     exclude_min=-math.inf < bound.above == lo,
+                     exclude_max=math.inf > bound.below == hi,
+                     allow_nan=False, allow_infinity=False)
+
+
+def ordered_pair(values):
+    return st.tuples(values, values).map(sorted).map(tuple)
+
+
+def weights(keys):
+    """Weights summing to 1 over one to seven keys drawn from `keys`."""
+    return st.dictionaries(keys, st.integers(1, 5), min_size=1, max_size=7).map(
+        lambda counts: {k: n / sum(counts.values()) for k, n in counts.items()})
+
+
+@st.composite
+def population_specs(draw):
+    """A `PopulationSpec` drawn from the full declared ranges, with one to a
+    few buildings of each drawn kind."""
+    counts = draw(st.dictionaries(st.sampled_from(list(BuildingKind)), st.integers(1, 2),
+                                  min_size=1))
+    insulation = draw(weights(st.sampled_from(list(Insulation))))
+    floats = {name: draw(bounded(PopulationSpec, name)) for name in (
+        "wfh_share", "electric_heat_share", "power_required_share_residential",
+        "power_required_share_commercial", "commercial_backup_share", "deadband_c",
+        "hvac_oversize")}
+    design, setpoint = sorted(draw(bounded(PopulationSpec, name))
+                              for name in ("hvac_design_outdoor_c", "setpoint_c"))
+    profiles = {}
+    for kind in counts:
+        fields = {name: draw(ordered_pair(bounded(CommercialProfile, name)))
+                  for name in ("floor_m2", "kwh", "workers")}
+        if SECTOR_BY_KIND[kind] is Sector.RESIDENTIAL:
+            del fields["workers"]
+            profiles[kind] = Profile(**fields)
+        else:
+            profiles[kind] = CommercialProfile(**fields)
+    return PopulationSpec(
+        counts=counts, insulation_weights=insulation,
+        occupant_weights=draw(weights(st.integers(0, MAX_OCCUPANTS))),
+        setpoint_c=setpoint, hvac_design_outdoor_c=design, **floats,
+        insulation_table={ins: InsulationRow(*(draw(bounded(InsulationRow, name)) for name in (
+            "ua_w_per_k_m2", "mass_j_per_k_m2"))) for ins in insulation},
+        residential_profiles={k: p for k, p in profiles.items() if type(p) is Profile},
+        commercial_profiles={k: p for k, p in profiles.items() if type(p) is not Profile})
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=population_specs(), seed=st.integers(0, 2**32))
+def test_spec_bounds_keep_synthesis_inside_the_building_bounds(spec, seed):
+    assert_inside_building_bounds(synthesize_population(spec, seed))
+
+
+class TestColumns:
     def test_total_occupants_is_the_column_sum(self):
         # No second copy of the total is stored, so none can disagree.
         pop = make_population([make_building(0, n_occupants=3), make_building(1, n_occupants=4)])
@@ -201,30 +341,6 @@ class TestValidate:
         with pytest.raises(ConfigurationError, match="one equally long column per field"):
             Population({**pop.columns, "total_occupants": np.array([99, 99])})
 
-    def test_violations_run_building_by_building(self):
-        # Building 0's deadband comes before building 1's conductance,
-        # although the conductance rule is checked first within a building.
-        pop = make_population([dataclasses.replace(make_building(0), deadband_c=0.0),
-                               dataclasses.replace(make_building(1), ua_w_per_k=0.0,
-                                                   hvac_heat_w=-1.0)])
-        assert [(v.building_id, v.field) for v in validate_population(pop)] == [
-            (0, "deadband_c"), (1, "ua_w_per_k"), (1, "hvac_heat_w")]
-
-    @pytest.mark.parametrize("name", [c for c in CSV_COLUMNS
-                                      if isinstance(getattr(make_building(), c), float)])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_float_flagged_once(self, name, value):
-        bad = dataclasses.replace(make_building(4), **{name: value})
-        violations = validate_population(make_population([make_building(0), bad]))
-        assert [(v.building_id, v.field) for v in violations] == [(4, name)]
-        # A range rule that already rejects the value keeps its message:
-        # `not > 0` rejects NaN, every range rule rejects -inf.
-        ranged = name != "setpoint_c" and (value == -np.inf or np.isnan(value) and name in (
-            "ua_w_per_k", "thermal_mass_j_per_k", "avg_annual_kwh"))
-        assert violations[0].message.startswith("must be finite") != ranged
-
-
-class TestColumns:
     def test_columns_follow_the_building_fields(self):
         pop = synthesize_population(demo_spec(), seed=42)
         assert list(pop.columns) == CSV_COLUMNS
