@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import defaults
 from .tables import save_csv
 from .weather import WeatherSeries
 
@@ -31,6 +30,24 @@ _DAY_MEANS_C = (-6.0, -11.0, -12.0, -9.0, -5.0, -2.0)
 _DIURNAL_AMP_C = 4.5
 _RH_MEAN_PCT = 82.0
 _RH_AMP_PCT = 10.0
+
+# 1308 residential and 95 commercial premises. The commercial mix is spread
+# evenly across the ten kinds, an assumption: no per-kind census is bundled.
+DEMO_COUNTS = {
+    "single_family": 981,
+    "multi_family": 222,
+    "mobile_home": 105,
+    "office": 10,
+    "warehouse_storage": 10,
+    "big_box": 10,
+    "strip_mall": 10,
+    "education": 10,
+    "food_service": 9,
+    "food_sales": 9,
+    "lodging": 9,
+    "healthcare": 9,
+    "low_occupancy": 9,
+}
 
 
 def make_uri_like_weather() -> WeatherSeries:
@@ -62,7 +79,7 @@ def demo_config_dict(weather_filename: str = "demo_weather.csv",
             "The commercial mix is spread uniformly across kinds (assumption).",
             "Weather is a synthetic cold snap, not a historical record.",
         ],
-        "population": {"spec": {"counts": dict(defaults.DEMO_COUNTS)}},
+        "population": {"spec": {"counts": dict(DEMO_COUNTS)}},
         "weather_path": weather_filename,
         "window": {
             "start": DEMO_WINDOW_START.isoformat(),

@@ -20,7 +20,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import defaults
 from .codec import Bounded, within
 from .errors import ConfigurationError
 
@@ -104,7 +103,13 @@ class RRModel(CurveModel):
     """Quartic relative-risk-of-mortality curve, minimum normalized to 1."""
 
     NAME, DEGREE, EXTREMUM, TOLERANCE = "mortality", 4, "minimum", (1e-9, 1e-6)
-    ANCHORS, VALID_RANGE_C = defaults.RR_CURVE_ANCHORS, defaults.RR_VALID_RANGE_C
+    # A smooth city-specific shape: 1 at 20 degC, rising to 1.5 at -15 degC.
+    ANCHORS = ((-15.0, 1.500000), (-12.5, 1.371733), (-10.0, 1.269888), (-7.5, 1.190559),
+               (-5.0, 1.130154), (-2.5, 1.085394), (0.0, 1.053311), (2.5, 1.031250),
+               (5.0, 1.016868), (7.5, 1.008135), (10.0, 1.003332), (12.5, 1.001054),
+               (15.0, 1.000208), (17.5, 1.000013), (20.0, 1.000000), (22.5, 1.000013),
+               (25.0, 1.000208), (27.5, 1.001054), (30.0, 1.003332))
+    VALID_RANGE_C = (-15.0, 30.0)
     OUTPUT_RANGE = (1.0 - 1e-9, math.inf)  # floors at 1 to absorb fit wiggle
 
 
@@ -117,8 +122,10 @@ class ProductivityModel(CurveModel):
     """Cubic relative-performance curve, maximum normalized to 1, clamped to [0, 1]."""
 
     NAME, DEGREE, EXTREMUM, TOLERANCE = "productivity", 3, "maximum", (1e-6, 1e-9)
-    ANCHORS = defaults.PRODUCTIVITY_ANCHORS
-    VALID_RANGE_C = defaults.PRODUCTIVITY_VALID_RANGE_C
+    ANCHORS = ((10.0, 0.6586), (12.0, 0.7770), (14.0, 0.8668), (16.0, 0.9309),
+               (18.0, 0.9723), (20.0, 0.9940), (22.0, 0.9989), (24.0, 0.9902),
+               (26.0, 0.9707), (28.0, 0.9435), (30.0, 0.9115), (32.0, 0.8777))
+    VALID_RANGE_C = (10.0, 32.0)
     OUTPUT_RANGE = (0.0, 1.0)
 
 
@@ -126,8 +133,8 @@ class ProductivityModel(CurveModel):
 class WinterIndexParams(Bounded):
     """Critical levels for freeze damage accumulation."""
 
-    t_crit_c: float = defaults.WI_T_CRIT_C
-    rh_crit_pct: float = within(0, 100, default=defaults.WI_RH_CRIT_PCT)
+    t_crit_c: float = 0.0
+    rh_crit_pct: float = within(0, 100, default=80.0)
     indoor_rh_pct: float | None = within(0, 100, default=None)  # None: the outdoor series
 
 
@@ -270,23 +277,27 @@ def check_conditions(table: dict, key: str) -> None:
 Rate = tuple[float, float, float, float]  # a `TruncNormal`'s (mean, std, lo, hi)
 
 
-def _survival(table: dict):
-    return field(default_factory=lambda: {Condition(k): v for k, v in table.items()})
-
-
 @dataclass(frozen=True)
 class HealthDistributions:
     """Per-occupant rate distributions of the outcome tree, percent scale:
     each rate is the (mean, std, lo, hi) of a `TruncNormal`, checked once
     when built."""
 
-    pre_existing_cardiac: Rate = defaults.HEALTH_STATS_PCT["pre_existing_cardiac"]
-    pre_existing_respiratory: Rate = defaults.HEALTH_STATS_PCT["pre_existing_respiratory"]
-    healthcare_access: Rate = defaults.HEALTH_STATS_PCT["healthcare_access"]
-    health_insurance: Rate = defaults.HEALTH_STATS_PCT["health_insurance"]
-    home_insurance: Rate = defaults.HEALTH_STATS_PCT["home_insurance"]
-    hospital_survival: dict[Condition, Rate] = _survival(defaults.HOSPITAL_SURVIVAL_PCT)
-    home_survival: dict[Condition, Rate] = _survival(defaults.HOME_SURVIVAL_PCT)
+    # Pre-existing conditions follow Texas health-survey rates; insurance
+    # follows Texas Medical Association and Real Estate Research Center data.
+    pre_existing_cardiac: Rate = (5.1, 1.0, 0.0, 100.0)
+    pre_existing_respiratory: Rate = (7.3, 1.0, 0.0, 100.0)
+    healthcare_access: Rate = (89.4, 3.0, 0.0, 100.0)
+    health_insurance: Rate = (79.4, 3.0, 0.0, 100.0)
+    home_insurance: Rate = (95.9, 3.0, 0.0, 100.0)
+    hospital_survival: dict[Condition, Rate] = field(default_factory=lambda: {
+        Condition.CARDIAC: (89.3, 1.0, 0.0, 100.0),
+        Condition.RESPIRATORY: (83.0, 1.0, 0.0, 100.0),
+        Condition.HYPOTHERMIA_FROST: (91.9, 3.0, 0.0, 100.0)})
+    home_survival: dict[Condition, Rate] = field(default_factory=lambda: {
+        Condition.CARDIAC: (19.3, 1.0, 0.0, 100.0),
+        Condition.RESPIRATORY: (13.0, 1.0, 0.0, 100.0),
+        Condition.HYPOTHERMIA_FROST: (78.9, 1.0, 0.0, 100.0)})
 
     def __post_init__(self):
         for f in fields(self):
@@ -312,7 +323,7 @@ class HealthDistributions:
 class HazardConfig(Bounded):
     """All damage-model parameters for one run; fields mirror the `hazard` section."""
 
-    delta: float = within(0, 1, default=defaults.MORTALITY_DURATION_DELTA)
+    delta: float = within(0, 1, default=0.0)
     rr_model: RRModel = field(default_factory=RRModel)
     productivity_model: ProductivityModel = field(default_factory=ProductivityModel)
     winter_index: WinterIndexParams = field(default_factory=WinterIndexParams)

@@ -9,6 +9,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 from dataclasses import dataclass, field, fields
@@ -16,7 +17,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import defaults
 from .codec import Bound, Bounded, within
 from .errors import ConfigurationError, IngestionError
 from .tables import read_csv, save_csv, write_csv
@@ -83,6 +83,10 @@ class HeatingFuel(str, Enum):
     GAS_ELECTRIC_BLOWER = "gas_electric_blower"
 
 
+# Electric draw of a gas furnace's air handler while heating, kW.
+GAS_BLOWER_KW = 0.5
+
+
 @dataclass(frozen=True)
 class Building:
     """One customer premise with envelope, HVAC, and occupancy attributes. A
@@ -94,10 +98,10 @@ class Building:
     insulation: Insulation
     heating_fuel: HeatingFuel
     floor_area_m2: float = within(above=0)
-    ua_w_per_k: float = within(above=0)  # envelope conductance
+    ua_w_per_k: float = within(1e-3)  # envelope conductance
     thermal_mass_j_per_k: float = within(above=0)
-    hvac_heat_w: float = within(0)  # rated heat output when running
-    setpoint_c: float
+    hvac_heat_w: float = within(0, 1e15)  # rated heat output when running
+    setpoint_c: float = within(-100, 100)
     deadband_c: float = within(above=0)
     n_occupants: int = within(0)
     n_workers: int = within(0)
@@ -115,7 +119,7 @@ class Building:
         """Electric draw while heating: full draw for electric heat, blower only for gas."""
         if self.heating_fuel is HeatingFuel.ELECTRIC:
             return self.hvac_heat_w / 1000.0
-        return defaults.GAS_BLOWER_KW
+        return GAS_BLOWER_KW
 
 
 _FIELD_TYPES = typing.get_type_hints(Building)
@@ -123,10 +127,15 @@ _FIELD_TYPES = typing.get_type_hints(Building)
 CSV_COLUMNS = list(_FIELD_TYPES)
 
 
+@functools.cache
+def _codes(enum: type[Enum]) -> dict:
+    return {member: index for index, member in enumerate(enum)}
+
+
 def code(member: Enum) -> int:
     """A member's small-int code in a population column: its index in its
     enum's declaration order."""
-    return list(type(member)).index(member)
+    return _codes(type(member))[member]
 
 
 def label(enum: type[Enum]):
@@ -201,7 +210,7 @@ class Population:
     def hvac_electric_kw(self) -> np.ndarray:
         """Each building's `Building.hvac_electric_kw`."""
         return np.where(self.heating_fuel == code(HeatingFuel.ELECTRIC),
-                        self.hvac_heat_w / 1000.0, defaults.GAS_BLOWER_KW)
+                        self.hvac_heat_w / 1000.0, GAS_BLOWER_KW)
 
     @classmethod
     def from_buildings(cls, rows) -> Population:
@@ -227,7 +236,7 @@ class InsulationRow(Bounded):
     """Envelope of one insulation class per floor area: UA (W/K.m2) and
     lumped thermal mass (J/K.m2)."""
 
-    ua_w_per_k_m2: float = within(hi=1e3, above=0)
+    ua_w_per_k_m2: float = within(1e-3, 1e3)
     mass_j_per_k_m2: float = within(hi=1e9, above=0)
 
 
@@ -257,30 +266,58 @@ MAX_BUILDINGS = 10_000_000
 class PopulationSpec(Bounded):
     """Knobs for synthesizing a building stock, checked once when built. Its
     bounds keep every synthesized column inside its `Building` bound: 1 m2 or
-    more of floor keeps UA and mass above 0, and no product overflows."""
+    more of floor keeps UA at 1e-3 W/K or more and mass above 0, and the heat
+    output stays below 1e15 W (1e3 W/K.m2 x 1e7 m2 x 200 K x 100 at most)."""
 
     counts: dict[BuildingKind, int] = within(0)
     insulation_weights: dict[Insulation, float] = within(0, default_factory=lambda: {
-        Insulation(k): v for k, v in defaults.INSULATION_WEIGHTS.items()})
-    occupant_weights: dict[int, float] = within(
-        0, default_factory=lambda: dict(defaults.OCCUPANT_COUNT_WEIGHTS))
-    wfh_share: float = within(0, 1, default=defaults.WFH_SHARE)
-    electric_heat_share: float = within(0, 1, default=defaults.ELECTRIC_HEAT_SHARE)
-    power_required_share_residential: float = within(
-        0, 1, default=defaults.POWER_REQUIRED_SHARE_RESIDENTIAL)
-    power_required_share_commercial: float = within(
-        0, 1, default=defaults.POWER_REQUIRED_SHARE_COMMERCIAL)
-    commercial_backup_share: float = within(0, 1, default=defaults.COMMERCIAL_BACKUP_SHARE)
-    setpoint_c: float = within(-100, 100, default=defaults.THERMOSTAT_SETPOINT_C)
-    deadband_c: float = within(above=0, default=defaults.THERMOSTAT_DEADBAND_C)
-    hvac_design_outdoor_c: float = within(-100, 100, default=defaults.HVAC_DESIGN_OUTDOOR_C)
-    hvac_oversize: float = within(0, 100, default=defaults.HVAC_OVERSIZE_FACTOR)
+        Insulation.LITTLE: 0.06, Insulation.POOR: 0.14, Insulation.BELOW_AVERAGE: 0.20,
+        Insulation.AVERAGE: 0.25, Insulation.ABOVE_AVERAGE: 0.17, Insulation.GOOD: 0.12,
+        Insulation.VERY_GOOD: 0.06})
+    occupant_weights: dict[int, float] = within(0, default_factory=lambda: {
+        1: 0.24, 2: 0.35, 3: 0.20, 4: 0.12, 5: 0.06, 6: 0.03})
+    wfh_share: float = within(0, 1, default=0.35)
+    electric_heat_share: float = within(0, 1, default=0.6)
+    power_required_share_residential: float = within(0, 1, default=0.5)
+    power_required_share_commercial: float = within(0, 1, default=0.7)
+    commercial_backup_share: float = within(0, 1, default=0.25)
+    setpoint_c: float = within(-100, 100, default=20.0)
+    deadband_c: float = within(above=0, default=1.0)
+    hvac_design_outdoor_c: float = within(-100, 100, default=-15.0)
+    hvac_oversize: float = within(0, 100, default=1.25)
     insulation_table: dict[Insulation, InsulationRow] = field(default_factory=lambda: {
-        Insulation(k): InsulationRow(**v) for k, v in defaults.INSULATION_TABLE.items()})
+        Insulation.LITTLE: InsulationRow(3.2, 230e3),
+        Insulation.POOR: InsulationRow(2.6, 240e3),
+        Insulation.BELOW_AVERAGE: InsulationRow(2.2, 250e3),
+        Insulation.AVERAGE: InsulationRow(1.8, 255e3),
+        Insulation.ABOVE_AVERAGE: InsulationRow(1.5, 260e3),
+        Insulation.GOOD: InsulationRow(1.2, 265e3),
+        Insulation.VERY_GOOD: InsulationRow(0.9, 270e3)})
     residential_profiles: dict[BuildingKind, Profile] = field(default_factory=lambda: {
-        BuildingKind(k): Profile(**v) for k, v in defaults.RESIDENTIAL_PROFILES.items()})
+        BuildingKind.SINGLE_FAMILY: Profile((90.0, 280.0), (9000.0, 21000.0)),
+        BuildingKind.MULTI_FAMILY: Profile((50.0, 120.0), (5000.0, 12000.0)),
+        BuildingKind.MOBILE_HOME: Profile((50.0, 110.0), (7000.0, 15000.0))})
     commercial_profiles: dict[BuildingKind, CommercialProfile] = field(default_factory=lambda: {
-        BuildingKind(k): CommercialProfile(**v) for k, v in defaults.COMMERCIAL_PROFILES.items()})
+        BuildingKind.OFFICE: CommercialProfile(
+            (800.0, 3000.0), (250000.0, 450000.0), (15, 40)),
+        BuildingKind.WAREHOUSE_STORAGE: CommercialProfile(
+            (2000.0, 8000.0), (200000.0, 400000.0), (5, 15)),
+        BuildingKind.BIG_BOX: CommercialProfile(
+            (3000.0, 10000.0), (900000.0, 1500000.0), (25, 60)),
+        BuildingKind.STRIP_MALL: CommercialProfile(
+            (500.0, 2000.0), (120000.0, 240000.0), (8, 20)),
+        BuildingKind.EDUCATION: CommercialProfile(
+            (1500.0, 6000.0), (300000.0, 500000.0), (20, 60)),
+        BuildingKind.FOOD_SERVICE: CommercialProfile(
+            (200.0, 800.0), (180000.0, 320000.0), (8, 25)),
+        BuildingKind.FOOD_SALES: CommercialProfile(
+            (400.0, 1500.0), (220000.0, 380000.0), (6, 15)),
+        BuildingKind.LODGING: CommercialProfile(
+            (1000.0, 5000.0), (250000.0, 450000.0), (5, 20)),
+        BuildingKind.HEALTHCARE: CommercialProfile(
+            (1000.0, 6000.0), (350000.0, 650000.0), (20, 60)),
+        BuildingKind.LOW_OCCUPANCY: CommercialProfile(
+            (300.0, 2000.0), (50000.0, 110000.0), (1, 5))})
 
     def __post_init__(self):
         super().__post_init__()
@@ -395,8 +432,8 @@ def _parser(f):
     float must be finite: its bound is never wider than (-inf, inf)."""
     tp = _FIELD_TYPES[f.name]
     if issubclass(tp, Enum):
-        codes = {member.value: code(member) for member in tp}
-        return lambda raw: codes[raw] if raw in codes else code(tp(raw))  # tp(raw) raises
+        codes = _codes(tp)
+        return lambda raw: codes[tp(raw)]  # tp(raw) raises for a non-member
     parse = {bool: _parse_bool, int: _parse_int}.get(tp, tp)
     bound = f.metadata.get(Bound, Bound() if tp is float else None)
     if bound is None:

@@ -18,10 +18,12 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from . import defaults
-from .errors import ConfigurationError
 from .population import Population
 from .weather import WeatherSeries
+
+# Metabolic and plug gain of an occupied building, W. Electrically supplied
+# internal gains are otherwise ignored.
+INTERNAL_GAIN_W = 200.0
 
 
 def simulate_block(pop: Population, weather: WeatherSeries, powered,
@@ -36,15 +38,17 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered,
     trace is one contiguous row, the layout its reductions read. Returns that
     buffer and the (steps x buildings) heating-on flags, or None for the flags
     without `with_hvac_on`. Initial temperatures are the setpoints
-    (business-as-usual start). Internal gains default to the package constant
-    for occupied buildings and zero otherwise.
+    (business-as-usual start). Internal gains default to `INTERNAL_GAIN_W`
+    for occupied buildings and zero otherwise. Every temperature is finite:
+    the `Building` bounds and the weather file's keep each equilibrium
+    t_out + Q/UA finite.
     """
     powered = np.ascontiguousarray(powered, dtype=bool)
     n, k = weather.n_steps, len(pop)
     if out is None:
         out = np.empty((k, n))
     if internal_gain_w is None:
-        gains = np.where(pop.n_occupants > 0, defaults.INTERNAL_GAIN_W, 0.0)
+        gains = np.where(pop.n_occupants > 0, INTERNAL_GAIN_W, 0.0)
     else:
         gains = np.full(k, float(internal_gain_w))
     # Per-building constants, each computed with the same scalar expression as
@@ -80,11 +84,6 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered,
         temp -= t_eq
         temp *= decay
         temp += t_eq
-    # A row's min and max are finite only if all of its values are (min and
-    # max pass NaN on); `initial` keeps a zero-step window valid.
-    if not (np.isfinite(out.min(axis=1, initial=0.0)).all()
-            and np.isfinite(out.max(axis=1, initial=0.0)).all()):
-        raise ConfigurationError("simulation produced non-finite temperatures")
     return out, hvac_on
 
 

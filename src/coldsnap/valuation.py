@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import defaults
 from .codec import Bounded, within
 from .errors import ConfigurationError
 from .hazard import (CONDITIONS, Condition, HazardConfig, OutcomeTable, check_conditions,
@@ -120,19 +119,25 @@ _SECTOR_TABLE_KEY = {
 }
 
 
-# The shipped interruption-cost tables: order-of-magnitude placeholders.
-PLACEHOLDER_CIC_TABLES = {CICTableKey(k): CICTable(**row) for k, row in defaults.CIC_TABLES.items()}
+# The shipped interruption-cost tables: order-of-magnitude placeholders
+# patterned on published interruption-cost surveys. Each row is a per-event
+# base, a per-hour charge up to the duration cap, a per-kWh charge on average
+# load and a per-hour slope beyond the cap, in USD.
+PLACEHOLDER_CIC_TABLES = {
+    CICTableKey.RESIDENTIAL: CICTable(5.0, 2.0, 1.5, 3.0),
+    CICTableKey.SMALL_CI: CICTable(200.0, 150.0, 2.0, 100.0),
+    CICTableKey.LARGE_MEDIUM_CI: CICTable(5000.0, 2500.0, 1.0, 1500.0),
+}
 
 
 @dataclass(frozen=True)
 class CICParams(Bounded):
     tables: dict[CICTableKey, CICTable] | None = None  # None: `PLACEHOLDER_CIC_TABLES`
-    season_multiplier: float = within(0, default=defaults.CIC_SEASON_MULTIPLIER)
-    industry_multiplier: float = within(0, default=defaults.CIC_INDUSTRY_MULTIPLIER)
-    income_multiplier: dict[str, float] = within(
-        0, default_factory=lambda: dict(defaults.CIC_INCOME_MULTIPLIER))
-    backup_discount: float = within(0, 1, default=defaults.CIC_BACKUP_DISCOUNT)
-    duration_cap_h: float = within(0, default=defaults.CIC_DURATION_CAP_H)
+    season_multiplier: float = within(0, default=1.0)
+    industry_multiplier: float = within(0, default=1.0)
+    income_multiplier: dict[str, float] = within(0, default_factory=lambda: {"median": 1.0})
+    backup_discount: float = within(0, 1, default=0.85)  # small C&I with backup equipment
+    duration_cap_h: float = within(0, default=16.0)
 
 
 def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.ndarray:
@@ -177,26 +182,29 @@ def interruption_cost(pop: Population, unpowered_h, params: CICParams) -> np.nda
 
 @dataclass(frozen=True)
 class ValuationParams(Bounded):
-    vsl_usd: float = within(above=0, default=defaults.VSL_FEMA_USD)
+    vsl_usd: float = within(above=0, default=11.6e6)  # FEMA benefit-cost analysis guidance
     medical_insured_usd: dict[Condition, tuple[float, float]] = within(
-        0, ordered=True, default_factory=lambda: {
-            Condition(c): usd for c, usd in defaults.MEDICAL_COST_INSURED_USD.items()})
+        0, ordered=True, default_factory=lambda: dict.fromkeys(Condition, (1014.0, 6282.0)))
     medical_uninsured_usd: dict[Condition, tuple[float, float]] = within(
-        0, ordered=True, default_factory=lambda: {
-            Condition(c): usd for c, usd in defaults.MEDICAL_COST_UNINSURED_USD.items()})
-    severity_ceiling: float = within(above=0, default=defaults.MEDICAL_SEVERITY_CEILING)
-    home_care_fraction: float = within(0, 1, default=defaults.HOME_CARE_COST_FRACTION)
-    pipe_repair_insured_usd: tuple[float, float] = within(
-        0, ordered=True, default=defaults.PIPE_REPAIR_INSURED_USD)
+        0, ordered=True, default_factory=lambda: dict.fromkeys(Condition, (3162.0, 15348.0)))
+    # About the largest excess risk the shipped RR curve gives.
+    severity_ceiling: float = within(above=0, default=0.5)
+    home_care_fraction: float = within(0, 1, default=0.25)
+    pipe_repair_insured_usd: tuple[float, float] = within(0, ordered=True, default=(500.0, 2000.0))
     pipe_repair_uninsured_usd: tuple[float, float] = within(
-        0, ordered=True, default=defaults.PIPE_REPAIR_UNINSURED_USD)
+        0, ordered=True, default=(600.0, 5000.0))
     beta_wi: float | None = within(above=0, default=None)  # None: the population maximum
+    # Average hourly pay by building type (BLS, Texas).
     wage_usd_per_hour: dict[BuildingKind, float] = within(0, default_factory=lambda: {
-        BuildingKind(kind): usd for kind, usd in defaults.WAGE_USD_PER_HOUR.items()})
-    work_hours_residential: tuple[int, int] = within(
-        0, 24, ordered=True, default=defaults.WORK_HOURS_RESIDENTIAL)
-    work_hours_commercial: tuple[int, int] = within(
-        0, 24, ordered=True, default=defaults.WORK_HOURS_COMMERCIAL)
+        BuildingKind.SINGLE_FAMILY: 45.51, BuildingKind.MULTI_FAMILY: 45.51,
+        BuildingKind.MOBILE_HOME: 45.51, BuildingKind.OFFICE: 37.88,
+        BuildingKind.WAREHOUSE_STORAGE: 15.49, BuildingKind.BIG_BOX: 29.36,
+        BuildingKind.STRIP_MALL: 22.38, BuildingKind.EDUCATION: 27.95,
+        BuildingKind.FOOD_SERVICE: 13.40, BuildingKind.FOOD_SALES: 15.64,
+        BuildingKind.LODGING: 13.44, BuildingKind.HEALTHCARE: 43.15,
+        BuildingKind.LOW_OCCUPANCY: 21.41})
+    work_hours_residential: tuple[int, int] = within(0, 24, ordered=True, default=(8, 16))
+    work_hours_commercial: tuple[int, int] = within(0, 24, ordered=True, default=(8, 17))
     cic: CICParams = field(default_factory=CICParams)
     # A run config without `cic.tables` must set this to price with the
     # placeholders (`scenario.ScenarioConfig` checks it).

@@ -53,6 +53,8 @@ class WeatherSeries:
 def _temperature(raw: str) -> float:
     if not math.isfinite(value := float(raw)):
         raise ConfigurationError(f"non-finite temperature {value}")
+    if not -100.0 <= value <= 100.0:
+        raise ConfigurationError(f"temperature {value} outside [-100, 100] degC")
     return value
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coldsnap.demo import write_demo
+from coldsnap.hazard import HealthDistributions
 from coldsnap.population import (
     Building,
     BuildingKind,
@@ -77,6 +78,23 @@ def make_building(
 
 def make_population(buildings) -> Population:
     return Population.from_buildings(buildings)
+
+
+# The scalar rates of `HealthDistributions`, in the order the seeded
+# sampler tests draw them.
+RATE_NAMES = ("pre_existing_cardiac", "pre_existing_respiratory", "health_insurance",
+              "healthcare_access", "home_insurance")
+
+
+def shipped_rates() -> dict:
+    """Each shipped `HealthDistributions` rate law by name, a survival
+    table's as `<table>_<condition>`, in the order the seeded sampler tests
+    draw them: `RATE_NAMES`, then hospital and home survival."""
+    dists = HealthDistributions()
+    rows = {name: getattr(dists, name) for name in RATE_NAMES}
+    for table in ("hospital_survival", "home_survival"):
+        rows.update({f"{table}_{c.value}": rate for c, rate in getattr(dists, table).items()})
+    return rows
 
 
 def constant_weather(t_out_c: float, hours: float, dt_s: float = 300.0,

@@ -24,7 +24,6 @@ from enum import Enum
 
 import numpy as np
 
-from coldsnap import defaults
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import (
     CONDITIONS,
@@ -35,7 +34,7 @@ from coldsnap.hazard import (
 )
 from coldsnap.outage import select_isolated
 from coldsnap.population import Building, Population, Sector
-from coldsnap.thermal import simulate_block
+from coldsnap.thermal import INTERNAL_GAIN_W, simulate_block
 from coldsnap.valuation import (
     _SECTOR_TABLE_KEY,
     MC_BATCH,
@@ -234,7 +233,7 @@ def simulate_building_scalar(building, weather, powered, internal_gain_w=None) -
             f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
         )
     if internal_gain_w is None:
-        internal_gain_w = defaults.INTERNAL_GAIN_W if building.n_occupants > 0 else 0.0
+        internal_gain_w = INTERNAL_GAIN_W if building.n_occupants > 0 else 0.0
 
     ua = building.ua_w_per_k
     cap = building.thermal_mass_j_per_k

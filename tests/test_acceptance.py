@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from coldsnap import defaults
 from coldsnap.cli import main
 from coldsnap.hazard import CONDITIONS, HazardConfig, OutcomeTable, resolve_at_risk
 from coldsnap.valuation import run_monte_carlo
 from coldsnap.weather import WeatherSeries
 
-from conftest import make_building
+from conftest import make_building, shipped_rates
 from oracles import (
     decode_outcome,
     free_float_closed_form,
@@ -153,9 +152,7 @@ def test_criterion_3_sampler_statistics():
     # truncation is negligible, incl. 89.4 accessibility / 5.1 cardiac),
     # and zero samples outside [min, max].
     rng = np.random.default_rng(31415)
-    rows = dict(defaults.HEALTH_STATS_PCT)
-    rows.update({f"hospital_survival_{k}": v for k, v in defaults.HOSPITAL_SURVIVAL_PCT.items()})
-    rows.update({f"home_survival_{k}": v for k, v in defaults.HOME_SURVIVAL_PCT.items()})
+    rows = shipped_rates()
     worst = ("", 0.0)
     out_of_range = 0
     for name, (mean, std, lo, hi) in rows.items():

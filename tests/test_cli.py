@@ -390,7 +390,6 @@ class TestPopulationFileRoute:
     def test_run_from_population_csv(self, demo_config_path, tmp_path):
         import csv as _csv
 
-        from coldsnap import defaults
         from coldsnap.population import (
             BuildingKind, PopulationSpec, save_population, synthesize_population,
         )

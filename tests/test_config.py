@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import types
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from coldsnap import scenario as scenario_module
 from coldsnap.cli import main
 from coldsnap.codec import Bound, decode, encode
-from coldsnap.demo import write_demo
+from coldsnap.demo import demo_config_dict, write_demo
 from coldsnap.hazard import HazardConfig, HealthDistributions, RRModel
 from coldsnap.population import BuildingKind, PopulationSpec, synthesize_population
 from coldsnap.outage import SCENARIO_PARAMS
@@ -323,6 +324,28 @@ def test_window_cut_exits_2_naming_key_and_weather_file(small_config, tmp_path, 
     assert named in err and config["weather_path"] in err
 
 
+# The sha256 of each demo scenario's materialized config, its curves reduced
+# to `fit_points` and `valid_range_c`: the fitted coefficients come from
+# LAPACK and may differ in the last bit between builds. A shipped default
+# that moves changes one of them.
+DEMO_MATERIALIZED_SHA256 = {
+    "base": "ce9b609a63131e84f61c7e924847282b87436477f886f93c3e878fad47b7465f",
+    "co": "0f96828159de5e1d10858852094035a563538ac3721f1bfb22edaef3e001ac1a",
+    "ro-di": "b00f41ca5ae3daf32f4078b5fa36819f904053e1b8a5ad19c109100583e9385c",
+    "ro-hi": "22b812d616bc33d90f8923d707a8fd8edb18137ad0a6df783669ccc1e3ad42bc",
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_shipped_defaults_are_pinned(scenario):
+    data = decode(ScenarioConfig, {**demo_config_dict(), "scenario": scenario}, "").materialized()
+    for curve in ("rr_model", "productivity_model"):
+        data["hazard"][curve] = {key: data["hazard"][curve][key]
+                                 for key in ("fit_points", "valid_range_c")}
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == DEMO_MATERIALIZED_SHA256[scenario]
+
+
 @pytest.mark.parametrize("dt_s", [600.0, 900.0, 3600.0])
 def test_coarser_steps_than_the_weather_file_run(small_config, tmp_path, dt_s):
     # The demo file's 1,440 samples leave 1,439 gaps: no stride spans it.
@@ -555,6 +578,7 @@ def test_every_declared_bound_exits_2_naming_its_leaf(full_config, tmp_path, cap
         assert run(config, tmp_path) == 2, (path, value)
         err = capsys.readouterr().err
         assert f"config key {dotted(path)!r} must " in err, (path, value, err)
+        assert not (tmp_path / "out").exists(), (path, value)
 
 
 def key_paths(node, prefix=()):

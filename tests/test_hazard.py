@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from coldsnap import defaults
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import (
     CONDITIONS,
@@ -23,6 +22,7 @@ from coldsnap.hazard import (
     winter_index_rows,
 )
 
+from conftest import RATE_NAMES, shipped_rates
 from oracles import (
     STATUS_DEATH,
     OutcomeStatus,
@@ -82,7 +82,7 @@ class TestRelativeRisk:
 
     def test_fit_residual_recorded(self, rr_model):
         assert rr_model.fit_max_abs_residual < 1e-3
-        assert len(rr_model.fit_points) == len(defaults.RR_CURVE_ANCHORS)
+        assert len(rr_model.fit_points) == len(RRModel.ANCHORS)
 
 
 class TestBaseMortality:
@@ -205,7 +205,9 @@ class TestTruncNormal:
         # home_insurance (95.9, std 3, max 100) genuinely loses ~0.5 to the
         # upper cut, so only the exact mean is a fair target there.
         rng = np.random.default_rng(123)
-        for name, (mean, std, lo, hi) in defaults.HEALTH_STATS_PCT.items():
+        rates = shipped_rates()
+        for name in RATE_NAMES:
+            mean, std, lo, hi = rates[name]
             draws = sample_truncated_normal((mean, std, lo, hi), rng, 1_000_000)
             a, b = (lo - mean) / std, (hi - mean) / std
             exact = stats.truncnorm.mean(a, b, loc=mean, scale=std)
@@ -216,7 +218,7 @@ class TestTruncNormal:
 
     def test_cardiac_mean_within_half_tenth(self):
         rng = np.random.default_rng(7)
-        draws = sample_truncated_normal(defaults.HEALTH_STATS_PCT["pre_existing_cardiac"], rng,
+        draws = sample_truncated_normal(HealthDistributions().pre_existing_cardiac, rng,
                                         1_000_000)
         assert abs(draws.mean() - 5.1) < 0.05
 
@@ -251,8 +253,7 @@ class TestTruncNormal:
             TruncNormal(10.0, 1.0, 5.0, 1.0)
 
     @pytest.mark.parametrize("params", [
-        *defaults.HEALTH_STATS_PCT.values(), *defaults.HOSPITAL_SURVIVAL_PCT.values(),
-        *defaults.HOME_SURVIVAL_PCT.values(),
+        *shipped_rates().values(),
         # Truncation that bites, windows deep in either tail (acceptance down
         # to about 2e-6), a window narrow against std, and a one-sided cut.
         (10.0, 8.0, 0.0, 100.0), (0.0, 1.0, 4.0, 6.0), (0.0, 1.0, -6.0, -4.5),

@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from coldsnap import defaults
+from coldsnap.demo import DEMO_COUNTS
 from coldsnap.errors import ConfigurationError
 from coldsnap.outage import (
     BaseParams,
@@ -43,7 +43,7 @@ def residential(pop):
 
 @pytest.fixture(scope="module")
 def demo_pop():
-    spec = PopulationSpec(counts={BuildingKind(k): v for k, v in defaults.DEMO_COUNTS.items()})
+    spec = PopulationSpec(counts={BuildingKind(k): v for k, v in DEMO_COUNTS.items()})
     return synthesize_population(spec, seed=42)
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from coldsnap import defaults
 from coldsnap.codec import Bound
+from coldsnap.demo import DEMO_COUNTS
 from coldsnap.errors import ConfigurationError, IngestionError
 from coldsnap.population import (
     CSV_COLUMNS,
@@ -27,6 +27,7 @@ from coldsnap.population import (
     PopulationSpec,
     Profile,
     Sector,
+    code,
     label,
     load_population,
     save_population,
@@ -39,7 +40,7 @@ from conftest import make_building, make_population
 
 
 def demo_spec():
-    return PopulationSpec(counts={BuildingKind(k): v for k, v in defaults.DEMO_COUNTS.items()})
+    return PopulationSpec(counts={BuildingKind(k): v for k, v in DEMO_COUNTS.items()})
 
 
 def assert_inside_building_bounds(pop):
@@ -197,17 +198,23 @@ class TestCsvRoundTrip:
         assert (info.value.row, info.value.column) == (3, "avg_annual_kwh")
 
 
-# Each bounded column's limit and whether a cell may equal it: what a
+# Each bounded column's lower limit and whether a cell may equal it: what a
 # population file must hold, written out apart from the `Building` bounds.
 COLUMN_LIMITS = {
     "floor_area_m2": (0.0, False),
-    "ua_w_per_k": (0.0, False),
+    "ua_w_per_k": (1e-3, True),
     "thermal_mass_j_per_k": (0.0, False),
     "hvac_heat_w": (0.0, True),
+    "setpoint_c": (-100.0, True),
     "deadband_c": (0.0, False),
     "n_occupants": (0, True),
     "n_workers": (0, True),
     "avg_annual_kwh": (0.0, False),
+}
+# The upper limits of the columns that have one.
+UPPER_LIMITS = {
+    "hvac_heat_w": (1e15, True),
+    "setpoint_c": (100.0, True),
 }
 FLOAT_COLUMNS = [c for c in CSV_COLUMNS if isinstance(getattr(make_building(), c), float)]
 
@@ -230,10 +237,21 @@ class TestLoadBounds:
 
     @pytest.mark.parametrize("column", COLUMN_LIMITS)
     def test_each_bounded_column_at_and_just_past_its_limit(self, tmp_path, column):
-        limit, allowed = COLUMN_LIMITS[column]
-        integer = isinstance(limit, int)
-        past = limit - 1 if integer else math.nextafter(limit, -math.inf)
-        inside = limit + 1 if integer else math.nextafter(limit, math.inf)
+        self.check_limit(tmp_path, column, *COLUMN_LIMITS[column], outward=-1)
+
+    @pytest.mark.parametrize("column", UPPER_LIMITS)
+    def test_each_upper_limit_at_and_just_past_it(self, tmp_path, column):
+        self.check_limit(tmp_path, column, *UPPER_LIMITS[column], outward=1)
+
+    @staticmethod
+    def check_limit(tmp_path, column, limit, allowed, outward):
+        """A cell at `limit` loads if `allowed`, one step past it in the
+        direction `outward` (+1 or -1) fails naming its row and column, and
+        one step inside loads."""
+        if isinstance(limit, int):
+            past, inside = limit + outward, limit - outward
+        else:
+            past, inside = (math.nextafter(limit, side * math.inf) for side in (outward, -outward))
         for value, ok in ((limit, allowed), (past, False), (inside, True)):
             path = saved_with(tmp_path, (3, column, value))
             if ok:
@@ -247,7 +265,7 @@ class TestLoadBounds:
         path = saved_with(tmp_path, (1, "ua_w_per_k", -3.0))
         with pytest.raises(IngestionError) as info:
             load_population(path)
-        assert str(info.value) == (f"must lie in (0, inf), got -3.0; file={path}; row=3; "
+        assert str(info.value) == (f"must lie in [0.001, inf), got -3.0; file={path}; row=3; "
                                    "column=ua_w_per_k")
 
     @pytest.mark.parametrize("column", FLOAT_COLUMNS)
@@ -334,6 +352,10 @@ def test_spec_bounds_keep_synthesis_inside_the_building_bounds(spec, seed):
 
 
 class TestColumns:
+    def test_code_is_the_declaration_index(self):
+        for enum in (BuildingKind, Insulation, HeatingFuel, Sector):
+            assert [code(member) for member in enum] == list(range(len(enum)))
+
     def test_total_occupants_is_the_column_sum(self):
         # No second copy of the total is stored, so none can disagree.
         pop = make_population([make_building(0, n_occupants=3), make_building(1, n_occupants=4)])

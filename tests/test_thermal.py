@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import sys
 import time
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldsnap.errors import ConfigurationError
-from coldsnap.population import HeatingFuel, Insulation
+from coldsnap.population import HeatingFuel, Insulation, Population
+from coldsnap.thermal import simulate_block
+from coldsnap.weather import WeatherSeries
 
 from conftest import constant_weather, make_building
 from oracles import (
@@ -203,6 +208,44 @@ class TestSimulateBuilding:
         lo, hi = min(start_temp, t_out), max(start_temp, t_out)
         assert trace.t_in_c.min() >= lo - 1e-9
         assert trace.t_in_c.max() <= hi + 1e-9
+
+
+def edges(lo, hi):
+    """Floats in [lo, hi], its two ends drawn often."""
+    return st.sampled_from([lo, hi]) | st.floats(lo, hi)
+
+
+@st.composite
+def edge_buildings(draw):
+    """A building whose bounded columns lie anywhere in their `Building`
+    bounds, ends included; a column bounded on one side reaches the
+    largest float."""
+    return dataclasses.replace(
+        make_building(n_occupants=draw(st.integers(0, 1))),
+        ua_w_per_k=draw(edges(1e-3, sys.float_info.max)),
+        thermal_mass_j_per_k=draw(edges(5e-324, sys.float_info.max)),
+        hvac_heat_w=draw(edges(0.0, 1e15)),
+        setpoint_c=draw(edges(-100.0, 100.0)),
+        deadband_c=draw(edges(5e-324, sys.float_info.max)))
+
+
+@given(buildings=st.lists(edge_buildings(), min_size=1, max_size=4),
+       t_out=st.lists(edges(-100.0, 100.0), min_size=2, max_size=12),
+       dt_s=edges(1.0, 86400.0), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_bounded_buildings_and_weather_give_finite_temperatures(buildings, t_out, dt_s, data):
+    # The loaders' bounds are all that keeps each relay equilibrium
+    # t_out + Q/UA finite: the relay itself checks nothing.
+    weather = WeatherSeries(datetime(2021, 2, 15, tzinfo=timezone.utc), dt_s, t_out,
+                            [80.0] * len(t_out))
+    powered = np.array(data.draw(st.lists(st.booleans(), min_size=len(t_out) * len(buildings),
+                                          max_size=len(t_out) * len(buildings)))
+                       ).reshape(len(t_out), len(buildings))
+    # An exponent -UA dt / C that overflows gives a decay of exp(-inf) = 0:
+    # the step reaches its equilibrium.
+    with np.errstate(over="ignore"):
+        t_in, _ = simulate_block(Population.from_buildings(buildings), weather, powered)
+    assert np.isfinite(t_in).all()
 
 
 class TestTraceExport:

@@ -1,3 +1,5 @@
+import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -69,6 +71,20 @@ class TestLoad:
         path = tmp_path / "w.csv"
         write_csv(path, make_rows(8, temp=lambda i: value if i == 4 else -5.0))
         with pytest.raises(IngestionError, match=f"non-finite temperature {value}") as info:
+            load_weather_csv(path)
+        assert (info.value.path, info.value.row, info.value.column) == (path, 6, "temp_c")
+
+    @pytest.mark.parametrize("value", [-100.0, 100.0, 150.0, -1e300,
+                                       math.nextafter(100.0, math.inf),
+                                       math.nextafter(-100.0, -math.inf)])
+    def test_temperature_outside_plus_minus_100_names_row(self, tmp_path, value):
+        path = tmp_path / "w.csv"
+        write_csv(path, make_rows(8, temp=lambda i: repr(value) if i == 4 else -5.0))
+        if -100.0 <= value <= 100.0:
+            assert load_weather_csv(path).t_out_c[4] == value
+            return
+        with pytest.raises(IngestionError, match=re.escape(
+                f"temperature {value!r} outside [-100, 100] degC")) as info:
             load_weather_csv(path)
         assert (info.value.path, info.value.row, info.value.column) == (path, 6, "temp_c")
 
