@@ -7,7 +7,8 @@ infrastructure). Fault damage isolates a seeded fraction of customers for
 the entire window; hardened infrastructure (`ro-hi`) has no faults.
 
 A scenario serves a handful of distinct power rows, so a schedule is one
-group per building and one row per group.
+row index per building and one row of steps per index, in one layout for
+every scenario: lit, shed, isolated, then the rolling tiers.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class ShedScope(str, Enum):
 class ControlledOutageParams(Bounded):
     """`scenarios.co`: the shed set, by id or as a seeded fraction."""
 
-    shed_ids: tuple[int, ...] | None = None
+    shed_ids: tuple[int, ...] | None = within(-2**63, 2**63 - 1, default=None)
     shed_fraction: float = within(0, 1, default=0.0)
     shed_scope: ShedScope = ShedScope.RESIDENTIAL
     fault_fraction: float = within(0, below=1, default=0.0)
@@ -106,80 +107,68 @@ class HardenedRollingParams(RollingOutageParams):
     fault_fraction: float = within(0, 0, default=0.0)
 
 
-SCENARIO_PARAMS = {"base": BaseParams, "co": ControlledOutageParams,
-                   "ro-di": RollingOutageParams, "ro-hi": HardenedRollingParams}
+SCENARIO_PARAMS = {Scenario.BASE: BaseParams, Scenario.CO: ControlledOutageParams,
+                   Scenario.RO_DI: RollingOutageParams, Scenario.RO_HI: HardenedRollingParams}
+
+# The rows of every schedule: LIT is lit throughout, DARK (shed) and
+# ISOLATED (fault-isolated) are dark throughout, and rolling tier g is row
+# TIERS + g.
+LIT, DARK, ISOLATED, TIERS = range(4)
 
 
 @dataclass(frozen=True)
 class PowerScheduleSet:
     """Power availability of every building at every step: building i is
-    powered at step t when `on[group[i], t]`. `group` holds one group per
-    building in population order, `on` one row of steps per group; both are
-    read-only."""
+    powered at step t when `on[group[i], t]`. `group` holds one row of `on`
+    per building in population order, `on` the rows `LIT`, `DARK`,
+    `ISOLATED` and then one per rolling tier; both are read-only."""
 
     dt_s: float
     group: np.ndarray = field(repr=False)
     on: np.ndarray = field(repr=False)
-    isolated_ids: frozenset[int] = frozenset()
 
     def __post_init__(self):
         self.group.flags.writeable = False
         self.on.flags.writeable = False
 
-    @property
-    def n_steps(self) -> int:
-        return self.on.shape[1]
-
-    def powered(self, rows=slice(None)) -> np.ndarray:
-        """The (buildings x steps) power matrix of the buildings `rows`."""
-        return self.on[self.group[rows]]
-
-    def powered_by_step(self, rows=slice(None)) -> np.ndarray:
-        """The same matrix transposed, (steps x buildings) and C-contiguous:
-        the layout in which the thermal relay reads it a step at a time."""
+    def powered_by_step(self, rows) -> np.ndarray:
+        """The (steps x buildings) power matrix of the buildings `rows`,
+        C-contiguous: the layout in which the thermal relay reads it a step
+        at a time."""
         return np.take(self.on.T, self.group[rows], axis=1)
 
     def unpowered_hours(self) -> np.ndarray:
         """Unpowered hours of every building, in population order."""
-        return (self.n_steps - self.on.sum(axis=1))[self.group] * self.dt_s / 3600.0
+        return (self.on.shape[1] - self.on.sum(axis=1))[self.group] * self.dt_s / 3600.0
 
 
-def build_base_schedule(pop: Population, n_steps: int, dt_s: float, params: BaseParams,
-                        seed: int) -> PowerScheduleSet:
-    """Normal operation: every building powered for the whole window."""
-    return PowerScheduleSet(dt_s, np.zeros(len(pop), dtype=np.intp),
-                            np.ones((1, n_steps), dtype=bool))
+def draw_subset(pop: Population, candidates: np.ndarray, fraction: float, seed: int,
+                stream: int) -> np.ndarray:
+    """A seeded uniform choice of round(`fraction` x count) of the buildings in
+    the `candidates` mask, as a mask. The draw is made among the candidates
+    in id order, so it picks the same ids whatever the row order."""
+    rows = np.flatnonzero(candidates)
+    rows = rows[np.argsort(pop.id[rows])]
+    chosen = np.zeros(len(pop), dtype=bool)
+    n_pick = int(round(fraction * len(rows)))
+    if n_pick:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
+        chosen[rows[rng.choice(len(rows), size=n_pick, replace=False)]] = True
+    return chosen
 
 
-def select_isolated(pop: Population, fault_fraction: float, seed: int) -> frozenset[int]:
-    """Seeded uniform choice of customers stranded behind damaged equipment."""
-    n_pick = int(round(fault_fraction * len(pop)))
-    if n_pick == 0:
-        return frozenset()
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x150)))
-    return frozenset(rng.choice(np.sort(pop.id), size=n_pick, replace=False).tolist())
-
-
-def build_controlled_outage(pop: Population, n_steps: int, dt_s: float,
-                            params: ControlledOutageParams, seed: int) -> PowerScheduleSet:
-    """Switch off the shed set (plus fault-isolated customers) for the window:
-    group 0 is lit, group 1 dark. Without `shed_ids`, the shed set is a
+def shed_set(pop: Population, params: ControlledOutageParams, seed: int) -> np.ndarray:
+    """The mask of the buildings `co` switches off: its `shed_ids`, or else a
     seeded `shed_fraction` of the `shed_scope` buildings."""
     if params.shed_ids is None:
-        candidates = np.sort(pop.id if params.shed_scope is ShedScope.ALL
-                             else pop.id[pop.sector == code(Sector.RESIDENTIAL)])
-        n_shed = int(round(params.shed_fraction * len(candidates)))
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5348)))
-        shed = rng.choice(candidates, size=n_shed, replace=False)
-    else:
-        shed = np.array(params.shed_ids, dtype=np.int64)
+        scope = (np.ones(len(pop), dtype=bool) if params.shed_scope is ShedScope.ALL
+                 else pop.sector == code(Sector.RESIDENTIAL))
+        return draw_subset(pop, scope, params.shed_fraction, seed, 0x5348)
+    shed = np.array(params.shed_ids, dtype=np.int64)
     unknown = sorted(set(shed[~np.isin(shed, pop.id)].tolist()))
     if unknown:
         raise ConfigurationError(f"contains unknown building ids: {unknown[:5]}", "shed_ids")
-    isolated = select_isolated(pop, params.fault_fraction, seed)
-    dark = np.isin(pop.id, shed) | np.isin(pop.id, list(isolated))
-    on = np.array([[True], [False]]).repeat(n_steps, axis=1)
-    return PowerScheduleSet(dt_s, dark.astype(np.intp), on, isolated)
+    return np.isin(pop.id, shed)
 
 
 def assign_rolling_groups(pop: Population, n_groups: int) -> np.ndarray:
@@ -197,29 +186,35 @@ def assign_rolling_groups(pop: Population, n_groups: int) -> np.ndarray:
     return tier
 
 
-def build_rolling_outage(pop: Population, n_steps: int, dt_s: float,
-                         params: RollingOutageParams, seed: int) -> PowerScheduleSet:
-    """Rotate service across residential consumption tiers slot by slot.
+def build_schedule(pop: Population, n_steps: int, dt_s: float, params, seed: int
+                   ) -> PowerScheduleSet:
+    """The power schedule of a scenario, over one row layout. `base` lights
+    everyone; `co` puts its shed set in `DARK`; a rolling outage puts
+    residential tier g in `TIERS + g` and leaves the other buildings lit.
+    Every scenario but `base` then puts a seeded `fault_fraction` of all
+    buildings, stranded behind damaged equipment, in `ISOLATED`.
 
-    Per slot, k = floor(availability * n_groups) tiers are served, the served
-    window rotating round-robin so curtailment falls evenly. Groups
-    0..n_groups-1 are the tiers; commercial and industrial customers stay
-    powered in group n_groups. Fault-isolated customers get no service at
-    all, in group n_groups + 1.
+    Per slot of a rolling outage, k = floor(availability * n_groups) tiers
+    are served, the served window rotating round-robin so curtailment falls
+    evenly: tier g is served in slot s when it lies in the k-wide window
+    that starts at tier s mod n_groups and wraps.
     """
-    n_groups = params.n_groups
-    per_slot, fractions = params.slots(n_steps, dt_s)
-    isolated = select_isolated(pop, params.fault_fraction, seed)
-
-    # Tier g is served in slot s when it lies in the k-wide window that
-    # starts at tier s mod n_groups and wraps.
-    k = np.minimum(np.floor(fractions * n_groups), n_groups)
-    offset = (np.arange(n_groups) - np.arange(len(k))[:, None]) % n_groups
-    step_slot = np.minimum(np.arange(n_steps) // per_slot, len(k) - 1)
-    on = np.vstack([(offset < k[:, None])[step_slot].T,
-                    np.ones(n_steps, dtype=bool), np.zeros(n_steps, dtype=bool)])
-
-    tier = assign_rolling_groups(pop, n_groups)
-    group = np.where(tier < 0, n_groups, tier)
-    group[np.isin(pop.id, list(isolated))] = n_groups + 1
-    return PowerScheduleSet(dt_s, group, on, isolated)
+    group = np.full(len(pop), LIT)
+    tiers = np.empty((0, n_steps), dtype=bool)
+    if isinstance(params, ControlledOutageParams):
+        group[shed_set(pop, params, seed)] = DARK
+    elif isinstance(params, RollingOutageParams):
+        n_groups = params.n_groups
+        per_slot, fractions = params.slots(n_steps, dt_s)
+        k = np.minimum(np.floor(fractions * n_groups), n_groups)
+        offset = (np.arange(n_groups) - np.arange(len(k))[:, None]) % n_groups
+        step_slot = np.minimum(np.arange(n_steps) // per_slot, len(k) - 1)
+        tiers = (offset < k[:, None])[step_slot].T
+        tier = assign_rolling_groups(pop, n_groups)
+        group = np.where(tier < 0, LIT, TIERS + tier)
+    if not isinstance(params, BaseParams):
+        everyone = np.ones(len(pop), dtype=bool)
+        group[draw_subset(pop, everyone, params.fault_fraction, seed, 0x150)] = ISOLATED
+    on = np.vstack([np.ones((1, n_steps), dtype=bool), np.zeros((2, n_steps), dtype=bool),
+                    tiers])
+    return PowerScheduleSet(dt_s, group, on)

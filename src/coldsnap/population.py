@@ -98,8 +98,8 @@ class Building:
     insulation: Insulation
     heating_fuel: HeatingFuel
     floor_area_m2: float = within(above=0)
-    ua_w_per_k: float = within(1e-3)  # envelope conductance
-    thermal_mass_j_per_k: float = within(above=0)
+    ua_w_per_k: float = within(1e-3, 1e10)  # envelope conductance
+    thermal_mass_j_per_k: float = within(1)
     hvac_heat_w: float = within(0, 1e15)  # rated heat output when running
     setpoint_c: float = within(-100, 100)
     deadband_c: float = within(above=0)
@@ -237,7 +237,7 @@ class InsulationRow(Bounded):
     lumped thermal mass (J/K.m2)."""
 
     ua_w_per_k_m2: float = within(1e-3, 1e3)
-    mass_j_per_k_m2: float = within(hi=1e9, above=0)
+    mass_j_per_k_m2: float = within(1, 1e9)
 
 
 @dataclass(frozen=True)

@@ -96,14 +96,14 @@ def format_comparison(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def export_exposure(run_dir, out_path=None) -> list[dict]:
+def export_exposure(run_dir) -> list[dict]:
     """Summarize a run's exposure table by insulation class.
 
     Returns one row per insulation class present: building count, mean of
     the per-building mean and minimum indoor temperatures, and mean relative
-    risk. Writes `insulation_summary.csv` next to the run unless told
-    otherwise. A missing column, an unknown class or a value that is not a
-    number raises IngestionError naming the first such cell.
+    risk. Writes `insulation_summary.csv` next to the run. A missing column,
+    an unknown class or a value that is not a number raises IngestionError
+    naming the first such cell.
     """
     run_dir = Path(run_dir)
     exposure_path = run_dir / "exposure.csv"
@@ -124,8 +124,7 @@ def export_exposure(run_dir, out_path=None) -> list[dict]:
     means = [np.bincount(insulation, weights=values, minlength=len(counts))[present] / n
              for values in temperatures_and_rr]
     header = ("insulation", "n_buildings", "mean_t_in_c", "mean_min_t_in_c", "mean_rr")
-    out_path = Path(out_path) if out_path is not None else run_dir / "insulation_summary.csv"
-    save_csv(out_path, header,
+    save_csv(run_dir / "insulation_summary.csv", header,
              [(classes, None), (n, None)] + [(m, "{:.6f}".format) for m in means])
     return [dict(zip(header, row))
             for row in zip(classes, n.tolist(), *(m.tolist() for m in means))]

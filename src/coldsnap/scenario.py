@@ -33,9 +33,7 @@ from .outage import (
     PowerScheduleSet,
     RollingOutageParams,
     Scenario,
-    build_base_schedule,
-    build_controlled_outage,
-    build_rolling_outage,
+    build_schedule,
 )
 from .population import (
     BuildingKind,
@@ -66,8 +64,6 @@ from .valuation import (
     work_steps,
 )
 from .weather import WeatherSeries, load_weather_csv, slice_window
-
-SCENARIO_NAMES = tuple(s.value for s in Scenario)
 
 # Bytes of the one (buildings x steps) float64 buffer that `assemble_bundle`
 # simulates a block of buildings into, 512 buildings of a 1,152-step window:
@@ -214,9 +210,7 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
 def build_schedules(config: ScenarioConfig, pop: Population) -> PowerScheduleSet:
     """Construct the power schedule set for the configured scenario; an
     error in its parameters names their key under `scenarios.<name>`."""
-    build = {Scenario.BASE: build_base_schedule,
-             Scenario.CO: build_controlled_outage}.get(config.scenario, build_rolling_outage)
-    return checked(f"scenarios.{config.scenario.value}", build,
+    return checked(f"scenarios.{config.scenario.value}", build_schedule,
                    pop, config.n_steps, config.dt_s, config.params, config.seed)
 
 

@@ -27,7 +27,7 @@ INTERNAL_GAIN_W = 200.0
 
 
 def simulate_block(pop: Population, weather: WeatherSeries, powered,
-                   internal_gain_w: float | None = None, out: np.ndarray | None = None,
+                   out: np.ndarray | None = None,
                    with_hvac_on: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Simulate a population's buildings side by side over a weather window.
 
@@ -38,19 +38,16 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered,
     trace is one contiguous row, the layout its reductions read. Returns that
     buffer and the (steps x buildings) heating-on flags, or None for the flags
     without `with_hvac_on`. Initial temperatures are the setpoints
-    (business-as-usual start). Internal gains default to `INTERNAL_GAIN_W`
-    for occupied buildings and zero otherwise. Every temperature is finite:
+    (business-as-usual start). Internal gains are `INTERNAL_GAIN_W` for
+    occupied buildings and zero otherwise. Every temperature is finite:
     the `Building` bounds and the weather file's keep each equilibrium
-    t_out + Q/UA finite.
+    t_out + Q/UA and each decay exponent -UA dt / C finite.
     """
     powered = np.ascontiguousarray(powered, dtype=bool)
     n, k = weather.n_steps, len(pop)
     if out is None:
         out = np.empty((k, n))
-    if internal_gain_w is None:
-        gains = np.where(pop.n_occupants > 0, INTERNAL_GAIN_W, 0.0)
-    else:
-        gains = np.full(k, float(internal_gain_w))
+    gains = np.where(pop.n_occupants > 0, INTERNAL_GAIN_W, 0.0)
     # Per-building constants, each computed with the same scalar expression as
     # the one-building relay so that every row is bit-identical to it; numpy's
     # vector exp can differ from math.exp in the last bit.

@@ -32,7 +32,6 @@ from coldsnap.hazard import (
     WinterIndexParams,
     mortality_probability,
 )
-from coldsnap.outage import select_isolated
 from coldsnap.population import Building, Population, Sector
 from coldsnap.thermal import INTERNAL_GAIN_W, simulate_block
 from coldsnap.valuation import (
@@ -74,6 +73,29 @@ def unpowered_hours(powered, dt_s: float) -> float:
     return float((~np.asarray(powered, dtype=bool)).sum()) * dt_s / 3600.0
 
 
+def choose_ids(ids, fraction: float, seed: int, stream: int) -> list[int]:
+    """round(fraction x len(ids)) of `ids`, chosen uniformly by the RNG
+    stream (seed, stream) from the ids in ascending order."""
+    n_pick = int(round(fraction * len(ids)))
+    if n_pick == 0:
+        return []
+    rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
+    return rng.choice(np.sort(np.array(ids)), size=n_pick, replace=False).tolist()
+
+
+def select_isolated(pop, fault_fraction: float, seed: int) -> frozenset[int]:
+    """Seeded uniform choice of round(fault_fraction x N) building ids,
+    drawn from the sorted ids."""
+    return frozenset(choose_ids(pop.id.tolist(), fault_fraction, seed, 0x150))
+
+
+def build_schedules(config, pop) -> ScheduleDict:
+    """The schedules of the config's scenario."""
+    build = {"base": build_base_schedule, "co": build_controlled_outage}.get(
+        config.scenario.value, build_rolling_outage)
+    return build(pop, config.n_steps, config.dt_s, config.params, config.seed)
+
+
 def build_base_schedule(pop, n_steps, dt_s, params, seed) -> ScheduleDict:
     schedules = {b.id: np.ones(n_steps, dtype=bool) for b in pop.buildings}
     return ScheduleDict(dt_s, schedules, frozenset())
@@ -82,11 +104,9 @@ def build_base_schedule(pop, n_steps, dt_s, params, seed) -> ScheduleDict:
 def build_controlled_outage(pop, n_steps, dt_s, params, seed) -> ScheduleDict:
     known = {b.id for b in pop.buildings}
     if params.shed_ids is None:
-        candidates = sorted(b.id for b in pop.buildings
-                            if params.shed_scope == "all" or b.sector is Sector.RESIDENTIAL)
-        n_shed = int(round(params.shed_fraction * len(candidates)))
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5348)))
-        shed = set(rng.choice(np.array(candidates), size=n_shed, replace=False).tolist())
+        candidates = [b.id for b in pop.buildings
+                      if params.shed_scope == "all" or b.sector is Sector.RESIDENTIAL]
+        shed = set(choose_ids(candidates, params.shed_fraction, seed, 0x5348))
     else:
         shed = set(int(i) for i in params.shed_ids)
     unknown = shed - known
@@ -205,8 +225,7 @@ class ExposureTrace:
         return len(self.t_in_c)
 
 
-def simulate_building(building: Building, weather, powered,
-                      internal_gain_w: float | None = None) -> ExposureTrace:
+def simulate_building(building: Building, weather, powered) -> ExposureTrace:
     """One building through the package's block kernel."""
     powered = np.asarray(powered, dtype=bool)
     if len(powered) != weather.n_steps:
@@ -214,7 +233,7 @@ def simulate_building(building: Building, weather, powered,
             f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
         )
     t_in, hvac_on = simulate_block(Population.from_buildings([building]), weather,
-                                   powered[:, None], internal_gain_w)
+                                   powered[:, None])
     return ExposureTrace(
         building_id=building.id,
         start=weather.start,
@@ -225,15 +244,14 @@ def simulate_building(building: Building, weather, powered,
     )
 
 
-def simulate_building_scalar(building, weather, powered, internal_gain_w=None) -> ExposureTrace:
+def simulate_building_scalar(building, weather, powered) -> ExposureTrace:
     """Scalar relay loop over one building's steps."""
     powered = np.asarray(powered, dtype=bool)
     if len(powered) != weather.n_steps:
         raise ConfigurationError(
             f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
         )
-    if internal_gain_w is None:
-        internal_gain_w = INTERNAL_GAIN_W if building.n_occupants > 0 else 0.0
+    internal_gain_w = INTERNAL_GAIN_W if building.n_occupants > 0 else 0.0
 
     ua = building.ua_w_per_k
     cap = building.thermal_mass_j_per_k
@@ -712,8 +730,8 @@ EXPOSURE_FLOATS = ("mean_t_in_c", "min_t_in_c", "mean_rr", "p_mort", "wi_sum", "
 
 
 def assemble_bundle(config, pop, schedule):
-    """Simulate and reduce one building at a time; row i of the schedule's
-    `powered()` matrix is building i's schedule.
+    """Simulate and reduce one building at a time; building i's schedule is
+    row `group[i]` of the schedule's `on` matrix.
 
     Returns the trial bundle, the traces keyed by building id, and the
     per-building exposure rows.
@@ -729,7 +747,7 @@ def assemble_bundle(config, pop, schedule):
     p_mort = np.empty(n_b)
     wi_sum = np.empty(n_b)
     mean_rr = np.empty(n_b)
-    powered = schedule.powered()
+    powered = schedule.on[schedule.group]
     hours = [unpowered_hours(row, schedule.dt_s) for row in powered]
     exposure_rows = []
     for i, b in enumerate(pop.buildings):

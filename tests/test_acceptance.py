@@ -19,6 +19,7 @@ from scipy import stats
 
 from coldsnap.cli import main
 from coldsnap.hazard import CONDITIONS, HazardConfig, OutcomeTable, resolve_at_risk
+from coldsnap.outage import ISOLATED
 from coldsnap.valuation import run_monte_carlo
 from coldsnap.weather import WeatherSeries
 
@@ -76,18 +77,16 @@ def test_criterion_1_thermal_oracle():
     t_out = rng.uniform(-18.0, 0.0, n)
     weather = WeatherSeries(datetime(2021, 2, 15, tzinfo=UTC), 300.0,
                             t_out, np.full(n, 70.0))
-    building = make_building()
+    building = make_building(n_occupants=0)  # no internal gains
     started = time.time()
-    trace = simulate_building(building, weather, np.zeros(n, dtype=bool),
-                              internal_gain_w=0.0)
+    trace = simulate_building(building, weather, np.zeros(n, dtype=bool))
     runtime = time.time() - started
     oracle = superposition_oracle(building, t_out, 20.0, 0.0, 300.0)
     err_piecewise = float(np.abs(trace.t_in_c - oracle).max())
 
     const_weather = WeatherSeries(datetime(2021, 2, 15, tzinfo=UTC), 300.0,
                                   np.full(n, -12.0), np.full(n, 70.0))
-    const_trace = simulate_building(building, const_weather, np.zeros(n, dtype=bool),
-                                    internal_gain_w=0.0)
+    const_trace = simulate_building(building, const_weather, np.zeros(n, dtype=bool))
     exact = free_float_closed_form(building, 20.0, -12.0, 0.0, np.arange(n) * 300.0)
     err_const = float(np.abs(const_trace.t_in_c - exact).max())
 
@@ -179,13 +178,13 @@ def test_criterion_4_rolling_outage_guarantee(demo_runs, demo_config_path):
     config_hi = load_config(demo_config_path, {"scenario": "ro-hi"})
     pop = synthesize_population(config_hi.population_spec, config_hi.seed)
     sched_hi = build_schedules(config_hi, pop)
-    schedules = dict(zip(pop.id.tolist(), sched_hi.powered()))
+    schedules = dict(zip(pop.id.tolist(), sched_hi.on[sched_hi.group]))
     offs = {max_contiguous_off(schedules[b.id], sched_hi.dt_s)
             for b in pop.buildings if b.sector is Sector.RESIDENTIAL}
 
     config_di = load_config(demo_config_path, {"scenario": "ro-di"})
     sched_di = build_schedules(config_di, pop)
-    n_isolated = len(sched_di.isolated_ids)
+    n_isolated = int((sched_di.group == ISOLATED).sum())
     expected = round(0.034 * len(pop.buildings))
 
     ok = offs == {2.0} and n_isolated == expected == 48

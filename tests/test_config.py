@@ -20,14 +20,21 @@ from coldsnap.cli import main
 from coldsnap.codec import Bound, decode, encode
 from coldsnap.demo import demo_config_dict, write_demo
 from coldsnap.hazard import HazardConfig, HealthDistributions, RRModel
-from coldsnap.population import BuildingKind, PopulationSpec, synthesize_population
-from coldsnap.outage import SCENARIO_PARAMS
-from coldsnap.scenario import SCENARIO_NAMES, ScenarioConfig, load_config
+from coldsnap.population import (
+    BuildingKind,
+    Population,
+    PopulationSpec,
+    save_population,
+    synthesize_population,
+)
+from coldsnap.outage import SCENARIO_PARAMS, Scenario
+from coldsnap.scenario import ScenarioConfig, load_config
 from coldsnap.valuation import PLACEHOLDER_CIC_TABLES, ValuationParams, interruption_cost
 
 # Very large values find keys without an upper bound, which would fail in
 # an allocation or overflow instead of exiting 2.
 BAD_VALUES = ["x", -1, 2, None, [], {}, True, 0, [1.0], -0.5, 10**12, 1e300]
+SCENARIO_NAMES = [s.value for s in Scenario]
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +307,10 @@ def test_own_tables_hash_alike_with_and_without_the_opt_in(small_config, tmp_pat
      "'hazard.rr_model': need more than 4 points for a degree-4 fit"),
     (("hazard", "rr_model"), {"coefficients_high_to_low": [0, 0, 0, 0, 2]},
      "'hazard.rr_model': mortality curve minimum over its range is 2.0; expected 1"),
+    # Building ids are 64-bit integers.
+    (("scenarios", "co", "shed_ids"), [0, 10**20],
+     "'scenarios.co.shed_ids[1]' must lie in [-9,223,372,036,854,775,808, "
+     "9,223,372,036,854,775,807], got 100000000000000000000"),
 ])
 def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
                                                path, value, named):
@@ -308,6 +319,30 @@ def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
     # The --scenario flag would override a bad `scenario` value.
     assert run(config, tmp_path, None if path == ("scenario",) else "co") == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probe, named", [
+    ("ua_cell", "row=3; column=ua_w_per_k"),
+    ("mass_row", "'population.spec.insulation_table.little.mass_j_per_k_m2'"),
+    ("shed_id", "'scenarios.co.shed_ids[1]'"),
+])
+def test_overflowing_input_exits_2_before_the_output_directory(small_config, tmp_path, capsys,
+                                                               probe, named):
+    config = copy.deepcopy(small_config)
+    if probe == "ua_cell":
+        loaded = load_config(write_config(config, tmp_path / "spec"))
+        columns = synthesize_population(loaded.population_spec, loaded.seed).columns
+        ua = columns["ua_w_per_k"].copy()
+        ua[1] = 1e308
+        save_population(Population({**columns, "ua_w_per_k": ua}), tmp_path / "pop.csv")
+        config["population"] = {"path": str(tmp_path / "pop.csv")}
+    elif probe == "mass_row":
+        config["population"]["spec"]["insulation_table"]["little"]["mass_j_per_k_m2"] = 5e-324
+    else:
+        config["scenarios"]["co"]["shed_ids"] = [0, 10**20]
+    assert run(config, tmp_path) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("update, named", [
@@ -528,7 +563,8 @@ def out_of_bounds(tp, data, path=()):
                 yield from past_bound(f.metadata[Bound], data[f.name], at)
             elif tp is ScenarioConfig and f.name == "scenarios":
                 for name, section in data[f.name].items():
-                    yield from out_of_bounds(SCENARIO_PARAMS[name], section, at + (name,))
+                    params = SCENARIO_PARAMS[Scenario(name)]
+                    yield from out_of_bounds(params, section, at + (name,))
             else:
                 yield from out_of_bounds(hints[f.name], data[f.name], at)
     elif typing.get_origin(tp) is dict and data is not None:

@@ -20,11 +20,10 @@ from coldsnap.codec import decode
 from coldsnap.demo import demo_config_dict, make_uri_like_weather, write_weather_csv
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import CONDITIONS, HazardConfig, OutcomeTable, ProductivityModel, RRModel
-from coldsnap.outage import assign_rolling_groups
-from coldsnap.population import BuildingKind, Sector, synthesize_population
+from coldsnap.outage import ISOLATED, TIERS, Scenario, assign_rolling_groups
+from coldsnap.population import BuildingKind, Population, Sector, synthesize_population
 from coldsnap.scenario import (
     EXPOSURE_FIELDS,
-    SCENARIO_NAMES,
     _write_exposure_csv,
     assemble_bundle,
     build_schedules,
@@ -56,6 +55,7 @@ WIDTH = 256
 
 
 ROLLING = ("scenarios.ro-di", "scenarios.ro-hi")
+SCENARIO_NAMES = [s.value for s in Scenario]
 
 # Each variant updates sections of the scaled demo config, keyed by dotted path
 # ("" is the top level).
@@ -67,6 +67,8 @@ VARIANTS = {
                   "valuation": {"beta_wi": None}},
     # An explicit shed set, partly overlapping the fault-isolated customers.
     "shed_ids": {"scenarios.co": {"shed_ids": list(range(0, 290, 7)), "fault_fraction": 0.1}},
+    # A seeded shed fraction of every building, not only the homes.
+    "scope_all": {"scenarios.co": {"shed_scope": "all"}},
     # Per-slot availability serving 0, 1, 2 and all 3 groups.
     "availability": dict.fromkeys(ROLLING, {
         "availability": [(0.0, 0.34, 0.67, 1.0, 0.99)[i % 5] for i in range(96)]}),
@@ -153,37 +155,55 @@ def test_rolling_groups_match_oracle_exactly(assets, n_groups):
                          + [(v, "ro-di") for v in ("availability", "slot_3900", "groups_7",
                                                    "commercial", "few_homes")]
                          + [("availability", "ro-hi"), ("commercial", "co")])
-def test_schedule_rows_match_oracle_exactly(assets, monkeypatch, variant, scenario):
+def test_schedule_rows_match_oracle_exactly(assets, variant, scenario):
     config, pop, schedule = prepare(assets[variant], scenario)
-    for name in ("build_base_schedule", "build_controlled_outage", "build_rolling_outage"):
-        monkeypatch.setattr(scenario_module, name, getattr(oracles, name))
-    ref = build_schedules(config, pop)
+    ref = oracles.build_schedules(config, pop)
 
     assert not schedule.group.flags.writeable
     assert not schedule.on.flags.writeable
     assert schedule.group.shape == (len(pop.buildings),)
     assert schedule.on.shape[1] == ref.n_steps == config.n_steps
-    powered = schedule.powered()
+    powered = schedule.on[schedule.group]
     for b, row in zip(pop.buildings, powered):
         assert np.array_equal(row, ref.schedules[b.id])
     for first in range(0, len(pop), WIDTH):
         rows = slice(first, first + WIDTH)
-        assert np.array_equal(schedule.powered(rows), powered[rows])
         by_step = schedule.powered_by_step(rows)
         assert by_step.flags.c_contiguous and np.array_equal(by_step, powered[rows].T)
-    assert schedule.isolated_ids == ref.isolated_ids
+    isolated = schedule.group == ISOLATED
+    assert isolated.tolist() == [b.id in ref.isolated_ids for b in pop.buildings]
     assert schedule.unpowered_hours().tolist() == [ref.unpowered_hours(b.id)
                                                    for b in pop.buildings]
     if scenario != "base":
         assert not powered.all()
     if scenario in ("co", "ro-di"):
-        assert ref.isolated_ids
+        assert isolated.any()
     if variant == "availability":
         n_groups = config.params.n_groups
-        served = set(schedule.on[:n_groups].sum(axis=0).tolist())
+        served = set(schedule.on[TIERS:].sum(axis=0).tolist())
         assert served == set(range(n_groups + 1))
     if variant == "few_homes":
         assert sum(b.sector is Sector.RESIDENTIAL for b in pop.buildings) < config.params.n_groups
+
+
+def exposure_by_id(config, pop) -> dict:
+    """Each building's unpowered hours, mortality and freeze index, keyed by id."""
+    schedule = build_schedules(config, pop)
+    _, exposure = assemble_bundle(config, pop, schedule, *read_inputs(config, pop, schedule))
+    columns = [exposure[name].tolist() for name in ("unpowered_h", "p_mort", "wi_sum")]
+    return dict(zip(pop.id.tolist(), zip(*columns)))
+
+
+@pytest.mark.parametrize("variant, scenario", [("scope_all", "co"), ("demo", "ro-di")])
+def test_row_order_and_id_spacing_leave_each_building_alone(assets, variant, scenario):
+    # Ids 10, 13, 16, ... keep the order of 0, 1, 2, ..., so each seeded
+    # draw and each tier picks the same buildings from the reversed rows.
+    config, pop, _ = prepare(assets[variant], scenario)
+    moved = Population({**pop.columns, "id": 10 + 3 * pop.id})[::-1]
+    before, after = exposure_by_id(config, pop), exposure_by_id(config, moved)
+    assert {10 + 3 * bid: row for bid, row in before.items()} == after
+    hours = [row[0] for row in after.values()]
+    assert 0.0 in hours and 96.0 in hours
 
 
 def cic_buildings():
@@ -474,20 +494,17 @@ def test_block_row_matches_single_building_runs(assets):
     block = pop[:67]
     buildings = block.buildings
     powered = schedule.powered_by_step(slice(len(buildings)))
-    gain = 350.0
-    t_in, hvac_on = simulate_block(block, window, powered, internal_gain_w=gain)
+    t_in, hvac_on = simulate_block(block, window, powered)
     for j, b in enumerate(buildings):
-        single = oracles.simulate_building(b, window, powered[:, j], internal_gain_w=gain)
-        scalar = oracles.simulate_building_scalar(b, window, powered[:, j],
-                                                  internal_gain_w=gain)
+        single = oracles.simulate_building(b, window, powered[:, j])
+        scalar = oracles.simulate_building_scalar(b, window, powered[:, j])
         for trace in (single, scalar):
             assert np.array_equal(trace.t_in_c, t_in[j])
             assert np.array_equal(trace.hvac_kw, np.where(hvac_on[:, j], b.hvac_electric_kw, 0.0))
     # A buffer of another block's rows is overwritten whole; without the
     # heating flags the temperatures are the same.
     buffer = np.full(t_in.shape, np.nan)
-    rows, flags = simulate_block(block, window, powered, internal_gain_w=gain, out=buffer,
-                                 with_hvac_on=False)
+    rows, flags = simulate_block(block, window, powered, out=buffer, with_hvac_on=False)
     assert rows is buffer and flags is None and np.array_equal(rows, t_in)
 
 

@@ -6,15 +6,16 @@ import pytest
 from coldsnap.demo import DEMO_COUNTS
 from coldsnap.errors import ConfigurationError
 from coldsnap.outage import (
+    DARK,
+    ISOLATED,
+    LIT,
+    TIERS,
     BaseParams,
     ControlledOutageParams,
     HardenedRollingParams,
     RollingOutageParams,
     assign_rolling_groups,
-    build_base_schedule,
-    build_controlled_outage,
-    build_rolling_outage,
-    select_isolated,
+    build_schedule,
 )
 from coldsnap.population import BuildingKind, PopulationSpec, Sector, synthesize_population
 
@@ -30,6 +31,21 @@ N_STEPS = int(96 * 3600 / DT)
 
 def shed(ids, fault_fraction=0.0):
     return ControlledOutageParams(shed_ids=tuple(ids), fault_fraction=fault_fraction)
+
+
+def powered(sched):
+    """The (buildings x steps) power matrix."""
+    return sched.on[sched.group]
+
+
+def isolated_ids(pop, sched) -> set[int]:
+    return set(pop.id[sched.group == ISOLATED].tolist())
+
+
+def select_isolated(pop, fault_fraction, seed):
+    """The ids a rolling outage isolates at `fault_fraction`."""
+    params = RollingOutageParams(fault_fraction=fault_fraction)
+    return isolated_ids(pop, build_schedule(pop, N_STEPS, DT, params, seed))
 
 
 def by_id(pop, values):
@@ -56,20 +72,39 @@ def small_pop():
 
 class TestBase:
     def test_all_series_true(self, small_pop):
-        sched = build_base_schedule(small_pop, N_STEPS, DT, BaseParams(), seed=1)
-        assert all(s.all() for s in sched.powered())
-        assert sched.isolated_ids == frozenset()
-        assert sched.on.shape == (1, N_STEPS)
+        sched = build_schedule(small_pop, N_STEPS, DT, BaseParams(), seed=1)
+        assert all(s.all() for s in powered(sched))
+        assert not (sched.group == ISOLATED).any()
+        assert sched.on.shape == (TIERS, N_STEPS)
 
     def test_demo_population_gets_1403_schedules(self, demo_pop):
-        sched = build_base_schedule(demo_pop, N_STEPS, DT, BaseParams(), seed=1)
-        assert sched.powered().shape == (1403, N_STEPS)
-        assert sched.powered(slice(256, 512)).shape == (256, N_STEPS)
+        sched = build_schedule(demo_pop, N_STEPS, DT, BaseParams(), seed=1)
+        assert powered(sched).shape == (1403, N_STEPS)
+        assert sched.powered_by_step(slice(256, 512)).shape == (N_STEPS, 256)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("params", [BaseParams(), shed((0, 3), 0.2),
+                                        RollingOutageParams(n_groups=4, fault_fraction=0.2)])
+    def test_rows_are_lit_dark_isolated_then_tiers(self, small_pop, params):
+        sched = build_schedule(small_pop, N_STEPS, DT, params, seed=1)
+        assert sched.on[LIT].all()
+        assert not sched.on[DARK].any() and not sched.on[ISOLATED].any()
+        n_tiers = params.n_groups if isinstance(params, RollingOutageParams) else 0
+        assert sched.on.shape == (TIERS + n_tiers, N_STEPS)
+
+    def test_group_numbers_do_not_depend_on_the_scenario(self, small_pop):
+        co = build_schedule(small_pop, N_STEPS, DT, shed((0, 3)), seed=1)
+        ro = build_schedule(small_pop, N_STEPS, DT, RollingOutageParams(), seed=1)
+        assert by_id(small_pop, co.group.tolist()) == {
+            b.id: DARK if b.id in (0, 3) else LIT for b in small_pop.buildings}
+        tier = assign_rolling_groups(small_pop, 3)
+        assert ro.group.tolist() == [LIT if t < 0 else TIERS + t for t in tier.tolist()]
 
 
 class TestIsolation:
     def test_zero_fraction_is_empty(self, demo_pop):
-        assert select_isolated(demo_pop, 0.0, seed=1) == frozenset()
+        assert select_isolated(demo_pop, 0.0, seed=1) == set()
 
     def test_three_point_four_percent_of_1403_is_48(self, demo_pop):
         isolated = select_isolated(demo_pop, 0.034, seed=1)
@@ -98,13 +133,13 @@ class TestIsolation:
 
 class TestControlledOutage:
     def test_empty_shed_no_fault_equals_base(self, small_pop):
-        sched = build_controlled_outage(small_pop, N_STEPS, DT, shed(()), seed=1)
-        assert all(s.all() for s in sched.powered())
+        sched = build_schedule(small_pop, N_STEPS, DT, shed(()), seed=1)
+        assert all(s.all() for s in powered(sched))
 
     def test_shed_all_residential_leaves_commercial_powered(self, small_pop):
         dark = {b.id for b in residential(small_pop)}
-        sched = build_controlled_outage(small_pop, N_STEPS, DT, shed(dark), seed=1)
-        schedules = by_id(small_pop, sched.powered())
+        sched = build_schedule(small_pop, N_STEPS, DT, shed(dark), seed=1)
+        schedules = by_id(small_pop, powered(sched))
         for b in small_pop.buildings:
             if b.id in dark:
                 assert not schedules[b.id].any()
@@ -112,66 +147,74 @@ class TestControlledOutage:
                 assert schedules[b.id].all()
 
     def test_shed_buildings_dark_entire_window(self, small_pop):
-        sched = build_controlled_outage(small_pop, N_STEPS, DT, shed((0, 3)), seed=1)
-        schedules = by_id(small_pop, sched.powered())
+        sched = build_schedule(small_pop, N_STEPS, DT, shed((0, 3)), seed=1)
+        schedules = by_id(small_pop, powered(sched))
         assert not schedules[0].any()
         assert not schedules[3].any()
         assert schedules[1].all()
 
     def test_isolated_union_shed(self, demo_pop):
-        sched = build_controlled_outage(demo_pop, N_STEPS, DT, shed((0, 1), 0.034), seed=3)
-        schedules = by_id(demo_pop, sched.powered())
-        for bid in sched.isolated_ids | {0, 1}:
+        sched = build_schedule(demo_pop, N_STEPS, DT, shed((0, 1), 0.034), seed=3)
+        schedules = by_id(demo_pop, powered(sched))
+        for bid in isolated_ids(demo_pop, sched) | {0, 1}:
             assert not schedules[bid].any()
+
+    def test_shed_ids_are_64_bit_integers(self):
+        assert shed((-2**63, 2**63 - 1)).shed_ids == (-2**63, 2**63 - 1)
+        with pytest.raises(ConfigurationError, match=r"got 100000000000000000000") as info:
+            shed((0, 10**20))
+        assert info.value.key == "shed_ids[1]"
 
     def test_unknown_shed_id_rejected(self, small_pop):
         with pytest.raises(ConfigurationError, match=r"unknown building ids: \[999\]") as info:
-            build_controlled_outage(small_pop, N_STEPS, DT, shed((999,)), seed=1)
+            build_schedule(small_pop, N_STEPS, DT, shed((999,)), seed=1)
         assert info.value.key == "shed_ids"
 
 
 def rolling(pop, fraction=0.34, fault_fraction=0.0, n_groups=3, **kwargs):
     params = RollingOutageParams(n_groups=n_groups, availability_constant=fraction,
                                  fault_fraction=fault_fraction, **kwargs)
-    return build_rolling_outage(pop, N_STEPS, DT, params, seed=1)
+    return build_schedule(pop, N_STEPS, DT, params, seed=1)
 
 
 class TestRollingOutage:
 
     def test_full_availability_equals_base(self, small_pop):
         sched = rolling(small_pop, 1.0)
-        assert all(s.all() for s in sched.powered())
+        assert all(s.all() for s in powered(sched))
 
     def test_k1_gives_exactly_two_hour_max_off(self, demo_pop):
         sched = rolling(demo_pop)
-        schedules = by_id(demo_pop, sched.powered())
+        schedules = by_id(demo_pop, powered(sched))
         for b in residential(demo_pop):
             assert max_contiguous_off(schedules[b.id], DT) == pytest.approx(2.0)
 
     def test_commercial_always_powered(self, demo_pop):
         sched = rolling(demo_pop)
-        schedules = by_id(demo_pop, sched.powered())
+        schedules = by_id(demo_pop, powered(sched))
         for b in demo_pop.buildings:
             if b.sector is not Sector.RESIDENTIAL:
                 assert schedules[b.id].all()
 
     def test_unhardened_isolates_faulted_customers(self, demo_pop):
         sched = rolling(demo_pop, fault_fraction=0.034)
-        assert len(sched.isolated_ids) == 48
-        schedules = by_id(demo_pop, sched.powered())
-        for bid in sched.isolated_ids:
+        isolated = isolated_ids(demo_pop, sched)
+        assert len(isolated) == 48
+        schedules = by_id(demo_pop, powered(sched))
+        for bid in isolated:
             assert not schedules[bid].any()
-        # Three tiers, the always-on and the always-off group.
-        assert sched.on.shape == (5, N_STEPS)
+        # The lit, dark and isolated rows, then three tiers.
+        assert sched.on.shape == (TIERS + 3, N_STEPS)
 
     def test_hardened_dominates_damaged_for_isolated_ids(self, demo_pop):
         di = rolling(demo_pop, fault_fraction=0.034)
         hi = rolling(demo_pop, fault_fraction=0.0)
-        di_schedules = by_id(demo_pop, di.powered())
-        hi_schedules = by_id(demo_pop, hi.powered())
-        for bid in di.isolated_ids:
+        di_schedules = by_id(demo_pop, powered(di))
+        hi_schedules = by_id(demo_pop, powered(hi))
+        isolated = isolated_ids(demo_pop, di)
+        for bid in isolated:
             assert np.all(hi_schedules[bid] >= di_schedules[bid])
-        for bid in set(demo_pop.id.tolist()) - di.isolated_ids:
+        for bid in set(demo_pop.id.tolist()) - isolated:
             np.testing.assert_array_equal(hi_schedules[bid], di_schedules[bid])
 
     def test_conservation_exactly_k_groups_per_slot(self, demo_pop):
@@ -180,7 +223,7 @@ class TestRollingOutage:
         groups = by_id(demo_pop, assign_rolling_groups(demo_pop, n_groups).tolist())
         k = int(np.floor(0.67 * n_groups))
         per_slot = int(3600 / DT)
-        schedules = by_id(demo_pop, sched.powered())
+        schedules = by_id(demo_pop, powered(sched))
         for slot in range(0, N_STEPS // per_slot):
             step = slot * per_slot
             powered_groups = {

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ class TestCsvRoundTrip:
 COLUMN_LIMITS = {
     "floor_area_m2": (0.0, False),
     "ua_w_per_k": (1e-3, True),
-    "thermal_mass_j_per_k": (0.0, False),
+    "thermal_mass_j_per_k": (1.0, True),
     "hvac_heat_w": (0.0, True),
     "setpoint_c": (-100.0, True),
     "deadband_c": (0.0, False),
@@ -213,6 +214,7 @@ COLUMN_LIMITS = {
 }
 # The upper limits of the columns that have one.
 UPPER_LIMITS = {
+    "ua_w_per_k": (1e10, True),
     "hvac_heat_w": (1e15, True),
     "setpoint_c": (100.0, True),
 }
@@ -265,8 +267,16 @@ class TestLoadBounds:
         path = saved_with(tmp_path, (1, "ua_w_per_k", -3.0))
         with pytest.raises(IngestionError) as info:
             load_population(path)
-        assert str(info.value) == (f"must lie in [0.001, inf), got -3.0; file={path}; row=3; "
-                                   "column=ua_w_per_k")
+        assert str(info.value) == (f"must lie in [0.001, 10,000,000,000.0], got -3.0; "
+                                   f"file={path}; row=3; column=ua_w_per_k")
+
+    @pytest.mark.parametrize("column, value", [("ua_w_per_k", 1e308),
+                                               ("thermal_mass_j_per_k", 5e-324)])
+    def test_cells_that_overflow_the_decay_exponent_rejected(self, tmp_path, column, value):
+        # Either would make UA x dt / C overflow to infinity.
+        with pytest.raises(IngestionError, match=re.escape(f"got {value!r}")) as info:
+            load_population(saved_with(tmp_path, (1, column, value)))
+        assert (info.value.row, info.value.column) == (3, column)
 
     @pytest.mark.parametrize("column", FLOAT_COLUMNS)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
