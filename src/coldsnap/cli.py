@@ -21,6 +21,10 @@ from .report import compare_scenarios, export_exposure, format_comparison, forma
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+# Upper bound of `--threads`: workers past a large host's core count add
+# memory, not speed, and an unbounded value would ask the OS for one thread
+# per trial batch, 156,250 of them at `MAX_TRIALS`.
+MAX_THREADS = 64
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,8 +69,8 @@ def _cmd_run(args) -> int:
         overrides["seed"] = args.seed
     if args.out:
         overrides["out_dir"] = args.out
-    if args.threads < 1:
-        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise ConfigurationError(f"--threads must lie in [1, {MAX_THREADS}], got {args.threads}")
 
     config = load_config(args.config, overrides)
     config.threads, config.write_traces = args.threads, args.traces

@@ -64,8 +64,12 @@ class ControlledOutageParams(Bounded):
 
 
 # Upper bound of `n_groups`: the schedule holds a groups x steps table and
-# a slots x groups rotation, 92 MB at the bound for 1,152 one-step slots.
+# a groups x slots rotation, 92 MB at the bound for 1,152 one-step slots.
 MAX_GROUPS = 10_000
+# Upper bound of `n_groups` x steps, the tier table's cells: building it peaks
+# at 268 MB for one-step slots (two int64 groups x slots temporaries) and
+# keeps 17 MB. A 1,152-step window still allows more than `MAX_GROUPS` groups.
+MAX_TIER_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,11 @@ class RollingOutageParams(Bounded):
             _reset(self, "availability_constant")
 
     def slots(self, n_steps: int, dt_s: float) -> tuple[int, np.ndarray]:
-        """Steps per slot and the available share of each slot of a window
-        of `n_steps` steps. A slot longer than the window is the window."""
+        """Steps per slot and each slot's available share over `n_steps` steps,
+        which the tier table must fit. A slot longer than the window is the window."""
+        if self.n_groups * n_steps > MAX_TIER_CELLS:
+            raise ConfigurationError(f"must be at most {MAX_TIER_CELLS // n_steps:,} for "
+                                     f"{n_steps:,} steps, got {self.n_groups:,}", "n_groups")
         per_slot = self.slot_s / dt_s
         if per_slot < 1 or (math.isfinite(per_slot) and abs(per_slot - round(per_slot)) > 1e-9):
             raise ConfigurationError(
@@ -130,12 +137,6 @@ class PowerScheduleSet:
     def __post_init__(self):
         self.group.flags.writeable = False
         self.on.flags.writeable = False
-
-    def powered_by_step(self, rows) -> np.ndarray:
-        """The (steps x buildings) power matrix of the buildings `rows`,
-        C-contiguous: the layout in which the thermal relay reads it a step
-        at a time."""
-        return np.take(self.on.T, self.group[rows], axis=1)
 
     def unpowered_hours(self) -> np.ndarray:
         """Unpowered hours of every building, in population order."""
@@ -207,9 +208,9 @@ def build_schedule(pop: Population, n_steps: int, dt_s: float, params, seed: int
         n_groups = params.n_groups
         per_slot, fractions = params.slots(n_steps, dt_s)
         k = np.minimum(np.floor(fractions * n_groups), n_groups)
-        offset = (np.arange(n_groups) - np.arange(len(k))[:, None]) % n_groups
+        offset = (np.arange(n_groups)[:, None] - np.arange(len(k))) % n_groups
         step_slot = np.minimum(np.arange(n_steps) // per_slot, len(k) - 1)
-        tiers = (offset < k[:, None])[step_slot].T
+        tiers = (offset < k)[:, step_slot]
         tier = assign_rolling_groups(pop, n_groups)
         group = np.where(tier < 0, LIT, TIERS + tier)
     if not isinstance(params, BaseParams):

@@ -13,7 +13,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import time
 import typing
 from dataclasses import dataclass, field, replace
@@ -76,6 +75,9 @@ MAX_HISTOGRAM_BINS = 1_000_000
 # Upper bound of `n_trials`: the trials matrix holds 7 float64 values per
 # trial, 560 MB at the bound.
 MAX_TRIALS = 10_000_000
+# Upper bound of the window's step count: a building's row of temperatures
+# is 800 KB at the bound, so a `BLOCK_BYTES` block still holds 5 buildings.
+MAX_STEPS = 100_000
 # The per-building exposure columns, in exposure.csv order after the
 # building's own columns.
 EXPOSURE_FIELDS = ("mean_t_in_c", "min_t_in_c", "mean_rr", "p_mort", "wi_sum", "unpowered_h")
@@ -136,12 +138,12 @@ class ScenarioConfig(Bounded):
             raise ConfigurationError(f"must end after it starts, got {start.isoformat()} "
                                      f"to {end.isoformat()}", "window")
         steps = (end - start).total_seconds() / self.dt_s
-        if not 2 <= steps < math.inf or abs(steps - round(steps)) > 1e-9:
-            raise ConfigurationError(
-                f"must divide the window into 2 or more whole steps, got {self.dt_s}", "dt_s")
+        if not 2 <= steps <= MAX_STEPS or abs(steps - round(steps)) > 1e-9:
+            raise ConfigurationError(f"must divide the window into 2 to {MAX_STEPS:,} whole "
+                                     f"steps, got {self.dt_s}", "dt_s")
         self.n_steps = round(steps)
         # Every section present is checked, not only the selected one, and
-        # every rolling one must fit its slots to this window.
+        # every rolling one must fit its slots and tiers to this window.
         self.scenarios = {s: decode(SCENARIO_PARAMS[s], section, f"scenarios.{s.value}")
                           for s, section in self.scenarios.items()}
         self.scenarios.setdefault(self.scenario, SCENARIO_PARAMS[self.scenario]())
@@ -261,13 +263,13 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     of temperatures, into one (buildings x steps) buffer allocated once and
     reused for every block. Each building's trace is a contiguous row of it,
     and the reductions read those rows in place, an eighth of the block at a
-    time. So no array of size buildings x steps outlives its block, the
-    block's power matrix included. Heating flags are kept only with
-    `traces_path`, where each block's traces are appended to that CSV as
-    soon as they are simulated. The slices reduce physics only, and
-    productivity is priced once at `wage`. The inputs after `schedule` are
-    `read_inputs`'s, so this opens no input file. Returns the trial bundle
-    and the per-building exposure, one column per `EXPOSURE_FIELDS` name.
+    time, beside the block's power rows `on[group]`. Heating flags are kept
+    only with `traces_path`, in a second such buffer, and each block's traces
+    are appended to that CSV as soon as they are simulated. The slices
+    reduce physics only, and productivity is priced once at `wage`. The
+    inputs after `schedule` are `read_inputs`'s, so this opens no input
+    file. Returns the trial bundle and the per-building exposure, one column
+    per `EXPOSURE_FIELDS` name.
     """
     hz = config.hazard
     n_b = len(pop)
@@ -277,16 +279,18 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
              (config.valuation.work_hours_residential, config.valuation.work_hours_commercial)]
     width = max(1, min(n_b, BLOCK_BYTES // (8 * window.n_steps)))
     part = max(1, width // 8)
-    buffer = np.empty((width, window.n_steps))
+    temps = np.empty((width, window.n_steps))
+    flags = np.empty(temps.shape, dtype=bool) if traces_path is not None else None
     with (open(traces_path, "w", newline="", encoding="utf-8") if traces_path is not None
           else contextlib.nullcontext()) as handle:
         sink = (TraceWriter(handle, window.start, window.dt_s, window.n_steps)
                 if handle is not None else None)
         for first in range(0, n_b, width):
             block = pop[first:first + width]
-            powered = schedule.powered_by_step(slice(first, first + width))
-            t_in, hvac_on = simulate_block(block, window, powered, out=buffer[:len(block)],
-                                           with_hvac_on=sink is not None)
+            powered = schedule.on[schedule.group[first:first + width]]
+            t_in = temps[:len(block)]
+            hvac_on = flags[:len(block)] if flags is not None else None
+            simulate_block(block, window, powered, t_in, hvac_on)
             if sink is not None:
                 sink.write(block, t_in, powered, hvac_on)
             for lo in range(0, len(block), part):
@@ -299,7 +303,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
                 min_t[at] = rows.min(axis=1)
                 wi_sum[at] = winter_index_rows(rows, window.rh_pct, hz.winter_index)
                 lost_h[at] = lost_work_hours(
-                    rows, powered[:, lo:hi].T, residential[at], pop.job_requires_power[at],
+                    rows, powered[lo:hi], residential[at], pop.job_requires_power[at],
                     steps, window.dt_s, hz.productivity_model)
     p_mort = mortality_probability(mean_rr, hz.delta)
 

@@ -26,27 +26,20 @@ from .weather import WeatherSeries
 INTERNAL_GAIN_W = 200.0
 
 
-def simulate_block(pop: Population, weather: WeatherSeries, powered,
-                   out: np.ndarray | None = None,
-                   with_hvac_on: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def simulate_block(pop: Population, weather: WeatherSeries, powered, out: np.ndarray,
+                   hvac_on: np.ndarray | None = None) -> None:
     """Simulate a population's buildings side by side over a weather window.
 
-    `powered` is a (steps x buildings) boolean matrix aligned with the weather
-    samples. The loop runs over time and each step advances every building at
-    once. Step i's indoor temperatures go to column i of `out`, a C-contiguous
-    (buildings x steps) float64 buffer, allocated when None: each building's
-    trace is one contiguous row, the layout its reductions read. Returns that
-    buffer and the (steps x buildings) heating-on flags, or None for the flags
-    without `with_hvac_on`. Initial temperatures are the setpoints
-    (business-as-usual start). Internal gains are `INTERNAL_GAIN_W` for
-    occupied buildings and zero otherwise. Every temperature is finite:
-    the `Building` bounds and the weather file's keep each equilibrium
-    t_out + Q/UA and each decay exponent -UA dt / C finite.
+    `powered`, `out` and `hvac_on` are (buildings x steps). The loop runs over
+    time, advancing every building at once: column i of `out` gets step i's
+    indoor temperatures and, if given, of `hvac_on` its heating flags.
+    Initial temperatures are the setpoints (business-as-usual start).
+    Internal gains are `INTERNAL_GAIN_W` for occupied buildings and zero
+    otherwise. Every temperature is finite: the `Building` bounds and the
+    weather file's keep each equilibrium t_out + Q/UA and each decay
+    exponent -UA dt / C finite.
     """
     powered = np.ascontiguousarray(powered, dtype=bool)
-    n, k = weather.n_steps, len(pop)
-    if out is None:
-        out = np.empty((k, n))
     gains = np.where(pop.n_occupants > 0, INTERNAL_GAIN_W, 0.0)
     # Per-building constants, each computed with the same scalar expression as
     # the one-building relay so that every row is bit-identical to it; numpy's
@@ -60,28 +53,26 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered,
     hi = pop.setpoint_c + pop.deadband_c / 2.0
 
     t_out = weather.t_out_c
-    hvac_on = np.empty((n, k), dtype=bool) if with_hvac_on else None
     temp = pop.setpoint_c.copy()
-    on = np.zeros(k, dtype=bool)
-    hold = np.empty(k, dtype=bool)
-    for i in range(n):
+    on = np.zeros(len(pop), dtype=bool)
+    hold = np.empty(len(pop), dtype=bool)
+    for i in range(weather.n_steps):
         # Hysteresis relay: off when unpowered, on below the band, off above
         # it, else hold. Temperatures are finite, so `<= hi` is `not > hi`.
         np.less_equal(temp, hi, out=hold)
         hold &= on
         np.less(temp, lo, out=on)
         on |= hold
-        on &= powered[i]
+        on &= powered[:, i]
         out[:, i] = temp
         if hvac_on is not None:
-            hvac_on[i] = on
+            hvac_on[:, i] = on
         # Exact step toward the equilibrium t_out + Q/UA.
         t_eq = np.where(on, rise_on, rise_off)
         t_eq += t_out[i]
         temp -= t_eq
         temp *= decay
         temp += t_eq
-    return out, hvac_on
 
 
 # Bytes of fixed-width rows `TraceWriter` formats at once: about eight
@@ -167,10 +158,9 @@ class TraceWriter:
         handle.write("building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
 
     def write(self, pop: Population, t_in, powered, hvac_on) -> None:
-        """Rows of a block as `simulate_block` takes and returns it: `t_in`
-        is (buildings x steps), `powered` and `hvac_on` are (steps x
-        buildings). `chunk` buildings' rows, about `TRACE_CHUNK_BYTES`, exist
-        at once."""
+        """Rows of a block as `simulate_block` fills it, each argument
+        (buildings x steps). `chunk` buildings' rows, about
+        `TRACE_CHUNK_BYTES`, exist at once."""
         ids = _ascii_rows(map(str, pop.id.tolist()))
         # Rows 2j and 2j + 1: building j's draw with the heating off and on.
         kw = _ascii_rows(f"{v:.3f}\r\n" for on_kw in pop.hvac_electric_kw.tolist()
@@ -182,12 +172,12 @@ class TraceWriter:
         for lo in range(0, len(pop), self.chunk):
             at = slice(lo, lo + self.chunk)
             k = len(ids[at])
-            kw_rows = 2 * np.arange(lo, lo + k)[:, None] + hvac_on[:, at].T
+            kw_rows = 2 * np.arange(lo, lo + k)[:, None] + hvac_on[at]
             fields = (
                 ids[at, None, :],
                 self._stamps,
                 format_fixed4(t_in[at]),
-                np.take(_FLAGS, powered[:, at].T, axis=0),
+                np.take(_FLAGS, powered[at], axis=0),
                 np.take(kw, kw_rows, axis=0),
             )
             rows = np.concatenate([np.broadcast_to(f, (k, n, f.shape[-1])) for f in fields],

@@ -286,11 +286,11 @@ def work_steps(start, dt_s: float, n_steps: int, hours: tuple[int, int]) -> np.n
 
 def lost_work_hours(t_in_c, powered, residential, needs_power, steps, dt_s: float,
                     productivity_model) -> np.ndarray:
-    """Work hours lost per worker of each row of a (buildings x steps) block.
-    `residential` and `needs_power` flag the rows; `steps` holds the
-    `work_steps` of residential (work-from-home), then commercial, premises.
-    Performance is zero at unpowered steps of power-dependent jobs and
-    follows the temperature curve, evaluated only at working steps, otherwise."""
+    """Work hours lost per worker of each row of (buildings x steps) `t_in_c`
+    and `powered`. `residential` and `needs_power` flag the rows; `steps`
+    holds the `work_steps` of residential (work-from-home), then commercial,
+    premises. Performance is zero at unpowered steps of power-dependent jobs
+    and follows the temperature curve, evaluated only at working steps, otherwise."""
     lost_h = np.empty(len(t_in_c))
     for rows, cols in ((residential, steps[0]), (~residential, steps[1])):
         rows = np.flatnonzero(rows)
@@ -430,10 +430,10 @@ def run_monte_carlo(bundle: ScenarioBundle, n_trials: int, master_seed: int,
     workers run batches side by side.
     """
     batches = range(-(-n_trials // MC_BATCH))
-    if threads <= 1:
+    if threads <= 1:  # in this thread: a one-worker pool measured slower end to end
         blocks = [run_batch(bundle, b, master_seed) for b in batches]
     else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(batches))) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(lambda b: run_batch(bundle, b, master_seed), batches))
     return CostDistribution(trials=np.concatenate(blocks)[:n_trials])
 

@@ -225,6 +225,15 @@ class ExposureTrace:
         return len(self.t_in_c)
 
 
+def simulate_new_block(pop: Population, weather, powered) -> tuple[np.ndarray, np.ndarray]:
+    """`simulate_block` into new buffers: the (buildings x steps) temperatures
+    and heating flags."""
+    t_in = np.empty(np.shape(powered))
+    hvac_on = np.empty(t_in.shape, dtype=bool)
+    simulate_block(pop, weather, powered, t_in, hvac_on)
+    return t_in, hvac_on
+
+
 def simulate_building(building: Building, weather, powered) -> ExposureTrace:
     """One building through the package's block kernel."""
     powered = np.asarray(powered, dtype=bool)
@@ -232,15 +241,15 @@ def simulate_building(building: Building, weather, powered) -> ExposureTrace:
         raise ConfigurationError(
             f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
         )
-    t_in, hvac_on = simulate_block(Population.from_buildings([building]), weather,
-                                   powered[:, None])
+    t_in, hvac_on = simulate_new_block(Population.from_buildings([building]), weather,
+                                       powered[None, :])
     return ExposureTrace(
         building_id=building.id,
         start=weather.start,
         dt_s=weather.dt_s,
         t_in_c=t_in[0].copy(),
         powered=powered.copy(),
-        hvac_kw=np.where(hvac_on[:, 0], building.hvac_electric_kw, 0.0),
+        hvac_kw=np.where(hvac_on[0], building.hvac_electric_kw, 0.0),
     )
 
 

@@ -75,9 +75,9 @@ class TestRunCommand:
             rows[n] = (out / "trials.csv").read_text().splitlines()
         assert len(rows[70]) == 71 and rows[70] == rows[200][:71]
 
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_threads_below_one_exits_2_naming_flag(self, demo_config_path, tmp_path, capsys,
-                                                   threads):
+    @pytest.mark.parametrize("threads", ["0", "-2", "100000"])
+    def test_threads_out_of_range_exits_2_naming_flag(self, demo_config_path, tmp_path, capsys,
+                                                      threads):
         code = main(["run", "--config", str(demo_config_path), "--scenario", "co",
                      "--trials", "2", "--out", str(tmp_path / "out"), "--threads", threads])
         assert code == 2

@@ -311,6 +311,8 @@ def test_own_tables_hash_alike_with_and_without_the_opt_in(small_config, tmp_pat
     (("scenarios", "co", "shed_ids"), [0, 10**20],
      "'scenarios.co.shed_ids[1]' must lie in [-9,223,372,036,854,775,808, "
      "9,223,372,036,854,775,807], got 100000000000000000000"),
+    # 345,600 one-second steps: more than the window may hold.
+    (("dt_s",), 1, "'dt_s'"),
 ])
 def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
                                                path, value, named):
@@ -325,6 +327,7 @@ def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
     ("ua_cell", "row=3; column=ua_w_per_k"),
     ("mass_row", "'population.spec.insulation_table.little.mass_j_per_k_m2'"),
     ("shed_id", "'scenarios.co.shed_ids[1]'"),
+    ("tier_cells", "'scenarios.ro-di.n_groups'"),
 ])
 def test_overflowing_input_exits_2_before_the_output_directory(small_config, tmp_path, capsys,
                                                                probe, named):
@@ -338,8 +341,11 @@ def test_overflowing_input_exits_2_before_the_output_directory(small_config, tmp
         config["population"] = {"path": str(tmp_path / "pop.csv")}
     elif probe == "mass_row":
         config["population"]["spec"]["insulation_table"]["little"]["mass_j_per_k_m2"] = 5e-324
-    else:
+    elif probe == "shed_id":
         config["scenarios"]["co"]["shed_ids"] = [0, 10**20]
+    else:  # 10,000 tiers of 5,760 one-minute steps
+        config["dt_s"] = 60.0
+        config["scenarios"]["ro-di"]["n_groups"] = 10_000
     assert run(config, tmp_path) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -168,8 +168,9 @@ def test_schedule_rows_match_oracle_exactly(assets, variant, scenario):
         assert np.array_equal(row, ref.schedules[b.id])
     for first in range(0, len(pop), WIDTH):
         rows = slice(first, first + WIDTH)
-        by_step = schedule.powered_by_step(rows)
-        assert by_step.flags.c_contiguous and np.array_equal(by_step, powered[rows].T)
+        block = schedule.on[schedule.group[rows]]
+        assert block.flags.c_contiguous and np.array_equal(
+            block, [ref.schedules[b.id] for b in pop.buildings[rows]])
     isolated = schedule.group == ISOLATED
     assert isolated.tolist() == [b.id in ref.isolated_ids for b in pop.buildings]
     assert schedule.unpowered_hours().tolist() == [ref.unpowered_hours(b.id)
@@ -420,11 +421,11 @@ def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
                  for bid, u, w in ((0, 1.8, 900.0), (7, 4.0, 12_500.0), (42, 1.2, 2_000.0),
                                    (130, 6.0, 1_234_567.0), (2_500, 2.5, 5_000.0),
                                    (1_000_001, 3.0, 40.0), (9, 5.0, 7_000.0))]
-    powered = np.zeros((weather.n_steps, len(buildings)), dtype=bool)
-    powered[::3] = True
-    powered[:, 3] = True
+    powered = np.zeros((len(buildings), weather.n_steps), dtype=bool)
+    powered[:, ::3] = True
+    powered[3] = True
     pop = make_population(buildings)
-    t_in, hvac_on = simulate_block(pop, weather, powered)
+    t_in, hvac_on = oracles.simulate_new_block(pop, weather, powered)
     t_in[1:4, 5] = (-0.0, 0.00015, 123_456.78901)
     t_in[2, 6] = -1e-7
     assert hvac_on.any() and (t_in < 0).any()
@@ -434,13 +435,13 @@ def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
     with open(streamed, "w", newline="", encoding="utf-8") as handle:
         writer = TraceWriter(handle, weather.start, weather.dt_s, weather.n_steps)
         for at in (slice(0, 5), slice(5, None)):
-            writer.write(pop[at], t_in[at], powered[:, at], hvac_on[:, at])
+            writer.write(pop[at], t_in[at], powered[at], hvac_on[at])
     assert 1 < writer.chunk < 5 and 5 % writer.chunk
     exported = tmp_path / "exported.csv"
     oracles.write_traces_csv(
         [oracles.ExposureTrace(b.id, weather.start, weather.dt_s, t_in[j].copy(),
-                               powered[:, j].copy(),
-                               np.where(hvac_on[:, j], b.hvac_electric_kw, 0.0))
+                               powered[j].copy(),
+                               np.where(hvac_on[j], b.hvac_electric_kw, 0.0))
          for j, b in enumerate(buildings)], exported)
     assert streamed.read_bytes() == exported.read_bytes()
     rows = [line.split(",") for line in exported.read_text().splitlines()[1:]]
@@ -493,19 +494,19 @@ def test_block_row_matches_single_building_runs(assets):
                           config.window.start, config.n_steps, config.dt_s)
     block = pop[:67]
     buildings = block.buildings
-    powered = schedule.powered_by_step(slice(len(buildings)))
-    t_in, hvac_on = simulate_block(block, window, powered)
+    powered = schedule.on[schedule.group[:len(buildings)]]
+    t_in, hvac_on = oracles.simulate_new_block(block, window, powered)
     for j, b in enumerate(buildings):
-        single = oracles.simulate_building(b, window, powered[:, j])
-        scalar = oracles.simulate_building_scalar(b, window, powered[:, j])
+        single = oracles.simulate_building(b, window, powered[j])
+        scalar = oracles.simulate_building_scalar(b, window, powered[j])
         for trace in (single, scalar):
             assert np.array_equal(trace.t_in_c, t_in[j])
-            assert np.array_equal(trace.hvac_kw, np.where(hvac_on[:, j], b.hvac_electric_kw, 0.0))
-    # A buffer of another block's rows is overwritten whole; without the
-    # heating flags the temperatures are the same.
+            assert np.array_equal(trace.hvac_kw, np.where(hvac_on[j], b.hvac_electric_kw, 0.0))
+    # A buffer of another block's rows is overwritten whole; without a
+    # heating-flag buffer the temperatures are the same.
     buffer = np.full(t_in.shape, np.nan)
-    rows, flags = simulate_block(block, window, powered, out=buffer, with_hvac_on=False)
-    assert rows is buffer and flags is None and np.array_equal(rows, t_in)
+    simulate_block(block, window, powered, buffer)
+    assert np.array_equal(buffer, t_in)
 
 
 def curve_models():
@@ -566,9 +567,9 @@ def test_block_decay_is_the_scalar_exponential():
                  for i, m in enumerate(np.linspace(150e3, 350e3, 64))]
     exponents = [-b.ua_w_per_k * weather.dt_s / b.thermal_mass_j_per_k for b in buildings]
     assert (np.exp(exponents) != [math.exp(x) for x in exponents]).any()
-    powered = np.zeros((weather.n_steps, len(buildings)), dtype=bool)
-    powered[: weather.n_steps // 2] = True
-    t_in, _ = simulate_block(make_population(buildings), weather, powered)
+    powered = np.zeros((len(buildings), weather.n_steps), dtype=bool)
+    powered[:, : weather.n_steps // 2] = True
+    t_in, _ = oracles.simulate_new_block(make_population(buildings), weather, powered)
     for j, b in enumerate(buildings):
-        scalar = oracles.simulate_building_scalar(b, weather, powered[:, j])
+        scalar = oracles.simulate_building_scalar(b, weather, powered[j])
         assert np.array_equal(scalar.t_in_c, t_in[j])

@@ -80,7 +80,7 @@ class TestBase:
     def test_demo_population_gets_1403_schedules(self, demo_pop):
         sched = build_schedule(demo_pop, N_STEPS, DT, BaseParams(), seed=1)
         assert powered(sched).shape == (1403, N_STEPS)
-        assert sched.powered_by_step(slice(256, 512)).shape == (N_STEPS, 256)
+        assert sched.on[sched.group[256:512]].shape == (256, N_STEPS)
 
 
 class TestLayout:

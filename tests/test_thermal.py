@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coldsnap.errors import ConfigurationError
 from coldsnap.population import HeatingFuel, Insulation, Population
-from coldsnap.thermal import INTERNAL_GAIN_W, simulate_block
+from coldsnap.thermal import INTERNAL_GAIN_W
 from coldsnap.weather import WeatherSeries
 
 from conftest import constant_weather, make_building
@@ -20,6 +20,7 @@ from oracles import (
     free_float_closed_form,
     hvac_thermostat,
     simulate_building,
+    simulate_new_block,
     step_indoor_temp,
     write_traces_csv,
 )
@@ -237,11 +238,11 @@ def test_bounded_buildings_and_weather_give_finite_temperatures(buildings, t_out
                             [80.0] * len(t_out))
     powered = np.array(data.draw(st.lists(st.booleans(), min_size=len(t_out) * len(buildings),
                                           max_size=len(t_out) * len(buildings)))
-                       ).reshape(len(t_out), len(buildings))
+                       ).reshape(len(buildings), len(t_out))
     # The bounds keep the decay exponent -UA dt / C finite too: an overflow
     # raises.
     with np.errstate(over="raise"):
-        t_in, _ = simulate_block(Population.from_buildings(buildings), weather, powered)
+        t_in, _ = simulate_new_block(Population.from_buildings(buildings), weather, powered)
     assert np.isfinite(t_in).all()
 
 
