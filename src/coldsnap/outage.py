@@ -63,12 +63,12 @@ class ControlledOutageParams(Bounded):
             _reset(self, "shed_fraction", "shed_scope")
 
 
-# Upper bound of `n_groups`: the schedule holds a groups x steps table and
-# a groups x slots rotation, 92 MB at the bound for 1,152 one-step slots.
+# Upper bound of `n_groups`: the schedule holds a groups x steps table of
+# one byte a cell, 12 MB at the bound for 1,152 steps.
 MAX_GROUPS = 10_000
-# Upper bound of `n_groups` x steps, the tier table's cells: building it peaks
-# at 268 MB for one-step slots (two int64 groups x slots temporaries) and
-# keeps 17 MB. A 1,152-step window still allows more than `MAX_GROUPS` groups.
+# Upper bound of `n_groups` x steps, the tier table's cells: the table keeps
+# 17 MB at the bound, and building it, a row at a time, peaks at 17 MB by
+# tracemalloc. A 1,152-step window still allows more than `MAX_GROUPS` groups.
 MAX_TIER_CELLS = 1 << 24
 
 
@@ -201,21 +201,21 @@ def build_schedule(pop: Population, n_steps: int, dt_s: float, params, seed: int
     that starts at tier s mod n_groups and wraps.
     """
     group = np.full(len(pop), LIT)
-    tiers = np.empty((0, n_steps), dtype=bool)
+    on = np.zeros((TIERS, n_steps), dtype=bool)
     if isinstance(params, ControlledOutageParams):
         group[shed_set(pop, params, seed)] = DARK
     elif isinstance(params, RollingOutageParams):
         n_groups = params.n_groups
         per_slot, fractions = params.slots(n_steps, dt_s)
-        k = np.minimum(np.floor(fractions * n_groups), n_groups)
-        offset = (np.arange(n_groups)[:, None] - np.arange(len(k))) % n_groups
-        step_slot = np.minimum(np.arange(n_steps) // per_slot, len(k) - 1)
-        tiers = (offset < k)[:, step_slot]
+        slot = np.arange(n_steps) // per_slot
+        served = np.minimum(np.floor(fractions * n_groups), n_groups)[slot]  # k at each step
+        on = np.zeros((TIERS + n_groups, n_steps), dtype=bool)
+        for g in range(n_groups):  # a row at a time: no groups x steps temporary
+            on[TIERS + g] = (g - slot) % n_groups < served
         tier = assign_rolling_groups(pop, n_groups)
         group = np.where(tier < 0, LIT, TIERS + tier)
     if not isinstance(params, BaseParams):
         everyone = np.ones(len(pop), dtype=bool)
         group[draw_subset(pop, everyone, params.fault_fraction, seed, 0x150)] = ISOLATED
-    on = np.vstack([np.ones((1, n_steps), dtype=bool), np.zeros((2, n_steps), dtype=bool),
-                    tiers])
+    on[LIT] = True
     return PowerScheduleSet(dt_s, group, on)

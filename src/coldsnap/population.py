@@ -19,7 +19,7 @@ import numpy as np
 
 from .codec import Bound, Bounded, within
 from .errors import ConfigurationError, IngestionError
-from .tables import read_csv, save_csv, write_csv
+from .tables import cell_parser, read_csv, save_csv, write_csv
 
 
 class BuildingKind(str, Enum):
@@ -414,44 +414,10 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
     return Population(columns)
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw not in ("true", "false"):
-        raise ValueError(f"expected true/false, got {raw!r}")
-    return raw == "true"
-
-
-def _parse_int(raw: str) -> int:
-    if not -2**63 <= (value := int(raw)) < 2**63:
-        raise ValueError("outside the 64-bit integer range")
-    return value
-
-
-def _parser(f):
-    """The parser of a cell of `Building` field `f`'s column: enum members
-    become their `code`s, and a number must lie in the field's bound. A
-    float must be finite: its bound is never wider than (-inf, inf)."""
-    tp = _FIELD_TYPES[f.name]
-    if issubclass(tp, Enum):
-        codes = _codes(tp)
-        return lambda raw: codes[tp(raw)]  # tp(raw) raises for a non-member
-    parse = {bool: _parse_bool, int: _parse_int}.get(tp, tp)
-    bound = f.metadata.get(Bound, Bound() if tp is float else None)
-    if bound is None:
-        return parse
-    lo, hi, above, below = bound.lo, bound.hi, bound.above, bound.below
-
-    def parse_within(raw: str):
-        if lo <= (value := parse(raw)) <= hi and above < value < below:
-            return value
-        bound.check(value, f.name)  # raises, with the message
-
-    return parse_within
-
-
 def _csv_columns(pop: Population) -> list:
-    """Each field's column and cell text; floats use repr so reload is bit-exact."""
+    """Each field's column and cell text; `csv` writes a float's repr, so reload is bit-exact."""
     return [(pop.columns[name], label(tp) if issubclass(tp, Enum)
-             else {bool: ("false", "true").__getitem__, float: repr}.get(tp))
+             else {bool: ("false", "true").__getitem__}.get(tp))
             for name, tp in _FIELD_TYPES.items()]
 
 
@@ -469,14 +435,17 @@ def load_population(path) -> Population:
     building id, a non-finite float and a number outside its `Building`
     field's bound are bad cells, named by file, row and column."""
     seen: set[int] = set()
+    parse_int = cell_parser(int)
 
     def parse_id(raw: str) -> int:
-        if (value := _parse_int(raw)) in seen:
+        if (value := parse_int(raw)) in seen:
             raise ConfigurationError(f"duplicate building id {value}")
         seen.add(value)
         return value
 
-    parsers = {f.name: parse_id if f.name == "id" else _parser(f) for f in fields(Building)}
+    parsers = {f.name: cell_parser(_FIELD_TYPES[f.name], f.metadata.get(Bound))
+               for f in fields(Building)}
+    parsers["id"] = parse_id
     columns = read_csv(path, parsers)
     if not columns["id"]:
         raise IngestionError("zero buildings", path=path)

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .population import INSULATION_ORDER, Insulation, code
-from .tables import read_csv, save_csv
+from .population import INSULATION_ORDER, Insulation
+from .tables import cell_parser, read_csv, save_csv
 from .valuation import METRICS
 
 
@@ -102,16 +102,17 @@ def export_exposure(run_dir) -> list[dict]:
     Returns one row per insulation class present: building count, mean of
     the per-building mean and minimum indoor temperatures, and mean relative
     risk. Writes `insulation_summary.csv` next to the run. A missing column,
-    an unknown class or a value that is not a number raises IngestionError
-    naming the first such cell.
+    an unknown class or a value that is not a finite number raises
+    IngestionError naming the first such cell.
     """
     run_dir = Path(run_dir)
     exposure_path = run_dir / "exposure.csv"
     if not exposure_path.exists():
         raise ConfigurationError(f"no exposure.csv in {run_dir}; not a completed run")
-    columns = read_csv(exposure_path, {"insulation": lambda raw: code(Insulation(raw)),
-                                       "mean_t_in_c": float, "min_t_in_c": float,
-                                       "mean_rr": float})
+    number = cell_parser(float)
+    columns = read_csv(exposure_path, {"insulation": cell_parser(Insulation),
+                                       "mean_t_in_c": number, "min_t_in_c": number,
+                                       "mean_rr": number})
     if not columns["insulation"]:
         raise ConfigurationError(f"exposure table in {run_dir} is empty")
 

@@ -8,15 +8,14 @@ and safe to share across worker threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from .codec import parse_timestamp
+from .codec import Bound, parse_timestamp
 from .errors import ConfigurationError, IngestionError
-from .tables import read_csv
+from .tables import cell_parser, read_csv
 
 # Tolerated timestamp jitter when checking uniform spacing, in seconds.
 SPACING_JITTER_S = 1.0
@@ -50,28 +49,15 @@ class WeatherSeries:
         return [self.start + timedelta(seconds=self.dt_s * i) for i in range(self.n_steps)]
 
 
-def _temperature(raw: str) -> float:
-    if not math.isfinite(value := float(raw)):
-        raise ConfigurationError(f"non-finite temperature {value}")
-    if not -100.0 <= value <= 100.0:
-        raise ConfigurationError(f"temperature {value} outside [-100, 100] degC")
-    return value
-
-
-def _humidity(raw: str) -> float:
-    if not 0.0 <= (value := float(raw)) <= 100.0:
-        raise ConfigurationError(f"relative humidity {value} outside [0, 100]")
-    return value
-
-
 def load_weather_csv(path) -> WeatherSeries:
     """Load a `timestamp,temp_c,rh_pct` CSV into a WeatherSeries.
 
     Rows must be strictly increasing in time with uniform spacing; the step
     is inferred from the first two rows.
     """
-    columns = read_csv(path, {"timestamp": parse_timestamp, "temp_c": _temperature,
-                              "rh_pct": _humidity})
+    columns = read_csv(path, {"timestamp": parse_timestamp,
+                              "temp_c": cell_parser(float, Bound(-100, 100)),
+                              "rh_pct": cell_parser(float, Bound(0, 100))})
     stamps = columns["timestamp"]
     if len(stamps) < 2:
         raise IngestionError("weather file needs at least 2 rows", path=path)

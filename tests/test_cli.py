@@ -137,6 +137,46 @@ class TestRunCommand:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("route, named", [
+        ("config", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        # Past the first 8 KiB of the file, which a text reader decodes at once.
+        ("weather", "not UTF-8 text: byte 0xff; file={path}; row=500"),
+        ("population", "not UTF-8 text: byte 0xe9; file={path}; row=5"),
+        ("long_cell", "unreadable CSV text: field larger than field limit (131072); "
+                      "file={path}; row=10"),
+    ], ids=["config", "weather", "population", "long_cell"])
+    def test_unreadable_text_exits_2_naming_the_file(self, demo_config_path, tmp_path, capsys,
+                                                     route, named):
+        from coldsnap.population import save_population, synthesize_population
+        from coldsnap.scenario import load_config
+
+        config = json.loads(demo_config_path.read_text())
+        weather = (demo_config_path.parent / config["weather_path"]).read_bytes().split(b"\n")
+        path = tmp_path / f"{route}.csv"
+        if route == "population":
+            save_population(synthesize_population(
+                load_config(demo_config_path).population_spec, 42)[:20], path)
+            lines = path.read_bytes().split(b"\n")
+            lines[4] = lines[4].replace(b"median", "médian".encode("latin-1"))
+            path.write_bytes(b"\n".join(lines))
+            config["population"] = {"path": str(path)}
+        elif route in ("weather", "long_cell"):
+            if route == "weather":
+                weather[499] = weather[499].replace(b"-", b"\xff", 1)
+            else:
+                weather[9] = weather[9].replace(b",", b"," + b"1" * 200_000, 1)
+            path.write_bytes(b"\n".join(weather))
+            config["weather_path"] = str(path)
+        config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
+        bad = tmp_path / "bad.json"
+        bad.write_bytes((b"\xff" if route == "config" else b"") + json.dumps(config).encode())
+        code = main(["run", "--config", str(bad), "--scenario", "co", "--trials", "5",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named.format(path=path) in err and str(bad if route == "config" else path) in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("out, reason", [("taken", "File exists"),
                                              ("taken/sub", "Not a directory")])
     def test_unusable_output_path_exits_2_naming_it(self, demo_config_path, tmp_path, capsys,

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -9,6 +10,7 @@ from coldsnap.outage import (
     DARK,
     ISOLATED,
     LIT,
+    MAX_TIER_CELLS,
     TIERS,
     BaseParams,
     ControlledOutageParams,
@@ -261,6 +263,25 @@ class TestRollingOutage:
             RollingOutageParams(n_groups=1)
         assert info.value.key == "n_groups"
         assert str(info.value) == "config key 'n_groups' must lie in [2, 10,000], got 1"
+
+    @pytest.mark.parametrize("n_groups, n_steps", [(10_000, MAX_TIER_CELLS // 10_000),
+                                                   (2_912, 5_760)])
+    def test_tier_table_at_the_cell_bound_peaks_within_twice_its_size(
+            self, small_pop, n_groups, n_steps):
+        # One-step slots: the most slots a window of `n_steps` can have.
+        params = RollingOutageParams(n_groups=n_groups, slot_s=60.0, availability_constant=0.5)
+        tracemalloc.start()
+        try:
+            sched = build_schedule(small_pop, n_steps, 60.0, params, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_groups * n_steps <= MAX_TIER_CELLS
+        assert sched.on.shape == (TIERS + n_groups, n_steps)
+        assert peak <= 2 * sched.on.nbytes
+        # Each step serves floor(0.5 x n_groups) tiers, starting at its slot's.
+        assert (sched.on[TIERS:].sum(axis=0) == n_groups // 2).all()
+        assert sched.on[TIERS + 7, 7] and not sched.on[TIERS + 6, 7]
 
 
 class TestMaxContiguousOff:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import io
@@ -198,6 +199,17 @@ class TestCsvRoundTrip:
             load_population(path)
         assert (info.value.row, info.value.column) == (3, "avg_annual_kwh")
 
+    def test_floats_are_written_as_their_repr(self):
+        values = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+        pop = make_population([make_building(i, floor_area_m2=v) for i, v in enumerate(values)])
+        handle = io.StringIO()
+        write_population_csv(handle, pop)
+        rows = list(csv.DictReader(io.StringIO(handle.getvalue(), newline="")))
+        for column in FLOAT_COLUMNS:
+            assert [row[column] for row in rows] == list(map(repr, pop.columns[column].tolist()))
+        assert [row["floor_area_m2"] for row in rows] == [
+            "-0.0", "5e-324", "1e+16", "0.30000000000000004"]
+
 
 # Each bounded column's lower limit and whether a cell may equal it: what a
 # population file must hold, written out apart from the `Building` bounds.
@@ -298,6 +310,16 @@ class TestLoadBounds:
         with pytest.raises(IngestionError) as info:
             load_population(path)
         assert (info.value.row, info.value.column) == (4, "ua_w_per_k")
+
+    def test_bad_cell_before_a_later_duplicate_id_reported_first(self, tmp_path):
+        path = saved_with(tmp_path, (1, "deadband_c", 0.0), (3, "id", 0))
+        with pytest.raises(IngestionError, match="must lie in") as info:
+            load_population(path)
+        assert (info.value.row, info.value.column) == (3, "deadband_c")
+        path = saved_with(tmp_path, (3, "deadband_c", 0.0), (1, "id", 0))
+        with pytest.raises(IngestionError, match="duplicate building id 0") as info:
+            load_population(path)
+        assert (info.value.row, info.value.column) == (3, "id")
 
 
 def bounded(tp, name):

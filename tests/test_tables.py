@@ -1,14 +1,17 @@
 """The block-wise CSV writer against `csv.writer` row by row, and the
-column-wise reader's parsing and error locations."""
+row-by-row reader's parsing and error locations."""
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
 
+from coldsnap.codec import Bound
 from coldsnap.errors import ConfigurationError, IngestionError
-from coldsnap.tables import BLOCK_ROWS, read_csv, save_csv, write_csv
+from coldsnap.population import Insulation
+from coldsnap.tables import BLOCK_ROWS, cell_parser, read_csv, save_csv, write_csv
 
 
 def reference(header, columns) -> str:
@@ -88,3 +91,43 @@ def test_read_csv_keeps_a_configuration_error_message(tmp_path):
     path.write_text("v\n1\n-2\n")
     with pytest.raises(IngestionError, match=r"^-2.0 is not positive; file=.*; row=3; column=v$"):
         read_csv(path, {"v": positive})
+
+
+def test_read_csv_does_not_count_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n3,x\n")
+    with pytest.raises(IngestionError, match="unparsable value 'x'") as info:
+        read_csv(path, {"a": int, "b": int})
+    assert (info.value.row, info.value.column) == (3, "b")
+
+
+def test_read_csv_reads_the_last_column_of_a_repeated_name(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,a\n1,2,3\n4,5\n")
+    assert read_csv(path, {"a": str, "b": str}) == {"a": ["3", ""], "b": ["2", "5"]}
+
+
+@pytest.mark.parametrize("data, row", [(b"a\xff,b\n1,2\n", 1), (b"a,b\n1,2\n\n3,\xe94\n", 3)])
+def test_read_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, data, row):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with pytest.raises(IngestionError, match="not UTF-8 text") as info:
+        read_csv(path, {"a": int, "b": int})
+    assert (info.value.path, info.value.row) == (path, row)
+
+
+@pytest.mark.parametrize("tp, bound, good, bad", [
+    (float, Bound(-100, 100), [("-100", -100.0), ("1e2", 100.0)],
+     [("nan", "must lie in [-100, 100], got nan"), ("100.5", "got 100.5")]),
+    (float, None, [("-1e308", -1e308)], [("inf", "must lie in (-inf, inf), got inf")]),
+    (int, Bound(0), [("0", 0)], [("-1", "must lie in [0, inf), got -1"),
+                                 ("9223372036854775808", "64-bit"), ("1.0", "invalid literal")]),
+    (bool, None, [("true", True), ("false", False)], [("True", "expected true/false")]),
+    (Insulation, None, [("little", 0), ("very_good", 6)], [("Good", "not a valid")]),
+])
+def test_cell_parser_reads_its_type_inside_its_bound(tp, bound, good, bad):
+    parse = cell_parser(tp, bound)
+    assert [parse(raw) for raw, _ in good] == [value for _, value in good]
+    for raw, message in bad:
+        with pytest.raises((ValueError, ConfigurationError), match=re.escape(message)):
+            parse(raw)

@@ -70,7 +70,8 @@ class TestLoad:
     def test_non_finite_temperature_names_row(self, tmp_path, value):
         path = tmp_path / "w.csv"
         write_csv(path, make_rows(8, temp=lambda i: value if i == 4 else -5.0))
-        with pytest.raises(IngestionError, match=f"non-finite temperature {value}") as info:
+        message = f"must lie in [-100, 100], got {value}; file={path}; row=6; column=temp_c"
+        with pytest.raises(IngestionError, match=re.escape(message)) as info:
             load_weather_csv(path)
         assert (info.value.path, info.value.row, info.value.column) == (path, 6, "temp_c")
 
@@ -83,8 +84,8 @@ class TestLoad:
         if -100.0 <= value <= 100.0:
             assert load_weather_csv(path).t_out_c[4] == value
             return
-        with pytest.raises(IngestionError, match=re.escape(
-                f"temperature {value!r} outside [-100, 100] degC")) as info:
+        message = f"must lie in [-100, 100], got {value!r}; file={path}; row=6; column=temp_c"
+        with pytest.raises(IngestionError, match=re.escape(message)) as info:
             load_weather_csv(path)
         assert (info.value.path, info.value.row, info.value.column) == (path, 6, "temp_c")
 
