@@ -88,12 +88,19 @@ class CurveModel(Bounded):
                 "fit_points": tuple((float(t), float(v)) for t, v in points),
                 "fit_max_abs_residual": float(np.abs(np.polyval(coeffs, xs) - ys).max())}
 
-    def evaluate(self, t_in_c):
+    def evaluate(self, t_in_c, out=None, clipped=None):
         """The curve at clamp(t, valid range), clamped to `OUTPUT_RANGE`: the
-        bits of `np.polyval`, its steps y = y * t + c run in place on one array."""
-        t = np.clip(np.asarray(t_in_c, dtype=float), *self.valid_range_c)
-        y = np.full_like(t, self.coefficients_high_to_low[0])
-        for c in self.coefficients_high_to_low[1:]:
+        bits of `np.polyval`, its steps y = y * t + c run in place on one
+        array, the first as y = t * c0. `out` and `clipped`, arrays of t's
+        shape, receive the curve and the clamped temperatures in place of
+        new arrays."""
+        t = np.clip(np.asarray(t_in_c, dtype=float), *self.valid_range_c, out=clipped)
+        c0, *rest = self.coefficients_high_to_low
+        if not rest:
+            return np.clip(np.full_like(t, c0), *self.OUTPUT_RANGE, out=out)
+        y = np.multiply(t, c0, out=out)
+        y += rest[0]
+        for c in rest[1:]:
             y *= t
             y += c
         return np.clip(y, *self.OUTPUT_RANGE, out=y if y.ndim else None)

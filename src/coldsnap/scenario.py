@@ -66,9 +66,11 @@ from .weather import WeatherSeries, load_weather_csv, slice_window
 
 # Bytes of the one (buildings x steps) float64 buffer that `assemble_bundle`
 # simulates a block of buildings into, 512 buildings of a 1,152-step window:
-# wide enough that numpy's per-step overhead is paid rarely. The reductions
-# read the block an eighth at a time, so that the temporaries of the curve
-# evaluations stay a fraction of the buffer.
+# wide enough that numpy's per-step overhead is paid rarely. A power row's
+# buildings are cut into near-equal blocks of at most that many, so the
+# demo's rolling tiers of ~420 homes fill one block each. The reductions
+# read the block an eighth at a time and evaluate the mortality curve into
+# two reused buffers of that size.
 BLOCK_BYTES = 9 << 19
 # Upper bound of `histogram_bins`: the histogram is a list of that many rows.
 MAX_HISTOGRAM_BINS = 1_000_000
@@ -254,6 +256,20 @@ def read_inputs(config: ScenarioConfig, pop: Population,
     return window, wage, c_cic
 
 
+def block_rows(group: np.ndarray, width: int, by_group: bool) -> list[np.ndarray]:
+    """The population indices of each simulated block, at most `width` apiece.
+    By group, the buildings are stably sorted by their power row `group` and
+    each group's run is cut into near-equal blocks, so that every block
+    shares one power row; otherwise the blocks are consecutive runs of
+    `width` buildings in population order, the last one short."""
+    n_b = len(group)
+    if not by_group:
+        return [np.arange(first, min(first + width, n_b)) for first in range(0, n_b, width)]
+    order = np.argsort(group, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(group[order])) + 1)
+    return [rows for run in runs for rows in np.array_split(run, -(-len(run) // width))]
+
+
 def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerScheduleSet,
                     window: WeatherSeries, wage: np.ndarray, c_cic: float,
                     traces_path=None) -> tuple[ScenarioBundle, dict[str, np.ndarray]]:
@@ -261,15 +277,19 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
 
     Buildings are simulated a block at a time, as many as fit `BLOCK_BYTES`
     of temperatures, into one (buildings x steps) buffer allocated once and
-    reused for every block. Each building's trace is a contiguous row of it,
-    and the reductions read those rows in place, an eighth of the block at a
-    time, beside the block's power rows `on[group]`. Heating flags are kept
-    only with `traces_path`, in a second such buffer, and each block's traces
-    are appended to that CSV as soon as they are simulated. The slices
-    reduce physics only, and productivity is priced once at `wage`. The
-    inputs after `schedule` are `read_inputs`'s, so this opens no input
-    file. Returns the trial bundle and the per-building exposure, one column
-    per `EXPOSURE_FIELDS` name.
+    reused for every block. The blocks are `block_rows` by power row, so
+    every building of a block shares one row of `schedule.on` and a step at
+    which that row is dark skips the thermostat; with `traces_path` they are
+    runs of population order instead, since `traces.csv` lists buildings in
+    that order, and each block's traces are appended to it as soon as they
+    are simulated, from a second such buffer that keeps the heating flags.
+    Each building's trace is a contiguous row of the buffer, and the
+    reductions read those rows in place, an eighth of the block at a time,
+    beside the block's power rows, and write each result at its building's
+    population index. The slices reduce physics only, and productivity is
+    priced once at `wage`. The inputs after `schedule` are `read_inputs`'s,
+    so this opens no input file. Returns the trial bundle and the
+    per-building exposure, one column per `EXPOSURE_FIELDS` name.
     """
     hz = config.hazard
     n_b = len(pop)
@@ -281,29 +301,31 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     part = max(1, width // 8)
     temps = np.empty((width, window.n_steps))
     flags = np.empty(temps.shape, dtype=bool) if traces_path is not None else None
-    with (open(traces_path, "w", newline="", encoding="utf-8") if traces_path is not None
+    curve = np.empty((part, window.n_steps))
+    clipped = np.empty(curve.shape)
+    with (open(traces_path, "wb") if traces_path is not None
           else contextlib.nullcontext()) as handle:
         sink = (TraceWriter(handle, window.start, window.dt_s, window.n_steps)
                 if handle is not None else None)
-        for first in range(0, n_b, width):
-            block = pop[first:first + width]
-            powered = schedule.on[schedule.group[first:first + width]]
+        for rows in block_rows(schedule.group, width, by_group=sink is None):
+            block = pop[rows]
+            powered = schedule.on[schedule.group[rows]]
             t_in = temps[:len(block)]
             hvac_on = flags[:len(block)] if flags is not None else None
             simulate_block(block, window, powered, t_in, hvac_on)
             if sink is not None:
                 sink.write(block, t_in, powered, hvac_on)
             for lo in range(0, len(block), part):
-                rows = t_in[lo:lo + part]
+                local = slice(lo, lo + part)
+                t, at = t_in[local], rows[local]
                 # The block's last slice is short unless `part` divides it.
-                hi = lo + len(rows)
-                at = slice(first + lo, first + hi)
-                mean_rr[at] = hz.rr_model.evaluate(rows).mean(axis=1)
-                mean_t[at] = rows.mean(axis=1)
-                min_t[at] = rows.min(axis=1)
-                wi_sum[at] = winter_index_rows(rows, window.rh_pct, hz.winter_index)
+                rr = hz.rr_model.evaluate(t, curve[:len(t)], clipped[:len(t)])
+                mean_rr[at] = rr.mean(axis=1)
+                mean_t[at] = t.mean(axis=1)
+                min_t[at] = t.min(axis=1)
+                wi_sum[at] = winter_index_rows(t, window.rh_pct, hz.winter_index)
                 lost_h[at] = lost_work_hours(
-                    rows, powered[lo:hi], residential[at], pop.job_requires_power[at],
+                    t, powered[local], residential[at], pop.job_requires_power[at],
                     steps, window.dt_s, hz.productivity_model)
     p_mort = mortality_probability(mean_rr, hz.delta)
 

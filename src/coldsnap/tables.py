@@ -86,7 +86,8 @@ def read_csv(path, parsers: dict) -> dict[str, list]:
     """
     columns = {column: [] for column in parsers}
     row = 0  # the last row read; the header is row 1
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    # A byte-order mark, as spreadsheets write "CSV UTF-8", is not part of the header.
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         # A byte that is not UTF-8 reads as a lone surrogate, which encode() rejects.
         reader = csv.reader(line for line in handle if line.isascii() or line.encode())
         try:

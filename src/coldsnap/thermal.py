@@ -24,15 +24,26 @@ from .weather import WeatherSeries
 # Metabolic and plug gain of an occupied building, W. Electrically supplied
 # internal gains are otherwise ignored.
 INTERNAL_GAIN_W = 200.0
+# Steps that `simulate_block` advances in its steps-major scratch before it
+# transposes them into the caller's buffers: few enough that each scratch
+# array of a 512-building block stays near 130 KB, enough that the
+# transposes are paid rarely.
+STEP_CHUNK = 32
 
 
 def simulate_block(pop: Population, weather: WeatherSeries, powered, out: np.ndarray,
                    hvac_on: np.ndarray | None = None) -> None:
     """Simulate a population's buildings side by side over a weather window.
 
-    `powered`, `out` and `hvac_on` are (buildings x steps). The loop runs over
-    time, advancing every building at once: column i of `out` gets step i's
-    indoor temperatures and, if given, of `hvac_on` its heating flags.
+    `powered`, `out` and `hvac_on` are (buildings x steps): column i of `out`
+    gets step i's indoor temperatures and, if given, of `hvac_on` its
+    heating flags. The loop runs over time, advancing every building at
+    once, `STEP_CHUNK` steps at a time in a small steps-major scratch: the
+    chunk's equilibria are computed together, each step writes the next
+    temperature row and flag row in place, and the chunk is then transposed
+    once into `out` and `hvac_on`. At a step where no building of the block
+    is powered every relay is off, so the step only decays toward the
+    unheated equilibrium.
     Initial temperatures are the setpoints (business-as-usual start).
     Internal gains are `INTERNAL_GAIN_W` for occupied buildings and zero
     otherwise. Every temperature is finite: the `Building` bounds and the
@@ -52,27 +63,51 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered, out: np.nda
     lo = pop.setpoint_c - pop.deadband_c / 2.0
     hi = pop.setpoint_c + pop.deadband_c / 2.0
 
-    t_out = weather.t_out_c
-    temp = pop.setpoint_c.copy()
-    on = np.zeros(len(pop), dtype=bool)
+    n_steps = weather.n_steps
+    lit = powered.any(axis=0).tolist()
+    t_out = weather.t_out_c[:, None]
+    chunk = min(STEP_CHUNK, n_steps)
+    # In a chunk from step s, row k of `temp` holds step s + k's temperatures
+    # and row k + 1 of `flag` its heating flags; row 0 of `flag` and the last
+    # row of `temp` carry over to the next chunk.
+    temp = np.empty((chunk + 1, len(pop)))
+    temp[0] = pop.setpoint_c
+    flag = np.zeros(temp.shape, dtype=bool)
+    power = np.empty((chunk, len(pop)), dtype=bool)
+    eq_on = np.empty(power.shape)
+    eq = np.empty(power.shape)
     hold = np.empty(len(pop), dtype=bool)
-    for i in range(weather.n_steps):
-        # Hysteresis relay: off when unpowered, on below the band, off above
-        # it, else hold. Temperatures are finite, so `<= hi` is `not > hi`.
-        np.less_equal(temp, hi, out=hold)
-        hold &= on
-        np.less(temp, lo, out=on)
-        on |= hold
-        on &= powered[:, i]
-        out[:, i] = temp
+    rows = list(zip(temp[:-1], temp[1:], flag[:-1], flag[1:], power, eq_on, eq))
+    for first in range(0, n_steps, chunk):
+        steps = slice(first, first + chunk)
+        c = min(chunk, n_steps - first)
+        # The equilibria t_out + Q/UA with the heating on and off; a lit step
+        # puts the first into `eq` where its relay is on. A dark step leaves
+        # its flag row off.
+        np.add(rise_on, t_out[steps], out=eq_on[:c])
+        np.add(rise_off, t_out[steps], out=eq[:c])
+        power[:c] = powered[:, steps].T
+        flag[1:] = False
+        for (t, t_next, was_on, on, p, eq_if_on, t_eq), any_lit in zip(rows, lit[steps]):
+            if any_lit:
+                # Hysteresis relay: off when unpowered, on below the band,
+                # off above it, else hold. Temperatures are finite, so
+                # `<= hi` is `not > hi`.
+                np.less_equal(t, hi, out=hold)
+                hold &= was_on
+                np.less(t, lo, out=on)
+                on |= hold
+                on &= p
+                np.putmask(t_eq, on, eq_if_on)
+            # Exact step toward the equilibrium.
+            np.subtract(t, t_eq, out=t_next)
+            t_next *= decay
+            t_next += t_eq
+        out[:, steps] = temp[:c].T
         if hvac_on is not None:
-            hvac_on[:, i] = on
-        # Exact step toward the equilibrium t_out + Q/UA.
-        t_eq = np.where(on, rise_on, rise_off)
-        t_eq += t_out[i]
-        temp -= t_eq
-        temp *= decay
-        temp += t_eq
+            hvac_on[:, steps] = flag[1:c + 1].T
+        temp[0] = temp[c]
+        flag[0] = flag[c]
 
 
 # Bytes of fixed-width rows `TraceWriter` formats at once: about eight
@@ -142,11 +177,11 @@ def format_fixed4(t) -> np.ndarray:
 
 class TraceWriter:
     """Appends `building_id,timestamp,t_in_c,powered,hvac_kw` rows to an open
-    text handle, one simulated block at a time.
+    binary handle, one simulated block at a time.
 
     Rows are built as bytes, a few buildings at a time: each (building,
     step) gets one zero-padded fixed-width row of its five fields, and the
-    padding is dropped with one mask before the chunk is written. Timestamps
+    padding is deleted from the chunk's bytes as they are written. Timestamps
     are formatted once per step. Lines end in CRLF, as `csv` writes them.
     """
 
@@ -155,7 +190,7 @@ class TraceWriter:
         self._stamps = _ascii_rows(f",{(start + timedelta(seconds=dt_s * i)).isoformat()},"
                                    for i in range(n_steps))
         self.chunk = 1
-        handle.write("building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
+        handle.write(b"building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
 
     def write(self, pop: Population, t_in, powered, hvac_on) -> None:
         """Rows of a block as `simulate_block` fills it, each argument
@@ -182,4 +217,4 @@ class TraceWriter:
             )
             rows = np.concatenate([np.broadcast_to(f, (k, n, f.shape[-1])) for f in fields],
                                   axis=2)
-            self._handle.write(rows[rows != 0].tobytes().decode("ascii"))
+            self._handle.write(rows.tobytes().translate(None, b"\0"))

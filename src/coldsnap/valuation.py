@@ -294,12 +294,14 @@ def lost_work_hours(t_in_c, powered, residential, needs_power, steps, dt_s: floa
     lost_h = np.empty(len(t_in_c))
     for rows, cols in ((residential, steps[0]), (~residential, steps[1])):
         rows = np.flatnonzero(rows)
-        cells = np.ix_(rows, cols)
         # The gathered cells are C-contiguous rows, so each row sums in the
-        # same order as one building's working steps.
-        perf = productivity_model.evaluate(t_in_c[cells])
+        # same order as one building's working steps. Columns are gathered
+        # first, so the intermediate holds only working steps.
+        t = np.take(np.take(t_in_c, cols, axis=1), rows, axis=0)
+        dark = ~np.take(np.take(powered, cols, axis=1), rows, axis=0)
+        perf = productivity_model.evaluate(t, clipped=t)
         loss = np.subtract(1.0, perf, out=perf)
-        loss[needs_power[rows, None] & ~powered[cells]] = 1.0
+        loss[needs_power[rows, None] & dark] = 1.0
         lost_h[rows] = loss.sum(axis=1)
     lost_h *= dt_s / 3600.0
     return lost_h

@@ -9,6 +9,7 @@ bit for bit, so that run artifacts stay byte-identical.
 import dataclasses
 import json
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from coldsnap.scenario import (
     EXPOSURE_FIELDS,
     _write_exposure_csv,
     assemble_bundle,
+    block_rows,
     build_schedules,
     load_config,
     read_inputs,
     sequential_sum,
 )
-from coldsnap.thermal import TraceWriter, format_fixed4, simulate_block
+from coldsnap.thermal import STEP_CHUNK, TraceWriter, format_fixed4, simulate_block
 from coldsnap.valuation import (
     CICParams,
     CICTable,
@@ -42,7 +44,7 @@ from coldsnap.valuation import (
     medical_cost,
     medical_severity,
 )
-from coldsnap.weather import load_weather_csv, slice_window
+from coldsnap.weather import WeatherSeries, load_weather_csv, slice_window
 
 from conftest import constant_weather, make_building, make_population
 
@@ -336,31 +338,75 @@ def test_bundle_matches_oracle_exactly(assets, tmp_path, variant, scenario):
         assert (bundle.wi_sum_by_building > 0.0).any()
 
 
-@pytest.mark.parametrize("width", [16, 29])
+@pytest.mark.parametrize("width, traces", [(16, True), (29, True), (16, False), (29, False)],
+                         ids=["16", "29", "16-by_group", "29-by_group"])
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
-def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, width, blocks, extra):
-    # W - 1, W, W + 1 and 2W + 3 buildings: a partial last block leaves the
-    # previous block's rows in the reused buffer, and none of them may reach
-    # the exposure or the traces. At W = 29 the reduction slices hold 3
-    # rows, so every block ends in a short slice of 2.
+def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, width, blocks, extra,
+                                           traces):
+    # W - 1, W, W + 1 and 2W + 3 buildings: a block shorter than the one
+    # before it leaves that block's rows in the reused buffer, and none of
+    # them may reach the exposure or the traces. At W = 29 the reduction
+    # slices hold 3 rows, so a block of 29 ends in a short slice of 2.
+    # With traces the blocks are W buildings in population order, the last
+    # one short; without, each power row's buildings are cut into
+    # near-equal blocks, and a row's first block can be shorter than the
+    # last block of the row before it.
     config, demo, _ = prepare(assets["demo"], "ro-di")
     narrow_blocks(monkeypatch, config, width=width)
+    widths = []
+
+    def recording_simulate_block(block, *args):
+        widths.append(len(block))
+        simulate_block(block, *args)
+
+    monkeypatch.setattr(scenario_module, "simulate_block", recording_simulate_block)
     # The last buildings of the demo: homes and every commercial kind.
     pop = demo[len(demo) - blocks * width - extra:]
     assert len({*pop.sector.tolist()}) > 1
-    assert_bundle_matches_oracle(config, pop, build_schedules(config, pop), tmp_path,
-                                 traces=True)
+    schedule = build_schedules(config, pop)
+    assert_bundle_matches_oracle(config, pop, schedule, tmp_path, traces=traces)
+    n = len(pop)
+    if traces:
+        assert widths == [width] * (n // width) + [n % width] * (n % width > 0)
+    else:
+        assert len(widths) >= len(set(schedule.group.tolist())) > 1 and sum(widths) == n
+        assert any(a < b for b, a in zip(widths, widths[1:]))
+
+
+@pytest.mark.parametrize("width", [1, 3, 16, 29, 400])
+def test_block_rows_share_one_power_row(assets, width):
+    _, pop, schedule = prepare(assets["groups_7"], "ro-di")
+    group = schedule.group
+    blocks = block_rows(group, width, by_group=True)
+    rows = np.concatenate(blocks)
+    assert rows.tolist() == np.argsort(group, kind="stable").tolist()
+    sizes = {}
+    for block in blocks:
+        assert len(set(group[block].tolist())) == 1 and 0 < len(block) <= width
+        sizes.setdefault(group[block[0]], []).append(len(block))
+    assert len(sizes) == len(set(group.tolist())) > 3
+    for g, lengths in sizes.items():
+        assert max(lengths) - min(lengths) <= 1
+        assert len(lengths) == -(-(group == g).sum() // width)
+    ordered = block_rows(group, width, by_group=False)
+    assert np.concatenate(ordered).tolist() == list(range(len(pop)))
+    assert [len(b) for b in ordered[:-1]] == [width] * (len(ordered) - 1)
 
 
 @pytest.mark.parametrize("scenario", ["co", "ro-di"])
 def test_cost_totals_add_left_to_right(assets, monkeypatch, scenario):
     config, pop, schedule = prepare(assets["demo"], scenario)
-    slices = []
+    blocks, slices = [], []
+
+    def recording_block_rows(*args, **kwargs):
+        blocks.extend(block_rows(*args, **kwargs))
+        return blocks
 
     def recording_lost_work_hours(*args):
         slices.append(lost_work_hours(*args))
         return slices[-1]
 
+    monkeypatch.setattr(scenario_module, "block_rows", recording_block_rows)
     monkeypatch.setattr(scenario_module, "lost_work_hours", recording_lost_work_hours)
     window, wage, c_cic = read_inputs(config, pop, schedule)
     bundle, _ = assemble_bundle(config, pop, schedule, window, wage, c_cic)
@@ -368,8 +414,13 @@ def test_cost_totals_add_left_to_right(assets, monkeypatch, scenario):
     for usd in interruption_cost(pop, schedule.unpowered_hours(), config.valuation.cic).tolist():
         total += usd
     assert bundle.c_cic == total > 0.0
-    lost_h = np.concatenate(slices)
-    assert len(slices) > 1 and len(lost_h) == len(pop)
+    # The slices come in block order; each is placed at its buildings' rows.
+    rows = np.concatenate(blocks)
+    assert sorted(rows.tolist()) == list(range(len(pop)))
+    assert (rows != np.arange(len(pop))).any()
+    lost_h = np.empty(len(pop))
+    lost_h[rows] = np.concatenate(slices)
+    assert len(slices) > 1
     total = 0.0
     for n, hours, usd in zip(pop.n_workers.tolist(), lost_h.tolist(), wage.tolist()):
         total += n * hours * usd
@@ -432,7 +483,7 @@ def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
 
     monkeypatch.setattr(thermal_module, "TRACE_CHUNK_BYTES", 3 * weather.n_steps * 50)
     streamed = tmp_path / "streamed.csv"
-    with open(streamed, "w", newline="", encoding="utf-8") as handle:
+    with open(streamed, "wb") as handle:
         writer = TraceWriter(handle, weather.start, weather.dt_s, weather.n_steps)
         for at in (slice(0, 5), slice(5, None)):
             writer.write(pop[at], t_in[at], powered[at], hvac_on[at])
@@ -509,6 +560,32 @@ def test_block_row_matches_single_building_runs(assets):
     assert np.array_equal(buffer, t_in)
 
 
+@pytest.mark.parametrize("lit", [False, True])
+def test_uniform_block_over_a_short_last_chunk_matches_single_building_runs(lit):
+    # Every building dark at every step, so the relay is skipped throughout,
+    # or lit at every step, over a window that ends in a short step chunk.
+    n_steps = 3 * STEP_CHUNK + 7
+    weather = WeatherSeries(start=datetime(2021, 2, 15, tzinfo=timezone.utc), dt_s=300.0,
+                            t_out_c=-12.0 + 9.0 * np.sin(np.arange(n_steps) / 9.0),
+                            rh_pct=np.full(n_steps, 80.0))
+    buildings = [make_building(i, ua_per_m2=u, mass_per_m2=m, setpoint_c=sp, deadband_c=db,
+                               n_occupants=occ)
+                 for i, (u, m, sp, db, occ) in enumerate((
+                     (1.8, 255e3, 20.0, 1.0, 2), (4.0, 150e3, 18.5, 0.3, 0),
+                     (0.9, 350e3, 22.0, 2.5, 5), (6.0, 180e3, 21.0, 0.0, 1)))]
+    powered = np.full((len(buildings), n_steps), lit)
+    t_in, hvac_on = oracles.simulate_new_block(make_population(buildings), weather, powered)
+    assert n_steps % STEP_CHUNK and hvac_on.any() == lit
+    for j, b in enumerate(buildings):
+        for trace in (oracles.simulate_building(b, weather, powered[j]),
+                      oracles.simulate_building_scalar(b, weather, powered[j])):
+            assert trace.t_in_c.tobytes() == t_in[j].tobytes()
+            assert np.array_equal(trace.hvac_kw, np.where(hvac_on[j], b.hvac_electric_kw, 0.0))
+        if lit:
+            # The relay switches both ways, across chunk boundaries.
+            assert 0 < hvac_on[j].sum() < n_steps
+
+
 def curve_models():
     """Both curve classes with default coefficients, and as a config gives
     them: fit points over another range, explicit coefficients, and
@@ -529,13 +606,15 @@ def curve_models():
                                [-0.0, *hz.productivity_model.coefficients_high_to_low]}},
         "hazard")
     assert math.copysign(1.0, zero_led.productivity_model.coefficients_high_to_low[0]) == -1.0
+    constant = decode(HazardConfig, {"rr_model": {"coefficients_high_to_low": [1.0]}}, "hazard")
     return [hz.rr_model, hz.productivity_model, configured.rr_model,
-            configured.productivity_model, zero_led.rr_model, zero_led.productivity_model]
+            configured.productivity_model, zero_led.rr_model, zero_led.productivity_model,
+            constant.rr_model]
 
 
 @pytest.mark.parametrize("model", curve_models(), ids=[
     "rr", "productivity", "rr_config", "productivity_config", "rr_plus_zero_led",
-    "productivity_minus_zero_led"])
+    "productivity_minus_zero_led", "rr_constant"])
 def test_in_place_horner_is_polyval_bit_for_bit(model):
     lo, hi = model.valid_range_c
     edges = np.array([lo, hi, -0.0, 0.0, -1e6, 1e6, 22.0])
@@ -552,6 +631,11 @@ def test_in_place_horner_is_polyval_bit_for_bit(model):
     assert np.array_equal(temps, given)
     block = temps[:4000].reshape(40, 100)
     assert model.evaluate(block).tobytes() == reference(block).tobytes()
+    # Into reused buffers holding another evaluation's values.
+    out, clipped = np.full(block.shape, np.nan), np.full(block.shape, -7.0)
+    assert model.evaluate(block, out, clipped) is out
+    assert out.tobytes() == reference(block).tobytes()
+    assert clipped.tobytes() == np.clip(block, lo, hi).tobytes()
     for t in (*edges.tolist(), lo - 1.0, (lo + hi) / 2.0):
         for scalar in (t, np.float64(t), np.array(t)):
             value = model.evaluate(scalar)

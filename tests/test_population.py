@@ -154,6 +154,13 @@ class TestCsvRoundTrip:
         assert loaded.buildings == pop.buildings
         assert loaded.total_occupants == pop.total_occupants
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        pop = synthesize_population(demo_spec(), seed=42)[:25]
+        path = tmp_path / "pop.csv"
+        save_population(pop, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_population(path) == pop
+
     def test_duplicate_id_names_the_id(self, tmp_path):
         pop = make_population([make_building(5), make_building(9)])
         path = tmp_path / "pop.csv"

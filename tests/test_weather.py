@@ -35,6 +35,19 @@ class TestLoad:
         assert series.dt_s == 300.0
         assert series.start == START
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a leading EF BB BF.
+        plain, marked = tmp_path / "w.csv", tmp_path / "bom.csv"
+        write_csv(plain, make_rows(4, temp=lambda i: -5.0 - i))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        series, ref = load_weather_csv(marked), load_weather_csv(plain)
+        assert (series.start, series.dt_s, series.n_steps) == (ref.start, ref.dt_s, 4)
+        assert series.t_out_c.tolist() == ref.t_out_c.tolist() == [-5.0, -6.0, -7.0, -8.0]
+        marked.write_bytes(marked.read_bytes().replace(b"-7.0", b"-7.\xff"))
+        with pytest.raises(IngestionError, match="not UTF-8 text: byte 0xff") as info:
+            load_weather_csv(marked)
+        assert (info.value.path, info.value.row) == (marked, 4)
+
     def test_non_uniform_spacing_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
         rows = make_rows(3)
