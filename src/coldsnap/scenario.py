@@ -66,9 +66,11 @@ from .weather import WeatherSeries, load_weather_csv, slice_window
 
 # Bytes of the one (buildings x steps) float64 buffer that `assemble_bundle`
 # simulates a block of buildings into, 512 buildings of a 1,152-step window:
-# wide enough that numpy's per-step overhead is paid rarely. A power row's
-# buildings are cut into near-equal blocks of at most that many, so the
-# demo's rolling tiers of ~420 homes fill one block each. The reductions
+# wide enough that numpy's per-step overhead is paid rarely. `block_rows`
+# cuts a power row of more than half that many buildings into near-equal
+# blocks of its own, so the demo's rolling tiers of ~420 homes fill one
+# block each, and packs shorter rows into shared blocks, so a run of 1,000
+# tiers still simulates about one block per 512 buildings. The reductions
 # read the block an eighth at a time and evaluate the mortality curve into
 # two reused buffers of that size.
 BLOCK_BYTES = 9 << 19
@@ -258,16 +260,32 @@ def read_inputs(config: ScenarioConfig, pop: Population,
 
 def block_rows(group: np.ndarray, width: int, by_group: bool) -> list[np.ndarray]:
     """The population indices of each simulated block, at most `width` apiece.
-    By group, the buildings are stably sorted by their power row `group` and
-    each group's run is cut into near-equal blocks, so that every block
-    shares one power row; otherwise the blocks are consecutive runs of
-    `width` buildings in population order, the last one short."""
+    By group, the buildings are stably sorted by their power row `group`. A
+    row of more than half a block is cut into near-equal blocks of its own,
+    so a step at which it is dark skips the thermostat. Shorter rows are
+    packed, in that order, into shared blocks, each closed when the next row
+    would overflow it. Any two consecutive shared blocks then hold more than
+    `width` buildings, and every block of its own at least half of it, so
+    there are at most 2 n / `width` + 1 blocks of n buildings however many
+    rows there are. Otherwise the blocks are consecutive runs of `width`
+    buildings in population order, the last one short."""
     n_b = len(group)
     if not by_group:
         return [np.arange(first, min(first + width, n_b)) for first in range(0, n_b, width)]
     order = np.argsort(group, kind="stable")
-    runs = np.split(order, np.flatnonzero(np.diff(group[order])) + 1)
-    return [rows for run in runs for rows in np.array_split(run, -(-len(run) // width))]
+    blocks, shared, filled = [], [], 0
+    for run in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        if 2 * len(run) > width:
+            blocks += np.array_split(run, -(-len(run) // width))
+            continue
+        if filled + len(run) > width:
+            blocks.append(np.concatenate(shared))
+            shared, filled = [], 0
+        shared.append(run)
+        filled += len(run)
+    if shared:
+        blocks.append(np.concatenate(shared))
+    return blocks
 
 
 def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerScheduleSet,
@@ -277,9 +295,10 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
 
     Buildings are simulated a block at a time, as many as fit `BLOCK_BYTES`
     of temperatures, into one (buildings x steps) buffer allocated once and
-    reused for every block. The blocks are `block_rows` by power row, so
-    every building of a block shares one row of `schedule.on` and a step at
-    which that row is dark skips the thermostat; with `traces_path` they are
+    reused for every block. The blocks are `block_rows` by power row: a row
+    of `schedule.on` of more than half a block has blocks of its own,
+    shorter rows share blocks, and a step at which every row of a block is
+    dark skips the thermostat. With `traces_path` the blocks are
     runs of population order instead, since `traces.csv` lists buildings in
     that order, and each block's traces are appended to it as soon as they
     are simulated, from a second such buffer that keeps the heating flags.

@@ -77,6 +77,8 @@ VARIANTS = {
     # 3900 s slots of 13 steps: 88 whole slots and a partial last one.
     "slot_3900": dict.fromkeys(ROLLING, {"slot_s": 3900.0}),
     "groups_7": dict.fromkeys(ROLLING, {"n_groups": 7}),
+    # Tiers of 5-7 homes: fewer than half a narrowed block, so they share blocks.
+    "groups_40": dict.fromkeys(ROLLING, {"n_groups": 40}),
     "commercial": {"population.spec": {"counts": {"office": 20, "big_box": 15}}},
     # Half the weather file's step: the window is interpolated between samples.
     "dt_150": {"": {"dt_s": 150.0}},
@@ -348,9 +350,7 @@ def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, width,
     # them may reach the exposure or the traces. At W = 29 the reduction
     # slices hold 3 rows, so a block of 29 ends in a short slice of 2.
     # With traces the blocks are W buildings in population order, the last
-    # one short; without, each power row's buildings are cut into
-    # near-equal blocks, and a row's first block can be shorter than the
-    # last block of the row before it.
+    # one short; without, they are `block_rows` by power row.
     config, demo, _ = prepare(assets["demo"], "ro-di")
     narrow_blocks(monkeypatch, config, width=width)
     widths = []
@@ -369,27 +369,55 @@ def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, width,
     if traces:
         assert widths == [width] * (n // width) + [n % width] * (n % width > 0)
     else:
-        assert len(widths) >= len(set(schedule.group.tolist())) > 1 and sum(widths) == n
-        assert any(a < b for b, a in zip(widths, widths[1:]))
+        assert widths == [len(rows) for rows in block_rows(schedule.group, width, by_group=True)]
+        assert len(widths) > 1 and sum(widths) == n
 
 
-@pytest.mark.parametrize("width", [1, 3, 16, 29, 400])
-def test_block_rows_share_one_power_row(assets, width):
-    _, pop, schedule = prepare(assets["groups_7"], "ro-di")
+@pytest.mark.parametrize("variant, width", [("groups_7", 16), ("groups_7", 29), ("groups_40", 29)])
+def test_own_and_shared_blocks_match_oracle(assets, tmp_path, monkeypatch, variant, width):
+    # groups_7's tiers of 35-40 homes are cut into near-equal blocks of
+    # their own, a row's last blocks one shorter than its first. groups_40's
+    # tiers of 5-7 homes share blocks with each other and with the isolated
+    # row, so the rows of one block are lit at different steps.
+    config, pop, schedule = prepare(assets[variant], "ro-di")
+    narrow_blocks(monkeypatch, config, width=width)
     group = schedule.group
     blocks = block_rows(group, width, by_group=True)
-    rows = np.concatenate(blocks)
-    assert rows.tolist() == np.argsort(group, kind="stable").tolist()
-    sizes = {}
-    for block in blocks:
-        assert len(set(group[block].tolist())) == 1 and 0 < len(block) <= width
-        sizes.setdefault(group[block[0]], []).append(len(block))
-    assert len(sizes) == len(set(group.tolist())) > 3
-    for g, lengths in sizes.items():
+    rows_on = [schedule.on[np.unique(group[block])] for block in blocks]
+    assert any((on != on[0]).any() for on in rows_on) == (variant == "groups_40")
+    assert any(len(a) > len(b) and group[a[0]] == group[b[0]]
+               for a, b in zip(blocks, blocks[1:])) == (variant == "groups_7")
+    assert_bundle_matches_oracle(config, pop, schedule, tmp_path)
+
+
+@pytest.mark.parametrize("sizes", [[20, 0, 10, 40, 37, 39], [1] * 1000, [3, 300, 2, 2, 700, 1, 5] * 20],
+                         ids=["tiers", "singles", "mixed"])
+@pytest.mark.parametrize("width", [1, 3, 16, 29, 400])
+def test_block_rows_pack_short_power_rows(sizes, width):
+    group = np.random.default_rng(7).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = len(group)
+    blocks = block_rows(group, width, by_group=True)
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(n))
+    assert all(0 < len(block) <= width for block in blocks)
+    # However many rows there are, the block count stays near n / width.
+    assert len(blocks) <= 2 * n / width + 1
+    own = 2 * np.bincount(group) > width
+    for g in np.flatnonzero(own):
+        mine = [block for block in blocks if (group[block] == g).any()]
+        assert all((group[block] == g).all() for block in mine)
+        assert np.concatenate(mine).tolist() == np.flatnonzero(group == g).tolist()
+        lengths = [len(block) for block in mine]
+        assert len(lengths) == -(-len(np.flatnonzero(group == g)) // width)
         assert max(lengths) - min(lengths) <= 1
-        assert len(lengths) == -(-(group == g).sum() // width)
+    shared = [block for block in blocks if not own[group[block[0]]]]
+    order = np.argsort(group, kind="stable")
+    assert [i for block in shared for i in block.tolist()] == order[~own[group[order]]].tolist()
+    # Each short row lies whole in one shared block, and a block is closed
+    # only when the next row would overflow it.
+    assert sum(len(np.unique(group[block])) for block in shared) == len(np.unique(group[~own[group]]))
+    assert all(len(a) + len(b) > width for a, b in zip(shared, shared[1:]))
     ordered = block_rows(group, width, by_group=False)
-    assert np.concatenate(ordered).tolist() == list(range(len(pop)))
+    assert np.concatenate(ordered).tolist() == list(range(n))
     assert [len(b) for b in ordered[:-1]] == [width] * (len(ordered) - 1)
 
 
