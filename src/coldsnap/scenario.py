@@ -66,13 +66,9 @@ from .weather import WeatherSeries, load_weather_csv, slice_window
 
 # Bytes of the one (buildings x steps) float64 buffer that `assemble_bundle`
 # simulates a block of buildings into, 512 buildings of a 1,152-step window:
-# wide enough that numpy's per-step overhead is paid rarely. `block_rows`
-# cuts a power row of more than half that many buildings into near-equal
-# blocks of its own, so the demo's rolling tiers of ~420 homes fill one
-# block each, and packs shorter rows into shared blocks, so a run of 1,000
-# tiers still simulates about one block per 512 buildings. The reductions
-# read the block an eighth at a time and evaluate the mortality curve into
-# two reused buffers of that size.
+# wide enough that numpy's per-step overhead is paid rarely. Four times as
+# wide saves a little more CPU at 100x the demo but adds about 40 % to the
+# peak memory of a run of 3x the demo.
 BLOCK_BYTES = 9 << 19
 # Upper bound of `histogram_bins`: the histogram is a list of that many rows.
 MAX_HISTOGRAM_BINS = 1_000_000
@@ -258,20 +254,17 @@ def read_inputs(config: ScenarioConfig, pop: Population,
     return window, wage, c_cic
 
 
-def block_rows(group: np.ndarray, width: int, by_group: bool) -> list[np.ndarray]:
+def block_rows(group: np.ndarray, width: int) -> list[np.ndarray]:
     """The population indices of each simulated block, at most `width` apiece.
-    By group, the buildings are stably sorted by their power row `group`. A
-    row of more than half a block is cut into near-equal blocks of its own,
-    so a step at which it is dark skips the thermostat. Shorter rows are
-    packed, in that order, into shared blocks, each closed when the next row
-    would overflow it. Any two consecutive shared blocks then hold more than
-    `width` buildings, and every block of its own at least half of it, so
-    there are at most 2 n / `width` + 1 blocks of n buildings however many
-    rows there are. Otherwise the blocks are consecutive runs of `width`
-    buildings in population order, the last one short."""
-    n_b = len(group)
-    if not by_group:
-        return [np.arange(first, min(first + width, n_b)) for first in range(0, n_b, width)]
+    The buildings are stably sorted by their key `group`, a building's power
+    row in a plain run. A key held by more than half a block is cut into
+    near-equal blocks of its own, so a step at which that row is dark skips
+    the thermostat. Shorter keys are packed, in key order, into shared
+    blocks, each closed when the next key would overflow it. Any two
+    consecutive shared blocks then hold more than `width` buildings, and
+    every block of its own at least half of it, so there are at most
+    2 n / `width` + 1 blocks of n buildings however many keys there are.
+    One key for every building gives near-equal runs of population order."""
     order = np.argsort(group, kind="stable")
     blocks, shared, filled = [], [], 0
     for run in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
@@ -295,13 +288,11 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
 
     Buildings are simulated a block at a time, as many as fit `BLOCK_BYTES`
     of temperatures, into one (buildings x steps) buffer allocated once and
-    reused for every block. The blocks are `block_rows` by power row: a row
-    of `schedule.on` of more than half a block has blocks of its own,
-    shorter rows share blocks, and a step at which every row of a block is
-    dark skips the thermostat. With `traces_path` the blocks are
-    runs of population order instead, since `traces.csv` lists buildings in
-    that order, and each block's traces are appended to it as soon as they
-    are simulated, from a second such buffer that keeps the heating flags.
+    reused for every block. The blocks are `block_rows` of the power rows
+    `schedule.group`, or with `traces_path` of one key for every building,
+    since `traces.csv` lists buildings in population order; each block's
+    traces are appended to it as soon as they are simulated, from a second
+    such buffer that keeps the heating flags.
     Each building's trace is a contiguous row of the buffer, and the
     reductions read those rows in place, an eighth of the block at a time,
     beside the block's power rows, and write each result at its building's
@@ -326,7 +317,8 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
           else contextlib.nullcontext()) as handle:
         sink = (TraceWriter(handle, window.start, window.dt_s, window.n_steps)
                 if handle is not None else None)
-        for rows in block_rows(schedule.group, width, by_group=sink is None):
+        keys = schedule.group if sink is None else np.zeros_like(schedule.group)
+        for rows in block_rows(keys, width):
             block = pop[rows]
             powered = schedule.on[schedule.group[rows]]
             t_in = temps[:len(block)]

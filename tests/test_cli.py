@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coldsnap
 from coldsnap.cli import main
 from coldsnap.report import compare_scenarios, export_exposure
 from coldsnap.valuation import METRICS
@@ -74,6 +79,23 @@ class TestRunCommand:
             assert code == 0
             rows[n] = (out / "trials.csv").read_text().splitlines()
         assert len(rows[70]) == 71 and rows[70] == rows[200][:71]
+
+    def test_availability_per_slot_matches_its_constant(self, demo_config_path, tmp_path):
+        # ro-di's constant availability written out for the window's 96
+        # one-hour slots.
+        config = json.loads(demo_config_path.read_text())
+        config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
+        rodi = config["scenarios"]["ro-di"]
+        rodi["availability"] = [rodi.pop("availability_constant")] * 96
+        slots = tmp_path / "slots.json"
+        slots.write_text(json.dumps(config))
+        outs = []
+        for path in (demo_config_path, slots):
+            outs.append(tmp_path / path.stem)
+            assert main(["run", "--config", str(path), "--scenario", "ro-di", "--trials", "20",
+                         "--out", str(outs[-1])]) == 0
+        for name in ("trials.csv", "exposure.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     @pytest.mark.parametrize("threads", ["0", "-2", "100000"])
     def test_threads_out_of_range_exits_2_naming_flag(self, demo_config_path, tmp_path, capsys,
@@ -426,6 +448,38 @@ class TestDemoCommand:
         assert (tmp_path / "assets" / "demo_weather.csv").exists()
 
 
+def python_m_cli(*args):
+    """`python -m coldsnap.cli ARGS` in a child process, importing this
+    package."""
+    path = [str(Path(coldsnap.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "coldsnap.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestChildProcess:
+    """The exit code of a command reaches the process that started it."""
+
+    def test_demo_exits_0(self, tmp_path):
+        result = python_m_cli("demo", "--out", str(tmp_path / "assets"))
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "assets" / "demo_config.json").exists()
+
+    def test_bad_config_value_exits_2_naming_it_before_the_output_directory(
+            self, demo_config_path, tmp_path):
+        config = json.loads(demo_config_path.read_text())
+        config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
+        config["valuation"]["cic"] = {"season_multiplier": -2}
+        bad = tmp_path / "negative_season.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        result = python_m_cli("run", "--config", str(bad), "--scenario", "co", "--trials", "20",
+                              "--out", str(out))
+        assert result.returncode == 2
+        assert "'valuation.cic.season_multiplier'" in result.stderr
+        assert not out.exists()
+
+
 class TestPopulationFileRoute:
     def test_run_from_population_csv(self, demo_config_path, tmp_path):
         import csv as _csv
@@ -455,6 +509,28 @@ class TestPopulationFileRoute:
         assert summary["population_digest"] == population_digest(pop)
         with open(out / "exposure.csv", newline="") as handle:
             assert len(list(_csv.DictReader(handle))) == 32
+
+    def test_demo_population_from_csv_writes_the_same_outputs(self, demo_config_path, runs,
+                                                              tmp_path):
+        from coldsnap.population import save_population, synthesize_population
+        from coldsnap.scenario import load_config
+
+        loaded = load_config(demo_config_path)
+        pop_csv = tmp_path / "population.csv"
+        save_population(synthesize_population(loaded.population_spec, loaded.seed), pop_csv)
+        config = json.loads(demo_config_path.read_text())
+        config["population"] = {"path": str(pop_csv)}
+        config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
+        cfg_path = tmp_path / "csv_config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_path), "--scenario", "co", "--trials", TRIALS,
+                     "--out", str(out)]) == 0
+        # The columnar exposure reader on both routes.
+        for run in (runs["co"], out):
+            assert main(["export-exposure", str(run)]) == 0
+        for name in ("trials.csv", "exposure.csv", "insulation_summary.csv"):
+            assert (runs["co"] / name).read_bytes() == (out / name).read_bytes(), name
 
     @pytest.fixture(scope="class")
     def small_pop_csv(self, tmp_path_factory):

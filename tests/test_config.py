@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
 import hashlib
 import json
 import math
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +194,7 @@ def test_hash_ignores_unselected_sections(small_config, tmp_path):
     assert after.config_hash() == before.config_hash()
 
 
-@pytest.mark.parametrize("scenario", ["base", "ro-di"])
+@pytest.mark.parametrize("scenario", ["base", "co", "ro-di"])
 def test_materialized_config_reruns_to_same_hash_and_outputs(tmp_path, scenario):
     config_path = write_demo(tmp_path)
     original = load_config(config_path, {"scenario": scenario, "n_trials": 20})
@@ -205,6 +207,12 @@ def test_materialized_config_reruns_to_same_hash_and_outputs(tmp_path, scenario)
                      "--out", str(out)]) == 0
         outputs.append([(out / name).read_bytes() for name in ("trials.csv", "exposure.csv")])
         outputs[-1].append(json.loads((out / "summary.json").read_text())["config_hash"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs[-1].append(manifest["config_hash"])
+        # The demo prices interruptions with the acknowledged placeholder
+        # tables, and the run's materialized config says so.
+        valuation = manifest["materialized_config"]["valuation"]
+        assert valuation["cic"]["tables"] is None and valuation["acknowledge_default_cic"] is True
     assert outputs[0] == outputs[1]
 
 
@@ -325,9 +333,11 @@ def test_out_of_range_value_exits_2_naming_key(small_config, tmp_path, capsys,
 
 @pytest.mark.parametrize("probe, named", [
     ("ua_cell", "row=3; column=ua_w_per_k"),
+    ("ua_row", "'population.spec.insulation_table.little.ua_w_per_k_m2'"),
     ("mass_row", "'population.spec.insulation_table.little.mass_j_per_k_m2'"),
     ("shed_id", "'scenarios.co.shed_ids[1]'"),
     ("tier_cells", "'scenarios.ro-di.n_groups'"),
+    ("dt_1", "'dt_s'"),
 ])
 def test_overflowing_input_exits_2_before_the_output_directory(small_config, tmp_path, capsys,
                                                                probe, named):
@@ -339,15 +349,54 @@ def test_overflowing_input_exits_2_before_the_output_directory(small_config, tmp
         ua[1] = 1e308
         save_population(Population({**columns, "ua_w_per_k": ua}), tmp_path / "pop.csv")
         config["population"] = {"path": str(tmp_path / "pop.csv")}
+    elif probe == "ua_row":
+        for row in config["population"]["spec"]["insulation_table"].values():
+            row["ua_w_per_k_m2"] = 5e-324
     elif probe == "mass_row":
         config["population"]["spec"]["insulation_table"]["little"]["mass_j_per_k_m2"] = 5e-324
     elif probe == "shed_id":
         config["scenarios"]["co"]["shed_ids"] = [0, 10**20]
-    else:  # 10,000 tiers of 5,760 one-minute steps
+    elif probe == "tier_cells":  # 10,000 tiers of 5,760 one-minute steps
         config["dt_s"] = 60.0
         config["scenarios"]["ro-di"]["n_groups"] = 10_000
+    else:  # 345,600 one-second steps
+        config["dt_s"] = 1.0
     assert run(config, tmp_path) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("table, column, value", [
+    ("population", "ua_w_per_k", "-3.0"),
+    # Cells that would drive a thermostat equilibrium out of range.
+    ("population", "setpoint_c", "1e308"),
+    ("weather", "temp_c", "150"),
+])
+def test_bad_file_cell_exits_2_naming_file_row_and_column(small_config, tmp_path, capsys,
+                                                          table, column, value):
+    config = copy.deepcopy(small_config)
+    if table == "population":
+        loaded = load_config(write_config(config, tmp_path / "spec"))
+        source = tmp_path / "spec" / "population.csv"
+        save_population(synthesize_population(loaded.population_spec, loaded.seed), source)
+    else:
+        source = Path(config["weather_path"])
+    with open(source, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    # Row 3 of a population file, row 12 of the weather file.
+    at = 1 if table == "population" else 10
+    rows[at][column] = value
+    path = tmp_path / f"{table}.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    if table == "population":
+        config["population"] = {"path": str(path)}
+    else:
+        config["weather_path"] = str(path)
+    assert run(config, tmp_path) == 2
+    assert f"file={path}; row={at + 2}; column={column}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -391,6 +440,13 @@ def test_shipped_defaults_are_pinned(scenario):
 def test_coarser_steps_than_the_weather_file_run(small_config, tmp_path, dt_s):
     # The demo file's 1,440 samples leave 1,439 gaps: no stride spans it.
     config = {**copy.deepcopy(small_config), "dt_s": dt_s}
+    assert run(config, tmp_path) == 0
+    assert (tmp_path / "out" / "exposure.csv").exists()
+
+
+def test_finer_step_than_the_weather_file_runs(small_config, tmp_path):
+    # 150 s steps interpolate between the demo file's 300 s samples.
+    config = {**copy.deepcopy(small_config), "dt_s": 150.0}
     assert run(config, tmp_path) == 0
     assert (tmp_path / "out" / "exposure.csv").exists()
 

@@ -17,6 +17,7 @@ import pytest
 import oracles
 from coldsnap import scenario as scenario_module
 from coldsnap import thermal as thermal_module
+from coldsnap.cli import main
 from coldsnap.codec import decode
 from coldsnap.demo import demo_config_dict, make_uri_like_weather, write_weather_csv
 from coldsnap.errors import ConfigurationError
@@ -349,8 +350,9 @@ def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, width,
     # before it leaves that block's rows in the reused buffer, and none of
     # them may reach the exposure or the traces. At W = 29 the reduction
     # slices hold 3 rows, so a block of 29 ends in a short slice of 2.
-    # With traces the blocks are W buildings in population order, the last
-    # one short; without, they are `block_rows` by power row.
+    # With traces the blocks are near-equal runs of population order, and
+    # W + 1 buildings at W = 16 and 2W + 3 at either W end in a shorter
+    # block; without, they are `block_rows` by power row.
     config, demo, _ = prepare(assets["demo"], "ro-di")
     narrow_blocks(monkeypatch, config, width=width)
     widths = []
@@ -367,9 +369,9 @@ def test_blocks_of_every_fill_match_oracle(assets, tmp_path, monkeypatch, width,
     assert_bundle_matches_oracle(config, pop, schedule, tmp_path, traces=traces)
     n = len(pop)
     if traces:
-        assert widths == [width] * (n // width) + [n % width] * (n % width > 0)
+        assert widths == [len(rows) for rows in np.array_split(np.arange(n), -(-n // width))]
     else:
-        assert widths == [len(rows) for rows in block_rows(schedule.group, width, by_group=True)]
+        assert widths == [len(rows) for rows in block_rows(schedule.group, width)]
         assert len(widths) > 1 and sum(widths) == n
 
 
@@ -382,7 +384,7 @@ def test_own_and_shared_blocks_match_oracle(assets, tmp_path, monkeypatch, varia
     config, pop, schedule = prepare(assets[variant], "ro-di")
     narrow_blocks(monkeypatch, config, width=width)
     group = schedule.group
-    blocks = block_rows(group, width, by_group=True)
+    blocks = block_rows(group, width)
     rows_on = [schedule.on[np.unique(group[block])] for block in blocks]
     assert any((on != on[0]).any() for on in rows_on) == (variant == "groups_40")
     assert any(len(a) > len(b) and group[a[0]] == group[b[0]]
@@ -396,7 +398,7 @@ def test_own_and_shared_blocks_match_oracle(assets, tmp_path, monkeypatch, varia
 def test_block_rows_pack_short_power_rows(sizes, width):
     group = np.random.default_rng(7).permutation(np.repeat(np.arange(len(sizes)), sizes))
     n = len(group)
-    blocks = block_rows(group, width, by_group=True)
+    blocks = block_rows(group, width)
     assert sorted(np.concatenate(blocks).tolist()) == list(range(n))
     assert all(0 < len(block) <= width for block in blocks)
     # However many rows there are, the block count stays near n / width.
@@ -416,9 +418,36 @@ def test_block_rows_pack_short_power_rows(sizes, width):
     # only when the next row would overflow it.
     assert sum(len(np.unique(group[block])) for block in shared) == len(np.unique(group[~own[group]]))
     assert all(len(a) + len(b) > width for a, b in zip(shared, shared[1:]))
-    ordered = block_rows(group, width, by_group=False)
+    # One key for every building: near-equal runs of population order.
+    ordered = block_rows(np.zeros_like(group), width)
     assert np.concatenate(ordered).tolist() == list(range(n))
-    assert [len(b) for b in ordered[:-1]] == [width] * (len(ordered) - 1)
+    lengths = [len(block) for block in ordered]
+    assert len(lengths) == -(-n // width) and max(lengths) - min(lengths) <= 1
+
+
+@pytest.mark.parametrize("scenario", ["co", "ro-di", "ro-hi"])
+def test_traced_and_plain_runs_write_the_same_outputs(assets, tmp_path, monkeypatch, scenario):
+    # Heating flags are kept only for traces.csv, and a traced run cuts its
+    # blocks in population order, a plain one by power row (co and ro-di
+    # have dark and isolated rows); the numbers must depend on neither.
+    config, _, _ = prepare(assets["demo"], scenario)
+    narrow_blocks(monkeypatch, config)
+    cuts = []
+
+    def recording_block_rows(*args):
+        cuts.append(block_rows(*args))
+        return cuts[-1]
+
+    monkeypatch.setattr(scenario_module, "block_rows", recording_block_rows)
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    for out, flags in ((plain, []), (traced, ["--traces"])):
+        assert main(["run", "--config", str(assets["demo"]), "--scenario", scenario,
+                     "--trials", "20", "--out", str(out), *flags]) == 0
+    assert (traced / "traces.csv").exists() and not (plain / "traces.csv").exists()
+    plain_cut, traced_cut = ([rows.tolist() for rows in cut] for cut in cuts)
+    assert len(traced_cut) > 1 and plain_cut != traced_cut
+    for name in ("exposure.csv", "trials.csv", "summary.json"):
+        assert (plain / name).read_bytes() == (traced / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("scenario", ["co", "ro-di"])
@@ -480,11 +509,12 @@ def test_streamed_traces_match_oracle_export(assets, tmp_path, monkeypatch):
     sim_block, _ = narrow_blocks(monkeypatch, config)
     streamed = tmp_path / "streamed.csv"
     assemble_bundle(config, pop, schedule, *read_inputs(config, pop, schedule), streamed)
-    # The population ends in a partial simulation block, and that block in a
-    # partial write chunk.
-    n, chunk = len(pop.buildings), writers[0].chunk
-    assert 1 < chunk < n % sim_block
-    assert n % sim_block % chunk and n % chunk
+    # The population spans two simulation blocks, and each ends in a partial
+    # write chunk.
+    blocks = block_rows(np.zeros(len(pop), dtype=np.int64), sim_block)
+    chunk = writers[0].chunk
+    assert len(blocks) > 1 and chunk > 1
+    assert all(len(block) % chunk for block in blocks)
     _, traces, _ = oracles.assemble_bundle(config, pop, schedule)
     exported = tmp_path / "exported.csv"
     oracles.write_traces_csv(traces.values(), exported)
