@@ -6,7 +6,8 @@
     coldsnap export-exposure DIR
     coldsnap demo --out DIR
 
-Exit codes: 0 success, 1 runtime error, 2 configuration or ingestion error.
+Exit codes: 0 success, 1 runtime error, 2 configuration or ingestion error or a
+path the OS refuses.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
-        print(f"error: cannot open {exc.filename or exc}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a path the OS refuses: missing, taken, too long, not permitted
+        where = "" if exc.filename is None else f"cannot open {exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)

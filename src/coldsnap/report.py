@@ -39,7 +39,7 @@ def _delta_pct(value: float, baseline: float) -> float | None:
     return 0.0 if value == 0 else None
 
 
-def compare_scenarios(run_dirs, out_path=None) -> list[dict]:
+def compare_scenarios(run_dirs, out_path) -> list[dict]:
     """Tabulate mean costs across runs sharing one population.
 
     Rows cover each cost component, totals, deaths/injuries, and the
@@ -47,7 +47,8 @@ def compare_scenarios(run_dirs, out_path=None) -> list[dict]:
     of each scenario against the first one, None where the first is 0 and
     the other is not. Runs are labelled by scenario; when two share one,
     every run is labelled by its directory as given. Runs over different
-    populations are rejected.
+    populations are rejected. The rows are also written as CSV to
+    `out_path`.
     """
     dirs = [Path(d) for d in run_dirs]
     if len(dirs) < 2:
@@ -73,11 +74,10 @@ def compare_scenarios(run_dirs, out_path=None) -> list[dict]:
         row.update((f"{lb}_delta_pct", _delta_pct(v, means[0])) for lb, v in zip(labels, means))
         rows.append(row)
 
-    if out_path is not None:
-        header = ["metric"] + labels + [f"{lb}_delta_pct" for lb in labels]
-        save_csv(out_path, header, [([r[k] for r in rows],
-                                     lambda v: f"{v:.4f}" if isinstance(v, float) else v)
-                                    for k in header])
+    header = ["metric"] + labels + [f"{lb}_delta_pct" for lb in labels]
+    save_csv(out_path, header, [([r[k] for r in rows],
+                                 lambda v: f"{v:.4f}" if isinstance(v, float) else v)
+                                for k in header])
     return rows
 
 

@@ -315,8 +315,7 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
     clipped = np.empty(curve.shape)
     with (open(traces_path, "wb") if traces_path is not None
           else contextlib.nullcontext()) as handle:
-        sink = (TraceWriter(handle, window.start, window.dt_s, window.n_steps)
-                if handle is not None else None)
+        sink = TraceWriter(handle, window) if handle is not None else None
         keys = schedule.group if sink is None else np.zeros_like(schedule.group)
         for rows in block_rows(keys, width):
             block = pop[rows]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -181,14 +180,14 @@ class TraceWriter:
 
     Rows are built as bytes, a few buildings at a time: each (building,
     step) gets one zero-padded fixed-width row of its five fields, and the
-    padding is deleted from the chunk's bytes as they are written. Timestamps
-    are formatted once per step. Lines end in CRLF, as `csv` writes them.
+    padding is deleted from the chunk's bytes as they are written. The
+    window's timestamps are formatted once per step, when the writer is
+    made. Lines end in CRLF, as `csv` writes them.
     """
 
-    def __init__(self, handle, start: datetime, dt_s: float, n_steps: int):
+    def __init__(self, handle, window: WeatherSeries):
         self._handle = handle
-        self._stamps = _ascii_rows(f",{(start + timedelta(seconds=dt_s * i)).isoformat()},"
-                                   for i in range(n_steps))
+        self._stamps = _ascii_rows(f",{stamp.isoformat()}," for stamp in window.timestamps())
         self.chunk = 1
         handle.write(b"building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
 

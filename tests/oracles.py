@@ -1,17 +1,16 @@
 """Per-building and scalar reference paths that the package is checked against.
 
 These are the resample-then-slice form of the weather window, the
-one-building-at-a-time forms of the power schedules and
-their rolling groups, the thermal simulation, the hazard reductions, the
-interruption and productivity costs and the trace export, plus the scalar
-forms of the thermostat step, the outcome tree and the medical cost, the
-one-trial Monte-Carlo path, and the batch kernel that samples every rate
-of the outcome tree and every home-insurance rate. The package computes
-the same quantities over blocks of buildings, occupants or trials; the
-equivalence tests require the two to agree bit for bit, or, for the
-Monte-Carlo path, in distribution. Outcomes here are records of (status,
-condition, insured), and `decode_outcome` turns the package's outcome
-codes into that form.
+one-building-at-a-time forms of the power schedules and their rolling
+groups, the thermal simulation, the hazard reductions, the interruption
+and productivity costs and the trace export, plus the scalar forms of the
+outcome tree and the medical cost, the one-trial Monte-Carlo path, and the
+batch kernel that samples every rate of the outcome tree and every
+home-insurance rate. The package computes the same quantities over blocks
+of buildings, occupants or trials; the equivalence tests require the two
+to agree bit for bit, or, for the Monte-Carlo path, in distribution.
+Outcomes here are records of (status, condition, insured), and
+`decode_outcome` turns the package's outcome codes into that form.
 """
 
 from __future__ import annotations
@@ -185,18 +184,6 @@ def max_contiguous_off(powered, dt_s: float) -> float:
     return longest * dt_s / 3600.0
 
 
-def write_schedules_csv(schedule_set: ScheduleDict, start: datetime, path) -> None:
-    """Export as `building_id,slot_start,powered` rows, one per step from `start`."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["building_id", "slot_start", "powered"])
-        for bid in sorted(schedule_set.schedules):
-            sched = schedule_set.schedules[bid]
-            for i in range(len(sched)):
-                stamp = start + timedelta(seconds=schedule_set.dt_s * i)
-                writer.writerow([bid, stamp.isoformat(), "true" if sched[i] else "false"])
-
-
 # --- Thermal: one building's trace ------------------------------------------
 
 @dataclass(frozen=True)
@@ -211,9 +198,6 @@ class ExposureTrace:
     hvac_kw: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = len(self.t_in_c)
-        if len(self.powered) != n or len(self.hvac_kw) != n:
-            raise ConfigurationError("trace arrays must be equally long")
         if not np.all(np.isfinite(self.t_in_c)):
             raise ConfigurationError("trace contains non-finite temperatures")
         for name in ("t_in_c", "powered", "hvac_kw"):
@@ -237,10 +221,6 @@ def simulate_new_block(pop: Population, weather, powered) -> tuple[np.ndarray, n
 def simulate_building(building: Building, weather, powered) -> ExposureTrace:
     """One building through the package's block kernel."""
     powered = np.asarray(powered, dtype=bool)
-    if len(powered) != weather.n_steps:
-        raise ConfigurationError(
-            f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
-        )
     t_in, hvac_on = simulate_new_block(Population.from_buildings([building]), weather,
                                        powered[None, :])
     return ExposureTrace(
@@ -256,10 +236,6 @@ def simulate_building(building: Building, weather, powered) -> ExposureTrace:
 def simulate_building_scalar(building, weather, powered) -> ExposureTrace:
     """Scalar relay loop over one building's steps."""
     powered = np.asarray(powered, dtype=bool)
-    if len(powered) != weather.n_steps:
-        raise ConfigurationError(
-            f"schedule has {len(powered)} steps, weather has {weather.n_steps}"
-        )
     internal_gain_w = INTERNAL_GAIN_W if building.n_occupants > 0 else 0.0
 
     ua = building.ua_w_per_k
@@ -297,39 +273,6 @@ def simulate_building_scalar(building, weather, powered) -> ExposureTrace:
         powered=powered.copy(),
         hvac_kw=hvac_kw,
     )
-
-
-def step_indoor_temp(t_in: float, building: Building, t_out_c: float,
-                     hvac_heat_w: float, internal_gain_w: float, dt_s: float) -> float:
-    """Advance the indoor temperature one step with constant inputs.
-
-    Exact exponential relaxation toward the equilibrium t_out + Q/UA.
-    """
-    if dt_s <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt_s}")
-    q_w = hvac_heat_w + internal_gain_w
-    t_eq = t_out_c + q_w / building.ua_w_per_k
-    decay = math.exp(-building.ua_w_per_k * dt_s / building.thermal_mass_j_per_k)
-    return t_eq + (t_in - t_eq) * decay
-
-
-def hvac_thermostat(t_in: float, setpoint_c: float, deadband_c: float,
-                    powered: bool, was_on: bool, rated_electric_kw: float) -> tuple[bool, float]:
-    """Hysteresis heating control: on below the band, off above it, else hold.
-
-    Power loss forces the unit off regardless of temperature.
-    """
-    if deadband_c <= 0:
-        raise ConfigurationError(f"deadband must be positive, got {deadband_c}")
-    if not powered:
-        return False, 0.0
-    if t_in < setpoint_c - deadband_c / 2.0:
-        on = True
-    elif t_in > setpoint_c + deadband_c / 2.0:
-        on = False
-    else:
-        on = was_on
-    return on, rated_electric_kw if on else 0.0
 
 
 def free_float_closed_form(building: Building, t_start_c: float, t_out_c: float,
@@ -546,9 +489,6 @@ def simulate_occupant_outcome(p_mort: float, probs: dict, rng: np.random.Generat
     respiratory branch is renormalized by (1 - p_pre_c) so both pre-existing
     marginals match their configured rates despite sequential drawing.
     """
-    for key in ("p_pre_c", "p_pre_r", "p_access", "p_heal_ins"):
-        if not 0.0 <= probs[key] <= 1.0:
-            raise ConfigurationError(f"{key} must lie in [0, 1]")
     insured = bool(rng.random() < probs["p_heal_ins"])
     if not rng.random() < p_mort:
         return OccupantOutcome(OutcomeStatus.UNAFFECTED, None, False, insured)
@@ -595,11 +535,6 @@ def outcome_tree_probabilities(p_mort: float, p_pre_c: float, p_pre_r: float,
 
 
 # --- Valuation: one customer or occupant at a time ---------------------------
-
-def vsl_cost(deaths_per_building, vsl_usd: float) -> float:
-    """Statistical-life cost: total deaths times the per-life value."""
-    return float(np.asarray(deaths_per_building, dtype=float).sum()) * vsl_usd
-
 
 def _severity(p_mort: float, ceiling: float) -> float:
     return min(max(p_mort / ceiling, 0.0), 1.0)

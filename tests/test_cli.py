@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -166,7 +167,11 @@ class TestRunCommand:
         ("population", "not UTF-8 text: byte 0xe9; file={path}; row=5"),
         ("long_cell", "unreadable CSV text: field larger than field limit (131072); "
                       "file={path}; row=10"),
-    ], ids=["config", "weather", "population", "long_cell"])
+        # A config that is a symlink to itself, and a run directory whose
+        # name is longer than the OS allows.
+        ("loop", "cannot open {path}: Too many levels of symbolic links"),
+        ("long_dir", "cannot open {path}/summary.json: File name too long"),
+    ], ids=["config", "weather", "population", "long_cell", "loop", "long_dir"])
     def test_unreadable_text_exits_2_naming_the_file(self, demo_config_path, tmp_path, capsys,
                                                      route, named):
         from coldsnap.population import save_population, synthesize_population
@@ -189,25 +194,51 @@ class TestRunCommand:
                 weather[9] = weather[9].replace(b",", b"," + b"1" * 200_000, 1)
             path.write_bytes(b"\n".join(weather))
             config["weather_path"] = str(path)
+        elif route == "loop":
+            path = tmp_path / "loop.json"
+            path.symlink_to(path)
+        elif route == "long_dir":
+            path = tmp_path / ("d" * 300)
         config["weather_path"] = str(demo_config_path.parent / config["weather_path"])
         bad = tmp_path / "bad.json"
         bad.write_bytes((b"\xff" if route == "config" else b"") + json.dumps(config).encode())
-        code = main(["run", "--config", str(bad), "--scenario", "co", "--trials", "5",
-                     "--out", str(tmp_path / "out")])
+        command = (["compare", str(path), str(path)] if route == "long_dir" else
+                   ["run", "--config", str(path if route == "loop" else bad), "--scenario", "co",
+                    "--trials", "5"])
+        code = main([*command, "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert named.format(path=path) in err and str(bad if route == "config" else path) in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("out, reason", [("taken", "File exists"),
-                                             ("taken/sub", "Not a directory")])
+    @pytest.mark.parametrize("out, reason", [
+        ("taken", "File exists"),
+        ("taken/sub", "Not a directory"),
+        pytest.param("x" * 300, "File name too long", id="too_long-File name too long"),
+        ("denied", "Permission denied"),
+        ("read_only", "Read-only file system"),
+    ])
     def test_unusable_output_path_exits_2_naming_it(self, demo_config_path, tmp_path, capsys,
-                                                    out, reason):
+                                                    monkeypatch, out, reason):
         (tmp_path / "taken").write_text("a file, not a folder")
+        target = tmp_path / out
+        # The suite may run as root, whom no permission bit stops, and on a
+        # writable disk: these refusals are stood in for.
+        refused = {"denied": errno.EACCES, "read_only": errno.EROFS}.get(out)
+        if refused is not None:
+            mkdir = Path.mkdir
+
+            def refusing_mkdir(path, *args, **kwargs):
+                if path == target:
+                    raise OSError(refused, os.strerror(refused), str(path))
+                return mkdir(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "mkdir", refusing_mkdir)
         code = main(["run", "--config", str(demo_config_path), "--trials", "5",
-                     "--out", str(tmp_path / out)])
+                     "--out", str(target)])
         assert code == 2
-        assert f"error: cannot open {tmp_path / out}: {reason}" in capsys.readouterr().err
+        assert f"error: cannot open {target}: {reason}" in capsys.readouterr().err
+        assert [(p.name, p.is_file()) for p in tmp_path.iterdir()] == [("taken", True)]
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json")])

@@ -473,13 +473,6 @@ class TestOutcomeTreeScalar:
             sigma = math.sqrt(p * (1 - p) / at_risk)
             assert abs(cond_counts[cond] / at_risk - p) < 3 * sigma, cond
 
-    def test_invalid_probability_rejected(self):
-        rng = np.random.default_rng(3)
-        probs = dict(FIXED_PROBS)
-        probs["p_access"] = 1.5
-        with pytest.raises(ConfigurationError):
-            simulate_occupant_outcome(0.5, probs, rng)
-
 
 class TestOutcomeTreeVectorized:
     def test_matches_closed_form_with_distribution_draws(self):

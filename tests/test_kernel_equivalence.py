@@ -49,11 +49,10 @@ from coldsnap.weather import WeatherSeries, load_weather_csv, slice_window
 
 from conftest import constant_weather, make_building, make_population
 
-# Demo counts scaled so the population spans two blocks of `WIDTH` buildings
-# and ends in partial blocks and reduction slices.
+# Demo counts scaled to 295 buildings.
 SCALE = 0.21
-# Buildings per block under `narrow_blocks`: the shipped budget takes the
-# whole scaled demo in one block.
+# Buildings per block under `narrow_blocks`: the shipped budget takes all
+# 295 in one block, and this width makes a run cut more than one.
 WIDTH = 256
 
 
@@ -121,14 +120,6 @@ def narrow_blocks(monkeypatch, config, width=WIDTH) -> tuple[int, int]:
     returns the block width and the rows of one reduction slice."""
     monkeypatch.setattr(scenario_module, "BLOCK_BYTES", width * 8 * config.n_steps)
     return width, width // 8
-
-
-def test_population_ends_in_partial_blocks(assets, monkeypatch):
-    config, pop, _ = prepare(assets["demo"], "base")
-    sim_block, reduce_block = narrow_blocks(monkeypatch, config)
-    n = len(pop.buildings)
-    assert n > sim_block
-    assert n % sim_block and n % reduce_block
 
 
 def kwh_ties_population():
@@ -403,20 +394,32 @@ def test_block_rows_pack_short_power_rows(sizes, width):
     assert all(0 < len(block) <= width for block in blocks)
     # However many rows there are, the block count stays near n / width.
     assert len(blocks) <= 2 * n / width + 1
-    own = 2 * np.bincount(group) > width
-    for g in np.flatnonzero(own):
-        mine = [block for block in blocks if (group[block] == g).any()]
-        assert all((group[block] == g).all() for block in mine)
-        assert np.concatenate(mine).tolist() == np.flatnonzero(group == g).tolist()
-        lengths = [len(block) for block in mine]
-        assert len(lengths) == -(-len(np.flatnonzero(group == g)) // width)
-        assert max(lengths) - min(lengths) <= 1
-    shared = [block for block in blocks if not own[group[block[0]]]]
+    count = np.bincount(group)
+    own = 2 * count > width
+    # Each block's rows, found once: a block that holds an own row holds no
+    # other row.
+    mine, shared, shared_rows = {}, [], 0
+    for block in blocks:
+        keys = np.unique(group[block])
+        if own[keys].any():
+            assert len(keys) == 1
+            mine.setdefault(int(keys[0]), []).append(block)
+        else:
+            shared.append(block)
+            shared_rows += len(keys)
+    # Row g's buildings in population order are order[first[g]:first[g + 1]].
     order = np.argsort(group, kind="stable")
+    first = np.concatenate(([0], np.cumsum(count)))
+    assert sorted(mine) == np.flatnonzero(own).tolist()
+    for g, its in mine.items():
+        assert np.concatenate(its).tolist() == order[first[g]:first[g + 1]].tolist()
+        lengths = [len(block) for block in its]
+        assert len(lengths) == -(-count[g] // width)
+        assert max(lengths) - min(lengths) <= 1
     assert [i for block in shared for i in block.tolist()] == order[~own[group[order]]].tolist()
     # Each short row lies whole in one shared block, and a block is closed
     # only when the next row would overflow it.
-    assert sum(len(np.unique(group[block])) for block in shared) == len(np.unique(group[~own[group]]))
+    assert shared_rows == np.count_nonzero(~own & (count > 0))
     assert all(len(a) + len(b) > width for a, b in zip(shared, shared[1:]))
     # One key for every building: near-equal runs of population order.
     ordered = block_rows(np.zeros_like(group), width)
@@ -542,7 +545,7 @@ def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
     monkeypatch.setattr(thermal_module, "TRACE_CHUNK_BYTES", 3 * weather.n_steps * 50)
     streamed = tmp_path / "streamed.csv"
     with open(streamed, "wb") as handle:
-        writer = TraceWriter(handle, weather.start, weather.dt_s, weather.n_steps)
+        writer = TraceWriter(handle, weather)
         for at in (slice(0, 5), slice(5, None)):
             writer.write(pop[at], t_in[at], powered[at], hvac_on[at])
     assert 1 < writer.chunk < 5 and 5 % writer.chunk

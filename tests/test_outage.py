@@ -1,5 +1,4 @@
 import tracemalloc
-from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -21,12 +20,9 @@ from coldsnap.outage import (
 )
 from coldsnap.population import BuildingKind, PopulationSpec, Sector, synthesize_population
 
-import oracles
 from conftest import make_building, make_population
-from oracles import max_contiguous_off, write_schedules_csv
+from oracles import max_contiguous_off
 
-UTC = timezone.utc
-START = datetime(2021, 2, 15, tzinfo=UTC)
 DT = 300.0
 N_STEPS = int(96 * 3600 / DT)
 
@@ -295,13 +291,3 @@ class TestMaxContiguousOff:
         sched = np.tile([True, False], 48)
         assert max_contiguous_off(sched, 3600.0) == 1.0
 
-
-class TestExport:
-    def test_schedule_csv_schema(self, tmp_path, small_pop):
-        sched = oracles.build_base_schedule(small_pop, 2, 1800.0, BaseParams(), seed=1)
-        path = tmp_path / "schedules.csv"
-        write_schedules_csv(sched, START, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "building_id,slot_start,powered"
-        assert lines[1] == "0,2021-02-15T00:00:00+00:00,true"
-        assert len(lines) == 1 + len(small_pop.buildings) * 2

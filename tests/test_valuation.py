@@ -12,6 +12,7 @@ from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import CONDITIONS, Condition, HazardConfig
 from coldsnap.population import BuildingKind, Sector, code
 from coldsnap.valuation import (
+    COMPONENTS,
     MC_BATCH,
     PLACEHOLDER_CIC_TABLES,
     TRIAL_COLUMNS,
@@ -43,7 +44,6 @@ from oracles import (
     outcome_tree_probabilities,
     run_batch_sampled,
     run_trial,
-    vsl_cost,
 )
 
 UTC = timezone.utc
@@ -55,14 +55,27 @@ def outcome(status, condition=Condition.CARDIAC, insured=True):
 
 
 class TestVslCost:
+    """`run_monte_carlo` prices each trial's deaths at the value of a
+    statistical life, exactly, in every row."""
+
     def test_zero_deaths(self):
-        assert vsl_cost([0, 0, 0], 11.6e6) == 0.0
+        col = trial_columns(make_bundle(p_mort=0.02))
+        none = col["n_death"] == 0
+        assert none.any() and not none.all()
+        assert (col["c_vsl"][none] == 0.0).all()
 
     def test_single_death_at_fema_value(self):
-        assert vsl_cost([1], 11.6e6) == pytest.approx(11.6e6)
+        col = trial_columns(make_bundle(p_mort=0.02))
+        one = col["n_death"] == 1
+        assert one.any()
+        assert (col["c_vsl"][one] == 11.6e6).all()
 
     def test_linear_in_death_count(self):
-        assert vsl_cost([1, 2, 0], 11.6e6) == pytest.approx(3 * 11.6e6)
+        for p_mort in (0.3, 1.0):
+            bundle = make_bundle(p_mort=p_mort)
+            col = trial_columns(bundle)
+            assert col["n_death"].max() > 1
+            assert np.array_equal(col["c_vsl"], col["n_death"] * bundle.val_params.vsl_usd)
 
 
 class TestMedicalCost:
@@ -319,41 +332,49 @@ def make_bundle(n_buildings=20, occupants_each=5, p_mort=0.3, wi=0.0,
     )
 
 
+def trial_columns(bundle, n_trials=3 * MC_BATCH + 5, master_seed=11) -> dict:
+    """`run_monte_carlo`'s trials of `bundle` over a few batches, one array
+    per `TRIAL_COLUMNS` name."""
+    return dict(zip(TRIAL_COLUMNS, run_monte_carlo(bundle, n_trials, master_seed).trials.T))
+
+
 class TestRunTrial:
-    def test_repeated_call_is_identical(self):
-        bundle = make_bundle()
-        a = run_trial(bundle, 3, master_seed=11)
-        b = run_trial(bundle, 3, master_seed=11)
-        assert a == b
+    """The accounting of each trial row of `run_monte_carlo`."""
 
     def test_different_trials_differ(self):
-        bundle = make_bundle()
-        assert run_trial(bundle, 0, 11) != run_trial(bundle, 1, 11)
+        # One mortality for every building bills a handful of medical
+        # amounts, so two trials with the same outcome counts would
+        # coincide by chance; a spread of mortality makes each bill its own.
+        bundle = dataclasses.replace(make_bundle(),
+                                     p_mort_by_building=np.linspace(0.05, 0.45, 20))
+        trials = run_monte_carlo(bundle, 3 * MC_BATCH + 5, master_seed=11).trials
+        assert len(np.unique(trials, axis=0)) == len(trials)
 
     def test_deterministic_components_are_constant_across_trials(self):
-        bundle = make_bundle()
-        trials = [run_trial(bundle, i, 5) for i in range(20)]
-        assert len({t.c_cic for t in trials}) == 1
-        assert len({t.c_prod for t in trials}) == 1
+        bundle = make_bundle(wi=400.0)
+        col = trial_columns(bundle)
+        assert (col["c_prod"] == bundle.c_prod).all()
+        assert (col["c_cic"] == bundle.c_cic).all()
 
     def test_counts_bounded_by_population(self):
-        bundle = make_bundle(p_mort=1.0)
-        t = run_trial(bundle, 0, 1)
-        assert t.n_death + t.n_injured <= bundle.occupants_by_building.sum()
-        assert t.n_death + t.n_injured > 0
-
-    def test_zero_mortality_zero_vsl(self):
-        bundle = make_bundle(p_mort=0.0)
-        t = run_trial(bundle, 0, 1)
-        assert t.n_death == 0 and t.c_vsl == 0.0 and t.c_medical == 0.0
+        for p_mort in (0.3, 1.0):
+            bundle = make_bundle(p_mort=p_mort)
+            col = trial_columns(bundle)
+            people = col["n_death"] + col["n_injured"]
+            assert (col["n_death"] >= 0).all() and (col["n_injured"] >= 0).all()
+            assert (people <= bundle.occupants_by_building.sum()).all()
+            # Certain mortality puts every occupant at risk in every trial.
+            assert (people == bundle.occupants_by_building.sum()).all() == (p_mort == 1.0)
 
     def test_all_components_nonnegative_and_total_exact(self):
         bundle = make_bundle(wi=400.0)
-        t = run_trial(bundle, 2, 9)
-        for name in ("c_vsl", "c_medical", "c_prod", "c_build", "c_cic"):
-            assert getattr(t, name) >= 0.0
-        assert t.total == pytest.approx(t.c_vsl + t.c_medical + t.c_prod
-                                        + t.c_build + t.c_cic)
+        dist = run_monte_carlo(bundle, 3 * MC_BATCH + 5, master_seed=9)
+        total = 0.0
+        for name in COMPONENTS:
+            assert (dist.component(name) >= 0.0).all(), name
+            total = total + dist.component(name)
+        assert dist.component("c_build").any() and dist.component("c_medical").any()
+        assert np.array_equal(dist.component("total"), total)
 
 
 class TestRunMonteCarlo:
