@@ -8,7 +8,9 @@ the entire window; hardened infrastructure (`ro-hi`) has no faults.
 
 A scenario serves a handful of distinct power rows, so a schedule is one
 row index per building and one row of steps per index, in one layout for
-every scenario: lit, shed, isolated, then the rolling tiers.
+every scenario: lit, shed, isolated, then the rolling tiers. Its buildings
+first get the rows their config names, then the seeded draws in order,
+each a uniform choice among its candidates in id order.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +37,8 @@ class Scenario(str, Enum):
 @dataclass(frozen=True)
 class BaseParams:
     """`scenarios.base`: full service takes no parameters."""
+
+    fault_fraction: ClassVar[float] = 0.0  # no draw isolates anyone
 
 
 def _reset(params, *names: str) -> None:
@@ -59,7 +64,7 @@ class ControlledOutageParams(Bounded):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.shed_ids is not None:  # the seeded choice is not made
+        if self.shed_ids is not None:  # the seeded draw picks no one
             _reset(self, "shed_fraction", "shed_scope")
 
 
@@ -143,35 +148,6 @@ class PowerScheduleSet:
         return (self.on.shape[1] - self.on.sum(axis=1))[self.group] * self.dt_s / 3600.0
 
 
-def draw_subset(pop: Population, candidates: np.ndarray, fraction: float, seed: int,
-                stream: int) -> np.ndarray:
-    """A seeded uniform choice of round(`fraction` x count) of the buildings in
-    the `candidates` mask, as a mask. The draw is made among the candidates
-    in id order, so it picks the same ids whatever the row order."""
-    rows = np.flatnonzero(candidates)
-    rows = rows[np.argsort(pop.id[rows])]
-    chosen = np.zeros(len(pop), dtype=bool)
-    n_pick = int(round(fraction * len(rows)))
-    if n_pick:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
-        chosen[rows[rng.choice(len(rows), size=n_pick, replace=False)]] = True
-    return chosen
-
-
-def shed_set(pop: Population, params: ControlledOutageParams, seed: int) -> np.ndarray:
-    """The mask of the buildings `co` switches off: its `shed_ids`, or else a
-    seeded `shed_fraction` of the `shed_scope` buildings."""
-    if params.shed_ids is None:
-        scope = (np.ones(len(pop), dtype=bool) if params.shed_scope is ShedScope.ALL
-                 else pop.sector == code(Sector.RESIDENTIAL))
-        return draw_subset(pop, scope, params.shed_fraction, seed, 0x5348)
-    shed = np.array(params.shed_ids, dtype=np.int64)
-    unknown = sorted(set(shed[~np.isin(shed, pop.id)].tolist()))
-    if unknown:
-        raise ConfigurationError(f"contains unknown building ids: {unknown[:5]}", "shed_ids")
-    return np.isin(pop.id, shed)
-
-
 def assign_rolling_groups(pop: Population, n_groups: int) -> np.ndarray:
     """Partition residential buildings into consumption tiers of near-equal
     size: each building's tier, -1 for the non-residential.
@@ -189,21 +165,33 @@ def assign_rolling_groups(pop: Population, n_groups: int) -> np.ndarray:
 
 def build_schedule(pop: Population, n_steps: int, dt_s: float, params, seed: int
                    ) -> PowerScheduleSet:
-    """The power schedule of a scenario, over one row layout. `base` lights
-    everyone; `co` puts its shed set in `DARK`; a rolling outage puts
-    residential tier g in `TIERS + g` and leaves the other buildings lit.
-    Every scenario but `base` then puts a seeded `fault_fraction` of all
-    buildings, stranded behind damaged equipment, in `ISOLATED`.
+    """The power schedule of a scenario: first the rows its config names,
+    `co`'s `shed_ids` in `DARK` and a rolling outage's residential tier g in
+    `TIERS + g`, every other building in `LIT`; then its seeded draws in
+    order, a later one overriding an earlier: `co`'s `shed_fraction` of its
+    `shed_scope` into `DARK`, then a `fault_fraction` of all buildings,
+    stranded behind damaged equipment, into `ISOLATED`. Each draw is a
+    uniform choice of round(fraction x count) among its candidates in id
+    order, so it picks the same ids whatever the row order.
 
     Per slot of a rolling outage, k = floor(availability * n_groups) tiers
     are served, the served window rotating round-robin so curtailment falls
     evenly: tier g is served in slot s when it lies in the k-wide window
     that starts at tier s mod n_groups and wraps.
     """
+    everyone = np.ones(len(pop), dtype=bool)
     group = np.full(len(pop), LIT)
     on = np.zeros((TIERS, n_steps), dtype=bool)
+    draws = []  # (candidates, fraction, stream, row)
     if isinstance(params, ControlledOutageParams):
-        group[shed_set(pop, params, seed)] = DARK
+        if params.shed_ids is not None:
+            unknown = sorted(set(params.shed_ids) - set(pop.id.tolist()))
+            if unknown:
+                raise ConfigurationError(f"contains unknown building ids: {unknown[:5]}", "shed_ids")
+            group[np.isin(pop.id, np.array(params.shed_ids, dtype=np.int64))] = DARK
+        scope = (everyone if params.shed_scope is ShedScope.ALL
+                 else pop.sector == code(Sector.RESIDENTIAL))
+        draws.append((scope, params.shed_fraction, 0x5348, DARK))
     elif isinstance(params, RollingOutageParams):
         n_groups = params.n_groups
         per_slot, fractions = params.slots(n_steps, dt_s)
@@ -214,8 +202,11 @@ def build_schedule(pop: Population, n_steps: int, dt_s: float, params, seed: int
             on[TIERS + g] = (g - slot) % n_groups < served
         tier = assign_rolling_groups(pop, n_groups)
         group = np.where(tier < 0, LIT, TIERS + tier)
-    if not isinstance(params, BaseParams):
-        everyone = np.ones(len(pop), dtype=bool)
-        group[draw_subset(pop, everyone, params.fault_fraction, seed, 0x150)] = ISOLATED
+    draws.append((everyone, params.fault_fraction, 0x150, ISOLATED))
+    for candidates, fraction, stream, row in draws:
+        rows = np.flatnonzero(candidates)[np.argsort(pop.id[candidates])]
+        n_pick = int(round(fraction * len(rows)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
+        group[rows[rng.choice(len(rows), size=n_pick, replace=False)]] = row
     on[LIT] = True
     return PowerScheduleSet(dt_s, group, on)

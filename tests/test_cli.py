@@ -63,14 +63,6 @@ class TestRunCommand:
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
         assert (out1 / "exposure.csv").read_bytes() == (out2 / "exposure.csv").read_bytes()
 
-    def test_thread_count_does_not_change_outputs(self, demo_config_path, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t8"
-        for out, threads in ((out1, "1"), (out2, "8")):
-            code = main(["run", "--config", str(demo_config_path), "--scenario", "co",
-                         "--trials", "30", "--out", str(out), "--threads", threads])
-            assert code == 0
-        assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
-
     def test_fewer_trials_write_a_prefix_of_trials_csv(self, demo_config_path, tmp_path):
         rows = {}
         for n in (70, 200):

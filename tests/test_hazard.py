@@ -111,10 +111,6 @@ class TestBaseMortality:
         assert base_mortality(np.zeros(5), self.ConstantRR(3.5), 0.0) == 1.0
         assert base_mortality(np.zeros(5), self.ConstantRR(1.0), -0.5) == 0.0
 
-    def test_empty_trace_rejected(self, rr_model):
-        with pytest.raises(ConfigurationError):
-            base_mortality(np.array([]), rr_model, 0.0)
-
     def test_colder_constant_traces_never_decrease_p_mort(self, rr_model):
         temps = np.arange(-15.0, 20.0, 0.5)
         values = [base_mortality(np.full(10, t), rr_model, 0.0) for t in temps]

@@ -383,8 +383,9 @@ def test_own_and_shared_blocks_match_oracle(assets, tmp_path, monkeypatch, varia
     assert_bundle_matches_oracle(config, pop, schedule, tmp_path)
 
 
-@pytest.mark.parametrize("sizes", [[20, 0, 10, 40, 37, 39], [1] * 1000, [3, 300, 2, 2, 700, 1, 5] * 20],
-                         ids=["tiers", "singles", "mixed"])
+# `exact`: at width 16, pairs of short rows fill each shared block exactly.
+@pytest.mark.parametrize("sizes", [[20, 0, 10, 40, 37, 39], [1] * 1000, [3, 300, 2, 2, 700, 1, 5] * 20,
+                                   [8] * 6], ids=["tiers", "singles", "mixed", "exact"])
 @pytest.mark.parametrize("width", [1, 3, 16, 29, 400])
 def test_block_rows_pack_short_power_rows(sizes, width):
     group = np.random.default_rng(7).permutation(np.repeat(np.arange(len(sizes)), sizes))

@@ -15,11 +15,13 @@ from coldsnap.outage import (
     ControlledOutageParams,
     HardenedRollingParams,
     RollingOutageParams,
+    ShedScope,
     assign_rolling_groups,
     build_schedule,
 )
-from coldsnap.population import BuildingKind, PopulationSpec, Sector, synthesize_population
+from coldsnap.population import BuildingKind, PopulationSpec, Sector, code, synthesize_population
 
+import oracles
 from conftest import make_building, make_population
 from oracles import max_contiguous_off
 
@@ -167,6 +169,33 @@ class TestControlledOutage:
         with pytest.raises(ConfigurationError, match=r"unknown building ids: \[999\]") as info:
             build_schedule(small_pop, N_STEPS, DT, shed((999,)), seed=1)
         assert info.value.key == "shed_ids"
+
+
+class TestDrawOrder:
+    """The rows a config names come first, then the seeded draws in order:
+    `co`'s shed fraction, then the isolation draw, which overrides it."""
+
+    @pytest.mark.parametrize("params", [
+        shed(range(0, 1403, 5), 0.034),
+        ControlledOutageParams(shed_fraction=0.25, fault_fraction=0.034),
+        ControlledOutageParams(shed_fraction=0.25, shed_scope=ShedScope.ALL,
+                               fault_fraction=0.034),
+        RollingOutageParams(fault_fraction=0.034),
+    ], ids=["co-ids", "co-residential", "co-all", "ro-di"])
+    def test_isolation_draw_is_the_same_in_every_scenario(self, demo_pop, params):
+        expected = oracles.select_isolated(demo_pop, 0.034, seed=3)
+        assert len(expected) == 48
+        sched = build_schedule(demo_pop, N_STEPS, DT, params, seed=3)
+        assert isolated_ids(demo_pop, sched) == expected
+
+    def test_isolation_overrides_the_shed_draw(self, demo_pop):
+        params = ControlledOutageParams(shed_fraction=1.0, fault_fraction=0.034)
+        group = build_schedule(demo_pop, N_STEPS, DT, params, seed=3).group
+        home = demo_pop.sector == code(Sector.RESIDENTIAL)
+        assert np.count_nonzero(home) == 1308
+        assert np.count_nonzero(group[home] == DARK) == 1262
+        assert np.count_nonzero(group[home] == ISOLATED) == 46
+        assert (group[~home] != DARK).all()
 
 
 def rolling(pop, fraction=0.34, fault_fraction=0.0, n_groups=3, **kwargs):
