@@ -64,6 +64,8 @@ class ControlledOutageParams(Bounded):
 
     def __post_init__(self):
         super().__post_init__()
+        # A scope given as its string is the enum member; another string raises.
+        object.__setattr__(self, "shed_scope", ShedScope(self.shed_scope))
         if self.shed_ids is not None:  # the seeded draw picks no one
             _reset(self, "shed_fraction", "shed_scope")
 

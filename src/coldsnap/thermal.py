@@ -109,111 +109,111 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered, out: np.nda
         flag[0] = flag[c]
 
 
-# Bytes of fixed-width rows `TraceWriter` formats at once: about eight
-# buildings of a 1,152-step window, so the export's memory stays a few MB.
+# Bytes of rows `TraceWriter` lays out at once, the size of the one buffer
+# it reuses: about eight buildings of a 1,152-step window.
 TRACE_CHUNK_BYTES = 1 << 19
 
 
-def _ascii_rows(strings) -> np.ndarray:
-    """One zero-padded row of ASCII codes per string."""
+def _ascii_items(strings) -> tuple[np.ndarray, np.ndarray]:
+    """Each string's ASCII bytes as one zero-padded fixed-width item, and its length."""
     raw = [s.encode("ascii") for s in strings]
-    width = max(map(len, raw), default=0)
-    return np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw),
-                         dtype=np.uint8).reshape(len(raw), width)
-
-
-_FLAGS = _ascii_rows([",false,", ",true,"])
-# Bytes of a `format_fixed4` row without a fallback: sign, up to four
-# integer digits, the point and four decimals.
-_FIXED4_BYTES = 10
+    width = max(map(len, raw), default=1)
+    items = np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw), dtype=f"V{width}")
+    return items, np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """ASCII of the integer part and of the point with four decimals of
-    q = rint(|t| 1e4) for |t| < 1000, so q <= 10**7. Built on first use, so
-    that runs without traces neither pay for nor hold them."""
-    units = _ascii_rows(str(i) for i in range(1001))
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of q = rint(|t| 1e4) for |t| < 1000, so q <= 10**7: the field
+    `,{sign}{q // 10000}` at item 1001 signbit(t) + q // 10000 with its
+    length, and the field `.dddd` of q % 10000. Built on first use, so that
+    runs without traces neither pay for nor hold them."""
+    units, lengths = _ascii_items(f",{sign}{i}" for sign in ("", "-") for i in range(1001))
     decimals = np.column_stack([np.full(10000, ord("."))] + [
         np.arange(10000) // p % 10 + ord("0") for p in (1000, 100, 10, 1)]).astype(np.uint8)
-    decimals.flags.writeable = False
-    return units, decimals
-
-
-def format_fixed4(t) -> np.ndarray:
-    """`f"{t:.4f}"` of every value, as zero-padded ASCII rows of shape
-    `t.shape + (width,)`.
-
-    Digits come from q = rint(|t| 1e4). For |t| < 1000, fl(|t| 1e4) lies
-    within 1.2e-9 of the exact product, and the f-string rounds the exact
-    binary value half-to-even, so the two roundings can differ only next to
-    a half-integer: values within 1e-6 of one, and |t| >= 1000, are
-    formatted by the f-string itself.
-    """
-    t = np.asarray(t, dtype=float)
-    a = np.abs(t)
-    small = a < 1000.0
-    x = np.where(small, a, 0.0) * 1e4
-    fallback = ~small | (np.abs(x - np.floor(x) - 0.5) < 1e-6)
-    q = np.rint(x).astype(np.int64)
-    units = q // 10000
-    decimals = q - units * 10000
-    sign = np.signbit(t).view(np.uint8) * np.uint8(ord("-"))
-    units_ascii, decimals_ascii = _digit_tables()
-    field = np.concatenate([sign[..., None], np.take(units_ascii, units, axis=0),
-                            np.take(decimals_ascii, decimals, axis=0)], axis=-1)
-    where = np.nonzero(fallback)
-    if where[0].size:
-        text = _ascii_rows(f"{v:.4f}" for v in t[where].tolist())
-        if text.shape[1] > field.shape[-1]:
-            field = np.concatenate(
-                [field, np.zeros(t.shape + (text.shape[1] - field.shape[-1],), np.uint8)],
-                axis=-1)
-        field[where] = 0
-        field[where + (slice(0, text.shape[1]),)] = text
-    return field
+    lengths.flags.writeable = decimals.flags.writeable = False
+    return units, lengths, decimals.view("V5")[:, 0]
 
 
 class TraceWriter:
     """Appends `building_id,timestamp,t_in_c,powered,hvac_kw` rows to an open
     binary handle, one simulated block at a time.
 
-    Rows are built as bytes, a few buildings at a time: each (building,
-    step) gets one zero-padded fixed-width row of its five fields, and the
-    padding is deleted from the chunk's bytes as they are written. The
-    window's timestamps are formatted once per step, when the writer is
-    made. Lines end in CRLF, as `csv` writes them.
+    A few buildings' rows at a time are written at their final byte offsets
+    into one `uint8` buffer, allocated once and reused, whose filled part
+    goes to the handle uncopied. Row (b, s) is five fields: the id,
+    `,{stamp}`, the temperature's `,{sign}{integer part}` and `.dddd`, and
+    a tail `,{powered},{kW}\r\n` chosen by the building and its (powered,
+    heating) pair. One cumulative sum of the row lengths gives the row
+    starts. Each field is one fancy assignment of fixed-width table items
+    through an overlapping view of the buffer, so an item narrower than its
+    table also writes padding. The passes run tail, id, stamp, integer
+    part, decimals: all padding lands in fields of later passes (a tail's
+    in the next row; a stamp is at most 7 bytes, `.ffffff`, narrower than
+    the widest, and the temperature's fields are at least 7 bytes), so no
+    byte is deleted, and no two items of one pass overlap, as every row is
+    longer than any item. Lines end in CRLF, as `csv` writes them.
     """
 
     def __init__(self, handle, window: WeatherSeries):
         self._handle = handle
-        self._stamps = _ascii_rows(f",{stamp.isoformat()}," for stamp in window.timestamps())
+        self._stamps, self._stamp_len = _ascii_items(
+            f",{stamp.isoformat()}" for stamp in window.timestamps())
+        self._buf = np.empty(TRACE_CHUNK_BYTES, dtype=np.uint8)
         self.chunk = 1
         handle.write(b"building_id,timestamp,t_in_c,powered,hvac_kw\r\n")
 
     def write(self, pop: Population, t_in, powered, hvac_on) -> None:
         """Rows of a block as `simulate_block` fills it, each argument
-        (buildings x steps). `chunk` buildings' rows, about
-        `TRACE_CHUNK_BYTES`, exist at once."""
-        ids = _ascii_rows(map(str, pop.id.tolist()))
-        # Rows 2j and 2j + 1: building j's draw with the heating off and on.
-        kw = _ascii_rows(f"{v:.3f}\r\n" for on_kw in pop.hvac_electric_kw.tolist()
-                         for v in (0.0, on_kw))
-        n = self._stamps.shape[0]
-        row_bytes = (ids.shape[1] + self._stamps.shape[1] + _FIXED4_BYTES
-                     + _FLAGS.shape[1] + kw.shape[1])
-        self.chunk = max(1, TRACE_CHUNK_BYTES // max(1, n * row_bytes))
+        (buildings x steps), `chunk` buildings (about `TRACE_CHUNK_BYTES`)
+        at a time. The buffer grows only for a chunk that outgrows it."""
+        ints, int_lengths, decimals = _digit_tables()
+        ids, id_len = _ascii_items(map(str, pop.id.tolist()))
+        # Item 4j + 2 powered + heating: building j's tail.
+        tails, tail_len = _ascii_items(
+            f",{flag},{v:.3f}\r\n" for on_kw in pop.hvac_electric_kw.tolist()
+            for flag in ("false", "true") for v in (0.0, on_kw))
+        n = len(self._stamps)
+        row_bytes = ids.itemsize + self._stamps.itemsize + ints.itemsize + 5 + tails.itemsize
+        self.chunk = max(1, TRACE_CHUNK_BYTES // (n * row_bytes))
         for lo in range(0, len(pop), self.chunk):
             at = slice(lo, lo + self.chunk)
-            k = len(ids[at])
-            kw_rows = 2 * np.arange(lo, lo + k)[:, None] + hvac_on[at]
-            fields = (
-                ids[at, None, :],
-                self._stamps,
-                format_fixed4(t_in[at]),
-                np.take(_FLAGS, powered[at], axis=0),
-                np.take(kw, kw_rows, axis=0),
-            )
-            rows = np.concatenate([np.broadcast_to(f, (k, n, f.shape[-1])) for f in fields],
-                                  axis=2)
-            self._handle.write(rows.tobytes().translate(None, b"\0"))
+            t = t_in[at]
+            # For |t| < 1000, fl(|t| 1e4) is within 1.2e-9 of the exact product,
+            # which the f-string rounds half-to-even, so the roundings differ
+            # only next to a half-integer: values within 1e-6 of one, and
+            # |t| >= 1000, take the f-string's text, split at the point.
+            x = np.minimum(np.abs(t), 1000.0)
+            x *= 1e4
+            q = np.rint(x)
+            fallback = np.abs(x - q) > 0.5 - 1e-6
+            fallback |= ~(x < 1e7)  # |t| >= 1000, or NaN
+            fallback = np.flatnonzero(fallback)
+            texts = [f"{v:.4f}".encode("ascii") for v in t.flat[fallback].tolist()]
+            fallback_len = [1 + text.index(b".") for text in texts]  # raises unless finite
+            q = q.astype(np.int32)
+            units = q // 10000
+            fraction = q - units * 10000
+            np.add(units, 1001, out=units, where=np.signbit(t))
+            int_len = int_lengths.take(units)
+            int_len.flat[fallback] = fallback_len
+            tail = 4 * np.arange(lo, lo + len(t))[:, None] + 2 * powered[at] + hvac_on[at]
+            tail_bytes = tail_len.take(tail)
+            row_len = id_len[at, None] + self._stamp_len + int_len + tail_bytes + 5
+            start = np.cumsum(row_len.ravel()).reshape(row_len.shape) - row_len
+            stamp_at = start + id_len[at, None]
+            int_at = stamp_at + self._stamp_len
+            decimal_at = int_at + int_len
+            tail_at = decimal_at + 5
+            end = int(tail_at[-1, -1] + tail_bytes[-1, -1])
+            if end + tails.itemsize > len(buf := self._buf):
+                buf = self._buf = np.empty(end + tails.itemsize, dtype=np.uint8)
+            for offsets, items in ((tail_at, tails.take(tail)), (start, ids[at, None]),
+                                   (stamp_at, self._stamps), (int_at, ints.take(units)),
+                                   (decimal_at, decimals.take(fraction))):
+                w = items.itemsize
+                view = np.ndarray((len(buf) - w + 1,), dtype=items.dtype, buffer=buf, strides=(1,))
+                view[offsets] = items
+            for at_byte, text in zip(int_at.flat[fallback].tolist(), texts):
+                buf[at_byte + 1:at_byte + 1 + len(text)] = np.frombuffer(text, np.uint8)
+            self._handle.write(buf[:end].data)

@@ -7,8 +7,10 @@ bit for bit, so that run artifacts stay byte-identical.
 """
 
 import dataclasses
+import io
 import json
 import math
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,7 +25,13 @@ from coldsnap.demo import demo_config_dict, make_uri_like_weather, write_weather
 from coldsnap.errors import ConfigurationError
 from coldsnap.hazard import CONDITIONS, HazardConfig, OutcomeTable, ProductivityModel, RRModel
 from coldsnap.outage import ISOLATED, TIERS, Scenario, assign_rolling_groups
-from coldsnap.population import BuildingKind, Population, Sector, synthesize_population
+from coldsnap.population import (
+    BuildingKind,
+    HeatingFuel,
+    Population,
+    Sector,
+    synthesize_population,
+)
 from coldsnap.scenario import (
     EXPOSURE_FIELDS,
     _write_exposure_csv,
@@ -34,7 +42,7 @@ from coldsnap.scenario import (
     read_inputs,
     sequential_sum,
 )
-from coldsnap.thermal import STEP_CHUNK, TraceWriter, format_fixed4, simulate_block
+from coldsnap.thermal import STEP_CHUNK, TraceWriter, simulate_block
 from coldsnap.valuation import (
     CICParams,
     CICTable,
@@ -525,6 +533,15 @@ def test_streamed_traces_match_oracle_export(assets, tmp_path, monkeypatch):
     assert streamed.read_bytes() == exported.read_bytes()
 
 
+def oracle_export(path, buildings, weather, t_in, powered, hvac_on) -> None:
+    """`oracles.write_traces_csv` of a block's rows."""
+    oracles.write_traces_csv(
+        [oracles.ExposureTrace(b.id, weather.start, weather.dt_s, t_in[j].copy(),
+                               powered[j].copy(),
+                               np.where(hvac_on[j], b.hvac_electric_kw, 0.0))
+         for j, b in enumerate(buildings)], path)
+
+
 def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
     # 37.5 s steps alternate stamps with and without microseconds; ids and
     # kW draws of several widths; temperatures that take the f-string
@@ -551,11 +568,7 @@ def test_fractional_step_export_matches_oracle(tmp_path, monkeypatch):
             writer.write(pop[at], t_in[at], powered[at], hvac_on[at])
     assert 1 < writer.chunk < 5 and 5 % writer.chunk
     exported = tmp_path / "exported.csv"
-    oracles.write_traces_csv(
-        [oracles.ExposureTrace(b.id, weather.start, weather.dt_s, t_in[j].copy(),
-                               powered[j].copy(),
-                               np.where(hvac_on[j], b.hvac_electric_kw, 0.0))
-         for j, b in enumerate(buildings)], exported)
+    oracle_export(exported, buildings, weather, t_in, powered, hvac_on)
     assert streamed.read_bytes() == exported.read_bytes()
     rows = [line.split(",") for line in exported.read_text().splitlines()[1:]]
     assert len({len(row[1]) for row in rows}) == 2
@@ -577,13 +590,103 @@ def fixed4_fuzz_values() -> np.ndarray:
     ])
 
 
+# Ids that change digit width inside a chunk of five and of twelve
+# buildings, and electric draws of 0.9, 12.5, 1,234.567 and 2 kW.
+OFFSET_IDS = (8, 9, 10, 99, 100, 998, 999, 1000, 1001, 5, 12_345, 0)
+OFFSET_HEAT_W = (900.0, 12_500.0, 1_234_567.0, 2_000.0)
+
+
+# Chunks of one building, of five (which do not divide the twelve) and of
+# the whole block: rows are at most 66 bytes here.
+@pytest.mark.parametrize("chunk_bytes, chunk", [(1, 1), (5 * 48 * 70, 5), (1 << 30, 12)],
+                         ids=["one-building", "five-buildings", "whole-block"])
+def test_export_offsets_match_oracle_at_any_chunk_size(tmp_path, monkeypatch, chunk_bytes, chunk):
+    # 48 steps of 37.5 s: every other stamp is 7 bytes (`.500000`) longer.
+    weather = constant_weather(-5.0, hours=0.5, dt_s=37.5)
+    buildings = [make_building(bid, hvac_heat_w=OFFSET_HEAT_W[j % 4],
+                               heating_fuel=(HeatingFuel.GAS_ELECTRIC_BLOWER if j == 7
+                                             else HeatingFuel.ELECTRIC))
+                 for j, bid in enumerate(OFFSET_IDS)]
+    pop = make_population(buildings)
+    rng = np.random.default_rng(33)
+    t_in = rng.uniform(-9.9, 9.9, (len(pop), weather.n_steps))
+    # All four (powered, heating) pairs, each in every building.
+    powered = np.resize([False, False, True, True], t_in.shape)
+    hvac_on = np.resize([False, True, False, True, True], t_in.shape)
+    # Every building's first and last rows, so the first and last rows of
+    # every chunk, take the f-string: |t| 1e4 next to a half-integer, or
+    # |t| >= 1000, one of them 306 bytes wide.
+    t_in[::2, 0] = t_in[1::2, -1] = 2.00005
+    t_in[1::2, 0] = t_in[::2, -1] = -1234.56789
+    t_in[4, -1] = 1e300
+    assert set(zip(powered.ravel().tolist(), hvac_on.ravel().tolist())) == {
+        (False, False), (False, True), (True, False), (True, True)}
+
+    monkeypatch.setattr(thermal_module, "TRACE_CHUNK_BYTES", chunk_bytes)
+    streamed = tmp_path / "streamed.csv"
+    with open(streamed, "wb") as handle:
+        writer = TraceWriter(handle, weather)
+        writer.write(pop, t_in, powered, hvac_on)
+    assert min(writer.chunk, len(pop)) == chunk
+    exported = tmp_path / "exported.csv"
+    oracle_export(exported, buildings, weather, t_in, powered, hvac_on)
+    assert streamed.read_bytes() == exported.read_bytes()
+    rows = [line.split(",") for line in exported.read_text().splitlines()[1:]]
+    # A one-digit integer part right after a short stamp.
+    assert any(len(row[1]) == 25 and len(row[2]) == 6 for row in rows)
+    assert {"12.500", "1234.567", "0.500", "0.000"} <= {row[4] for row in rows}
+
+
+class NullSink:
+    def write(self, data) -> int:
+        return len(data)
+
+
+def test_trace_memory_is_bounded_by_a_few_chunks():
+    # The README's bound: the buffer and the offsets, indices and items of
+    # one chunk of rows, never the block.
+    weather = constant_weather(-5.0, hours=96.0)
+    pop = make_population([make_building(i, hvac_heat_w=2_000.0 + i) for i in range(512)])
+    rng = np.random.default_rng(8)
+    t_in = rng.uniform(-30.0, 25.0, (len(pop), weather.n_steps))
+    powered = rng.random(t_in.shape) < 0.5
+    hvac_on = powered & (rng.random(t_in.shape) < 0.5)
+    tracemalloc.start()
+    try:
+        writer = TraceWriter(NullSink(), weather)
+        writer.write(pop, t_in, powered, hvac_on)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The block spans many chunks.
+    assert weather.n_steps == 1152 and writer.chunk < len(pop) // 32
+    assert peak < 6 * thermal_module.TRACE_CHUNK_BYTES
+
+
 def assert_fixed4_matches_fstring(values):
-    field = format_fixed4(values)
-    lines = np.concatenate([field, np.full((len(values), 1), ord("\n"), np.uint8)], axis=1)
-    got = lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
-    want = [f"{v:.4f}" for v in values.tolist()]
-    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
-    assert len(got) == len(want) and not bad[:10]
+    """The `t_in_c` cells `TraceWriter` writes for `values` are
+    `f"{v:.4f}"`; the values fill buildings of 1,152 steps, 64 at a time."""
+    weather = constant_weather(0.0, hours=96.0)
+    n = weather.n_steps
+    t_in = np.zeros(-(-len(values) // n) * n)
+    t_in[:len(values)] = values
+    t_in = t_in.reshape(-1, n)
+    pop = make_population([make_building(i) for i in range(len(t_in))])
+    off = np.zeros(t_in.shape, dtype=bool)
+    handle = io.BytesIO()
+    writer = TraceWriter(handle, weather)
+    bad, count = [], 0
+    for lo in range(0, len(t_in), 64):
+        at = slice(lo, lo + 64)
+        handle.seek(0)
+        handle.truncate()
+        writer.write(pop[at], t_in[at], off[at], off[at])
+        got = [line.split(",")[2] for line in handle.getvalue().decode("ascii").split("\r\n")[:-1]]
+        assert len(got) == t_in[at].size
+        block = t_in[at].ravel()[:max(0, len(values) - lo * n)].tolist()
+        bad += [(v, g, f"{v:.4f}") for v, g in zip(block, got) if g != f"{v:.4f}"]
+        count += len(block)
+    assert count == len(values) and not bad[:10]
 
 
 def test_fixed4_matches_fstring():
@@ -594,11 +697,6 @@ def test_fixed4_matches_fstring():
 
 def test_fixed4_fallbacks_wider_than_the_field():
     assert_fixed4_matches_fstring(np.array([1e17, -1e17, 1e300, -1e300, 1234567.89, 5.0]))
-
-
-def test_fixed4_keeps_the_input_shape():
-    block = fixed4_fuzz_values()[:6_000].reshape(3, 2_000)
-    assert np.array_equal(format_fixed4(block)[1], format_fixed4(block[1]))
 
 
 def test_block_row_matches_single_building_runs(assets):

@@ -188,6 +188,17 @@ class TestDrawOrder:
         sched = build_schedule(demo_pop, N_STEPS, DT, params, seed=3)
         assert isolated_ids(demo_pop, sched) == expected
 
+    def test_scope_given_as_its_string_is_the_enum_member(self, demo_pop):
+        params = [ControlledOutageParams(shed_fraction=0.25, shed_scope=scope)
+                  for scope in ("all", ShedScope.ALL)]
+        assert params[0] == params[1] and params[0].shed_scope is ShedScope.ALL
+        groups = [build_schedule(demo_pop, N_STEPS, DT, p, seed=3).group for p in params]
+        assert np.array_equal(*groups)
+        commercial = demo_pop.sector != code(Sector.RESIDENTIAL)
+        assert (groups[0][commercial] == DARK).any()
+        with pytest.raises(ValueError, match="'al'"):
+            ControlledOutageParams(shed_fraction=0.25, shed_scope="al")
+
     def test_isolation_overrides_the_shed_draw(self, demo_pop):
         params = ControlledOutageParams(shed_fraction=1.0, fault_fraction=0.034)
         group = build_schedule(demo_pop, N_STEPS, DT, params, seed=3).group
