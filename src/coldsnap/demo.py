@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tables import save_csv
+from .tables import fixed, save_csv
 from .weather import WeatherSeries
 
 DEMO_START = datetime(2021, 2, 15, 0, 0, tzinfo=timezone.utc)
@@ -66,8 +66,8 @@ def make_uri_like_weather() -> WeatherSeries:
 
 def write_weather_csv(series: WeatherSeries, path) -> None:
     save_csv(path, ("timestamp", "temp_c", "rh_pct"),
-             [(series.timestamps(), datetime.isoformat), (series.t_out_c, "{:.2f}".format),
-              (series.rh_pct, "{:.2f}".format)])
+             [(series.timestamps(), datetime.isoformat), (series.t_out_c, fixed(2)),
+              (series.rh_pct, fixed(2))])
 
 
 def demo_config_dict(weather_filename: str = "demo_weather.csv",

@@ -145,23 +145,29 @@ class WinterIndexParams(Bounded):
     indoor_rh_pct: float | None = within(0, 100, default=None)  # None: the outdoor series
 
 
-def winter_index_rows(t_in_c, rh_pct, params: WinterIndexParams) -> np.ndarray:
+def winter_index_rows(t_in_c, rh_pct, params: WinterIndexParams, rows=None) -> np.ndarray:
     """Accumulated freeze index of every row of a (buildings x steps) block:
     the sum of (T_crit - T)(RH - RH_crit) over the row's steps where
-    T < T_crit and RH > RH_crit, zero for a row without such a step. The
-    block's one gate picks each row's products, summed as that row alone.
-    `rh_pct` holds one humidity per step."""
+    T < T_crit and RH > RH_crit, zero for a row without such a step. Each
+    row's gate picks its products, summed as that row alone. Only the row
+    indices `rows` (every row for None) are summed; the others are 0.0, as
+    a row that never falls below T_crit is. `rh_pct` holds one humidity
+    per step."""
+    rows = range(len(t_in_c)) if rows is None else np.asarray(rows).tolist()
+    sums = np.zeros(len(t_in_c))
+    if not rows:
+        return sums
     t = np.asarray(t_in_c, dtype=float)
     if params.indoor_rh_pct is not None:
         rh = np.full(t.shape[1], float(params.indoor_rh_pct))
     else:
         rh = np.asarray(rh_pct, dtype=float)
-    gate = (t < params.t_crit_c) & (rh > params.rh_crit_pct)
+    humid = rh > params.rh_crit_pct
     excess = rh - params.rh_crit_pct
-    sums = np.zeros(len(t))
-    for row in np.flatnonzero(gate.any(axis=1)):
-        g = gate[row]
-        sums[row] = ((params.t_crit_c - t[row][g]) * excess[g]).sum()
+    for row in rows:
+        gate = t[row] < params.t_crit_c
+        gate &= humid
+        sums[row] = ((params.t_crit_c - t[row][gate]) * excess[gate]).sum()
     return sums
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .codec import Bound, Bounded, within
 from .errors import ConfigurationError, IngestionError
-from .tables import cell_parser, read_csv, save_csv, write_csv
+from .tables import cell_parser, csv_blocks, labels, read_csv, save_csv, write_csv
 
 
 class BuildingKind(str, Enum):
@@ -138,9 +138,9 @@ def code(member: Enum) -> int:
     return _codes(type(member))[member]
 
 
-def label(enum: type[Enum]):
+def label(enum: type[Enum]) -> labels:
     """Maps a column code of `enum` to its member's `.value`."""
-    return [m.value for m in enum].__getitem__
+    return labels(tuple(m.value for m in enum))
 
 
 # The `Sector` code of each `BuildingKind` code.
@@ -415,15 +415,20 @@ def synthesize_population(spec: PopulationSpec, seed: int) -> Population:
 
 
 def _csv_columns(pop: Population) -> list:
-    """Each field's column and cell text; `csv` writes a float's repr, so reload is bit-exact."""
+    """Each field's column and cell text; a float is written as its repr, so reload is bit-exact."""
     return [(pop.columns[name], label(tp) if issubclass(tp, Enum)
-             else {bool: ("false", "true").__getitem__}.get(tp))
+             else {bool: labels(("false", "true"))}.get(tp))
             for name, tp in _FIELD_TYPES.items()]
 
 
 def write_population_csv(handle, pop: Population) -> None:
     """Write one building per row, one column per field."""
     write_csv(handle, CSV_COLUMNS, _csv_columns(pop))
+
+
+def population_csv_blocks(pop: Population):
+    """The bytes that `write_population_csv` writes, a block at a time (`tables.csv_blocks`)."""
+    return csv_blocks(CSV_COLUMNS, _csv_columns(pop))
 
 
 def save_population(pop: Population, path) -> None:

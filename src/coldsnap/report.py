@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .population import INSULATION_ORDER, Insulation
-from .tables import cell_parser, read_csv, save_csv
+from .tables import cell_parser, fixed, read_csv, save_csv
 from .valuation import METRICS
 
 
@@ -126,7 +126,7 @@ def export_exposure(run_dir) -> list[dict]:
              for values in temperatures_and_rr]
     header = ("insulation", "n_buildings", "mean_t_in_c", "mean_min_t_in_c", "mean_rr")
     save_csv(run_dir / "insulation_summary.csv", header,
-             [(classes, None), (n, None)] + [(m, "{:.6f}".format) for m in means])
+             [(classes, None), (n, None)] + [(m, fixed(6)) for m in means])
     return [dict(zip(header, row))
             for row in zip(classes, n.tolist(), *(m.tolist() for m in means))]
 

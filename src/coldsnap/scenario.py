@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import time
 import typing
@@ -43,10 +42,10 @@ from .population import (
     code,
     label,
     load_population,
+    population_csv_blocks,
     synthesize_population,
-    write_population_csv,
 )
-from .tables import save_csv
+from .tables import fixed, save_csv
 from .thermal import TraceWriter, simulate_block
 from .valuation import (
     COMPONENTS,
@@ -184,8 +183,13 @@ class ScenarioConfig(Bounded):
         return data
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.materialized(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return materialized_hash(self.materialized())
+
+
+def materialized_hash(materialized: dict) -> str:
+    """SHA-256 of a `ScenarioConfig.materialized()` dict's canonical JSON."""
+    canonical = json.dumps(materialized, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
@@ -229,10 +233,11 @@ class RunResult:
 
 
 def population_digest(pop: Population) -> str:
-    """Stable hash of the population's canonical CSV serialization."""
-    buffer = io.StringIO()
-    write_population_csv(buffer, pop)
-    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    """SHA-256 of the population's CSV text (`write_population_csv`), fed a block at a time."""
+    digest = hashlib.sha256()
+    for block in population_csv_blocks(pop):
+        digest.update(block)
+    return digest.hexdigest()
 
 
 def sequential_sum(values) -> float:
@@ -332,11 +337,14 @@ def assemble_bundle(config: ScenarioConfig, pop: Population, schedule: PowerSche
                 rr = hz.rr_model.evaluate(t, curve[:len(t)], clipped[:len(t)])
                 mean_rr[at] = rr.mean(axis=1)
                 mean_t[at] = t.mean(axis=1)
-                min_t[at] = t.min(axis=1)
-                wi_sum[at] = winter_index_rows(t, window.rh_pct, hz.winter_index)
+                min_t[at] = lowest = t.min(axis=1)
+                # Only a row that falls below T_crit can freeze, and only a
+                # building with workers prices lost work: the others are 0.0.
+                wi_sum[at] = winter_index_rows(t, window.rh_pct, hz.winter_index,
+                                               np.flatnonzero(lowest < hz.winter_index.t_crit_c))
                 lost_h[at] = lost_work_hours(
                     t, powered[local], residential[at], pop.job_requires_power[at],
-                    steps, window.dt_s, hz.productivity_model)
+                    steps, window.dt_s, hz.productivity_model, np.flatnonzero(pop.n_workers[at]))
     p_mort = mortality_probability(mean_rr, hz.delta)
 
     beta = config.valuation.beta_wi
@@ -376,7 +384,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
     summary["scenario"] = config.scenario.value
     summary["seed"] = config.seed
-    summary["config_hash"] = config.config_hash()
+    materialized = config.materialized()
+    summary["config_hash"] = materialized_hash(materialized)
     summary["population_digest"] = population_digest(pop)
     summary["mean_rr_population"] = float(exposure["mean_rr"].mean())
     # The sampler's exact expectations of n_death + n_injured and of n_death
@@ -404,7 +413,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         "wall_clock_s": round(time.time() - started, 3),
         "input_digests": _input_digests(config),
         "beta_wi_effective": bundle.beta_wi,
-        "materialized_config": config.materialized(),
+        "materialized_config": materialized,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                        encoding="utf-8")
@@ -422,14 +431,14 @@ def _input_digests(config: ScenarioConfig) -> dict:
 def _write_trials_csv(path, distribution: CostDistribution) -> None:
     money = COMPONENTS + ("total",)
     save_csv(path, ("trial", *money, *COUNTS), [(range(len(distribution.trials)), None)] + [
-        (distribution.component(name), "{:.2f}".format) for name in money] + [
+        (distribution.component(name), fixed(2)) for name in money] + [
         (distribution.component(name).astype(np.int64), None) for name in COUNTS])
 
 
 def _write_histogram_csv(path, histogram: list) -> None:
     left, right, count = zip(*histogram)
     save_csv(path, ("bin_left", "bin_right", "count"),
-             [(left, "{:.2f}".format), (right, "{:.2f}".format), (count, None)])
+             [(left, fixed(2)), (right, fixed(2)), (count, None)])
 
 
 def _write_exposure_csv(path, pop: Population, exposure: dict[str, np.ndarray]) -> None:
@@ -437,4 +446,4 @@ def _write_exposure_csv(path, pop: Population, exposure: dict[str, np.ndarray]) 
                     *EXPOSURE_FIELDS),
              [(pop.id, None), (pop.kind, label(BuildingKind)), (pop.sector, label(Sector)),
               (pop.insulation, label(Insulation)), (pop.n_occupants, None)] + [
-                 (exposure[name], "{:.6f}".format) for name in EXPOSURE_FIELDS])
+                 (exposure[name], fixed(6)) for name in EXPOSURE_FIELDS])

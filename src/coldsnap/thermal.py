@@ -12,12 +12,12 @@ is a hysteresis relay gated by power availability.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .population import Population
+from .tables import digit_items, fixed_point, items, lead_items, put_items
 from .weather import WeatherSeries
 
 # Metabolic and plug gain of an occupied building, W. Electrically supplied
@@ -114,27 +114,6 @@ def simulate_block(pop: Population, weather: WeatherSeries, powered, out: np.nda
 TRACE_CHUNK_BYTES = 1 << 19
 
 
-def _ascii_items(strings) -> tuple[np.ndarray, np.ndarray]:
-    """Each string's ASCII bytes as one zero-padded fixed-width item, and its length."""
-    raw = [s.encode("ascii") for s in strings]
-    width = max(map(len, raw), default=1)
-    items = np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw), dtype=f"V{width}")
-    return items, np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
-
-
-@functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Of q = rint(|t| 1e4) for |t| < 1000, so q <= 10**7: the field
-    `,{sign}{q // 10000}` at item 1001 signbit(t) + q // 10000 with its
-    length, and the field `.dddd` of q % 10000. Built on first use, so that
-    runs without traces neither pay for nor hold them."""
-    units, lengths = _ascii_items(f",{sign}{i}" for sign in ("", "-") for i in range(1001))
-    decimals = np.column_stack([np.full(10000, ord("."))] + [
-        np.arange(10000) // p % 10 + ord("0") for p in (1000, 100, 10, 1)]).astype(np.uint8)
-    lengths.flags.writeable = decimals.flags.writeable = False
-    return units, lengths, decimals.view("V5")[:, 0]
-
-
 class TraceWriter:
     """Appends `building_id,timestamp,t_in_c,powered,hvac_kw` rows to an open
     binary handle, one simulated block at a time.
@@ -157,7 +136,7 @@ class TraceWriter:
 
     def __init__(self, handle, window: WeatherSeries):
         self._handle = handle
-        self._stamps, self._stamp_len = _ascii_items(
+        self._stamps, self._stamp_len = items(
             f",{stamp.isoformat()}" for stamp in window.timestamps())
         self._buf = np.empty(TRACE_CHUNK_BYTES, dtype=np.uint8)
         self.chunk = 1
@@ -167,10 +146,11 @@ class TraceWriter:
         """Rows of a block as `simulate_block` fills it, each argument
         (buildings x steps), `chunk` buildings (about `TRACE_CHUNK_BYTES`)
         at a time. The buffer grows only for a chunk that outgrows it."""
-        ints, int_lengths, decimals = _digit_tables()
-        ids, id_len = _ascii_items(map(str, pop.id.tolist()))
+        ints, int_lengths = lead_items(",")
+        decimals = digit_items(4, point=True)
+        ids, id_len = items(map(str, pop.id.tolist()))
         # Item 4j + 2 powered + heating: building j's tail.
-        tails, tail_len = _ascii_items(
+        tails, tail_len = items(
             f",{flag},{v:.3f}\r\n" for on_kw in pop.hvac_electric_kw.tolist()
             for flag in ("false", "true") for v in (0.0, on_kw))
         n = len(self._stamps)
@@ -179,22 +159,17 @@ class TraceWriter:
         for lo in range(0, len(pop), self.chunk):
             at = slice(lo, lo + self.chunk)
             t = t_in[at]
-            # For |t| < 1000, fl(|t| 1e4) is within 1.2e-9 of the exact product,
-            # which the f-string rounds half-to-even, so the roundings differ
-            # only next to a half-integer: values within 1e-6 of one, and
-            # |t| >= 1000, take the f-string's text, split at the point.
-            x = np.minimum(np.abs(t), 1000.0)
-            x *= 1e4
-            q = np.rint(x)
-            fallback = np.abs(x - q) > 0.5 - 1e-6
-            fallback |= ~(x < 1e7)  # |t| >= 1000, or NaN
-            fallback = np.flatnonzero(fallback)
+            # The digits of `tables.fixed_point`; a value that is not exact
+            # there, or whose integer part has more than three digits, takes
+            # the f-string's text, split at the point.
+            neg, whole, fraction, exact = fixed_point(t, 4)
+            exact &= whole < 1000
+            fallback = np.flatnonzero(~exact)
             texts = [f"{v:.4f}".encode("ascii") for v in t.flat[fallback].tolist()]
             fallback_len = [1 + text.index(b".") for text in texts]  # raises unless finite
-            q = q.astype(np.int32)
-            units = q // 10000
-            fraction = q - units * 10000
-            np.add(units, 1001, out=units, where=np.signbit(t))
+            np.putmask(whole, ~exact, 0)
+            units = whole.view(np.int64)
+            np.add(units, 1000, out=units, where=neg)
             int_len = int_lengths.take(units)
             int_len.flat[fallback] = fallback_len
             tail = 4 * np.arange(lo, lo + len(t))[:, None] + 2 * powered[at] + hvac_on[at]
@@ -208,12 +183,10 @@ class TraceWriter:
             end = int(tail_at[-1, -1] + tail_bytes[-1, -1])
             if end + tails.itemsize > len(buf := self._buf):
                 buf = self._buf = np.empty(end + tails.itemsize, dtype=np.uint8)
-            for offsets, items in ((tail_at, tails.take(tail)), (start, ids[at, None]),
+            for offsets, field in ((tail_at, tails.take(tail)), (start, ids[at, None]),
                                    (stamp_at, self._stamps), (int_at, ints.take(units)),
                                    (decimal_at, decimals.take(fraction))):
-                w = items.itemsize
-                view = np.ndarray((len(buf) - w + 1,), dtype=items.dtype, buffer=buf, strides=(1,))
-                view[offsets] = items
+                put_items(buf, offsets, field)
             for at_byte, text in zip(int_at.flat[fallback].tolist(), texts):
                 buf[at_byte + 1:at_byte + 1 + len(text)] = np.frombuffer(text, np.uint8)
             self._handle.write(buf[:end].data)

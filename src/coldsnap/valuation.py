@@ -285,15 +285,20 @@ def work_steps(start, dt_s: float, n_steps: int, hours: tuple[int, int]) -> np.n
 
 
 def lost_work_hours(t_in_c, powered, residential, needs_power, steps, dt_s: float,
-                    productivity_model) -> np.ndarray:
+                    productivity_model, rows=None) -> np.ndarray:
     """Work hours lost per worker of each row of (buildings x steps) `t_in_c`
     and `powered`. `residential` and `needs_power` flag the rows; `steps`
     holds the `work_steps` of residential (work-from-home), then commercial,
     premises. Performance is zero at unpowered steps of power-dependent jobs
-    and follows the temperature curve, evaluated only at working steps, otherwise."""
-    lost_h = np.empty(len(t_in_c))
-    for rows, cols in ((residential, steps[0]), (~residential, steps[1])):
-        rows = np.flatnonzero(rows)
+    and follows the temperature curve, evaluated only at working steps, otherwise.
+    Only the row indices `rows` (every row for None) are reduced; the others
+    lose 0.0 hours."""
+    lost_h = np.zeros(len(t_in_c))
+    priced = np.arange(len(t_in_c)) if rows is None else np.asarray(rows)
+    for flag, cols in ((residential, steps[0]), (~residential, steps[1])):
+        rows = priced[flag[priced]]
+        if not len(rows):
+            continue
         # The gathered cells are C-contiguous rows, so each row sums in the
         # same order as one building's working steps. Columns are gathered
         # first, so the intermediate holds only working steps.

@@ -16,8 +16,9 @@ Outcomes here are records of (status, condition, insured), and
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from enum import Enum
 
@@ -271,6 +272,20 @@ def free_float_closed_form(building: Building, t_start_c: float, t_out_c: float,
     t_eq = t_out_c + internal_gain_w / building.ua_w_per_k
     tau = building.thermal_mass_j_per_k / building.ua_w_per_k
     return t_eq + (t_start_c - t_eq) * np.exp(-times / tau)
+
+
+def population_csv(buildings) -> str:
+    """The population CSV through `csv.writer`, one `Building` per row: an
+    enum's value, "true"/"false", a float's repr and every other field's `str`."""
+    handle = io.StringIO()
+    writer = csv.writer(handle)
+    names = [f.name for f in fields(Building)]
+    writer.writerow(names)
+    for b in buildings:
+        cells = [getattr(b, name) for name in names]
+        writer.writerow([c.value if isinstance(c, Enum) else ("true" if c else "false")
+                         if isinstance(c, bool) else c for c in cells])
+    return handle.getvalue()
 
 
 def write_traces_csv(traces, path) -> None:

@@ -90,6 +90,14 @@ VARIANTS = {
     "commercial": {"population.spec": {"counts": {"office": 20, "big_box": 15}}},
     # Half the weather file's step: the window is interpolated between samples.
     "dt_150": {"": {"dt_s": 150.0}},
+    # Homes only, none working from home: no building prices lost work.
+    "no_workers": {"population.spec": {"counts": {"single_family": 40, "multi_family": 20,
+                                                  "mobile_home": 10}, "wfh_share": 0.0}},
+    # The demo weather 30 degC warmer: no building falls below T_crit.
+    "warm": {"": {"weather_path": "warm_weather.csv"}, "valuation": {"beta_wi": None}},
+    # Humid inside and T_crit above every setpoint band: every row is gated.
+    "gated": {"hazard.winter_index": {"indoor_rh_pct": 90.0, "t_crit_c": 21.0},
+              "valuation": {"beta_wi": None}},
     # Seven groups over four homes: some tiers hold no building.
     "few_homes": {"population.spec": {"counts": {"single_family": 3, "mobile_home": 1,
                                                  "office": 20, "big_box": 15}},
@@ -100,7 +108,10 @@ VARIANTS = {
 @pytest.fixture(scope="module")
 def assets(tmp_path_factory):
     directory = tmp_path_factory.mktemp("kernel_equivalence")
-    write_weather_csv(make_uri_like_weather(), directory / "weather.csv")
+    weather = make_uri_like_weather()
+    write_weather_csv(weather, directory / "weather.csv")
+    write_weather_csv(dataclasses.replace(weather, t_out_c=weather.t_out_c + 30.0),
+                      directory / "warm_weather.csv")
     config = demo_config_dict(weather_filename="weather.csv", out_dir="runs")
     counts = config["population"]["spec"]["counts"]
     config["population"]["spec"]["counts"] = {k: round(n * SCALE) for k, n in counts.items()}
@@ -338,6 +349,23 @@ def test_bundle_matches_oracle_exactly(assets, tmp_path, variant, scenario):
     if variant == "indoor_rh" and scenario in ("co", "ro-di"):
         # Buildings dark for the whole window fall below freezing.
         assert (bundle.wi_sum_by_building > 0.0).any()
+
+
+@pytest.mark.parametrize("variant", ["no_workers", "warm", "gated"])
+@pytest.mark.parametrize("scenario", ["co", "ro-di"])
+def test_reductions_over_priced_rows_match_oracle(assets, tmp_path, variant, scenario):
+    # Rows without workers and rows that never fall below T_crit skip their
+    # reductions: none of them, all of them, and with T_crit raised few.
+    config, pop, schedule = prepare(assets[variant], scenario)
+    bundle = assert_bundle_matches_oracle(config, pop, schedule, tmp_path)
+    wi_sum = bundle.wi_sum_by_building
+    if variant == "no_workers":
+        assert not pop.n_workers.any() and bundle.c_prod == 0.0
+        assert (wi_sum > 0.0).any()
+    elif variant == "warm":
+        assert (wi_sum == 0.0).all() and bundle.beta_wi == 1e-9 and bundle.c_prod > 0.0
+    else:
+        assert (wi_sum > 0.0).all() and bundle.beta_wi == wi_sum.max()
 
 
 @pytest.mark.parametrize("width, traces", [(16, True), (29, True), (16, False), (29, False)],

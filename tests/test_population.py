@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import oracles
 from coldsnap.codec import Bound
 from coldsnap.demo import DEMO_COUNTS
 from coldsnap.errors import ConfigurationError, IngestionError
@@ -37,6 +38,7 @@ from coldsnap.population import (
     write_population_csv,
 )
 from coldsnap.scenario import population_digest
+from coldsnap.tables import BLOCK_ROWS
 
 from conftest import make_building, make_population
 
@@ -434,6 +436,27 @@ class TestColumns:
         assert population_digest(pop) == pinned
         save_population(pop, tmp_path / "pop.csv")
         assert hashlib.sha256((tmp_path / "pop.csv").read_bytes()).hexdigest() == pinned
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 7])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, n):
+        # Brackets that need quoting, the empty bracket and a non-ASCII one,
+        # over block edges; floats that take every repr form; ids of any width.
+        brackets = ["median", "a,b", 'say "x"', "cr\rlf\nend", "\r\n", "", "seño"]
+        pop = synthesize_population(demo_spec(), seed=5)
+        pop = pop[np.arange(n) % len(pop)]
+        columns = dict(pop.columns)
+        columns["income_bracket"] = np.array([brackets[i % 7] for i in range(n)], dtype=str)
+        columns["floor_area_m2"] = np.resize([1e16, 1e-5, 0.1, 123456.789, 2.0 ** 60], n)
+        columns["id"] = np.arange(n) * 997 - 3
+        pop = Population(columns)
+        expected = oracles.population_csv(pop.buildings)
+        handle = io.StringIO()
+        write_population_csv(handle, pop)
+        assert handle.getvalue() == expected
+        save_population(pop, tmp_path / "pop.csv")
+        assert (tmp_path / "pop.csv").read_bytes() == expected.encode()
+        assert population_digest(pop) == hashlib.sha256(expected.encode()).hexdigest()
 
     def test_load_equals_synthesized_columns(self, tmp_path):
         pop = synthesize_population(demo_spec(), seed=42)

@@ -11,7 +11,8 @@ import pytest
 from coldsnap.codec import Bound
 from coldsnap.errors import ConfigurationError, IngestionError
 from coldsnap.population import Insulation
-from coldsnap.tables import BLOCK_ROWS, cell_parser, read_csv, save_csv, write_csv
+from coldsnap.tables import (BLOCK_ROWS, cell_parser, fixed, labels, read_csv, save_csv,
+                             write_csv)
 
 
 def reference(header, columns) -> str:
@@ -42,6 +43,65 @@ def test_blocks_write_the_rows_of_csv_writer(n):
     # The reference reads numpy cells as Python scalars too.
     listed = [(v.tolist() if isinstance(v, np.ndarray) else v, t) for v, t in columns]
     assert handle.getvalue() == reference(["i", "f2", "repr", "k", "text", "flag"], listed)
+
+
+@pytest.mark.parametrize("n", [1, 5, BLOCK_ROWS + 3])
+def test_table_items_that_reach_past_their_row_and_one_column_tables(n):
+    # A last field whose table is wider than the rest of its row, labels
+    # that need quoting, non-finite and wide decimals, ids past 2**62, and a
+    # one-column table, whose empty cell `csv` writes as `""`.
+    rng = np.random.default_rng(n)
+    kinds = labels(("a", "b,c", 'd"e', "much_longer_than_a_crlf"))
+    columns = [
+        (rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64), None),
+        (np.resize([np.nan, np.inf, -1e300, 0.125, -0.0], n), fixed(3)),
+        (rng.integers(0, 4, n), kinds),
+        (rng.integers(-10**7, 10**7, n) * (rng.random(n) < 0.5), None),
+    ]
+    handle = io.StringIO()
+    write_csv(handle, ["id", "v", "kind", "count"], columns)
+    assert handle.getvalue() == reference(["id", "v", "kind", "count"],
+                                          [(v.tolist(), t) for v, t in columns])
+    one = [(["", "x", None, "y,z"] * n, None)]
+    handle = io.StringIO()
+    write_csv(handle, [""], one)
+    assert handle.getvalue() == reference([""], one)
+
+
+def fixed_point_values(decimals: int) -> np.ndarray:
+    """Values whose `.{decimals}f` text the digit rule must match."""
+    rng = np.random.default_rng(decimals)
+    scale = 10.0 ** decimals
+    halves = (rng.integers(-10**9, 10**9, 20_000) + 0.5) / scale
+    edges = np.array([0.0, 5e-324, 1e-300, 0.5 / scale, 1.5 / scale, 999.5, 1000.0, 999.99999999,
+                      1e15, 2.0 ** 52 / scale, 2.0 ** 53 / scale, 1e17, 1e300, np.inf, np.nan])
+    values = np.concatenate([
+        rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-9.0, 16.0, 200_000),
+        rng.uniform(-1100.0, 1100.0, 100_000),
+        # Within 1e-7 of a half-integer of the last decimal, on either side.
+        halves, halves + rng.uniform(-1e-7, 1e-7, len(halves)) / scale,
+        np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+        # Negatives that round to -0.
+        -rng.uniform(0.0, 0.5, 1_000) / scale,
+        edges, -edges, np.nextafter(edges, -np.inf),
+    ])
+    if decimals == 2:  # money: trials.csv's costs reach 1e8 to 1e12 at 2 decimals
+        money = 10.0 ** rng.uniform(8.0, 12.0, 100_000)
+        values = np.concatenate([values, money, np.round(money, 2), np.round(money) + 0.005])
+    return values
+
+
+@pytest.mark.parametrize("decimals", [2, 4, 6])
+def test_fixed_point_cells_are_the_fstring(decimals):
+    values = fixed_point_values(decimals)
+    handle = io.StringIO()
+    write_csv(handle, ["i", "v", "w"], [(range(len(values)), None), (values, fixed(decimals)),
+                                        (-values, fixed(decimals))])
+    rows = handle.getvalue().split("\r\n")[1:-1]
+    assert len(rows) == len(values)
+    bad = [(v, row) for v, row in zip(values.tolist(), rows)
+           if row.split(",")[1:] != [f"{v:.{decimals}f}", f"{-v:.{decimals}f}"]]
+    assert not bad[:10]
 
 
 def test_save_csv_writes_utf8_with_crlf(tmp_path):
